@@ -13,6 +13,7 @@ counts as zero when sigma <= rank_tol * sigma_max.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -64,6 +65,43 @@ def operator_norm(M) -> float:
     return float(np.linalg.norm(M, 2))
 
 
+# Relative slack on the Frobenius brackets of `norm_at_most`: a comparison
+# this close to a tie goes to the exact spectral norms, so rounding in the
+# two kinds of norm cannot decide it differently.
+_FRO_SLACK = 1e-12
+
+
+def _fro_bracket(M: np.ndarray) -> tuple[float, float]:
+    """Lower and upper bound of ||M||_2 from ||M||_F / sqrt(rank) <= ||M||_2 <= ||M||_F,
+    with the rank bounded by the smaller dimension."""
+    fro = float(np.linalg.norm(M))
+    return fro / math.sqrt(max(1, min(M.shape))) * (1 - _FRO_SLACK), fro * (1 + _FRO_SLACK)
+
+
+def norm_at_most(R, bound: float, scale=None, floor: float = 0.0) -> bool:
+    """Decide ||R||_2 <= bound * max(floor, ||scale||_2), or ||R||_2 <= bound
+    when no scale is given, as the exact spectral norms would.
+
+    Both norms are first bracketed by Frobenius norms: the test accepts when
+    the upper bracket of ||R|| meets the lower bracket of the threshold,
+    rejects when the lower bracket of ||R|| exceeds the upper bracket of the
+    threshold, and computes singular values only when neither settles it."""
+    R = as_matrix(R)
+    lo = hi = bound
+    if scale is not None:
+        S = as_matrix(scale)
+        s_lo, s_hi = _fro_bracket(S)
+        lo, hi = bound * max(floor, s_lo), bound * max(floor, s_hi)
+    r_lo, r_hi = _fro_bracket(R)
+    if r_hi <= lo:
+        return True
+    if r_lo > hi:
+        return False
+    if scale is not None:
+        bound = bound * max(floor, operator_norm(S))
+    return operator_norm(R) <= bound
+
+
 def herm_part(M) -> np.ndarray:
     M = as_matrix(M)
     return (M + M.conj().T) / 2.0
@@ -113,14 +151,21 @@ def psd_sqrt(M, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         raise NonSquare(f"psd_sqrt needs a square matrix, got {M.shape}")
     if M.shape[0] == 0:
         return M.copy()
-    scale = max(operator_norm(M), 1.0)
-    if operator_norm(M - M.conj().T) > tol.eq_tol * scale:
+    if not norm_at_most(M - M.conj().T, tol.eq_tol, M, 1.0):
         raise NotHermitian("psd_sqrt: matrix is not Hermitian")
     w, U = np.linalg.eigh(herm_part(M))
-    if w[0] < -tol.psd_tol * scale:
-        raise NotPSD(f"psd_sqrt: eigenvalue {w[0]:.3e} below -psd_tol")
-    w = np.where(w < tol.psd_tol, 0.0, w)
-    return (U * np.sqrt(w)) @ U.conj().T
+    return (U * _sqrt_psd_eigs(w, lambda: operator_norm(M), tol)) @ U.conj().T
+
+
+def _sqrt_psd_eigs(w: np.ndarray, norm, tol: Tolerances) -> np.ndarray:
+    """Square roots of the eigenvalues w of a Hermitian matrix M, with
+    values below psd_tol clamped to 0.  Raises NotPSD when the smallest lies
+    below -psd_tol * max(||M||, 1); `norm()` gives ||M|| and is called only
+    once the smallest is below -psd_tol."""
+    low = w.min()
+    if low < -tol.psd_tol and low < -tol.psd_tol * max(norm(), 1.0):
+        raise NotPSD(f"psd_sqrt: eigenvalue {low:.3e} below -psd_tol")
+    return np.sqrt(np.where(w < tol.psd_tol, 0.0, w))
 
 
 def range_basis(M, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
@@ -230,23 +275,83 @@ class DefectData(NamedTuple):
     For normal A the two defect operators coincide; in that case the very
     same matrix and basis are reused on both sides, so that operators
     between the two defect spaces are expressed in one coherent basis.
+    For selfadjoint A the shared basis consists of eigenvectors of A, and
+    `t` holds their eigenvalues, column by column; otherwise `t` is None.
     """
 
     DA: np.ndarray       # (I - A*A)^{1/2} on the domain
     DAs: np.ndarray      # (I - AA*)^{1/2} on the codomain
     E_A: np.ndarray      # columns: orthonormal basis of ran D_A
     E_As: np.ndarray     # columns: orthonormal basis of ran D_{A*}
+    t: np.ndarray | None = None
+
+    def adjoint(self) -> "DefectData":
+        """The defect data of A*, in the same bases."""
+        return DefectData(self.DAs, self.DA, self.E_As, self.E_A, self.t)
+
+
+def hermitian_eigh(A, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray] | None:
+    """Eigenvalues t (ascending) and eigenvectors V of a nonempty square A
+    that passes `is_selfadjoint`, or None for any other A.
+
+    A real diagonal A is its own factorization (V a permutation).  Otherwise
+    the factorization from eigh is verified once: ||AV - V diag(t)||_F must
+    stay within eq_tol * max(1, max|t|), else None is returned as well, so
+    that callers fall back to formulas in A itself."""
+    A = as_matrix(A)
+    if A.shape[0] != A.shape[1] or A.shape[0] == 0 or not is_selfadjoint(A, tol):
+        return None
+    diag = np.diagonal(A)
+    if not np.any(diag.imag) and np.count_nonzero(A) == np.count_nonzero(diag):
+        order = np.argsort(diag.real, kind="stable")
+        V = np.zeros(A.shape, dtype=complex)
+        V[order, np.arange(order.size)] = 1.0
+        return diag.real[order], V
+    t, V = np.linalg.eigh(A)
+    # column blocks keep the residual's temporaries small
+    sq = 0.0
+    for j in range(0, t.size, 128):
+        cols = slice(j, j + 128)
+        blk = A @ V[:, cols]
+        blk -= V[:, cols] * t[cols]
+        sq += float(np.linalg.norm(blk)) ** 2
+    if math.sqrt(sq) > tol.eq_tol * max(1.0, float(np.abs(t).max())):
+        return None
+    return t, V
 
 
 def defect_data(A, tol: Tolerances = DEFAULT_TOL) -> DefectData:
     A = as_matrix(A)
+    eig = hermitian_eigh(A, tol)
+    if eig is not None:
+        return _hermitian_defect_data(*eig, tol)
     DA = defect_operator(A, tol)
     DAs = defect_operator(A.conj().T, tol)
-    if DA.shape == DAs.shape and operator_norm(DA - DAs) <= tol.eq_tol:
-        DAs = DA
+    if DA.shape == DAs.shape and norm_at_most(DA - DAs, tol.eq_tol):
         E = range_basis(DA, tol).basis
         return DefectData(DA, DA, E, E)
     return DefectData(DA, DAs, range_basis(DA, tol).basis, range_basis(DAs, tol).basis)
+
+
+def _hermitian_defect_data(t: np.ndarray, V: np.ndarray, tol: Tolerances) -> DefectData:
+    """D_A = D_{A*} = V diag(sqrt(1 - t^2)) V* from A = V diag(t) V*, with the
+    eigenvectors of nonzero defect as the shared range basis.  Contraction,
+    clamping and rank rules are those of `defect_operator` and `range_basis`,
+    applied to the exact eigenvalues and singular values."""
+    if np.abs(t).max() > 1.0 + tol.rank_tol:
+        raise NotAContraction(f"operator norm {np.abs(t).max():.12f} exceeds 1")
+    g = 1.0 - t * t
+    d = _sqrt_psd_eigs(g, lambda: float(np.abs(g).max()), tol)
+    # V d V* formed as conj(conj(V d) V^T), which needs no conjugated copy of V
+    W = V * d
+    np.conj(W, out=W)
+    DA = W @ V.T
+    del W
+    np.conj(DA, out=DA)
+    # 1 - t^2 is unimodal in the ascending t, so the kept columns are contiguous
+    keep = np.flatnonzero(d > tol.rank_tol * d.max()) if d.max() > 0 else np.zeros(0, dtype=int)
+    cols = slice(keep[0], keep[-1] + 1) if keep.size else slice(0, 0)
+    return DefectData(DA, DA, V[:, cols], V[:, cols], t[cols])
 
 
 def is_strict_contraction(A, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -267,15 +372,16 @@ def is_selfadjoint(A, tol: Tolerances = DEFAULT_TOL) -> bool:
     A = as_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise NonSquare("selfadjointness needs a square matrix")
-    return operator_norm(A - A.conj().T) <= tol.eq_tol * max(operator_norm(A), 1e-300)
+    return norm_at_most(A - A.conj().T, tol.eq_tol, A, 1e-300)
 
 
 def is_normal(A, tol: Tolerances = DEFAULT_TOL) -> bool:
     A = as_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise NonSquare("normality needs a square matrix")
-    comm = A.conj().T @ A - A @ A.conj().T
-    return operator_norm(comm) <= tol.eq_tol * max(operator_norm(A) ** 2, 1e-300)
+    AhA = A.conj().T @ A
+    # ||A*A|| = ||A||^2 is the scale of the commutator
+    return norm_at_most(AhA - A @ A.conj().T, tol.eq_tol, AhA, 1e-300)
 
 
 class StrongLimit(NamedTuple):

@@ -38,7 +38,9 @@ class ContractionParams:
 
     DA/DAs are ambient defect operators of A; DM/DKs are the ambient
     defect operators of M (on M) and K* (on N); DK, DMs, DX, DXs are the
-    remaining defect operators, expressed in the small bases.
+    remaining defect operators, expressed in the small bases.  For
+    selfadjoint A, t holds the eigenvalues of A along the columns of
+    E_DA = E_DAs (see `opcore.DefectData`); otherwise it is None.
     """
 
     A: np.ndarray
@@ -57,6 +59,11 @@ class ContractionParams:
     DMs: np.ndarray
     DX: np.ndarray
     DXs: np.ndarray
+    t: np.ndarray | None = None
+
+    @property
+    def defects(self) -> opcore.DefectData:
+        return opcore.DefectData(self.DA, self.DAs, self.E_DA, self.E_DAs, self.t)
 
     @property
     def in_dim(self) -> int:
@@ -120,6 +127,7 @@ def make_params(A, M, K, X, tol: Tolerances = DEFAULT_TOL) -> ContractionParams:
         DMs=psd_sqrt(np.eye(dAs) - M @ M.conj().T, tol),
         DX=psd_sqrt(np.eye(dM) - X.conj().T @ X, tol),
         DXs=psd_sqrt(np.eye(dKs) - X @ X.conj().T, tol),
+        t=dd.t,
     )
 
 
@@ -165,14 +173,19 @@ def parametrize(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> C
     dd = opcore.defect_data(A, tol)
     DA, DAs, E_DA, E_DAs = dd.DA, dd.DAs, dd.E_A, dd.E_As
 
-    DAs_pinv = opcore.pinv(DAs, tol)
-    M = E_DAs.conj().T @ DAs_pinv @ B
+    if dd.t is None:
+        M = E_DAs.conj().T @ opcore.pinv(DAs, tol) @ B
+        K = C @ opcore.pinv(DA, tol) @ E_DA
+    else:
+        # D_A = D_{A*} = E diag(sqrt(1 - t^2)) E* on its range: the
+        # pseudoinverse solves are diagonal in the eigenvector basis
+        d = np.sqrt(1.0 - dd.t ** 2)
+        M = (B.conj().T @ E_DA).conj().T / d[:, None]
+        K = (C @ E_DA) / d
     resid_b = operator_norm(DAs @ (E_DAs @ M) - B)
     if resid_b > tol.eq_tol * scale:
         raise PqsysError(f"B is not carried by the defect of A*: residual {resid_b:.3e}")
 
-    DA_pinv = opcore.pinv(DA, tol)
-    K = C @ DA_pinv @ E_DA
     resid_c = operator_norm((K @ E_DA.conj().T) @ DA - C)
     if resid_c > tol.eq_tol * scale:
         raise PqsysError(f"C is not carried by the defect of A: residual {resid_c:.3e}")
@@ -212,6 +225,7 @@ def parametrize(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> C
         DMs=psd_sqrt(np.eye(dAs) - M @ M.conj().T, tol),
         DX=psd_sqrt(np.eye(X.shape[1]) - X.conj().T @ X, tol),
         DXs=psd_sqrt(np.eye(X.shape[0]) - X @ X.conj().T, tol),
+        t=dd.t,
     )
 
 

@@ -8,7 +8,6 @@ kernel tests that characterize which functions arise this way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -19,21 +18,29 @@ from .opcore import DEFAULT_TOL, Tolerances, as_matrix, operator_norm
 from .sysmodel import PartitionedContraction
 
 
-@dataclass(frozen=True)
-class QSample:
-    z: complex
-    value: np.ndarray
+# The Schur complement of A - z is used only at this distance from the
+# spectrum of A; its rounding error grows like 1 / min|t_k - z|, and Q
+# exists wherever T - zI is invertible, including at the points t_k.
+_SCHUR_GAP = 1e-3
 
 
 def q_eval(tau: PartitionedContraction, z: complex, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Corner block of (T - zI)^{-1} on the I/O coordinates."""
-    flags = sysmodel.classify(tau, tol)
-    if not flags.pqs:
+    """Corner block of (T - zI)^{-1} on the I/O coordinates.
+
+    Away from the spectrum of A it is the inverse of the Schur complement
+    D - z - C V diag(1 / (t - z)) V* B, from the cached factorization of
+    the selfadjoint A, in O(s n^2); near it, a dense solve with T - zI."""
+    if not sysmodel.classify(tau, tol).pqs:
         raise NotPqs("resolvent compressions are defined for pqs systems")
+    z = complex(z)
     n = tau.out_dim
+    sd = sysmodel.spectral_data(tau, tol)
+    if sd is not None and np.abs(sd.t - z).min() > _SCHUR_GAP:
+        schur = tau.D - z * np.eye(n) - (sd.CV / (sd.t - z)) @ sd.VB
+        return transfer._resolve(schur, np.eye(n, dtype=complex))
     total = n + tau.state_dim
     E = np.eye(total, dtype=complex)[:, :n]
-    X = transfer._resolve(tau.T - complex(z) * np.eye(total), E)
+    X = transfer._resolve(tau.T - z * np.eye(total), E)
     return X[:n, :]
 
 

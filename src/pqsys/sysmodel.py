@@ -13,27 +13,35 @@ additionally M = N, A = A* and C = B*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import opcore
 from .errors import DimensionMismatch, NotNormal, NotPqs, PqsysError
-from .opcore import DEFAULT_TOL, SubspaceBasis, Tolerances, as_matrix, operator_norm
+from .opcore import DEFAULT_TOL, SubspaceBasis, Tolerances, as_matrix, norm_at_most, operator_norm
 
 
 @dataclass(frozen=True)
 class PartitionedContraction:
-    """Block operator matrix of a discrete-time system."""
+    """Block operator matrix of a discrete-time system.
+
+    T is held as a read-only view of the array passed in (no copy), so
+    writing through `tau.T` or its blocks raises.  Results derived from T
+    alone, such as the class flags and the spectral factorization of A,
+    are cached on the system per `Tolerances`; the array passed in must
+    therefore not be modified after construction either."""
 
     T: np.ndarray
     in_dim: int
     out_dim: int
     state_dim: int
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        T = as_matrix(self.T)
+        T = as_matrix(self.T).view()
+        T.flags.writeable = False
         object.__setattr__(self, "T", T)
         for name in ("in_dim", "out_dim", "state_dim"):
             if getattr(self, name) < 0:
@@ -58,6 +66,42 @@ class PartitionedContraction:
     def A(self) -> np.ndarray:
         return self.T[self.out_dim:, self.in_dim:]
 
+    def cached(self, key: str, tol: Tolerances, build: Callable[[], object]):
+        """build(), computed once per (key, tol) for this system."""
+        try:
+            return self._cache[key, tol]
+        except KeyError:
+            value = self._cache[key, tol] = build()
+            return value
+
+
+class SpectralData(NamedTuple):
+    """A = V diag(t) V* for a selfadjoint main operator, kept as the O(s n)
+    pieces the evaluation formulas use; V itself is not kept."""
+
+    t: np.ndarray    # eigenvalues of A, ascending
+    VB: np.ndarray   # V* B
+    CV: np.ndarray   # C V
+
+
+def spectral_data(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> SpectralData | None:
+    """The factorization of A from `opcore.hermitian_eigh`, computed once per
+    system and tolerance set; None when A is not selfadjoint (or the
+    factorization misses A by more than eq_tol)."""
+    return tau.cached("spectral", tol, lambda: _spectral_data(tau, tol))
+
+
+def _spectral_data(tau: PartitionedContraction, tol: Tolerances) -> SpectralData | None:
+    eig = opcore.hermitian_eigh(tau.A, tol)
+    if eig is None:
+        return None
+    t, V = eig
+    # V* B as (B* V)*, which needs no conjugated n x n copy of V
+    parts = SpectralData(t, (tau.B.conj().T @ V).conj().T, tau.C @ V)
+    for arr in parts:
+        arr.flags.writeable = False
+    return parts
+
 
 @dataclass(frozen=True)
 class SystemClass:
@@ -74,20 +118,25 @@ def classify(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> Syst
     """Flags for the standard system classes.
 
     pqs uses the coordinate criterion A = A*, C = B* (equivalent to
-    ran(T - T*) lying in the I/O block for square partitions).
+    ran(T - T*) lying in the I/O block for square partitions).  The flags
+    are computed once per system and tolerance set.
     """
+    return tau.cached("classify", tol, lambda: _classify(tau, tol))
+
+
+def _classify(tau: PartitionedContraction, tol: Tolerances) -> SystemClass:
     T = tau.T
     nrm = operator_norm(T)
     passive = nrm <= 1.0 + tol.rank_tol
     scale = max(1.0, nrm)
     rows, cols = T.shape
-    iso = operator_norm(T.conj().T @ T - np.eye(cols)) <= tol.eq_tol * scale
-    coiso = operator_norm(T @ T.conj().T - np.eye(rows)) <= tol.eq_tol * scale
+    iso = norm_at_most(T.conj().T @ T - np.eye(cols), tol.eq_tol * scale)
+    coiso = norm_at_most(T @ T.conj().T - np.eye(rows), tol.eq_tol * scale)
     A = tau.A
-    sa_main = operator_norm(A - A.conj().T) <= tol.eq_tol * max(operator_norm(A), 1.0)
+    sa_main = norm_at_most(A - A.conj().T, tol.eq_tol, A, 1.0)
     normal_main = opcore.is_normal(A, tol) if A.size else True
     cb = (tau.in_dim == tau.out_dim
-          and operator_norm(tau.C - tau.B.conj().T) <= tol.eq_tol * scale)
+          and norm_at_most(tau.C - tau.B.conj().T, tol.eq_tol * scale))
     pqs = passive and sa_main and cb
     return SystemClass(
         passive=passive,
@@ -216,20 +265,16 @@ def minimal_pqs_reduction(tau: PartitionedContraction, tol: Tolerances = DEFAULT
 def _check_same_transfer(t1, t2, tol, n_points=20, radius=0.5):
     # compression onto an invariant subspace containing ran B must not move
     # the transfer function; a failure here means the subspace was wrong
+    from .transfer import theta_eval  # deferred: transfer builds on this module's types
+
     for lam in radius * np.exp(2j * np.pi * np.arange(n_points) / n_points):
-        v1 = _theta(t1, lam)
-        v2 = _theta(t2, lam)
+        v1 = theta_eval(t1, lam, tol)
+        v2 = theta_eval(t2, lam, tol)
         if operator_norm(v1 - v2) > tol.eq_tol * max(1.0, operator_norm(v1)):
             raise PqsysError(
                 f"transfer changed under state reduction at lambda={lam:.3f}: "
                 f"{operator_norm(v1 - v2):.3e}"
             )
-
-
-def _theta(tau, lam):
-    n = tau.state_dim
-    resolvent = np.linalg.solve(np.eye(n) - lam * tau.A, tau.B)
-    return tau.D + lam * (tau.C @ resolvent)
 
 
 @dataclass(frozen=True)

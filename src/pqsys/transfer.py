@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import opcore
+from . import opcore, sysmodel
 from .errors import (
     DimensionMismatch,
     InvalidMeasure,
@@ -23,15 +23,17 @@ from .errors import (
     PqsysError,
     SingularResolvent,
 )
-from .opcore import DEFAULT_TOL, Tolerances, as_matrix, operator_norm, psd_sqrt
+from .opcore import DEFAULT_TOL, DefectData, Tolerances, as_matrix, norm_at_most, operator_norm, psd_sqrt
 from .param import ContractionParams
 from .sysmodel import PartitionedContraction
 
-
-@dataclass(frozen=True)
-class TransferSample:
-    lam: complex
-    value: np.ndarray
+# Both singularity rules of the resolvents use this one relative threshold.
+# A dense solve F X = rhs fails when its residual exceeds
+# SINGULAR_REL * max(1, ||rhs||).  A diagonal resolvent 1 / den, from the
+# eigenvalues of a selfadjoint main operator, fails when
+# min |den| <= SINGULAR_REL * max |den|: the condition number of
+# I - lambda A exceeds 1 / SINGULAR_REL.
+SINGULAR_REL = 1e-8
 
 
 def _resolve(F: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -42,25 +44,40 @@ def _resolve(F: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         X = np.linalg.solve(F, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularResolvent(str(exc)) from None
-    resid = operator_norm(F @ X - rhs)
-    if resid > 1e-8 * max(1.0, operator_norm(rhs)):
-        raise SingularResolvent(f"resolvent solve residual {resid:.3e}")
+    resid = F @ X - rhs
+    if not norm_at_most(resid, SINGULAR_REL, rhs, 1.0):
+        raise SingularResolvent(f"resolvent solve residual {operator_norm(resid):.3e}")
     return X
+
+
+def _inverse_diag(den: np.ndarray) -> np.ndarray:
+    """1 / den for the diagonal of a resolvent, raising when it is
+    numerically singular."""
+    mag = np.abs(den)
+    if mag.size and mag.min() <= SINGULAR_REL * mag.max():
+        raise SingularResolvent(f"resolvent is singular to relative precision {mag.min() / mag.max():.3e}")
+    return 1.0 / den
 
 
 def theta_eval(tau: PartitionedContraction, lam: complex, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """D + lambda C (I - lambda A)^{-1} B.  Valid at any point where
-    I - lambda A is invertible, inside or outside the unit disk."""
+    I - lambda A is invertible, inside or outside the unit disk.
+
+    For selfadjoint A the cached factorization A = V diag(t) V* gives
+    D + lambda (C V) diag(1 / (1 - lambda t)) (V* B) in O(s n^2); any other
+    A takes a dense solve."""
     lam = complex(lam)
-    n = tau.state_dim
-    X = _resolve(np.eye(n) - lam * tau.A, tau.B)
-    return tau.D + lam * (tau.C @ X)
+    sd = sysmodel.spectral_data(tau, tol)
+    if sd is None:
+        X = _resolve(np.eye(tau.state_dim) - lam * tau.A, tau.B)
+        return tau.D + lam * (tau.C @ X)
+    return tau.D + lam * ((sd.CV * _inverse_diag(1.0 - lam * sd.t)) @ sd.VB)
 
 
-def theta_sampler(source) -> Callable[[complex], np.ndarray]:
+def theta_sampler(source, tol: Tolerances = DEFAULT_TOL) -> Callable[[complex], np.ndarray]:
     """Normalize a system or a callable into a function lambda -> matrix."""
     if isinstance(source, PartitionedContraction):
-        return lambda lam: theta_eval(source, lam)
+        return lambda lam: theta_eval(source, lam, tol)
     if callable(source):
         return source
     raise TypeError(f"cannot sample a transfer function from {type(source)!r}")
@@ -76,12 +93,21 @@ def char_func(A, lam: complex, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         Phi_A(lambda) = (-A + lambda D_{A*} (I - lambda A*)^{-1} D_A)
 
     restricted to the defect space of A and corestricted to that of A*,
-    returned as a matrix in the cached orthonormal defect bases."""
+    returned as a matrix in the orthonormal defect bases of
+    `opcore.defect_data`."""
     A = as_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise DimensionMismatch("characteristic function needs a square operator")
-    dd = opcore.defect_data(A, tol)
-    lam = complex(lam)
+    return _phi(A, opcore.defect_data(A, tol), complex(lam))
+
+
+def _phi(A: np.ndarray, dd: DefectData, lam: complex) -> np.ndarray:
+    """The characteristic function kernel: Phi_A(lambda) in the bases of dd.
+
+    When dd holds eigenvalues (selfadjoint A, eigenvector bases), Phi_A is
+    diagonal with the Blaschke factors (lambda - t) / (1 - lambda t)."""
+    if dd.t is not None:
+        return np.diag((lam - dd.t) * _inverse_diag(1.0 - lam * dd.t))
     n = A.shape[0]
     inner = _resolve(np.eye(n) - lam * A.conj().T, dd.DA)
     amb = -A + lam * (dd.DAs @ inner)
@@ -120,22 +146,14 @@ def char_defect_residuals(A, lam: complex, tol: Tolerances = DEFAULT_TOL) -> tup
 
 def _phi_of_adjoint(p: ContractionParams, lam: complex) -> np.ndarray:
     """Phi_{A*}(lambda) in the cached bases of p (defect of A* -> defect of A)."""
-    A = p.A
-    n = A.shape[1]
-    if A.shape[0] != n:
+    if p.A.shape[0] != p.A.shape[1]:
         raise DimensionMismatch("characteristic function needs a square operator")
-    inner = _resolve(np.eye(n) - complex(lam) * A, p.DAs)
-    amb = -A.conj().T + complex(lam) * (p.DA @ inner)
-    return p.E_DA.conj().T @ amb @ p.E_DAs
+    return _phi(p.A.conj().T, p.defects.adjoint(), complex(lam))
 
 
 def _phi_direct(p: ContractionParams, lam: complex) -> np.ndarray:
     """Phi_A(lambda) in the cached bases of p (defect of A -> defect of A*)."""
-    A = p.A
-    n = A.shape[0]
-    inner = _resolve(np.eye(n) - complex(lam) * A.conj().T, p.DA)
-    amb = -A + complex(lam) * (p.DAs @ inner)
-    return p.E_DAs.conj().T @ amb @ p.E_DA
+    return _phi(p.A, p.defects, complex(lam))
 
 
 def theta_factored(p: ContractionParams, lam: complex, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -232,7 +250,7 @@ def inner_test(source, n_grid: int = 64, tol: Tolerances = DEFAULT_TOL) -> Inner
 
     Grid points are offset so +-1 are never sampled.  Points where the
     resolvent blows up are skipped and counted."""
-    sample = theta_sampler(source)
+    sample = theta_sampler(source, tol)
     max_defect = 0.0
     max_codefect = 0.0
     skipped = 0

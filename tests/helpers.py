@@ -98,3 +98,24 @@ def circle_points(count):
     """Equally spaced points on the unit circle."""
     ang = 2.0 * np.pi * np.arange(count) / count
     return np.exp(1j * ang)
+
+
+def pqs_from_spectrum(rng, t, n):
+    """Passive quasi-selfadjoint block matrix with main operator
+    A = U diag(t) U* for a random unitary U and n I/O channels.
+
+    Built from atomic data: an atom l_k l_k* at each t_k with total mass
+    0.85 and Theta(0) strictly inside the membership ball, so T is a
+    contraction for any t in [-1, 1].  Returns the full block matrix."""
+    t = np.asarray(t, dtype=float)
+    s = t.size
+    L = rand_complex(rng, s, n)
+    L *= np.sqrt(0.85 / np.linalg.eigvalsh(L.T @ L.conj()).max())
+    sigmas = [np.outer(l, l.conj()) for l in L]
+    R_half = _psd_sqrt_ref(np.eye(n) - sum(sigmas))
+    D = -sum(tk * sk for tk, sk in zip(t, sigmas)) + R_half @ rand_contraction(rng, n, n, 0.9) @ R_half
+    U = rand_unitary(rng, s)
+    A = (U * t) @ U.conj().T
+    A = (A + A.conj().T) / 2
+    B = U @ (np.sqrt(1.0 - t * t)[:, None] * L.conj())
+    return np.block([[D, B.conj().T], [B, A]])

@@ -129,6 +129,54 @@ def test_selfadjoint_and_normal_predicates():
     assert not opcore.is_selfadjoint(N)
 
 
+def test_norm_at_most_decides_as_the_exact_norm():
+    rng = np.random.default_rng(21)
+    for shape in ((1, 1), (5, 5), (12, 3), (3, 12), (40, 40)):
+        for rank in sorted({1, min(shape)}):
+            R = rand_complex(rng, shape[0], rank) @ rand_complex(rng, rank, shape[1])
+            S = rand_complex(rng, 6, 6)
+            exact, s_exact = opcore.operator_norm(R), opcore.operator_norm(S)
+            for ratio in (0.3, 0.999, 1.001, 1.5, 4.0):
+                bound = exact * ratio
+                assert opcore.norm_at_most(R, bound) == (exact <= bound)
+                c = bound / s_exact
+                assert opcore.norm_at_most(R, c, S, 0.0) == (exact <= c * s_exact)
+                assert opcore.norm_at_most(R, c, S, 2 * s_exact) == (exact <= c * 2 * s_exact)
+
+
+def test_norm_at_most_at_the_threshold(monkeypatch):
+    e1 = np.zeros((4, 4), dtype=complex)
+    e1[0, 0] = 0.25
+    for R in (e1, 0.25 * np.eye(4), 0.25 * rand_unitary(np.random.default_rng(22), 4)):
+        assert opcore.operator_norm(R) == pytest.approx(0.25, rel=1e-15)
+        bound = opcore.operator_norm(R)
+        assert opcore.norm_at_most(R, bound)
+        assert not opcore.norm_at_most(R, bound * (1 - 1e-12))
+        assert opcore.norm_at_most(R, 0.5, 2 * R, 0.0)
+    # decisions the Frobenius brackets settle take no singular values
+    monkeypatch.setattr(opcore, "operator_norm", lambda M: pytest.fail("SVD was computed"))
+    assert opcore.norm_at_most(np.zeros((30, 30)), 0.0)
+    assert opcore.norm_at_most(1e-3 * np.eye(30), 1e-9, np.eye(30), 1e7)
+    assert not opcore.norm_at_most(np.eye(30), 0.5)
+    assert not opcore.norm_at_most(np.eye(30), 1e-9, 1e3 * np.eye(30), 1.0)
+
+
+def test_hermitian_eigh_factors_selfadjoint_input_only():
+    rng = np.random.default_rng(23)
+    H = rand_hermitian_contraction(rng, 6)
+    t, V = opcore.hermitian_eigh(H)
+    assert np.all(np.diff(t) >= 0)
+    assert np.linalg.norm(H @ V - V * t) < 1e-12
+    assert opcore.hermitian_eigh(rand_complex(rng, 6, 6)) is None
+    assert opcore.hermitian_eigh(np.zeros((0, 0))) is None
+    # a real diagonal matrix is its own factorization
+    D = np.diag([0.3, -0.5, 0.3, 0.0]).astype(complex)
+    t, V = opcore.hermitian_eigh(D)
+    assert np.array_equal(t, [-0.5, 0.0, 0.3, 0.3])
+    assert np.array_equal(D @ V, V * t)
+    assert np.array_equal(V.conj().T @ V, np.eye(4))
+
+
 def test_strong_limit_strict_contraction_vanishes():
     rng = np.random.default_rng(9)
     A = rand_hermitian_contraction(rng, 4, bound=0.8)

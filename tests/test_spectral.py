@@ -1,0 +1,121 @@
+"""Evaluation of Theta, Phi and Q from the cached spectral factorization of
+a selfadjoint main operator, against the dense per-point solves it replaces."""
+
+import numpy as np
+import pytest
+
+import pqsys
+from pqsys import opcore, sysmodel, transfer
+from pqsys.errors import SingularResolvent
+
+from helpers import pqs_from_spectrum, rand_hermitian_contraction
+
+S = 200
+N = 3
+
+
+def hard_spectrum(rng):
+    """Clusters of four eigenvalues 1e-10 apart, plus eigenvalues at
+    +-(1 - 1e-6)."""
+    centers = np.linspace(-0.9, 0.9, (S - 2) // 4 + 1)
+    clustered = (centers[:, None] + 1e-10 * np.arange(4)).ravel()[: S - 2]
+    t = np.concatenate([clustered, [1 - 1e-6, -(1 - 1e-6)]])
+    return rng.permutation(t)
+
+
+@pytest.fixture(scope="module")
+def tau():
+    rng = np.random.default_rng(2024)
+    return pqsys.PartitionedContraction(pqs_from_spectrum(rng, hard_spectrum(rng), N), N, N, S)
+
+
+def rel(a, b):
+    return np.linalg.norm(a - b, 2) / max(1.0, np.linalg.norm(b, 2))
+
+
+def test_spectral_path_is_taken(tau):
+    assert sysmodel.classify(tau).pqs
+    sd = sysmodel.spectral_data(tau)
+    assert sd is not None and sd.t.shape == (S,)
+    assert sd.VB.shape == (S, N) and sd.CV.shape == (N, S)
+
+
+def test_theta_spectral_matches_dense_solve(tau):
+    points = [0.9 * np.exp(2j * np.pi * (k + 0.3) / 12) for k in range(12)]
+    points += [np.exp(2j * np.pi * (k + 0.5) / 16) for k in range(16)]
+    points += [0.999999, -0.5, 1.7 + 0.2j]
+    for lam in points:
+        dense = tau.D + lam * tau.C @ np.linalg.solve(np.eye(S) - lam * tau.A, tau.B)
+        assert rel(pqsys.theta_eval(tau, lam), dense) < 1e-8
+
+
+def test_phi_spectral_matches_dense_kernel(tau):
+    dd = opcore.defect_data(tau.A)
+    assert dd.t is not None and dd.E_A.shape[1] == S
+    dense_dd = dd._replace(t=None)
+    for lam in (0.3 + 0.4j, -0.85j, np.exp(0.7j), 0.999):
+        spectral = pqsys.char_func(tau.A, lam)
+        assert rel(spectral, transfer._phi(tau.A, dense_dd, complex(lam))) < 1e-8
+        # and in ambient coordinates: -A + lam D_A (I - lam A)^{-1} D_A
+        ambient = -tau.A + lam * dd.DA @ np.linalg.solve(np.eye(S) - lam * tau.A, dd.DA)
+        assert rel(dd.E_A @ spectral @ dd.E_A.conj().T, ambient) < 1e-8
+
+
+def test_q_spectral_matches_dense_solve(tau):
+    E = np.eye(N + S)[:, :N]
+    for z in (1.5, -1.2 + 0.3j, 2j, 1.01, -1.01, 0.3 + 0.5j):
+        dense = np.linalg.solve(tau.T - z * np.eye(N + S), E)[:N]
+        assert rel(pqsys.q_eval(tau, z), dense) < 1e-8
+
+
+def test_q_at_an_eigenvalue_of_a_equals_dense_solve(tau):
+    E = np.eye(N + S)[:, :N]
+    for t_k in sysmodel.spectral_data(tau).t[[0, 57, S // 2, -1]]:
+        dense = np.linalg.solve(tau.T - t_k * np.eye(N + S), E)[:N]
+        assert np.all(np.isfinite(dense))
+        assert rel(pqsys.q_eval(tau, t_k), dense) < 1e-9
+
+
+def test_theta_raises_at_the_poles(tau):
+    t = sysmodel.spectral_data(tau).t
+    for t_k in t[[3, S // 2, -1]]:
+        with pytest.raises(SingularResolvent):
+            pqsys.theta_eval(tau, 1.0 / t_k)
+
+
+def test_system_block_is_read_only(tau):
+    with pytest.raises(ValueError):
+        tau.T[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        tau.A[1, 1] = 0.0
+    with pytest.raises(ValueError):
+        sysmodel.spectral_data(tau).t[0] = 0.0
+
+
+def test_the_caller_array_is_not_copied_nor_frozen():
+    T = pqs_from_spectrum(np.random.default_rng(3), [0.1, -0.4, 0.6], 2)
+    tau = pqsys.PartitionedContraction(T, 2, 2, 3)
+    assert np.shares_memory(tau.T, T) and T.flags.writeable
+
+
+def test_tolerance_sets_use_separate_cache_entries():
+    rng = np.random.default_rng(11)
+    s, n = 6, 2
+    T = pqs_from_spectrum(rng, rng.uniform(-0.8, 0.8, s), n)
+    skew = 1e-7 * rand_hermitian_contraction(rng, s)
+    T[n:, n:] += 1j * skew            # A is selfadjoint only to 1e-7
+    tau = pqsys.PartitionedContraction(T, n, n, s)
+    loose = pqsys.Tolerances(eq_tol=1e-5)
+
+    assert sysmodel.spectral_data(tau) is None
+    assert sysmodel.spectral_data(tau, loose) is not None
+    assert not sysmodel.classify(tau).pqs
+    assert sysmodel.classify(tau, loose).pqs
+    assert sysmodel.spectral_data(tau) is None and not sysmodel.classify(tau).pqs
+    assert sysmodel.spectral_data(tau, pqsys.Tolerances(eq_tol=1e-5)) is sysmodel.spectral_data(tau, loose)
+
+    # the strict set keeps the dense path, exact for the non-Hermitian A
+    lam = 0.4 - 0.3j
+    dense = tau.D + lam * tau.C @ np.linalg.solve(np.eye(s) - lam * tau.A, tau.B)
+    assert rel(pqsys.theta_eval(tau, lam), dense) < 1e-13
+    assert rel(pqsys.theta_eval(tau, lam, loose), dense) < 1e-5
