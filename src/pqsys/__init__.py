@@ -41,6 +41,7 @@ from .opcore import (
     Tolerances,
     as_matrix,
     cnu_unitary_split,
+    contraction_defect,
     defect_basis,
     defect_data,
     defect_operator,

@@ -7,6 +7,8 @@ input-error exit code.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import hashlib
 import json
 
@@ -18,10 +20,26 @@ from .sysmodel import PartitionedContraction
 from .transfer import SqsFunctionData
 
 
+@contextlib.contextmanager
+def _gc_paused():
+    """Pause the cyclic garbage collector while a large acyclic tree of lists
+    and floats is built: allocating a million lists would otherwise run
+    repeated full collections that have nothing to free."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def matrix_to_json(M) -> dict:
     M = as_matrix(M)
     rows, cols = M.shape
-    data = [[float(v.real), float(v.imag)] for v in M.reshape(-1)]
+    # the float64 view of a complex array is its row-major [re, im] pairs
+    with _gc_paused():
+        data = np.ascontiguousarray(M).view(np.float64).reshape(-1, 2).tolist()
     return {"rows": rows, "cols": cols, "data": data}
 
 
@@ -34,11 +52,21 @@ def matrix_from_json(obj) -> np.ndarray:
         raise ValueError(f"not a matrix document: missing {exc}") from None
     if rows < 0 or cols < 0 or len(data) != rows * cols:
         raise ValueError(f"matrix document claims {rows}x{cols} but carries {len(data)} entries")
-    out = np.zeros(rows * cols, dtype=complex)
-    for k, pair in enumerate(data):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ValueError(f"matrix entry {k} is not an [re, im] pair")
-        out[k] = float(pair[0]) + 1j * float(pair[1])
+    out = np.empty(rows * cols, dtype=complex)
+    if data:
+        # a first entry of length 2 rules out broadcasting of scalars or
+        # 1-element entries; any other entry of another shape is ragged
+        first = data[0]
+        if not isinstance(first, (list, tuple)) or len(first) != 2:
+            raise ValueError("matrix entry 0 is not an [re, im] pair")
+        pairs = out.view(np.float64).reshape(-1, 2)
+        try:
+            pairs[...] = data
+        except (ValueError, TypeError):
+            raise ValueError("matrix entries are not all [re, im] pairs of numbers") from None
+        # null entries arrive as nan
+        if not np.all(np.isfinite(pairs)):
+            raise ValueError("matrix entries must be finite numbers")
     return out.reshape(rows, cols)
 
 
@@ -120,11 +148,13 @@ def digest_files(paths) -> str:
 
 
 def dump(obj, path: str):
+    """Write obj as compact JSON; `json.dumps` takes the C encoder, which
+    `json.dump` to a file never does."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
+        fh.write(json.dumps(obj))
         fh.write("\n")
 
 
 def load(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, _gc_paused():
         return json.load(fh)

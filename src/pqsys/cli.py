@@ -19,10 +19,13 @@ import sys
 import numpy as np
 
 from . import _json, qfunc, realize, sysmodel, transfer
-from .errors import DimensionMismatch, NotScalar, PqsysError
+from .errors import DimensionMismatch, InvalidMeasure, NotScalar, PqsysError
 from .opcore import DEFAULT_TOL, Tolerances, operator_norm
 
-_INPUT_ERRORS = (ValueError, KeyError, OSError, json.JSONDecodeError, NotScalar, DimensionMismatch)
+# np.linalg.LinAlgError is a ValueError too, but a numerical failure: main
+# catches it first and exits 1
+_INPUT_ERRORS = (ValueError, KeyError, OSError, json.JSONDecodeError, NotScalar, DimensionMismatch,
+                 InvalidMeasure)
 
 
 class CheckFailure(Exception):
@@ -63,14 +66,16 @@ def _grid_points(spec: str, seed: int):
 
 
 class Reporter:
-    def __init__(self, command: str, inputs):
+    def __init__(self, args, inputs):
         self.report = {
-            "command": command,
+            "command": args.command,
             "inputs_digest": _json.digest_files(inputs),
             "checks": [],
             "outputs": [],
         }
         self.failed = False
+        # main writes the report of a command that raises
+        args.reporter = self
 
     def check(self, name: str, ok: bool, residual: float = 0.0):
         self.report["checks"].append({
@@ -88,6 +93,9 @@ class Reporter:
     def output(self, path: str):
         self.report["outputs"].append(path)
 
+    def error(self, exc: Exception, code: int):
+        self.report["error"] = {"type": type(exc).__name__, "message": str(exc), "exit_code": code}
+
     def write(self, path):
         if path:
             _json.dump(self.report, path)
@@ -95,7 +103,7 @@ class Reporter:
 
 def cmd_classify(args) -> int:
     tol = _parse_tol(args.tol)
-    rep = Reporter("classify", [args.system])
+    rep = Reporter(args, [args.system])
     tau = _json.system_from_json(_json.load(args.system))
     flags = sysmodel.classify(tau, tol)
     for name in ("passive", "isometric", "coisometric", "conservative", "pqs",
@@ -117,7 +125,7 @@ def cmd_classify(args) -> int:
 
 def cmd_eval(args) -> int:
     tol = _parse_tol(args.tol)
-    rep = Reporter("eval", [args.system])
+    rep = Reporter(args, [args.system])
     tau = _json.system_from_json(_json.load(args.system))
     points = [_parse_lambda(t) for t in args.lam or []]
     if args.grid:
@@ -161,7 +169,7 @@ def cmd_eval(args) -> int:
 
 def cmd_realize(args) -> int:
     tol = _parse_tol(args.tol)
-    rep = Reporter("realize", [args.measure])
+    rep = Reporter(args, [args.measure])
     data = _json.measure_from_json(_json.load(args.measure))
     mem = transfer.sqs_membership(data, tol)
     rep.check("membership_mass", mem.sigma_total_excess <= tol.psd_tol, max(mem.sigma_total_excess, 0.0))
@@ -190,7 +198,7 @@ def cmd_realize(args) -> int:
 
 def cmd_jacobi(args) -> int:
     tol = _parse_tol(args.tol)
-    rep = Reporter("jacobi", [args.source])
+    rep = Reporter(args, [args.source])
     source = _json.sniff_document(_json.load(args.source))
     jr = realize.jacobi_realize(source, max_len=args.max_len, tol=tol)
     rep.info("length", jr.length)
@@ -206,7 +214,7 @@ def cmd_jacobi(args) -> int:
 
 def cmd_dilate(args) -> int:
     tol = _parse_tol(args.tol)
-    rep = Reporter("dilate", [args.system])
+    rep = Reporter(args, [args.system])
     tau = _json.system_from_json(_json.load(args.system))
     blocks = realize.biinner_dilation(tau, tol)
     big = blocks.system
@@ -235,7 +243,7 @@ def cmd_dilate(args) -> int:
 def cmd_similar(args) -> int:
     tol = _parse_tol(args.tol)
     inputs = [args.system1, args.system2] + ([args.S] if args.S else [])
-    rep = Reporter("similar", inputs)
+    rep = Reporter(args, inputs)
     tau1 = _json.system_from_json(_json.load(args.system1))
     tau2 = _json.system_from_json(_json.load(args.system2))
     S = _json.matrix_from_json(_json.load(args.S)) if args.S else None
@@ -309,12 +317,26 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except np.linalg.LinAlgError as exc:
+        return _failed(args, exc, 1, f"check failed: {type(exc).__name__}: {exc}")
     except _INPUT_ERRORS as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
+        return _failed(args, exc, 2, f"input error: {exc}")
     except PqsysError as exc:
-        print(f"check failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return _failed(args, exc, 1, f"check failed: {type(exc).__name__}: {exc}")
+
+
+def _failed(args, exc: Exception, code: int, message: str) -> int:
+    """Print the failure, record it in the report when the command got as
+    far as creating one, and return the exit code."""
+    print(message, file=sys.stderr)
+    rep = getattr(args, "reporter", None)
+    if rep is not None:
+        rep.error(exc, code)
+        try:
+            rep.write(args.report)
+        except OSError as err:
+            print(f"report not written: {err}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

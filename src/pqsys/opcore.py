@@ -157,6 +157,28 @@ def psd_sqrt(M, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return (U * _sqrt_psd_eigs(w, lambda: operator_norm(M), tol)) @ U.conj().T
 
 
+def contraction_defect(X, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """(I - X*X)^{1/2} on the domain of X (size = cols), from one thin SVD.
+
+    With X = U diag(s) W*, the defect is sqrt(1 - s^2) on the right singular
+    vectors W and 1 on their complement; clamping and NotPSD follow the
+    `psd_sqrt` rule applied to the eigenvalues 1 - s^2.  When W spans the
+    whole domain the result is formed as W diag(d) W*, so an isometric X
+    gets an exactly zero defect."""
+    X = as_matrix(X)
+    cols = X.shape[1]
+    if 0 in X.shape:
+        return np.eye(cols, dtype=complex)
+    _, s, Wh = np.linalg.svd(X, full_matrices=False)
+    g = 1.0 - s * s
+    d = _sqrt_psd_eigs(g, lambda: float(np.abs(g).max()), tol)
+    if s.size == cols:
+        return (Wh.conj().T * d) @ Wh
+    out = (Wh.conj().T * (d - 1.0)) @ Wh
+    out[np.diag_indices(cols)] += 1.0
+    return out
+
+
 def _sqrt_psd_eigs(w: np.ndarray, norm, tol: Tolerances) -> np.ndarray:
     """Square roots of the eigenvalues w of a Hermitian matrix M, with
     values below psd_tol clamped to 0.  Raises NotPSD when the smallest lies

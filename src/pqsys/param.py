@@ -20,7 +20,7 @@ import numpy as np
 
 from . import opcore
 from .errors import DimensionMismatch, NotAContraction, PqsysError
-from .opcore import DEFAULT_TOL, Tolerances, as_matrix, operator_norm, psd_sqrt
+from .opcore import DEFAULT_TOL, Tolerances, as_matrix, operator_norm
 from .sysmodel import PartitionedContraction
 
 
@@ -90,7 +90,8 @@ class ContractionParams:
 def make_params(A, M, K, X, tol: Tolerances = DEFAULT_TOL) -> ContractionParams:
     """Build ContractionParams from the small-matrix quadruple, deriving and
     caching every defect operator and basis.  M, K, X must already be
-    expressed in the defect bases that A (and M, K) induce."""
+    expressed in the defect bases that A (and M, K) induce; X = None
+    stands for the zero operator."""
     A = as_matrix(A)
     M = as_matrix(M)
     K = as_matrix(K)
@@ -105,28 +106,34 @@ def make_params(A, M, K, X, tol: Tolerances = DEFAULT_TOL) -> ContractionParams:
         if operator_norm(val) > 1.0 + tol.rank_tol:
             raise NotAContraction(f"parameter {name} has norm {operator_norm(val):.12f}")
 
-    m = M.shape[1]
-    n = K.shape[0]
-    DM = psd_sqrt(np.eye(m) - M.conj().T @ M, tol)
-    DKs = psd_sqrt(np.eye(n) - K @ K.conj().T, tol)
+    def given_X(DM, DKs, E_DM, E_DKs):
+        shape = (E_DKs.shape[1], E_DM.shape[1])
+        Xm = as_matrix(X) if X is not None else np.zeros(shape, dtype=complex)
+        if Xm.shape != shape:
+            raise DimensionMismatch(f"X has shape {Xm.shape}, defect bases want {shape}")
+        if operator_norm(Xm) > 1.0 + tol.rank_tol:
+            raise NotAContraction(f"parameter X has norm {operator_norm(Xm):.12f}")
+        return Xm
+
+    return _complete(A, M, K, dd, given_X, tol)
+
+
+def _complete(A, M, K, dd: opcore.DefectData, make_X, tol: Tolerances) -> ContractionParams:
+    """ContractionParams from A, its defect data and the parameters M, K.
+
+    Builds D_M, D_{K*} and their range bases, asks make_X(DM, DKs, E_DM,
+    E_DKs) for X in those bases, and adds the defects of K, M*, X and X*."""
+    cd = opcore.contraction_defect
+    DM = cd(M, tol)
+    DKs = cd(K.conj().T, tol)
     E_DM = opcore.range_basis(DM, tol).basis
     E_DKs = opcore.range_basis(DKs, tol).basis
-    dM = E_DM.shape[1]
-    dKs = E_DKs.shape[1]
-    X = as_matrix(X) if X is not None else np.zeros((dKs, dM), dtype=complex)
-    if X.shape != (dKs, dM):
-        raise DimensionMismatch(f"X has shape {X.shape}, defect bases want {(dKs, dM)}")
-    if operator_norm(X) > 1.0 + tol.rank_tol:
-        raise NotAContraction(f"parameter X has norm {operator_norm(X):.12f}")
-
+    X = make_X(DM, DKs, E_DM, E_DKs)
     return ContractionParams(
         A=A, M=M, K=K, X=X,
         E_DA=dd.E_A, E_DAs=dd.E_As, E_DM=E_DM, E_DKs=E_DKs,
         DA=dd.DA, DAs=dd.DAs, DM=DM, DKs=DKs,
-        DK=psd_sqrt(np.eye(dA) - K.conj().T @ K, tol),
-        DMs=psd_sqrt(np.eye(dAs) - M @ M.conj().T, tol),
-        DX=psd_sqrt(np.eye(dM) - X.conj().T @ X, tol),
-        DXs=psd_sqrt(np.eye(dKs) - X @ X.conj().T, tol),
+        DK=cd(K, tol), DMs=cd(M.conj().T, tol), DX=cd(X, tol), DXs=cd(X.conj().T, tol),
         t=dd.t,
     )
 
@@ -148,11 +155,10 @@ def assemble(p: ContractionParams, tol: Tolerances = DEFAULT_TOL) -> Partitioned
     k, h = p.A.shape
     if k != h:
         raise DimensionMismatch("system assembly needs a square main operator")
-    T = _raw_block(p)
-    nrm = operator_norm(T)
-    if nrm > 1.0 + 10 * tol.psd_tol:
-        raise NotAContraction(f"assembled block has norm {nrm:.12f}; parameters inconsistent")
-    return PartitionedContraction(T, p.in_dim, p.out_dim, h)
+    tau = PartitionedContraction(_raw_block(p), p.in_dim, p.out_dim, h)
+    if tau.norm() > 1.0 + 10 * tol.psd_tol:
+        raise NotAContraction(f"assembled block has norm {tau.norm():.12f}; parameters inconsistent")
+    return tau
 
 
 def parametrize(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> ContractionParams:
@@ -164,8 +170,7 @@ def parametrize(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> C
     a contraction to begin with (or is too close to the boundary for the
     pseudoinverses to resolve).
     """
-    T = tau.T
-    nrm = operator_norm(T)
+    nrm = tau.norm()
     if nrm > 1.0 + tol.rank_tol:
         raise NotAContraction(f"system block has norm {nrm:.12f}")
     scale = max(1.0, nrm)
@@ -197,36 +202,21 @@ def parametrize(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> C
                 "T is too close to the contraction boundary to resolve"
             )
 
-    m, n = tau.in_dim, tau.out_dim
-    DM = psd_sqrt(np.eye(m) - M.conj().T @ M, tol)
-    DKs = psd_sqrt(np.eye(n) - K @ K.conj().T, tol)
-    E_DM = opcore.range_basis(DM, tol).basis
-    E_DKs = opcore.range_basis(DKs, tol).basis
+    def extract_X(DM, DKs, E_DM, E_DKs):
+        core = D + (K @ E_DA.conj().T) @ A.conj().T @ (E_DAs @ M)
+        X_ambient = opcore.pinv(DKs, tol) @ core @ opcore.pinv(DM, tol)
+        X = E_DKs.conj().T @ X_ambient @ E_DM
+        resid_d = operator_norm(DKs @ (E_DKs @ X @ E_DM.conj().T) @ DM - core)
+        if resid_d > tol.eq_tol * scale:
+            raise PqsysError(f"D block not reproduced by extracted X: residual {resid_d:.3e}")
+        if operator_norm(X) > 1.0 + tol.psd_tol:
+            raise NotAContraction(
+                f"recovered parameter X has norm {operator_norm(X):.12f}; "
+                "T is too close to the contraction boundary to resolve"
+            )
+        return X
 
-    core = D + (K @ E_DA.conj().T) @ A.conj().T @ (E_DAs @ M)
-    X_ambient = opcore.pinv(DKs, tol) @ core @ opcore.pinv(DM, tol)
-    X = E_DKs.conj().T @ X_ambient @ E_DM
-    resid_d = operator_norm(DKs @ (E_DKs @ X @ E_DM.conj().T) @ DM - core)
-    if resid_d > tol.eq_tol * scale:
-        raise PqsysError(f"D block not reproduced by extracted X: residual {resid_d:.3e}")
-    if operator_norm(X) > 1.0 + tol.psd_tol:
-        raise NotAContraction(
-            f"recovered parameter X has norm {operator_norm(X):.12f}; "
-            "T is too close to the contraction boundary to resolve"
-        )
-
-    dA = E_DA.shape[1]
-    dAs = E_DAs.shape[1]
-    return ContractionParams(
-        A=A, M=M, K=K, X=X,
-        E_DA=E_DA, E_DAs=E_DAs, E_DM=E_DM, E_DKs=E_DKs,
-        DA=DA, DAs=DAs, DM=DM, DKs=DKs,
-        DK=psd_sqrt(np.eye(dA) - K.conj().T @ K, tol),
-        DMs=psd_sqrt(np.eye(dAs) - M @ M.conj().T, tol),
-        DX=psd_sqrt(np.eye(X.shape[1]) - X.conj().T @ X, tol),
-        DXs=psd_sqrt(np.eye(X.shape[0]) - X @ X.conj().T, tol),
-        t=dd.t,
-    )
+    return _complete(A, M, K, dd, extract_X, tol)
 
 
 def defect_balance(p: ContractionParams, h, f) -> tuple[float, float]:

@@ -81,7 +81,7 @@ def realize_from_data(f: SqsFunctionData, tol: Tolerances = DEFAULT_TOL) -> Part
     C = B.conj().T
     T = np.block([[f.theta0, C], [B, A]]) if s else f.theta0.copy()
     tau = PartitionedContraction(T, n, n, s)
-    if operator_norm(T) > 1.0 + 10 * tol.psd_tol:
+    if tau.norm() > 1.0 + 10 * tol.psd_tol:
         raise PqsysError("assembled realization is not a contraction")
     tau = sysmodel.minimal_pqs_reduction(tau, tol)
     for j in range(20):
@@ -532,7 +532,7 @@ def chebyshev_example(d: complex, n_nodes: int, tol: Tolerances = DEFAULT_TOL):
     T[1:, 0] = Bv
     T[1:, 1:] = A
     tau = PartitionedContraction(T, 1, 1, n_nodes)
-    if operator_norm(T) > 1.0 + 10 * tol.psd_tol:
+    if tau.norm() > 1.0 + 10 * tol.psd_tol:
         raise PqsysError("discretized system is not a contraction")
     return data, tau
 
@@ -569,12 +569,12 @@ def unitary_similarity(tau1: PartitionedContraction, tau2: PartitionedContractio
         S = as_matrix(S)
     for k, tau in enumerate((tau1, tau2), start=1):
         gap = operator_norm(tau.C - S @ tau.B.conj().T)
-        if gap > tol.eq_tol * max(1.0, operator_norm(tau.T)):
+        if gap > tol.eq_tol * max(1.0, tau.norm()):
             raise PqsysError(f"system {k} does not satisfy C = S B* (gap {gap:.3e})")
 
     s1, s2 = tau1.state_dim, tau2.state_dim
     n_pts = 2 * (s1 + s2) + 1
-    scale = max(1.0, operator_norm(tau1.T), operator_norm(tau2.T))
+    scale = max(1.0, tau1.norm(), tau2.norm())
     for j in range(n_pts):
         lam = (0.3 + 0.15 * (j % 2)) * np.exp(2j * np.pi * (j + 0.17) / n_pts)
         gap = operator_norm(theta_eval(tau1, lam, tol) - theta_eval(tau2, lam, tol))

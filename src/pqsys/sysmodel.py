@@ -29,9 +29,9 @@ class PartitionedContraction:
 
     T is held as a read-only view of the array passed in (no copy), so
     writing through `tau.T` or its blocks raises.  Results derived from T
-    alone, such as the class flags and the spectral factorization of A,
-    are cached on the system per `Tolerances`; the array passed in must
-    therefore not be modified after construction either."""
+    alone are cached on the system: its norm once, the class flags and
+    the spectral factorization of A per `Tolerances`; the array passed in
+    must therefore not be modified after construction either."""
 
     T: np.ndarray
     in_dim: int
@@ -66,13 +66,17 @@ class PartitionedContraction:
     def A(self) -> np.ndarray:
         return self.T[self.out_dim:, self.in_dim:]
 
-    def cached(self, key: str, tol: Tolerances, build: Callable[[], object]):
+    def cached(self, key: str, tol: Tolerances | None, build: Callable[[], object]):
         """build(), computed once per (key, tol) for this system."""
         try:
             return self._cache[key, tol]
         except KeyError:
             value = self._cache[key, tol] = build()
             return value
+
+    def norm(self) -> float:
+        """||T||_2, computed once per system (it depends on no tolerance)."""
+        return self.cached("norm", None, lambda: operator_norm(self.T))
 
 
 class SpectralData(NamedTuple):
@@ -126,7 +130,7 @@ def classify(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> Syst
 
 def _classify(tau: PartitionedContraction, tol: Tolerances) -> SystemClass:
     T = tau.T
-    nrm = operator_norm(T)
+    nrm = tau.norm()
     passive = nrm <= 1.0 + tol.rank_tol
     scale = max(1.0, nrm)
     rows, cols = T.shape
@@ -207,33 +211,37 @@ def pqs_krylov_subspace(tau: PartitionedContraction, tol: Tolerances = DEFAULT_T
 
     Since A is selfadjoint the span splits over its eigenspaces into the
     ranges of the eigenspace components of K*, so it is computed from one
-    eigendecomposition.  Repeated multiplication by A would lose rank on
-    large diagonal models long before the true span saturates.
+    eigendecomposition: the one `parametrize` holds when its defect basis
+    E_DA consists of eigenvectors of A (then K* N lies in span E_DA and the
+    components are rows of K*), else its own.  Repeated multiplication by
+    A would lose rank on large diagonal models long before the true span
+    saturates.
     """
     if not classify(tau, tol).pqs:
         raise NotPqs("system is not passive quasi-selfadjoint")
     from . import param  # deferred: param builds on this module's types
 
     p = param.parametrize(tau, tol)
-    ks = p.E_DA @ p.K.conj().T  # K* N as vectors of the state space
     s = tau.state_dim
-    if s == 0 or ks.shape[1] == 0:
+    if s == 0 or p.K.shape[0] == 0:
         return SubspaceBasis.zero(s)
-    scale = operator_norm(ks)
+    scale = operator_norm(p.K)  # = ||K* N|| in the state space
     if scale <= tol.rank_tol:
         return SubspaceBasis.zero(s)
-    vals, vecs = np.linalg.eigh((tau.A + tau.A.conj().T) / 2)
+    if p.t is not None:
+        vals, vecs, comps = p.t, p.E_DA, p.K.conj().T
+    else:
+        vals, vecs = np.linalg.eigh((tau.A + tau.A.conj().T) / 2)
+        comps = vecs.conj().T @ (p.E_DA @ p.K.conj().T)
     kept = []
     start = 0
-    for stop in range(1, s + 1):
-        if stop < s and vals[stop] - vals[stop - 1] <= 1e-8:
+    for stop in range(1, vals.size + 1):
+        if stop < vals.size and vals[stop] - vals[stop - 1] <= 1e-8:
             continue
-        cluster = vecs[:, start:stop]
-        comp = cluster.conj().T @ ks
-        U, sv, _ = np.linalg.svd(comp, full_matrices=False)
+        U, sv, _ = np.linalg.svd(comps[start:stop], full_matrices=False)
         rank = int(np.sum(sv > tol.rank_tol * scale))
         if rank:
-            kept.append(cluster @ U[:, :rank])
+            kept.append(vecs[:, start:stop] @ U[:, :rank])
         start = stop
     if not kept:
         return SubspaceBasis.zero(s)
@@ -354,15 +362,19 @@ class StabilityReport(NamedTuple):
 def is_strongly_stable(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> StabilityReport:
     """Do the powers of A (resp. A*) tend to zero?
 
-    For normal A this is exactly max|eig(A)| < 1.  For non-normal A the
-    verdict comes from a bounded power-decay test and may be inconclusive.
+    For normal A this is exactly max|eig(A)| < 1, with the eigenvalues of
+    a selfadjoint A taken from its cached spectral factorization.  For
+    non-normal A the verdict comes from a bounded power-decay test and may
+    be inconclusive.
     """
     A = tau.A
     s = tau.state_dim
     if s == 0:
         return StabilityReport(True, True, True)
-    if opcore.is_normal(A, tol):
-        r = float(np.max(np.abs(np.linalg.eigvals(A))))
+    if classify(tau, tol).normal_main:
+        sd = spectral_data(tau, tol)
+        eigs = sd.t if sd is not None else np.linalg.eigvals(A)
+        r = float(np.max(np.abs(eigs)))
         flag = r < 1.0 - tol.rank_tol
         return StabilityReport(flag, flag, True)
     P = np.linalg.matrix_power(A, 4 * s)

@@ -232,3 +232,38 @@ def test_similar_mismatch_exits_1(tmp_path, rng):
     write_system(tmp_path / "s1.json", pqsys.realize_from_data(f1))
     write_system(tmp_path / "s2.json", pqsys.realize_from_data(f2))
     assert main(["similar", str(tmp_path / "s1.json"), str(tmp_path / "s2.json")]) == 1
+
+
+def test_realize_invalid_measure_exits_2_and_writes_report(tmp_path):
+    # an atom at t = 1.5 lies outside (-1, 1): malformed input, not a failed check
+    doc = _json.measure_to_json(pqsys.SqsFunctionData(np.array([[0.1]]), ((0.2, np.array([[0.1]])),)))
+    doc["atoms"][0]["t"] = 1.5
+    _json.dump(doc, str(tmp_path / "m.json"))
+    report = tmp_path / "rep.json"
+    code = main(["realize", str(tmp_path / "m.json"), "--report", str(report)])
+    assert code == 2
+    rep = read_json(report)
+    assert rep["command"] == "realize"
+    assert rep["error"]["type"] == "InvalidMeasure"
+    assert "outside" in rep["error"]["message"]
+    assert rep["error"]["exit_code"] == 2
+
+
+def test_numerical_failure_exits_1_and_writes_report(tmp_path, rng, monkeypatch):
+    f = write_member_measure(tmp_path / "m.json", rng, n=2)
+    write_system(tmp_path / "sys.json", pqsys.realize_from_data(f))
+
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(pqsys.cli.sysmodel, "classify", no_convergence)
+    report = tmp_path / "rep.json"
+    assert main(["classify", str(tmp_path / "sys.json"), "--report", str(report)]) == 1
+    rep = read_json(report)
+    assert rep["error"] == {"type": "LinAlgError", "message": "SVD did not converge", "exit_code": 1}
+
+
+def test_failure_before_the_report_exists_writes_none(tmp_path):
+    report = tmp_path / "rep.json"
+    assert main(["classify", str(tmp_path / "missing.json"), "--report", str(report)]) == 2
+    assert not report.exists()

@@ -28,6 +28,49 @@ def test_matrix_rejects_malformed():
         _json.matrix_from_json(["not", "a", "matrix"])
 
 
+def test_matrix_roundtrip_through_a_file_is_bit_exact(tmp_path):
+    rng = np.random.default_rng(5)
+    M = rand_complex(rng, 300, 300) * 10.0 ** rng.integers(-300, 300, size=(300, 300))
+    M[0, 0] = complex(-0.0, 0.0)
+    M[0, 1] = complex(5e-324, -1.7976931348623157e308)
+    path = str(tmp_path / "m.json")
+    _json.dump(_json.matrix_to_json(M), path)
+    back = _json.matrix_from_json(_json.load(path))
+    assert back.shape == M.shape
+    assert back.view(np.uint64).tobytes() == M.view(np.uint64).tobytes()
+    # the transposed (non-contiguous) view is written in its own row order
+    back_t = _json.matrix_from_json(_json.matrix_to_json(M.T))
+    assert np.array_equal(back_t, M.T)
+
+
+@pytest.mark.parametrize("data", [
+    [[1.0, 2.0], [3.0]],              # ragged pair
+    [[1.0, 2.0], [3.0, 4.0, 5.0]],    # 3-element pair
+    [[1.0, 2.0], ["a", 4.0]],         # non-numeric entry
+    [[1.0, 2.0], [None, 4.0]],        # null entry
+    [[1.0], [2.0]],                   # 1-element pairs would broadcast
+    [1.0, 2.0],                       # bare numbers would broadcast
+    ["12", "34"],
+    [[1.0, 2.0], [[3.0, 4.0], 5.0]],
+])
+def test_matrix_rejects_bad_entries(data):
+    with pytest.raises(ValueError):
+        _json.matrix_from_json({"rows": 1, "cols": 2, "data": data})
+
+
+def test_empty_matrix_roundtrip():
+    for shape in ((0, 3), (2, 0), (0, 0)):
+        back = _json.matrix_from_json(_json.matrix_to_json(np.zeros(shape)))
+        assert back.shape == shape
+
+
+def test_dump_writes_compact_json(tmp_path):
+    path = tmp_path / "m.json"
+    _json.dump(_json.matrix_to_json(np.eye(2)), str(path))
+    text = path.read_text()
+    assert text.endswith("}\n") and text.count("\n") == 1
+
+
 def test_system_roundtrip():
     rng = np.random.default_rng(1)
     T = rand_passive_T(rng, 2, 3, 4)

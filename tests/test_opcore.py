@@ -221,3 +221,43 @@ def test_tolerances_frozen_and_replaceable():
     assert t2.eq_tol == 1e-6 and t.eq_tol != 1e-6
     with pytest.raises(dataclasses.FrozenInstanceError):
         t.eq_tol = 1.0
+
+
+def _defect_ref(X):
+    return opcore.psd_sqrt(np.eye(X.shape[1]) - X.conj().T @ X)
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (3, 5), (4, 4), (1, 1000), (1000, 1), (0, 3), (3, 0), (0, 0)])
+def test_contraction_defect_matches_psd_sqrt(shape):
+    rng = np.random.default_rng(sum(shape))
+    X = rand_contraction(rng, *shape, smax=0.97)
+    D = opcore.contraction_defect(X)
+    assert D.shape == (shape[1], shape[1])
+    if D.size:
+        assert np.linalg.norm(D - _defect_ref(X), 2) < 1e-12
+        assert np.linalg.norm(D - D.conj().T) < 1e-14
+
+
+def test_contraction_defect_is_exactly_zero_for_isometries():
+    rng = np.random.default_rng(8)
+    V = rand_unitary(rng, 6)[:, :4]            # isometric 6x4
+    assert not np.any(opcore.contraction_defect(V))
+    assert not np.any(opcore.contraction_defect(rand_unitary(rng, 5)))
+    # a coisometry: its adjoint is isometric, so D_{X*} vanishes exactly,
+    # while D_X is the projection onto ker X
+    W = V.conj().T
+    assert not np.any(opcore.contraction_defect(W.conj().T))
+    P = opcore.contraction_defect(W)
+    assert np.linalg.norm(P - (np.eye(6) - V @ V.conj().T)) < 1e-12
+
+
+def test_contraction_defect_clamps_norm_just_above_one():
+    rng = np.random.default_rng(9)
+    X = rand_contraction(rng, 4, 3, smax=1.0 + 0.5e-10)     # within rank_tol
+    D = opcore.contraction_defect(X)
+    assert np.linalg.norm(D - _defect_ref(X), 2) < 1e-9
+    _, _, Wh = np.linalg.svd(X)
+    # the top singular direction is clamped to zero defect
+    assert np.linalg.norm(D @ Wh[0].conj()) < 1e-14
+    with pytest.raises(NotPSD):
+        opcore.contraction_defect(np.array([[1.5]], dtype=complex))

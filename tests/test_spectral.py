@@ -119,3 +119,47 @@ def test_tolerance_sets_use_separate_cache_entries():
     dense = tau.D + lam * tau.C @ np.linalg.solve(np.eye(s) - lam * tau.A, tau.B)
     assert rel(pqsys.theta_eval(tau, lam), dense) < 1e-13
     assert rel(pqsys.theta_eval(tau, lam, loose), dense) < 1e-5
+
+
+def _krylov_span_by_eigh(tau):
+    """span{A^n K* N} from a fresh eigh of A, clustered on gaps <= 1e-8:
+    the route pqs_krylov_subspace takes when no eigenbasis is cached."""
+    p = pqsys.parametrize(tau)
+    ks = p.E_DA @ p.K.conj().T
+    scale = np.linalg.norm(ks, 2)
+    vals, vecs = np.linalg.eigh((tau.A + tau.A.conj().T) / 2)
+    kept, start = [], 0
+    for stop in range(1, vals.size + 1):
+        if stop < vals.size and vals[stop] - vals[stop - 1] <= 1e-8:
+            continue
+        U, sv, _ = np.linalg.svd(vecs[:, start:stop].conj().T @ ks, full_matrices=False)
+        rank = int(np.sum(sv > 1e-10 * scale))
+        kept.append(vecs[:, start:stop] @ U[:, :rank])
+        start = stop
+    return np.hstack(kept)
+
+
+def test_pqs_krylov_from_cached_eigenbasis_matches_eigh_route(tau):
+    assert pqsys.parametrize(tau).t is not None
+    span = sysmodel.pqs_krylov_subspace(tau)
+    ref = _krylov_span_by_eigh(tau)
+    # clusters of four eigenvalues meet N = 3 channels: rank 3 per cluster
+    assert span.dim == ref.shape[1] < S
+    P, Q = span.projector(), ref @ ref.conj().T
+    assert np.linalg.norm(P - Q, 2) < 1e-8
+    assert np.linalg.norm(span.basis.conj().T @ span.basis - np.eye(span.dim)) < 1e-10
+
+
+def test_pqs_krylov_without_cached_eigenbasis_runs_its_own_eigh():
+    # ||A|| ~ 1e-3 with a 1e-11 skew part: selfadjoint for classify (scale
+    # max(1, ||A||)) but not for the eigenbasis cache (scale ||A||)
+    rng = np.random.default_rng(5)
+    s, n = 21, 2
+    T = pqs_from_spectrum(rng, np.repeat(rng.uniform(-1e-3, 1e-3, 7), 3), n)
+    T[n:, n:] += 1e-11j * rand_hermitian_contraction(rng, s)
+    tau = pqsys.PartitionedContraction(T, n, n, s)
+    assert sysmodel.classify(tau).pqs and pqsys.parametrize(tau).t is None
+    span = sysmodel.pqs_krylov_subspace(tau)
+    ref = _krylov_span_by_eigh(tau)
+    assert span.dim == ref.shape[1] == 14
+    assert np.linalg.norm(span.projector() - ref @ ref.conj().T, 2) < 1e-8

@@ -229,3 +229,54 @@ def test_transfer_eval_matches_series_oracle():
     for lam in (0.3, -0.55 + 0.2j, 0.1 - 0.6j):
         ref = oracles.theta_series(tau.T, 2, 3, lam)
         assert np.linalg.norm(pqsys.theta_eval(tau, lam) - ref) < 1e-11
+
+
+def _count_svds(monkeypatch, shape):
+    """Record every np.linalg.svd call on a matrix of the given shape,
+    including the ones np.linalg.norm(., 2) makes internally."""
+    calls = []
+    real = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        if np.shape(a) == shape:
+            calls.append(shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+    monkeypatch.setattr(impl, "svd", counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["pqs", "passive"])
+def test_one_norm_svd_per_system(monkeypatch, kind):
+    rng = np.random.default_rng(31)
+    T = rand_pqs_T(rng, 2, 30) if kind == "pqs" else rand_passive_T(rng, 2, 2, 30)
+    tau = make_system(T, 2, 2, 30)
+    calls = _count_svds(monkeypatch, T.shape)
+    sysmodel.classify(tau)
+    pqsys.parametrize(tau)
+    sysmodel.classify(tau, pqsys.Tolerances(eq_tol=1e-8))  # another tolerance set
+    assert len(calls) == 1
+    assert tau.norm() == np.linalg.norm(T, 2)
+
+
+def test_realize_takes_one_norm_svd(monkeypatch):
+    data, _ = pqsys.chebyshev_example(0.2 + 0.1j, 40)
+    calls = _count_svds(monkeypatch, (41, 41))
+    tau = pqsys.realize_from_data(data)
+    assert tau.state_dim == 40
+    assert len(calls) == 1
+
+
+def test_strong_stability_uses_the_spectral_radius():
+    rng = np.random.default_rng(32)
+    t = np.linspace(-0.95, 0.9, 12)
+    U = rand_unitary(rng, 12)
+    T = np.zeros((14, 14), dtype=complex)
+    T[2:, 2:] = (U * t) @ U.conj().T
+    tau = make_system(T, 2, 2, 12)
+    assert sysmodel.spectral_data(tau) is not None
+    assert sysmodel.is_strongly_stable(tau) == (True, True, True)
+    T[2:, 2:] = (U * np.append(t[:-1], 1.0)) @ U.conj().T
+    assert sysmodel.is_strongly_stable(make_system(T, 2, 2, 12)) == (False, False, True)
