@@ -60,6 +60,7 @@ from .opcore import (
     subspace_intersection,
 )
 from .sysmodel import (
+    KrylovRecord,
     MinimalityReport,
     PartitionedContraction,
     StabilityReport,
@@ -72,6 +73,7 @@ from .sysmodel import (
     is_observable,
     is_simple,
     is_strongly_stable,
+    krylov_record,
     minimal_pqs_reduction,
     observable_subspace,
     pqs_krylov_subspace,

@@ -109,12 +109,15 @@ def cmd_classify(args) -> int:
     for name in ("passive", "isometric", "coisometric", "conservative", "pqs",
                  "normal_main", "selfadjoint_main"):
         rep.info(name, getattr(flags, name))
+    # the four verdicts read the Krylov record; the dimensions come from it
+    # too, so no subspace basis is built
     rep.info("controllable", sysmodel.is_controllable(tau, tol))
     rep.info("observable", sysmodel.is_observable(tau, tol))
     rep.info("simple", sysmodel.is_simple(tau, tol))
     rep.info("minimal", sysmodel.is_minimal(tau, tol))
-    rep.info("controllable_dim", sysmodel.controllable_subspace(tau, tol).dim)
-    rep.info("observable_dim", sysmodel.observable_subspace(tau, tol).dim)
+    krylov = sysmodel.krylov_record(tau, tol)
+    rep.info("controllable_dim", krylov.controllable)
+    rep.info("observable_dim", krylov.observable)
     stab = sysmodel.is_strongly_stable(tau, tol)
     rep.info("strongly_stable", stab.stable)
     rep.info("strongly_co_stable", stab.co_stable)

@@ -14,6 +14,7 @@ counts as zero when sigma <= rank_tol * sigma_max.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -238,11 +239,19 @@ def subspace_intersection(U, V, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
 
 
 def krylov_span(A, B, max_deg: int, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
-    """Orthonormal basis of span{A^n B e_j : n = 0..max_deg, all j}.
+    """Orthonormal basis of span{A^n B e_j : n = 0..max_deg, all j}, by band
+    Arnoldi.
 
-    Terminates early once adding another power stops increasing the
-    dimension; for a Krylov sequence the dimension is then saturated for
-    every higher power as well.
+    Candidates come from a FIFO queue: the columns of B, then A q for every
+    accepted basis vector q of degree below max_deg.  Each candidate is
+    orthogonalized against the basis by two passes of Gram-Schmidt and is
+    dropped when its residual norm is at most
+    rank_tol * max(||B||_2, ||candidate||); otherwise the normalized
+    residual joins the basis.  The procedure uses only inner products,
+    norms and linear combinations, so for A2 = U A1 U* and B2 = U B1 with U
+    unitary it returns U times the basis it returns for (A1, B1).  Unlike
+    the monomial matrix [B, AB, A^2 B, ...], whose columns align with the
+    dominant eigenvectors, it keeps full rank until the span saturates.
     """
     A = as_matrix(A)
     B = as_matrix(B)
@@ -251,17 +260,46 @@ def krylov_span(A, B, max_deg: int, tol: Tolerances = DEFAULT_TOL) -> SubspaceBa
         raise NonSquare("krylov_span needs a square A")
     if B.shape[0] != n:
         raise ValueError("B has wrong ambient dimension")
-    block = B
-    collected = B
-    current = range_basis(collected, tol)
-    for _ in range(max_deg):
-        block = A @ block
-        collected = np.hstack([collected, block])
-        nxt = range_basis(collected, tol)
-        if nxt.dim == current.dim:
-            return current
-        current = nxt
-    return current
+    floor = tol.rank_tol * operator_norm(B)
+    cap = min(n, B.shape[1] * (max(max_deg, 0) + 1))
+    Q = np.empty((n, cap), dtype=complex, order="F")
+    k = 0
+    queue = deque((B[:, j], 0) for j in range(B.shape[1]))
+    while queue and k < cap:
+        w, deg = queue.popleft()
+        thresh = max(floor, tol.rank_tol * float(np.linalg.norm(w)))
+        for _ in range(2):
+            # Q* w as conj(w* Q): no conjugated copy of the basis
+            w = w - Q[:, :k] @ (w.conj() @ Q[:, :k]).conj()
+        beta = float(np.linalg.norm(w))
+        if beta <= thresh:
+            continue
+        Q[:, k] = w / beta
+        if deg < max_deg:
+            queue.append((A @ Q[:, k], deg + 1))
+        k += 1
+    return SubspaceBasis(n, Q[:, :k].copy())
+
+
+# Eigenvalues of a selfadjoint operator closer than this (absolute) gap are
+# chained into one cluster and treated as one eigenvalue.
+CLUSTER_GAP = 1e-8
+
+
+def eigen_clusters(t: np.ndarray) -> list[slice]:
+    """Contiguous slices of the ascending eigenvalues t, split wherever two
+    neighbours lie more than CLUSTER_GAP apart."""
+    cuts = np.flatnonzero(np.diff(t) > CLUSTER_GAP) + 1
+    edges = [0, *cuts.tolist(), t.size]
+    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a]
+
+
+def gram_defect(s: np.ndarray, k: int) -> float:
+    """||I_k - X*X||_2 for a matrix X with k columns and singular values s:
+    the largest |1 - s^2| with the squares padded by zeros to k entries.
+    With k the number of rows it is ||I - XX*||_2."""
+    d = float(np.max(np.abs(1.0 - s * s), initial=0.0))
+    return max(d, 1.0) if k > s.size else d
 
 
 # ---------------------------------------------------------------------------

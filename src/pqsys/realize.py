@@ -102,21 +102,21 @@ def spectral_measure(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL)
     flags = sysmodel.classify(tau, tol)
     if not flags.pqs:
         raise NotPqs("spectral read-out needs a passive quasi-selfadjoint system")
-    vals, vecs = np.linalg.eigh((tau.A + tau.A.conj().T) / 2)
+    sd = sysmodel.spectral_data(tau, tol)
+    if sd is not None:
+        vals, CV = sd.t, sd.CV
+    else:
+        # pqs admits a skew part of A below eq_tol * max(1, ||A||), which
+        # the factorization cache rejects at its own scale ||A||
+        vals, vecs = np.linalg.eigh((tau.A + tau.A.conj().T) / 2)
+        CV = tau.C @ vecs
     atoms = []
-    i = 0
-    s = tau.state_dim
-    while i < s:
-        j = i + 1
-        while j < s and vals[j] - vals[j - 1] <= 1e-8:
-            j += 1
-        t = float(np.mean(vals[i:j]))
+    for c in opcore.eigen_clusters(vals):
+        t = float(np.mean(vals[c]))
         if 1.0 - t * t > 1e-12:
-            CV = tau.C @ vecs[:, i:j]
-            sigma = (CV @ CV.conj().T) / (1.0 - t * t)
+            sigma = (CV[:, c] @ CV[:, c].conj().T) / (1.0 - t * t)
             if operator_norm(sigma) > tol.rank_tol:
                 atoms.append((t, sigma))
-        i = j
     f = SqsFunctionData(tau.D, tuple(atoms))
     for k in range(8):
         lam = 0.5 * np.exp(2j * np.pi * (k + 0.45) / 8)
@@ -553,8 +553,8 @@ def unitary_similarity(tau1: PartitionedContraction, tau2: PartitionedContractio
     adjoint of the input operator.
 
     Verifies transfer agreement on a disk grid and the mixed power-moment
-    identities, builds the Krylov matrices of both systems, and projects
-    their quotient onto the unitary group by polar decomposition."""
+    identities, builds orthonormal band-Arnoldi bases Q1, Q2 of the two
+    controllable subspaces, and takes U as the polar factor of Q2 Q1*."""
     if tau1.in_dim != tau2.in_dim or tau1.out_dim != tau2.out_dim:
         raise DimensionMismatch("systems must share input and output spaces")
     if not sysmodel.is_minimal(tau1, tol):
@@ -584,25 +584,12 @@ def unitary_similarity(tau1: PartitionedContraction, tau2: PartitionedContractio
         raise TransferMismatch("minimal realizations have different state dimensions")
 
     p = s1
-    for nn in range(p + 1):
-        An1 = np.linalg.matrix_power(tau1.A, nn)
-        An2 = np.linalg.matrix_power(tau2.A, nn)
-        for mm in range(p + 1):
-            M1 = tau1.B.conj().T @ An1.conj().T @ np.linalg.matrix_power(tau1.A, mm) @ tau1.B
-            M2 = tau2.B.conj().T @ An2.conj().T @ np.linalg.matrix_power(tau2.A, mm) @ tau2.B
-            if operator_norm(M1 - M2) > tol.eq_tol * scale:
-                raise MomentMismatch("mixed power moments differ", n=nn, m=mm)
-
-    def krylov(tau):
-        cols = [tau.B]
-        for _ in range(p):
-            cols.append(tau.A @ cols[-1])
-        return np.hstack(cols)
-
-    V1 = krylov(tau1)
-    V2 = krylov(tau2)
-    raw = V2 @ opcore.pinv(V1, tol)
-    u, _, vh = np.linalg.svd(raw)
+    _check_moments(tau1, tau2, p, tol.eq_tol * scale)
+    # band Arnoldi is unitarily covariant: Q2 = U Q1 for minimal systems
+    # with A2 = U A1 U* and B2 = U B1, so U is the polar factor of Q2 Q1*
+    Q1 = opcore.krylov_span(tau1.A, tau1.B, p, tol).basis
+    Q2 = opcore.krylov_span(tau2.A, tau2.B, p, tol).basis
+    u, _, vh = np.linalg.svd(Q2 @ Q1.conj().T)
     U = u @ vh
     residuals = {
         "unitarity": max(operator_norm(U.conj().T @ U - np.eye(p)),
@@ -615,3 +602,25 @@ def unitary_similarity(tau1: PartitionedContraction, tau2: PartitionedContractio
     if worst > 10 * tol.eq_tol * scale:
         raise PqsysError(f"intertwining residual {worst:.3e} exceeds tolerance")
     return SimilarityResult(U, residuals)
+
+
+def _check_moments(tau1: PartitionedContraction, tau2: PartitionedContraction, p: int, bound: float):
+    """Raise MomentMismatch(n, m) for the first pair, n outer and m inner
+    over 0..p, with ||B1* A1*^n A1^m B1 - B2* A2*^n A2^m B2||_2 > bound.
+
+    All blocks of one system are the blocks of the Gram matrix K*K of
+    K = [B, AB, ..., A^p B]; their norms are taken in one batched call."""
+    def gram(tau):
+        cols = [tau.B]
+        for _ in range(p):
+            cols.append(tau.A @ cols[-1])
+        K = np.hstack(cols)
+        return K.conj().T @ K
+
+    m = tau1.in_dim
+    diff = (gram(tau1) - gram(tau2)).reshape(p + 1, m, p + 1, m).transpose(0, 2, 1, 3)
+    norms = np.linalg.norm(diff, ord=2, axis=(2, 3)) if m else np.zeros((p + 1, p + 1))
+    bad = np.argwhere(norms > bound)
+    if bad.size:
+        nn, mm = (int(x) for x in bad[0])
+        raise MomentMismatch("mixed power moments differ", n=nn, m=mm)

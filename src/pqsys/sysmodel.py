@@ -29,9 +29,10 @@ class PartitionedContraction:
 
     T is held as a read-only view of the array passed in (no copy), so
     writing through `tau.T` or its blocks raises.  Results derived from T
-    alone are cached on the system: its norm once, the class flags and
-    the spectral factorization of A per `Tolerances`; the array passed in
-    must therefore not be modified after construction either."""
+    alone are cached on the system: its singular values once, the class
+    flags, the spectral factorization of A and the Krylov record per
+    `Tolerances`; the array passed in must therefore not be modified after
+    construction either."""
 
     T: np.ndarray
     in_dim: int
@@ -74,9 +75,22 @@ class PartitionedContraction:
             value = self._cache[key, tol] = build()
             return value
 
+    def singular_values(self) -> np.ndarray:
+        """Singular values of T, descending, computed once per system (they
+        depend on no tolerance)."""
+        return self.cached("singular_values", None, self._singular_values)
+
+    def _singular_values(self) -> np.ndarray:
+        if 0 in self.T.shape:
+            return np.zeros(0)
+        s = np.linalg.svd(self.T, compute_uv=False)
+        s.flags.writeable = False
+        return s
+
     def norm(self) -> float:
-        """||T||_2, computed once per system (it depends on no tolerance)."""
-        return self.cached("norm", None, lambda: operator_norm(self.T))
+        """||T||_2, the largest cached singular value (0 for an empty T)."""
+        s = self.singular_values()
+        return float(s[0]) if s.size else 0.0
 
 
 class SpectralData(NamedTuple):
@@ -129,13 +143,14 @@ def classify(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> Syst
 
 
 def _classify(tau: PartitionedContraction, tol: Tolerances) -> SystemClass:
-    T = tau.T
     nrm = tau.norm()
     passive = nrm <= 1.0 + tol.rank_tol
     scale = max(1.0, nrm)
-    rows, cols = T.shape
-    iso = norm_at_most(T.conj().T @ T - np.eye(cols), tol.eq_tol * scale)
-    coiso = norm_at_most(T @ T.conj().T - np.eye(rows), tol.eq_tol * scale)
+    # ||T*T - I|| and ||TT* - I|| from the singular values of T
+    sv = tau.singular_values()
+    rows, cols = tau.T.shape
+    iso = opcore.gram_defect(sv, cols) <= tol.eq_tol * scale
+    coiso = opcore.gram_defect(sv, rows) <= tol.eq_tol * scale
     A = tau.A
     sa_main = norm_at_most(A - A.conj().T, tol.eq_tol, A, 1.0)
     normal_main = opcore.is_normal(A, tol) if A.size else True
@@ -172,36 +187,116 @@ def simulate(tau: PartitionedContraction, inputs, h0) -> tuple[np.ndarray, np.nd
     return np.array(states), np.array(outputs).reshape(len(outputs), tau.out_dim)
 
 
+class KrylovRecord(NamedTuple):
+    """Dimensions of the controllable subspace span{A^n B}, the observable
+    subspace span{A*^n C*} and their sum, with the orthonormal bases when
+    they were built (band Arnoldi, non-selfadjoint A); None otherwise."""
+
+    controllable: int
+    observable: int
+    joint: int
+    hc: SubspaceBasis | None = None
+    ho: SubspaceBasis | None = None
+
+
+def krylov_record(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> KrylovRecord:
+    """The Krylov dimensions of the system, computed once per system and
+    tolerance set.
+
+    With a cached spectral factorization A = V diag(t) V* (selfadjoint A),
+    each subspace is the direct sum over the eigenvalue clusters of A of
+    the ranges of the cluster rows of V*B, of (CV)* and of both side by
+    side; a cluster counts the singular values of its rows above rank_tol
+    times ||B||_2, ||C||_2 or the larger of the two.  Any other A takes the
+    two band-Arnoldi bases of `opcore.krylov_span`, and their joint rank
+    when neither is full."""
+    return tau.cached("krylov", tol, lambda: _krylov_record(tau, tol))
+
+
+def _krylov_record(tau: PartitionedContraction, tol: Tolerances) -> KrylovRecord:
+    s = tau.state_dim
+    sd = spectral_data(tau, tol)
+    if sd is not None:
+        CVh = sd.CV.conj().T
+        nb, nc = operator_norm(sd.VB), operator_norm(CVh)
+        return KrylovRecord(
+            _cluster_span(sd.t, sd.VB, tol.rank_tol * nb)[0],
+            _cluster_span(sd.t, CVh, tol.rank_tol * nc)[0],
+            _cluster_span(sd.t, np.hstack([sd.VB, CVh]), tol.rank_tol * max(nb, nc))[0],
+        )
+    hc = opcore.krylov_span(tau.A, tau.B, s, tol)
+    ho = opcore.krylov_span(tau.A.conj().T, tau.C.conj().T, s, tol)
+    if s in (hc.dim, ho.dim):
+        joint = s
+    else:
+        joint = opcore.range_basis(np.hstack([hc.basis, ho.basis]), tol).dim
+    return KrylovRecord(hc.dim, ho.dim, joint, hc, ho)
+
+
+def _cluster_span(t: np.ndarray, comps: np.ndarray, thresh: float,
+                  vecs: np.ndarray | None = None) -> tuple[int, np.ndarray | None]:
+    """The span of all powers of a selfadjoint operator applied to a set of
+    vectors, from the operator's ascending eigenvalues t and the
+    components comps of the vectors in its eigenbasis (one row per
+    eigenvector).  The span is the direct sum over the eigenvalue clusters
+    (`opcore.eigen_clusters`) of the ranges of the cluster rows; a cluster
+    contributes the number of their singular values above thresh.  Returns
+    that dimension and, given the eigenvectors vecs, an orthonormal basis."""
+    dim = 0
+    kept = []
+    for c in opcore.eigen_clusters(t):
+        if vecs is None:
+            sv = np.linalg.svd(comps[c], compute_uv=False)
+        else:
+            U, sv, _ = np.linalg.svd(comps[c], full_matrices=False)
+        rank = int(np.count_nonzero(sv > thresh))
+        dim += rank
+        if rank and vecs is not None:
+            kept.append(vecs[:, c] @ U[:, :rank])
+    if vecs is None:
+        return dim, None
+    basis = np.hstack(kept) if kept else np.zeros((vecs.shape[0], 0), dtype=complex)
+    return dim, basis
+
+
+def _eigen_span(tau: PartitionedContraction, tol: Tolerances, adjoint: bool) -> SubspaceBasis:
+    """Basis of span{A^n B} (or span{A*^n C*}) for a selfadjoint A from one
+    `opcore.hermitian_eigh`, with the cluster ranks of `krylov_record`."""
+    sd = spectral_data(tau, tol)
+    t, V = opcore.hermitian_eigh(tau.A, tol)
+    comps = sd.CV.conj().T if adjoint else sd.VB
+    _, basis = _cluster_span(t, comps, tol.rank_tol * operator_norm(comps), V)
+    return SubspaceBasis(tau.state_dim, basis)
+
+
 def controllable_subspace(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
     """span{A^n B : n >= 0} inside the state space."""
-    return opcore.krylov_span(tau.A, tau.B, tau.state_dim, tol)
+    rec = krylov_record(tau, tol)
+    return rec.hc if rec.hc is not None else _eigen_span(tau, tol, adjoint=False)
 
 
 def observable_subspace(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
     """span{A*^n C* : n >= 0} inside the state space."""
-    return opcore.krylov_span(tau.A.conj().T, tau.C.conj().T, tau.state_dim, tol)
+    rec = krylov_record(tau, tol)
+    return rec.ho if rec.ho is not None else _eigen_span(tau, tol, adjoint=True)
 
 
 def is_controllable(tau, tol: Tolerances = DEFAULT_TOL) -> bool:
-    return controllable_subspace(tau, tol).dim == tau.state_dim
+    return krylov_record(tau, tol).controllable == tau.state_dim
 
 
 def is_observable(tau, tol: Tolerances = DEFAULT_TOL) -> bool:
-    return observable_subspace(tau, tol).dim == tau.state_dim
+    return krylov_record(tau, tol).observable == tau.state_dim
 
 
 def is_simple(tau, tol: Tolerances = DEFAULT_TOL) -> bool:
     """State space spanned by the controllable and observable subspaces."""
-    hc = controllable_subspace(tau, tol)
-    ho = observable_subspace(tau, tol)
-    joint = np.hstack([hc.basis, ho.basis])
-    if joint.shape[1] == 0:
-        return tau.state_dim == 0
-    return opcore.range_basis(joint, tol).dim == tau.state_dim
+    return krylov_record(tau, tol).joint == tau.state_dim
 
 
 def is_minimal(tau, tol: Tolerances = DEFAULT_TOL) -> bool:
-    return is_controllable(tau, tol) and is_observable(tau, tol)
+    rec = krylov_record(tau, tol)
+    return rec.controllable == rec.observable == tau.state_dim
 
 
 def pqs_krylov_subspace(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
@@ -233,19 +328,8 @@ def pqs_krylov_subspace(tau: PartitionedContraction, tol: Tolerances = DEFAULT_T
     else:
         vals, vecs = np.linalg.eigh((tau.A + tau.A.conj().T) / 2)
         comps = vecs.conj().T @ (p.E_DA @ p.K.conj().T)
-    kept = []
-    start = 0
-    for stop in range(1, vals.size + 1):
-        if stop < vals.size and vals[stop] - vals[stop - 1] <= 1e-8:
-            continue
-        U, sv, _ = np.linalg.svd(comps[start:stop], full_matrices=False)
-        rank = int(np.sum(sv > tol.rank_tol * scale))
-        if rank:
-            kept.append(vecs[:, start:stop] @ U[:, :rank])
-        start = stop
-    if not kept:
-        return SubspaceBasis.zero(s)
-    return SubspaceBasis(s, np.hstack(kept))
+    _, basis = _cluster_span(vals, comps, tol.rank_tol * scale, vecs)
+    return SubspaceBasis(s, basis)
 
 
 def minimal_pqs_reduction(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> PartitionedContraction:

@@ -263,8 +263,10 @@ def inner_test(source, n_grid: int = 64, tol: Tolerances = DEFAULT_TOL) -> Inner
             continue
         val = as_matrix(val)
         rows, cols = val.shape
-        max_defect = max(max_defect, operator_norm(np.eye(cols) - val.conj().T @ val))
-        max_codefect = max(max_codefect, operator_norm(np.eye(rows) - val @ val.conj().T))
+        # ||I - V*V|| and ||I - VV*|| from the singular values of V
+        sv = np.linalg.svd(val, compute_uv=False) if val.size else np.zeros(0)
+        max_defect = max(max_defect, opcore.gram_defect(sv, cols))
+        max_codefect = max(max_codefect, opcore.gram_defect(sv, rows))
     usable = n_grid - skipped
     inner = usable > 0 and max_defect <= tol.grid_tol
     coinner = usable > 0 and max_codefect <= tol.grid_tol

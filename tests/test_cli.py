@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import pqsys
-from pqsys import _json
+from pqsys import _json, opcore, sysmodel
 from pqsys.cli import main
 
 from helpers import rand_atoms, rand_contraction, rand_unitary
@@ -267,3 +267,36 @@ def test_failure_before_the_report_exists_writes_none(tmp_path):
     report = tmp_path / "rep.json"
     assert main(["classify", str(tmp_path / "missing.json"), "--report", str(report)]) == 2
     assert not report.exists()
+
+
+def test_classify_realized_arcsine_system_is_minimal(tmp_path):
+    data, _ = pqsys.chebyshev_example(0.3 + 0.2j, 200)
+    write_system(tmp_path / "sys.json", pqsys.realize_from_data(data))
+    report = tmp_path / "rep.json"
+    assert main(["classify", str(tmp_path / "sys.json"), "--report", str(report)]) == 0
+    info = read_json(report)["info"]
+    assert info["minimal"] is True and info["simple"] is True
+    assert info["controllable_dim"] == info["observable_dim"] == 200
+
+
+@pytest.mark.parametrize("kind", ["pqs", "non_normal"])
+def test_classify_builds_the_krylov_data_once(tmp_path, rng, monkeypatch, kind):
+    if kind == "pqs":
+        tau = pqsys.realize_from_data(write_member_measure(tmp_path / "m.json", rng, n=2))
+    else:
+        tau = pqsys.PartitionedContraction(rand_contraction(rng, 7, 7, 0.9), 2, 2, 5)
+    write_system(tmp_path / "sys.json", tau)
+    records, spans, eighs = [], [], []
+    build, span, eigh = sysmodel._krylov_record, opcore.krylov_span, opcore.hermitian_eigh
+    monkeypatch.setattr(sysmodel, "_krylov_record", lambda *a: records.append(1) or build(*a))
+    monkeypatch.setattr(opcore, "krylov_span", lambda *a: spans.append(1) or span(*a))
+    monkeypatch.setattr(opcore, "hermitian_eigh", lambda *a: eighs.append(1) or eigh(*a))
+    report = tmp_path / "rep.json"
+    assert main(["classify", str(tmp_path / "sys.json"), "--report", str(report)]) == 0
+    assert len(records) == 1
+    # selfadjoint A: cluster ranks of the one cached factorization, no
+    # subspace basis; otherwise one Arnoldi run per span
+    assert len(spans) == (0 if kind == "pqs" else 2)
+    assert len(eighs) == 1
+    info = read_json(report)["info"]
+    assert info["controllable_dim"] == info["observable_dim"] == tau.state_dim

@@ -8,7 +8,8 @@ import pqsys
 from pqsys import opcore, sysmodel, transfer
 from pqsys.errors import SingularResolvent
 
-from helpers import pqs_from_spectrum, rand_hermitian_contraction
+import oracles
+from helpers import pqs_from_spectrum, rand_hermitian_contraction, rand_unitary
 
 S = 200
 N = 3
@@ -163,3 +164,62 @@ def test_pqs_krylov_without_cached_eigenbasis_runs_its_own_eigh():
     ref = _krylov_span_by_eigh(tau)
     assert span.dim == ref.shape[1] == 14
     assert np.linalg.norm(span.projector() - ref @ ref.conj().T, 2) < 1e-8
+
+
+def _atoms_by_own_eigh(tau):
+    """The spectral read-out from a fresh eigh of the Hermitian part of A,
+    clusters chained on gaps <= 1e-8: the route spectral_measure took
+    before it read the cached factorization."""
+    vals, vecs = np.linalg.eigh((tau.A + tau.A.conj().T) / 2)
+    atoms, i, s = [], 0, tau.state_dim
+    while i < s:
+        j = i + 1
+        while j < s and vals[j] - vals[j - 1] <= 1e-8:
+            j += 1
+        t = float(np.mean(vals[i:j]))
+        if 1.0 - t * t > 1e-12:
+            CV = tau.C @ vecs[:, i:j]
+            sigma = (CV @ CV.conj().T) / (1.0 - t * t)
+            if np.linalg.norm(sigma, 2) > 1e-10:
+                atoms.append((t, sigma))
+        i = j
+    return atoms
+
+
+@pytest.mark.parametrize("kind", ["random", "clustered", "arcsine", "arcsine_diagonal"])
+def test_spectral_measure_reads_the_cached_factorization(kind, monkeypatch):
+    rng = np.random.default_rng(61)
+    if kind == "random":
+        tau = pqsys.PartitionedContraction(pqs_from_spectrum(rng, rng.uniform(-0.9, 0.9, 40), 3), 3, 3, 40)
+    elif kind == "clustered":
+        t = np.repeat(np.linspace(-0.8, 0.8, 10), 4) + 1e-10 * np.tile(np.arange(4), 10)
+        tau = pqsys.PartitionedContraction(pqs_from_spectrum(rng, t, 3), 3, 3, 40)
+    elif kind == "arcsine":
+        diag = pqsys.chebyshev_example(0.2 + 0.3j, 40)[1]
+        tau = pqsys.PartitionedContraction(oracles.conjugate_system(diag.T, 1, 1, rand_unitary(rng, 40)), 1, 1, 40)
+    else:
+        tau = pqsys.chebyshev_example(0.2 + 0.3j, 40)[1]
+    ref = _atoms_by_own_eigh(tau)
+    assert sysmodel.spectral_data(tau) is not None
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigh", lambda *a, **k: pytest.fail("spectral_measure ran eigh"))
+        f = pqsys.spectral_measure(tau)
+    assert len(f.atoms) == len(ref) == (10 if kind == "clustered" else 40)
+    for (t, sigma), (t_ref, sigma_ref) in zip(f.atoms, ref):
+        assert abs(t - t_ref) < 1e-12
+        assert np.linalg.norm(sigma - sigma_ref, 2) < 1e-12
+
+
+def test_spectral_measure_without_cached_factorization():
+    # the skew part of this A passes classify but not the factorization cache
+    rng = np.random.default_rng(5)
+    s, n = 21, 2
+    T = pqs_from_spectrum(rng, np.repeat(rng.uniform(-1e-3, 1e-3, 7), 3), n)
+    T[n:, n:] += 1e-11j * rand_hermitian_contraction(rng, s)
+    tau = pqsys.PartitionedContraction(T, n, n, s)
+    assert sysmodel.spectral_data(tau) is None
+    f = pqsys.spectral_measure(tau)
+    ref = _atoms_by_own_eigh(tau)
+    assert len(f.atoms) == len(ref) == 7
+    for (t, sigma), (t_ref, sigma_ref) in zip(f.atoms, ref):
+        assert abs(t - t_ref) < 1e-12 and np.linalg.norm(sigma - sigma_ref, 2) < 1e-12

@@ -280,3 +280,49 @@ def test_strong_stability_uses_the_spectral_radius():
     assert sysmodel.is_strongly_stable(tau) == (True, True, True)
     T[2:, 2:] = (U * np.append(t[:-1], 1.0)) @ U.conj().T
     assert sysmodel.is_strongly_stable(make_system(T, 2, 2, 12)) == (False, False, True)
+
+
+def _system_with_singular_values(rng, rows, cols, s, n=2):
+    """Block system T = U diag(s) W* of shape rows x cols (n I/O channels
+    on the output side, rows - cols more on the input side)."""
+    U = rand_unitary(rng, rows)[:, :s.size]
+    W = rand_unitary(rng, cols)[:, :s.size]
+    T = (U * s) @ W.conj().T
+    state = rows - n
+    return make_system(T, cols - state, n, state)
+
+
+def _flags_by_products(tau, tol=pqsys.DEFAULT_TOL):
+    """isometric, coisometric and normal_main from the products T*T, TT*
+    and A*A, AA*, with exact spectral norms."""
+    T, A = tau.T, tau.A
+    scale = tol.eq_tol * max(1.0, np.linalg.norm(T, 2))
+    iso = np.linalg.norm(T.conj().T @ T - np.eye(T.shape[1]), 2) <= scale
+    coiso = np.linalg.norm(T @ T.conj().T - np.eye(T.shape[0]), 2) <= scale
+    return iso, coiso, pqsys.is_normal(A)
+
+
+def test_classify_flags_from_singular_values_match_the_products():
+    rng = np.random.default_rng(33)
+    one = np.ones(8)
+    near = lambda f: np.sqrt(1.0 - f * 1e-9) * one
+    cases = [
+        _system_with_singular_values(rng, 8, 8, rng.uniform(0.2, 0.9, 8)),   # strict contraction
+        _system_with_singular_values(rng, 8, 8, one),                        # unitary
+        _system_with_singular_values(rng, 10, 8, one),                       # isometric, not coisometric
+        _system_with_singular_values(rng, 8, 10, one),                       # coisometric, not isometric
+        _system_with_singular_values(rng, 9, 7, rng.uniform(0.5, 1.0, 7)),   # non-square
+        _system_with_singular_values(rng, 8, 8, near(0.99)),                 # just inside eq_tol
+        _system_with_singular_values(rng, 8, 8, near(1.01)),                 # just outside eq_tol
+        make_system(rand_passive_T(rng, 2, 3, 4), 2, 3, 4),
+        make_system(rand_pqs_T(rng, 2, 5), 2, 2, 5),
+    ]
+    seen = set()
+    for tau in cases:
+        flags = sysmodel.classify(tau)
+        iso, coiso, normal = _flags_by_products(tau)
+        assert (flags.isometric, flags.coisometric, flags.normal_main) == (iso, coiso, normal)
+        assert flags.conservative == (iso and coiso)
+        seen.add((iso, coiso))
+    assert seen == {(False, False), (True, True), (True, False), (False, True)}
+    assert sysmodel.classify(cases[5]).conservative and not sysmodel.classify(cases[6]).conservative

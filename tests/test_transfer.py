@@ -172,6 +172,32 @@ def test_inner_test_rejects_strict_contraction_values():
     assert rep.max_defect > 1e-3
 
 
+def _inner_defects_by_products(values):
+    """max ||I - V*V|| and max ||I - VV*|| over the values, from the products."""
+    d = max(np.linalg.norm(np.eye(v.shape[1]) - v.conj().T @ v, 2) for v in values)
+    c = max(np.linalg.norm(np.eye(v.shape[0]) - v @ v.conj().T, 2) for v in values)
+    return d, c
+
+
+def test_inner_test_defects_match_the_products():
+    rng = np.random.default_rng(15)
+    circle = np.exp(2j * np.pi * (np.arange(64) + 0.5) / 64)
+    systems = [
+        make_system(rand_passive_T(rng, 3, 3, 6, smax=0.95), 3, 3, 6),   # non-normal A
+        make_system(rand_pqs_T(rng, 4, 12), 4, 4, 12),                  # spectral path
+        make_system(rand_passive_T(rng, 2, 4, 5, smax=0.9), 2, 4, 5),   # 4 x 2 values
+    ]
+    for tau in systems:
+        rep = pqsys.inner_test(tau)
+        d, c = _inner_defects_by_products([pqsys.theta_eval(tau, z) for z in circle])
+        assert abs(rep.max_defect - d) < 1e-12 and abs(rep.max_codefect - c) < 1e-12
+    # a 2 x 3 isometry-like sampler: inner fails on the padded zero, co-inner holds
+    V = rand_unitary(rng, 3)[:2]
+    rep = pqsys.inner_test(lambda lam: lam * V)
+    assert (rep.inner, rep.coinner) == (False, True)
+    assert rep.max_defect == 1.0 and rep.max_codefect < 1e-14
+
+
 def test_inner_pm1_conditions():
     # boundary values of a Blaschke product: b(1) = 1, b(-1) = -1
     eye = np.eye(2, dtype=complex)
