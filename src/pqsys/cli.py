@@ -138,6 +138,8 @@ def cmd_eval(args) -> int:
     if args.which == "q":
         # the resolvent compression lives outside the closed disk; grid
         # points from --grid are disk-side and are inverted
+        if 0 in points:
+            raise ValueError("the point 0 has no exterior image 1/z for --func q")
         points = [1.0 / z if abs(z) <= 1.0 else z for z in points]
 
     samples = []

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonSquare, NotAContraction, NotHermitian, NotPSD
+from .errors import NonSquare, NotAContraction, NotHermitian, NotPSD, PqsysError
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,8 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("rank_tol", "eq_tol", "psd_tol", "grid_tol"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
 
 
 DEFAULT_TOL = Tolerances()
@@ -152,7 +152,7 @@ def psd_sqrt(M, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         raise NonSquare(f"psd_sqrt needs a square matrix, got {M.shape}")
     if M.shape[0] == 0:
         return M.copy()
-    if not norm_at_most(M - M.conj().T, tol.eq_tol, M, 1.0):
+    if not is_selfadjoint(M, tol):
         raise NotHermitian("psd_sqrt: matrix is not Hermitian")
     w, U = np.linalg.eigh(herm_part(M))
     return (U * _sqrt_psd_eigs(w, lambda: operator_norm(M), tol)) @ U.conj().T
@@ -185,7 +185,7 @@ def _sqrt_psd_eigs(w: np.ndarray, norm, tol: Tolerances) -> np.ndarray:
     values below psd_tol clamped to 0.  Raises NotPSD when the smallest lies
     below -psd_tol * max(||M||, 1); `norm()` gives ||M|| and is called only
     once the smallest is below -psd_tol."""
-    low = w.min()
+    low = w.min(initial=0.0)
     if low < -tol.psd_tol and low < -tol.psd_tol * max(norm(), 1.0):
         raise NotPSD(f"psd_sqrt: eigenvalue {low:.3e} below -psd_tol")
     return np.sqrt(np.where(w < tol.psd_tol, 0.0, w))
@@ -351,32 +351,33 @@ class DefectData(NamedTuple):
 
 
 def hermitian_eigh(A, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray] | None:
-    """Eigenvalues t (ascending) and eigenvectors V of a nonempty square A
-    that passes `is_selfadjoint`, or None for any other A.
+    """Eigenvalues t (ascending) and eigenvectors V of H = (A + A*)/2 for a
+    nonempty square A that passes `is_selfadjoint`, or None for any other A.
 
-    A real diagonal A is its own factorization (V a permutation).  Otherwise
-    the factorization from eigh is verified once: ||AV - V diag(t)||_F must
-    stay within eq_tol * max(1, max|t|), else None is returned as well, so
-    that callers fall back to formulas in A itself."""
+    A real diagonal A is its own factorization (V a real permutation).
+    Otherwise eigh factors H (A itself, bit for bit, when A is bitwise
+    Hermitian), and PqsysError is raised when ||HV - V diag(t)||_F exceeds
+    eq_tol * max(1, max|t|)."""
     A = as_matrix(A)
     if A.shape[0] != A.shape[1] or A.shape[0] == 0 or not is_selfadjoint(A, tol):
         return None
     diag = np.diagonal(A)
     if not np.any(diag.imag) and np.count_nonzero(A) == np.count_nonzero(diag):
         order = np.argsort(diag.real, kind="stable")
-        V = np.zeros(A.shape, dtype=complex)
+        V = np.zeros(A.shape)  # real: half the memory of a complex permutation
         V[order, np.arange(order.size)] = 1.0
         return diag.real[order], V
-    t, V = np.linalg.eigh(A)
+    H = herm_part(A)
+    t, V = np.linalg.eigh(H)
     # column blocks keep the residual's temporaries small
     sq = 0.0
     for j in range(0, t.size, 128):
         cols = slice(j, j + 128)
-        blk = A @ V[:, cols]
+        blk = H @ V[:, cols]
         blk -= V[:, cols] * t[cols]
         sq += float(np.linalg.norm(blk)) ** 2
     if math.sqrt(sq) > tol.eq_tol * max(1.0, float(np.abs(t).max())):
-        return None
+        raise PqsysError(f"eigendecomposition of a selfadjoint matrix misses it by {math.sqrt(sq):.3e}")
     return t, V
 
 
@@ -384,7 +385,7 @@ def defect_data(A, tol: Tolerances = DEFAULT_TOL) -> DefectData:
     A = as_matrix(A)
     eig = hermitian_eigh(A, tol)
     if eig is not None:
-        return _hermitian_defect_data(*eig, tol)
+        return hermitian_defect_data(*eig, tol)
     DA = defect_operator(A, tol)
     DAs = defect_operator(A.conj().T, tol)
     if DA.shape == DAs.shape and norm_at_most(DA - DAs, tol.eq_tol):
@@ -393,24 +394,30 @@ def defect_data(A, tol: Tolerances = DEFAULT_TOL) -> DefectData:
     return DefectData(DA, DAs, range_basis(DA, tol).basis, range_basis(DAs, tol).basis)
 
 
-def _hermitian_defect_data(t: np.ndarray, V: np.ndarray, tol: Tolerances) -> DefectData:
-    """D_A = D_{A*} = V diag(sqrt(1 - t^2)) V* from A = V diag(t) V*, with the
-    eigenvectors of nonzero defect as the shared range basis.  Contraction,
-    clamping and rank rules are those of `defect_operator` and `range_basis`,
-    applied to the exact eigenvalues and singular values."""
-    if np.abs(t).max() > 1.0 + tol.rank_tol:
+def hermitian_defect(t: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, slice]:
+    """sqrt(1 - t^2) at the ascending eigenvalues t of a selfadjoint A, and the
+    slice of t with nonzero defect, by the contraction, clamping and rank
+    rules of `defect_operator` and `range_basis` on the exact eigenvalues."""
+    if np.abs(t).max(initial=0.0) > 1.0 + tol.rank_tol:
         raise NotAContraction(f"operator norm {np.abs(t).max():.12f} exceeds 1")
     g = 1.0 - t * t
     d = _sqrt_psd_eigs(g, lambda: float(np.abs(g).max()), tol)
+    # 1 - t^2 is unimodal in the ascending t, so the kept eigenvalues are contiguous
+    keep = np.flatnonzero(d > tol.rank_tol * d.max(initial=0.0))
+    return d, slice(keep[0], keep[-1] + 1) if keep.size else slice(0, 0)
+
+
+def hermitian_defect_data(t: np.ndarray, V: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> DefectData:
+    """D_A = D_{A*} = V diag(sqrt(1 - t^2)) V* from A = V diag(t) V*, with the
+    eigenvectors of nonzero defect (`hermitian_defect`) as the shared range
+    basis."""
+    d, cols = hermitian_defect(t, tol)
     # V d V* formed as conj(conj(V d) V^T), which needs no conjugated copy of V
     W = V * d
     np.conj(W, out=W)
     DA = W @ V.T
     del W
     np.conj(DA, out=DA)
-    # 1 - t^2 is unimodal in the ascending t, so the kept columns are contiguous
-    keep = np.flatnonzero(d > tol.rank_tol * d.max()) if d.max() > 0 else np.zeros(0, dtype=int)
-    cols = slice(keep[0], keep[-1] + 1) if keep.size else slice(0, 0)
     return DefectData(DA, DA, V[:, cols], V[:, cols], t[cols])
 
 
@@ -429,10 +436,11 @@ def is_strict_contraction(A, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 
 def is_selfadjoint(A, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """The library's one selfadjointness rule: ||A - A*||_2 <= eq_tol * max(1, ||A||_2)."""
     A = as_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise NonSquare("selfadjointness needs a square matrix")
-    return norm_at_most(A - A.conj().T, tol.eq_tol, A, 1e-300)
+    return norm_at_most(A - A.conj().T, tol.eq_tol, A, 1.0)
 
 
 def is_normal(A, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -21,7 +21,7 @@ import numpy as np
 from . import opcore
 from .errors import DimensionMismatch, NotAContraction, PqsysError
 from .opcore import DEFAULT_TOL, Tolerances, as_matrix, operator_norm
-from .sysmodel import PartitionedContraction
+from .sysmodel import PartitionedContraction, spectral_data
 
 
 @dataclass(frozen=True)
@@ -168,14 +168,15 @@ def parametrize(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> C
     projects onto the defect bases; a verification pass checks that the
     defect equations are actually met, which fails exactly when T was not
     a contraction to begin with (or is too close to the boundary for the
-    pseudoinverses to resolve).
-    """
+    pseudoinverses to resolve).  A selfadjoint A takes its defect data
+    from the system's cached spectral factorization."""
     nrm = tau.norm()
     if nrm > 1.0 + tol.rank_tol:
         raise NotAContraction(f"system block has norm {nrm:.12f}")
     scale = max(1.0, nrm)
     A, B, C, D = tau.A, tau.B, tau.C, tau.D
-    dd = opcore.defect_data(A, tol)
+    sd = spectral_data(tau, tol)
+    dd = opcore.hermitian_defect_data(sd.t, sd.V, tol) if sd is not None else opcore.defect_data(A, tol)
     DA, DAs, E_DA, E_DAs = dd.DA, dd.DAs, dd.E_A, dd.E_As
 
     if dd.t is None:

@@ -35,7 +35,7 @@ def q_eval(tau: PartitionedContraction, z: complex, tol: Tolerances = DEFAULT_TO
     z = complex(z)
     n = tau.out_dim
     sd = sysmodel.spectral_data(tau, tol)
-    if sd is not None and np.abs(sd.t - z).min() > _SCHUR_GAP:
+    if sd is not None and np.abs(sd.t - z).min(initial=np.inf) > _SCHUR_GAP:
         schur = tau.D - z * np.eye(n) - (sd.CV / (sd.t - z)) @ sd.VB
         return transfer._resolve(schur, np.eye(n, dtype=complex))
     total = n + tau.state_dim

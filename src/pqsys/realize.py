@@ -74,12 +74,14 @@ def realize_from_data(f: SqsFunctionData, tol: Tolerances = DEFAULT_TOL) -> Part
         factors.append(L)
     s = sum(r for _, r in blocks)
     diag = np.concatenate([np.full(r, t) for t, r in blocks]) if s else np.zeros(0)
-    A = np.diag(diag.astype(complex))
     K_amb = np.hstack(factors) if factors else np.zeros((n, 0), dtype=complex)
-    DA = np.diag(np.sqrt(1.0 - diag ** 2).astype(complex))
-    B = DA @ K_amb.conj().T
-    C = B.conj().T
-    T = np.block([[f.theta0, C], [B, A]]) if s else f.theta0.copy()
+    # B = D_A K* and T are formed with no s x s temporaries for A and D_A
+    B = np.sqrt(1.0 - diag ** 2).astype(complex)[:, None] * K_amb.conj().T
+    T = np.zeros((n + s, n + s), dtype=complex)
+    T[:n, :n] = f.theta0
+    T[:n, n:] = B.conj().T
+    T[n:, :n] = B
+    np.fill_diagonal(T[n:, n:], diag)
     tau = PartitionedContraction(T, n, n, s)
     if tau.norm() > 1.0 + 10 * tol.psd_tol:
         raise PqsysError("assembled realization is not a contraction")
@@ -95,26 +97,19 @@ def realize_from_data(f: SqsFunctionData, tol: Tolerances = DEFAULT_TOL) -> Part
 def spectral_measure(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> SqsFunctionData:
     """Read the atomic representation back off a pqs system.
 
-    Eigenvalues of the selfadjoint main operator are clustered, and each
-    cluster t with spectral projector P contributes the weight
-    C P C* / (1 - t^2).  Clusters at +-1 carry no transfer content and
-    are skipped."""
+    Eigenvalues of the selfadjoint main operator, from the system's cached
+    factorization, are clustered, and each cluster t with spectral
+    projector P contributes the weight C P C* / (1 - t^2).  Clusters at +-1
+    carry no transfer content and are skipped."""
     flags = sysmodel.classify(tau, tol)
     if not flags.pqs:
         raise NotPqs("spectral read-out needs a passive quasi-selfadjoint system")
     sd = sysmodel.spectral_data(tau, tol)
-    if sd is not None:
-        vals, CV = sd.t, sd.CV
-    else:
-        # pqs admits a skew part of A below eq_tol * max(1, ||A||), which
-        # the factorization cache rejects at its own scale ||A||
-        vals, vecs = np.linalg.eigh((tau.A + tau.A.conj().T) / 2)
-        CV = tau.C @ vecs
     atoms = []
-    for c in opcore.eigen_clusters(vals):
-        t = float(np.mean(vals[c]))
+    for c in opcore.eigen_clusters(sd.t):
+        t = float(np.mean(sd.t[c]))
         if 1.0 - t * t > 1e-12:
-            sigma = (CV[:, c] @ CV[:, c].conj().T) / (1.0 - t * t)
+            sigma = (sd.CV[:, c] @ sd.CV[:, c].conj().T) / (1.0 - t * t)
             if operator_norm(sigma) > tol.rank_tol:
                 atoms.append((t, sigma))
     f = SqsFunctionData(tau.D, tuple(atoms))
@@ -156,23 +151,21 @@ def inner_canonical_form(tau: PartitionedContraction, tol: Tolerances = DEFAULT_
     rep = transfer.inner_test(tau, tol=tol)
     if not rep.inner:
         raise NotInner(f"transfer function is not inner (defect {rep.max_defect:.3e})")
+    # E_DA is the cached eigenbasis of A: K maps it onto the columns of W = K
     p = parametrize(tau, tol)
     s = tau.state_dim
     if p.E_DA.shape[1] != s:
         raise NotInner("defect space of the main operator does not fill the state space")
-    if operator_norm(p.K.conj().T @ p.K - np.eye(s)) > 10 * tol.eq_tol:
-        raise NotInner("channel operator is not isometric")
-    vals, vecs = np.linalg.eigh((tau.A + tau.A.conj().T) / 2)
-    W = p.K @ (p.E_DA.conj().T @ vecs)
+    W = p.K
     if operator_norm(W.conj().T @ W - np.eye(s)) > 10 * tol.eq_tol:
-        raise NotInner("eigenvector images are not orthonormal in the output space")
+        raise NotInner("channel operator is not isometric")
     W_perp = opcore.kernel_basis(W.conj().T, tol).basis
     X = W_perp.conj().T @ tau.D @ W_perp
     m = X.shape[0]
     if operator_norm(X.conj().T @ X - np.eye(m)) > 10 * tol.eq_tol:
         raise NotInner("constant block is not unitary")
     basis = np.hstack([W, W_perp])
-    points = tuple(float(a) for a in vals)
+    points = tuple(float(a) for a in p.t)
     for k in range(8):
         lam = 0.6 * np.exp(2j * np.pi * (k + 0.37) / 8)
         diag = np.diag([blaschke(a, lam) for a in points])

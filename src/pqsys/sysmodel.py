@@ -94,28 +94,29 @@ class PartitionedContraction:
 
 
 class SpectralData(NamedTuple):
-    """A = V diag(t) V* for a selfadjoint main operator, kept as the O(s n)
-    pieces the evaluation formulas use; V itself is not kept."""
+    """A = V diag(t) V* for a selfadjoint main operator (of its Hermitian part),
+    with the O(s n) pieces the evaluation formulas use; all read-only."""
 
     t: np.ndarray    # eigenvalues of A, ascending
+    V: np.ndarray    # orthonormal eigenvectors, one column per eigenvalue
     VB: np.ndarray   # V* B
     CV: np.ndarray   # C V
 
 
 def spectral_data(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> SpectralData | None:
-    """The factorization of A from `opcore.hermitian_eigh`, computed once per
-    system and tolerance set; None when A is not selfadjoint (or the
-    factorization misses A by more than eq_tol)."""
+    """The factorization of A from `opcore.hermitian_eigh`, the only one of a
+    system's main operator, computed once per system and tolerance set; it
+    exists (empty without state) exactly when `classify` finds A selfadjoint."""
     return tau.cached("spectral", tol, lambda: _spectral_data(tau, tol))
 
 
 def _spectral_data(tau: PartitionedContraction, tol: Tolerances) -> SpectralData | None:
-    eig = opcore.hermitian_eigh(tau.A, tol)
+    eig = opcore.hermitian_eigh(tau.A, tol) if tau.state_dim else (np.zeros(0), np.zeros((0, 0)))
     if eig is None:
         return None
     t, V = eig
     # V* B as (B* V)*, which needs no conjugated n x n copy of V
-    parts = SpectralData(t, (tau.B.conj().T @ V).conj().T, tau.C @ V)
+    parts = SpectralData(t, V, (tau.B.conj().T @ V).conj().T, tau.C @ V)
     for arr in parts:
         arr.flags.writeable = False
     return parts
@@ -152,7 +153,7 @@ def _classify(tau: PartitionedContraction, tol: Tolerances) -> SystemClass:
     iso = opcore.gram_defect(sv, cols) <= tol.eq_tol * scale
     coiso = opcore.gram_defect(sv, rows) <= tol.eq_tol * scale
     A = tau.A
-    sa_main = norm_at_most(A - A.conj().T, tol.eq_tol, A, 1.0)
+    sa_main = opcore.is_selfadjoint(A, tol)
     normal_main = opcore.is_normal(A, tol) if A.size else True
     cb = (tau.in_dim == tau.out_dim
           and norm_at_most(tau.C - tau.B.conj().T, tol.eq_tol * scale))
@@ -260,12 +261,11 @@ def _cluster_span(t: np.ndarray, comps: np.ndarray, thresh: float,
 
 
 def _eigen_span(tau: PartitionedContraction, tol: Tolerances, adjoint: bool) -> SubspaceBasis:
-    """Basis of span{A^n B} (or span{A*^n C*}) for a selfadjoint A from one
-    `opcore.hermitian_eigh`, with the cluster ranks of `krylov_record`."""
+    """Basis of span{A^n B} (or span{A*^n C*}) for a selfadjoint A from its
+    cached eigenvectors, with the cluster ranks of `krylov_record`."""
     sd = spectral_data(tau, tol)
-    t, V = opcore.hermitian_eigh(tau.A, tol)
     comps = sd.CV.conj().T if adjoint else sd.VB
-    _, basis = _cluster_span(t, comps, tol.rank_tol * operator_norm(comps), V)
+    _, basis = _cluster_span(sd.t, comps, tol.rank_tol * operator_norm(comps), sd.V)
     return SubspaceBasis(tau.state_dim, basis)
 
 
@@ -304,31 +304,22 @@ def pqs_krylov_subspace(tau: PartitionedContraction, tol: Tolerances = DEFAULT_T
     channel operator of the quasi-selfadjoint block form.  For pqs systems
     this equals both the controllable and the observable subspace.
 
-    Since A is selfadjoint the span splits over its eigenspaces into the
-    ranges of the eigenspace components of K*, so it is computed from one
-    eigendecomposition: the one `parametrize` holds when its defect basis
-    E_DA consists of eigenvectors of A (then K* N lies in span E_DA and the
-    components are rows of K*), else its own.  Repeated multiplication by
-    A would lose rank on large diagonal models long before the true span
-    saturates.
+    Since A = V diag(t) V* is selfadjoint the span splits over its
+    eigenspaces into the ranges of the eigenspace components of K*: by
+    C = K D_A, the rows of (CV)* / sqrt(1 - t^2) on the eigenvectors of
+    nonzero defect.  Repeated multiplication by A would lose rank on large
+    diagonal models long before the true span saturates.
     """
     if not classify(tau, tol).pqs:
         raise NotPqs("system is not passive quasi-selfadjoint")
-    from . import param  # deferred: param builds on this module's types
-
-    p = param.parametrize(tau, tol)
     s = tau.state_dim
-    if s == 0 or p.K.shape[0] == 0:
-        return SubspaceBasis.zero(s)
-    scale = operator_norm(p.K)  # = ||K* N|| in the state space
+    sd = spectral_data(tau, tol)
+    d, keep = opcore.hermitian_defect(sd.t, tol)
+    comps = sd.CV[:, keep].conj().T / d[keep, None]
+    scale = operator_norm(comps)  # = ||K* N|| in the state space
     if scale <= tol.rank_tol:
         return SubspaceBasis.zero(s)
-    if p.t is not None:
-        vals, vecs, comps = p.t, p.E_DA, p.K.conj().T
-    else:
-        vals, vecs = np.linalg.eigh((tau.A + tau.A.conj().T) / 2)
-        comps = vecs.conj().T @ (p.E_DA @ p.K.conj().T)
-    _, basis = _cluster_span(vals, comps, tol.rank_tol * scale, vecs)
+    _, basis = _cluster_span(sd.t[keep], comps, tol.rank_tol * scale, sd.V[:, keep])
     return SubspaceBasis(s, basis)
 
 
@@ -406,19 +397,18 @@ def check_minimality_normal(tau: PartitionedContraction, tol: Tolerances = DEFAU
 
     p = param.parametrize(tau, tol)
     n_state = tau.state_dim
-    DA = p.DA
-    ker_trivial = opcore.kernel_basis(DA, tol).dim == 0
-    ran_DA = opcore.range_basis(DA, tol)
+    E = p.E_DA  # orthonormal basis of ran D_A
+    ker_trivial = E.shape[1] == n_state
 
-    m_ambient = p.E_DAs @ p.M            # M maps inputs into the state space
-    ks_ambient = p.E_DA @ p.K.conj().T   # K* maps outputs into the state space
-    hc_n = opcore.krylov_span(A, m_ambient, n_state, tol)
-    ho_n = opcore.krylov_span(A.conj().T, ks_ambient, n_state, tol)
+    hc_n = opcore.krylov_span(A, p.E_DAs @ p.M, n_state, tol)          # M: inputs -> state space
+    ho_n = opcore.krylov_span(A.conj().T, E @ p.K.conj().T, n_state, tol)  # K*: outputs -> state space
 
     def meets_range(sub: SubspaceBasis) -> bool:
-        # does ran D_A intersect the orthogonal complement nontrivially?
-        comp = sub.complement()
-        return opcore.subspace_intersection(ran_DA, comp, tol).dim > 0
+        # ran D_A meets the orthogonal complement of sub nontrivially iff
+        # rank(Q* E) < dim ran D_A for the basis Q of sub; the singular
+        # values of Q* E are the cosines of the principal angles
+        cos = np.linalg.svd(sub.basis.conj().T @ E, compute_uv=False)
+        return np.count_nonzero(cos > tol.rank_tol) < E.shape[1]
 
     cond_c = ker_trivial and not meets_range(hc_n)
     cond_o = ker_trivial and not meets_range(ho_n)

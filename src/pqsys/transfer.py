@@ -9,6 +9,7 @@ in the class of pqs transfer functions given by atomic measure data.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -206,7 +207,7 @@ def defect_identities(p: ContractionParams, lam: complex, h, g, tol: Tolerances 
 
 def _require_pqs_params(p: ContractionParams, tol: Tolerances):
     A = p.A
-    if A.shape[0] != A.shape[1] or operator_norm(A - A.conj().T) > tol.eq_tol * max(1.0, operator_norm(A)):
+    if A.shape[0] != A.shape[1] or not opcore.is_selfadjoint(A, tol):
         raise NotPqs("main operator is not selfadjoint")
     if p.M.shape != p.K.conj().T.shape or operator_norm(p.M - p.K.conj().T) > tol.eq_tol:
         raise NotPqs("parameters do not satisfy M = K*")
@@ -319,6 +320,8 @@ class SqsFunctionData:
         cleaned = []
         for t, sigma in self.atoms:
             t = complex(t)
+            if not cmath.isfinite(t):
+                raise InvalidMeasure(f"atom location {t} is not finite")
             if abs(t.imag) > 1e-12:
                 raise InvalidMeasure(f"atom location {t} is not real")
             t = float(t.real)
@@ -327,7 +330,7 @@ class SqsFunctionData:
             sigma = as_matrix(sigma)
             if sigma.shape != (n, n):
                 raise InvalidMeasure("weight dimension differs from theta0")
-            if operator_norm(sigma - sigma.conj().T) > 1e-9 * max(1.0, operator_norm(sigma)):
+            if not opcore.is_selfadjoint(sigma):
                 raise InvalidMeasure("weight is not Hermitian")
             if sigma.shape[0] and np.linalg.eigvalsh((sigma + sigma.conj().T) / 2).min() < -1e-9:
                 raise InvalidMeasure("weight has a negative eigenvalue")

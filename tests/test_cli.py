@@ -300,3 +300,21 @@ def test_classify_builds_the_krylov_data_once(tmp_path, rng, monkeypatch, kind):
     assert len(eighs) == 1
     info = read_json(report)["info"]
     assert info["controllable_dim"] == info["observable_dim"] == tau.state_dim
+
+
+def test_eval_q_at_zero_exits_2_with_report(tmp_path, rng):
+    f = write_member_measure(tmp_path / "m.json", rng, n=2)
+    write_system(tmp_path / "sys.json", pqsys.realize_from_data(f))
+    report = tmp_path / "rep.json"
+    code = main(["eval", str(tmp_path / "sys.json"), "--func", "q", "--lambda", "0,0",
+                 "--report", str(report)])
+    assert code == 2
+    err = read_json(report)["error"]
+    assert err["type"] == "ValueError" and err["exit_code"] == 2
+    assert "exterior image" in err["message"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_tolerance_exits_2(tmp_path, value):
+    write_system(tmp_path / "sys.json", pqsys.chebyshev_example(0.1, 6)[1])
+    assert main(["classify", str(tmp_path / "sys.json"), "--tol", f"eq_tol={value}"]) == 2

@@ -5,7 +5,7 @@ import pytest
 
 import pqsys
 from pqsys import opcore
-from pqsys.errors import NotAContraction, NotPSD, NonSquare
+from pqsys.errors import NotAContraction, NotPSD, NonSquare, PqsysError
 
 from helpers import (
     rand_complex,
@@ -261,3 +261,45 @@ def test_contraction_defect_clamps_norm_just_above_one():
     assert np.linalg.norm(D @ Wh[0].conj()) < 1e-14
     with pytest.raises(NotPSD):
         opcore.contraction_defect(np.array([[1.5]], dtype=complex))
+
+
+@pytest.mark.parametrize("name", ["rank_tol", "eq_tol", "psd_tol", "grid_tol"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -1e-9])
+def test_tolerances_reject_non_finite_and_negative_values(name, value):
+    with pytest.raises(ValueError, match=name):
+        opcore.Tolerances(**{name: value})
+
+
+def test_one_selfadjointness_scale():
+    # ||A - A*|| <= eq_tol * max(1, ||A||): the scale is 1 for a small A ...
+    rng = np.random.default_rng(24)
+    H = 1e-3 * rand_hermitian_contraction(rng, 5)
+    S = rand_hermitian_contraction(rng, 5)
+    S /= np.linalg.norm(S, 2)
+    assert opcore.is_selfadjoint(H + 0.45e-9j * S)
+    assert not opcore.is_selfadjoint(H + 0.55e-9j * S)
+    # ... and ||A|| for a large one
+    assert opcore.is_selfadjoint(1e3 * H + 0.45e-9j * S)
+    assert opcore.is_selfadjoint(10 * np.eye(5) + 4.5e-9j * S)
+    assert not opcore.is_selfadjoint(10 * np.eye(5) + 5.5e-9j * S)
+
+
+def test_hermitian_eigh_factors_the_hermitian_part():
+    rng = np.random.default_rng(25)
+    H = opcore.herm_part(rand_hermitian_contraction(rng, 8))
+    S = rand_hermitian_contraction(rng, 8)
+    A = H + 0.4e-9j * S / np.linalg.norm(S, 2)
+    t, V = opcore.hermitian_eigh(A)
+    assert np.array_equal(t, np.linalg.eigh(opcore.herm_part(A))[0])
+    assert np.linalg.norm(H @ V - V * t) < 1e-12
+    # a bitwise Hermitian A is its own Hermitian part: eigh(A) bit for bit
+    assert np.array_equal(opcore.herm_part(H), H)
+    for got, ref in zip(opcore.hermitian_eigh(H), np.linalg.eigh(H)):
+        assert np.array_equal(got, ref)
+
+
+def test_hermitian_eigh_raises_when_the_check_fails():
+    H = rand_hermitian_contraction(np.random.default_rng(26), 8)
+    H = (H + H.conj().T) / 2  # bitwise Hermitian, so selfadjoint at any eq_tol
+    with pytest.raises(PqsysError, match="misses"):
+        opcore.hermitian_eigh(H, opcore.Tolerances(eq_tol=1e-30))

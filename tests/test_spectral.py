@@ -9,7 +9,7 @@ from pqsys import opcore, sysmodel, transfer
 from pqsys.errors import SingularResolvent
 
 import oracles
-from helpers import pqs_from_spectrum, rand_hermitian_contraction, rand_unitary
+from helpers import pqs_from_spectrum, rand_hermitian_contraction, rand_passive_T, rand_unitary
 
 S = 200
 N = 3
@@ -159,7 +159,7 @@ def test_pqs_krylov_without_cached_eigenbasis_runs_its_own_eigh():
     T = pqs_from_spectrum(rng, np.repeat(rng.uniform(-1e-3, 1e-3, 7), 3), n)
     T[n:, n:] += 1e-11j * rand_hermitian_contraction(rng, s)
     tau = pqsys.PartitionedContraction(T, n, n, s)
-    assert sysmodel.classify(tau).pqs and pqsys.parametrize(tau).t is None
+    assert sysmodel.classify(tau).pqs and pqsys.parametrize(tau).t is not None
     span = sysmodel.pqs_krylov_subspace(tau)
     ref = _krylov_span_by_eigh(tau)
     assert span.dim == ref.shape[1] == 14
@@ -217,9 +217,112 @@ def test_spectral_measure_without_cached_factorization():
     T = pqs_from_spectrum(rng, np.repeat(rng.uniform(-1e-3, 1e-3, 7), 3), n)
     T[n:, n:] += 1e-11j * rand_hermitian_contraction(rng, s)
     tau = pqsys.PartitionedContraction(T, n, n, s)
-    assert sysmodel.spectral_data(tau) is None
+    assert sysmodel.spectral_data(tau) is not None
     f = pqsys.spectral_measure(tau)
     ref = _atoms_by_own_eigh(tau)
     assert len(f.atoms) == len(ref) == 7
     for (t, sigma), (t_ref, sigma_ref) in zip(f.atoms, ref):
         assert abs(t - t_ref) < 1e-12 and np.linalg.norm(sigma - sigma_ref, 2) < 1e-12
+
+
+def _with_skew(rng, T, n, size):
+    """T with i * size * S added to its main block, S Hermitian of norm 1,
+    so that ||A - A*||_2 = 2 size."""
+    S = rand_hermitian_contraction(rng, T.shape[0] - n)
+    T = T.copy()
+    T[n:, n:] += 1j * size * S / np.linalg.norm(S, 2)
+    return T
+
+
+def _invariant_case(kind):
+    rng = np.random.default_rng(101)
+    eq = pqsys.DEFAULT_TOL.eq_tol
+    if kind == "random":
+        return pqs_from_spectrum(rng, rng.uniform(-0.9, 0.9, 30), 2), 2, True
+    if kind == "clustered":
+        t = np.repeat(np.linspace(-0.8, 0.8, 10), 4) + 1e-10 * np.tile(np.arange(4), 10)
+        return pqs_from_spectrum(rng, t, 3), 3, True
+    if kind == "tiny_norm":
+        # ||A|| ~ 1e-3 with a 1e-11 skew part
+        T = pqs_from_spectrum(rng, np.repeat(rng.uniform(-1e-3, 1e-3, 7), 3), 2)
+        return _with_skew(rng, T, 2, 0.5e-11), 2, True
+    if kind in ("near_edge", "over_edge"):
+        # dense s = 200, ||A - A*|| at 0.9 and 1.1 times eq_tol * max(1, ||A||)
+        T = pqs_from_spectrum(rng, rng.uniform(-0.9, 0.9, 200), 3)
+        return _with_skew(rng, T, 3, (0.45 if kind == "near_edge" else 0.55) * eq), 3, kind == "near_edge"
+    if kind == "non_hermitian":
+        return rand_passive_T(rng, 2, 2, 12), 2, False
+    return 0.5 * rand_unitary(rng, 2), 2, True  # no state
+
+
+@pytest.mark.parametrize("kind", ["random", "clustered", "tiny_norm", "near_edge", "over_edge",
+                                  "non_hermitian", "no_state"])
+def test_selfadjoint_main_iff_spectral_data(kind):
+    T, n, selfadjoint = _invariant_case(kind)
+    s = T.shape[0] - n
+    tau = pqsys.PartitionedContraction(T, n, n, s)
+    flags = sysmodel.classify(tau)
+    sd = sysmodel.spectral_data(tau)
+    assert flags.selfadjoint_main == (sd is not None) == selfadjoint
+    if sd is None:
+        return
+    assert sd.t.shape == (s,) and sd.V.shape == (s, s)
+    assert not sd.V.flags.writeable
+    H = (tau.A + tau.A.conj().T) / 2
+    assert np.linalg.norm(H @ sd.V - sd.V * sd.t) <= 1e-12 * max(1.0, np.abs(sd.t).max(initial=0.0))
+    # the pqs consumers all read this one factorization
+    assert flags.pqs
+    lam = 0.4 - 0.3j
+    dense = tau.D + lam * tau.C @ np.linalg.solve(np.eye(s) - lam * tau.A, tau.B)
+    assert rel(pqsys.theta_eval(tau, lam), dense) < 1e-8
+    assert pqsys.parametrize(tau).t is not None
+    rec = sysmodel.krylov_record(tau)
+    assert sysmodel.pqs_krylov_subspace(tau).dim == rec.controllable == rec.observable
+    f = pqsys.spectral_measure(tau)
+    assert rel(pqsys.theta_from_data(f, lam), pqsys.theta_eval(tau, lam)) < 1e-9
+
+
+def _count_eighs(monkeypatch, s):
+    """Record every np.linalg.eigh call on an s x s matrix."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        if np.shape(a) == (s, s):
+            calls.append(1)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+def test_one_eigh_per_pqs_system(monkeypatch):
+    # clusters of four eigenvalues meet three channels, so the minimal
+    # reduction drops a quarter of the state space
+    rng = np.random.default_rng(103)
+    t = np.repeat(np.linspace(-0.8, 0.8, 10), 4) + 1e-10 * np.tile(np.arange(4), 10)
+    tau = pqsys.PartitionedContraction(pqs_from_spectrum(rng, t, 3), 3, 3, 40)
+    calls = _count_eighs(monkeypatch, 40)
+    pqsys.parametrize(tau)
+    verdicts = [f(tau) for f in (pqsys.is_controllable, pqsys.is_observable, pqsys.is_simple, pqsys.is_minimal)]
+    bases = [sysmodel.controllable_subspace(tau), sysmodel.observable_subspace(tau),
+             sysmodel.pqs_krylov_subspace(tau)]
+    red = sysmodel.minimal_pqs_reduction(tau)
+    f = pqsys.spectral_measure(tau)
+    assert len(calls) == 1
+    assert verdicts == [False] * 4
+    assert [b.dim for b in bases] == [30, 30, 30] and red.state_dim == 30 and len(f.atoms) == 10
+
+
+def test_one_eigh_per_dilation_system(monkeypatch):
+    rng = np.random.default_rng(105)
+    tau = pqsys.PartitionedContraction(pqs_from_spectrum(rng, rng.uniform(-0.9, 0.9, 40), 3), 3, 3, 40)
+    big = pqsys.biinner_dilation(tau).system
+    # a fresh copy of the dilation system, with nothing cached yet
+    fresh = pqsys.PartitionedContraction(big.T, big.in_dim, big.out_dim, big.state_dim)
+    assert fresh.in_dim != 40
+    calls = _count_eighs(monkeypatch, 40)
+    assert sysmodel.classify(fresh).conservative and pqsys.is_minimal(fresh)
+    cf = pqsys.inner_canonical_form(fresh)
+    assert len(calls) == 1
+    assert np.allclose(cf.points, sysmodel.spectral_data(tau).t, atol=1e-12)

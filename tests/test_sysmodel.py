@@ -9,6 +9,7 @@ from pqsys.errors import DimensionMismatch, NotNormal, NotPqs
 
 import oracles
 from helpers import (
+    rand_contraction,
     rand_hermitian_contraction,
     rand_passive_T,
     rand_pqs_T,
@@ -195,6 +196,33 @@ def test_check_minimality_normal_agrees_with_krylov():
         assert rep.agree
         assert rep.controllable == pqsys.is_controllable(tau)
         assert rep.observable == pqsys.is_observable(tau)
+
+
+def test_check_minimality_normal_on_a_zero_padded_pqs_system():
+    # two decoupled zero states appended to a minimal pqs system: D_A is the
+    # identity on them, so ran D_A meets the complement of both Krylov spans
+    rng = np.random.default_rng(91)
+    T0 = rand_pqs_T(rng, 2, 5)
+    assert pqsys.check_minimality_normal(make_system(T0, 2, 2, 5)).minimal
+    T = np.zeros((9, 9), dtype=complex)
+    T[:7, :7] = T0
+    rep = pqsys.check_minimality_normal(make_system(T, 2, 2, 7))
+    assert rep.agree
+    assert not (rep.controllable or rep.observable or rep.simple or rep.minimal)
+
+
+def test_check_minimality_normal_with_a_normal_non_selfadjoint_main_operator():
+    rng = np.random.default_rng(93)
+    s, n = 40, 3
+    U = rand_unitary(rng, s)
+    z = 0.8 * np.sqrt(rng.uniform(size=s)) * np.exp(2j * np.pi * rng.uniform(size=s))
+    A = (U * z) @ U.conj().T
+    p = pqsys.make_params(A, rand_contraction(rng, s, n, 0.9), rand_contraction(rng, n, s, 0.9), None)
+    tau = pqsys.assemble(p)
+    flags = sysmodel.classify(tau)
+    assert flags.normal_main and not flags.selfadjoint_main
+    rep = pqsys.check_minimality_normal(tau)
+    assert rep.agree and rep.minimal and rep.simple
 
 
 def test_check_minimality_normal_rejects_nonnormal():

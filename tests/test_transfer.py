@@ -309,3 +309,9 @@ def test_nevanlinna_rejects_conjugate_pairs():
     f = member_data(rng)
     with pytest.raises(PolarPoint):
         pqsys.nevanlinna_min_eig(f, [2.0 + 1j, 2.0 - 1j])
+
+
+@pytest.mark.parametrize("t", [float("nan"), complex(0.2, float("nan")), complex(float("nan"), 0.0)])
+def test_measure_rejects_a_non_finite_atom_location(t):
+    with pytest.raises(InvalidMeasure, match="not finite"):
+        pqsys.SqsFunctionData(np.zeros((1, 1)), ((0.3, np.array([[0.1]])), (t, np.array([[0.1]]))))
