@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import _json, qfunc, realize, sysmodel, transfer
+from . import _json, opcore, qfunc, realize, sysmodel, transfer
 from .errors import DimensionMismatch, InvalidMeasure, NotScalar, PqsysError
 from .opcore import DEFAULT_TOL, Tolerances, operator_norm
 
@@ -69,10 +69,12 @@ class Reporter:
     def __init__(self, args, inputs):
         self.report = {
             "command": args.command,
+            "seed": args.seed,
             "inputs_digest": _json.digest_files(inputs),
             "checks": [],
             "outputs": [],
         }
+        self.args = args
         self.failed = False
         # main writes the report of a command that raises
         args.reporter = self
@@ -90,15 +92,21 @@ class Reporter:
         self.report.setdefault("info", {})[name] = value
         print(f"{name}: {value}")
 
-    def output(self, path: str):
-        self.report["outputs"].append(path)
-
     def error(self, exc: Exception, code: int):
         self.report["error"] = {"type": type(exc).__name__, "message": str(exc), "exit_code": code}
 
     def write(self, path):
         if path:
             _json.dump(self.report, path)
+
+    def finish(self, make_doc=None) -> int:
+        """Write make_doc() to --out when both are given, then the report;
+        returns the exit code."""
+        if make_doc is not None and self.args.out:
+            _json.dump(make_doc(), self.args.out)
+            self.report["outputs"].append(self.args.out)
+        self.write(self.args.report)
+        return 1 if self.failed else 0
 
 
 def cmd_classify(args) -> int:
@@ -122,8 +130,7 @@ def cmd_classify(args) -> int:
     rep.info("strongly_stable", stab.stable)
     rep.info("strongly_co_stable", stab.co_stable)
     rep.info("stability_conclusive", stab.conclusive)
-    rep.write(args.report)
-    return 0
+    return rep.finish()
 
 
 def cmd_eval(args) -> int:
@@ -145,13 +152,14 @@ def cmd_eval(args) -> int:
     samples = []
     worst = 0.0
     flags = sysmodel.classify(tau, tol)
+    dd = opcore.defect_data(tau.A, tol) if args.which == "char" else None
     for z in points:
         if args.which == "theta":
             val = transfer.theta_eval(tau, z, tol)
             if flags.passive and abs(z) <= 1.0 + 1e-12:
                 worst = max(worst, operator_norm(val) - 1.0)
         elif args.which == "char":
-            val = transfer.char_func(tau.A, z, tol)
+            val = transfer._phi(tau.A, dd, z)
             if abs(abs(z) - 1.0) <= 1e-12:
                 d = val.conj().T @ val - np.eye(val.shape[1])
                 worst = max(worst, operator_norm(d))
@@ -159,17 +167,13 @@ def cmd_eval(args) -> int:
             val = qfunc.q_eval(tau, z, tol)
         samples.append({"point": [z.real, z.imag], "value": _json.matrix_to_json(val)})
     doc = {"func": args.which, "samples": samples}
-    if args.out:
-        _json.dump(doc, args.out)
-        rep.output(args.out)
-    else:
+    if not args.out:
         print(json.dumps(doc))
     if args.which == "theta" and flags.passive:
         rep.check("schur_bound", worst <= tol.grid_tol, max(worst, 0.0))
     if args.which == "char":
         rep.check("circle_unitarity", worst <= tol.grid_tol, worst)
-    rep.write(args.report)
-    return 1 if rep.failed else 0
+    return rep.finish(lambda: doc)
 
 
 def cmd_realize(args) -> int:
@@ -184,8 +188,7 @@ def cmd_realize(args) -> int:
     if not mem.member:
         for reason in mem.reasons:
             rep.info("reject_reason", reason)
-        rep.write(args.report)
-        return 1
+        return rep.finish()  # a membership check failed: exit 1
     tau = realize.realize_from_data(data, tol)
     worst = 0.0
     for k in range(20):
@@ -194,11 +197,7 @@ def cmd_realize(args) -> int:
             transfer.theta_eval(tau, lam, tol) - transfer.theta_from_data(data, lam)))
     rep.check("grid_agreement", worst <= 10 * tol.eq_tol, worst)
     rep.info("state_dim", tau.state_dim)
-    if args.out:
-        _json.dump(_json.system_to_json(tau), args.out)
-        rep.output(args.out)
-    rep.write(args.report)
-    return 1 if rep.failed else 0
+    return rep.finish(lambda: _json.system_to_json(tau))
 
 
 def cmd_jacobi(args) -> int:
@@ -210,11 +209,7 @@ def cmd_jacobi(args) -> int:
     rep.info("truncated", jr.truncated)
     norm = operator_norm(jr.matrix())
     rep.check("contraction", norm <= 1.0 + 10 * tol.psd_tol, max(norm - 1.0, 0.0))
-    if args.out:
-        _json.dump(_json.jacobi_to_json(jr), args.out)
-        rep.output(args.out)
-    rep.write(args.report)
-    return 1 if rep.failed else 0
+    return rep.finish(lambda: _json.jacobi_to_json(jr))
 
 
 def cmd_dilate(args) -> int:
@@ -238,11 +233,7 @@ def cmd_dilate(args) -> int:
         corner = max(corner, operator_norm(
             transfer.theta_eval(big, lam, tol)[:n, :n] - transfer.theta_eval(tau, lam, tol)))
     rep.check("corner_match", corner <= 10 * tol.eq_tol, corner)
-    if args.out:
-        _json.dump(_json.system_to_json(big), args.out)
-        rep.output(args.out)
-    rep.write(args.report)
-    return 1 if rep.failed else 0
+    return rep.finish(lambda: _json.system_to_json(big))
 
 
 def cmd_similar(args) -> int:
@@ -255,11 +246,7 @@ def cmd_similar(args) -> int:
     result = realize.unitary_similarity(tau1, tau2, S, tol)
     for name, value in result.residuals.items():
         rep.check(name, value <= 10 * tol.eq_tol, value)
-    if args.out:
-        _json.dump(_json.matrix_to_json(result.U), args.out)
-        rep.output(args.out)
-    rep.write(args.report)
-    return 1 if rep.failed else 0
+    return rep.finish(lambda: _json.matrix_to_json(result.U))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -155,40 +155,30 @@ def psd_sqrt(M, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     if not is_selfadjoint(M, tol):
         raise NotHermitian("psd_sqrt: matrix is not Hermitian")
     w, U = np.linalg.eigh(herm_part(M))
-    return (U * _sqrt_psd_eigs(w, lambda: operator_norm(M), tol)) @ U.conj().T
+    return (U * _sqrt_psd_eigs(w, tol)) @ U.conj().T
 
 
 def contraction_defect(X, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """(I - X*X)^{1/2} on the domain of X (size = cols), from one thin SVD.
-
-    With X = U diag(s) W*, the defect is sqrt(1 - s^2) on the right singular
-    vectors W and 1 on their complement; clamping and NotPSD follow the
-    `psd_sqrt` rule applied to the eigenvalues 1 - s^2.  When W spans the
-    whole domain the result is formed as W diag(d) W*, so an isometric X
-    gets an exactly zero defect."""
-    X = as_matrix(X)
-    cols = X.shape[1]
-    if 0 in X.shape:
-        return np.eye(cols, dtype=complex)
-    _, s, Wh = np.linalg.svd(X, full_matrices=False)
-    g = 1.0 - s * s
-    d = _sqrt_psd_eigs(g, lambda: float(np.abs(g).max()), tol)
-    if s.size == cols:
-        return (Wh.conj().T * d) @ Wh
-    out = (Wh.conj().T * (d - 1.0)) @ Wh
-    out[np.diag_indices(cols)] += 1.0
-    return out
+    """(I - X*X)^{1/2} on the domain of X (size = cols), from one thin SVD
+    (`_svd_defects`, which clamps by the `psd_sqrt` rule and raises NotPSD)."""
+    return _svd_defects(X, tol).DA
 
 
-def _sqrt_psd_eigs(w: np.ndarray, norm, tol: Tolerances) -> np.ndarray:
-    """Square roots of the eigenvalues w of a Hermitian matrix M, with
-    values below psd_tol clamped to 0.  Raises NotPSD when the smallest lies
-    below -psd_tol * max(||M||, 1); `norm()` gives ||M|| and is called only
-    once the smallest is below -psd_tol."""
+def _sqrt_psd_eigs(w: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Square roots of the eigenvalues w of a Hermitian matrix, values below
+    psd_tol clamped to 0; NotPSD when the smallest is below -psd_tol * max(max|w|, 1)."""
     low = w.min(initial=0.0)
-    if low < -tol.psd_tol and low < -tol.psd_tol * max(norm(), 1.0):
+    if low < -tol.psd_tol * max(float(np.abs(w).max(initial=0.0)), 1.0):
         raise NotPSD(f"psd_sqrt: eigenvalue {low:.3e} below -psd_tol")
     return np.sqrt(np.where(w < tol.psd_tol, 0.0, w))
+
+
+def _defect_values(s: np.ndarray, n: int, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(1 - s^2) for the singular values (or eigenvalues) s, clamped and
+    checked by the `psd_sqrt` rule and padded with ones to n entries, and the
+    mask of those the `range_basis` rank rule keeps, d > rank_tol * max d."""
+    d = np.append(_sqrt_psd_eigs(1.0 - s * s, tol), np.ones(n - s.size))
+    return d, d > tol.rank_tol * d.max(initial=0.0)
 
 
 def range_basis(M, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
@@ -209,10 +199,7 @@ def kernel_basis(M, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
     if M.shape[0] == 0:
         return SubspaceBasis.full(M.shape[1])
     _, s, Vh = np.linalg.svd(M, full_matrices=True)
-    if s.size == 0 or s[0] == 0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > tol.rank_tol * s[0]))
+    rank = int(np.sum(s > tol.rank_tol * s.max(initial=0.0)))
     return SubspaceBasis(M.shape[1], Vh[rank:].conj().T)
 
 
@@ -310,23 +297,20 @@ def is_contraction(A, tol: Tolerances = DEFAULT_TOL) -> bool:
     return operator_norm(A) <= 1.0 + tol.rank_tol
 
 
-def _require_contraction(A, tol: Tolerances):
-    nrm = operator_norm(A)
+def _require_contraction(nrm: float, tol: Tolerances):
     if nrm > 1.0 + tol.rank_tol:
         raise NotAContraction(f"operator norm {nrm:.12f} exceeds 1")
 
 
 def defect_operator(A, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """D_A = (I - A*A)^{1/2} on the domain space of A (size = cols)."""
-    A = as_matrix(A)
-    _require_contraction(A, tol)
-    G = np.eye(A.shape[1], dtype=complex) - A.conj().T @ A
-    return psd_sqrt(G, tol)
+    return _svd_defects(A, tol, contraction=True).DA
 
 
 def defect_basis(A, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
     """Orthonormal basis of the defect space ran D_A."""
-    return range_basis(defect_operator(A, tol), tol)
+    E = _svd_defects(A, tol, contraction=True, basis=True).E_A
+    return SubspaceBasis(E.shape[0], E)
 
 
 class DefectData(NamedTuple):
@@ -336,7 +320,8 @@ class DefectData(NamedTuple):
     same matrix and basis are reused on both sides, so that operators
     between the two defect spaces are expressed in one coherent basis.
     For selfadjoint A the shared basis consists of eigenvectors of A, and
-    `t` holds their eigenvalues, column by column; otherwise `t` is None.
+    `t` holds their eigenvalues, column by column; otherwise `t` is None
+    and the bases are right (E_A) and left (E_As) singular vectors of A.
     """
 
     DA: np.ndarray       # (I - A*A)^{1/2} on the domain
@@ -350,6 +335,40 @@ class DefectData(NamedTuple):
         return DefectData(self.DAs, self.DA, self.E_As, self.E_A, self.t)
 
 
+def _svd_defects(X, tol: Tolerances, contraction: bool = False, basis: bool = False,
+                 adjoint: bool = False) -> DefectData:
+    """Defect data of X from one SVD X = U diag(s) W*, d = sqrt(1 - s^2) by
+    `_defect_values`: D_X = W diag(d) W*, with adjoint D_{X*} = U diag(d) U*,
+    with basis the singular vectors that rule keeps (else None).  The SVD is
+    thin unless a basis needs the vectors it omits; where vectors outnumber s
+    the defect is I + W diag(d - 1) W*.  An isometric X gets an exactly zero
+    defect.  With contraction, NotAContraction comes first if max s > 1 + rank_tol."""
+    X = as_matrix(X)
+    rows, cols = X.shape
+    U, s, Wh = np.linalg.svd(X, full_matrices=basis and (rows < cols or (adjoint and rows > cols)))
+    if contraction:
+        _require_contraction(s.max(initial=0.0), tol)
+    D, E = _defect_side(Wh.conj().T, s, cols, tol, basis)
+    Ds, Es = _defect_side(U, s, rows, tol, basis) if adjoint else (None, None)
+    return DefectData(D, Ds, E, Es)
+
+
+def _defect_side(Q: np.ndarray, s: np.ndarray, n: int, tol: Tolerances, basis: bool):
+    """The defect on C^n from the singular vectors Q of one side, and its range
+    basis when asked for (Q then holds all n vectors)."""
+    d, keep = _defect_values(s, Q.shape[1], tol)
+    if s.size == n:
+        D = (Q * d) @ Q.conj().T
+    else:
+        Qs = Q[:, :s.size]
+        D = (Qs * (d[:s.size] - 1.0)) @ Qs.conj().T
+        D[np.diag_indices(n)] += 1.0
+    return D, Q[:, keep] if basis else None
+
+
+_EIGH_ROUNDING = 10  # see `hermitian_eigh`
+
+
 def hermitian_eigh(A, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray] | None:
     """Eigenvalues t (ascending) and eigenvectors V of H = (A + A*)/2 for a
     nonempty square A that passes `is_selfadjoint`, or None for any other A.
@@ -357,7 +376,9 @@ def hermitian_eigh(A, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.nda
     A real diagonal A is its own factorization (V a real permutation).
     Otherwise eigh factors H (A itself, bit for bit, when A is bitwise
     Hermitian), and PqsysError is raised when ||HV - V diag(t)||_F exceeds
-    eq_tol * max(1, max|t|)."""
+    max(eq_tol, _EIGH_ROUNDING * s * eps) * max(1, max|t|) for s x s A and
+    machine epsilon eps: a floor above eigh's own rounding (2.97e-14 at
+    s = 400 against 8.9e-13), which a smaller eq_tol does not undercut."""
     A = as_matrix(A)
     if A.shape[0] != A.shape[1] or A.shape[0] == 0 or not is_selfadjoint(A, tol):
         return None
@@ -376,34 +397,35 @@ def hermitian_eigh(A, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.nda
         blk = H @ V[:, cols]
         blk -= V[:, cols] * t[cols]
         sq += float(np.linalg.norm(blk)) ** 2
-    if math.sqrt(sq) > tol.eq_tol * max(1.0, float(np.abs(t).max())):
+    rel = max(tol.eq_tol, _EIGH_ROUNDING * t.size * np.finfo(float).eps)
+    if math.sqrt(sq) > rel * max(1.0, float(np.abs(t).max())):
         raise PqsysError(f"eigendecomposition of a selfadjoint matrix misses it by {math.sqrt(sq):.3e}")
     return t, V
 
 
 def defect_data(A, tol: Tolerances = DEFAULT_TOL) -> DefectData:
+    """D_A, D_{A*} and their range bases: from the one `eigh` of a selfadjoint
+    A (`hermitian_defect_data`), else from one SVD A = U diag(s) W*
+    (`_svd_defects`), D_A = W diag(d) W* and D_{A*} = U diag(d) U*.  When the
+    two defects agree to eq_tol, D_A and its basis serve both sides."""
     A = as_matrix(A)
     eig = hermitian_eigh(A, tol)
     if eig is not None:
         return hermitian_defect_data(*eig, tol)
-    DA = defect_operator(A, tol)
-    DAs = defect_operator(A.conj().T, tol)
-    if DA.shape == DAs.shape and norm_at_most(DA - DAs, tol.eq_tol):
-        E = range_basis(DA, tol).basis
-        return DefectData(DA, DA, E, E)
-    return DefectData(DA, DAs, range_basis(DA, tol).basis, range_basis(DAs, tol).basis)
+    dd = _svd_defects(A, tol, contraction=True, basis=True, adjoint=True)
+    if dd.DA.shape == dd.DAs.shape and norm_at_most(dd.DA - dd.DAs, tol.eq_tol):
+        return DefectData(dd.DA, dd.DA, dd.E_A, dd.E_A)
+    return dd
 
 
 def hermitian_defect(t: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, slice]:
     """sqrt(1 - t^2) at the ascending eigenvalues t of a selfadjoint A, and the
     slice of t with nonzero defect, by the contraction, clamping and rank
-    rules of `defect_operator` and `range_basis` on the exact eigenvalues."""
-    if np.abs(t).max(initial=0.0) > 1.0 + tol.rank_tol:
-        raise NotAContraction(f"operator norm {np.abs(t).max():.12f} exceeds 1")
-    g = 1.0 - t * t
-    d = _sqrt_psd_eigs(g, lambda: float(np.abs(g).max()), tol)
+    rules of `_svd_defects` on the exact eigenvalues."""
+    _require_contraction(np.abs(t).max(initial=0.0), tol)
+    d, keep = _defect_values(t, t.size, tol)
     # 1 - t^2 is unimodal in the ascending t, so the kept eigenvalues are contiguous
-    keep = np.flatnonzero(d > tol.rank_tol * d.max(initial=0.0))
+    keep = np.flatnonzero(keep)
     return d, slice(keep[0], keep[-1] + 1) if keep.size else slice(0, 0)
 
 
@@ -422,17 +444,10 @@ def hermitian_defect_data(t: np.ndarray, V: np.ndarray, tol: Tolerances = DEFAUL
 
 
 def is_strict_contraction(A, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff no nonzero vector has its norm preserved by A,
-    i.e. ker(I - A*A) = {0} to working precision."""
-    A = as_matrix(A)
-    _require_contraction(A, tol)
-    if A.shape[1] == 0:
-        return True
-    G = herm_part(np.eye(A.shape[1], dtype=complex) - A.conj().T @ A)
-    w = np.linalg.eigvalsh(G)
-    w = np.maximum(w, 0.0)
-    # sigma_min(D_A) > rank_tol * sigma_max(D_A), stated on the squares
-    return bool(w[0] > (tol.rank_tol ** 2) * w[-1] and w[-1] > 0)
+    """True iff no nonzero vector has its norm preserved by A, i.e.
+    ker(I - A*A) = {0} to working precision: `defect_basis` spans the domain."""
+    E = _svd_defects(A, tol, contraction=True, basis=True).E_A
+    return E.shape[1] == E.shape[0]
 
 
 def is_selfadjoint(A, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -465,7 +480,7 @@ def strong_limit_SA(A, max_power: int = 500, tol: Tolerances = DEFAULT_TOL) -> S
     A = as_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise NonSquare("strong_limit_SA needs a square matrix")
-    _require_contraction(A, tol)
+    _require_contraction(operator_norm(A), tol)
     P = np.eye(A.shape[0], dtype=complex)
     for n in range(1, max_power + 1):
         P_next = A.conj().T @ P @ A
@@ -487,7 +502,7 @@ def cnu_unitary_split(A, tol: Tolerances = DEFAULT_TOL) -> tuple[SubspaceBasis, 
     A = as_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise NonSquare("cnu_unitary_split needs a square matrix")
-    _require_contraction(A, tol)
+    _require_contraction(operator_norm(A), tol)
     n = A.shape[0]
     if n == 0:
         return SubspaceBasis.zero(0), SubspaceBasis.zero(0)

@@ -121,18 +121,17 @@ def make_params(A, M, K, X, tol: Tolerances = DEFAULT_TOL) -> ContractionParams:
 def _complete(A, M, K, dd: opcore.DefectData, make_X, tol: Tolerances) -> ContractionParams:
     """ContractionParams from A, its defect data and the parameters M, K.
 
-    Builds D_M, D_{K*} and their range bases, asks make_X(DM, DKs, E_DM,
-    E_DKs) for X in those bases, and adds the defects of K, M*, X and X*."""
+    Builds D_M, D_{K*} and their range bases (each pair from one SVD), asks
+    make_X(DM, DKs, E_DM, E_DKs) for X in those bases, and adds the defects
+    of K, M*, X and X*."""
     cd = opcore.contraction_defect
-    DM = cd(M, tol)
-    DKs = cd(K.conj().T, tol)
-    E_DM = opcore.range_basis(DM, tol).basis
-    E_DKs = opcore.range_basis(DKs, tol).basis
-    X = make_X(DM, DKs, E_DM, E_DKs)
+    dm = opcore._svd_defects(M, tol, basis=True)
+    dks = opcore._svd_defects(K.conj().T, tol, basis=True)
+    X = make_X(dm.DA, dks.DA, dm.E_A, dks.E_A)
     return ContractionParams(
         A=A, M=M, K=K, X=X,
-        E_DA=dd.E_A, E_DAs=dd.E_As, E_DM=E_DM, E_DKs=E_DKs,
-        DA=dd.DA, DAs=dd.DAs, DM=DM, DKs=DKs,
+        E_DA=dd.E_A, E_DAs=dd.E_As, E_DM=dm.E_A, E_DKs=dks.E_A,
+        DA=dd.DA, DAs=dd.DAs, DM=dm.DA, DKs=dks.DA,
         DK=cd(K, tol), DMs=cd(M.conj().T, tol), DX=cd(X, tol), DXs=cd(X.conj().T, tol),
         t=dd.t,
     )

@@ -96,10 +96,15 @@ def char_func(A, lam: complex, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     restricted to the defect space of A and corestricted to that of A*,
     returned as a matrix in the orthonormal defect bases of
     `opcore.defect_data`."""
+    A = _square(A)
+    return _phi(A, opcore.defect_data(A, tol), complex(lam))
+
+
+def _square(A) -> np.ndarray:
     A = as_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise DimensionMismatch("characteristic function needs a square operator")
-    return _phi(A, opcore.defect_data(A, tol), complex(lam))
+    return A
 
 
 def _phi(A: np.ndarray, dd: DefectData, lam: complex) -> np.ndarray:
@@ -122,34 +127,27 @@ def char_defect_residuals(A, lam: complex, tol: Tolerances = DEFAULT_TOL) -> tup
         D^2_{Phi(lam)}  = (1-|lam|^2) D_A (I-conj(lam) A)^{-1} (I-lam A*)^{-1} D_A
         D^2_{Phi*(lam)} = (1-|lam|^2) D_{A*} (I-lam A*)^{-1} (I-conj(lam) A)^{-1} D_{A*}
 
-    both read in the defect bases."""
-    A = as_matrix(A)
+    both read in the defect bases.  Since Phi_A(lam)* = Phi_{A*}(conj lam),
+    the second is the first for A*, conj(lam) and Phi*."""
+    A = _square(A)
     dd = opcore.defect_data(A, tol)
     lam = complex(lam)
-    n = A.shape[0]
-    phi = char_func(A, lam, tol)
-    dA = dd.E_A.shape[1]
-    dAs = dd.E_As.shape[1]
+    phi = _phi(A, dd, lam)
+    return (_defect_identity(A, dd, lam, phi),
+            _defect_identity(A.conj().T, dd.adjoint(), lam.conjugate(), phi.conj().T))
 
-    lhs1 = np.eye(dA) - phi.conj().T @ phi
+
+def _defect_identity(A: np.ndarray, dd: DefectData, lam: complex, phi: np.ndarray) -> float:
+    n = A.shape[0]
     right = _resolve(np.eye(n) - lam * A.conj().T, dd.DA)
     full = dd.DA @ _resolve(np.eye(n) - np.conj(lam) * A, right)
-    rhs1 = (1.0 - abs(lam) ** 2) * (dd.E_A.conj().T @ full @ dd.E_A)
-    r1 = operator_norm(lhs1 - rhs1)
-
-    lhs2 = np.eye(dAs) - phi @ phi.conj().T
-    right2 = _resolve(np.eye(n) - np.conj(lam) * A, dd.DAs)
-    full2 = dd.DAs @ _resolve(np.eye(n) - lam * A.conj().T, right2)
-    rhs2 = (1.0 - abs(lam) ** 2) * (dd.E_As.conj().T @ full2 @ dd.E_As)
-    r2 = operator_norm(lhs2 - rhs2)
-    return r1, r2
+    rhs = (1.0 - abs(lam) ** 2) * (dd.E_A.conj().T @ full @ dd.E_A)
+    return operator_norm(np.eye(phi.shape[1]) - phi.conj().T @ phi - rhs)
 
 
 def _phi_of_adjoint(p: ContractionParams, lam: complex) -> np.ndarray:
     """Phi_{A*}(lambda) in the cached bases of p (defect of A* -> defect of A)."""
-    if p.A.shape[0] != p.A.shape[1]:
-        raise DimensionMismatch("characteristic function needs a square operator")
-    return _phi(p.A.conj().T, p.defects.adjoint(), complex(lam))
+    return _phi(_square(p.A).conj().T, p.defects.adjoint(), complex(lam))
 
 
 def _phi_direct(p: ContractionParams, lam: complex) -> np.ndarray:

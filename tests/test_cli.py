@@ -9,7 +9,7 @@ import pqsys
 from pqsys import _json, opcore, sysmodel
 from pqsys.cli import main
 
-from helpers import rand_atoms, rand_contraction, rand_unitary
+from helpers import rand_atoms, rand_contraction, rand_pqs_T, rand_unitary
 
 import oracles
 
@@ -318,3 +318,51 @@ def test_eval_q_at_zero_exits_2_with_report(tmp_path, rng):
 def test_non_finite_tolerance_exits_2(tmp_path, value):
     write_system(tmp_path / "sys.json", pqsys.chebyshev_example(0.1, 6)[1])
     assert main(["classify", str(tmp_path / "sys.json"), "--tol", f"eq_tol={value}"]) == 2
+
+
+def test_eval_char_factors_A_once(tmp_path, monkeypatch):
+    rng = np.random.default_rng(43)
+    s = 40
+    tau = pqsys.PartitionedContraction(rand_pqs_T(rng, 2, s), 2, 2, s)
+    assert not np.array_equal(tau.A, tau.A.conj().T)   # dense, not bitwise Hermitian
+    write_system(tmp_path / "sys.json", tau)
+    tau = _json.system_from_json(_json.load(str(tmp_path / "sys.json")))
+    eighs = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: eighs.append(1) or eigh(*a, **k))
+    out = tmp_path / "vals.json"
+    code = main(["eval", str(tmp_path / "sys.json"), "--func", "char", "--grid", "circle:16",
+                 "--out", str(out)])
+    assert code == 0
+    assert len(eighs) == 1
+    samples = read_json(out)["samples"]
+    assert len(samples) == 16
+    for sample in samples:
+        z = complex(*sample["point"])
+        got = _json.matrix_from_json(sample["value"])
+        assert np.array_equal(got, pqsys.char_func(tau.A, z))
+
+
+def _report_of(tmp_path, rng, outcome):
+    f = write_member_measure(tmp_path / "m.json", rng, n=2)
+    write_system(tmp_path / "sys.json", pqsys.realize_from_data(f))
+    report = tmp_path / "rep.json"
+    if outcome == "ok":
+        args, code = ["classify", str(tmp_path / "sys.json")], 0
+    elif outcome == "check_failed":
+        # Theta(0) outside the ball: the membership check fails, exit 1
+        data, _ = pqsys.chebyshev_example(0.5, 40)
+        bumped = pqsys.SqsFunctionData(np.array([[0.51 + 0j]]), data.atoms)
+        _json.dump(_json.measure_to_json(bumped), str(tmp_path / "m2.json"))
+        args, code = ["realize", str(tmp_path / "m2.json")], 1
+    else:
+        args, code = ["eval", str(tmp_path / "sys.json"), "--func", "q", "--lambda", "0,0"], 2
+    assert main(args + ["--seed", "1234", "--report", str(report)]) == code
+    return read_json(report)
+
+
+@pytest.mark.parametrize("outcome", ["ok", "check_failed", "malformed"])
+def test_report_records_the_seed(tmp_path, rng, outcome):
+    rep = _report_of(tmp_path, rng, outcome)
+    assert rep["seed"] == 1234
+    assert ("error" in rep) == (outcome == "malformed")

@@ -298,8 +298,133 @@ def test_hermitian_eigh_factors_the_hermitian_part():
         assert np.array_equal(got, ref)
 
 
-def test_hermitian_eigh_raises_when_the_check_fails():
+def test_hermitian_eigh_raises_when_the_check_fails(monkeypatch):
     H = rand_hermitian_contraction(np.random.default_rng(26), 8)
     H = (H + H.conj().T) / 2  # bitwise Hermitian, so selfadjoint at any eq_tol
+    monkeypatch.setattr(np.linalg, "eigh", _perturbed_eigh(np.linalg.eigh, 1e-8))
     with pytest.raises(PqsysError, match="misses"):
-        opcore.hermitian_eigh(H, opcore.Tolerances(eq_tol=1e-30))
+        opcore.hermitian_eigh(H)
+
+
+def _perturbed_eigh(eigh, eps):
+    """An eigh whose eigenvectors are off by eps in every entry."""
+    def patched(M, *args, **kwargs):
+        t, V = eigh(M, *args, **kwargs)
+        return t, V + eps
+    return patched
+
+
+def test_hermitian_eigh_check_is_not_tied_to_eq_tol_below_eigh_rounding():
+    rng = np.random.default_rng(27)
+    H = rand_hermitian_contraction(rng, 400)
+    H = (H + H.conj().T) / 2
+    t, V = opcore.hermitian_eigh(H, opcore.Tolerances(eq_tol=1e-14))
+    assert np.linalg.norm(H @ V - V * t) < 1e-12
+
+
+def test_hermitian_eigh_rejects_a_wrong_factorization_below_eigh_rounding(monkeypatch):
+    H = rand_hermitian_contraction(np.random.default_rng(28), 40)
+    H = (H + H.conj().T) / 2
+    monkeypatch.setattr(np.linalg, "eigh", _perturbed_eigh(np.linalg.eigh, 1e-8))
+    with pytest.raises(PqsysError, match="misses"):
+        opcore.hermitian_eigh(H, opcore.Tolerances(eq_tol=1e-14))
+
+
+def _strict_ref(A, tol=opcore.DEFAULT_TOL):
+    """is_strict_contraction by the eigenvalues of I - A*A."""
+    if A.shape[1] == 0:
+        return True
+    w = np.maximum(np.linalg.eigvalsh(opcore.herm_part(np.eye(A.shape[1]) - A.conj().T @ A)), 0.0)
+    return bool(w[0] > tol.rank_tol ** 2 * w[-1] and w[-1] > 0)
+
+
+def _normal(rng, s):
+    U = rand_unitary(rng, s)
+    z = 0.9 * np.sqrt(rng.uniform(size=s)) * np.exp(2j * np.pi * rng.uniform(size=s))
+    return (U * z) @ U.conj().T
+
+
+def _defect_inputs():
+    rng = np.random.default_rng(29)
+    V = rand_unitary(rng, 6)[:, :4]
+    return {
+        "non_normal": rand_contraction(rng, 7, 7, 0.95),
+        "5x3": rand_contraction(rng, 5, 3, 0.97),
+        "3x5": rand_contraction(rng, 3, 5, 0.97),
+        "1x1000": rand_contraction(rng, 1, 1000, 0.97),
+        "normal": _normal(rng, 8),
+        "unitary": rand_unitary(rng, 5),
+        "isometry": V,
+        "coisometry": V.conj().T,
+        "clamped": rand_contraction(rng, 6, 6, 1.0 + 0.5e-10),
+    }
+
+
+@pytest.mark.parametrize("name", list(_defect_inputs()))
+def test_defects_from_one_svd_match_the_reference(name):
+    A = _defect_inputs()[name]
+    dd = opcore.defect_data(A)
+    refs = (_defect_ref(A), _defect_ref(A.conj().T))
+    for D, E, ref in ((dd.DA, dd.E_A, refs[0]), (dd.DAs, dd.E_As, refs[1])):
+        assert D.shape == ref.shape
+        assert np.linalg.norm(D - ref, 2) < 1e-12
+        assert np.linalg.norm(E.conj().T @ E - np.eye(E.shape[1])) < 1e-13
+        assert np.linalg.norm(E @ (E.conj().T @ D) - D, 2) < 1e-12
+        assert E.shape[1] == opcore.range_basis(ref).dim
+    assert np.linalg.norm(opcore.defect_operator(A) - refs[0], 2) < 1e-12
+    assert np.array_equal(opcore.defect_basis(A).basis, dd.E_A)
+    assert opcore.is_strict_contraction(A) == _strict_ref(A)
+
+
+def test_defects_of_isometries_and_normal_operators():
+    inputs = _defect_inputs()
+    for name in ("unitary", "isometry"):
+        dd = opcore.defect_data(inputs[name])
+        assert not np.any(dd.DA) and dd.E_A.shape[1] == 0
+    assert not np.any(opcore.defect_data(inputs["coisometry"]).DAs)
+    # a normal A has one defect, carried by one basis on both sides
+    dd = opcore.defect_data(inputs["normal"])
+    assert dd.DA is dd.DAs and dd.E_A is dd.E_As
+    assert not opcore.is_strict_contraction(inputs["unitary"])
+    assert opcore.is_strict_contraction(inputs["non_normal"])
+
+
+def test_defects_reject_norm_above_one_plus_rank_tol():
+    A = rand_contraction(np.random.default_rng(30), 6, 6, 1.0 + 10e-10)
+    for f in (opcore.defect_data, opcore.defect_operator, opcore.defect_basis, opcore.is_strict_contraction):
+        with pytest.raises(NotAContraction):
+            f(A)
+    with pytest.raises(NotAContraction):
+        opcore.hermitian_defect(np.array([-1.0 - 10e-10, 0.5]))
+
+
+def test_defect_data_takes_one_svd(monkeypatch):
+    A = rand_contraction(np.random.default_rng(31), 40, 40, 0.9)
+    assert not opcore.is_normal(A)
+    ref = opcore.defect_data(A)
+    svds = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, lambda *a, **k: pytest.fail("eigendecomposition"))
+    monkeypatch.setattr(opcore, "operator_norm", lambda M: pytest.fail("norm SVD"))
+    dd = opcore.defect_data(A)
+    assert len(svds) == 1
+    for got, want in zip(dd[:4], ref[:4]):
+        assert np.array_equal(got, want)
+
+
+def test_hermitian_defect_keeps_the_clamp_and_rank_rules():
+    t = np.array([-1.0 - 0.5e-10, -0.5, 0.0, 1.0 - 1e-11, 1.0])
+    d, keep = opcore.hermitian_defect(t)
+    assert np.array_equal(d[[0, 3, 4]], [0.0, 0.0, 0.0])
+    assert keep == slice(1, 3)
+    assert np.allclose(d[1:3], np.sqrt(1 - t[1:3] ** 2), rtol=0, atol=1e-15)
+
+
+def test_no_unitary_is_a_strict_contraction():
+    # the clamp of the defect values decides, not the signs of the rounding
+    # in I - U*U
+    rng = np.random.default_rng(32)
+    for n in (1, 2, 3, 5, 8) * 20:
+        assert not opcore.is_strict_contraction(rand_unitary(rng, n))

@@ -171,3 +171,26 @@ def test_unitary_A_forces_zero_coupling():
     assert p.E_DA.shape[1] == 0
     assert p.K.shape == (1, 0)
     assert np.linalg.norm(pqsys.assemble(p).T - T) < 1e-10
+
+
+@pytest.mark.parametrize("m", [1, 4])
+def test_complete_takes_the_small_bases_from_the_defect_svds(monkeypatch, m):
+    # m = 4 inputs over a 3-dim defect of A* gives M more columns than rows
+    from pqsys import opcore
+    rng = np.random.default_rng(44)
+    A = rand_contraction(rng, 3, 3, smax=0.85)
+    dd = pqsys.defect_data(A)
+    M = rand_contraction(rng, dd.E_As.shape[1], m, smax=0.9)
+    K = rand_contraction(rng, 2, dd.E_A.shape[1], smax=0.9)
+    range_basis = opcore.range_basis
+    monkeypatch.setattr(opcore, "range_basis", lambda *a: pytest.fail("range_basis called"))
+    p = param.make_params(A, M, K, None)
+    tau = pqsys.assemble(p)
+    q = param.parametrize(tau)
+    monkeypatch.setattr(opcore, "range_basis", range_basis)
+    for r in (p, q):
+        for D, E in ((r.DM, r.E_DM), (r.DKs, r.E_DKs)):
+            assert np.linalg.norm(E.conj().T @ E - np.eye(E.shape[1])) < 1e-13
+            assert np.linalg.norm(E @ (E.conj().T @ D) - D) < 1e-12
+            assert E.shape[1] == opcore.range_basis(D).dim
+    assert np.linalg.norm(pqsys.assemble(q).T - tau.T) < 1e-10

@@ -81,6 +81,19 @@ def test_char_defect_residuals_random():
         assert r1 < 1e-9 and r2 < 1e-9
 
 
+def test_char_defect_residuals_factor_A_once(monkeypatch):
+    from pqsys import opcore
+    rng = np.random.default_rng(41)
+    calls = []
+    defect_data = opcore.defect_data
+    monkeypatch.setattr(opcore, "defect_data", lambda *a: calls.append(1) or defect_data(*a))
+    for A in (rand_contraction(rng, 6, 6, smax=0.9), rand_hermitian_contraction(rng, 6, bound=0.8)):
+        calls.clear()
+        r1, r2 = pqsys.char_defect_residuals(A, 0.3 - 0.4j)
+        assert len(calls) == 1
+        assert r1 < 1e-9 and r2 < 1e-9
+
+
 def test_char_func_unitary_on_circle_for_selfadjoint():
     rng = np.random.default_rng(5)
     A = rand_hermitian_contraction(rng, 4, bound=0.8)
