@@ -1,8 +1,35 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and its self-check ledger.
 
 Every error raised on a contract violation derives from PqsysError so
 callers (and the CLI) can distinguish domain failures from bugs.
 """
+
+import contextlib
+import contextvars
+
+# the entry list of the innermost open ledger, or None outside one
+_LEDGER = contextvars.ContextVar("pqsys_ledger", default=None)
+
+
+@contextlib.contextmanager
+def ledger():
+    """Collect every `check` run inside the block in the list it yields."""
+    token = _LEDGER.set([])
+    try:
+        yield _LEDGER.get()
+    finally:
+        _LEDGER.reset(token)
+
+
+def check(name: str, residual: float, bound: float, exc=None, message: str = ""):
+    """Record {name, pass, residual, bound} in the open ledger, if any; when
+    residual > bound the check fails, and raises exc(message) if exc is given."""
+    ok = bool(residual <= bound)
+    entries = _LEDGER.get()
+    if entries is not None:
+        entries.append({"name": name, "pass": ok, "residual": float(residual), "bound": float(bound)})
+    if not ok and exc is not None:
+        raise exc(message)
 
 
 class PqsysError(Exception):
@@ -51,6 +78,10 @@ class InvalidMeasure(PqsysError):
 
 class NotInSqs(PqsysError):
     """Function data fails the S^qs membership conditions."""
+
+    def __init__(self, msg, reasons=()):
+        super().__init__(msg)
+        self.reasons = tuple(reasons)
 
 
 class NotInner(PqsysError):

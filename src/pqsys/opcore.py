@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonSquare, NotAContraction, NotHermitian, NotPSD, PqsysError
+from .errors import NonSquare, NotAContraction, NotHermitian, NotPSD, PqsysError, check
 
 
 @dataclass(frozen=True)
@@ -289,6 +289,12 @@ def gram_defect(s: np.ndarray, k: int) -> float:
     return max(d, 1.0) if k > s.size else d
 
 
+def isometry_defect(X) -> float:
+    """||I - X*X||_2 from one SVD of X (`gram_defect`)."""
+    X = as_matrix(X)
+    return gram_defect(np.linalg.svd(X, compute_uv=False) if X.size else np.zeros(0), X.shape[1])
+
+
 # ---------------------------------------------------------------------------
 # contraction predicates and defect operators
 # ---------------------------------------------------------------------------
@@ -398,8 +404,9 @@ def hermitian_eigh(A, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.nda
         blk -= V[:, cols] * t[cols]
         sq += float(np.linalg.norm(blk)) ** 2
     rel = max(tol.eq_tol, _EIGH_ROUNDING * t.size * np.finfo(float).eps)
-    if math.sqrt(sq) > rel * max(1.0, float(np.abs(t).max())):
-        raise PqsysError(f"eigendecomposition of a selfadjoint matrix misses it by {math.sqrt(sq):.3e}")
+    miss = math.sqrt(sq)
+    check("eigh_residual", miss, rel * max(1.0, float(np.abs(t).max())), PqsysError,
+          f"eigendecomposition of a selfadjoint matrix misses it by {miss:.3e}")
     return t, V
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import opcore
-from .errors import DimensionMismatch, NotAContraction, PqsysError
+from .errors import DimensionMismatch, NotAContraction, PqsysError, check
 from .opcore import DEFAULT_TOL, Tolerances, as_matrix, operator_norm
 from .sysmodel import PartitionedContraction, spectral_data
 
@@ -188,35 +188,33 @@ def parametrize(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> C
         M = (B.conj().T @ E_DA).conj().T / d[:, None]
         K = (C @ E_DA) / d
     resid_b = operator_norm(DAs @ (E_DAs @ M) - B)
-    if resid_b > tol.eq_tol * scale:
-        raise PqsysError(f"B is not carried by the defect of A*: residual {resid_b:.3e}")
-
+    check("carried_B", resid_b, tol.eq_tol * scale, PqsysError,
+          f"B is not carried by the defect of A*: residual {resid_b:.3e}")
     resid_c = operator_norm((K @ E_DA.conj().T) @ DA - C)
-    if resid_c > tol.eq_tol * scale:
-        raise PqsysError(f"C is not carried by the defect of A: residual {resid_c:.3e}")
-
-    for name, val in (("M", M), ("K", K)):
-        if operator_norm(val) > 1.0 + tol.psd_tol:
-            raise NotAContraction(
-                f"recovered parameter {name} has norm {operator_norm(val):.12f}; "
-                "T is too close to the contraction boundary to resolve"
-            )
+    check("carried_C", resid_c, tol.eq_tol * scale, PqsysError,
+          f"C is not carried by the defect of A: residual {resid_c:.3e}")
+    _check_recovered("M", M, tol)
+    _check_recovered("K", K, tol)
 
     def extract_X(DM, DKs, E_DM, E_DKs):
         core = D + (K @ E_DA.conj().T) @ A.conj().T @ (E_DAs @ M)
         X_ambient = opcore.pinv(DKs, tol) @ core @ opcore.pinv(DM, tol)
         X = E_DKs.conj().T @ X_ambient @ E_DM
         resid_d = operator_norm(DKs @ (E_DKs @ X @ E_DM.conj().T) @ DM - core)
-        if resid_d > tol.eq_tol * scale:
-            raise PqsysError(f"D block not reproduced by extracted X: residual {resid_d:.3e}")
-        if operator_norm(X) > 1.0 + tol.psd_tol:
-            raise NotAContraction(
-                f"recovered parameter X has norm {operator_norm(X):.12f}; "
-                "T is too close to the contraction boundary to resolve"
-            )
+        check("carried_D", resid_d, tol.eq_tol * scale, PqsysError,
+              f"D block not reproduced by extracted X: residual {resid_d:.3e}")
+        _check_recovered("X", X, tol)
         return X
 
     return _complete(A, M, K, dd, extract_X, tol)
+
+
+def _check_recovered(name: str, val: np.ndarray, tol: Tolerances):
+    """A recovered parameter must be a contraction to psd_tol."""
+    nrm = operator_norm(val)
+    check(f"contraction_{name}", max(nrm - 1.0, 0.0), tol.psd_tol, NotAContraction,
+          f"recovered parameter {name} has norm {nrm:.12f}; "
+          "T is too close to the contraction boundary to resolve")
 
 
 def defect_balance(p: ContractionParams, h, f) -> tuple[float, float]:

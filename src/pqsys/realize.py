@@ -9,6 +9,7 @@ worked example, and unitary similarity between minimal realizations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,11 +28,12 @@ from .errors import (
     NotScalar,
     PqsysError,
     TransferMismatch,
+    check,
 )
 from .opcore import DEFAULT_TOL, Tolerances, as_matrix, operator_norm
 from .param import ContractionParams, parametrize
 from .sysmodel import PartitionedContraction
-from .transfer import SqsFunctionData, theta_eval, theta_from_data
+from .transfer import SqsFunctionData, theta_eval
 
 
 def _merge_atoms(f: SqsFunctionData, tol: Tolerances):
@@ -57,9 +59,14 @@ def realize_from_data(f: SqsFunctionData, tol: Tolerances = DEFAULT_TOL) -> Part
     Sigma_k = L_k L_k* through its eigendecomposition with small
     eigenvalues truncated, the main operator is t_k times the identity on
     each factor range, and the channel operator stacks the factors."""
-    report = transfer.sqs_membership(f, tol)
-    if not report.member:
-        raise NotInSqs("; ".join(report.reasons) or "data fails the membership conditions")
+    mem = transfer.sqs_membership(f, tol)
+    # recorded, not raised: NotInSqs below carries every failing reason
+    check("membership_mass", max(mem.sigma_total_excess, 0.0), tol.psd_tol)
+    if mem.X is not None:
+        check("membership_ball", max(mem.x_norm - 1.0, 0.0), tol.psd_tol)
+        check("membership_range", mem.off_range_residual, tol.eq_tol)
+    if not mem.member:
+        raise NotInSqs("; ".join(mem.reasons), mem.reasons)
     n = f.dim
     blocks = []
     factors = []
@@ -83,14 +90,12 @@ def realize_from_data(f: SqsFunctionData, tol: Tolerances = DEFAULT_TOL) -> Part
     T[n:, :n] = B
     np.fill_diagonal(T[n:, n:], diag)
     tau = PartitionedContraction(T, n, n, s)
-    if tau.norm() > 1.0 + 10 * tol.psd_tol:
-        raise PqsysError("assembled realization is not a contraction")
+    check("contraction", max(tau.norm() - 1.0, 0.0), 10 * tol.psd_tol, PqsysError,
+          "assembled realization is not a contraction")
     tau = sysmodel.minimal_pqs_reduction(tau, tol)
-    for j in range(20):
-        lam = 0.5 * np.exp(2j * np.pi * (j + 0.3) / 20)
-        gap = operator_norm(theta_eval(tau, lam, tol) - theta_from_data(f, lam))
-        if gap > 10 * tol.eq_tol * max(1.0, operator_norm(f.theta0)):
-            raise PqsysError(f"realized transfer deviates from the data by {gap:.3e}")
+    gap, _ = transfer.grid_gap(tau, f, 0.5 * np.exp(2j * np.pi * (np.arange(20) + 0.3) / 20), tol)
+    check("grid_agreement", gap, 10 * tol.eq_tol * max(1.0, operator_norm(f.theta0)), PqsysError,
+          f"realized transfer deviates from the data by {gap:.3e}")
     return tau
 
 
@@ -113,11 +118,9 @@ def spectral_measure(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL)
             if operator_norm(sigma) > tol.rank_tol:
                 atoms.append((t, sigma))
     f = SqsFunctionData(tau.D, tuple(atoms))
-    for k in range(8):
-        lam = 0.5 * np.exp(2j * np.pi * (k + 0.45) / 8)
-        gap = operator_norm(theta_eval(tau, lam, tol) - theta_from_data(f, lam))
-        if gap > 10 * tol.eq_tol * max(1.0, operator_norm(tau.D)):
-            raise PqsysError(f"spectral read-out mismatch {gap:.3e}")
+    gap, _ = transfer.grid_gap(tau, f, 0.5 * np.exp(2j * np.pi * (np.arange(8) + 0.45) / 8), tol)
+    check("readout_agreement", gap, 10 * tol.eq_tol * max(1.0, operator_norm(tau.D)), PqsysError,
+          f"spectral read-out mismatch {gap:.3e}")
     return f
 
 
@@ -157,32 +160,19 @@ def inner_canonical_form(tau: PartitionedContraction, tol: Tolerances = DEFAULT_
     if p.E_DA.shape[1] != s:
         raise NotInner("defect space of the main operator does not fill the state space")
     W = p.K
-    if operator_norm(W.conj().T @ W - np.eye(s)) > 10 * tol.eq_tol:
-        raise NotInner("channel operator is not isometric")
+    check("channel_isometry", opcore.isometry_defect(W), 10 * tol.eq_tol, NotInner,
+          "channel operator is not isometric")
     W_perp = opcore.kernel_basis(W.conj().T, tol).basis
     X = W_perp.conj().T @ tau.D @ W_perp
-    m = X.shape[0]
-    if operator_norm(X.conj().T @ X - np.eye(m)) > 10 * tol.eq_tol:
-        raise NotInner("constant block is not unitary")
-    basis = np.hstack([W, W_perp])
-    points = tuple(float(a) for a in p.t)
-    for k in range(8):
-        lam = 0.6 * np.exp(2j * np.pi * (k + 0.37) / 8)
-        diag = np.diag([blaschke(a, lam) for a in points])
-        rec = basis @ _blockdiag(diag, X) @ basis.conj().T
-        gap = operator_norm(rec - theta_eval(tau, lam, tol))
-        if gap > 10 * tol.eq_tol:
-            raise PqsysError(f"canonical reconstruction off by {gap:.3e}")
-    return CanonicalInner(points, X, basis)
-
-
-def _blockdiag(top, bottom) -> np.ndarray:
-    a = as_matrix(top) if np.size(top) else np.zeros((0, 0), dtype=complex)
-    b = as_matrix(bottom) if np.size(bottom) else np.zeros((0, 0), dtype=complex)
-    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=complex)
-    out[:a.shape[0], :a.shape[1]] = a
-    out[a.shape[0]:, a.shape[1]:] = b
-    return out
+    check("constant_unitarity", opcore.isometry_defect(X), 10 * tol.eq_tol, NotInner,
+          "constant block is not unitary")
+    # Theta rebuilt in the basis [W, W_perp] as diag(Blaschke factors) (+) X
+    const = W_perp @ X @ W_perp.conj().T
+    gap, _ = transfer.grid_gap(lambda lam: (W * blaschke(p.t, lam)) @ W.conj().T + const, tau,
+                               0.6 * np.exp(2j * np.pi * (np.arange(8) + 0.37) / 8), tol)
+    check("canonical_reconstruction", gap, 10 * tol.eq_tol, PqsysError,
+          f"canonical reconstruction off by {gap:.3e}")
+    return CanonicalInner(tuple(float(a) for a in p.t), X, np.hstack([W, W_perp]))
 
 
 # ---------------------------------------------------------------------------
@@ -281,17 +271,20 @@ def biinner_dilation(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL)
     T = np.block([[bigD, B_big.conj().T], [B_big, p.A]])
     system = PartitionedContraction(T, v, v, s)
 
-    resid = operator_norm(T.conj().T @ T - np.eye(v + s))
-    if resid > tol.eq_tol:
-        raise PqsysError(f"enlarged block operator is not unitary: defect {resid:.3e}")
+    # ||T*T - I|| from the singular values classify reads too
+    resid = opcore.gram_defect(system.singular_values(), v + s)
+    check("block_unitarity", resid, tol.eq_tol, PqsysError,
+          f"enlarged block operator is not unitary: defect {resid:.3e}")
     big_flags = sysmodel.classify(system, tol)
     if not (big_flags.conservative and big_flags.pqs):
         raise PqsysError("enlarged system is not conservative quasi-selfadjoint")
     if not sysmodel.is_minimal(system, tol):
         raise NotMinimal("enlarged system is not minimal")
-    gap = operator_norm(bigD[:n, :n] - tau.D)
-    if gap > 10 * tol.eq_tol:
-        raise PqsysError(f"dilation corner deviates from the source by {gap:.3e}")
+    # lambda = 0 compares the D blocks
+    gap, _ = transfer.grid_gap(lambda lam: theta_eval(system, lam, tol)[:n, :n],
+                               tau, [0.0, *(0.6 * np.exp(2j * np.pi * (np.arange(8) + 0.27) / 8))], tol)
+    check("corner_match", gap, 10 * tol.eq_tol, PqsysError,
+          f"dilation corner deviates from the source by {gap:.3e}")
     return DilationBlocks(system, n, dk, dks, p, E_DK)
 
 
@@ -419,7 +412,6 @@ def jacobi_realize(source, max_len: int | None = None, tol: Tolerances = DEFAULT
         pairs = [(t, s) for t, s in pairs if s > tol.rank_tol]
         A = np.diag(np.array([t for t, _ in pairs], dtype=complex))
         Bv = np.array([np.sqrt((1.0 - t * t) * s) for t, s in pairs], dtype=complex)
-        grid_check = lambda lam: complex(theta_from_data(source, lam)[0, 0])
     elif isinstance(source, PartitionedContraction):
         if source.in_dim != 1 or source.out_dim != 1:
             raise NotScalar("system must have one-dimensional input and output")
@@ -429,7 +421,6 @@ def jacobi_realize(source, max_len: int | None = None, tol: Tolerances = DEFAULT
         d = complex(source.D[0, 0])
         A = source.A
         Bv = source.B[:, 0]
-        grid_check = lambda lam: complex(theta_eval(source, lam, tol)[0, 0])
     else:
         raise TypeError(f"cannot realize {type(source)!r}")
     if d.imag < -tol.eq_tol:
@@ -457,19 +448,18 @@ def jacobi_realize(source, max_len: int | None = None, tol: Tolerances = DEFAULT
         moments.append(np.real(np.sum(np.conj(Bl) * vec)))
         vec = Al @ vec
     m_alphas, m_betas = _moment_recurrence(moments, count)
-    for k in range(min(len(m_betas), len(a))):
-        if abs(np.sqrt(m_betas[k]) - a[k]) > 1e-7 or abs(m_alphas[k] - b[k]) > 1e-7:
-            raise PqsysError(
-                f"moment recurrence disagrees with the iterative expansion at step {k}")
+    steps = [max(abs(np.sqrt(m_betas[k]) - a[k]), abs(m_alphas[k] - b[k]))
+             for k in range(min(len(m_betas), len(a)))]
+    first = next((k for k, e in enumerate(steps) if e > 1e-7), None)
+    check("moment_recurrence", max(steps, default=0.0), 1e-7, PqsysError,
+          f"moment recurrence disagrees with the iterative expansion at step {first}")
 
     jr = JacobiRealization(d, a, b, truncated)
     if not truncated:
-        sys0 = jr.system()
-        for j in range(10):
-            lam = 0.5 * np.exp(2j * np.pi * (j + 0.21) / 10)
-            gap = abs(complex(theta_eval(sys0, lam, tol)[0, 0]) - grid_check(lam))
-            if gap > 10 * tol.eq_tol * max(1.0, abs(d)):
-                raise PqsysError(f"tridiagonal transfer deviates by {gap:.3e}")
+        points = 0.5 * np.exp(2j * np.pi * (np.arange(10) + 0.21) / 10)
+        gap, _ = transfer.grid_gap(jr.system(), source, points, tol)
+        check("tridiagonal_agreement", gap, 10 * tol.eq_tol * max(1.0, abs(d)), PqsysError,
+              f"tridiagonal transfer deviates by {gap:.3e}")
     return jr
 
 
@@ -568,11 +558,11 @@ def unitary_similarity(tau1: PartitionedContraction, tau2: PartitionedContractio
     s1, s2 = tau1.state_dim, tau2.state_dim
     n_pts = 2 * (s1 + s2) + 1
     scale = max(1.0, tau1.norm(), tau2.norm())
-    for j in range(n_pts):
-        lam = (0.3 + 0.15 * (j % 2)) * np.exp(2j * np.pi * (j + 0.17) / n_pts)
-        gap = operator_norm(theta_eval(tau1, lam, tol) - theta_eval(tau2, lam, tol))
-        if gap > tol.eq_tol * scale:
-            raise TransferMismatch(f"transfer functions differ by {gap:.3e} at {lam:.4f}")
+    j = np.arange(n_pts)
+    points = (0.3 + 0.15 * (j % 2)) * np.exp(2j * np.pi * (j + 0.17) / n_pts)
+    gap, lam = transfer.grid_gap(tau1, tau2, points, tol)
+    check("transfer_agreement", gap, tol.eq_tol * scale, TransferMismatch,
+          f"transfer functions differ by {gap:.3e} at {lam:.4f}")
     if s1 != s2:
         raise TransferMismatch("minimal realizations have different state dimensions")
 
@@ -585,15 +575,15 @@ def unitary_similarity(tau1: PartitionedContraction, tau2: PartitionedContractio
     u, _, vh = np.linalg.svd(Q2 @ Q1.conj().T)
     U = u @ vh
     residuals = {
-        "unitarity": max(operator_norm(U.conj().T @ U - np.eye(p)),
-                         operator_norm(U @ U.conj().T - np.eye(p))),
+        # U is square: ||U*U - I|| = ||UU* - I||
+        "unitarity": opcore.isometry_defect(U),
         "main": operator_norm(U @ tau1.A - tau2.A @ U),
         "input": operator_norm(U @ tau1.B - tau2.B),
         "output": operator_norm(tau1.C - tau2.C @ U),
     }
-    worst = max(residuals.values())
-    if worst > 10 * tol.eq_tol * scale:
-        raise PqsysError(f"intertwining residual {worst:.3e} exceeds tolerance")
+    for name, value in residuals.items():
+        check(name, value, 10 * tol.eq_tol * scale, PqsysError,
+              f"intertwining residual {value:.3e} exceeds tolerance")
     return SimilarityResult(U, residuals)
 
 
@@ -614,6 +604,6 @@ def _check_moments(tau1: PartitionedContraction, tau2: PartitionedContraction, p
     diff = (gram(tau1) - gram(tau2)).reshape(p + 1, m, p + 1, m).transpose(0, 2, 1, 3)
     norms = np.linalg.norm(diff, ord=2, axis=(2, 3)) if m else np.zeros((p + 1, p + 1))
     bad = np.argwhere(norms > bound)
-    if bad.size:
-        nn, mm = (int(x) for x in bad[0])
-        raise MomentMismatch("mixed power moments differ", n=nn, m=mm)
+    nn, mm = (int(x) for x in bad[0]) if bad.size else (None, None)
+    check("moments", float(norms.max()), bound, functools.partial(MomentMismatch, n=nn, m=mm),
+          "mixed power moments differ")

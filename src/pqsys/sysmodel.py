@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import opcore
-from .errors import DimensionMismatch, NotNormal, NotPqs, PqsysError
+from .errors import DimensionMismatch, NotNormal, NotPqs, PqsysError, check
 from .opcore import DEFAULT_TOL, SubspaceBasis, Tolerances, as_matrix, norm_at_most, operator_norm
 
 
@@ -341,23 +341,14 @@ def minimal_pqs_reduction(tau: PartitionedContraction, tol: Tolerances = DEFAULT
     T[n:, :m] = B_s
     T[n:, m:] = A_s
     out = PartitionedContraction(T, m, n, s)
-    _check_same_transfer(tau, out, tol)
-    return out
-
-
-def _check_same_transfer(t1, t2, tol, n_points=20, radius=0.5):
     # compression onto an invariant subspace containing ran B must not move
-    # the transfer function; a failure here means the subspace was wrong
-    from .transfer import theta_eval  # deferred: transfer builds on this module's types
-
-    for lam in radius * np.exp(2j * np.pi * np.arange(n_points) / n_points):
-        v1 = theta_eval(t1, lam, tol)
-        v2 = theta_eval(t2, lam, tol)
-        if operator_norm(v1 - v2) > tol.eq_tol * max(1.0, operator_norm(v1)):
-            raise PqsysError(
-                f"transfer changed under state reduction at lambda={lam:.3f}: "
-                f"{operator_norm(v1 - v2):.3e}"
-            )
+    # the transfer function; a failure here means the subspace was wrong.
+    # Both systems are passive, so ||Theta|| <= 1 and the bound is absolute.
+    from .transfer import grid_gap  # deferred: transfer builds on this module's types
+    gap, lam = grid_gap(tau, out, 0.5 * np.exp(2j * np.pi * np.arange(20) / 20), tol)
+    check("reduction_agreement", gap, tol.eq_tol, PqsysError,
+          f"transfer changed under state reduction at lambda={lam:.3f}: {gap:.3e}")
+    return out
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from .errors import (
     PolarPoint,
     PqsysError,
     SingularResolvent,
+    check,
 )
 from .opcore import DEFAULT_TOL, DefectData, Tolerances, as_matrix, norm_at_most, operator_norm, psd_sqrt
 from .param import ContractionParams
@@ -75,10 +76,21 @@ def theta_eval(tau: PartitionedContraction, lam: complex, tol: Tolerances = DEFA
     return tau.D + lam * ((sd.CV * _inverse_diag(1.0 - lam * sd.t)) @ sd.VB)
 
 
+def grid_gap(f, g, points: Sequence[complex], tol: Tolerances = DEFAULT_TOL) -> tuple[float, complex]:
+    """The largest ||f(lambda) - g(lambda)||_2 over the (nonempty) points, and
+    the first point where it is attained; f and g are anything `theta_sampler` takes."""
+    f, g = theta_sampler(f, tol), theta_sampler(g, tol)
+    gaps = [operator_norm(f(lam) - g(lam)) for lam in points]
+    k = int(np.argmax(gaps))
+    return gaps[k], points[k]
+
+
 def theta_sampler(source, tol: Tolerances = DEFAULT_TOL) -> Callable[[complex], np.ndarray]:
-    """Normalize a system or a callable into a function lambda -> matrix."""
+    """Normalize a system, atomic data or a callable into a function lambda -> matrix."""
     if isinstance(source, PartitionedContraction):
         return lambda lam: theta_eval(source, lam, tol)
+    if isinstance(source, SqsFunctionData):
+        return lambda lam: theta_from_data(source, lam)
     if callable(source):
         return source
     raise TypeError(f"cannot sample a transfer function from {type(source)!r}")
@@ -226,13 +238,12 @@ def boundary_values(p: ContractionParams, tol: Tolerances = DEFAULT_TOL) -> tupl
     theta_m1 = -kk + const
     if operator_norm(p.A) < 0.99:
         eps = 1e-6
-        for sign, target in ((1.0, theta1), (-1.0, theta_m1)):
+        for name, sign, target in (("boundary_plus_one", 1.0, theta1),
+                                   ("boundary_minus_one", -1.0, theta_m1)):
             t1 = theta_factored(p, sign * (1 - eps), tol)
             t2 = theta_factored(p, sign * (1 - 2 * eps), tol)
-            extrap = 2 * t1 - t2
-            gap = operator_norm(extrap - target)
-            if gap > 1e-4:
-                raise PqsysError(f"boundary value at {sign:+.0f} off by {gap:.3e}")
+            gap = operator_norm(2 * t1 - t2 - target)
+            check(name, gap, 1e-4, PqsysError, f"boundary value at {sign:+.0f} off by {gap:.3e}")
     return theta1, theta_m1
 
 
@@ -417,7 +428,7 @@ def sqs_membership(f: SqsFunctionData, tol: Tolerances = DEFAULT_TOL) -> Members
     delta = f.theta0 - center
     X = r_half_pinv @ delta @ r_half_pinv
     x_norm = operator_norm(X)
-    x_ok = x_norm <= 1.0 + tol.psd_tol
+    x_ok = x_norm - 1.0 <= tol.psd_tol
     if not x_ok:
         reasons.append(f"ball parameter has norm {x_norm:.12f}")
 

@@ -1,12 +1,13 @@
 """End-to-end runs of the command-line front end."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import pqsys
-from pqsys import _json, opcore, sysmodel
+from pqsys import _json, errors, opcore, sysmodel
 from pqsys.cli import main
 
 from helpers import rand_atoms, rand_contraction, rand_pqs_T, rand_unitary
@@ -203,7 +204,8 @@ def test_dilate_writes_conservative_system(tmp_path, rng):
                  "--report", str(report)])
     assert code == 0
     rep = read_json(report)
-    assert {c["name"] for c in rep["checks"]} == {"block_unitarity", "grid_unitarity", "corner_match"}
+    # the library's checks are reported too
+    assert {"block_unitarity", "grid_unitarity", "corner_match"} <= {c["name"] for c in rep["checks"]}
     assert all(c["pass"] for c in rep["checks"])
     big = _json.system_from_json(read_json(out))
     flags = pqsys.classify(big)
@@ -366,3 +368,137 @@ def test_report_records_the_seed(tmp_path, rng, outcome):
     rep = _report_of(tmp_path, rng, outcome)
     assert rep["seed"] == 1234
     assert ("error" in rep) == (outcome == "malformed")
+    assert rep["version"] == pqsys.__version__
+    assert rep["tolerances"] == dataclasses.asdict(opcore.DEFAULT_TOL)
+
+
+def test_report_records_the_tolerance_overrides(tmp_path, rng):
+    f = write_member_measure(tmp_path / "m.json", rng, n=2)
+    write_system(tmp_path / "sys.json", pqsys.realize_from_data(f))
+    report = tmp_path / "rep.json"
+    assert main(["classify", str(tmp_path / "sys.json"), "--tol", "eq_tol=1e-8",
+                 "--report", str(report)]) == 0
+    assert read_json(report)["tolerances"] == dataclasses.asdict(opcore.Tolerances(eq_tol=1e-8))
+
+
+def test_realize_keeps_every_reject_reason(tmp_path):
+    # the ball parameter is diag(0, 3) and Theta(0) leaves the ball range by 0.5
+    f = pqsys.SqsFunctionData(np.diag([0.5, 3.0]), ((0.0, np.diag([1.0, 0.0])),))
+    _json.dump(_json.measure_to_json(f), str(tmp_path / "m.json"))
+    report = tmp_path / "rep.json"
+    assert main(["realize", str(tmp_path / "m.json"), "--report", str(report)]) == 1
+    rep = read_json(report)
+    reasons = rep["info"]["reject_reason"]
+    assert len(reasons) == 2
+    assert "ball parameter has norm 3" in reasons[0] and "ball range by 5.000e-01" in reasons[1]
+    failed = {c["name"] for c in rep["checks"] if not c["pass"]}
+    assert failed == {"membership_ball", "membership_range"}
+    assert "error" not in rep
+
+
+def test_ledger_records_only_while_open():
+    errors.check("outside", 1.0, 2.0)
+    with errors.ledger() as outer:
+        with errors.ledger() as inner:
+            errors.check("inner", 0.5, 1.0)
+        with pytest.raises(pqsys.NotInner, match="off by 2"):
+            errors.check("outer", 2.0, 1.0, pqsys.NotInner, "off by 2")
+    assert inner == [{"name": "inner", "pass": True, "residual": 0.5, "bound": 1.0}]
+    assert outer == [{"name": "outer", "pass": False, "residual": 2.0, "bound": 1.0}]
+    assert errors._LEDGER.get() is None
+
+
+# The command's own check names, which every report of it keeps, and one
+# library self-check of it, made to fail by a patch.
+LEDGER_CASES = {
+    "realize": ({"membership_mass", "membership_ball", "membership_range", "grid_agreement"},
+                "grid_agreement"),
+    "classify": (set(), "eigh_residual"),
+    "eval_theta": ({"schur_bound"}, "eigh_residual"),
+    "eval_char": ({"circle_unitarity"}, "eigh_residual"),
+    "jacobi": ({"contraction"}, "moment_recurrence"),
+    "dilate": ({"block_unitarity", "grid_unitarity", "corner_match"}, "block_unitarity"),
+    "similar": ({"unitarity", "main", "input", "output"}, "transfer_agreement"),
+}
+
+
+def _ledger_argv(tmp_path, rng, case, mismatched=False):
+    """argv of one command on small inputs; mismatched gives `similar` two
+    different transfer functions."""
+    f = write_member_measure(tmp_path / "m.json", rng, n=2)
+    tau = pqsys.realize_from_data(f)
+    write_system(tmp_path / "sys.json", tau)
+    # a dense, not bitwise Hermitian A takes the checked eigh
+    dense = pqsys.PartitionedContraction(rand_pqs_T(rng, 2, 6), 2, 2, 6)
+    write_system(tmp_path / "dense.json", dense)
+    if mismatched:
+        twin = pqsys.realize_from_data(write_member_measure(tmp_path / "m2.json", rng, n=2))
+    else:
+        twin = pqsys.PartitionedContraction(
+            oracles.conjugate_system(tau.T, 2, 2, rand_unitary(rng, tau.state_dim)), 2, 2, tau.state_dim)
+    write_system(tmp_path / "twin.json", twin)
+    write_member_measure(tmp_path / "scalar.json", rng, m=4, n=1)
+    return {
+        "realize": ["realize", str(tmp_path / "m.json")],
+        "classify": ["classify", str(tmp_path / "dense.json")],
+        "eval_theta": ["eval", str(tmp_path / "dense.json"), "--grid", "disk:4"],
+        "eval_char": ["eval", str(tmp_path / "dense.json"), "--func", "char", "--grid", "circle:4"],
+        "jacobi": ["jacobi", str(tmp_path / "scalar.json")],
+        "dilate": ["dilate", str(tmp_path / "sys.json")],
+        "similar": ["similar", str(tmp_path / "sys.json"), str(tmp_path / "twin.json")],
+    }[case]
+
+
+def _counted(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+@pytest.mark.parametrize("case", list(LEDGER_CASES))
+def test_report_lists_every_check_with_its_bound(tmp_path, rng, monkeypatch, case):
+    argv = _ledger_argv(tmp_path, rng, case)
+    calls = {}
+    monkeypatch.setattr(pqsys.transfer, "theta_from_data",
+                        _counted(calls, "theta_from_data", pqsys.transfer.theta_from_data))
+    monkeypatch.setattr(pqsys.transfer, "sqs_membership",
+                        _counted(calls, "sqs_membership", pqsys.transfer.sqs_membership))
+    report = tmp_path / "rep.json"
+    assert main(argv + ["--report", str(report)]) == 0
+    checks = read_json(report)["checks"]
+    assert checks
+    for c in checks:
+        assert set(c) == {"name", "pass", "residual", "bound"}
+        assert c["pass"] and c["residual"] <= c["bound"]
+    names = {c["name"] for c in checks}
+    assert LEDGER_CASES[case][0] <= names
+    assert LEDGER_CASES[case][1] in names
+    if case == "realize":
+        # one membership test and one 20-point grid, both in the library
+        assert calls == {"sqs_membership": 1, "theta_from_data": 20}
+
+
+@pytest.mark.parametrize("case", list(LEDGER_CASES))
+def test_failed_library_check_is_reported(tmp_path, rng, monkeypatch, case):
+    argv = _ledger_argv(tmp_path, rng, case, mismatched=True)
+    name = LEDGER_CASES[case][1]
+    if name == "grid_agreement":
+        theta = pqsys.transfer.theta_from_data
+        monkeypatch.setattr(pqsys.transfer, "theta_from_data", lambda f, lam: theta(f, lam) + 1e-3)
+    elif name == "eigh_residual":
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda H: (eigh(H)[0], eigh(H)[1] + 1e-8))
+    elif name == "moment_recurrence":
+        recurrence = pqsys.realize._moment_recurrence
+        monkeypatch.setattr(pqsys.realize, "_moment_recurrence",
+                            lambda m, c: ([a + 1e-3 for a in recurrence(m, c)[0]], recurrence(m, c)[1]))
+    elif name == "block_unitarity":
+        corner = pqsys.realize._dil_theta
+        monkeypatch.setattr(pqsys.realize, "_dil_theta", lambda p, lam: corner(p, lam) + 1e-3)
+    report = tmp_path / "rep.json"
+    assert main(argv + ["--report", str(report)]) == 1
+    rep = read_json(report)
+    assert rep["error"]["exit_code"] == 1
+    assert [c["pass"] for c in rep["checks"] if c["name"] == name] == [False]
+    assert errors._LEDGER.get() is None  # closed on the failure path too

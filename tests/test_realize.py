@@ -333,6 +333,11 @@ def test_unitary_similarity_recovers_conjugation():
         tau2 = make_system(T2, 2, 2, tau1.state_dim)
         res = pqsys.unitary_similarity(tau1, tau2)
         assert all(v < 1e-8 for v in res.residuals.values()), res.residuals
+        # one SVD of U against the two Gram products
+        eye = np.eye(res.U.shape[0])
+        products = max(np.linalg.norm(res.U.conj().T @ res.U - eye, 2),
+                       np.linalg.norm(res.U @ res.U.conj().T - eye, 2))
+        assert abs(res.residuals["unitarity"] - products) < 1e-12
         # intertwining: U A1 = A2 U and U B1 = B2
         assert np.linalg.norm(res.U @ tau1.A - tau2.A @ res.U) < 1e-8
         assert np.linalg.norm(res.U @ tau1.B - tau2.B) < 1e-8

@@ -202,13 +202,19 @@ def test_inner_test_defects_match_the_products():
     ]
     for tau in systems:
         rep = pqsys.inner_test(tau)
-        d, c = _inner_defects_by_products([pqsys.theta_eval(tau, z) for z in circle])
+        values = [pqsys.theta_eval(tau, z) for z in circle]
+        d, c = _inner_defects_by_products(values)
         assert abs(rep.max_defect - d) < 1e-12 and abs(rep.max_codefect - c) < 1e-12
+        # the rule of the CLI's circle/grid unitarity and the canonical-form checks
+        assert abs(max(pqsys.opcore.isometry_defect(v) for v in values) - d) < 1e-12
     # a 2 x 3 isometry-like sampler: inner fails on the padded zero, co-inner holds
     V = rand_unitary(rng, 3)[:2]
     rep = pqsys.inner_test(lambda lam: lam * V)
     assert (rep.inner, rep.coinner) == (False, True)
     assert rep.max_defect == 1.0 and rep.max_codefect < 1e-14
+    for X in (V, V.conj().T, rand_contraction(rng, 4, 4), np.zeros((0, 3))):
+        ref = np.linalg.norm(np.eye(X.shape[1]) - X.conj().T @ X, 2) if X.size else 1.0
+        assert abs(pqsys.opcore.isometry_defect(X) - ref) < 1e-12
 
 
 def test_inner_pm1_conditions():
