@@ -26,7 +26,7 @@ print("system flags:", flags)
 
 p = pqsys.parametrize(tau)
 print("\nmain operator A has defect dimensions",
-      p.E_DA.shape[1], "(forward) and", p.E_DAs.shape[1], "(adjoint)")
+      p.defects.E_A.shape[1], "(forward) and", p.defects.E_As.shape[1], "(adjoint)")
 print("parameter norms:",
       f"M {pqsys.operator_norm(p.M):.4f},",
       f"K {pqsys.operator_norm(p.K):.4f},",

@@ -173,11 +173,11 @@ def _sqrt_psd_eigs(w: np.ndarray, tol: Tolerances) -> np.ndarray:
     return np.sqrt(np.where(w < tol.psd_tol, 0.0, w))
 
 
-def _defect_values(s: np.ndarray, n: int, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """sqrt(1 - s^2) for the singular values (or eigenvalues) s, clamped and
-    checked by the `psd_sqrt` rule and padded with ones to n entries, and the
-    mask of those the `range_basis` rank rule keeps, d > rank_tol * max d."""
-    d = np.append(_sqrt_psd_eigs(1.0 - s * s, tol), np.ones(n - s.size))
+def _defect_values(sq: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(sq) for the eigenvalues sq of a defect square such as I - X*X,
+    clamped and checked by the `psd_sqrt` rule, and the mask of those the
+    `range_basis` rank rule keeps, d > rank_tol * max d."""
+    d = _sqrt_psd_eigs(sq, tol)
     return d, d > tol.rank_tol * d.max(initial=0.0)
 
 
@@ -320,56 +320,61 @@ def defect_basis(A, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
 
 
 class DefectData(NamedTuple):
-    """Defect operators of A and A* with orthonormal range bases.
+    """Defect operators of A and A* with orthonormal range bases and the
+    defect values along them: D_A E_A = E_A diag(d_A), likewise for A*.
 
     For normal A the two defect operators coincide; in that case the very
-    same matrix and basis are reused on both sides, so that operators
-    between the two defect spaces are expressed in one coherent basis.
-    For selfadjoint A the shared basis consists of eigenvectors of A, and
-    `t` holds their eigenvalues, column by column; otherwise `t` is None
-    and the bases are right (E_A) and left (E_As) singular vectors of A.
+    same data are reused on both sides, so that operators between the two
+    defect spaces are expressed in one coherent basis.  For selfadjoint A
+    the shared basis consists of eigenvectors of A, and `t` holds their
+    eigenvalues, column by column; otherwise `t` is None and the bases are
+    right (E_A) and left (E_As) singular vectors of A.
     """
 
     DA: np.ndarray       # (I - A*A)^{1/2} on the domain
     DAs: np.ndarray      # (I - AA*)^{1/2} on the codomain
     E_A: np.ndarray      # columns: orthonormal basis of ran D_A
     E_As: np.ndarray     # columns: orthonormal basis of ran D_{A*}
+    d_A: np.ndarray      # sqrt(1 - s^2) (or sqrt(1 - t^2)) along E_A
+    d_As: np.ndarray     # the same along E_As
     t: np.ndarray | None = None
 
     def adjoint(self) -> "DefectData":
         """The defect data of A*, in the same bases."""
-        return DefectData(self.DAs, self.DA, self.E_As, self.E_A, self.t)
+        return DefectData(self.DAs, self.DA, self.E_As, self.E_A, self.d_As, self.d_A, self.t)
 
 
-def _svd_defects(X, tol: Tolerances, contraction: bool = False, basis: bool = False,
+def _svd_defects(X, tol: Tolerances, contraction: bool = False, basis: bool | str = False,
                  adjoint: bool = False) -> DefectData:
     """Defect data of X from one SVD X = U diag(s) W*, d = sqrt(1 - s^2) by
     `_defect_values`: D_X = W diag(d) W*, with adjoint D_{X*} = U diag(d) U*,
-    with basis the singular vectors that rule keeps (else None).  The SVD is
-    thin unless a basis needs the vectors it omits; where vectors outnumber s
-    the defect is I + W diag(d - 1) W*.  An isometric X gets an exactly zero
-    defect.  With contraction, NotAContraction comes first if max s > 1 + rank_tol."""
+    with basis the singular vectors that rule keeps and their d (else None),
+    for D_X alone when basis is "domain".  The SVD is thin unless a basis
+    needs the vectors it omits; where vectors outnumber s the defect is
+    I + W diag(d - 1) W*.  An isometric X gets an exactly zero defect.  With
+    contraction, NotAContraction comes first if max s > 1 + rank_tol."""
     X = as_matrix(X)
     rows, cols = X.shape
-    U, s, Wh = np.linalg.svd(X, full_matrices=basis and (rows < cols or (adjoint and rows > cols)))
+    both = adjoint and basis is True
+    U, s, Wh = np.linalg.svd(X, full_matrices=bool(basis) and (rows < cols or (both and rows > cols)))
     if contraction:
         _require_contraction(s.max(initial=0.0), tol)
-    D, E = _defect_side(Wh.conj().T, s, cols, tol, basis)
-    Ds, Es = _defect_side(U, s, rows, tol, basis) if adjoint else (None, None)
-    return DefectData(D, Ds, E, Es)
+    D, E, d = _defect_side(Wh.conj().T, s, cols, tol, bool(basis))
+    Ds, Es, ds = _defect_side(U, s, rows, tol, both) if adjoint else (None, None, None)
+    return DefectData(D, Ds, E, Es, d, ds)
 
 
 def _defect_side(Q: np.ndarray, s: np.ndarray, n: int, tol: Tolerances, basis: bool):
     """The defect on C^n from the singular vectors Q of one side, and its range
-    basis when asked for (Q then holds all n vectors)."""
-    d, keep = _defect_values(s, Q.shape[1], tol)
+    basis and defect values when asked for (Q then holds all n vectors)."""
+    d, keep = _defect_values(np.append(1.0 - s * s, np.ones(Q.shape[1] - s.size)), tol)
     if s.size == n:
         D = (Q * d) @ Q.conj().T
     else:
         Qs = Q[:, :s.size]
         D = (Qs * (d[:s.size] - 1.0)) @ Qs.conj().T
         D[np.diag_indices(n)] += 1.0
-    return D, Q[:, keep] if basis else None
+    return (D, Q[:, keep], d[keep]) if basis else (D, None, None)
 
 
 _EIGH_ROUNDING = 10  # see `hermitian_eigh`
@@ -411,17 +416,17 @@ def hermitian_eigh(A, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.nda
 
 
 def defect_data(A, tol: Tolerances = DEFAULT_TOL) -> DefectData:
-    """D_A, D_{A*} and their range bases: from the one `eigh` of a selfadjoint
-    A (`hermitian_defect_data`), else from one SVD A = U diag(s) W*
+    """D_A, D_{A*}, their range bases and values: from the one `eigh` of a
+    selfadjoint A (`hermitian_defect_data`), else from one SVD A = U diag(s) W*
     (`_svd_defects`), D_A = W diag(d) W* and D_{A*} = U diag(d) U*.  When the
-    two defects agree to eq_tol, D_A and its basis serve both sides."""
+    two defects agree to eq_tol, the data of D_A serve both sides."""
     A = as_matrix(A)
     eig = hermitian_eigh(A, tol)
     if eig is not None:
         return hermitian_defect_data(*eig, tol)
     dd = _svd_defects(A, tol, contraction=True, basis=True, adjoint=True)
     if dd.DA.shape == dd.DAs.shape and norm_at_most(dd.DA - dd.DAs, tol.eq_tol):
-        return DefectData(dd.DA, dd.DA, dd.E_A, dd.E_A)
+        return DefectData(dd.DA, dd.DA, dd.E_A, dd.E_A, dd.d_A, dd.d_A)
     return dd
 
 
@@ -430,7 +435,7 @@ def hermitian_defect(t: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[np.n
     slice of t with nonzero defect, by the contraction, clamping and rank
     rules of `_svd_defects` on the exact eigenvalues."""
     _require_contraction(np.abs(t).max(initial=0.0), tol)
-    d, keep = _defect_values(t, t.size, tol)
+    d, keep = _defect_values(1.0 - t * t, tol)
     # 1 - t^2 is unimodal in the ascending t, so the kept eigenvalues are contiguous
     keep = np.flatnonzero(keep)
     return d, slice(keep[0], keep[-1] + 1) if keep.size else slice(0, 0)
@@ -438,8 +443,8 @@ def hermitian_defect(t: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[np.n
 
 def hermitian_defect_data(t: np.ndarray, V: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> DefectData:
     """D_A = D_{A*} = V diag(sqrt(1 - t^2)) V* from A = V diag(t) V*, with the
-    eigenvectors of nonzero defect (`hermitian_defect`) as the shared range
-    basis."""
+    eigenvectors of nonzero defect (`hermitian_defect`) and their values as
+    the shared range basis and defect values."""
     d, cols = hermitian_defect(t, tol)
     # V d V* formed as conj(conj(V d) V^T), which needs no conjugated copy of V
     W = V * d
@@ -447,7 +452,7 @@ def hermitian_defect_data(t: np.ndarray, V: np.ndarray, tol: Tolerances = DEFAUL
     DA = W @ V.T
     del W
     np.conj(DA, out=DA)
-    return DefectData(DA, DA, V[:, cols], V[:, cols], t[cols])
+    return DefectData(DA, DA, V[:, cols], V[:, cols], d[cols], d[cols], t[cols])
 
 
 def is_strict_contraction(A, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -32,38 +32,29 @@ class ContractionParams:
     dA = dim D_A etc.:
 
         A : k x h        ambient
-        M : dAs x m      in the basis E_DAs of D_{A*}
-        K : n x dA       in the basis E_DA of D_A
+        M : dAs x m      in the basis defects.E_As of D_{A*}
+        K : n x dA       in the basis defects.E_A of D_A
         X : dKs x dM     between the bases E_DM, E_DKs
 
-    DA/DAs are ambient defect operators of A; DM/DKs are the ambient
-    defect operators of M (on M) and K* (on N); DK, DMs, DX, DXs are the
-    remaining defect operators, expressed in the small bases.  For
-    selfadjoint A, t holds the eigenvalues of A along the columns of
-    E_DA = E_DAs (see `opcore.DefectData`); otherwise it is None.
+    `defects` is the `opcore.DefectData` of A (for selfadjoint A its t holds
+    the eigenvalues along the shared eigenvector basis); DM/DKs are the
+    ambient defect operators of M (on M) and K* (on N); DK, DMs, DX, DXs are
+    the remaining defect operators, expressed in the small bases.
     """
 
     A: np.ndarray
     M: np.ndarray
     K: np.ndarray
     X: np.ndarray
-    E_DA: np.ndarray
-    E_DAs: np.ndarray
+    defects: opcore.DefectData
     E_DM: np.ndarray
     E_DKs: np.ndarray
-    DA: np.ndarray
-    DAs: np.ndarray
     DM: np.ndarray
     DKs: np.ndarray
     DK: np.ndarray
     DMs: np.ndarray
     DX: np.ndarray
     DXs: np.ndarray
-    t: np.ndarray | None = None
-
-    @property
-    def defects(self) -> opcore.DefectData:
-        return opcore.DefectData(self.DA, self.DAs, self.E_DA, self.E_DAs, self.t)
 
     @property
     def in_dim(self) -> int:
@@ -76,11 +67,11 @@ class ContractionParams:
     # ambient embeddings used throughout assembly and evaluation
     @property
     def M_ambient(self) -> np.ndarray:
-        return self.E_DAs @ self.M
+        return self.defects.E_As @ self.M
 
     @property
     def K_ambient(self) -> np.ndarray:
-        return self.K @ self.E_DA.conj().T
+        return self.K @ self.defects.E_A.conj().T
 
     @property
     def X_ambient(self) -> np.ndarray:
@@ -106,8 +97,8 @@ def make_params(A, M, K, X, tol: Tolerances = DEFAULT_TOL) -> ContractionParams:
         if operator_norm(val) > 1.0 + tol.rank_tol:
             raise NotAContraction(f"parameter {name} has norm {operator_norm(val):.12f}")
 
-    def given_X(DM, DKs, E_DM, E_DKs):
-        shape = (E_DKs.shape[1], E_DM.shape[1])
+    def given_X(dm, dks):
+        shape = (dks.E_A.shape[1], dm.E_A.shape[1])
         Xm = as_matrix(X) if X is not None else np.zeros(shape, dtype=complex)
         if Xm.shape != shape:
             raise DimensionMismatch(f"X has shape {Xm.shape}, defect bases want {shape}")
@@ -121,19 +112,17 @@ def make_params(A, M, K, X, tol: Tolerances = DEFAULT_TOL) -> ContractionParams:
 def _complete(A, M, K, dd: opcore.DefectData, make_X, tol: Tolerances) -> ContractionParams:
     """ContractionParams from A, its defect data and the parameters M, K.
 
-    Builds D_M, D_{K*} and their range bases (each pair from one SVD), asks
-    make_X(DM, DKs, E_DM, E_DKs) for X in those bases, and adds the defects
-    of K, M*, X and X*."""
-    cd = opcore.contraction_defect
-    dm = opcore._svd_defects(M, tol, basis=True)
-    dks = opcore._svd_defects(K.conj().T, tol, basis=True)
-    X = make_X(dm.DA, dks.DA, dm.E_A, dks.E_A)
+    One SVD of M gives D_M (with basis and values) and D_{M*}, one of K*
+    gives D_{K*} and D_K, make_X(dm, dks) returns X in the bases of these two
+    defect data, and one SVD of X gives D_X and D_{X*}."""
+    dm = opcore._svd_defects(M, tol, basis="domain", adjoint=True)
+    dks = opcore._svd_defects(K.conj().T, tol, basis="domain", adjoint=True)
+    X = make_X(dm, dks)
+    dx = opcore._svd_defects(X, tol, adjoint=True)
     return ContractionParams(
-        A=A, M=M, K=K, X=X,
-        E_DA=dd.E_A, E_DAs=dd.E_As, E_DM=dm.E_A, E_DKs=dks.E_A,
-        DA=dd.DA, DAs=dd.DAs, DM=dm.DA, DKs=dks.DA,
-        DK=cd(K, tol), DMs=cd(M.conj().T, tol), DX=cd(X, tol), DXs=cd(X.conj().T, tol),
-        t=dd.t,
+        A=A, M=M, K=K, X=X, defects=dd,
+        E_DM=dm.E_A, E_DKs=dks.E_A, DM=dm.DA, DKs=dks.DA,
+        DK=dks.DAs, DMs=dm.DAs, DX=dx.DA, DXs=dx.DAs,
     )
 
 
@@ -142,8 +131,8 @@ def _raw_block(p: ContractionParams) -> np.ndarray:
     Ma = p.M_ambient
     Ka = p.K_ambient
     D = -Ka @ p.A.conj().T @ Ma + p.DKs @ p.X_ambient @ p.DM
-    C = Ka @ p.DA
-    B = p.DAs @ Ma
+    C = Ka @ p.defects.DA
+    B = p.defects.DAs @ Ma
     top = np.hstack([D, C])
     bottom = np.hstack([B, p.A])
     return np.vstack([top, bottom])
@@ -163,11 +152,12 @@ def assemble(p: ContractionParams, tol: Tolerances = DEFAULT_TOL) -> Partitioned
 def parametrize(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> ContractionParams:
     """Recover (A, M, K, X) from a passive system.
 
-    The extraction solves B = D_{A*} M and C = K D_A by pseudoinverse and
-    projects onto the defect bases; a verification pass checks that the
-    defect equations are actually met, which fails exactly when T was not
-    a contraction to begin with (or is too close to the boundary for the
-    pseudoinverses to resolve).  A selfadjoint A takes its defect data
+    B = D_{A*} M, C = K D_A and D_{K*} X D_M = core are solved in the defect
+    bases, where each defect is diagonal (D_A E_A = E_A diag(d_A)): M =
+    (E_As* B) / d_As, K = (C E_A) / d_A, X = (E_DKs* core E_DM) / (d_Ks d_M*).
+    A verification pass checks that the defect equations are actually met,
+    which fails exactly when T was not a contraction to begin with (or is too
+    close to the boundary to resolve).  A selfadjoint A takes its defect data
     from the system's cached spectral factorization."""
     nrm = tau.norm()
     if nrm > 1.0 + tol.rank_tol:
@@ -176,31 +166,24 @@ def parametrize(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> C
     A, B, C, D = tau.A, tau.B, tau.C, tau.D
     sd = spectral_data(tau, tol)
     dd = opcore.hermitian_defect_data(sd.t, sd.V, tol) if sd is not None else opcore.defect_data(A, tol)
-    DA, DAs, E_DA, E_DAs = dd.DA, dd.DAs, dd.E_A, dd.E_As
 
-    if dd.t is None:
-        M = E_DAs.conj().T @ opcore.pinv(DAs, tol) @ B
-        K = C @ opcore.pinv(DA, tol) @ E_DA
-    else:
-        # D_A = D_{A*} = E diag(sqrt(1 - t^2)) E* on its range: the
-        # pseudoinverse solves are diagonal in the eigenvector basis
-        d = np.sqrt(1.0 - dd.t ** 2)
-        M = (B.conj().T @ E_DA).conj().T / d[:, None]
-        K = (C @ E_DA) / d
-    resid_b = operator_norm(DAs @ (E_DAs @ M) - B)
+    # E* B as (B* E)*, which needs no conjugated copy of the basis
+    M = (B.conj().T @ dd.E_As).conj().T / dd.d_As[:, None]
+    K = (C @ dd.E_A) / dd.d_A
+    resid_b = operator_norm(dd.DAs @ (dd.E_As @ M) - B)
     check("carried_B", resid_b, tol.eq_tol * scale, PqsysError,
           f"B is not carried by the defect of A*: residual {resid_b:.3e}")
-    resid_c = operator_norm((K @ E_DA.conj().T) @ DA - C)
+    resid_c = operator_norm((K @ dd.E_A.conj().T) @ dd.DA - C)
     check("carried_C", resid_c, tol.eq_tol * scale, PqsysError,
           f"C is not carried by the defect of A: residual {resid_c:.3e}")
     _check_recovered("M", M, tol)
     _check_recovered("K", K, tol)
 
-    def extract_X(DM, DKs, E_DM, E_DKs):
-        core = D + (K @ E_DA.conj().T) @ A.conj().T @ (E_DAs @ M)
-        X_ambient = opcore.pinv(DKs, tol) @ core @ opcore.pinv(DM, tol)
-        X = E_DKs.conj().T @ X_ambient @ E_DM
-        resid_d = operator_norm(DKs @ (E_DKs @ X @ E_DM.conj().T) @ DM - core)
+    def extract_X(dm, dks):
+        # K_amb A* M_amb as (A K_amb*)* M_amb: no conjugated copy of A
+        core = D + (A @ (dd.E_A @ K.conj().T)).conj().T @ (dd.E_As @ M)
+        X = (dks.E_A.conj().T @ core @ dm.E_A) / np.outer(dks.d_A, dm.d_A)
+        resid_d = operator_norm(dks.DA @ (dks.E_A @ X @ dm.E_A.conj().T) @ dm.DA - core)
         check("carried_D", resid_d, tol.eq_tol * scale, PqsysError,
               f"D block not reproduced by extracted X: residual {resid_d:.3e}")
         _check_recovered("X", X, tol)
@@ -235,8 +218,8 @@ def defect_balance(p: ContractionParams, h, f) -> tuple[float, float]:
     lhs = float(np.linalg.norm(vec) ** 2 - np.linalg.norm(T @ vec) ** 2)
 
     # D_A f - A* M h lands in the defect space of A; express it there
-    v_amb = p.DA @ f - p.A.conj().T @ (p.M_ambient @ h)
-    v = p.E_DA.conj().T @ v_amb
+    v_amb = p.defects.DA @ f - p.A.conj().T @ (p.M_ambient @ h)
+    v = p.defects.E_A.conj().T @ v_amb
     dm_h = p.E_DM.conj().T @ (p.DM @ h)
     term1 = p.DK @ v - p.K.conj().T @ (p.E_DKs @ (p.X @ dm_h))
     term2 = p.DX @ dm_h
@@ -247,10 +230,11 @@ def defect_balance(p: ContractionParams, h, f) -> tuple[float, float]:
 def isometry_conditions(p: ContractionParams, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, bool]:
     """T isometric iff D_X D_M = 0 and D_K D_A = 0;
     co-isometric iff D_{X*} D_{K*} = 0 and D_{M*} D_{A*} = 0."""
+    dd = p.defects
     dx_dm = p.DX @ p.E_DM.conj().T @ p.DM
-    dk_da = p.DK @ p.E_DA.conj().T @ p.DA
+    dk_da = p.DK @ dd.E_A.conj().T @ dd.DA
     iso = operator_norm(dx_dm) <= tol.eq_tol and operator_norm(dk_da) <= tol.eq_tol
     dxs_dks = p.DXs @ p.E_DKs.conj().T @ p.DKs
-    dms_das = p.DMs @ p.E_DAs.conj().T @ p.DAs
+    dms_das = p.DMs @ dd.E_As.conj().T @ dd.DAs
     coiso = operator_norm(dxs_dks) <= tol.eq_tol and operator_norm(dms_das) <= tol.eq_tol
     return iso, coiso

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import sysmodel, transfer
 from .errors import DegenerateGrid, NotPqs, SingularResolvent
-from .opcore import DEFAULT_TOL, Tolerances, as_matrix, operator_norm
+from .opcore import DEFAULT_TOL, Tolerances, as_matrix, herm_part, operator_norm
 from .sysmodel import PartitionedContraction
 
 
@@ -44,9 +44,10 @@ def q_eval(tau: PartitionedContraction, z: complex, tol: Tolerances = DEFAULT_TO
     return X[:n, :]
 
 
-def q_sampler(source) -> Callable[[complex], np.ndarray]:
+def q_sampler(source, tol: Tolerances = DEFAULT_TOL) -> Callable[[complex], np.ndarray]:
+    """Normalize a system or a callable into a function z -> Q(z)."""
     if isinstance(source, PartitionedContraction):
-        return lambda z: q_eval(source, z)
+        return lambda z: q_eval(source, z, tol)
     if callable(source):
         return source
     raise TypeError(f"cannot sample a resolvent compression from {type(source)!r}")
@@ -114,7 +115,7 @@ def q_class_kernel_check(q, F, z_points: Sequence[complex], tol: Tolerances = DE
     difference in the first argument.  Also searches a fixed probe set
     for a point where K2(z0, z0) differs from Q(z0)*Q(z0), the witness
     that the underlying operator has genuine state content."""
-    sample = q_sampler(q)
+    sample = q_sampler(q, tol)
     F = as_matrix(F)
     pts = [complex(z) for z in z_points]
     p = len(pts)
@@ -164,8 +165,8 @@ def q_class_kernel_check(q, F, z_points: Sequence[complex], tol: Tolerances = DE
         for j in range(p):
             G2[i * n:(i + 1) * n, j * n:(j + 1) * n] = k2_entry(i, j)
             G3[i * n:(i + 1) * n, j * n:(j + 1) * n] = k3_entry(i, j)
-    s2 = float(np.linalg.eigvalsh((G2 + G2.conj().T) / 2).min())
-    s3 = float(np.linalg.eigvalsh((G3 + G3.conj().T) / 2).min())
+    s2 = float(np.linalg.eigvalsh(herm_part(G2)).min())
+    s3 = float(np.linalg.eigvalsh(herm_part(G3)).min())
 
     witness = False
     where = None

@@ -36,29 +36,26 @@ from .sysmodel import PartitionedContraction
 from .transfer import SqsFunctionData, theta_eval
 
 
-def _merge_atoms(f: SqsFunctionData, tol: Tolerances):
-    """Group atoms at coinciding locations and drop negligible weights."""
+def _merge_atoms(f: SqsFunctionData):
+    """Group atoms at coinciding locations, summing their weights."""
     groups: list[list] = []
     for t, sigma in sorted(f.atoms, key=lambda a: a[0]):
         if groups and abs(t - groups[-1][0]) <= 1e-12:
             groups[-1][1] = groups[-1][1] + sigma
         else:
             groups.append([t, sigma.copy()])
-    kept = []
-    for t, sigma in groups:
-        if operator_norm(sigma) > tol.rank_tol:
-            kept.append((t, sigma))
-    return kept
+    return groups
 
 
 def realize_from_data(f: SqsFunctionData, tol: Tolerances = DEFAULT_TOL) -> PartitionedContraction:
     """Minimal passive quasi-selfadjoint system whose transfer function is
     theta0 + W(lambda) for the given atomic data.
 
-    The state space is assembled atom by atom: each weight is factored as
-    Sigma_k = L_k L_k* through its eigendecomposition with small
-    eigenvalues truncated, the main operator is t_k times the identity on
-    each factor range, and the channel operator stacks the factors."""
+    The state space is assembled atom by atom: each weight is factored once,
+    as Sigma_k = L_k L_k* through its eigendecomposition with small
+    eigenvalues truncated (and dropped when max|w| <= rank_tol), the main
+    operator is t_k times the identity on each factor range, and the
+    channel operator stacks the factors."""
     mem = transfer.sqs_membership(f, tol)
     # recorded, not raised: NotInSqs below carries every failing reason
     check("membership_mass", max(mem.sigma_total_excess, 0.0), tol.psd_tol)
@@ -68,19 +65,16 @@ def realize_from_data(f: SqsFunctionData, tol: Tolerances = DEFAULT_TOL) -> Part
     if not mem.member:
         raise NotInSqs("; ".join(mem.reasons), mem.reasons)
     n = f.dim
-    blocks = []
+    nodes = []
     factors = []
-    for t, sigma in _merge_atoms(f, tol):
-        w, V = np.linalg.eigh((sigma + sigma.conj().T) / 2)
-        keep = w > tol.rank_tol * max(w.max(), 1e-300)
-        r = int(np.count_nonzero(keep))
-        if r == 0:
-            continue
-        L = V[:, keep] * np.sqrt(w[keep])
-        blocks.append((t, r))
-        factors.append(L)
-    s = sum(r for _, r in blocks)
-    diag = np.concatenate([np.full(r, t) for t, r in blocks]) if s else np.zeros(0)
+    for t, sigma in _merge_atoms(f):
+        w, V = np.linalg.eigh(opcore.herm_part(sigma))
+        keep = w > tol.rank_tol * max(w.max(initial=0.0), 1e-300)
+        if np.abs(w).max(initial=0.0) > tol.rank_tol and keep.any():
+            factors.append(V[:, keep] * np.sqrt(w[keep]))
+            nodes.append(np.full(factors[-1].shape[1], t))
+    diag = np.concatenate(nodes) if nodes else np.zeros(0)
+    s = diag.size
     K_amb = np.hstack(factors) if factors else np.zeros((n, 0), dtype=complex)
     # B = D_A K* and T are formed with no s x s temporaries for A and D_A
     B = np.sqrt(1.0 - diag ** 2).astype(complex)[:, None] * K_amb.conj().T
@@ -154,25 +148,28 @@ def inner_canonical_form(tau: PartitionedContraction, tol: Tolerances = DEFAULT_
     rep = transfer.inner_test(tau, tol=tol)
     if not rep.inner:
         raise NotInner(f"transfer function is not inner (defect {rep.max_defect:.3e})")
-    # E_DA is the cached eigenbasis of A: K maps it onto the columns of W = K
+    # the defect basis is the cached eigenbasis of A: K maps it onto the columns of W = K
     p = parametrize(tau, tol)
     s = tau.state_dim
-    if p.E_DA.shape[1] != s:
+    if p.defects.E_A.shape[1] != s:
         raise NotInner("defect space of the main operator does not fill the state space")
     W = p.K
-    check("channel_isometry", opcore.isometry_defect(W), 10 * tol.eq_tol, NotInner,
+    # one full SVD of W: ||I - W*W||, and ker W* by the rule of `opcore.kernel_basis`
+    U, sv, _ = np.linalg.svd(W)
+    check("channel_isometry", opcore.gram_defect(sv, s), 10 * tol.eq_tol, NotInner,
           "channel operator is not isometric")
-    W_perp = opcore.kernel_basis(W.conj().T, tol).basis
+    W_perp = U[:, np.count_nonzero(sv > tol.rank_tol * sv.max(initial=0.0)):]
     X = W_perp.conj().T @ tau.D @ W_perp
     check("constant_unitarity", opcore.isometry_defect(X), 10 * tol.eq_tol, NotInner,
           "constant block is not unitary")
     # Theta rebuilt in the basis [W, W_perp] as diag(Blaschke factors) (+) X
     const = W_perp @ X @ W_perp.conj().T
-    gap, _ = transfer.grid_gap(lambda lam: (W * blaschke(p.t, lam)) @ W.conj().T + const, tau,
+    t = p.defects.t
+    gap, _ = transfer.grid_gap(lambda lam: (W * blaschke(t, lam)) @ W.conj().T + const, tau,
                                0.6 * np.exp(2j * np.pi * (np.arange(8) + 0.37) / 8), tol)
     check("canonical_reconstruction", gap, 10 * tol.eq_tol, PqsysError,
           f"canonical reconstruction off by {gap:.3e}")
-    return CanonicalInner(tuple(float(a) for a in p.t), X, np.hstack([W, W_perp]))
+    return CanonicalInner(tuple(float(a) for a in t), X, np.hstack([W, W_perp]))
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +249,8 @@ def biinner_dilation(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL)
     if not flags.pqs:
         raise NotPqs("dilation applies to passive quasi-selfadjoint systems")
     p = parametrize(tau, tol)
-    E_DK = opcore.range_basis(p.DK, tol).basis
+    dd = p.defects
+    E_DK = opcore._svd_defects(p.K, tol, basis=True).E_A
     s = tau.state_dim
     n = tau.out_dim
     dk = E_DK.shape[1]
@@ -262,14 +260,18 @@ def biinner_dilation(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL)
         [_dil_theta(p, 0.0), _dil_theta12(p, E_DK, 0.0)],
         [_dil_theta21(p, E_DK, 0.0), _dil_theta22(p, E_DK, 0.0)],
     ])
+    DE = dd.E_A * dd.d_A  # D_A E_A
     B_big = np.hstack([
-        p.DA @ p.E_DA @ p.K.conj().T,
-        p.DA @ p.E_DA @ p.DK @ E_DK,
+        DE @ p.K.conj().T,
+        DE @ p.DK @ E_DK,
         np.zeros((s, dks), dtype=complex),
     ])
     v = n + dk + dks
     T = np.block([[bigD, B_big.conj().T], [B_big, p.A]])
     system = PartitionedContraction(T, v, v, s)
+    # the enlarged system has the same main operator: it shares tau's factorization
+    sd = sysmodel.spectral_data(tau, tol)
+    system.cached("spectral", tol, lambda: sysmodel._spectral_parts(system, sd.t, sd.V))
 
     # ||T*T - I|| from the singular values classify reads too
     resid = opcore.gram_defect(system.singular_values(), v + s)
@@ -336,18 +338,18 @@ class JacobiRealization:
         return PartitionedContraction(self.matrix(), 1, 1, self.length)
 
 
-def _lanczos(A: np.ndarray, start: np.ndarray, max_len: int, tol: Tolerances):
-    """Hermitian Lanczos with twofold full reorthogonalization."""
+def _lanczos(t: np.ndarray, start: np.ndarray, max_len: int, tol: Tolerances):
+    """Lanczos on diag(t) with twofold full reorthogonalization."""
     alphas = []
     betas = []
-    V = np.zeros((A.shape[0], 0), dtype=complex)
+    Q = np.empty((t.size, max_len), order="F")
     v = start / np.linalg.norm(start)
-    for _ in range(max_len):
-        V = np.hstack([V, v.reshape(-1, 1)])
-        w = A @ v
-        alphas.append(float(np.real(np.vdot(v, w))))
+    for k in range(max_len):
+        Q[:, k] = v
+        w = t * v
+        alphas.append(float(v @ w))
         for _ in range(2):
-            w = w - V @ (V.conj().T @ w)
+            w = w - Q[:, :k + 1] @ (w @ Q[:, :k + 1])
         beta = float(np.linalg.norm(w))
         if beta <= tol.rank_tol:
             return alphas, betas, False
@@ -399,19 +401,20 @@ def _moment_recurrence(moments, count: int, floor: float = 1e-10):
 def jacobi_realize(source, max_len: int | None = None, tol: Tolerances = DEFAULT_TOL) -> JacobiRealization:
     """Tridiagonal realization of a scalar transfer function.
 
-    Accepts a scalar pqs system or scalar atomic data.  Runs Lanczos on
-    the main operator started at the input channel vector; a_0 is the
-    channel norm.  Breakdown before max_len means the function is
-    rational and the expansion is complete.  The leading coefficients are
-    cross-checked against an independent moment-recurrence computation."""
+    Accepts scalar atomic data (nodes t_k, weights w_k = (1 - t_k^2) sigma_k)
+    or a scalar pqs system (its cached A = V diag(t) V*, w = |V* B|^2).  Runs
+    Lanczos on diag(t) started at sqrt(w); a_0 is the channel norm.
+    Breakdown before max_len means the function is rational and the
+    expansion is complete.  The leading coefficients are cross-checked
+    against a moment recurrence on the moments sum w t^n."""
     if isinstance(source, SqsFunctionData):
         if source.dim != 1:
             raise NotScalar("atomic data must be scalar")
         d = complex(source.theta0[0, 0])
         pairs = [(t, float(np.real(sig[0, 0]))) for t, sig in source.atoms]
         pairs = [(t, s) for t, s in pairs if s > tol.rank_tol]
-        A = np.diag(np.array([t for t, _ in pairs], dtype=complex))
-        Bv = np.array([np.sqrt((1.0 - t * t) * s) for t, s in pairs], dtype=complex)
+        t = np.array([t for t, _ in pairs], dtype=float)
+        w = (1 - t.astype(np.longdouble) ** 2) * np.array([s for _, s in pairs], dtype=np.longdouble)
     elif isinstance(source, PartitionedContraction):
         if source.in_dim != 1 or source.out_dim != 1:
             raise NotScalar("system must have one-dimensional input and output")
@@ -419,34 +422,34 @@ def jacobi_realize(source, max_len: int | None = None, tol: Tolerances = DEFAULT
         if not flags.pqs:
             raise NotPqs("tridiagonal realization applies to pqs systems")
         d = complex(source.D[0, 0])
-        A = source.A
-        Bv = source.B[:, 0]
+        sd = sysmodel.spectral_data(source, tol)
+        t, vb = sd.t, sd.VB[:, 0]
+        w = vb.real.astype(np.longdouble) ** 2 + vb.imag.astype(np.longdouble) ** 2
     else:
         raise TypeError(f"cannot realize {type(source)!r}")
     if d.imag < -tol.eq_tol:
         raise InvalidD("corner value must have nonnegative imaginary part")
 
-    a0 = float(np.linalg.norm(Bv))
+    start = np.sqrt(w).astype(float)
+    a0 = float(np.linalg.norm(start))
     if a0 <= tol.rank_tol:
         return JacobiRealization(d, (), (), False)
     if max_len is None:
-        max_len = A.shape[0]
-    max_len = min(max_len, A.shape[0])
-    alphas, betas, truncated = _lanczos(A, Bv, max_len, tol)
+        max_len = t.size
+    max_len = min(max_len, t.size)
+    alphas, betas, truncated = _lanczos(t, start, max_len, tol)
     a = (a0, *betas)
     b = tuple(alphas)
 
-    # moments in extended precision: the sigma-table amplifies moment
-    # error by the inverse relative pivot, so double precision would cap
-    # the checkable depth well short of 12
+    # moments in extended precision, from weights kept in extended precision:
+    # the sigma-table amplifies moment error by the inverse relative pivot,
+    # so double precision would cap the checkable depth well short of 12
     count = min(12, len(b))
-    Al = A.astype(np.clongdouble)
-    Bl = Bv.astype(np.clongdouble)
     moments = []
-    vec = Bl.copy()
+    wt, tl = w, t.astype(np.longdouble)
     for _ in range(2 * count):
-        moments.append(np.real(np.sum(np.conj(Bl) * vec)))
-        vec = Al @ vec
+        moments.append(wt.sum())
+        wt = wt * tl
     m_alphas, m_betas = _moment_recurrence(moments, count)
     steps = [max(abs(np.sqrt(m_betas[k]) - a[k]), abs(m_alphas[k] - b[k]))
              for k in range(min(len(m_betas), len(a)))]
@@ -507,13 +510,12 @@ def chebyshev_example(d: complex, n_nodes: int, tol: Tolerances = DEFAULT_TOL):
         np.array([[d]], dtype=complex),
         tuple((float(t), np.array([[sigma]], dtype=complex)) for t in nodes),
     )
-    A = np.diag(nodes.astype(complex))
     Bv = np.sqrt((1.0 - nodes ** 2) * sigma).astype(complex)
     T = np.zeros((n_nodes + 1, n_nodes + 1), dtype=complex)
     T[0, 0] = d
     T[0, 1:] = Bv
     T[1:, 0] = Bv
-    T[1:, 1:] = A
+    np.fill_diagonal(T[1:, 1:], nodes)
     tau = PartitionedContraction(T, 1, 1, n_nodes)
     if tau.norm() > 1.0 + 10 * tol.psd_tol:
         raise PqsysError("discretized system is not a contraction")

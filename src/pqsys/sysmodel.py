@@ -112,9 +112,11 @@ def spectral_data(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) ->
 
 def _spectral_data(tau: PartitionedContraction, tol: Tolerances) -> SpectralData | None:
     eig = opcore.hermitian_eigh(tau.A, tol) if tau.state_dim else (np.zeros(0), np.zeros((0, 0)))
-    if eig is None:
-        return None
-    t, V = eig
+    return None if eig is None else _spectral_parts(tau, *eig)
+
+
+def _spectral_parts(tau: PartitionedContraction, t: np.ndarray, V: np.ndarray) -> SpectralData:
+    """The SpectralData of tau from a factorization A = V diag(t) V* in hand."""
     # V* B as (B* V)*, which needs no conjugated n x n copy of V
     parts = SpectralData(t, V, (tau.B.conj().T @ V).conj().T, tau.C @ V)
     for arr in parts:
@@ -388,10 +390,10 @@ def check_minimality_normal(tau: PartitionedContraction, tol: Tolerances = DEFAU
 
     p = param.parametrize(tau, tol)
     n_state = tau.state_dim
-    E = p.E_DA  # orthonormal basis of ran D_A
+    E = p.defects.E_A  # orthonormal basis of ran D_A
     ker_trivial = E.shape[1] == n_state
 
-    hc_n = opcore.krylov_span(A, p.E_DAs @ p.M, n_state, tol)          # M: inputs -> state space
+    hc_n = opcore.krylov_span(A, p.M_ambient, n_state, tol)                # M: inputs -> state space
     ho_n = opcore.krylov_span(A.conj().T, E @ p.K.conj().T, n_state, tol)  # K*: outputs -> state space
 
     def meets_range(sub: SubspaceBasis) -> bool:

@@ -25,7 +25,7 @@ from .errors import (
     SingularResolvent,
     check,
 )
-from .opcore import DEFAULT_TOL, DefectData, Tolerances, as_matrix, norm_at_most, operator_norm, psd_sqrt
+from .opcore import DEFAULT_TOL, DefectData, Tolerances, as_matrix, herm_part, norm_at_most, operator_norm
 from .param import ContractionParams
 from .sysmodel import PartitionedContraction
 
@@ -341,7 +341,7 @@ class SqsFunctionData:
                 raise InvalidMeasure("weight dimension differs from theta0")
             if not opcore.is_selfadjoint(sigma):
                 raise InvalidMeasure("weight is not Hermitian")
-            if sigma.shape[0] and np.linalg.eigvalsh((sigma + sigma.conj().T) / 2).min() < -1e-9:
+            if sigma.shape[0] and np.linalg.eigvalsh(herm_part(sigma)).min() < -1e-9:
                 raise InvalidMeasure("weight has a negative eigenvalue")
             cleaned.append((t, sigma))
         object.__setattr__(self, "theta0", theta0)
@@ -383,7 +383,7 @@ def nevanlinna_min_eig(f: SqsFunctionData, points: Sequence[complex]) -> float:
             if abs(den) < 1e-14:
                 raise PolarPoint("kernel grid has conjugate-coincident points")
             G[i * n:(i + 1) * n, j * n:(j + 1) * n] = (vals[i] - vals[j].conj().T) / den
-    return float(np.linalg.eigvalsh((G + G.conj().T) / 2).min()) if p else 0.0
+    return float(np.linalg.eigvalsh(herm_part(G)).min()) if p else 0.0
 
 
 @dataclass(frozen=True)
@@ -406,7 +406,9 @@ def sqs_membership(f: SqsFunctionData, tol: Tolerances = DEFAULT_TOL) -> Members
     Conditions: total mass sum Sigma_k <= I, and Theta(0) lies in the
     operator ball with center -(W(1)+W(-1))/2 and radius I - (W(1)-W(-1))/2,
     i.e. Theta(0) = center + R^{1/2} X R^{1/2} for a contraction X
-    supported on ran R."""
+    supported on ran R.  All of it is read from one eigh Sigma_total =
+    U diag(w) U*: R^{1/2}, its pseudoinverse and ran R by the clamp and rank
+    rule of the defects on r = sqrt(1 - w) (`opcore._defect_values`)."""
     n = f.dim
     sigma_total = np.zeros((n, n), dtype=complex)
     first_moment = np.zeros((n, n), dtype=complex)
@@ -417,23 +419,23 @@ def sqs_membership(f: SqsFunctionData, tol: Tolerances = DEFAULT_TOL) -> Members
     radius = np.eye(n) - sigma_total
 
     reasons = []
-    excess = float(np.linalg.eigvalsh((sigma_total + sigma_total.conj().T) / 2).max() - 1.0) if n else 0.0
+    w, U = np.linalg.eigh(herm_part(sigma_total))
+    excess = float(w.max() - 1.0) if n else 0.0
     mass_ok = excess <= tol.psd_tol
     if not mass_ok:
         reasons.append(f"total mass exceeds the identity by {excess:.3e}")
         return MembershipReport(False, center, radius, None, excess, np.inf, np.inf, 0.0, tuple(reasons))
 
-    r_half = psd_sqrt(radius, tol)
-    r_half_pinv = opcore.pinv(r_half, tol)
+    r, keep = opcore._defect_values(1.0 - w, tol)
+    Ur = U[:, keep]
     delta = f.theta0 - center
-    X = r_half_pinv @ delta @ r_half_pinv
+    X = Ur @ ((Ur.conj().T @ delta @ Ur) / np.outer(r[keep], r[keep])) @ Ur.conj().T
     x_norm = operator_norm(X)
     x_ok = x_norm - 1.0 <= tol.psd_tol
     if not x_ok:
         reasons.append(f"ball parameter has norm {x_norm:.12f}")
 
-    ran_R = opcore.range_basis(radius, tol)
-    proj_ker = np.eye(n) - ran_R.projector()
+    proj_ker = np.eye(n) - Ur @ Ur.conj().T
     off_range = max(operator_norm(proj_ker @ delta), operator_norm(delta @ proj_ker))
     off_ok = off_range <= tol.eq_tol
     if not off_ok:

@@ -167,6 +167,19 @@ def test_realize_rejects_non_member(tmp_path):
     assert "reject_reason" in rep.get("info", {})
 
 
+def test_realize_rejects_a_non_member_at_the_clamp_edge(tmp_path):
+    # the radius I - Sigma has an eigenvalue below psd_tol that Theta(0)
+    # leans on: a rejection with its reason, not a failed contraction check
+    f = pqsys.SqsFunctionData(np.diag([0.1, 0.0]), ((0.0, np.diag([1 - 5e-10, 0.5])),))
+    _json.dump(_json.measure_to_json(f), str(tmp_path / "m.json"))
+    report = tmp_path / "rep.json"
+    assert main(["realize", str(tmp_path / "m.json"), "--report", str(report)]) == 1
+    rep = read_json(report)
+    assert "error" not in rep
+    assert any("ball range" in r for r in rep["info"]["reject_reason"])
+    assert [c["name"] for c in rep["checks"] if not c["pass"]] == ["membership_range"]
+
+
 def test_jacobi_from_measure_file(tmp_path):
     data, _ = pqsys.chebyshev_example(0.25, 80)
     _json.dump(_json.measure_to_json(data), str(tmp_path / "m.json"))

@@ -1,0 +1,259 @@
+"""Each operator is factored once: consumers read the factorization in hand.
+
+The parameters, the Jacobi expansion, the dilation, the canonical form and
+the realization from data take no pseudoinverse, second SVD or second
+eigendecomposition of an operator whose factorization they already hold,
+and build no dense copy of a diagonal operator.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import pqsys
+from pqsys import opcore, realize, sysmodel
+
+import oracles
+from helpers import pqs_from_spectrum, rand_complex, rand_contraction, rand_unitary
+
+
+def _count(monkeypatch, *names):
+    """Count the calls of the named np.linalg functions."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(np.linalg, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return counts
+
+
+def _system(T, n, s):
+    return pqsys.PartitionedContraction(np.asarray(T, dtype=complex), n, n, s)
+
+
+def _nonnormal_system(rng, s=40, n=2):
+    return _system(rand_contraction(rng, n + s, n + s, smax=0.9), n, s)
+
+
+def _pqs_system(rng, s=40, n=2):
+    return _system(pqs_from_spectrum(rng, np.linspace(-0.9, 0.9, s), n), n, s)
+
+
+def _rotated_arcsine(rng, nodes):
+    """The arcsine measure at `nodes` Chebyshev nodes, and its diagonal pqs
+    system turned dense by a random unitary change of state basis."""
+    data, diag = pqsys.chebyshev_example(0.2 + 0.1j, nodes)
+    U = rand_unitary(rng, nodes)
+    T = diag.T.copy()
+    A = U @ diag.A @ U.conj().T
+    T[1:, 1:] = (A + A.conj().T) / 2
+    T[1:, :1] = U @ diag.B
+    T[:1, 1:] = diag.C @ U.conj().T
+    return data, _system(T, 1, nodes)
+
+
+# ---------------------------------------------------------------------------
+# parametrize
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind, svds", [("nonnormal", 4), ("pqs", 3)])
+def test_parametrize_takes_no_pseudoinverse(monkeypatch, kind, svds):
+    # one SVD each for A (non-normal only), M, K* and X; the pqs A is read
+    # from the system's cached eigendecomposition
+    rng = np.random.default_rng(1)
+    tau = _nonnormal_system(rng) if kind == "nonnormal" else _pqs_system(rng)
+    tau.norm()
+    sysmodel.spectral_data(tau)
+    counts = _count(monkeypatch, "svd", "pinv", "eigh")
+    pqsys.parametrize(tau)
+    assert counts == {"svd": svds, "pinv": 0, "eigh": 0}
+
+
+def _pinv_parameters(tau, tol=pqsys.DEFAULT_TOL):
+    """M, K and X by the dense pseudoinverse formulas
+    M = E_As* pinv(D_A*) B, K = C pinv(D_A) E_A and
+    X = E_DKs* pinv(D_K*) core pinv(D_M) E_DM."""
+    p = pqsys.parametrize(tau, tol)
+    dd = p.defects
+
+    def pinv(D):
+        return np.linalg.pinv(D, rcond=tol.rank_tol)
+
+    M = dd.E_As.conj().T @ pinv(dd.DAs) @ tau.B
+    K = tau.C @ pinv(dd.DA) @ dd.E_A
+    core = tau.D + (K @ dd.E_A.conj().T) @ tau.A.conj().T @ (dd.E_As @ M)
+    X = p.E_DKs.conj().T @ pinv(p.DKs) @ core @ pinv(p.DM) @ p.E_DM
+    return p, (M, K, X)
+
+
+def _normal_system(rng, s=6, m=2, n=3):
+    U = rand_unitary(rng, s)
+    z = 0.8 * rng.uniform(0.2, 1.0, s) * np.exp(2j * np.pi * rng.uniform(size=s))
+    A = (U * z) @ U.conj().T
+    p = pqsys.make_params(A, rand_contraction(rng, s, m, 0.9), rand_contraction(rng, n, s, 0.9), None)
+    X = rand_contraction(rng, *p.X.shape, 0.9)
+    return pqsys.assemble(pqsys.make_params(A, p.M, p.K, X))
+
+
+def _near_isometric_system(rng, s=5, n=2):
+    # singular values of A up to 1 - 1e-6: defect values down to ~1.4e-3
+    W, V = rand_unitary(rng, s), rand_unitary(rng, s)
+    A = (W * (1 - np.logspace(-6, -1, s))) @ V.conj().T
+    dd = pqsys.defect_data(A)
+    M = rand_contraction(rng, dd.E_As.shape[1], n, 0.9)
+    K = rand_contraction(rng, n, dd.E_A.shape[1], 0.9)
+    p = pqsys.make_params(A, M, K, None)
+    return pqsys.assemble(pqsys.make_params(A, M, K, rand_contraction(rng, *p.X.shape, 0.9)))
+
+
+@pytest.mark.parametrize("kind", ["nonnormal", "normal", "nonsquare", "near_isometric", "pqs"])
+def test_parametrize_matches_the_pseudoinverse_formulas(kind):
+    rng = np.random.default_rng(2)
+    tau = {
+        "nonnormal": lambda: _nonnormal_system(rng, s=8),
+        "normal": lambda: _normal_system(rng),
+        "nonsquare": lambda: pqsys.PartitionedContraction(
+            rand_contraction(rng, 2 + 6, 3 + 6, smax=0.9), 3, 2, 6),
+        "near_isometric": lambda: _near_isometric_system(rng),
+        "pqs": lambda: _pqs_system(rng, s=8),
+    }[kind]()
+    p, refs = _pinv_parameters(tau)
+    if kind == "normal":
+        assert p.defects.E_A is p.defects.E_As
+    for got, ref in zip((p.M, p.K, p.X), refs):
+        assert got.shape == ref.shape
+        assert np.linalg.norm(got - ref, 2) < 1e-12
+    assert np.linalg.norm(pqsys.assemble(p).T - tau.T, 2) < 1e-10
+
+
+def test_defect_values_diagonalize_the_defects():
+    rng = np.random.default_rng(3)
+    for A in (rand_contraction(rng, 5, 5, 0.95), rand_contraction(rng, 5, 3, 0.95),
+              rand_contraction(rng, 3, 5, 0.95), np.diag([0.3, -0.6, 1.0]).astype(complex)):
+        dd = pqsys.defect_data(A)
+        for D, E, d in ((dd.DA, dd.E_A, dd.d_A), (dd.DAs, dd.E_As, dd.d_As)):
+            assert d.shape == (E.shape[1],)
+            assert np.linalg.norm(D @ E - E * d) < 1e-13
+        adj = dd.adjoint()
+        assert adj.d_A is dd.d_As and adj.d_As is dd.d_A
+
+
+# ---------------------------------------------------------------------------
+# dilation and canonical form
+# ---------------------------------------------------------------------------
+
+def test_dilation_factors_the_main_operator_once(monkeypatch):
+    rng = np.random.default_rng(4)
+    tau = _pqs_system(rng)
+    counts = _count(monkeypatch, "eigh")
+    monkeypatch.setattr(opcore, "range_basis", lambda *a: pytest.fail("range_basis called"))
+    dil = realize.biinner_dilation(tau)
+    assert counts["eigh"] == 1
+    sd, big = sysmodel.spectral_data(tau), sysmodel.spectral_data(dil.system)
+    assert big.t is sd.t and big.V is sd.V
+    assert counts["eigh"] == 1
+
+
+def test_dilation_defect_basis_spans_the_defect_of_K():
+    rng = np.random.default_rng(5)
+    dil = realize.biinner_dilation(_pqs_system(rng, s=12))
+    E, DK = dil.E_DK, dil.params.DK
+    assert np.linalg.norm(E.conj().T @ E - np.eye(E.shape[1])) < 1e-13
+    assert np.linalg.norm(E @ (E.conj().T @ DK) - DK) < 1e-12
+    assert E.shape[1] == opcore.range_basis(DK).dim
+
+
+def test_canonical_form_takes_one_svd_of_the_channel(monkeypatch):
+    rng = np.random.default_rng(6)
+    big = realize.biinner_dilation(_pqs_system(rng, s=12)).system
+    W = pqsys.parametrize(big).K
+    channel = []
+    real_svd = np.linalg.svd
+
+    def svd(a, *args, **kwargs):
+        if np.array_equal(a, W):
+            channel.append(1)
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(opcore, "kernel_basis", lambda *a: pytest.fail("kernel_basis called"))
+    cf = realize.inner_canonical_form(big)
+    assert len(channel) == 1
+    Q = cf.basis
+    assert np.linalg.norm(Q.conj().T @ Q - np.eye(Q.shape[1])) < 1e-12
+    assert np.linalg.norm(Q[:, 12:].conj().T @ W) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# realization from data
+# ---------------------------------------------------------------------------
+
+def test_realize_from_data_factors_each_weight_once(monkeypatch):
+    rng = np.random.default_rng(7)
+    n = 3
+    atoms = []
+    for t in np.linspace(-0.7, 0.7, 6):
+        G = rand_complex(rng, n, 2)
+        # bitwise Hermitian, so its Hermitian part is the weight itself
+        atoms.append((float(t), pqsys.herm_part(0.1 * G @ G.conj().T / np.linalg.norm(G, 2) ** 2)))
+    atoms.append((0.9, 1e-12 * np.eye(n)))  # negligible: dropped by the eigh rule
+    f = pqsys.SqsFunctionData(0.05 * np.eye(n), tuple(atoms))
+    weights = [s for _, s in atoms]
+    seen = []
+    real_svd, real_eigh = np.linalg.svd, np.linalg.eigh
+
+    def svd(a, *args, **kwargs):
+        if any(np.array_equal(a, s) for s in weights):
+            seen.append("svd")
+        return real_svd(a, *args, **kwargs)
+
+    def eigh(a, *args, **kwargs):
+        if any(np.array_equal(a, s) for s in weights):
+            seen.append("eigh")
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+    monkeypatch.setattr(impl, "svd", svd)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    tau = pqsys.realize_from_data(f)
+    assert seen == ["eigh"] * len(atoms)
+    assert tau.state_dim == 6 * 2
+
+
+# ---------------------------------------------------------------------------
+# Jacobi expansion
+# ---------------------------------------------------------------------------
+
+def test_jacobi_system_source_matches_the_measure_and_the_oracle():
+    rng = np.random.default_rng(8)
+    data, dense = _rotated_arcsine(rng, 200)
+    from_system = pqsys.jacobi_realize(dense, max_len=40)
+    from_measure = pqsys.jacobi_realize(data, max_len=40)
+    assert from_system.length == from_measure.length == 40
+    assert np.max(np.abs(np.subtract(from_system.a, from_measure.a))) < 1e-12
+    assert np.max(np.abs(np.subtract(from_system.b, from_measure.b))) < 1e-12
+    # independent route: dense powers of the rotated system, Hankel Cholesky
+    moments = oracles.moments_of_pair(dense.A, dense.B[:, 0], 12)
+    a_ref, b_ref = oracles.jacobi_from_moments(np.real(moments), 5)
+    for k in range(6):
+        assert abs(from_system.a[k] - a_ref[k]) < 1e-7
+        assert abs(from_system.b[k] - b_ref[k]) < 1e-7
+
+
+def test_jacobi_builds_no_state_square_array():
+    data, _ = pqsys.chebyshev_example(0.2 + 0.1j, 1000)
+    tracemalloc.start()
+    try:
+        jr = pqsys.jacobi_realize(data, max_len=50)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert jr.length == 50 and jr.truncated
+    # one 1000 x 1000 complex array alone is 16 MB
+    assert peak < 4e6

@@ -64,8 +64,8 @@ def test_assembled_block_structure():
     tau = pqsys.assemble(p)
     # bottom-right is A, bottom-left is D_{A*} M, top-right is K D_A
     assert np.linalg.norm(tau.A - p.A) < 1e-12
-    assert np.linalg.norm(tau.B - p.DAs @ p.M_ambient) < 1e-10
-    assert np.linalg.norm(tau.C - p.K_ambient @ p.DA) < 1e-10
+    assert np.linalg.norm(tau.B - p.defects.DAs @ p.M_ambient) < 1e-10
+    assert np.linalg.norm(tau.C - p.K_ambient @ p.defects.DA) < 1e-10
 
 
 def test_parametrize_rejects_expansive():
@@ -137,7 +137,7 @@ def test_pqs_params_have_hermitian_coherence():
         tau = make_system(rand_pqs_T(rng, 2, 3), 2, 2, 3)
         p = pqsys.parametrize(tau)
         assert np.linalg.norm(p.M - p.K.conj().T) < 1e-9
-        assert np.array_equal(p.E_DA, p.E_DAs)
+        assert np.array_equal(p.defects.E_A, p.defects.E_As)
 
 
 def test_parametrize_selfadjoint_A_keeps_selfadjointness():
@@ -168,7 +168,7 @@ def test_unitary_A_forces_zero_coupling():
     T[1:, 1:] = A
     tau = make_system(T, 1, 1, 2)
     p = pqsys.parametrize(tau)
-    assert p.E_DA.shape[1] == 0
+    assert p.defects.E_A.shape[1] == 0
     assert p.K.shape == (1, 0)
     assert np.linalg.norm(pqsys.assemble(p).T - T) < 1e-10
 

@@ -7,7 +7,7 @@ import pqsys
 from pqsys.errors import DegenerateGrid, NotPqs, SingularResolvent
 
 import oracles
-from helpers import rand_atoms, rand_contraction, rand_passive_T, rand_pqs_T
+from helpers import rand_atoms, rand_complex, rand_contraction, rand_passive_T, rand_pqs_T
 
 
 def make_system(T, in_dim, out_dim, state_dim):
@@ -75,6 +75,20 @@ def test_kernel_check_passes_for_genuine_q():
     assert rep.s2_min_eig > -1e-8
     assert rep.s3_min_eig > -1e-8
     assert rep.s4_witness
+
+
+def test_kernel_check_samples_q_with_the_given_tolerances():
+    # A with a 1e-7 skew part is selfadjoint under eq_tol = 1e-5 only
+    rng = np.random.default_rng(17)
+    T = 0.95 * rand_pqs_T(rng, 2, 3)
+    S = rand_complex(rng, 3, 3)
+    T[2:, 2:] += 1e-7j * (S + S.conj().T) / np.linalg.norm(S + S.conj().T, 2)
+    tau = make_system(T, 2, 2, 3)
+    tol = pqsys.Tolerances(eq_tol=1e-5)
+    assert pqsys.classify(tau, tol).pqs and not pqsys.classify(tau).pqs
+    rep = pqsys.q_class_kernel_check(tau, -tau.D, [2.0 + 0.5j, -1.9 + 0.8j, 3.0 + 0.1j], tol)
+    assert rep.s2_min_eig > -1e-6
+    assert rep.s3_min_eig > -1e-6
 
 
 def test_kernel_check_handles_real_confluent_points():

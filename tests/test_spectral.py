@@ -126,7 +126,7 @@ def _krylov_span_by_eigh(tau):
     """span{A^n K* N} from a fresh eigh of A, clustered on gaps <= 1e-8:
     the route pqs_krylov_subspace takes when no eigenbasis is cached."""
     p = pqsys.parametrize(tau)
-    ks = p.E_DA @ p.K.conj().T
+    ks = p.defects.E_A @ p.K.conj().T
     scale = np.linalg.norm(ks, 2)
     vals, vecs = np.linalg.eigh((tau.A + tau.A.conj().T) / 2)
     kept, start = [], 0
@@ -141,7 +141,7 @@ def _krylov_span_by_eigh(tau):
 
 
 def test_pqs_krylov_from_cached_eigenbasis_matches_eigh_route(tau):
-    assert pqsys.parametrize(tau).t is not None
+    assert pqsys.parametrize(tau).defects.t is not None
     span = sysmodel.pqs_krylov_subspace(tau)
     ref = _krylov_span_by_eigh(tau)
     # clusters of four eigenvalues meet N = 3 channels: rank 3 per cluster
@@ -159,7 +159,7 @@ def test_pqs_krylov_without_cached_eigenbasis_runs_its_own_eigh():
     T = pqs_from_spectrum(rng, np.repeat(rng.uniform(-1e-3, 1e-3, 7), 3), n)
     T[n:, n:] += 1e-11j * rand_hermitian_contraction(rng, s)
     tau = pqsys.PartitionedContraction(T, n, n, s)
-    assert sysmodel.classify(tau).pqs and pqsys.parametrize(tau).t is not None
+    assert sysmodel.classify(tau).pqs and pqsys.parametrize(tau).defects.t is not None
     span = sysmodel.pqs_krylov_subspace(tau)
     ref = _krylov_span_by_eigh(tau)
     assert span.dim == ref.shape[1] == 14
@@ -275,7 +275,7 @@ def test_selfadjoint_main_iff_spectral_data(kind):
     lam = 0.4 - 0.3j
     dense = tau.D + lam * tau.C @ np.linalg.solve(np.eye(s) - lam * tau.A, tau.B)
     assert rel(pqsys.theta_eval(tau, lam), dense) < 1e-8
-    assert pqsys.parametrize(tau).t is not None
+    assert pqsys.parametrize(tau).defects.t is not None
     rec = sysmodel.krylov_record(tau)
     assert sysmodel.pqs_krylov_subspace(tau).dim == rec.controllable == rec.observable
     f = pqsys.spectral_measure(tau)

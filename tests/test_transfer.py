@@ -316,6 +316,17 @@ def test_membership_rejects_off_range_component():
     assert rep.off_range_residual > 1e-6
 
 
+def test_membership_rejects_off_range_component_of_a_clamped_radius():
+    # R = I - Sigma has the eigenvalue 5e-10, between rank_tol * max and
+    # psd_tol: R^{1/2} clamps it to 0, so ran R must leave that direction out
+    # too, or the 0.1 of Theta(0) along it is seen by neither test
+    atoms = ((0.0, np.diag([1 - 5e-10, 0.5]).astype(complex)),)
+    rep = pqsys.sqs_membership(pqsys.SqsFunctionData(np.diag([0.1, 0.0]), atoms))
+    assert not rep.member
+    assert abs(rep.off_range_residual - 0.1) < 1e-12
+    assert rep.x_norm == 0.0
+
+
 def test_nevanlinna_kernel_psd_for_member():
     rng = np.random.default_rng(15)
     f = member_data(rng)
