@@ -123,7 +123,9 @@ class SubspaceBasis:
         return self.basis @ self.basis.conj().T
 
     def complement(self) -> "SubspaceBasis":
-        return kernel_basis(self.basis.conj().T)
+        # the trailing columns of a complete QR of an orthonormal basis
+        Q = np.linalg.qr(self.basis, mode="complete")[0]
+        return SubspaceBasis(self.ambient_dim, Q[:, self.dim:])
 
     @staticmethod
     def full(n: int) -> "SubspaceBasis":
@@ -504,28 +506,19 @@ def strong_limit_SA(A, max_power: int = 500, tol: Tolerances = DEFAULT_TOL) -> S
 
 def cnu_unitary_split(A, tol: Tolerances = DEFAULT_TOL) -> tuple[SubspaceBasis, SubspaceBasis]:
     """Split C^n into the largest subspace on which A acts unitarily and
-    its orthogonal complement.
+    its orthogonal complement, the completely nonunitary part.
 
-    The unitary part consists of the vectors with ||A^n f|| = ||A^{*n} f||
-    = ||f|| for n up to the dimension; at finite dimension the kernel
-    chain of the power defects stabilizes within dim steps.  Returns
-    (unitary_part, cnu_part).
+    f is orthogonal to A^n ran D_{A*} for all n iff ||A*^n f|| = ||f|| for
+    all n, and to A*^n ran D_A for all n iff ||A^n f|| = ||f||; so the cnu
+    part is the joint span of the two Krylov spaces, and it reduces A
+    (A D_A = D_{A*} A and AA* = I - D_{A*}^2).  Returns (unitary_part, cnu_part).
     """
     A = as_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise NonSquare("cnu_unitary_split needs a square matrix")
-    _require_contraction(operator_norm(A), tol)
+    dd = _svd_defects(A, tol, contraction=True, basis=True, adjoint=True)
     n = A.shape[0]
-    if n == 0:
-        return SubspaceBasis.zero(0), SubspaceBasis.zero(0)
-    eye = np.eye(n, dtype=complex)
-    current = SubspaceBasis.full(n)
-    An = eye
-    for _ in range(n):
-        An = An @ A
-        for G in (eye - An.conj().T @ An, eye - An @ An.conj().T):
-            ker = kernel_basis(herm_part(G), tol)
-            current = subspace_intersection(current, ker, tol)
-        if current.dim == 0:
-            break
-    return current, current.complement()
+    hc = krylov_span(A, dd.E_As, n, tol)
+    ho = krylov_span(A.conj().T, dd.E_A, n, tol)
+    cnu = range_basis(np.hstack([hc.basis, ho.basis]), tol)
+    return cnu.complement(), cnu

@@ -73,12 +73,12 @@ def q_theta_roundtrip(tau: PartitionedContraction, z: complex, tol: Tolerances =
     return r1, r2
 
 
-def q_asymptotic_F(q, radius: float = 100.0, count: int = 8) -> np.ndarray:
+def q_asymptotic_F(q, radius: float = 100.0, count: int = 8, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Second coefficient of the expansion Q(z) = -I/z + F/z^2 + o(1/z^2),
     fitted as the average of z^2 (Q(z) + I/z) over a ring of samples.
     Averaging over a full ring of roots of unity cancels the lower-order
     tail to O(radius^-count)."""
-    sample = q_sampler(q)
+    sample = q_sampler(q, tol)
     acc = None
     for k in range(count):
         z = radius * np.exp(2j * np.pi * k / count)

@@ -98,19 +98,20 @@ def spectral_measure(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL)
 
     Eigenvalues of the selfadjoint main operator, from the system's cached
     factorization, are clustered, and each cluster t with spectral
-    projector P contributes the weight C P C* / (1 - t^2).  Clusters at +-1
-    carry no transfer content and are skipped."""
+    projector P contributes the weight C P C* / (1 - t^2) when its rows of
+    (CV)* have nonzero rank under the cluster rule of the Krylov record,
+    so the atoms are the clusters that observability counts.  C = K D_A
+    vanishes on a cluster at +-1, which the rule therefore skips."""
     flags = sysmodel.classify(tau, tol)
     if not flags.pqs:
         raise NotPqs("spectral read-out needs a passive quasi-selfadjoint system")
     sd = sysmodel.spectral_data(tau, tol)
     atoms = []
-    for c in opcore.eigen_clusters(sd.t):
+    for c, rank, _ in sysmodel._cluster_span(sd.t, *sysmodel._eigen_side(sd, tol, adjoint=True)):
         t = float(np.mean(sd.t[c]))
-        if 1.0 - t * t > 1e-12:
-            sigma = (sd.CV[:, c] @ sd.CV[:, c].conj().T) / (1.0 - t * t)
-            if operator_norm(sigma) > tol.rank_tol:
-                atoms.append((t, sigma))
+        # 1 - t^2 > 0 guards the division at a rounded +-1 only
+        if rank and 1.0 - t * t > 0.0:
+            atoms.append((t, (sd.CV[:, c] @ sd.CV[:, c].conj().T) / (1.0 - t * t)))
     f = SqsFunctionData(tau.D, tuple(atoms))
     gap, _ = transfer.grid_gap(tau, f, 0.5 * np.exp(2j * np.pi * (np.arange(8) + 0.45) / 8), tol)
     check("readout_agreement", gap, 10 * tol.eq_tol * max(1.0, operator_norm(tau.D)), PqsysError,
@@ -537,9 +538,12 @@ def unitary_similarity(tau1: PartitionedContraction, tau2: PartitionedContractio
     same transfer function, assuming each output operator is S times the
     adjoint of the input operator.
 
-    Verifies transfer agreement on a disk grid and the mixed power-moment
-    identities, builds orthonormal band-Arnoldi bases Q1, Q2 of the two
-    controllable subspaces, and takes U as the polar factor of Q2 Q1*."""
+    Verifies transfer agreement through D and the Markov parameters
+    C A^k B for k < s1 + s2, which is exact: the difference of the two
+    functions has a realization with s1 + s2 states, so it vanishes iff
+    these coefficients do.  Then checks the mixed power-moment identities,
+    builds orthonormal band-Arnoldi bases Q1, Q2 of the two controllable
+    subspaces, and takes U as the polar factor of Q2 Q1*."""
     if tau1.in_dim != tau2.in_dim or tau1.out_dim != tau2.out_dim:
         raise DimensionMismatch("systems must share input and output spaces")
     if not sysmodel.is_minimal(tau1, tol):
@@ -553,23 +557,25 @@ def unitary_similarity(tau1: PartitionedContraction, tau2: PartitionedContractio
     else:
         S = as_matrix(S)
     for k, tau in enumerate((tau1, tau2), start=1):
-        gap = operator_norm(tau.C - S @ tau.B.conj().T)
-        if gap > tol.eq_tol * max(1.0, tau.norm()):
-            raise PqsysError(f"system {k} does not satisfy C = S B* (gap {gap:.3e})")
+        # the C = B* rule of `classify`, with S
+        R = tau.C - S @ tau.B.conj().T
+        if not opcore.norm_at_most(R, tol.eq_tol * max(1.0, tau.norm())):
+            raise PqsysError(f"system {k} does not satisfy C = S B* (gap {operator_norm(R):.3e})")
 
     s1, s2 = tau1.state_dim, tau2.state_dim
-    n_pts = 2 * (s1 + s2) + 1
     scale = max(1.0, tau1.norm(), tau2.norm())
-    j = np.arange(n_pts)
-    points = (0.3 + 0.15 * (j % 2)) * np.exp(2j * np.pi * (j + 0.17) / n_pts)
-    gap, lam = transfer.grid_gap(tau1, tau2, points, tol)
-    check("transfer_agreement", gap, tol.eq_tol * scale, TransferMismatch,
-          f"transfer functions differ by {gap:.3e} at {lam:.4f}")
+    # one block sequence B, AB, A^2 B, ... per system serves both checks
+    K1, K2 = (_krylov_blocks(tau, max(s1 + s2, 1)) for tau in (tau1, tau2))
+    diff = np.concatenate([(tau1.D - tau2.D)[None], tau1.C @ K1 - tau2.C @ K2])
+    gaps = np.linalg.norm(diff, ord=2, axis=(1, 2)) if diff[0].size else np.zeros(len(diff))
+    j = int(np.argmax(gaps))
+    check("transfer_agreement", float(gaps[j]), tol.eq_tol * scale, TransferMismatch,
+          f"transfer functions differ by {gaps[j]:.3e} in the coefficient of lambda^{j}")
     if s1 != s2:
         raise TransferMismatch("minimal realizations have different state dimensions")
 
     p = s1
-    _check_moments(tau1, tau2, p, tol.eq_tol * scale)
+    _check_moments(K1[:p + 1], K2[:p + 1], tol.eq_tol * scale)
     # band Arnoldi is unitarily covariant: Q2 = U Q1 for minimal systems
     # with A2 = U A1 U* and B2 = U B1, so U is the polar factor of Q2 Q1*
     Q1 = opcore.krylov_span(tau1.A, tau1.B, p, tol).basis
@@ -589,22 +595,29 @@ def unitary_similarity(tau1: PartitionedContraction, tau2: PartitionedContractio
     return SimilarityResult(U, residuals)
 
 
-def _check_moments(tau1: PartitionedContraction, tau2: PartitionedContraction, p: int, bound: float):
+def _krylov_blocks(tau: PartitionedContraction, count: int) -> np.ndarray:
+    """The blocks B, AB, ..., A^{count-1} B (count >= 1) of a system, stacked along axis 0."""
+    K = np.empty((count, *tau.B.shape), dtype=complex)
+    K[0] = tau.B
+    for k in range(1, count):
+        K[k] = tau.A @ K[k - 1]
+    return K
+
+
+def _check_moments(K1: np.ndarray, K2: np.ndarray, bound: float):
     """Raise MomentMismatch(n, m) for the first pair, n outer and m inner
-    over 0..p, with ||B1* A1*^n A1^m B1 - B2* A2*^n A2^m B2||_2 > bound.
+    over 0..p, with ||B1* A1*^n A1^m B1 - B2* A2*^n A2^m B2||_2 > bound,
+    for the stacked blocks A^k B, k = 0..p, of the two systems.
 
     All blocks of one system are the blocks of the Gram matrix K*K of
     K = [B, AB, ..., A^p B]; their norms are taken in one batched call."""
-    def gram(tau):
-        cols = [tau.B]
-        for _ in range(p):
-            cols.append(tau.A @ cols[-1])
-        K = np.hstack(cols)
+    def gram(blocks):
+        K = np.hstack(list(blocks))
         return K.conj().T @ K
 
-    m = tau1.in_dim
-    diff = (gram(tau1) - gram(tau2)).reshape(p + 1, m, p + 1, m).transpose(0, 2, 1, 3)
-    norms = np.linalg.norm(diff, ord=2, axis=(2, 3)) if m else np.zeros((p + 1, p + 1))
+    q, _, m = K1.shape
+    diff = (gram(K1) - gram(K2)).reshape(q, m, q, m).transpose(0, 2, 1, 3)
+    norms = np.linalg.norm(diff, ord=2, axis=(2, 3)) if m else np.zeros((q, q))
     bad = np.argwhere(norms > bound)
     nn, mm = (int(x) for x in bad[0]) if bad.size else (None, None)
     check("moments", float(norms.max()), bound, functools.partial(MomentMismatch, n=nn, m=mm),

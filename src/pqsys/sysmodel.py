@@ -156,7 +156,8 @@ def _classify(tau: PartitionedContraction, tol: Tolerances) -> SystemClass:
     coiso = opcore.gram_defect(sv, rows) <= tol.eq_tol * scale
     A = tau.A
     sa_main = opcore.is_selfadjoint(A, tol)
-    normal_main = opcore.is_normal(A, tol) if A.size else True
+    # a selfadjoint A is normal: is_normal's two s x s products are skipped
+    normal_main = sa_main or not A.size or opcore.is_normal(A, tol)
     cb = (tau.in_dim == tau.out_dim
           and norm_at_most(tau.C - tau.B.conj().T, tol.eq_tol * scale))
     pqs = passive and sa_main and cb
@@ -220,13 +221,11 @@ def _krylov_record(tau: PartitionedContraction, tol: Tolerances) -> KrylovRecord
     s = tau.state_dim
     sd = spectral_data(tau, tol)
     if sd is not None:
-        CVh = sd.CV.conj().T
-        nb, nc = operator_norm(sd.VB), operator_norm(CVh)
-        return KrylovRecord(
-            _cluster_span(sd.t, sd.VB, tol.rank_tol * nb)[0],
-            _cluster_span(sd.t, CVh, tol.rank_tol * nc)[0],
-            _cluster_span(sd.t, np.hstack([sd.VB, CVh]), tol.rank_tol * max(nb, nc))[0],
-        )
+        def dim(comps, thresh):
+            return sum(rank for _, rank, _ in _cluster_span(sd.t, comps, thresh))
+
+        (cb, tb), (co, to) = _eigen_side(sd, tol, adjoint=False), _eigen_side(sd, tol, adjoint=True)
+        return KrylovRecord(dim(cb, tb), dim(co, to), dim(np.hstack([cb, co]), max(tb, to)))
     hc = opcore.krylov_span(tau.A, tau.B, s, tol)
     ho = opcore.krylov_span(tau.A.conj().T, tau.C.conj().T, s, tol)
     if s in (hc.dim, ho.dim):
@@ -236,39 +235,39 @@ def _krylov_record(tau: PartitionedContraction, tol: Tolerances) -> KrylovRecord
     return KrylovRecord(hc.dim, ho.dim, joint, hc, ho)
 
 
-def _cluster_span(t: np.ndarray, comps: np.ndarray, thresh: float,
-                  vecs: np.ndarray | None = None) -> tuple[int, np.ndarray | None]:
+def _eigen_side(sd: SpectralData, tol: Tolerances, adjoint: bool) -> tuple[np.ndarray, float]:
+    """The components V*B (or (CV)*, with adjoint) in the eigenbasis of a
+    selfadjoint A, and the rank threshold of `krylov_record` on them:
+    rank_tol * ||B||_2 (or rank_tol * ||C||_2)."""
+    comps = sd.CV.conj().T if adjoint else sd.VB
+    return comps, tol.rank_tol * operator_norm(comps)
+
+
+def _cluster_span(t: np.ndarray, comps: np.ndarray, thresh: float, vecs: np.ndarray | None = None):
     """The span of all powers of a selfadjoint operator applied to a set of
-    vectors, from the operator's ascending eigenvalues t and the
-    components comps of the vectors in its eigenbasis (one row per
-    eigenvector).  The span is the direct sum over the eigenvalue clusters
-    (`opcore.eigen_clusters`) of the ranges of the cluster rows; a cluster
-    contributes the number of their singular values above thresh.  Returns
-    that dimension and, given the eigenvectors vecs, an orthonormal basis."""
-    dim = 0
-    kept = []
+    vectors, cluster by cluster, from the operator's ascending eigenvalues
+    t and the components comps of the vectors in its eigenbasis (one row
+    per eigenvector).  The span is the direct sum over the eigenvalue
+    clusters (`opcore.eigen_clusters`) of the ranges of the cluster rows.
+    Yields, for each cluster c, c itself, the number of singular values of
+    comps[c] above thresh and, given the eigenvectors vecs, an orthonormal
+    basis of that range (else None)."""
     for c in opcore.eigen_clusters(t):
         if vecs is None:
             sv = np.linalg.svd(comps[c], compute_uv=False)
         else:
             U, sv, _ = np.linalg.svd(comps[c], full_matrices=False)
         rank = int(np.count_nonzero(sv > thresh))
-        dim += rank
-        if rank and vecs is not None:
-            kept.append(vecs[:, c] @ U[:, :rank])
-    if vecs is None:
-        return dim, None
-    basis = np.hstack(kept) if kept else np.zeros((vecs.shape[0], 0), dtype=complex)
-    return dim, basis
+        yield c, rank, None if vecs is None else vecs[:, c] @ U[:, :rank]
 
 
 def _eigen_span(tau: PartitionedContraction, tol: Tolerances, adjoint: bool) -> SubspaceBasis:
     """Basis of span{A^n B} (or span{A*^n C*}) for a selfadjoint A from its
     cached eigenvectors, with the cluster ranks of `krylov_record`."""
     sd = spectral_data(tau, tol)
-    comps = sd.CV.conj().T if adjoint else sd.VB
-    _, basis = _cluster_span(sd.t, comps, tol.rank_tol * operator_norm(comps), sd.V)
-    return SubspaceBasis(tau.state_dim, basis)
+    kept = [part for _, rank, part in _cluster_span(sd.t, *_eigen_side(sd, tol, adjoint), sd.V) if rank]
+    s = tau.state_dim
+    return SubspaceBasis(s, np.hstack(kept) if kept else np.zeros((s, 0), dtype=complex))
 
 
 def controllable_subspace(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
@@ -303,40 +302,29 @@ def is_minimal(tau, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 def pqs_krylov_subspace(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
     """The subspace span{A^n K* N : n >= 0} of a pqs system, where K is the
-    channel operator of the quasi-selfadjoint block form.  For pqs systems
-    this equals both the controllable and the observable subspace.
-
-    Since A = V diag(t) V* is selfadjoint the span splits over its
-    eigenspaces into the ranges of the eigenspace components of K*: by
-    C = K D_A, the rows of (CV)* / sqrt(1 - t^2) on the eigenvectors of
-    nonzero defect.  Repeated multiplication by A would lose rank on large
-    diagonal models long before the true span saturates.
-    """
+    channel operator of the quasi-selfadjoint block form: the controllable
+    subspace.  B = D_A K* and D_A = sqrt(I - A^2) is injective on the
+    eigenvectors that carry K*, so span{A^n K* N} = span{A^n B}; for pqs
+    systems this is also the observable subspace."""
     if not classify(tau, tol).pqs:
         raise NotPqs("system is not passive quasi-selfadjoint")
-    s = tau.state_dim
-    sd = spectral_data(tau, tol)
-    d, keep = opcore.hermitian_defect(sd.t, tol)
-    comps = sd.CV[:, keep].conj().T / d[keep, None]
-    scale = operator_norm(comps)  # = ||K* N|| in the state space
-    if scale <= tol.rank_tol:
-        return SubspaceBasis.zero(s)
-    _, basis = _cluster_span(sd.t[keep], comps, tol.rank_tol * scale, sd.V[:, keep])
-    return SubspaceBasis(s, basis)
+    return controllable_subspace(tau, tol)
 
 
 def minimal_pqs_reduction(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> PartitionedContraction:
     """Compress a pqs system to span{A^n K* N}; the result is a minimal pqs
-    system with the same transfer function."""
-    Hs = pqs_krylov_subspace(tau, tol)  # raises NotPqs for non-pqs input
-    if Hs.dim == tau.state_dim:
+    system with the same transfer function.  A system whose Krylov record
+    shows it controllable is returned as it is, with no basis built."""
+    if not classify(tau, tol).pqs:
+        raise NotPqs("system is not passive quasi-selfadjoint")
+    if krylov_record(tau, tol).controllable == tau.state_dim:
         return tau
-    V = Hs.basis
+    V = controllable_subspace(tau, tol).basis
     A_s = V.conj().T @ tau.A @ V
     B_s = V.conj().T @ tau.B
     C_s = tau.C @ V
     n, m = tau.out_dim, tau.in_dim
-    s = Hs.dim
+    s = V.shape[1]
     T = np.zeros((n + s, m + s), dtype=complex)
     T[:n, :m] = tau.D
     T[:n, m:] = C_s
@@ -384,7 +372,7 @@ class MinimalityReport:
 
 def check_minimality_normal(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> MinimalityReport:
     A = tau.A
-    if A.size and not opcore.is_normal(A, tol):
+    if not classify(tau, tol).normal_main:
         raise NotNormal("main operator is not normal")
     from . import param  # deferred: param builds on this module's types
 

@@ -203,3 +203,39 @@ def step_energies(T, in_dim, out_dim, inputs, h0):
         )
         h = h_next
     return np.array(gaps)
+
+
+# ---------------------------------------------------------------------------
+# unitary part of a contraction by intersecting power-defect kernels
+# ---------------------------------------------------------------------------
+
+def _kernel(M, rank_tol=1e-10):
+    """Orthonormal null-space basis by a full SVD, relative cutoff."""
+    if M.shape[0] == 0:
+        return np.eye(M.shape[1], dtype=complex)
+    _, s, Vh = np.linalg.svd(M, full_matrices=True)
+    rank = int(np.sum(s > rank_tol * s.max(initial=0.0)))
+    return Vh[rank:].conj().T
+
+
+def cnu_unitary_split_by_power_kernels(A, rank_tol=1e-10):
+    """(unitary part, cnu part) of a contraction A as orthonormal bases.
+
+    The unitary part is the set of f with ||A^k f|| = ||A*^k f|| = ||f|| for
+    k = 1..n: the common kernel of I - A*^k A^k and I - A^k A*^k, intersected
+    one kernel at a time as the kernel of [I - P_U; I - P_V].  The cnu part
+    is the kernel of the unitary basis' adjoint."""
+    A = np.asarray(A, dtype=complex)
+    n = A.shape[0]
+    eye = np.eye(n, dtype=complex)
+    current = eye
+    An = eye
+    for _ in range(n):
+        An = An @ A
+        for G in (eye - An.conj().T @ An, eye - An @ An.conj().T):
+            ker = _kernel((G + G.conj().T) / 2, rank_tol)
+            stacked = np.vstack([eye - current @ current.conj().T, eye - ker @ ker.conj().T])
+            current = _kernel(stacked, rank_tol)
+        if current.shape[1] == 0:
+            break
+    return current, _kernel(current.conj().T, rank_tol)
