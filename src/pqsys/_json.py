@@ -1,16 +1,22 @@
 """JSON encodings for the shared file formats.
 
-Complex matrices are stored row-major as [re, im] pairs.  Loaders raise
+A complex matrix is a document {"rows", "cols", ...} that carries its
+entries, row-major, in one of two forms: "data", a list of [re, im]
+pairs, or "zb64", the base64 text of a zlib stream (level 1) of the
+little-endian complex128 bytes.  System documents and the similarity
+operator are written in the byte form, channel-sized documents (eval
+samples, measures) as lists; the reader accepts either.  Loaders raise
 ValueError on malformed documents so the CLI can map them to its
 input-error exit code.
 """
 
 from __future__ import annotations
 
-import contextlib
-import gc
+import base64
+import binascii
 import hashlib
 import json
+import zlib
 
 import numpy as np
 
@@ -19,37 +25,41 @@ from .realize import JacobiRealization
 from .sysmodel import PartitionedContraction
 from .transfer import SqsFunctionData
 
-
-@contextlib.contextmanager
-def _gc_paused():
-    """Pause the cyclic garbage collector while a large acyclic tree of lists
-    and floats is built: allocating a million lists would otherwise run
-    repeated full collections that have nothing to free."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
+# little-endian complex128: the byte order of the "zb64" form on every host
+_WIRE = np.dtype("<c16")
 
 
 def matrix_to_json(M) -> dict:
+    """The list form: each entry an [re, im] pair."""
     M = as_matrix(M)
     rows, cols = M.shape
     # the float64 view of a complex array is its row-major [re, im] pairs
-    with _gc_paused():
-        data = np.ascontiguousarray(M).view(np.float64).reshape(-1, 2).tolist()
+    data = np.ascontiguousarray(M).view(np.float64).reshape(-1, 2).tolist()
     return {"rows": rows, "cols": cols, "data": data}
 
 
+def matrix_to_zb64(M) -> dict:
+    """The byte form: zlib level 1 over the row-major little-endian
+    complex128 entries, as base64 text."""
+    M = as_matrix(M)
+    rows, cols = M.shape
+    raw = np.ascontiguousarray(M, dtype=_WIRE)
+    return {"rows": rows, "cols": cols, "zb64": base64.b64encode(zlib.compress(raw, 1)).decode("ascii")}
+
+
 def matrix_from_json(obj) -> np.ndarray:
+    """A matrix document in either form; entries must be finite."""
     try:
         rows = int(obj["rows"])
         cols = int(obj["cols"])
-        data = obj["data"]
+        packed = "zb64" in obj
+        data = obj["zb64"] if packed else obj["data"]
     except (TypeError, KeyError) as exc:
         raise ValueError(f"not a matrix document: missing {exc}") from None
+    if packed:
+        if "data" in obj:
+            raise ValueError("matrix document carries both 'data' and 'zb64'")
+        return _entries_from_zb64(data, rows, cols).reshape(rows, cols)
     if rows < 0 or cols < 0 or len(data) != rows * cols:
         raise ValueError(f"matrix document claims {rows}x{cols} but carries {len(data)} entries")
     out = np.empty(rows * cols, dtype=complex)
@@ -70,12 +80,46 @@ def matrix_from_json(obj) -> np.ndarray:
     return out.reshape(rows, cols)
 
 
+def _entries_from_zb64(text, rows: int, cols: int) -> np.ndarray:
+    """The rows*cols entries of a "zb64" payload, in native byte order.
+
+    Inflation stops one byte past the declared size, so a small document
+    cannot expand into more memory than its header claims."""
+    if rows < 0 or cols < 0:
+        raise ValueError(f"matrix document claims {rows}x{cols}")
+    if not isinstance(text, str):
+        raise ValueError("matrix payload 'zb64' must be a string")
+    size = rows * cols * _WIRE.itemsize
+    try:
+        stream = base64.b64decode(text, validate=True)
+    except binascii.Error as exc:
+        raise ValueError(f"matrix payload is not base64: {exc}") from None
+    inflate = zlib.decompressobj()
+    try:
+        raw = inflate.decompress(stream, size + 1)
+    except (zlib.error, OverflowError) as exc:
+        raise ValueError(f"matrix payload is not a zlib stream: {exc}") from None
+    claim = f"matrix document claims {rows}x{cols} ({size} bytes)"
+    if len(raw) > size:
+        raise ValueError(f"{claim} but its payload holds more")
+    if not inflate.eof:
+        raise ValueError(f"{claim} but its zlib stream is truncated")
+    if len(raw) < size:
+        raise ValueError(f"{claim} but its payload holds {len(raw)} bytes")
+    if inflate.unused_data:
+        raise ValueError("matrix payload has data after the end of its zlib stream")
+    out = np.frombuffer(raw, dtype=_WIRE).astype(complex)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("matrix entries must be finite numbers")
+    return out
+
+
 def system_to_json(tau: PartitionedContraction) -> dict:
     return {
         "in_dim": tau.in_dim,
         "out_dim": tau.out_dim,
         "state_dim": tau.state_dim,
-        "T": matrix_to_json(tau.T),
+        "T": matrix_to_zb64(tau.T),
     }
 
 
@@ -156,5 +200,5 @@ def dump(obj, path: str):
 
 
 def load(path: str):
-    with open(path, "r", encoding="utf-8") as fh, _gc_paused():
+    with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)

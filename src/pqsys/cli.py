@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import time
 
 import numpy as np
 
@@ -63,13 +64,18 @@ def _grid_points(spec: str, seed: int):
 
 class Reporter:
     """The run report of one command.  Its checks are the ledger `main` opens:
-    the library self-checks the command runs, then the command's own."""
+    the library self-checks the command runs, then the command's own.  Its
+    timings are the wall time spent reading input documents (`load`) and
+    the wall time of the whole command, both in seconds."""
 
     def __init__(self, args, inputs):
+        self.started = time.perf_counter()
+        self.load_s = 0.0
         self.tol = _parse_tol(args.tol)
         self.report = {
             "command": args.command,
             "version": __version__,
+            "numpy": np.__version__,
             "seed": args.seed,
             "tolerances": dataclasses.asdict(self.tol),
             "inputs_digest": _json.digest_files(inputs),
@@ -79,6 +85,14 @@ class Reporter:
         self.args = args
         # main writes the report of a command that raises
         args.reporter = self
+
+    def load(self, path: str, decode):
+        """decode(the parsed JSON document at path), timed as load_s."""
+        start = time.perf_counter()
+        try:
+            return decode(_json.load(path))
+        finally:
+            self.load_s += time.perf_counter() - start
 
     def check(self, name: str, residual: float, bound: float):
         """A check of the command's own, recorded and never raised."""
@@ -90,6 +104,8 @@ class Reporter:
 
     def write(self):
         """Print the checks, then write the report when --report is given."""
+        self.report["timings"] = {"load_s": self.load_s,
+                                  "total_s": time.perf_counter() - self.started}
         for c in self.report["checks"]:
             status = "PASS" if c["pass"] else "FAIL"
             print(f"check {c['name']}: {status} residual={c['residual']:.3e} bound={c['bound']:.3e}")
@@ -109,7 +125,7 @@ class Reporter:
 def cmd_classify(args) -> int:
     rep = Reporter(args, [args.system])
     tol = rep.tol
-    tau = _json.system_from_json(_json.load(args.system))
+    tau = rep.load(args.system, _json.system_from_json)
     flags = sysmodel.classify(tau, tol)
     for name in ("passive", "isometric", "coisometric", "conservative", "pqs",
                  "normal_main", "selfadjoint_main"):
@@ -133,7 +149,7 @@ def cmd_classify(args) -> int:
 def cmd_eval(args) -> int:
     rep = Reporter(args, [args.system])
     tol = rep.tol
-    tau = _json.system_from_json(_json.load(args.system))
+    tau = rep.load(args.system, _json.system_from_json)
     points = [_parse_lambda(t) for t in args.lam or []]
     if args.grid:
         points.extend(_grid_points(args.grid, args.seed))
@@ -174,7 +190,7 @@ def cmd_eval(args) -> int:
 
 def cmd_realize(args) -> int:
     rep = Reporter(args, [args.measure])
-    data = _json.measure_from_json(_json.load(args.measure))
+    data = rep.load(args.measure, _json.measure_from_json)
     try:
         # records the membership checks and the grid agreement
         tau = realize.realize_from_data(data, rep.tol)
@@ -187,7 +203,7 @@ def cmd_realize(args) -> int:
 
 def cmd_jacobi(args) -> int:
     rep = Reporter(args, [args.source])
-    source = _json.sniff_document(_json.load(args.source))
+    source = rep.load(args.source, _json.sniff_document)
     jr = realize.jacobi_realize(source, max_len=args.max_len, tol=rep.tol)
     rep.info("length", jr.length)
     rep.info("truncated", jr.truncated)
@@ -197,7 +213,7 @@ def cmd_jacobi(args) -> int:
 
 def cmd_dilate(args) -> int:
     rep = Reporter(args, [args.system])
-    tau = _json.system_from_json(_json.load(args.system))
+    tau = rep.load(args.system, _json.system_from_json)
     # records block_unitarity and corner_match
     big = realize.biinner_dilation(tau, rep.tol).system
     # ||Theta*Theta - I|| on 16 circle points, none skipped: A is selfadjoint
@@ -208,12 +224,12 @@ def cmd_dilate(args) -> int:
 def cmd_similar(args) -> int:
     inputs = [args.system1, args.system2] + ([args.S] if args.S else [])
     rep = Reporter(args, inputs)
-    tau1 = _json.system_from_json(_json.load(args.system1))
-    tau2 = _json.system_from_json(_json.load(args.system2))
-    S = _json.matrix_from_json(_json.load(args.S)) if args.S else None
+    tau1 = rep.load(args.system1, _json.system_from_json)
+    tau2 = rep.load(args.system2, _json.system_from_json)
+    S = rep.load(args.S, _json.matrix_from_json) if args.S else None
     # records the transfer, moment and intertwining checks
     result = realize.unitary_similarity(tau1, tau2, S, rep.tol)
-    return rep.finish(lambda: _json.matrix_to_json(result.U))
+    return rep.finish(lambda: _json.matrix_to_zb64(result.U))
 
 
 def build_parser() -> argparse.ArgumentParser:

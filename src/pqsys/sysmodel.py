@@ -261,13 +261,18 @@ def _cluster_span(t: np.ndarray, comps: np.ndarray, thresh: float, vecs: np.ndar
         yield c, rank, None if vecs is None else vecs[:, c] @ U[:, :rank]
 
 
+def _cluster_basis(sd: SpectralData, comps: np.ndarray, thresh: float) -> SubspaceBasis:
+    """Orthonormal basis of the `_cluster_span` of comps on the eigenvectors sd.V."""
+    kept = [part for _, rank, part in _cluster_span(sd.t, comps, thresh, sd.V) if rank]
+    s = sd.t.size
+    return SubspaceBasis(s, np.hstack(kept) if kept else np.zeros((s, 0), dtype=complex))
+
+
 def _eigen_span(tau: PartitionedContraction, tol: Tolerances, adjoint: bool) -> SubspaceBasis:
     """Basis of span{A^n B} (or span{A*^n C*}) for a selfadjoint A from its
     cached eigenvectors, with the cluster ranks of `krylov_record`."""
     sd = spectral_data(tau, tol)
-    kept = [part for _, rank, part in _cluster_span(sd.t, *_eigen_side(sd, tol, adjoint), sd.V) if rank]
-    s = tau.state_dim
-    return SubspaceBasis(s, np.hstack(kept) if kept else np.zeros((s, 0), dtype=complex))
+    return _cluster_basis(sd, *_eigen_side(sd, tol, adjoint))
 
 
 def controllable_subspace(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
@@ -349,6 +354,8 @@ class MinimalityReport:
     ran D_A ∩ (H - H_N^c) = {0} (and the observable/simple analogues,
     where H_N^c = span{A^n M}, H_N^o = span{A*^n K*}); the direct route
     uses the Krylov subspaces of (A, B) and (A*, C*).  Both must agree.
+    Both routes read the same span rule: the cluster rule on the cached
+    factorization for a selfadjoint A, band Arnoldi for any other normal A.
     """
 
     controllable: bool
@@ -381,8 +388,19 @@ def check_minimality_normal(tau: PartitionedContraction, tol: Tolerances = DEFAU
     E = p.defects.E_A  # orthonormal basis of ran D_A
     ker_trivial = E.shape[1] == n_state
 
-    hc_n = opcore.krylov_span(A, p.M_ambient, n_state, tol)                # M: inputs -> state space
-    ho_n = opcore.krylov_span(A.conj().T, E @ p.K.conj().T, n_state, tol)  # K*: outputs -> state space
+    M, Ks = p.M_ambient, E @ p.K.conj().T  # M: inputs -> state space, K*: outputs -> state space
+    sd = spectral_data(tau, tol)
+    if sd is None:
+        hc_n = opcore.krylov_span(A, M, n_state, tol)
+        ho_n = opcore.krylov_span(A.conj().T, Ks, n_state, tol)
+        joint = opcore.range_basis(np.hstack([hc_n.basis, ho_n.basis]), tol)
+    else:
+        # A = A*: the cluster ranks of the components in the eigenbasis, with
+        # the thresholds rank_tol * ||M||_2 and rank_tol * ||K*||_2
+        cm, ck = sd.V.conj().T @ M, sd.V.conj().T @ Ks
+        tm, tk = tol.rank_tol * operator_norm(cm), tol.rank_tol * operator_norm(ck)
+        hc_n, ho_n = _cluster_basis(sd, cm, tm), _cluster_basis(sd, ck, tk)
+        joint = _cluster_basis(sd, np.hstack([cm, ck]), max(tm, tk))
 
     def meets_range(sub: SubspaceBasis) -> bool:
         # ran D_A meets the orthogonal complement of sub nontrivially iff
@@ -393,7 +411,6 @@ def check_minimality_normal(tau: PartitionedContraction, tol: Tolerances = DEFAU
 
     cond_c = ker_trivial and not meets_range(hc_n)
     cond_o = ker_trivial and not meets_range(ho_n)
-    joint = opcore.range_basis(np.hstack([hc_n.basis, ho_n.basis]), tol)
     cond_s = ker_trivial and not meets_range(joint)
     cond_m = cond_c and cond_o
     return MinimalityReport(

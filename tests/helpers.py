@@ -5,7 +5,13 @@ reproducible.  Contractions are produced through an SVD rescale, which makes
 the largest singular value exactly the requested bound.
 """
 
+from pathlib import Path
+
 import numpy as np
+
+# a 6-state realized arcsine system written in the list form ("data" pairs)
+# by the writer that preceded the byte form
+LEGACY_SYSTEM = Path(__file__).parent / "data" / "legacy_list_system.json"
 
 
 def rand_complex(rng, rows, cols):

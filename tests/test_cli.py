@@ -10,7 +10,7 @@ import pqsys
 from pqsys import _json, errors, opcore, sysmodel
 from pqsys.cli import main
 
-from helpers import rand_atoms, rand_contraction, rand_pqs_T, rand_unitary
+from helpers import LEGACY_SYSTEM, rand_atoms, rand_contraction, rand_pqs_T, rand_unitary
 
 import oracles
 
@@ -95,6 +95,49 @@ def test_eval_theta_samples_and_schur_check(tmp_path, rng):
     names = [c["name"] for c in rep["checks"]]
     assert "schur_bound" in names
     assert all(c["pass"] for c in rep["checks"])
+
+
+def test_eval_theta_writes_samples_as_lists(tmp_path, rng):
+    # the benchmark reads each sample as value["data"][0], an [re, im] pair;
+    # changing this form needs a change to the benchmark first
+    f = write_member_measure(tmp_path / "m.json", rng, n=1)
+    write_system(tmp_path / "sys.json", pqsys.realize_from_data(f))
+    out = tmp_path / "vals.json"
+    assert main(["eval", str(tmp_path / "sys.json"), "--func", "theta", "--grid", "disk:4",
+                 "--out", str(out)]) == 0
+    samples = read_json(out)["samples"]
+    assert len(samples) == 4
+    for sample in samples:
+        value = sample["value"]
+        assert set(value) == {"rows", "cols", "data"}
+        assert (value["rows"], value["cols"]) == (1, 1)
+        assert len(value["data"]) == 1 and len(value["data"][0]) == 2
+        assert all(isinstance(x, float) for x in value["data"][0])
+
+
+def test_classify_corrupted_payload_exits_2_with_report(tmp_path, rng):
+    write_system(tmp_path / "sys.json", pqsys.realize_from_data(write_member_measure(tmp_path / "m.json", rng)))
+    doc = read_json(tmp_path / "sys.json")
+    doc["T"]["zb64"] = doc["T"]["zb64"][:8] + "AAAA" + doc["T"]["zb64"][12:]
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    report = tmp_path / "rep.json"
+    assert main(["classify", str(tmp_path / "bad.json"), "--report", str(report)]) == 2
+    err = read_json(report)["error"]
+    assert err["type"] == "ValueError" and err["exit_code"] == 2
+    assert "zlib" in err["message"]
+
+
+def test_classify_reads_a_legacy_list_system_file(tmp_path):
+    report = tmp_path / "rep.json"
+    assert main(["classify", str(LEGACY_SYSTEM), "--report", str(report)]) == 0
+    # the verdicts of the list-form writer's own classify run on this file
+    assert read_json(report)["info"] == {
+        "passive": True, "isometric": False, "coisometric": False, "conservative": False,
+        "pqs": True, "normal_main": True, "selfadjoint_main": True,
+        "controllable": True, "observable": True, "simple": True, "minimal": True,
+        "controllable_dim": 6, "observable_dim": 6,
+        "strongly_stable": True, "strongly_co_stable": True, "stability_conclusive": True,
+    }
 
 
 def test_eval_deterministic_given_seed(tmp_path, rng):
@@ -237,7 +280,9 @@ def test_similar_accepts_conjugated_pair(tmp_path, rng):
     code = main(["similar", str(tmp_path / "s1.json"), str(tmp_path / "s2.json"),
                  "--out", str(out)])
     assert code == 0
-    Urec = _json.matrix_from_json(read_json(out))
+    doc = read_json(out)
+    assert set(doc) == {"rows", "cols", "zb64"}
+    Urec = _json.matrix_from_json(doc)
     assert np.linalg.norm(Urec.conj().T @ Urec - np.eye(U.shape[0])) < 1e-8
 
 
@@ -382,7 +427,11 @@ def test_report_records_the_seed(tmp_path, rng, outcome):
     assert rep["seed"] == 1234
     assert ("error" in rep) == (outcome == "malformed")
     assert rep["version"] == pqsys.__version__
+    assert rep["numpy"] == np.__version__
     assert rep["tolerances"] == dataclasses.asdict(opcore.DEFAULT_TOL)
+    timings = rep["timings"]
+    assert set(timings) == {"load_s", "total_s"}
+    assert 0.0 < timings["load_s"] <= timings["total_s"]
 
 
 def test_report_records_the_tolerance_overrides(tmp_path, rng):

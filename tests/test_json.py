@@ -1,12 +1,16 @@
 """Round trips and validation for the JSON file formats."""
 
+import base64
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
 
 import pqsys
 from pqsys import _json
 
-from helpers import rand_atoms, rand_complex, rand_passive_T
+from helpers import LEGACY_SYSTEM, rand_atoms, rand_complex, rand_passive_T
 
 
 def test_matrix_roundtrip():
@@ -58,6 +62,104 @@ def test_matrix_rejects_bad_entries(data):
         _json.matrix_from_json({"rows": 1, "cols": 2, "data": data})
 
 
+def _zb64_doc(rows, cols, raw: bytes, level=1) -> dict:
+    return {"rows": rows, "cols": cols, "zb64": base64.b64encode(zlib.compress(raw, level)).decode()}
+
+
+def test_zb64_roundtrip_through_a_file_is_bit_exact(tmp_path):
+    rng = np.random.default_rng(6)
+    M = rand_complex(rng, 40, 30) * 10.0 ** rng.integers(-300, 300, size=(40, 30))
+    M[0, 0] = complex(-0.0, -0.0)
+    M[0, 1] = complex(5e-324, -5e-324)
+    M[0, 2] = complex(1.7976931348623157e308, -1.7976931348623157e308)  # +-1.8e308
+    for src in (M, M.T, np.zeros((0, 3)), np.zeros((2, 0)), np.zeros((0, 0))):
+        path = str(tmp_path / "m.json")
+        _json.dump(_json.matrix_to_zb64(src), path)
+        doc = _json.load(path)
+        assert set(doc) == {"rows", "cols", "zb64"}
+        back = _json.matrix_from_json(doc)
+        assert back.shape == src.shape and back.dtype == complex
+        # the transposed (non-contiguous) view is written in its own row order
+        assert back.tobytes() == np.ascontiguousarray(src, dtype=complex).tobytes()
+
+
+def test_zb64_payload_is_little_endian_complex128_at_level_1():
+    M = np.array([[1 + 2j, -0.5j]])
+    doc = _json.matrix_to_zb64(M)
+    raw = M.astype("<c16").tobytes()
+    assert doc == _zb64_doc(1, 2, raw)
+    assert zlib.decompress(base64.b64decode(doc["zb64"])) == raw
+
+
+_ONE = np.array([1.0 + 2.0j]).astype("<c16").tobytes()
+_GOOD = base64.b64decode(_zb64_doc(1, 1, _ONE)["zb64"])
+
+
+@pytest.mark.parametrize("doc", [
+    {"rows": 1, "cols": 1, "zb64": "not base64!"},                                 # bad base64
+    {"rows": 1, "cols": 1, "zb64": base64.b64encode(_GOOD[:-5]).decode()},        # truncated stream
+    {"rows": 1, "cols": 1, "zb64": base64.b64encode(b"\x78\x01" + b"\xff" * 12).decode()},  # corrupted
+    _zb64_doc(1, 1, _ONE[:8]),                                                      # too few bytes
+    _zb64_doc(1, 1, _ONE + b"\x00"),                                                # too many bytes
+    {"rows": 1, "cols": 1, "zb64": base64.b64encode(_GOOD + b"junk").decode()},    # data after the stream
+    _zb64_doc(1, 1, np.array([complex(np.nan, 0.0)]).astype("<c16").tobytes()),     # NaN entry
+    _zb64_doc(1, 1, np.array([complex(0.0, -np.inf)]).astype("<c16").tobytes()),    # inf entry
+    {"rows": -1, "cols": -1, "zb64": _zb64_doc(1, 1, _ONE)["zb64"]},                 # negative dims
+    {"rows": 2 ** 40, "cols": 2 ** 40, "zb64": _zb64_doc(1, 1, _ONE)["zb64"]},       # size past ssize_t
+    {"rows": 1, "cols": 1, "zb64": 12},                                             # not text
+    dict(_zb64_doc(1, 1, _ONE), data=[[1.0, 2.0]]),                                 # both forms
+])
+def test_zb64_rejects_malformed_payloads(doc):
+    with pytest.raises(ValueError):
+        _json.matrix_from_json(doc)
+
+
+def test_zb64_inflation_is_bounded_by_the_declared_size():
+    # a 1x1 header over a stream that inflates to 1 MB: rejected without
+    # allocating the megabyte
+    doc = _zb64_doc(1, 1, bytes(1 << 20), level=9)
+    assert len(doc["zb64"]) < 2000
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="holds more"):
+            _json.matrix_from_json(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_system_file_round_trip_stays_near_the_matrix_size(tmp_path):
+    # a 1001-state system (diagonal A and two channels): writing and reading
+    # it back must not build a Python object per entry (the list form peaked
+    # near 190 MB on this system)
+    rng = np.random.default_rng(8)
+    s, n = 1001, 2
+    T = np.zeros((n + s, n + s), dtype=complex)
+    T[np.arange(n, n + s), np.arange(n, n + s)] = rng.uniform(-0.9, 0.9, s)
+    B = 0.01 * rand_complex(rng, s, n)
+    T[n:, :n], T[:n, n:] = B, B.conj().T
+    tau = pqsys.PartitionedContraction(T, n, n, s)
+    path = str(tmp_path / "sys.json")
+    tracemalloc.start()
+    try:
+        _json.dump(_json.system_to_json(tau), path)
+        back = _json.system_from_json(_json.load(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * T.nbytes
+    assert np.array_equal(back.T, T)
+
+
+def test_legacy_list_system_file_still_reads():
+    doc = _json.load(str(LEGACY_SYSTEM))
+    assert "data" in doc["T"]
+    tau = _json.system_from_json(doc)
+    assert (tau.in_dim, tau.out_dim, tau.state_dim) == (1, 1, 6)
+    assert np.array_equal(_json.system_from_json(_json.system_to_json(tau)).T, tau.T)
+
+
 def test_empty_matrix_roundtrip():
     for shape in ((0, 3), (2, 0), (0, 0)):
         back = _json.matrix_from_json(_json.matrix_to_json(np.zeros(shape)))
@@ -75,7 +177,9 @@ def test_system_roundtrip():
     rng = np.random.default_rng(1)
     T = rand_passive_T(rng, 2, 3, 4)
     tau = pqsys.PartitionedContraction(T, 2, 3, 4)
-    back = _json.system_from_json(_json.system_to_json(tau))
+    doc = _json.system_to_json(tau)
+    assert set(doc["T"]) == {"rows", "cols", "zb64"}
+    back = _json.system_from_json(doc)
     assert back.in_dim == 2 and back.out_dim == 3 and back.state_dim == 4
     assert np.array_equal(back.T, tau.T)
 

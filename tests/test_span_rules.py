@@ -261,7 +261,24 @@ def test_selfadjoint_main_operator_is_normal():
     assert flags.selfadjoint_main and flags.normal_main
     rep = pqsys.check_minimality_normal(tau)
     assert rep.direct_minimal == pqsys.is_minimal(tau)
+    # two channels cannot fill a triple eigenvalue: both routes count 14 of 21
+    assert rep.agree and not rep.controllable and not rep.minimal
     assert pqsys.is_strongly_stable(tau).conclusive
+
+
+@pytest.mark.parametrize("n, minimal", [(2, False), (3, True)])
+def test_check_minimality_normal_reads_the_cluster_rule_for_selfadjoint_A(monkeypatch, n, minimal):
+    # s = 50 in triple eigenvalue clusters: the defect route takes the
+    # cluster ranks of the cached factorization, as the direct route does
+    rng = np.random.default_rng(50 + n)
+    s = 50
+    tau = system(pqs_from_spectrum(rng, np.repeat(rng.uniform(-0.9, 0.9, 17), 3)[:s], n), n, s)
+    spans = []
+    span = opcore.krylov_span
+    monkeypatch.setattr(opcore, "krylov_span", lambda *a: spans.append(1) or span(*a))
+    rep = pqsys.check_minimality_normal(tau)
+    assert rep.agree and rep.minimal == minimal and rep.simple == minimal
+    assert not spans
 
 
 def test_q_asymptotic_F_takes_the_callers_tolerances():
