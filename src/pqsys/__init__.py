@@ -65,6 +65,7 @@ from .sysmodel import (
     PartitionedContraction,
     StabilityReport,
     SystemClass,
+    block_norm_at_most,
     check_minimality_normal,
     classify,
     controllable_subspace,

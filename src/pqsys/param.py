@@ -21,7 +21,7 @@ import numpy as np
 from . import opcore
 from .errors import DimensionMismatch, NotAContraction, PqsysError, check
 from .opcore import DEFAULT_TOL, Tolerances, as_matrix, operator_norm
-from .sysmodel import PartitionedContraction, spectral_data
+from .sysmodel import PartitionedContraction, _spectral_parts, block_norm_at_most, spectral_data
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,12 @@ def assemble(p: ContractionParams, tol: Tolerances = DEFAULT_TOL) -> Partitioned
     if k != h:
         raise DimensionMismatch("system assembly needs a square main operator")
     tau = PartitionedContraction(_raw_block(p), p.in_dim, p.out_dim, h)
-    if tau.norm() > 1.0 + 10 * tol.psd_tol:
+    dd = p.defects
+    if dd.t is not None and dd.E_A.shape[1] == h and opcore.is_selfadjoint(p.A, tol):
+        # no eigenvalue at +-1: the defect basis holds every eigenvector of the
+        # main operator p.A, so the system takes that factorization, not an eigh
+        tau.cached("spectral", tol, lambda: _spectral_parts(tau, dd.t, dd.E_A))
+    if not block_norm_at_most(tau, 1.0 + 10 * tol.psd_tol, tol):
         raise NotAContraction(f"assembled block has norm {tau.norm():.12f}; parameters inconsistent")
     return tau
 
@@ -159,10 +164,9 @@ def parametrize(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> C
     which fails exactly when T was not a contraction to begin with (or is too
     close to the boundary to resolve).  A selfadjoint A takes its defect data
     from the system's cached spectral factorization."""
-    nrm = tau.norm()
-    if nrm > 1.0 + tol.rank_tol:
-        raise NotAContraction(f"system block has norm {nrm:.12f}")
-    scale = max(1.0, nrm)
+    if not block_norm_at_most(tau, 1.0 + tol.rank_tol, tol):
+        raise NotAContraction(f"system block has norm {tau.norm():.12f}")
+    # the bounds scale by max(1, ||T||), which `norm_scale` reads as 1 for a passive system
     A, B, C, D = tau.A, tau.B, tau.C, tau.D
     sd = spectral_data(tau, tol)
     dd = opcore.hermitian_defect_data(sd.t, sd.V, tol) if sd is not None else opcore.defect_data(A, tol)
@@ -171,10 +175,10 @@ def parametrize(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> C
     M = (B.conj().T @ dd.E_As).conj().T / dd.d_As[:, None]
     K = (C @ dd.E_A) / dd.d_A
     resid_b = operator_norm(dd.DAs @ (dd.E_As @ M) - B)
-    check("carried_B", resid_b, tol.eq_tol * scale, PqsysError,
+    check("carried_B", resid_b, tol.eq_tol, PqsysError,
           f"B is not carried by the defect of A*: residual {resid_b:.3e}")
     resid_c = operator_norm((K @ dd.E_A.conj().T) @ dd.DA - C)
-    check("carried_C", resid_c, tol.eq_tol * scale, PqsysError,
+    check("carried_C", resid_c, tol.eq_tol, PqsysError,
           f"C is not carried by the defect of A: residual {resid_c:.3e}")
     _check_recovered("M", M, tol)
     _check_recovered("K", K, tol)
@@ -184,7 +188,7 @@ def parametrize(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> C
         core = D + (A @ (dd.E_A @ K.conj().T)).conj().T @ (dd.E_As @ M)
         X = (dks.E_A.conj().T @ core @ dm.E_A) / np.outer(dks.d_A, dm.d_A)
         resid_d = operator_norm(dks.DA @ (dks.E_A @ X @ dm.E_A.conj().T) @ dm.DA - core)
-        check("carried_D", resid_d, tol.eq_tol * scale, PqsysError,
+        check("carried_D", resid_d, tol.eq_tol, PqsysError,
               f"D block not reproduced by extracted X: residual {resid_d:.3e}")
         _check_recovered("X", X, tol)
         return X

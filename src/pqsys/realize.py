@@ -84,7 +84,9 @@ def realize_from_data(f: SqsFunctionData, tol: Tolerances = DEFAULT_TOL) -> Part
     T[n:, :n] = B
     np.fill_diagonal(T[n:, n:], diag)
     tau = PartitionedContraction(T, n, n, s)
-    check("contraction", max(tau.norm() - 1.0, 0.0), 10 * tol.psd_tol, PqsysError,
+    # max(||T|| - 1, 0), which needs the singular values only above 1
+    excess = 0.0 if sysmodel.block_norm_at_most(tau, 1.0, tol) else max(tau.norm() - 1.0, 0.0)
+    check("contraction", excess, 10 * tol.psd_tol, PqsysError,
           "assembled realization is not a contraction")
     tau = sysmodel.minimal_pqs_reduction(tau, tol)
     gap, _ = transfer.grid_gap(tau, f, 0.5 * np.exp(2j * np.pi * (np.arange(20) + 0.3) / 20), tol)
@@ -518,7 +520,7 @@ def chebyshev_example(d: complex, n_nodes: int, tol: Tolerances = DEFAULT_TOL):
     T[1:, 0] = Bv
     np.fill_diagonal(T[1:, 1:], nodes)
     tau = PartitionedContraction(T, 1, 1, n_nodes)
-    if tau.norm() > 1.0 + 10 * tol.psd_tol:
+    if not sysmodel.block_norm_at_most(tau, 1.0 + 10 * tol.psd_tol, tol):
         raise PqsysError("discretized system is not a contraction")
     return data, tau
 
@@ -556,14 +558,15 @@ def unitary_similarity(tau1: PartitionedContraction, tau2: PartitionedContractio
         S = np.eye(tau1.out_dim, dtype=complex)
     else:
         S = as_matrix(S)
-    for k, tau in enumerate((tau1, tau2), start=1):
+    scales = [sysmodel.norm_scale(tau, tol) for tau in (tau1, tau2)]
+    for k, (tau, sc) in enumerate(zip((tau1, tau2), scales), start=1):
         # the C = B* rule of `classify`, with S
         R = tau.C - S @ tau.B.conj().T
-        if not opcore.norm_at_most(R, tol.eq_tol * max(1.0, tau.norm())):
+        if not opcore.norm_at_most(R, tol.eq_tol * sc):
             raise PqsysError(f"system {k} does not satisfy C = S B* (gap {operator_norm(R):.3e})")
 
     s1, s2 = tau1.state_dim, tau2.state_dim
-    scale = max(1.0, tau1.norm(), tau2.norm())
+    scale = max(scales)
     # one block sequence B, AB, A^2 B, ... per system serves both checks
     K1, K2 = (_krylov_blocks(tau, max(s1 + s2, 1)) for tau in (tau1, tau2))
     diff = np.concatenate([(tau1.D - tau2.D)[None], tau1.C @ K1 - tau2.C @ K2])

@@ -139,23 +139,29 @@ def classify(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> Syst
     """Flags for the standard system classes.
 
     pqs uses the coordinate criterion A = A*, C = B* (equivalent to
-    ran(T - T*) lying in the I/O block for square partitions).  The flags
-    are computed once per system and tolerance set.
+    ran(T - T*) lying in the I/O block for square partitions).  passive is
+    `block_norm_at_most(tau, 1 + rank_tol)`, and the residual bounds scale
+    by `norm_scale`; a passive pqs-shaped system far from isometric
+    (`_isometry_ruled_out`) needs no singular values of T.  The flags are
+    computed once per system and tolerance set.
     """
     return tau.cached("classify", tol, lambda: _classify(tau, tol))
 
 
 def _classify(tau: PartitionedContraction, tol: Tolerances) -> SystemClass:
-    nrm = tau.norm()
-    passive = nrm <= 1.0 + tol.rank_tol
-    scale = max(1.0, nrm)
-    # ||T*T - I|| and ||TT* - I|| from the singular values of T
-    sv = tau.singular_values()
-    rows, cols = tau.T.shape
-    iso = opcore.gram_defect(sv, cols) <= tol.eq_tol * scale
-    coiso = opcore.gram_defect(sv, rows) <= tol.eq_tol * scale
+    passive = block_norm_at_most(tau, 1.0 + tol.rank_tol, tol)
+    scale = norm_scale(tau, tol)
+    if passive and not _svd_in_hand(tau) and _isometry_ruled_out(tau, tol):
+        iso = coiso = False
+    else:
+        # ||T*T - I|| and ||TT* - I|| from the singular values of T
+        sv = tau.singular_values()
+        rows, cols = tau.T.shape
+        iso = opcore.gram_defect(sv, cols) <= tol.eq_tol * scale
+        coiso = opcore.gram_defect(sv, rows) <= tol.eq_tol * scale
     A = tau.A
-    sa_main = opcore.is_selfadjoint(A, tol)
+    # a pqs-shaped system's factorization has passed the selfadjointness rule
+    sa_main = _pqs_model(tau, tol) is not None or opcore.is_selfadjoint(A, tol)
     # a selfadjoint A is normal: is_normal's two s x s products are skipped
     normal_main = sa_main or not A.size or opcore.is_normal(A, tol)
     cb = (tau.in_dim == tau.out_dim
@@ -170,6 +176,139 @@ def _classify(tau: PartitionedContraction, tol: Tolerances) -> SystemClass:
         normal_main=normal_main,
         selfadjoint_main=sa_main,
     )
+
+
+# A parameter of the pqs norm test (`block_norm_at_most`) whose norm lies this
+# close to 1, a defect value below it on an eigenvector that B reaches, and an
+# isometry bound (`_isometry_ruled_out`) within it of its threshold leave the
+# verdict to the singular values of T.  It sits far above the rounding of the
+# parameter formulas: V*B is off by about s * eps * ||B||, 2e-13 at s = 1000,
+# and a row of M is that divided by a defect value of at least the margin.
+PASSIVITY_MARGIN = 1e-6
+
+
+def block_norm_at_most(tau: PartitionedContraction, gamma: float, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """Decide ||T||_2 <= gamma, once per system, gamma and tolerance set.
+
+    A pqs-shaped system (`_pqs_model`) is decided from its parameters
+    (`_pqs_contraction`) on the model T~ = [[D, B*], [B, V diag(t) V*]] of its
+    cached factorization, which lies within eta of T: T~ / (gamma - eta) a
+    contraction proves ||T|| <= gamma, T~ / (gamma + eta) not one disproves
+    it.  Any other system, a pqs-shaped one that neither settles, and one
+    whose singular values are already cached read the singular values of T."""
+    return tau.cached(f"norm_at_most:{gamma!r}", tol, lambda: _block_norm_at_most(tau, gamma, tol))
+
+
+def _block_norm_at_most(tau: PartitionedContraction, gamma: float, tol: Tolerances) -> bool:
+    model = None if _svd_in_hand(tau) else _pqs_model(tau, tol)
+    if model is not None:
+        sd, eta = model
+        if _pqs_contraction(sd, tau.D, gamma - eta):
+            return True
+        if _pqs_contraction(sd, tau.D, gamma + eta) is False:
+            return False
+    return tau.norm() <= gamma
+
+
+def _svd_in_hand(tau: PartitionedContraction) -> bool:
+    """Whether the singular values of T are cached: then they decide, and the
+    parameter route, which only spares computing them, is skipped."""
+    return ("singular_values", None) in tau._cache
+
+
+def norm_scale(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> float:
+    """max(1, ||T||_2), the scale of the library's residual bounds on a system,
+    read as 1 for a passive system (||T|| <= 1 + rank_tol), so that it needs
+    no singular values of T."""
+    return 1.0 if block_norm_at_most(tau, 1.0 + tol.rank_tol, tol) else max(1.0, tau.norm())
+
+
+def _pqs_model(tau: PartitionedContraction, tol: Tolerances) -> tuple[SpectralData, float] | None:
+    """The cached factorization A = V diag(t) V* of a pqs-shaped system (square
+    partition, ||C - B*||_2 <= eq_tol, selfadjoint A) and a bound eta on
+    ||T - T~|| for its model T~ = [[D, B*], [B, V diag(t) V*]]: ||C - B*||_F,
+    plus ||A - A*||_F / 2 for A less its Hermitian part, plus the rounding
+    floor of eigh that `opcore.hermitian_eigh` allows.  None for any other
+    system."""
+    return tau.cached("pqs_model", tol, lambda: _build_pqs_model(tau, tol))
+
+
+def _build_pqs_model(tau: PartitionedContraction, tol: Tolerances) -> tuple[SpectralData, float] | None:
+    if tau.in_dim != tau.out_dim:
+        return None
+    gap = tau.C - tau.B.conj().T
+    if not norm_at_most(gap, tol.eq_tol):
+        return None
+    sd = spectral_data(tau, tol)
+    if sd is None:
+        return None
+    A = tau.A
+    # ||A - A*||_F by blocks of rows: no s x s temporary beside the cached V
+    skew = float(np.sqrt(sum(np.linalg.norm(A[j:j + 128] - A[:, j:j + 128].conj().T) ** 2
+                             for j in range(0, A.shape[0], 128))))
+    rounding = (opcore._EIGH_ROUNDING * sd.t.size * np.finfo(float).eps
+                * max(1.0, float(np.abs(sd.t).max(initial=0.0))))
+    return sd, float(np.linalg.norm(gap)) + skew / 2 + rounding
+
+
+def _pqs_contraction(sd: SpectralData, D: np.ndarray, g: float) -> bool | None:
+    """Whether T~ / g is a contraction, for T~ = [[D, W*], [W, diag(t)]] in the
+    eigenbasis of A (W = V*B): True when every parameter norm is at most
+    1 - PASSIVITY_MARGIN, False when one exceeds 1 + PASSIVITY_MARGIN or
+    some |t| > g, None otherwise.
+
+    The parameters of the block contraction (`param`) with K = M* are
+    M_g = diag(1/d) W / g on the eigenvectors of defect d = sqrt(1 - t^2/g^2)
+    and X_g = D_M^{-1} (D/g + M_g* diag(t/g) M_g) D_M^{-1}, where
+    D_M = (I - M_g* M_g)^{1/2}.  An eigenvector of defect below the margin is
+    left out when its row of W is zero (T~ keeps it, at norm |t| <= g);
+    otherwise the verdict is open.  X_g has the singular values of
+    L^{-1} core L^{-*} for the Cholesky factor L L* = I - M_g* M_g, and both
+    norms come from the eigenvalues of n x n Gram matrices."""
+    if g <= 0.0:
+        return None
+    a = np.abs(sd.t)
+    if np.any(a > g):
+        return False
+    d2 = (g - a) * (g + a) / (g * g)  # g - a is exact near the boundary
+    thin = d2 < PASSIVITY_MARGIN ** 2
+    if np.any(sd.VB[thin]):
+        return None
+    keep = ~thin
+    M = sd.VB[keep] / (g * np.sqrt(d2[keep]))[:, None]
+    G = M.conj().T @ M
+    verdict = _against_one(np.linalg.eigvalsh(G))
+    if not verdict:
+        return verdict
+    core = D / g + (M.conj().T * (sd.t[keep] / g)) @ M
+    L = np.linalg.cholesky(np.eye(G.shape[0]) - G)
+    Y = np.linalg.solve(L, np.linalg.solve(L, core).conj().T).conj().T
+    return _against_one(np.linalg.eigvalsh(Y @ Y.conj().T))
+
+
+def _against_one(sq: np.ndarray) -> bool | None:
+    """The verdict on a norm from the eigenvalues sq of its Gram matrix: True
+    at most 1 - PASSIVITY_MARGIN, False above 1 + PASSIVITY_MARGIN, else None."""
+    nrm = float(np.sqrt(max(sq.max(initial=0.0), 0.0)))
+    if nrm > 1.0 + PASSIVITY_MARGIN:
+        return False
+    return True if nrm <= 1.0 - PASSIVITY_MARGIN else None
+
+
+def _isometry_ruled_out(tau: PartitionedContraction, tol: Tolerances) -> bool:
+    """True when a passive pqs-shaped system is far from isometric and from
+    co-isometric, by Courant-Fischer: on the n + 1 eigenvectors of A with the
+    smallest |t| some unit h has C~ h = 0, so ||T~ (0, h)|| = ||A~ h|| and
+    sigma_min(T) <= |t|_(n+1) + eta; then ||I - T*T|| = ||I - TT*|| >= 1 - sigma_min^2.
+    It must exceed the threshold eq_tol (a passive system's scale is 1) by
+    PASSIVITY_MARGIN."""
+    model = _pqs_model(tau, tol)
+    n = tau.in_dim
+    if model is None or tau.state_dim <= n:
+        return False
+    sd, eta = model
+    low = float(np.partition(np.abs(sd.t), n)[n]) + eta
+    return 1.0 - low * low > tol.eq_tol + PASSIVITY_MARGIN
 
 
 def simulate(tau: PartitionedContraction, inputs, h0) -> tuple[np.ndarray, np.ndarray]:

@@ -14,6 +14,27 @@ import numpy as np
 LEGACY_SYSTEM = Path(__file__).parent / "data" / "legacy_list_system.json"
 
 
+def linalg_calls(monkeypatch, name, shape=None, internal=False):
+    """Patch np.linalg.<name> to record the shape of the first argument of
+    each call (only of calls on an array of the given shape, when one is
+    given) and return the record, which fills as the calls happen.  With
+    internal, the calls numpy.linalg makes itself are recorded too:
+    np.linalg.norm(M, 2) takes the singular values of M through its own svd."""
+    calls = []
+    real = getattr(np.linalg, name)
+
+    def recording(a, *args, **kwargs):
+        if shape is None or np.shape(a) == shape:
+            calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, recording)
+    if internal:
+        impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+        monkeypatch.setattr(impl, name, recording)
+    return calls
+
+
 def rand_complex(rng, rows, cols):
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 

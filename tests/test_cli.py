@@ -10,7 +10,7 @@ import pqsys
 from pqsys import _json, errors, opcore, sysmodel
 from pqsys.cli import main
 
-from helpers import LEGACY_SYSTEM, rand_atoms, rand_contraction, rand_pqs_T, rand_unitary
+from helpers import LEGACY_SYSTEM, linalg_calls, rand_atoms, rand_contraction, rand_pqs_T, rand_unitary
 
 import oracles
 
@@ -309,6 +309,52 @@ def test_realize_invalid_measure_exits_2_and_writes_report(tmp_path):
     assert rep["error"]["exit_code"] == 2
 
 
+def _measure_with_a_bad_atom(path, sigma_data):
+    data, _ = pqsys.chebyshev_example(0.2 + 0.1j, 1000)
+    doc = _json.measure_to_json(data)
+    doc["atoms"][500]["sigma"]["data"] = sigma_data
+    _json.dump(doc, str(path))
+
+
+@pytest.mark.parametrize("command", ["realize", "jacobi"])
+@pytest.mark.parametrize("sigma_data, message", [
+    ([[0.25, None]], "matrix entries must be finite numbers"),
+    ([[0.25]], "matrix entry 0 is not an [re, im] pair"),
+])
+def test_measure_with_a_bad_atom_exits_2_naming_it(tmp_path, command, sigma_data, message):
+    _measure_with_a_bad_atom(tmp_path / "m.json", sigma_data)
+    report = tmp_path / "rep.json"
+    assert main([command, str(tmp_path / "m.json"), "--report", str(report)]) == 2
+    err = read_json(report)["error"]
+    assert err["type"] == "ValueError" and err["exit_code"] == 2
+    assert err["message"] == f"atom 500: {message}"
+
+
+def test_pipeline_takes_no_svd_of_the_system_block(tmp_path, monkeypatch):
+    data, _ = pqsys.chebyshev_example(0.3 + 0.2j, 300)
+    _json.dump(_json.measure_to_json(data), str(tmp_path / "m.json"))
+    svds = linalg_calls(monkeypatch, "svd", (301, 301), internal=True)
+    system = str(tmp_path / "sys.json")
+    assert main(["realize", str(tmp_path / "m.json"), "--out", system]) == 0
+    assert main(["classify", system, "--report", str(tmp_path / "rep.json")]) == 0
+    assert main(["eval", system, "--func", "theta", "--grid", "disk:16"]) == 0
+    assert svds == []
+    info = read_json(tmp_path / "rep.json")["info"]
+    assert info["passive"] and info["pqs"] and not info["isometric"] and not info["coisometric"]
+
+
+def test_eval_char_circle_unitarity_is_the_defect_of_phi(tmp_path, rng):
+    tau = pqsys.PartitionedContraction(rand_pqs_T(rng, 2, 30), 2, 2, 30)
+    write_system(tmp_path / "sys.json", tau)
+    report = tmp_path / "rep.json"
+    assert main(["eval", str(tmp_path / "sys.json"), "--func", "char", "--grid", "circle:8",
+                 "--report", str(report)]) == 0
+    check = next(c for c in read_json(report)["checks"] if c["name"] == "circle_unitarity")
+    points = np.exp(2j * np.pi * (np.arange(8) + 0.5) / 8)
+    ref = max(opcore.isometry_defect(pqsys.char_func(tau.A, z)) for z in points)
+    assert check["pass"] and abs(check["residual"] - ref) < 1e-13
+
+
 def test_numerical_failure_exits_1_and_writes_report(tmp_path, rng, monkeypatch):
     f = write_member_measure(tmp_path / "m.json", rng, n=2)
     write_system(tmp_path / "sys.json", pqsys.realize_from_data(f))
@@ -387,9 +433,7 @@ def test_eval_char_factors_A_once(tmp_path, monkeypatch):
     assert not np.array_equal(tau.A, tau.A.conj().T)   # dense, not bitwise Hermitian
     write_system(tmp_path / "sys.json", tau)
     tau = _json.system_from_json(_json.load(str(tmp_path / "sys.json")))
-    eighs = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: eighs.append(1) or eigh(*a, **k))
+    eighs = linalg_calls(monkeypatch, "eigh")
     out = tmp_path / "vals.json"
     code = main(["eval", str(tmp_path / "sys.json"), "--func", "char", "--grid", "circle:16",
                  "--out", str(out)])

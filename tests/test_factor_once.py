@@ -15,21 +15,7 @@ import pqsys
 from pqsys import opcore, realize, sysmodel
 
 import oracles
-from helpers import pqs_from_spectrum, rand_complex, rand_contraction, rand_unitary
-
-
-def _count(monkeypatch, *names):
-    """Count the calls of the named np.linalg functions."""
-    counts = dict.fromkeys(names, 0)
-    for name in names:
-        real = getattr(np.linalg, name)
-
-        def counting(*args, _name=name, _real=real, **kwargs):
-            counts[_name] += 1
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counting)
-    return counts
+from helpers import linalg_calls, pqs_from_spectrum, rand_complex, rand_contraction, rand_unitary
 
 
 def _system(T, n, s):
@@ -69,9 +55,9 @@ def test_parametrize_takes_no_pseudoinverse(monkeypatch, kind, svds):
     tau = _nonnormal_system(rng) if kind == "nonnormal" else _pqs_system(rng)
     tau.norm()
     sysmodel.spectral_data(tau)
-    counts = _count(monkeypatch, "svd", "pinv", "eigh")
+    calls = {name: linalg_calls(monkeypatch, name) for name in ("svd", "pinv", "eigh")}
     pqsys.parametrize(tau)
-    assert counts == {"svd": svds, "pinv": 0, "eigh": 0}
+    assert {name: len(c) for name, c in calls.items()} == {"svd": svds, "pinv": 0, "eigh": 0}
 
 
 def _pinv_parameters(tau, tol=pqsys.DEFAULT_TOL):
@@ -150,13 +136,13 @@ def test_defect_values_diagonalize_the_defects():
 def test_dilation_factors_the_main_operator_once(monkeypatch):
     rng = np.random.default_rng(4)
     tau = _pqs_system(rng)
-    counts = _count(monkeypatch, "eigh")
+    eighs = linalg_calls(monkeypatch, "eigh")
     monkeypatch.setattr(opcore, "range_basis", lambda *a: pytest.fail("range_basis called"))
     dil = realize.biinner_dilation(tau)
-    assert counts["eigh"] == 1
+    assert len(eighs) == 1
     sd, big = sysmodel.spectral_data(tau), sysmodel.spectral_data(dil.system)
     assert big.t is sd.t and big.V is sd.V
-    assert counts["eigh"] == 1
+    assert len(eighs) == 1
 
 
 def test_dilation_defect_basis_spans_the_defect_of_K():

@@ -204,6 +204,36 @@ def test_measure_roundtrip():
         assert np.array_equal(sa, sb)
 
 
+def test_scalar_measure_decodes_as_the_per_atom_route():
+    data, _ = pqsys.chebyshev_example(0.2 + 0.1j, 50)
+    doc = _json.measure_to_json(data)
+    fast = _json.measure_from_json(doc)
+    # a byte-form weight sends the document down the per-atom route
+    doc["atoms"][7]["sigma"] = _json.matrix_to_zb64(data.atoms[7][1])
+    slow = _json.measure_from_json(doc)
+    assert _json._scalar_atoms(doc["atoms"]) is None
+    for (t1, s1), (t2, s2), (t0, s0) in zip(fast.atoms, slow.atoms, data.atoms):
+        assert t1 == t2 == t0
+        assert s1.shape == s2.shape == (1, 1) and s1.dtype == s2.dtype == complex
+        assert np.array_equal(s1, s0) and np.array_equal(s2, s0)
+
+
+@pytest.mark.parametrize("atom, message", [
+    ({"t": 0.1, "sigma": {"rows": 1, "cols": 1, "data": [[float("inf"), 0.0]]}},
+     "atom 2: matrix entries must be finite numbers"),
+    ({"t": 0.1, "sigma": {"rows": 1, "cols": 1, "data": [[0.1, 0.0], [0.1, 0.0]]}},
+     "atom 2: matrix document claims 1x1 but carries 2 entries"),
+    ({"t": 0.1, "sigma": {"rows": 1, "cols": 1}}, "atom 2: not a matrix document: missing 'data'"),
+])
+def test_measure_names_its_malformed_atom(atom, message):
+    data, _ = pqsys.chebyshev_example(0.2 + 0.1j, 4)
+    doc = _json.measure_to_json(data)
+    doc["atoms"][2] = atom
+    with pytest.raises(ValueError) as exc:
+        _json.measure_from_json(doc)
+    assert str(exc.value) == message
+
+
 def test_jacobi_roundtrip():
     jr = pqsys.JacobiRealization(0.1 + 0.2j, (0.5, 0.3), (0.0, -0.1), True)
     back = _json.jacobi_from_json(_json.jacobi_to_json(jr))

@@ -8,6 +8,7 @@ from pqsys import opcore
 from pqsys.errors import NotAContraction, NotPSD, NonSquare, PqsysError
 
 from helpers import (
+    linalg_calls,
     rand_complex,
     rand_contraction,
     rand_hermitian_contraction,
@@ -402,9 +403,7 @@ def test_defect_data_takes_one_svd(monkeypatch):
     A = rand_contraction(np.random.default_rng(31), 40, 40, 0.9)
     assert not opcore.is_normal(A)
     ref = opcore.defect_data(A)
-    svds = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: svds.append(1) or svd(*a, **k))
+    svds = linalg_calls(monkeypatch, "svd")
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, lambda *a, **k: pytest.fail("eigendecomposition"))
     monkeypatch.setattr(opcore, "operator_norm", lambda M: pytest.fail("norm SVD"))

@@ -9,7 +9,7 @@ from pqsys import opcore, sysmodel, transfer
 from pqsys.errors import SingularResolvent
 
 import oracles
-from helpers import pqs_from_spectrum, rand_hermitian_contraction, rand_passive_T, rand_unitary
+from helpers import linalg_calls, pqs_from_spectrum, rand_hermitian_contraction, rand_passive_T, rand_unitary
 
 S = 200
 N = 3
@@ -282,27 +282,13 @@ def test_selfadjoint_main_iff_spectral_data(kind):
     assert rel(pqsys.theta_from_data(f, lam), pqsys.theta_eval(tau, lam)) < 1e-9
 
 
-def _count_eighs(monkeypatch, s):
-    """Record every np.linalg.eigh call on an s x s matrix."""
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counting(a, *args, **kwargs):
-        if np.shape(a) == (s, s):
-            calls.append(1)
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting)
-    return calls
-
-
 def test_one_eigh_per_pqs_system(monkeypatch):
     # clusters of four eigenvalues meet three channels, so the minimal
     # reduction drops a quarter of the state space
     rng = np.random.default_rng(103)
     t = np.repeat(np.linspace(-0.8, 0.8, 10), 4) + 1e-10 * np.tile(np.arange(4), 10)
     tau = pqsys.PartitionedContraction(pqs_from_spectrum(rng, t, 3), 3, 3, 40)
-    calls = _count_eighs(monkeypatch, 40)
+    calls = linalg_calls(monkeypatch, "eigh", (40, 40))
     pqsys.parametrize(tau)
     verdicts = [f(tau) for f in (pqsys.is_controllable, pqsys.is_observable, pqsys.is_simple, pqsys.is_minimal)]
     bases = [sysmodel.controllable_subspace(tau), sysmodel.observable_subspace(tau),
@@ -321,7 +307,7 @@ def test_one_eigh_per_dilation_system(monkeypatch):
     # a fresh copy of the dilation system, with nothing cached yet
     fresh = pqsys.PartitionedContraction(big.T, big.in_dim, big.out_dim, big.state_dim)
     assert fresh.in_dim != 40
-    calls = _count_eighs(monkeypatch, 40)
+    calls = linalg_calls(monkeypatch, "eigh", (40, 40))
     assert sysmodel.classify(fresh).conservative and pqsys.is_minimal(fresh)
     cf = pqsys.inner_canonical_form(fresh)
     assert len(calls) == 1

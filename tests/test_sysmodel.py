@@ -9,6 +9,7 @@ from pqsys.errors import DimensionMismatch, NotNormal, NotPqs
 
 import oracles
 from helpers import (
+    linalg_calls,
     rand_contraction,
     rand_hermitian_contraction,
     rand_passive_T,
@@ -259,42 +260,26 @@ def test_transfer_eval_matches_series_oracle():
         assert np.linalg.norm(pqsys.theta_eval(tau, lam) - ref) < 1e-11
 
 
-def _count_svds(monkeypatch, shape):
-    """Record every np.linalg.svd call on a matrix of the given shape,
-    including the ones np.linalg.norm(., 2) makes internally."""
-    calls = []
-    real = np.linalg.svd
-
-    def counting(a, *args, **kwargs):
-        if np.shape(a) == shape:
-            calls.append(shape)
-        return real(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
-    monkeypatch.setattr(impl, "svd", counting)
-    return calls
-
-
 @pytest.mark.parametrize("kind", ["pqs", "passive"])
 def test_one_norm_svd_per_system(monkeypatch, kind):
     rng = np.random.default_rng(31)
     T = rand_pqs_T(rng, 2, 30) if kind == "pqs" else rand_passive_T(rng, 2, 2, 30)
     tau = make_system(T, 2, 2, 30)
-    calls = _count_svds(monkeypatch, T.shape)
+    calls = linalg_calls(monkeypatch, "svd", T.shape, internal=True)
     sysmodel.classify(tau)
     pqsys.parametrize(tau)
     sysmodel.classify(tau, pqsys.Tolerances(eq_tol=1e-8))  # another tolerance set
-    assert len(calls) == 1
+    # a pqs system is decided from its parameters, any other from one SVD of T
+    assert len(calls) == (0 if kind == "pqs" else 1)
     assert tau.norm() == np.linalg.norm(T, 2)
 
 
-def test_realize_takes_one_norm_svd(monkeypatch):
+def test_realize_takes_no_norm_svd(monkeypatch):
     data, _ = pqsys.chebyshev_example(0.2 + 0.1j, 40)
-    calls = _count_svds(monkeypatch, (41, 41))
+    calls = linalg_calls(monkeypatch, "svd", (41, 41), internal=True)
     tau = pqsys.realize_from_data(data)
     assert tau.state_dim == 40
-    assert len(calls) == 1
+    assert len(calls) == 0
 
 
 def test_strong_stability_uses_the_spectral_radius():
