@@ -165,22 +165,19 @@ def cmd_eval(args) -> int:
     samples = []
     worst = 0.0
     flags = sysmodel.classify(tau, tol)
-    if args.which == "char":
-        # a selfadjoint A takes its defect data from the factorization classify read
-        sd = sysmodel.spectral_data(tau, tol)
-        dd = opcore.hermitian_defect_data(sd.t, sd.V, tol) if sd is not None else opcore.defect_data(tau.A, tol)
     for z in points:
         if args.which == "theta":
             val = transfer.theta_eval(tau, z, tol)
             if flags.passive and abs(z) <= 1.0 + 1e-12:
                 worst = max(worst, operator_norm(val) - 1.0)
         elif args.which == "char":
-            val = transfer._phi(tau.A, dd, z)
+            val = transfer.char_func(tau, z, tol)
             if abs(abs(z) - 1.0) <= 1e-12:
                 # Phi of a selfadjoint A is diagonal: its singular values are the
                 # moduli of the Blaschke values b_k, and ||Phi* Phi - I|| = max | |b_k|^2 - 1 |
-                worst = max(worst, opcore.isometry_defect(val) if dd.t is None
-                            else opcore.gram_defect(np.abs(np.diagonal(val)), val.shape[1]))
+                diagonal = sysmodel.spectral_data(tau, tol) is not None
+                worst = max(worst, opcore.gram_defect(np.abs(np.diagonal(val)), val.shape[1]) if diagonal
+                            else opcore.isometry_defect(val))
         else:
             val = qfunc.q_eval(tau, z, tol)
         samples.append({"point": [z.real, z.imag], "value": _json.matrix_to_json(val)})

@@ -72,35 +72,46 @@ def operator_norm(M) -> float:
 _FRO_SLACK = 1e-12
 
 
-def _fro_bracket(M: np.ndarray) -> tuple[float, float]:
-    """Lower and upper bound of ||M||_2 from ||M||_F / sqrt(rank) <= ||M||_2 <= ||M||_F,
-    with the rank bounded by the smaller dimension."""
-    fro = float(np.linalg.norm(M))
-    return fro / math.sqrt(max(1, min(M.shape))) * (1 - _FRO_SLACK), fro * (1 + _FRO_SLACK)
+def _fro_settles(r_fro, r_rank: int, bound: float, s_fro=None, s_rank: int = 1, floor: float = 0.0):
+    """(accept, reject): whether the Frobenius norms r_fro of R and s_fro of a
+    scale S, of ranks at most r_rank and s_rank, settle ||R||_2 <= bound *
+    max(floor, ||S||_2) (<= bound without a scale) either way, through
+    ||M||_F / sqrt(rank) <= ||M||_2 <= ||M||_F; elementwise for arrays of norms."""
+    lo = hi = bound
+    if s_fro is not None:
+        lo = bound * np.maximum(floor, s_fro / math.sqrt(max(1, s_rank)) * (1 - _FRO_SLACK))
+        hi = bound * np.maximum(floor, s_fro * (1 + _FRO_SLACK))
+    return r_fro * (1 + _FRO_SLACK) <= lo, r_fro / math.sqrt(max(1, r_rank)) * (1 - _FRO_SLACK) > hi
 
 
 def norm_at_most(R, bound: float, scale=None, floor: float = 0.0) -> bool:
     """Decide ||R||_2 <= bound * max(floor, ||scale||_2), or ||R||_2 <= bound
     when no scale is given, as the exact spectral norms would.
 
-    Both norms are first bracketed by Frobenius norms: the test accepts when
-    the upper bracket of ||R|| meets the lower bracket of the threshold,
-    rejects when the lower bracket of ||R|| exceeds the upper bracket of the
-    threshold, and computes singular values only when neither settles it."""
+    Both norms are first bracketed by Frobenius norms (`_fro_settles`): the
+    test accepts when the upper bracket of ||R|| meets the lower bracket of
+    the threshold, rejects when the lower bracket of ||R|| exceeds the upper
+    bracket of the threshold, and computes singular values only when neither
+    settles it."""
     R = as_matrix(R)
-    lo = hi = bound
+    return _norm_verdict(float(np.linalg.norm(R)), min(R.shape), lambda: R, bound, scale, floor)
+
+
+def _norm_verdict(r_fro: float, r_rank: int, residual, bound: float, scale, floor: float) -> bool:
+    """`norm_at_most` for a residual of Frobenius norm r_fro and rank at most
+    r_rank, which residual() forms only when the brackets leave it open."""
+    s_fro = s_rank = None
     if scale is not None:
         S = as_matrix(scale)
-        s_lo, s_hi = _fro_bracket(S)
-        lo, hi = bound * max(floor, s_lo), bound * max(floor, s_hi)
-    r_lo, r_hi = _fro_bracket(R)
-    if r_hi <= lo:
+        s_fro, s_rank = float(np.linalg.norm(S)), min(S.shape)
+    accept, reject = _fro_settles(r_fro, r_rank, bound, s_fro, s_rank, floor)
+    if accept:
         return True
-    if r_lo > hi:
+    if reject:
         return False
     if scale is not None:
         bound = bound * max(floor, operator_norm(S))
-    return operator_norm(R) <= bound
+    return operator_norm(residual()) <= bound
 
 
 def herm_part(M) -> np.ndarray:
@@ -382,6 +393,24 @@ def _defect_side(Q: np.ndarray, s: np.ndarray, n: int, tol: Tolerances, basis: b
 _EIGH_ROUNDING = 10  # see `hermitian_eigh`
 
 
+def _rounding(s: int) -> float:
+    """_EIGH_ROUNDING * s * eps: the relative rounding floor the library allows
+    an eigendecomposition of an s x s matrix, for machine epsilon eps."""
+    return _EIGH_ROUNDING * s * float(np.finfo(float).eps)
+
+
+def _eig_miss(M: np.ndarray, V: np.ndarray, w: np.ndarray) -> float:
+    """||M V - V diag(w)||_F, by blocks of 128 columns, which keep the
+    temporaries small."""
+    sq = 0.0
+    for j in range(0, w.size, 128):
+        cols = slice(j, j + 128)
+        blk = M @ V[:, cols]
+        blk -= V[:, cols] * w[cols]
+        sq += float(np.linalg.norm(blk)) ** 2
+    return math.sqrt(sq)
+
+
 def hermitian_eigh(A, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray] | None:
     """Eigenvalues t (ascending) and eigenvectors V of H = (A + A*)/2 for a
     nonempty square A that passes `is_selfadjoint`, or None for any other A.
@@ -403,15 +432,8 @@ def hermitian_eigh(A, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.nda
         return diag.real[order], V
     H = herm_part(A)
     t, V = np.linalg.eigh(H)
-    # column blocks keep the residual's temporaries small
-    sq = 0.0
-    for j in range(0, t.size, 128):
-        cols = slice(j, j + 128)
-        blk = H @ V[:, cols]
-        blk -= V[:, cols] * t[cols]
-        sq += float(np.linalg.norm(blk)) ** 2
-    rel = max(tol.eq_tol, _EIGH_ROUNDING * t.size * np.finfo(float).eps)
-    miss = math.sqrt(sq)
+    rel = max(tol.eq_tol, _rounding(t.size))
+    miss = _eig_miss(H, V, t)
     check("eigh_residual", miss, rel * max(1.0, float(np.abs(t).max())), PqsysError,
           f"eigendecomposition of a selfadjoint matrix misses it by {miss:.3e}")
     return t, V
@@ -465,11 +487,34 @@ def is_strict_contraction(A, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 
 def is_selfadjoint(A, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """The library's one selfadjointness rule: ||A - A*||_2 <= eq_tol * max(1, ||A||_2)."""
+    """The library's one selfadjointness rule: ||A - A*||_2 <= eq_tol * max(1, ||A||_2).
+
+    The Frobenius brackets of `norm_at_most` are taken from ||A - A*||_F
+    summed over blocks of rows (`_skew_fro`); the full difference is formed
+    only when they leave the verdict open."""
     A = as_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise NonSquare("selfadjointness needs a square matrix")
-    return norm_at_most(A - A.conj().T, tol.eq_tol, A, 1.0)
+    return _norm_verdict(_skew_fro(A), A.shape[0], lambda: A - A.conj().T, tol.eq_tol, A, 1.0)
+
+
+def _skew_fro(A: np.ndarray) -> float:
+    """||A - A*||_F of a square A, by blocks of 128 rows: no s x s temporary."""
+    return math.sqrt(sum(float(np.linalg.norm(A[j:j + 128] - A[:, j:j + 128].conj().T)) ** 2
+                         for j in range(0, A.shape[0], 128)))
+
+
+def _selfadjoint_each(S: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """`is_selfadjoint` of every matrix S[k] of a stack of shape (m, n, n): the
+    Frobenius brackets of all of them at once, and the exact rule for those
+    the brackets leave open."""
+    n = S.shape[-1]
+    accept, reject = _fro_settles(np.linalg.norm(S - S.conj().swapaxes(1, 2), axis=(1, 2)), n,
+                                  tol.eq_tol, np.linalg.norm(S, axis=(1, 2)), n, 1.0)
+    verdict = np.array(accept, dtype=bool)
+    for k in np.flatnonzero(~accept & ~reject):
+        verdict[k] = is_selfadjoint(S[k], tol)
+    return verdict
 
 
 def is_normal(A, tol: Tolerances = DEFAULT_TOL) -> bool:

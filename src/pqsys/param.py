@@ -21,7 +21,7 @@ import numpy as np
 from . import opcore
 from .errors import DimensionMismatch, NotAContraction, PqsysError, check
 from .opcore import DEFAULT_TOL, Tolerances, as_matrix, operator_norm
-from .sysmodel import PartitionedContraction, _spectral_parts, block_norm_at_most, spectral_data
+from .sysmodel import PartitionedContraction, _spectral_parts, block_norm_at_most, main_defect_data
 
 
 @dataclass(frozen=True)
@@ -162,14 +162,14 @@ def parametrize(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> C
     (E_As* B) / d_As, K = (C E_A) / d_A, X = (E_DKs* core E_DM) / (d_Ks d_M*).
     A verification pass checks that the defect equations are actually met,
     which fails exactly when T was not a contraction to begin with (or is too
-    close to the boundary to resolve).  A selfadjoint A takes its defect data
-    from the system's cached spectral factorization."""
+    close to the boundary to resolve).  The defect data are those cached on
+    the system (`sysmodel.main_defect_data`), which a selfadjoint A reads
+    from its cached spectral factorization."""
     if not block_norm_at_most(tau, 1.0 + tol.rank_tol, tol):
         raise NotAContraction(f"system block has norm {tau.norm():.12f}")
     # the bounds scale by max(1, ||T||), which `norm_scale` reads as 1 for a passive system
     A, B, C, D = tau.A, tau.B, tau.C, tau.D
-    sd = spectral_data(tau, tol)
-    dd = opcore.hermitian_defect_data(sd.t, sd.V, tol) if sd is not None else opcore.defect_data(A, tol)
+    dd = main_defect_data(tau, tol)
 
     # E* B as (B* E)*, which needs no conjugated copy of the basis
     M = (B.conj().T @ dd.E_As).conj().T / dd.d_As[:, None]

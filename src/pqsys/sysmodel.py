@@ -30,9 +30,10 @@ class PartitionedContraction:
     T is held as a read-only view of the array passed in (no copy), so
     writing through `tau.T` or its blocks raises.  Results derived from T
     alone are cached on the system: its singular values once, the class
-    flags, the spectral factorization of A and the Krylov record per
-    `Tolerances`; the array passed in must therefore not be modified after
-    construction either."""
+    flags, the spectral factorization of A, the defect data of A and the
+    Krylov record per `Tolerances`, and for a non-selfadjoint A the count of
+    points `transfer.theta_eval` took and its eigendecomposition record; the
+    array passed in must therefore not be modified after construction either."""
 
     T: np.ndarray
     in_dim: int
@@ -104,9 +105,10 @@ class SpectralData(NamedTuple):
 
 
 def spectral_data(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> SpectralData | None:
-    """The factorization of A from `opcore.hermitian_eigh`, the only one of a
-    system's main operator, computed once per system and tolerance set; it
-    exists (empty without state) exactly when `classify` finds A selfadjoint."""
+    """The factorization of A from `opcore.hermitian_eigh`, the only Hermitian
+    one of a system's main operator, computed once per system and tolerance
+    set; it exists (empty without state) exactly when `classify` finds A
+    selfadjoint."""
     return tau.cached("spectral", tol, lambda: _spectral_data(tau, tol))
 
 
@@ -122,6 +124,22 @@ def _spectral_parts(tau: PartitionedContraction, t: np.ndarray, V: np.ndarray) -
     for arr in parts:
         arr.flags.writeable = False
     return parts
+
+
+def main_defect_data(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> opcore.DefectData:
+    """The defect data of A (`opcore.defect_data`), computed once per system
+    and tolerance set, all read-only; a selfadjoint A reads its cached
+    factorization (`spectral_data`) through `opcore.hermitian_defect_data`."""
+    return tau.cached("defects", tol, lambda: _main_defect_data(tau, tol))
+
+
+def _main_defect_data(tau: PartitionedContraction, tol: Tolerances) -> opcore.DefectData:
+    sd = spectral_data(tau, tol)
+    dd = opcore.hermitian_defect_data(sd.t, sd.V, tol) if sd is not None else opcore.defect_data(tau.A, tol)
+    for arr in dd:
+        if arr is not None:
+            arr.flags.writeable = False
+    return dd
 
 
 @dataclass(frozen=True)
@@ -242,12 +260,9 @@ def _build_pqs_model(tau: PartitionedContraction, tol: Tolerances) -> tuple[Spec
     sd = spectral_data(tau, tol)
     if sd is None:
         return None
-    A = tau.A
     # ||A - A*||_F by blocks of rows: no s x s temporary beside the cached V
-    skew = float(np.sqrt(sum(np.linalg.norm(A[j:j + 128] - A[:, j:j + 128].conj().T) ** 2
-                             for j in range(0, A.shape[0], 128))))
-    rounding = (opcore._EIGH_ROUNDING * sd.t.size * np.finfo(float).eps
-                * max(1.0, float(np.abs(sd.t).max(initial=0.0))))
+    skew = opcore._skew_fro(tau.A)
+    rounding = opcore._rounding(sd.t.size) * max(1.0, float(np.abs(sd.t).max(initial=0.0)))
     return sd, float(np.linalg.norm(gap)) + skew / 2 + rounding
 
 

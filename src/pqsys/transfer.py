@@ -10,6 +10,7 @@ in the class of pqs transfer functions given by atomic measure data.
 from __future__ import annotations
 
 import cmath
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -47,18 +48,51 @@ def _resolve(F: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise SingularResolvent(str(exc)) from None
     resid = F @ X - rhs
-    if not norm_at_most(resid, SINGULAR_REL, rhs, 1.0):
+    if not _solved(resid, rhs):
         raise SingularResolvent(f"resolvent solve residual {operator_norm(resid):.3e}")
     return X
+
+
+def _solved(resid: np.ndarray, rhs: np.ndarray) -> bool:
+    """The residual rule of `_resolve`: ||F X - rhs||_2 <= SINGULAR_REL * max(1, ||rhs||_2)."""
+    return norm_at_most(resid, SINGULAR_REL, rhs, 1.0)
 
 
 def _inverse_diag(den: np.ndarray) -> np.ndarray:
     """1 / den for the diagonal of a resolvent, raising when it is
     numerically singular."""
-    mag = np.abs(den)
-    if mag.size and mag.min() <= SINGULAR_REL * mag.max():
+    if _near_singular(den):
+        mag = np.abs(den)
         raise SingularResolvent(f"resolvent is singular to relative precision {mag.min() / mag.max():.3e}")
     return 1.0 / den
+
+
+def _near_singular(den: np.ndarray) -> bool:
+    """min |den| <= SINGULAR_REL * max |den| for the diagonal den of a resolvent."""
+    mag = np.abs(den)
+    return bool(mag.size and mag.min() <= SINGULAR_REL * mag.max())
+
+
+# Points a system with no Hermitian factorization evaluates by one dense LU
+# solve each before `theta_eval` buys its eigendecomposition.  np.linalg.eig
+# costs as much as 35 to 60 such solves (measured at s = 50, 200, 400 and
+# 1000 on one BLAS thread), so a system evaluated at this many points or
+# fewer never pays for an eig it cannot amortize, and one evaluated at more
+# pays at most about 2.4 times what the cheaper route alone would have cost
+# (rent or buy: 48 LU points plus the eig, against the eig or 49 LU points).
+EIG_AFTER_LU_POINTS = 48
+
+
+class _EigRecord(NamedTuple):
+    """A = V diag(mu) V^-1 of a main operator with no Hermitian factorization,
+    from np.linalg.eig, with the pieces `theta_eval` reads; all read-only."""
+
+    mu: np.ndarray   # eigenvalues of A
+    V: np.ndarray    # eigenvectors, unit columns
+    VB: np.ndarray   # V^-1 B, from one solve
+    CV: np.ndarray   # C V
+    a_fro: float     # ||A||_F
+    b_fro: float     # ||B||_F
 
 
 def theta_eval(tau: PartitionedContraction, lam: complex, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -66,14 +100,82 @@ def theta_eval(tau: PartitionedContraction, lam: complex, tol: Tolerances = DEFA
     I - lambda A is invertible, inside or outside the unit disk.
 
     For selfadjoint A the cached factorization A = V diag(t) V* gives
-    D + lambda (C V) diag(1 / (1 - lambda t)) (V* B) in O(s n^2); any other
-    A takes a dense solve."""
+    D + lambda (C V) diag(1 / (1 - lambda t)) (V* B) in O(s n^2) per point.
+    Any other A takes one dense LU solve per point for the system's first
+    EIG_AFTER_LU_POINTS points; the next builds an eigendecomposition
+    A = V diag(mu) V^-1, cached per system and tolerance set, and from then
+    on a point takes X = V diag(1 / (1 - lambda mu)) V^-1 B in O(s^2 n) when
+    X passes its gate (`_gated_theta`), and the LU solve otherwise.  A build
+    that fails (eig or the solve with V raises, or ||AV - V diag mu||_F
+    exceeds the rounding floor of `opcore.hermitian_eigh` times
+    max(1, ||A||_F)) leaves every point to LU."""
     lam = complex(lam)
     sd = sysmodel.spectral_data(tau, tol)
-    if sd is None:
+    if sd is not None:
+        return _theta_diag(tau.D, sd.CV, _inverse_diag(1.0 - lam * sd.t), sd.VB, lam)
+    rec = _eig_record(tau, tol)
+    val = None if rec is None else _gated_theta(tau, rec, lam)
+    if val is None:
         X = _resolve(np.eye(tau.state_dim) - lam * tau.A, tau.B)
-        return tau.D + lam * (tau.C @ X)
-    return tau.D + lam * ((sd.CV * _inverse_diag(1.0 - lam * sd.t)) @ sd.VB)
+        val = tau.D + lam * (tau.C @ X)
+    return val
+
+
+def _theta_diag(D: np.ndarray, CV: np.ndarray, w: np.ndarray, VB: np.ndarray, lam: complex) -> np.ndarray:
+    """D + lambda (CV diag(w)) VB: the transfer function through a
+    diagonalization A = V diag(mu) W, W V = I, with CV = C V, VB = W B and
+    w = 1 / (1 - lambda mu)."""
+    return D + lam * ((CV * w) @ VB)
+
+
+def _eig_record(tau: PartitionedContraction, tol: Tolerances) -> _EigRecord | None:
+    """The system's eigendecomposition record, or None while its points still
+    take LU (this call counts as one of them) and when the build failed."""
+    if next(tau.cached("theta_points", tol, itertools.count)) < EIG_AFTER_LU_POINTS:
+        return None
+    return tau.cached("eig", tol, lambda: _build_eig_record(tau))
+
+
+def _build_eig_record(tau: PartitionedContraction) -> _EigRecord | None:
+    A = tau.A
+    a_fro = float(np.linalg.norm(A))
+    try:
+        mu, V = np.linalg.eig(A)
+        if opcore._eig_miss(A, V, mu) > opcore._rounding(mu.size) * max(1.0, a_fro):
+            return None
+        VB = np.linalg.solve(V, tau.B)
+    except np.linalg.LinAlgError:
+        return None
+    rec = _EigRecord(mu, V, VB, tau.C @ V, a_fro, float(np.linalg.norm(tau.B)))
+    for arr in rec[:4]:
+        arr.flags.writeable = False
+    return rec
+
+
+def _gated_theta(tau: PartitionedContraction, rec: _EigRecord, lam: complex) -> np.ndarray | None:
+    """Theta(lambda) from the eig record, or None when the point belongs to LU.
+
+    X = V diag(w) V^-1 B, w = 1 / (1 - lambda mu), is accepted when its
+    normwise backward error (Rigal and Gaches)
+
+        ||(I - lambda A) X - B||_F / (||B||_F + (1 + |lambda| ||A||_F) ||X||_F)
+
+    is at most the rounding floor `opcore._rounding(s)`, which a backward
+    stable LU solve meets, and its residual passes the rule of `_resolve`.
+    A point near an eigenvalue pole (`_near_singular`) and a Jordan or
+    near-defective A, whose V turns the rounding of V^-1 B into a large
+    backward error, fail it, so LU raises `SingularResolvent` where it did."""
+    den = 1.0 - lam * rec.mu
+    if _near_singular(den):
+        return None
+    w = 1.0 / den
+    B = tau.B
+    X = rec.V @ (w[:, None] * rec.VB)
+    resid = X - lam * (tau.A @ X) - B
+    scale = rec.b_fro + (1.0 + abs(lam) * rec.a_fro) * float(np.linalg.norm(X))
+    if float(np.linalg.norm(resid)) > opcore._rounding(w.size) * scale or not _solved(resid, B):
+        return None
+    return _theta_diag(tau.D, rec.CV, w, rec.VB, lam)
 
 
 def grid_gap(f, g, points: Sequence[complex], tol: Tolerances = DEFAULT_TOL) -> tuple[float, complex]:
@@ -107,9 +209,19 @@ def char_func(A, lam: complex, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
     restricted to the defect space of A and corestricted to that of A*,
     returned as a matrix in the orthonormal defect bases of
-    `opcore.defect_data`."""
-    A = _square(A)
-    return _phi(A, opcore.defect_data(A, tol), complex(lam))
+    `opcore.defect_data`.  A may be a system, whose main operator is then
+    read with the defect data cached on it (`sysmodel.main_defect_data`)."""
+    A, dd = _main_defects(A, tol)
+    return _phi(A, dd, complex(lam))
+
+
+def _main_defects(source, tol: Tolerances) -> tuple[np.ndarray, DefectData]:
+    """A square operator and its defect data: a system's main operator with the
+    data cached on it, or a bare matrix with the data of one `defect_data`."""
+    if isinstance(source, PartitionedContraction):
+        return source.A, sysmodel.main_defect_data(source, tol)
+    A = _square(source)
+    return A, opcore.defect_data(A, tol)
 
 
 def _square(A) -> np.ndarray:
@@ -140,9 +252,9 @@ def char_defect_residuals(A, lam: complex, tol: Tolerances = DEFAULT_TOL) -> tup
         D^2_{Phi*(lam)} = (1-|lam|^2) D_{A*} (I-lam A*)^{-1} (I-conj(lam) A)^{-1} D_{A*}
 
     both read in the defect bases.  Since Phi_A(lam)* = Phi_{A*}(conj lam),
-    the second is the first for A*, conj(lam) and Phi*."""
-    A = _square(A)
-    dd = opcore.defect_data(A, tol)
+    the second is the first for A*, conj(lam) and Phi*.  A may be a system,
+    as for `char_func`."""
+    A, dd = _main_defects(A, tol)
     lam = complex(lam)
     phi = _phi(A, dd, lam)
     return (_defect_identity(A, dd, lam, phi),
@@ -326,30 +438,51 @@ class SqsFunctionData:
         n = theta0.shape[0]
         if theta0.shape != (n, n):
             raise InvalidMeasure("theta0 must be square")
+        # location and shape atom by atom; a fault found there is raised only
+        # after the weights of the atoms before it pass, so the first faulty
+        # atom is named whatever its fault
         cleaned = []
-        for t, sigma in self.atoms:
-            t = complex(t)
-            if not cmath.isfinite(t):
-                raise InvalidMeasure(f"atom location {t} is not finite")
-            if abs(t.imag) > 1e-12:
-                raise InvalidMeasure(f"atom location {t} is not real")
-            t = float(t.real)
-            if abs(t) >= 1.0:
-                raise InvalidMeasure(f"atom location {t} lies outside (-1, 1)")
-            sigma = as_matrix(sigma)
-            if sigma.shape != (n, n):
-                raise InvalidMeasure("weight dimension differs from theta0")
-            if not opcore.is_selfadjoint(sigma):
-                raise InvalidMeasure("weight is not Hermitian")
-            if sigma.shape[0] and np.linalg.eigvalsh(herm_part(sigma)).min() < -1e-9:
-                raise InvalidMeasure("weight has a negative eigenvalue")
-            cleaned.append((t, sigma))
+        fault = None
+        try:
+            for t, sigma in self.atoms:
+                cleaned.append(_checked_atom(t, sigma, n))
+        except (InvalidMeasure, ValueError, TypeError) as exc:
+            fault = exc
+        # one stacked Hermitian test and one batched eigvalsh for all weights
+        W = np.array([sigma for _, sigma in cleaned], dtype=complex).reshape(-1, n, n)
+        hermitian = opcore._selfadjoint_each(W)
+        psd = np.ones(len(cleaned), dtype=bool)
+        if n and cleaned:
+            psd = np.linalg.eigvalsh((W + W.conj().swapaxes(1, 2)) / 2.0)[:, 0] >= -1e-9
+        bad = np.flatnonzero(~hermitian | ~psd)
+        if bad.size:
+            k = bad[0]
+            raise InvalidMeasure("weight is not Hermitian" if not hermitian[k]
+                                 else "weight has a negative eigenvalue")
+        if fault is not None:
+            raise fault
         object.__setattr__(self, "theta0", theta0)
         object.__setattr__(self, "atoms", tuple(cleaned))
 
     @property
     def dim(self) -> int:
         return self.theta0.shape[0]
+
+
+def _checked_atom(t, sigma, n: int) -> tuple[float, np.ndarray]:
+    """An atom's location, real and inside (-1, 1), and its n x n weight."""
+    t = complex(t)
+    if not cmath.isfinite(t):
+        raise InvalidMeasure(f"atom location {t} is not finite")
+    if abs(t.imag) > 1e-12:
+        raise InvalidMeasure(f"atom location {t} is not real")
+    t = float(t.real)
+    if abs(t) >= 1.0:
+        raise InvalidMeasure(f"atom location {t} lies outside (-1, 1)")
+    sigma = as_matrix(sigma)
+    if sigma.shape != (n, n):
+        raise InvalidMeasure("weight dimension differs from theta0")
+    return t, sigma
 
 
 def w_from_data(f: SqsFunctionData, lam: complex) -> np.ndarray:

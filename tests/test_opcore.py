@@ -1,5 +1,7 @@
 """Operator primitives: defects, subspaces, rank decisions, strong limits."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -283,6 +285,45 @@ def test_one_selfadjointness_scale():
     assert opcore.is_selfadjoint(1e3 * H + 0.45e-9j * S)
     assert opcore.is_selfadjoint(10 * np.eye(5) + 4.5e-9j * S)
     assert not opcore.is_selfadjoint(10 * np.eye(5) + 5.5e-9j * S)
+
+
+@pytest.mark.parametrize("s", [50, 300])
+@pytest.mark.parametrize("rank_one", [True, False])
+@pytest.mark.parametrize("rel", [1 - 1e-11, 1 + 1e-11])
+def test_selfadjointness_verdict_at_the_eq_tol_boundary(s, rank_one, rel):
+    # A = H + i c S with H and S real symmetric: A - A* = 2i c S exactly, so
+    # ||A - A*||_2 sits at rel times eq_tol (||A|| < 1 makes the scale 1); a
+    # rank-one S makes the Frobenius brackets decide below the boundary
+    rng = np.random.default_rng(26)
+    G = rng.standard_normal((s, s))
+    H = (G + G.T) / 2
+    H *= 0.5 / np.linalg.norm(H, 2)
+    if rank_one:
+        u = rng.standard_normal(s)
+        S = np.outer(u, u)
+    else:
+        G = rng.standard_normal((s, s))
+        S = (G + G.T) / 2
+    eq_tol = pqsys.DEFAULT_TOL.eq_tol
+    A = H + 1j * (rel * eq_tol / (2 * np.linalg.norm(S, 2)) * S)
+    exact = np.linalg.norm(A - A.conj().T, 2) <= eq_tol * max(1.0, np.linalg.norm(A, 2))
+    assert exact == (rel < 1)
+    assert opcore.is_selfadjoint(A) == exact
+    assert opcore.norm_at_most(A - A.conj().T, eq_tol, A, 1.0) == exact
+
+
+def test_selfadjointness_forms_no_full_difference():
+    rng = np.random.default_rng(27)
+    G = rand_complex(rng, 1000, 1000)
+    A = G + G.conj().T
+    tracemalloc.start()
+    try:
+        assert opcore.is_selfadjoint(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # two 1000 x 128 blocks; A - A* and a conjugated copy of A took 2 * A.nbytes
+    assert peak < A.nbytes / 2
 
 
 def test_hermitian_eigh_factors_the_hermitian_part():

@@ -10,6 +10,7 @@ from pqsys.errors import InvalidMeasure, NotPqs, PolarPoint
 import oracles
 from helpers import (
     circle_points,
+    linalg_calls,
     rand_atoms,
     rand_complex,
     rand_contraction,
@@ -92,6 +93,22 @@ def test_char_defect_residuals_factor_A_once(monkeypatch):
         r1, r2 = pqsys.char_defect_residuals(A, 0.3 - 0.4j)
         assert len(calls) == 1
         assert r1 < 1e-9 and r2 < 1e-9
+
+
+@pytest.mark.parametrize("kind", ["pqs", "general"])
+def test_char_func_on_a_system_reads_its_cached_defects(kind, monkeypatch):
+    rng = np.random.default_rng(31)
+    s = 12
+    T = rand_pqs_T(rng, 2, s) if kind == "pqs" else rand_passive_T(rng, 2, 2, s)
+    tau = make_system(T, 2, 2, s)
+    points = [0.3 - 0.4j, -0.5 + 0.1j, np.exp(0.7j)]
+    bare = [pqsys.char_func(tau.A, z) for z in points]
+    bare_res = [pqsys.char_defect_residuals(tau.A, z) for z in points]
+    factorizations = linalg_calls(monkeypatch, "eigh" if kind == "pqs" else "svd", (s, s))
+    for z, ref, ref_res in zip(points, bare, bare_res):
+        assert np.array_equal(pqsys.char_func(tau, z), ref)
+        assert pqsys.char_defect_residuals(tau, z) == ref_res
+    assert len(factorizations) == 1
 
 
 def test_char_func_unitary_on_circle_for_selfadjoint():
@@ -267,6 +284,27 @@ def test_measure_validation():
         pqsys.SqsFunctionData(np.zeros((1, 1)), ((0.2, np.array([[-0.1]])),))
     with pytest.raises(InvalidMeasure):
         pqsys.SqsFunctionData(np.zeros((2, 2)), ((0.2, np.array([[0.1, 1j], [2j, 0.1]])),))
+
+
+OK_WEIGHT = 0.1 * np.eye(2)
+NOT_HERMITIAN = np.array([[-0.1, 1j], [2j, -0.1]])   # also indefinite
+NEGATIVE = np.diag([0.1, -0.1])
+
+
+@pytest.mark.parametrize("atoms, message", [
+    (((0.2, OK_WEIGHT), (0.3, NOT_HERMITIAN), (1.5, OK_WEIGHT)), "not Hermitian"),
+    (((0.2, OK_WEIGHT), (1.5, OK_WEIGHT), (0.3, NOT_HERMITIAN)), "outside"),
+    (((0.2, NEGATIVE), (0.3, NOT_HERMITIAN)), "negative eigenvalue"),
+    (((0.2, NOT_HERMITIAN), (0.3, NEGATIVE)), "not Hermitian"),
+    (((0.2, NEGATIVE), (0.3, np.eye(3))), "negative eigenvalue"),
+    (((0.2, np.eye(3)), (0.3, NEGATIVE)), "dimension differs"),
+    (((0.2, NEGATIVE), (0.2 + 1e-3j, OK_WEIGHT)), "negative eigenvalue"),
+])
+def test_measure_names_the_fault_of_its_first_faulty_atom(atoms, message):
+    # the weights are checked together, but the first faulty atom raises, with
+    # its first fault in the order location, shape, Hermitian, PSD
+    with pytest.raises(InvalidMeasure, match=message):
+        pqsys.SqsFunctionData(np.zeros((2, 2)), atoms)
 
 
 def test_membership_accepts_constructed_member():
