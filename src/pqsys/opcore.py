@@ -13,7 +13,9 @@ counts as zero when sigma <= rank_tol * sigma_max.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -443,8 +445,34 @@ def defect_data(A, tol: Tolerances = DEFAULT_TOL) -> DefectData:
     """D_A, D_{A*}, their range bases and values: from the one `eigh` of a
     selfadjoint A (`hermitian_defect_data`), else from one SVD A = U diag(s) W*
     (`_svd_defects`), D_A = W diag(d) W* and D_{A*} = U diag(d) U*.  When the
-    two defects agree to eq_tol, the data of D_A serve both sides."""
-    A = as_matrix(A)
+    two defects agree to eq_tol, the data of D_A serve both sides.  Every
+    returned array is read-only.
+
+    The last result is kept in one slot, keyed by the caller's array (a weak
+    reference), a sha256 digest of its shape and entries and tol: a call on
+    the same live array with the same entries and equal tolerances returns
+    the same DefectData for the cost of the digest, with no factorization.
+    An array changed in place is factored again.  A miss clears the slot
+    before it factors, and the slot is cleared when the caller's array dies,
+    so it keeps at most one DefectData, and none beyond the life of the
+    array it was computed from.  A list is factored at every call."""
+    global _defect_slot
+    M = as_matrix(A)
+    memo = isinstance(A, np.ndarray)
+    if memo:
+        digest = _content_digest(M)
+        dd = _slot_data(A, digest, tol)
+        if dd is not None:
+            return dd
+    _defect_slot = None
+    dd = _read_only(_factor_defects(M, tol))
+    if memo:
+        _defect_slot = _DefectEntry(weakref.ref(A, _clear_defect_slot), digest, tol, dd)
+    return dd
+
+
+def _factor_defects(A: np.ndarray, tol: Tolerances) -> DefectData:
+    """`defect_data` of a matrix, by its factorization."""
     eig = hermitian_eigh(A, tol)
     if eig is not None:
         return hermitian_defect_data(*eig, tol)
@@ -452,6 +480,54 @@ def defect_data(A, tol: Tolerances = DEFAULT_TOL) -> DefectData:
     if dd.DA.shape == dd.DAs.shape and norm_at_most(dd.DA - dd.DAs, tol.eq_tol):
         return DefectData(dd.DA, dd.DA, dd.E_A, dd.E_A, dd.d_A, dd.d_A)
     return dd
+
+
+def _read_only(dd: DefectData) -> DefectData:
+    """dd, with every array in it made read-only."""
+    for arr in dd:
+        if arr is not None:
+            arr.flags.writeable = False
+    return dd
+
+
+class _DefectEntry(NamedTuple):
+    """The one slot of `defect_data`."""
+
+    ref: weakref.ref     # the caller's array
+    digest: bytes        # `_content_digest` of its matrix
+    tol: Tolerances
+    data: DefectData
+
+
+_defect_slot: _DefectEntry | None = None
+
+
+def _slot_data(A: np.ndarray, digest: bytes, tol: Tolerances) -> DefectData | None:
+    """The DefectData in the slot when it was computed from this very array,
+    with these entries and equal tolerances, else None."""
+    entry = _defect_slot
+    if entry is not None and entry.ref() is A and entry.digest == digest and entry.tol == tol:
+        return entry.data
+    return None
+
+
+def _clear_defect_slot(ref: weakref.ref):
+    """Called when the array of a slot's weak reference dies.  The slot is
+    read once, here and in `_slot_data`: with no lock, a race between threads
+    can lose an entry (a later miss), never return the data of another array."""
+    global _defect_slot
+    entry = _defect_slot
+    if entry is not None and entry.ref is ref:
+        _defect_slot = None
+
+
+def _content_digest(M: np.ndarray) -> bytes:
+    """sha256 of the shape and entries of a matrix, fed 128 rows at a time, so
+    a non-contiguous M is copied one block at a time, never whole."""
+    h = hashlib.sha256(repr(M.shape).encode())
+    for j in range(0, M.shape[0], 128):
+        h.update(np.ascontiguousarray(M[j:j + 128]))
+    return h.digest()
 
 
 def hermitian_defect(t: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, slice]:

@@ -32,8 +32,9 @@ class PartitionedContraction:
     alone are cached on the system: its singular values once, the class
     flags, the spectral factorization of A, the defect data of A and the
     Krylov record per `Tolerances`, and for a non-selfadjoint A the count of
-    points `transfer.theta_eval` took and its eigendecomposition record; the
-    array passed in must therefore not be modified after construction either."""
+    points `transfer.theta_eval` took and its eigendecomposition record (once
+    per system); the array passed in must therefore not be modified after
+    construction either."""
 
     T: np.ndarray
     in_dim: int
@@ -135,11 +136,9 @@ def main_defect_data(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL)
 
 def _main_defect_data(tau: PartitionedContraction, tol: Tolerances) -> opcore.DefectData:
     sd = spectral_data(tau, tol)
-    dd = opcore.hermitian_defect_data(sd.t, sd.V, tol) if sd is not None else opcore.defect_data(tau.A, tol)
-    for arr in dd:
-        if arr is not None:
-            arr.flags.writeable = False
-    return dd
+    if sd is None:
+        return opcore.defect_data(tau.A, tol)
+    return opcore._read_only(opcore.hermitian_defect_data(sd.t, sd.V, tol))
 
 
 @dataclass(frozen=True)

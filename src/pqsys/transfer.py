@@ -103,18 +103,18 @@ def theta_eval(tau: PartitionedContraction, lam: complex, tol: Tolerances = DEFA
     D + lambda (C V) diag(1 / (1 - lambda t)) (V* B) in O(s n^2) per point.
     Any other A takes one dense LU solve per point for the system's first
     EIG_AFTER_LU_POINTS points; the next builds an eigendecomposition
-    A = V diag(mu) V^-1, cached per system and tolerance set, and from then
-    on a point takes X = V diag(1 / (1 - lambda mu)) V^-1 B in O(s^2 n) when
-    X passes its gate (`_gated_theta`), and the LU solve otherwise.  A build
-    that fails (eig or the solve with V raises, or ||AV - V diag mu||_F
+    A = V diag(mu) V^-1, cached per system (it reads no tolerance), and from
+    then on a point takes X = V diag(1 / (1 - lambda mu)) V^-1 B in O(s^2 n)
+    when X passes its gate (`_gated_theta`), and the LU solve otherwise.  A
+    build that fails (eig or the solve with V raises, or ||AV - V diag mu||_F
     exceeds the rounding floor of `opcore.hermitian_eigh` times
-    max(1, ||A||_F)) leaves every point to LU."""
+    max(1, ||A||_F)) leaves every point to LU, and so does a record whose
+    gate rejected each of the first EIG_AFTER_LU_POINTS points (`_eig_theta`)."""
     lam = complex(lam)
     sd = sysmodel.spectral_data(tau, tol)
     if sd is not None:
         return _theta_diag(tau.D, sd.CV, _inverse_diag(1.0 - lam * sd.t), sd.VB, lam)
-    rec = _eig_record(tau, tol)
-    val = None if rec is None else _gated_theta(tau, rec, lam)
+    val = _eig_theta(tau, lam)
     if val is None:
         X = _resolve(np.eye(tau.state_dim) - lam * tau.A, tau.B)
         val = tau.D + lam * (tau.C @ X)
@@ -128,12 +128,28 @@ def _theta_diag(D: np.ndarray, CV: np.ndarray, w: np.ndarray, VB: np.ndarray, la
     return D + lam * ((CV * w) @ VB)
 
 
-def _eig_record(tau: PartitionedContraction, tol: Tolerances) -> _EigRecord | None:
-    """The system's eigendecomposition record, or None while its points still
-    take LU (this call counts as one of them) and when the build failed."""
-    if next(tau.cached("theta_points", tol, itertools.count)) < EIG_AFTER_LU_POINTS:
+def _eig_theta(tau: PartitionedContraction, lam: complex) -> np.ndarray | None:
+    """Theta(lambda) from the system's eigendecomposition record, or None when
+    the point belongs to LU: while the system's points still take LU (this
+    call counts as one of them), when the build failed, when the gate
+    (`_gated_theta`) rejects the point, and once the record is dropped.
+
+    The record is dropped (cached as None) when the gate has rejected each of
+    the first EIG_AFTER_LU_POINTS points offered to it: a near-defective A
+    then stops paying the O(s^2 n) attempt before every LU solve, and its V
+    is freed."""
+    offered = next(tau.cached("theta_points", None, itertools.count)) - EIG_AFTER_LU_POINTS
+    if offered < 0:
         return None
-    return tau.cached("eig", tol, lambda: _build_eig_record(tau))
+    rec = tau.cached("eig", None, lambda: _build_eig_record(tau))
+    if rec is None:
+        return None
+    val = _gated_theta(tau, rec, lam)
+    if val is None:
+        rejected = next(tau.cached("eig_rejections", None, itertools.count))
+        if rejected == offered == EIG_AFTER_LU_POINTS - 1:   # and none accepted
+            tau._cache["eig", None] = None
+    return val
 
 
 def _build_eig_record(tau: PartitionedContraction) -> _EigRecord | None:

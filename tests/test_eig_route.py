@@ -92,12 +92,21 @@ def test_a_near_defective_A_falls_back_to_lu_point_by_point(monkeypatch):
     points = grid(rng, 64, 32)
     solves = linalg_calls(monkeypatch, "solve", (s, s))
     vals = [pqsys.theta_eval(tau, z) for z in points]
-    rec = tau._cache["eig", pqsys.DEFAULT_TOL]
+    assert len(points) == 2 * LU_POINTS
+    assert len(solves) == len(points) + 1   # the build's solve of V
+    # the gate rejected each of the 48 points offered, so the record is dropped
+    assert tau._cache["eig", None] is None
+    rec = transfer._build_eig_record(tau)
     assert rec is not None   # the build passes; the gate sends the points to LU
-    assert len(solves) == len(points) + 1
     for z, v in zip(points, vals):
         assert transfer._gated_theta(tau, rec, z) is None
         assert rel_gap(v, lu_theta(tau, z)) <= 1e-12
+    # later points go straight to LU, with no gated attempt and no new eig
+    monkeypatch.setattr(transfer, "_gated_theta", lambda *a: pytest.fail("gated attempt"))
+    eigs = linalg_calls(monkeypatch, "eig")
+    for z in points[:8]:
+        assert rel_gap(pqsys.theta_eval(tau, z), lu_theta(tau, z)) <= 1e-12
+    assert eigs == []
 
 
 def test_a_pole_still_raises_singular_resolvent():
@@ -110,7 +119,7 @@ def test_a_pole_still_raises_singular_resolvent():
             pqsys.theta_eval(tau, z)
     for z in grid(rng, LU_POINTS, 0):
         pqsys.theta_eval(tau, z)
-    assert tau._cache["eig", pqsys.DEFAULT_TOL] is not None
+    assert tau._cache["eig", None] is not None
     for z in poles:   # and with the eigendecomposition in hand
         with pytest.raises(SingularResolvent):
             lu_theta(tau, z)
@@ -125,7 +134,7 @@ def test_inner_test_report_is_unchanged_on_the_eig_route():
     for z in grid(rng, LU_POINTS, 0):
         pqsys.theta_eval(tau, z)
     got = pqsys.inner_test(tau, 64)
-    assert tau._cache["eig", pqsys.DEFAULT_TOL] is not None
+    assert tau._cache["eig", None] is not None
     assert (got.inner, got.coinner, got.skipped) == (ref.inner, ref.coinner, ref.skipped)
     assert abs(got.max_defect - ref.max_defect) <= 1e-12
     assert abs(got.max_codefect - ref.max_codefect) <= 1e-12
@@ -160,3 +169,18 @@ def test_cli_eval_at_one_point_takes_no_eig(tmp_path, monkeypatch):
     assert main(["eval", str(path), "--func", "theta", "--lambda", "0.3,0.2"]) == 0
     assert eigs == []
     assert len(solves) == 1
+
+
+def test_one_eig_record_serves_every_tolerance_set(monkeypatch):
+    rng = np.random.default_rng(15)
+    s = 60
+    tau = system(rng, random_non_normal(rng, s))
+    points = grid(rng, LU_POINTS, 8)
+    eigs = linalg_calls(monkeypatch, "eig")
+    loose = pqsys.Tolerances(eq_tol=1e-8)
+    for k, z in enumerate(points):
+        pqsys.theta_eval(tau, z, loose if k % 2 else pqsys.DEFAULT_TOL)
+    assert len(eigs) == 1
+    assert tau._cache["eig", None] is not None   # its gate accepts the points
+    for z in points:
+        assert rel_gap(pqsys.theta_eval(tau, z, loose), lu_theta(tau, z)) <= 1e-12

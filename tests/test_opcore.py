@@ -443,7 +443,8 @@ def test_defects_reject_norm_above_one_plus_rank_tol():
 def test_defect_data_takes_one_svd(monkeypatch):
     A = rand_contraction(np.random.default_rng(31), 40, 40, 0.9)
     assert not opcore.is_normal(A)
-    ref = opcore.defect_data(A)
+    # the reference from a copy: a call on A itself would fill the slot
+    ref = opcore.defect_data(A.copy())
     svds = linalg_calls(monkeypatch, "svd")
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, lambda *a, **k: pytest.fail("eigendecomposition"))
@@ -452,6 +453,9 @@ def test_defect_data_takes_one_svd(monkeypatch):
     assert len(svds) == 1
     for got, want in zip(dd[:4], ref[:4]):
         assert np.array_equal(got, want)
+    # a second call on the same A is a hit of the slot
+    assert opcore.defect_data(A) is dd
+    assert len(svds) == 1
 
 
 def test_hermitian_defect_keeps_the_clamp_and_rank_rules():
