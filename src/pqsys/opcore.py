@@ -417,28 +417,39 @@ def hermitian_eigh(A, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.nda
     """Eigenvalues t (ascending) and eigenvectors V of H = (A + A*)/2 for a
     nonempty square A that passes `is_selfadjoint`, or None for any other A.
 
-    A real diagonal A is its own factorization (V a real permutation).
-    Otherwise eigh factors H (A itself, bit for bit, when A is bitwise
-    Hermitian), and PqsysError is raised when ||HV - V diag(t)||_F exceeds
+    A real diagonal A is its own factorization (V a real permutation), with
+    no selfadjointness scan: it passes the rule trivially.  Otherwise eigh
+    factors H (A itself, bit for bit, when A is bitwise Hermitian), and
+    PqsysError is raised when ||HV - V diag(t)||_F exceeds
     max(eq_tol, _EIGH_ROUNDING * s * eps) * max(1, max|t|) for s x s A and
     machine epsilon eps: a floor above eigh's own rounding (2.97e-14 at
     s = 400 against 8.9e-13), which a smaller eq_tol does not undercut."""
+    eig = _hermitian_eigh(A, tol)
+    return None if eig is None else eig[:2]
+
+
+def _hermitian_eigh(A, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """`hermitian_eigh` together with ||A - A*||_F as its selfadjointness test
+    measured it (`_skew_fro`), 0 for a real diagonal A, which it does not scan."""
     A = as_matrix(A)
-    if A.shape[0] != A.shape[1] or A.shape[0] == 0 or not is_selfadjoint(A, tol):
+    if A.shape[0] != A.shape[1] or A.shape[0] == 0:
         return None
     diag = np.diagonal(A)
     if not np.any(diag.imag) and np.count_nonzero(A) == np.count_nonzero(diag):
         order = np.argsort(diag.real, kind="stable")
         V = np.zeros(A.shape)  # real: half the memory of a complex permutation
         V[order, np.arange(order.size)] = 1.0
-        return diag.real[order], V
+        return diag.real[order], V, 0.0
+    skew = _skew_fro(A)
+    if not _selfadjoint_verdict(A, skew, tol):
+        return None
     H = herm_part(A)
     t, V = np.linalg.eigh(H)
     rel = max(tol.eq_tol, _rounding(t.size))
     miss = _eig_miss(H, V, t)
     check("eigh_residual", miss, rel * max(1.0, float(np.abs(t).max())), PqsysError,
           f"eigendecomposition of a selfadjoint matrix misses it by {miss:.3e}")
-    return t, V
+    return t, V, skew
 
 
 def defect_data(A, tol: Tolerances = DEFAULT_TOL) -> DefectData:
@@ -571,7 +582,12 @@ def is_selfadjoint(A, tol: Tolerances = DEFAULT_TOL) -> bool:
     A = as_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise NonSquare("selfadjointness needs a square matrix")
-    return _norm_verdict(_skew_fro(A), A.shape[0], lambda: A - A.conj().T, tol.eq_tol, A, 1.0)
+    return _selfadjoint_verdict(A, _skew_fro(A), tol)
+
+
+def _selfadjoint_verdict(A: np.ndarray, skew: float, tol: Tolerances) -> bool:
+    """`is_selfadjoint` of a square A with skew = ||A - A*||_F in hand."""
+    return _norm_verdict(skew, A.shape[0], lambda: A - A.conj().T, tol.eq_tol, A, 1.0)
 
 
 def _skew_fro(A: np.ndarray) -> float:

@@ -36,26 +36,30 @@ from .sysmodel import PartitionedContraction
 from .transfer import SqsFunctionData, theta_eval
 
 
-def _merge_atoms(f: SqsFunctionData):
-    """Group atoms at coinciding locations, summing their weights."""
-    groups: list[list] = []
-    for t, sigma in sorted(f.atoms, key=lambda a: a[0]):
-        if groups and abs(t - groups[-1][0]) <= 1e-12:
-            groups[-1][1] = groups[-1][1] + sigma
-        else:
-            groups.append([t, sigma.copy()])
-    return groups
+def _merged_atoms(f: SqsFunctionData) -> tuple[np.ndarray, np.ndarray]:
+    """The atom locations in ascending order with the atoms at coinciding
+    locations merged: a run of sorted locations within 1e-12 of the run's
+    first becomes that location and the sum of its weights."""
+    order = np.argsort(f.locations, kind="stable")
+    t = f.locations[order]
+    starts = []
+    for j, loc in enumerate(t.tolist()):
+        if not starts or loc - first > 1e-12:
+            starts.append(j)
+            first = loc
+    return t[starts], np.add.reduceat(f.weights[order], starts, axis=0)
 
 
 def realize_from_data(f: SqsFunctionData, tol: Tolerances = DEFAULT_TOL) -> PartitionedContraction:
     """Minimal passive quasi-selfadjoint system whose transfer function is
     theta0 + W(lambda) for the given atomic data.
 
-    The state space is assembled atom by atom: each weight is factored once,
-    as Sigma_k = L_k L_k* through its eigendecomposition with small
-    eigenvalues truncated (and dropped when max|w| <= rank_tol), the main
-    operator is t_k times the identity on each factor range, and the
-    channel operator stacks the factors."""
+    The state space is assembled from the merged atoms (`_merged_atoms`):
+    one stacked eigh of their weights factors each as Sigma_k = L_k L_k*,
+    with the eigenvalues at most rank_tol times its largest truncated, the
+    main operator is t_k times the identity on each factor range, and the
+    channel operator stacks the factors.  The minimal reduction then drops
+    whatever the Krylov rule does not count, tiny weights included."""
     mem = transfer.sqs_membership(f, tol)
     # recorded, not raised: NotInSqs below carries every failing reason
     check("membership_mass", max(mem.sigma_total_excess, 0.0), tol.psd_tol)
@@ -65,19 +69,16 @@ def realize_from_data(f: SqsFunctionData, tol: Tolerances = DEFAULT_TOL) -> Part
     if not mem.member:
         raise NotInSqs("; ".join(mem.reasons), mem.reasons)
     n = f.dim
-    nodes = []
-    factors = []
-    for t, sigma in _merge_atoms(f):
-        w, V = np.linalg.eigh(opcore.herm_part(sigma))
-        keep = w > tol.rank_tol * max(w.max(initial=0.0), 1e-300)
-        if np.abs(w).max(initial=0.0) > tol.rank_tol and keep.any():
-            factors.append(V[:, keep] * np.sqrt(w[keep]))
-            nodes.append(np.full(factors[-1].shape[1], t))
-    diag = np.concatenate(nodes) if nodes else np.zeros(0)
+    t, W = _merged_atoms(f)
+    w, V = np.linalg.eigh((W + W.conj().swapaxes(1, 2)) / 2.0)
+    keep = w > tol.rank_tol * np.maximum(w.max(axis=1, initial=0.0), 1e-300)[:, None]
+    # one state per kept eigenvector v of weight w, with its factor column sqrt(w) v as a row
+    atom, col = np.nonzero(keep)
+    diag = t[atom]
+    factors = V[atom, :, col] * np.sqrt(w[atom, col])[:, None]
     s = diag.size
-    K_amb = np.hstack(factors) if factors else np.zeros((n, 0), dtype=complex)
     # B = D_A K* and T are formed with no s x s temporaries for A and D_A
-    B = np.sqrt(1.0 - diag ** 2).astype(complex)[:, None] * K_amb.conj().T
+    B = np.sqrt(1.0 - diag ** 2).astype(complex)[:, None] * factors.conj()
     T = np.zeros((n + s, n + s), dtype=complex)
     T[:n, :n] = f.theta0
     T[:n, n:] = B.conj().T
@@ -108,13 +109,17 @@ def spectral_measure(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL)
     if not flags.pqs:
         raise NotPqs("spectral read-out needs a passive quasi-selfadjoint system")
     sd = sysmodel.spectral_data(tau, tol)
-    atoms = []
-    for c, rank, _ in sysmodel._cluster_span(sd.t, *sysmodel._eigen_side(sd, tol, adjoint=True)):
-        t = float(np.mean(sd.t[c]))
-        # 1 - t^2 > 0 guards the division at a rounded +-1 only
-        if rank and 1.0 - t * t > 0.0:
-            atoms.append((t, (sd.CV[:, c] @ sd.CV[:, c].conj().T) / (1.0 - t * t)))
-    f = SqsFunctionData(tau.D, tuple(atoms))
+    span = sysmodel._cluster_span(sd.t, *sysmodel._eigen_side(sd, tol, adjoint=True))
+    t = np.empty(len(span))
+    W = np.empty((len(span), tau.out_dim, tau.out_dim), dtype=complex)
+    for pos, rows in sysmodel._cluster_rows_by_size([c for c, _, _ in span]):
+        G = sd.CV[:, rows].transpose(1, 0, 2)  # the clusters' columns of CV
+        t[pos] = sd.t[rows].mean(axis=1)
+        W[pos] = G @ G.conj().swapaxes(1, 2)
+    # 1 - t^2 > 0 guards the division at a rounded +-1 only
+    keep = (np.array([rank for _, rank, _ in span], dtype=int) > 0) & (1.0 - t * t > 0.0)
+    t = t[keep]
+    f = SqsFunctionData(tau.D, tuple(zip(t.tolist(), W[keep] / (1.0 - t * t)[:, None, None])))
     gap, _ = transfer.grid_gap(tau, f, 0.5 * np.exp(2j * np.pi * (np.arange(8) + 0.45) / 8), tol)
     check("readout_agreement", gap, 10 * tol.eq_tol * max(1.0, operator_norm(tau.D)), PqsysError,
           f"spectral read-out mismatch {gap:.3e}")
@@ -274,7 +279,7 @@ def biinner_dilation(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL)
     system = PartitionedContraction(T, v, v, s)
     # the enlarged system has the same main operator: it shares tau's factorization
     sd = sysmodel.spectral_data(tau, tol)
-    system.cached("spectral", tol, lambda: sysmodel._spectral_parts(system, sd.t, sd.V))
+    system.cached("spectral", tol, lambda: sysmodel._spectral_parts(system, sd.t, sd.V, sd.skew))
 
     # ||T*T - I|| from the singular values classify reads too
     resid = opcore.gram_defect(system.singular_values(), v + s)
@@ -414,10 +419,10 @@ def jacobi_realize(source, max_len: int | None = None, tol: Tolerances = DEFAULT
         if source.dim != 1:
             raise NotScalar("atomic data must be scalar")
         d = complex(source.theta0[0, 0])
-        pairs = [(t, float(np.real(sig[0, 0]))) for t, sig in source.atoms]
-        pairs = [(t, s) for t, s in pairs if s > tol.rank_tol]
-        t = np.array([t for t, _ in pairs], dtype=float)
-        w = (1 - t.astype(np.longdouble) ** 2) * np.array([s for _, s in pairs], dtype=np.longdouble)
+        sig = source.weights[:, 0, 0].real
+        keep = sig > tol.rank_tol
+        t = source.locations[keep]
+        w = (1 - t.astype(np.longdouble) ** 2) * sig[keep].astype(np.longdouble)
     elif isinstance(source, PartitionedContraction):
         if source.in_dim != 1 or source.out_dim != 1:
             raise NotScalar("system must have one-dimensional input and output")

@@ -103,6 +103,7 @@ class SpectralData(NamedTuple):
     V: np.ndarray    # orthonormal eigenvectors, one column per eigenvalue
     VB: np.ndarray   # V* B
     CV: np.ndarray   # C V
+    skew: float | None = None  # ||A - A*||_F when the factorization measured it
 
 
 def spectral_data(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> SpectralData | None:
@@ -114,15 +115,17 @@ def spectral_data(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) ->
 
 
 def _spectral_data(tau: PartitionedContraction, tol: Tolerances) -> SpectralData | None:
-    eig = opcore.hermitian_eigh(tau.A, tol) if tau.state_dim else (np.zeros(0), np.zeros((0, 0)))
+    eig = opcore._hermitian_eigh(tau.A, tol) if tau.state_dim else (np.zeros(0), np.zeros((0, 0)), 0.0)
     return None if eig is None else _spectral_parts(tau, *eig)
 
 
-def _spectral_parts(tau: PartitionedContraction, t: np.ndarray, V: np.ndarray) -> SpectralData:
-    """The SpectralData of tau from a factorization A = V diag(t) V* in hand."""
+def _spectral_parts(tau: PartitionedContraction, t: np.ndarray, V: np.ndarray,
+                    skew: float | None = None) -> SpectralData:
+    """The SpectralData of tau from a factorization A = V diag(t) V* in hand,
+    and ||A - A*||_F if that is known too."""
     # V* B as (B* V)*, which needs no conjugated n x n copy of V
-    parts = SpectralData(t, V, (tau.B.conj().T @ V).conj().T, tau.C @ V)
-    for arr in parts:
+    parts = SpectralData(t, V, (tau.B.conj().T @ V).conj().T, tau.C @ V, skew)
+    for arr in parts[:4]:
         arr.flags.writeable = False
     return parts
 
@@ -259,8 +262,9 @@ def _build_pqs_model(tau: PartitionedContraction, tol: Tolerances) -> tuple[Spec
     sd = spectral_data(tau, tol)
     if sd is None:
         return None
-    # ||A - A*||_F by blocks of rows: no s x s temporary beside the cached V
-    skew = opcore._skew_fro(tau.A)
+    # ||A - A*||_F as the factorization measured it, else by blocks of rows:
+    # no s x s temporary beside the cached V
+    skew = sd.skew if sd.skew is not None else opcore._skew_fro(tau.A)
     rounding = opcore._rounding(sd.t.size) * max(1.0, float(np.abs(sd.t).max(initial=0.0)))
     return sd, float(np.linalg.norm(gap)) + skew / 2 + rounding
 
@@ -396,22 +400,43 @@ def _eigen_side(sd: SpectralData, tol: Tolerances, adjoint: bool) -> tuple[np.nd
     return comps, tol.rank_tol * operator_norm(comps)
 
 
-def _cluster_span(t: np.ndarray, comps: np.ndarray, thresh: float, vecs: np.ndarray | None = None):
+def _cluster_span(t: np.ndarray, comps: np.ndarray, thresh: float,
+                  vecs: np.ndarray | None = None) -> list[tuple[slice, int, np.ndarray | None]]:
     """The span of all powers of a selfadjoint operator applied to a set of
     vectors, cluster by cluster, from the operator's ascending eigenvalues
     t and the components comps of the vectors in its eigenbasis (one row
     per eigenvector).  The span is the direct sum over the eigenvalue
     clusters (`opcore.eigen_clusters`) of the ranges of the cluster rows.
-    Yields, for each cluster c, c itself, the number of singular values of
-    comps[c] above thresh and, given the eigenvectors vecs, an orthonormal
-    basis of that range (else None)."""
-    for c in opcore.eigen_clusters(t):
+    Returns, for each cluster c in order, c itself, the number of singular
+    values of comps[c] above thresh and, given the eigenvectors vecs, an
+    orthonormal basis of that range (else None).
+
+    The clusters of one size take one stacked SVD of their rows, which runs
+    the LAPACK routine of a single SVD on each: the same ranks and bases, bit
+    for bit, as one SVD per cluster."""
+    clusters = opcore.eigen_clusters(t)
+    out = [None] * len(clusters)
+    for pos, rows in _cluster_rows_by_size(clusters):
         if vecs is None:
-            sv = np.linalg.svd(comps[c], compute_uv=False)
+            sv = np.linalg.svd(comps[rows], compute_uv=False)
         else:
-            U, sv, _ = np.linalg.svd(comps[c], full_matrices=False)
-        rank = int(np.count_nonzero(sv > thresh))
-        yield c, rank, None if vecs is None else vecs[:, c] @ U[:, :rank]
+            U, sv, _ = np.linalg.svd(comps[rows], full_matrices=False)
+        ranks = np.count_nonzero(sv > thresh, axis=1).tolist()
+        for j, (k, rank) in enumerate(zip(pos.tolist(), ranks)):
+            c = clusters[k]
+            out[k] = (c, rank, None if vecs is None else vecs[:, c] @ U[j, :, :rank])
+    return out
+
+
+def _cluster_rows_by_size(clusters: list[slice]):
+    """For each size of the contiguous clusters (slices), the positions of the
+    clusters of that size in the list and their rows, a (count, size) array
+    of indices: one stack per size for the batched kernels."""
+    starts = np.array([c.start for c in clusters], dtype=int)
+    sizes = np.array([c.stop - c.start for c in clusters], dtype=int)
+    for size in np.flatnonzero(np.bincount(sizes)):
+        pos = np.flatnonzero(sizes == size)
+        yield pos, starts[pos, None] + np.arange(size)
 
 
 def _cluster_basis(sd: SpectralData, comps: np.ndarray, thresh: float) -> SubspaceBasis:

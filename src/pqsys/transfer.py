@@ -444,10 +444,15 @@ class SqsFunctionData:
     Represents the function Theta(lambda) = Theta(0) + W(lambda) with
 
         W(lambda) = sum_k lambda (1 - t_k^2) / (1 - t_k lambda) * Sigma_k.
-    """
+
+    The weights are held once, as the read-only (k, n, n) stack `weights`,
+    with the locations as the read-only float array `locations`; each atom
+    of `atoms` is (t_k, weights[k]), a view into that stack."""
 
     theta0: np.ndarray
     atoms: tuple = field(default_factory=tuple)
+    locations: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         theta0 = as_matrix(self.theta0)
@@ -464,11 +469,12 @@ class SqsFunctionData:
                 cleaned.append(_checked_atom(t, sigma, n))
         except (InvalidMeasure, ValueError, TypeError) as exc:
             fault = exc
-        # one stacked Hermitian test and one batched eigvalsh for all weights
+        t = np.array([loc for loc, _ in cleaned], dtype=float)
         W = np.array([sigma for _, sigma in cleaned], dtype=complex).reshape(-1, n, n)
+        # one stacked Hermitian test and one batched eigvalsh for all weights
         hermitian = opcore._selfadjoint_each(W)
-        psd = np.ones(len(cleaned), dtype=bool)
-        if n and cleaned:
+        psd = np.ones(len(W), dtype=bool)
+        if n and len(W):
             psd = np.linalg.eigvalsh((W + W.conj().swapaxes(1, 2)) / 2.0)[:, 0] >= -1e-9
         bad = np.flatnonzero(~hermitian | ~psd)
         if bad.size:
@@ -477,8 +483,12 @@ class SqsFunctionData:
                                  else "weight has a negative eigenvalue")
         if fault is not None:
             raise fault
+        t.flags.writeable = False
+        W.flags.writeable = False
         object.__setattr__(self, "theta0", theta0)
-        object.__setattr__(self, "atoms", tuple(cleaned))
+        object.__setattr__(self, "locations", t)
+        object.__setattr__(self, "weights", W)
+        object.__setattr__(self, "atoms", tuple(zip(t.tolist(), W)))
 
     @property
     def dim(self) -> int:
@@ -502,16 +512,16 @@ def _checked_atom(t, sigma, n: int) -> tuple[float, np.ndarray]:
 
 
 def w_from_data(f: SqsFunctionData, lam: complex) -> np.ndarray:
-    """W(lambda) = sum_k lambda (1-t_k^2)/(1-t_k lambda) Sigma_k."""
+    """W(lambda) = sum_k lambda (1-t_k^2)/(1-t_k lambda) Sigma_k, as one
+    contraction of the coefficients with the weight stack; PolarPoint names
+    the first atom, in atom order, whose pole 1/t_k the point hits."""
     lam = complex(lam)
-    n = f.dim
-    acc = np.zeros((n, n), dtype=complex)
-    for t, sigma in f.atoms:
-        den = 1.0 - t * lam
-        if abs(den) <= 1e-12 * max(1.0, abs(lam)):
-            raise PolarPoint(f"evaluation point {lam} hits the pole 1/{t}")
-        acc += (lam * (1.0 - t * t) / den) * sigma
-    return acc
+    t = f.locations
+    den = 1.0 - t * lam
+    pole = np.abs(den) <= 1e-12 * max(1.0, abs(lam))
+    if pole.any():
+        raise PolarPoint(f"evaluation point {lam} hits the pole 1/{float(t[np.argmax(pole)])}")
+    return np.tensordot(lam * (1.0 - t * t) / den, f.weights, axes=1)
 
 
 def theta_from_data(f: SqsFunctionData, lam: complex) -> np.ndarray:
@@ -559,12 +569,8 @@ def sqs_membership(f: SqsFunctionData, tol: Tolerances = DEFAULT_TOL) -> Members
     U diag(w) U*: R^{1/2}, its pseudoinverse and ran R by the clamp and rank
     rule of the defects on r = sqrt(1 - w) (`opcore._defect_values`)."""
     n = f.dim
-    sigma_total = np.zeros((n, n), dtype=complex)
-    first_moment = np.zeros((n, n), dtype=complex)
-    for t, sigma in f.atoms:
-        sigma_total += sigma
-        first_moment += t * sigma
-    center = -first_moment
+    sigma_total = f.weights.sum(axis=0)
+    center = -np.tensordot(f.locations, f.weights, axes=1)
     radius = np.eye(n) - sigma_total
 
     reasons = []

@@ -239,3 +239,48 @@ def cnu_unitary_split_by_power_kernels(A, rank_tol=1e-10):
         if current.shape[1] == 0:
             break
     return current, _kernel(current.conj().T, rank_tol)
+
+
+# ---------------------------------------------------------------------------
+# per-cluster and per-atom loops, references for the stacked kernels
+# ---------------------------------------------------------------------------
+
+def cluster_span_loop(t, comps, thresh, gap, vecs=None):
+    """(cluster, rank, basis part) for each eigenvalue cluster of the ascending
+    t (contiguous slices, split where neighbours lie more than gap apart),
+    with one SVD of the cluster rows of comps per cluster: the rank counts
+    the singular values above thresh, and given vecs the basis part is
+    vecs[:, cluster] times the leading rank left singular vectors."""
+    edges = [0] + [i + 1 for i in range(len(t) - 1) if t[i + 1] - t[i] > gap] + [len(t)]
+    out = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        if b <= a:
+            continue
+        c = slice(a, b)
+        if vecs is None:
+            sv = np.linalg.svd(comps[c], compute_uv=False)
+        else:
+            U, sv, _ = np.linalg.svd(comps[c], full_matrices=False)
+        rank = int(np.count_nonzero(sv > thresh))
+        out.append((c, rank, None if vecs is None else vecs[:, c] @ U[:, :rank]))
+    return out
+
+
+def w_sum_loop(atoms, lam):
+    """W(lambda) = sum_k lambda (1 - t_k^2) / (1 - t_k lambda) Sigma_k, one atom
+    at a time in Python complex arithmetic."""
+    lam = complex(lam)
+    acc = np.zeros_like(np.asarray(atoms[0][1], dtype=complex))
+    for t, sigma in atoms:
+        acc = acc + (lam * (1.0 - t * t) / (1.0 - t * lam)) * np.asarray(sigma, dtype=complex)
+    return acc
+
+
+def first_pole_atom(atoms, lam, rel=1e-12):
+    """Index of the first atom, in atom order, whose pole 1/t_k the point lam
+    hits (|1 - t_k lam| <= rel * max(1, |lam|)), or None."""
+    lam = complex(lam)
+    for k, (t, _) in enumerate(atoms):
+        if abs(1.0 - t * lam) <= rel * max(1.0, abs(lam)):
+            return k
+    return None

@@ -393,10 +393,10 @@ def test_classify_builds_the_krylov_data_once(tmp_path, rng, monkeypatch, kind):
         tau = pqsys.PartitionedContraction(rand_contraction(rng, 7, 7, 0.9), 2, 2, 5)
     write_system(tmp_path / "sys.json", tau)
     records, spans, eighs = [], [], []
-    build, span, eigh = sysmodel._krylov_record, opcore.krylov_span, opcore.hermitian_eigh
+    build, span, eigh = sysmodel._krylov_record, opcore.krylov_span, opcore._hermitian_eigh
     monkeypatch.setattr(sysmodel, "_krylov_record", lambda *a: records.append(1) or build(*a))
     monkeypatch.setattr(opcore, "krylov_span", lambda *a: spans.append(1) or span(*a))
-    monkeypatch.setattr(opcore, "hermitian_eigh", lambda *a: eighs.append(1) or eigh(*a))
+    monkeypatch.setattr(opcore, "_hermitian_eigh", lambda *a: eighs.append(1) or eigh(*a))
     report = tmp_path / "rep.json"
     assert main(["classify", str(tmp_path / "sys.json"), "--report", str(report)]) == 0
     assert len(records) == 1

@@ -187,20 +187,24 @@ def test_realize_from_data_factors_each_weight_once(monkeypatch):
         G = rand_complex(rng, n, 2)
         # bitwise Hermitian, so its Hermitian part is the weight itself
         atoms.append((float(t), pqsys.herm_part(0.1 * G @ G.conj().T / np.linalg.norm(G, 2) ** 2)))
-    atoms.append((0.9, 1e-12 * np.eye(n)))  # negligible: dropped by the eigh rule
+    atoms.append((0.9, 1e-12 * np.eye(n)))  # tiny: kept, its channel counted by the Krylov rule
     f = pqsys.SqsFunctionData(0.05 * np.eye(n), tuple(atoms))
     weights = [s for _, s in atoms]
-    seen = []
+    svds, stacks = [], []
     real_svd, real_eigh = np.linalg.svd, np.linalg.eigh
 
+    def holds_weight(a):
+        mats = a if np.ndim(a) == 3 else [a]
+        return any(np.array_equal(m, s) for m in mats for s in weights)
+
     def svd(a, *args, **kwargs):
-        if any(np.array_equal(a, s) for s in weights):
-            seen.append("svd")
+        if holds_weight(a):
+            svds.append(np.shape(a))
         return real_svd(a, *args, **kwargs)
 
     def eigh(a, *args, **kwargs):
-        if any(np.array_equal(a, s) for s in weights):
-            seen.append("eigh")
+        if np.ndim(a) == 3:
+            stacks.append(np.array(a))
         return real_eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", svd)
@@ -208,8 +212,11 @@ def test_realize_from_data_factors_each_weight_once(monkeypatch):
     monkeypatch.setattr(impl, "svd", svd)
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     tau = pqsys.realize_from_data(f)
-    assert seen == ["eigh"] * len(atoms)
-    assert tau.state_dim == 6 * 2
+    # one stacked eigh, which holds each (merged) weight exactly once, and no SVD of a weight
+    assert svds == [] and len(stacks) == 1
+    assert [sum(np.array_equal(m, s) for m in stacks[0]) for s in weights] == [1] * len(atoms)
+    assert len(stacks[0]) == len(atoms)
+    assert tau.state_dim == 6 * 2 + n
 
 
 # ---------------------------------------------------------------------------

@@ -137,11 +137,11 @@ def _near_edge_system(rng, tiny):
     return system(oracles.conjugate_system(T, 1, 1, rand_unitary(rng, s)), 1, s)
 
 
-# K = 3e-5 is a weight of 9e-10, kept by both sides; K = 1e-12 a weight of
-# 1e-24, dropped by both.  realize_from_data drops weights <= rank_tol, so a
-# weight between ~1e-20 and 1e-10 would be counted by the Krylov rule but
-# not realized.
-@pytest.mark.parametrize("tiny, states", [(3e-5, 5), (1e-12, 4)])
+# K = 3e-5 is a weight of 9e-10 and K = 1e-7 one of 1e-14, kept by both
+# sides; K = 1e-12 a weight of 1e-24, dropped by both.  realize_from_data
+# leaves the drop to the Krylov rule of the minimal reduction, so the read-out
+# and the realization count the same atoms.
+@pytest.mark.parametrize("tiny, states", [(3e-5, 5), (1e-7, 5), (1e-12, 4)])
 def test_spectral_read_out_round_trips_to_the_controllable_dimension(tiny, states):
     tau = _near_edge_system(np.random.default_rng(209), tiny)
     rec = sysmodel.krylov_record(tau)
