@@ -41,23 +41,15 @@ from .opcore import (
     Tolerances,
     as_matrix,
     cnu_unitary_split,
-    contraction_defect,
-    defect_basis,
     defect_data,
-    defect_operator,
     herm_part,
-    is_contraction,
     is_normal,
     is_selfadjoint,
-    is_strict_contraction,
-    kernel_basis,
     krylov_span,
     operator_norm,
-    pinv,
     psd_sqrt,
     range_basis,
     strong_limit_SA,
-    subspace_intersection,
 )
 from .sysmodel import (
     KrylovRecord,

@@ -217,10 +217,9 @@ def cmd_jacobi(args) -> int:
 def cmd_dilate(args) -> int:
     rep = Reporter(args, [args.system])
     tau = rep.load(args.system, _json.system_from_json)
-    # records block_unitarity and corner_match
+    # records block_unitarity, which makes the enlarged Theta unitary on the
+    # circle, and corner_match
     big = realize.biinner_dilation(tau, rep.tol).system
-    # ||Theta*Theta - I|| on 16 circle points, none skipped: A is selfadjoint
-    rep.check("grid_unitarity", transfer.inner_test(big, 16, rep.tol).max_defect, rep.tol.grid_tol)
     return rep.finish(lambda: _json.system_to_json(big))
 
 

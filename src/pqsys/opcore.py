@@ -1,8 +1,8 @@
 """Dense complex linear-algebra kernel.
 
-Defect operators, PSD square roots, pseudoinverses, range/kernel bases,
-Krylov spans, operator predicates, and the splitting of a contraction into
-its unitary and completely nonunitary parts.
+Defect operators, PSD square roots, range bases, Krylov spans, operator
+predicates, and the splitting of a contraction into its unitary and
+completely nonunitary parts.
 
 Matrices are plain numpy arrays with complex entries.  Subspaces are
 carried as explicit orthonormal column bases (`SubspaceBasis`) so that
@@ -141,10 +141,6 @@ class SubspaceBasis:
         return SubspaceBasis(self.ambient_dim, Q[:, self.dim:])
 
     @staticmethod
-    def full(n: int) -> "SubspaceBasis":
-        return SubspaceBasis(n, np.eye(n, dtype=complex))
-
-    @staticmethod
     def zero(n: int) -> "SubspaceBasis":
         return SubspaceBasis(n, np.zeros((n, 0), dtype=complex))
 
@@ -152,13 +148,6 @@ class SubspaceBasis:
 # ---------------------------------------------------------------------------
 # elementary factorizations
 # ---------------------------------------------------------------------------
-
-def pinv(M, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    M = as_matrix(M)
-    if 0 in M.shape:
-        return np.zeros((M.shape[1], M.shape[0]), dtype=complex)
-    return np.linalg.pinv(M, rcond=tol.rank_tol)
-
 
 def psd_sqrt(M, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Hermitian PSD square root; eigenvalues below psd_tol are clamped to 0."""
@@ -171,12 +160,6 @@ def psd_sqrt(M, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         raise NotHermitian("psd_sqrt: matrix is not Hermitian")
     w, U = np.linalg.eigh(herm_part(M))
     return (U * _sqrt_psd_eigs(w, tol)) @ U.conj().T
-
-
-def contraction_defect(X, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """(I - X*X)^{1/2} on the domain of X (size = cols), from one thin SVD
-    (`_svd_defects`, which clamps by the `psd_sqrt` rule and raises NotPSD)."""
-    return _svd_defects(X, tol).DA
 
 
 def _sqrt_psd_eigs(w: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -204,40 +187,6 @@ def range_basis(M, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
     U, s, _ = np.linalg.svd(M, full_matrices=False)
     rank = int(np.sum(s > tol.rank_tol * s[0])) if s[0] > 0 else 0
     return SubspaceBasis(M.shape[0], U[:, :rank])
-
-
-def kernel_basis(M, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
-    """Orthonormal basis of the null space."""
-    M = as_matrix(M)
-    if M.shape[1] == 0:
-        return SubspaceBasis.zero(0)
-    if M.shape[0] == 0:
-        return SubspaceBasis.full(M.shape[1])
-    _, s, Vh = np.linalg.svd(M, full_matrices=True)
-    rank = int(np.sum(s > tol.rank_tol * s.max(initial=0.0)))
-    return SubspaceBasis(M.shape[1], Vh[rank:].conj().T)
-
-
-def subspace_intersection(U, V, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
-    """Intersection of two subspaces given by orthonormal bases.
-
-    A vector lies in both subspaces iff it is annihilated by both
-    complementary projections, so the intersection is the kernel of the
-    stacked matrix [I - P_U; I - P_V].
-    """
-    BU = U.basis if isinstance(U, SubspaceBasis) else as_matrix(U)
-    BV = V.basis if isinstance(V, SubspaceBasis) else as_matrix(V)
-    n = BU.shape[0]
-    if BV.shape[0] != n:
-        raise ValueError("ambient dimensions differ")
-    PU = BU @ BU.conj().T
-    PV = BV @ BV.conj().T
-    eye = np.eye(n, dtype=complex)
-    stacked = np.vstack([eye - PU, eye - PV])
-    # the stack of two complement projections has unit-scale top singular
-    # values whenever the intersection is proper, so the relative cutoff in
-    # kernel_basis is the right rank rule here as well
-    return kernel_basis(stacked, tol)
 
 
 def krylov_span(A, B, max_deg: int, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
@@ -311,27 +260,12 @@ def isometry_defect(X) -> float:
 
 
 # ---------------------------------------------------------------------------
-# contraction predicates and defect operators
+# defect operators
 # ---------------------------------------------------------------------------
-
-def is_contraction(A, tol: Tolerances = DEFAULT_TOL) -> bool:
-    return operator_norm(A) <= 1.0 + tol.rank_tol
-
 
 def _require_contraction(nrm: float, tol: Tolerances):
     if nrm > 1.0 + tol.rank_tol:
         raise NotAContraction(f"operator norm {nrm:.12f} exceeds 1")
-
-
-def defect_operator(A, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """D_A = (I - A*A)^{1/2} on the domain space of A (size = cols)."""
-    return _svd_defects(A, tol, contraction=True).DA
-
-
-def defect_basis(A, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
-    """Orthonormal basis of the defect space ran D_A."""
-    E = _svd_defects(A, tol, contraction=True, basis=True).E_A
-    return SubspaceBasis(E.shape[0], E)
 
 
 class DefectData(NamedTuple):
@@ -564,13 +498,6 @@ def hermitian_defect_data(t: np.ndarray, V: np.ndarray, tol: Tolerances = DEFAUL
     del W
     np.conj(DA, out=DA)
     return DefectData(DA, DA, V[:, cols], V[:, cols], d[cols], d[cols], t[cols])
-
-
-def is_strict_contraction(A, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff no nonzero vector has its norm preserved by A, i.e.
-    ker(I - A*A) = {0} to working precision: `defect_basis` spans the domain."""
-    E = _svd_defects(A, tol, contraction=True, basis=True).E_A
-    return E.shape[1] == E.shape[0]
 
 
 def is_selfadjoint(A, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -148,21 +148,33 @@ def blaschke(a: float, lam: complex) -> complex:
 
 
 def inner_canonical_form(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> CanonicalInner:
+    """The Blaschke-diagonal form of the transfer function of a minimal pqs
+    system, or NotInner when that function is not inner.
+
+    Innerness is decided on T, not on samples of Theta: the energy balance
+    ||u||^2 - ||Theta(xi) u||^2 = ||D_T [u; xi (I - xi A)^{-1} B u]||^2 on the
+    circle makes Theta inner iff T is isometric on the inputs and the span of
+    the A^k B, which for a minimal system is all of T.  So the verdict is
+    `classify`'s isometric flag, ||I - T*T||_2 <= eq_tol for a passive T: its
+    tolerance is eq_tol on T, where `transfer.inner_test` applies grid_tol
+    to samples of Theta.  The form is then built from the channel operator
+    and checked against Theta at 8 points."""
     flags = sysmodel.classify(tau, tol)
     if not flags.pqs:
         raise NotPqs("canonical form applies to passive quasi-selfadjoint systems")
     if not sysmodel.is_minimal(tau, tol):
         raise NotMinimal("canonical form needs a minimal system")
-    rep = transfer.inner_test(tau, tol=tol)
-    if not rep.inner:
-        raise NotInner(f"transfer function is not inner (defect {rep.max_defect:.3e})")
+    if not flags.isometric:
+        raise NotInner("transfer function is not inner: the block operator of a minimal system "
+                       "is not isometric to eq_tol")
     # the defect basis is the cached eigenbasis of A: K maps it onto the columns of W = K
     p = parametrize(tau, tol)
     s = tau.state_dim
     if p.defects.E_A.shape[1] != s:
         raise NotInner("defect space of the main operator does not fill the state space")
     W = p.K
-    # one full SVD of W: ||I - W*W||, and ker W* by the rule of `opcore.kernel_basis`
+    # one full SVD of W: ||I - W*W||, and ker W* as the left singular vectors
+    # past the rank that the rank_tol cutoff counts
     U, sv, _ = np.linalg.svd(W)
     check("channel_isometry", opcore.gram_defect(sv, s), 10 * tol.eq_tol, NotInner,
           "channel operator is not isometric")
@@ -281,13 +293,13 @@ def biinner_dilation(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL)
     sd = sysmodel.spectral_data(tau, tol)
     system.cached("spectral", tol, lambda: sysmodel._spectral_parts(system, sd.t, sd.V, sd.skew))
 
-    # ||T*T - I|| from the singular values classify reads too
+    # ||T*T - I|| from the singular values classify reads too; passing it at
+    # eq_tol makes classify's conservative flag (eq_tol * norm_scale) hold
     resid = opcore.gram_defect(system.singular_values(), v + s)
     check("block_unitarity", resid, tol.eq_tol, PqsysError,
           f"enlarged block operator is not unitary: defect {resid:.3e}")
-    big_flags = sysmodel.classify(system, tol)
-    if not (big_flags.conservative and big_flags.pqs):
-        raise PqsysError("enlarged system is not conservative quasi-selfadjoint")
+    if not sysmodel.classify(system, tol).pqs:
+        raise PqsysError("enlarged system is not quasi-selfadjoint")
     if not sysmodel.is_minimal(system, tol):
         raise NotMinimal("enlarged system is not minimal")
     # lambda = 0 compares the D blocks

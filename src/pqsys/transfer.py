@@ -554,7 +554,6 @@ class MembershipReport:
     sigma_total_excess: float   # largest eigenvalue of (sum Sigma_k) - I
     x_norm: float
     off_range_residual: float
-    kernel_min_eig: float
     reasons: tuple
 
 
@@ -579,7 +578,7 @@ def sqs_membership(f: SqsFunctionData, tol: Tolerances = DEFAULT_TOL) -> Members
     mass_ok = excess <= tol.psd_tol
     if not mass_ok:
         reasons.append(f"total mass exceeds the identity by {excess:.3e}")
-        return MembershipReport(False, center, radius, None, excess, np.inf, np.inf, 0.0, tuple(reasons))
+        return MembershipReport(False, center, radius, None, excess, np.inf, np.inf, tuple(reasons))
 
     r, keep = opcore._defect_values(1.0 - w, tol)
     Ur = U[:, keep]
@@ -596,9 +595,6 @@ def sqs_membership(f: SqsFunctionData, tol: Tolerances = DEFAULT_TOL) -> Members
     if not off_ok:
         reasons.append(f"Theta(0) sticks out of the ball range by {off_range:.3e}")
 
-    # the Herglotz-Nevanlinna property is automatic for PSD atoms; the
-    # kernel is still sampled as an internal consistency check
-    kmin = nevanlinna_min_eig(f, [1.7 + 0.9j, -2.2 + 1.3j, 0.4 + 2.0j, -0.6 - 1.8j]) if f.atoms else 0.0
-
+    # the Herglotz-Nevanlinna property is automatic for PSD atoms
     member = mass_ok and x_ok and off_ok
-    return MembershipReport(member, center, radius, X, excess, x_norm, off_range, kmin, tuple(reasons))
+    return MembershipReport(member, center, radius, X, excess, x_norm, off_range, tuple(reasons))

@@ -261,7 +261,7 @@ def test_dilate_writes_conservative_system(tmp_path, rng):
     assert code == 0
     rep = read_json(report)
     # the library's checks are reported too
-    assert {"block_unitarity", "grid_unitarity", "corner_match"} <= {c["name"] for c in rep["checks"]}
+    assert {"block_unitarity", "corner_match"} <= {c["name"] for c in rep["checks"]}
     assert all(c["pass"] for c in rep["checks"])
     big = _json.system_from_json(read_json(out))
     flags = pqsys.classify(big)
@@ -523,7 +523,7 @@ LEDGER_CASES = {
     "eval_theta": ({"schur_bound"}, "eigh_residual"),
     "eval_char": ({"circle_unitarity"}, "eigh_residual"),
     "jacobi": ({"contraction"}, "moment_recurrence"),
-    "dilate": ({"block_unitarity", "grid_unitarity", "corner_match"}, "block_unitarity"),
+    "dilate": ({"block_unitarity", "corner_match"}, "block_unitarity"),
     "similar": ({"unitarity", "main", "input", "output"}, "transfer_agreement"),
 }
 

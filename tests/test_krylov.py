@@ -190,7 +190,7 @@ def test_gram_moment_check_reports_the_first_failing_pair():
     tau = system(pqs_from_spectrum(rng, np.linspace(-0.8, 0.8, s), n), n, s)
     # a rank-one change of A orthogonal to ran B leaves every moment with
     # n + m < 3 alone, so the first failing pair in loop order is (0, 3)
-    q = opcore.kernel_basis(tau.B.conj().T).basis[:, 0]
+    q = oracles._kernel(tau.B.conj().T)[:, 0]
     bound = 1e-9
     found = []
     for eps in (1e-3, 1e-6, 3e-9):

@@ -17,6 +17,7 @@ from pqsys.realize import blaschke
 import oracles
 from helpers import (
     circle_points,
+    pqs_from_spectrum,
     rand_atoms,
     rand_complex,
     rand_contraction,
@@ -153,6 +154,47 @@ def test_inner_canonical_form_rejects_non_minimal():
     padded = make_system(T, 3, 3, tau.state_dim + 1)
     with pytest.raises(NotMinimal):
         pqsys.inner_canonical_form(padded)
+
+
+def _dilation_of_12_states():
+    rng = np.random.default_rng(105)
+    tau = make_system(pqs_from_spectrum(rng, rng.uniform(-0.9, 0.9, 12), 3), 3, 3, 12)
+    return pqsys.biinner_dilation(tau).system
+
+
+@pytest.mark.parametrize("eps, inner", [(4e-10, True), (6e-10, False), (1e-9, False),
+                                        (1e-8, False), (1e-6, False)])
+def test_inner_verdict_is_the_isometry_of_T_at_eq_tol(eps, inner):
+    # ||I - (1 - eps)^2 T*T|| = 2 eps - eps^2 for a unitary T: eq_tol = 1e-9
+    # sits between 4e-10 and 6e-10, while the circle defect of Theta stays
+    # under grid_tol = 1e-7 up to eps = 1e-9
+    big = _dilation_of_12_states()
+    scaled = make_system((1 - eps) * big.T, big.in_dim, big.out_dim, big.state_dim)
+    assert pqsys.classify(scaled).isometric == inner
+    if inner:
+        cf = pqsys.inner_canonical_form(scaled)
+        assert len(cf.points) == 12
+    else:
+        with pytest.raises(NotInner, match="not isometric"):
+            pqsys.inner_canonical_form(scaled)
+
+
+def test_inner_canonical_form_samples_theta_only_for_its_reconstruction(monkeypatch):
+    big = _dilation_of_12_states()
+    # a fresh copy of the dilation system, with nothing cached yet
+    fresh = make_system(big.T, big.in_dim, big.out_dim, big.state_dim)
+    calls = {"inner_test": 0, "theta_eval": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(pqsys.transfer, name, counted(name, getattr(pqsys.transfer, name)))
+    pqsys.inner_canonical_form(fresh)
+    assert calls == {"inner_test": 0, "theta_eval": 8}
 
 
 # ---------------------------------------------------------------------------
