@@ -5,7 +5,9 @@ entries, row-major, in one of two forms: "data", a list of [re, im]
 pairs, or "zb64", the base64 text of a zlib stream (level 1) of the
 little-endian complex128 bytes.  System documents and the similarity
 operator are written in the byte form, channel-sized documents (eval
-samples, measures) as lists; the reader accepts either.  Loaders raise
+samples, measures) as lists; the reader accepts either.  A system whose
+T is [[D, B*], [B, diag(t)]] bit for bit, with t real, is written as
+{D, B, t} (`system_to_json`); any other carries T.  Loaders raise
 ValueError on malformed documents so the CLI can map them to its
 input-error exit code.
 """
@@ -48,7 +50,8 @@ def matrix_to_zb64(M) -> dict:
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    """A matrix document in either form; entries must be finite."""
+    """A matrix document in either form; entries must be finite.  A matrix
+    read from the byte form is read-only (`_entries_from_zb64`)."""
     try:
         rows = int(obj["rows"])
         cols = int(obj["cols"])
@@ -81,7 +84,9 @@ def matrix_from_json(obj) -> np.ndarray:
 
 
 def _entries_from_zb64(text, rows: int, cols: int) -> np.ndarray:
-    """The rows*cols entries of a "zb64" payload, in native byte order.
+    """The rows*cols entries of a "zb64" payload, in native byte order, as a
+    read-only array.  On a little-endian host it is a view of the inflated
+    bytes, with no copy; a big-endian host gets a byte-swapped copy.
 
     Inflation stops one byte past the declared size, so a small document
     cannot expand into more memory than its header claims."""
@@ -108,27 +113,81 @@ def _entries_from_zb64(text, rows: int, cols: int) -> np.ndarray:
         raise ValueError(f"{claim} but its payload holds {len(raw)} bytes")
     if inflate.unused_data:
         raise ValueError("matrix payload has data after the end of its zlib stream")
-    out = np.frombuffer(raw, dtype=_WIRE).astype(complex)
+    out = np.frombuffer(raw, dtype=_WIRE)
+    if not _WIRE.isnative:
+        out = out.astype(complex)
+        out.flags.writeable = False
     if not np.all(np.isfinite(out)):
         raise ValueError("matrix entries must be finite numbers")
     return out
 
 
 def system_to_json(tau: PartitionedContraction) -> dict:
-    return {
-        "in_dim": tau.in_dim,
-        "out_dim": tau.out_dim,
-        "state_dim": tau.state_dim,
-        "T": matrix_to_zb64(tau.T),
-    }
+    """The partition and either {D, B, t} (`_diagonal_of_pqs`) or T, each
+    matrix in the byte form."""
+    doc = {"in_dim": tau.in_dim, "out_dim": tau.out_dim, "state_dim": tau.state_dim}
+    t = _diagonal_of_pqs(tau)
+    if t is None:
+        doc["T"] = matrix_to_zb64(tau.T)
+    else:
+        doc.update(D=matrix_to_zb64(tau.D), B=matrix_to_zb64(tau.B), t=t.tolist())
+    return doc
+
+
+def _diagonal_of_pqs(tau: PartitionedContraction) -> np.ndarray | None:
+    """The diagonal t of A when `_pqs_from_diagonal` rebuilds T from (D, B, t)
+    bit for bit, else None.  That holds exactly when the partition is square
+    with state, every imaginary part of A and every real part off its
+    diagonal has all bits zero (+0.0), and C has the bits of B*.  Such an A
+    is real diagonal by the test of `opcore.hermitian_eigh`."""
+    if tau.in_dim != tau.out_dim or tau.state_dim == 0:
+        return None
+    A = tau.A
+    # the entries of A as 64-bit words: nonzero words only on the real diagonal
+    re = A.real.view(np.uint64)
+    if np.count_nonzero(A.imag.view(np.uint64)) or np.count_nonzero(re) != np.count_nonzero(np.diagonal(re)):
+        return None
+    if np.ascontiguousarray(tau.C).tobytes() != np.ascontiguousarray(tau.B.conj().T).tobytes():
+        return None
+    return np.diagonal(A).real.copy()
+
+
+def _pqs_from_diagonal(obj, n: int, out_dim: int, s: int) -> np.ndarray:
+    """T = [[D, B*], [B, diag(t)]] from the D, B and t of a system document."""
+    if out_dim != n:
+        raise ValueError(f"a system document with 't' needs in_dim = out_dim, got {n} and {out_dim}")
+    D = matrix_from_json(obj["D"])
+    B = matrix_from_json(obj["B"])
+    try:
+        t = np.array(obj["t"], dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError("system entry 't' must be a list of real numbers") from None
+    if t.shape != (s,):
+        raise ValueError(f"system entry 't' must list {s} numbers, got shape {t.shape}")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("system entry 't' must hold finite numbers")
+    if D.shape != (n, n) or B.shape != (s, n):
+        raise ValueError(f"system blocks D {D.shape} and B {B.shape}, partition wants {(n, n)} and {(s, n)}")
+    T = np.zeros((n + s, n + s), dtype=complex)
+    T[:n, :n] = D
+    T[:n, n:] = B.conj().T
+    T[n:, :n] = B
+    np.fill_diagonal(T[n:, n:], t)
+    return T
 
 
 def system_from_json(obj) -> PartitionedContraction:
+    """A system document carrying T (either matrix form) or {D, B, t}."""
     try:
         in_dim = int(obj["in_dim"])
         out_dim = int(obj["out_dim"])
         state_dim = int(obj["state_dim"])
-        T = matrix_from_json(obj["T"])
+        if "t" not in obj:
+            T = matrix_from_json(obj["T"])
+        elif "T" in obj:
+            raise ValueError("system document carries both 'T' and 't'")
+        else:
+            T = _pqs_from_diagonal(obj, in_dim, out_dim, state_dim)
     except (TypeError, KeyError) as exc:
         raise ValueError(f"not a system document: missing {exc}") from None
     return PartitionedContraction(T, in_dim, out_dim, state_dim)
@@ -208,11 +267,11 @@ def sniff_document(obj):
     deciding by its keys."""
     if not isinstance(obj, dict):
         raise ValueError("document root must be an object")
-    if "T" in obj:
+    if "T" in obj or "t" in obj:
         return system_from_json(obj)
     if "theta0" in obj:
         return measure_from_json(obj)
-    raise ValueError("document is neither a system (key 'T') nor a measure (key 'theta0')")
+    raise ValueError("document is neither a system (key 'T' or 't') nor a measure (key 'theta0')")
 
 
 def digest_files(paths) -> str:

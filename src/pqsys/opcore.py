@@ -351,29 +351,30 @@ def hermitian_eigh(A, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.nda
     """Eigenvalues t (ascending) and eigenvectors V of H = (A + A*)/2 for a
     nonempty square A that passes `is_selfadjoint`, or None for any other A.
 
-    A real diagonal A is its own factorization (V a real permutation), with
-    no selfadjointness scan: it passes the rule trivially.  Otherwise eigh
+    A real diagonal A is its own factorization (V a real permutation matrix,
+    built here from the index that `_hermitian_eigh` returns), with no
+    selfadjointness scan: it passes the rule trivially.  Otherwise eigh
     factors H (A itself, bit for bit, when A is bitwise Hermitian), and
     PqsysError is raised when ||HV - V diag(t)||_F exceeds
     max(eq_tol, _EIGH_ROUNDING * s * eps) * max(1, max|t|) for s x s A and
     machine epsilon eps: a floor above eigh's own rounding (2.97e-14 at
     s = 400 against 8.9e-13), which a smaller eq_tol does not undercut."""
     eig = _hermitian_eigh(A, tol)
-    return None if eig is None else eig[:2]
+    return None if eig is None else (eig[0], _eig_span(eig[1], slice(None)))
 
 
 def _hermitian_eigh(A, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, float] | None:
     """`hermitian_eigh` together with ||A - A*||_F as its selfadjointness test
-    measured it (`_skew_fro`), 0 for a real diagonal A, which it does not scan."""
+    measured it (`_skew_fro`), 0 for a real diagonal A, which it does not scan.
+    The eigenbasis of a real diagonal A is returned as the index of its stable
+    sort (see `_eig_coords`), not as a matrix."""
     A = as_matrix(A)
     if A.shape[0] != A.shape[1] or A.shape[0] == 0:
         return None
     diag = np.diagonal(A)
     if not np.any(diag.imag) and np.count_nonzero(A) == np.count_nonzero(diag):
-        order = np.argsort(diag.real, kind="stable")
-        V = np.zeros(A.shape)  # real: half the memory of a complex permutation
-        V[order, np.arange(order.size)] = 1.0
-        return diag.real[order], V, 0.0
+        perm = np.argsort(diag.real, kind="stable")
+        return diag.real[perm], perm, 0.0
     skew = _skew_fro(A)
     if not _selfadjoint_verdict(A, skew, tol):
         return None
@@ -384,6 +385,36 @@ def _hermitian_eigh(A, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, float] 
     check("eigh_residual", miss, rel * max(1.0, float(np.abs(t).max())), PqsysError,
           f"eigendecomposition of a selfadjoint matrix misses it by {miss:.3e}")
     return t, V, skew
+
+
+# An eigenbasis V of a selfadjoint A is carried in one of two forms: the s x s
+# matrix of its columns, or, for a real diagonal A, the integer index perm of
+# the stable sort of the diagonal, whose column k is the unit vector e_perm[k].
+# `_eig_coords`, `_eig_span` and `hermitian_defect_data` are the only places
+# that tell the forms apart; on an index they take entries by index, with the
+# values, bit for bit, of the products with the real permutation matrix.
+
+def _eig_coords(V: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """V* X, the rows of X in the eigenbasis V: X[perm] for an index."""
+    if V.ndim == 1:
+        return X[V]
+    # (X* V)*, which needs no conjugated copy of V
+    return (X.conj().T @ V).conj().T
+
+
+def _eig_span(V: np.ndarray, cols: slice, Y: np.ndarray | None = None) -> np.ndarray:
+    """V[:, cols] @ Y, or the columns V[:, cols] themselves when Y is None
+    (real, for an index: identity columns)."""
+    if V.ndim == 2:
+        return V[:, cols] if Y is None else V[:, cols] @ Y
+    rows = V[cols]
+    if Y is None:
+        out = np.zeros((V.size, rows.size))
+        out[rows, np.arange(rows.size)] = 1.0
+    else:
+        out = np.zeros((V.size, Y.shape[1]), dtype=np.result_type(float, Y))
+        out[rows] = Y
+    return out
 
 
 def defect_data(A, tol: Tolerances = DEFAULT_TOL) -> DefectData:
@@ -418,9 +449,9 @@ def defect_data(A, tol: Tolerances = DEFAULT_TOL) -> DefectData:
 
 def _factor_defects(A: np.ndarray, tol: Tolerances) -> DefectData:
     """`defect_data` of a matrix, by its factorization."""
-    eig = hermitian_eigh(A, tol)
+    eig = _hermitian_eigh(A, tol)
     if eig is not None:
-        return hermitian_defect_data(*eig, tol)
+        return hermitian_defect_data(*eig[:2], tol)
     dd = _svd_defects(A, tol, contraction=True, basis=True, adjoint=True)
     if dd.DA.shape == dd.DAs.shape and norm_at_most(dd.DA - dd.DAs, tol.eq_tol):
         return DefectData(dd.DA, dd.DA, dd.E_A, dd.E_A, dd.d_A, dd.d_A)
@@ -489,15 +520,21 @@ def hermitian_defect(t: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[np.n
 def hermitian_defect_data(t: np.ndarray, V: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> DefectData:
     """D_A = D_{A*} = V diag(sqrt(1 - t^2)) V* from A = V diag(t) V*, with the
     eigenvectors of nonzero defect (`hermitian_defect`) and their values as
-    the shared range basis and defect values."""
+    the shared range basis and defect values.  V is a matrix or an index
+    (`_eig_coords`); an index gives the real diagonal D_A, set entry by entry."""
     d, cols = hermitian_defect(t, tol)
-    # V d V* formed as conj(conj(V d) V^T), which needs no conjugated copy of V
-    W = V * d
-    np.conj(W, out=W)
-    DA = W @ V.T
-    del W
-    np.conj(DA, out=DA)
-    return DefectData(DA, DA, V[:, cols], V[:, cols], d[cols], d[cols], t[cols])
+    if V.ndim == 1:
+        DA = np.zeros((t.size, t.size))
+        DA[V, V] = d
+    else:
+        # V d V* formed as conj(conj(V d) V^T), which needs no conjugated copy of V
+        W = V * d
+        np.conj(W, out=W)
+        DA = W @ V.T
+        del W
+        np.conj(DA, out=DA)
+    E = _eig_span(V, cols)
+    return DefectData(DA, DA, E, E, d[cols], d[cols], t[cols])
 
 
 def is_selfadjoint(A, tol: Tolerances = DEFAULT_TOL) -> bool:

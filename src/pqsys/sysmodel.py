@@ -100,7 +100,8 @@ class SpectralData(NamedTuple):
     with the O(s n) pieces the evaluation formulas use; all read-only."""
 
     t: np.ndarray    # eigenvalues of A, ascending
-    V: np.ndarray    # orthonormal eigenvectors, one column per eigenvalue
+    V: np.ndarray    # orthonormal eigenvectors, one column per eigenvalue, or for
+                     # a real diagonal A the index of its sort (`opcore._eig_coords`)
     VB: np.ndarray   # V* B
     CV: np.ndarray   # C V
     skew: float | None = None  # ||A - A*||_F when the factorization measured it
@@ -123,8 +124,9 @@ def _spectral_parts(tau: PartitionedContraction, t: np.ndarray, V: np.ndarray,
                     skew: float | None = None) -> SpectralData:
     """The SpectralData of tau from a factorization A = V diag(t) V* in hand,
     and ||A - A*||_F if that is known too."""
-    # V* B as (B* V)*, which needs no conjugated n x n copy of V
-    parts = SpectralData(t, V, (tau.B.conj().T @ V).conj().T, tau.C @ V, skew)
+    # C V as (V* C*)*
+    parts = SpectralData(t, V, opcore._eig_coords(V, tau.B),
+                         opcore._eig_coords(V, tau.C.conj().T).conj().T, skew)
     for arr in parts[:4]:
         arr.flags.writeable = False
     return parts
@@ -409,7 +411,8 @@ def _cluster_span(t: np.ndarray, comps: np.ndarray, thresh: float,
     clusters (`opcore.eigen_clusters`) of the ranges of the cluster rows.
     Returns, for each cluster c in order, c itself, the number of singular
     values of comps[c] above thresh and, given the eigenvectors vecs, an
-    orthonormal basis of that range (else None).
+    orthonormal basis of that range (else None); vecs is a matrix or the
+    index of `opcore._eig_coords`.
 
     The clusters of one size take one stacked SVD of their rows, which runs
     the LAPACK routine of a single SVD on each: the same ranks and bases, bit
@@ -424,7 +427,7 @@ def _cluster_span(t: np.ndarray, comps: np.ndarray, thresh: float,
         ranks = np.count_nonzero(sv > thresh, axis=1).tolist()
         for j, (k, rank) in enumerate(zip(pos.tolist(), ranks)):
             c = clusters[k]
-            out[k] = (c, rank, None if vecs is None else vecs[:, c] @ U[j, :, :rank])
+            out[k] = (c, rank, None if vecs is None else opcore._eig_span(vecs, c, U[j, :, :rank]))
     return out
 
 
@@ -575,7 +578,7 @@ def check_minimality_normal(tau: PartitionedContraction, tol: Tolerances = DEFAU
     else:
         # A = A*: the cluster ranks of the components in the eigenbasis, with
         # the thresholds rank_tol * ||M||_2 and rank_tol * ||K*||_2
-        cm, ck = sd.V.conj().T @ M, sd.V.conj().T @ Ks
+        cm, ck = opcore._eig_coords(sd.V, M), opcore._eig_coords(sd.V, Ks)
         tm, tk = tol.rank_tol * operator_norm(cm), tol.rank_tol * operator_norm(ck)
         hc_n, ho_n = _cluster_basis(sd, cm, tm), _cluster_basis(sd, ck, tk)
         joint = _cluster_basis(sd, np.hstack([cm, ck]), max(tm, tk))

@@ -475,7 +475,8 @@ class SqsFunctionData:
         hermitian = opcore._selfadjoint_each(W)
         psd = np.ones(len(W), dtype=bool)
         if n and len(W):
-            psd = np.linalg.eigvalsh((W + W.conj().swapaxes(1, 2)) / 2.0)[:, 0] >= -1e-9
+            # the data class takes no Tolerances: the default psd_tol, as an absolute bound
+            psd = np.linalg.eigvalsh((W + W.conj().swapaxes(1, 2)) / 2.0)[:, 0] >= -DEFAULT_TOL.psd_tol
         bad = np.flatnonzero(~hermitian | ~psd)
         if bad.size:
             k = bad[0]

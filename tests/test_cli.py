@@ -116,7 +116,8 @@ def test_eval_theta_writes_samples_as_lists(tmp_path, rng):
 
 
 def test_classify_corrupted_payload_exits_2_with_report(tmp_path, rng):
-    write_system(tmp_path / "sys.json", pqsys.realize_from_data(write_member_measure(tmp_path / "m.json", rng)))
+    # a dense main operator: the file carries T in the byte form
+    write_system(tmp_path / "sys.json", pqsys.PartitionedContraction(rand_pqs_T(rng, 1, 3), 1, 1, 3))
     doc = read_json(tmp_path / "sys.json")
     doc["T"]["zb64"] = doc["T"]["zb64"][:8] + "AAAA" + doc["T"]["zb64"][12:]
     (tmp_path / "bad.json").write_text(json.dumps(doc))

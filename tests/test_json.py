@@ -130,17 +130,20 @@ def test_zb64_inflation_is_bounded_by_the_declared_size():
 
 
 def test_system_file_round_trip_stays_near_the_matrix_size(tmp_path):
-    # a 1001-state system (diagonal A and two channels): writing and reading
-    # it back must not build a Python object per entry (the list form peaked
-    # near 190 MB on this system)
+    # a 1001-state system (diagonal A but for one coupling, and two channels),
+    # which the byte form of T carries: writing and reading it back must not
+    # build a Python object per entry (the list form peaked near 190 MB on
+    # this system)
     rng = np.random.default_rng(8)
     s, n = 1001, 2
     T = np.zeros((n + s, n + s), dtype=complex)
     T[np.arange(n, n + s), np.arange(n, n + s)] = rng.uniform(-0.9, 0.9, s)
+    T[n, n + 1] = T[n + 1, n] = 0.01
     B = 0.01 * rand_complex(rng, s, n)
     T[n:, :n], T[:n, n:] = B, B.conj().T
     tau = pqsys.PartitionedContraction(T, n, n, s)
     path = str(tmp_path / "sys.json")
+    assert "T" in _json.system_to_json(tau)
     tracemalloc.start()
     try:
         _json.dump(_json.system_to_json(tau), path)
