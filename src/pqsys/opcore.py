@@ -239,9 +239,12 @@ CLUSTER_GAP = 1e-8
 
 def eigen_clusters(t: np.ndarray) -> list[slice]:
     """Contiguous slices of the ascending eigenvalues t, split wherever two
-    neighbours lie more than CLUSTER_GAP apart."""
-    cuts = np.flatnonzero(np.diff(t) > CLUSTER_GAP) + 1
-    edges = [0, *cuts.tolist(), t.size]
+    neighbours lie more than CLUSTER_GAP apart.  For a stack of spectra of
+    one length (one per row), the common partition: split only where every
+    row has such a gap."""
+    t = np.atleast_2d(t)
+    cuts = np.flatnonzero(np.all(np.diff(t) > CLUSTER_GAP, axis=0)) + 1
+    edges = [0, *cuts.tolist(), t.shape[1]]
     return [slice(a, b) for a, b in zip(edges[:-1], edges[1:]) if b > a]
 
 

@@ -533,7 +533,8 @@ def chebyshev_example(d: complex, n_nodes: int, tol: Tolerances = DEFAULT_TOL):
     Bv = np.sqrt((1.0 - nodes ** 2) * sigma).astype(complex)
     T = np.zeros((n_nodes + 1, n_nodes + 1), dtype=complex)
     T[0, 0] = d
-    T[0, 1:] = Bv
+    # C as B*, bit for bit (its imaginary parts -0.0), as `realize_from_data` builds it
+    T[0, 1:] = Bv.conj()
     T[1:, 0] = Bv
     np.fill_diagonal(T[1:, 1:], nodes)
     tau = PartitionedContraction(T, 1, 1, n_nodes)
@@ -560,9 +561,25 @@ def unitary_similarity(tau1: PartitionedContraction, tau2: PartitionedContractio
     Verifies transfer agreement through D and the Markov parameters
     C A^k B for k < s1 + s2, which is exact: the difference of the two
     functions has a realization with s1 + s2 states, so it vanishes iff
-    these coefficients do.  Then checks the mixed power-moment identities,
-    builds orthonormal band-Arnoldi bases Q1, Q2 of the two controllable
-    subspaces, and takes U as the polar factor of Q2 Q1*."""
+    these coefficients do.  Then checks the mixed power moments
+    B* A*^n A^m B for n, m <= s, builds U and certifies it by the four
+    intertwining residuals.
+
+    When both main operators are selfadjoint (both systems cache
+    A = V diag(t) V*, `sysmodel.spectral_data`), everything is read off the
+    spectral data.  The Markov parameters are CV diag(t^k) VB and the
+    moments depend only on n + m: the Hankel sequence VB* diag(t^k) VB.
+    Equal D and Markov parameters mean equal measures in the S^qs
+    representation, and that measure is unique: the two systems have the
+    same eigenvalue clusters with the same weights.  Equal moments then make
+    the Gram matrices of the cluster rows (V1*B)_c and (V2*B)_c equal, and
+    minimality makes each of those rows full row rank.  So one unitary W_c
+    has W_c (V1*B)_c = (V2*B)_c: the polar factor of (V2*B)_c (V1*B)_c*, a
+    Procrustes problem per cluster of the common partition of the two
+    spectra (`opcore.eigen_clusters`).  U = V2 blockdiag(W_c) V1* is then
+    the unique intertwiner.  Any other pair takes orthonormal band-Arnoldi
+    bases Q1, Q2 of the two controllable subspaces, and U is the polar
+    factor of Q2 Q1*."""
     if tau1.in_dim != tau2.in_dim or tau1.out_dim != tau2.out_dim:
         raise DimensionMismatch("systems must share input and output spaces")
     if not sysmodel.is_minimal(tau1, tol):
@@ -584,9 +601,18 @@ def unitary_similarity(tau1: PartitionedContraction, tau2: PartitionedContractio
 
     s1, s2 = tau1.state_dim, tau2.state_dim
     scale = max(scales)
-    # one block sequence B, AB, A^2 B, ... per system serves both checks
-    K1, K2 = (_krylov_blocks(tau, max(s1 + s2, 1)) for tau in (tau1, tau2))
-    diff = np.concatenate([(tau1.D - tau2.D)[None], tau1.C @ K1 - tau2.C @ K2])
+    count = max(s1 + s2, 1)
+    sd1, sd2 = (sysmodel.spectral_data(tau, tol) for tau in (tau1, tau2))
+    spectral = sd1 is not None and sd2 is not None
+    if spectral:
+        # the powers t^k up to k = 2 max(s1, s2) serve both checks
+        (M1, H1), (M2, H2) = (_spectral_moments(sd, 2 * max(s1, s2) + 1) for sd in (sd1, sd2))
+        markov = M1[:count] - M2[:count]
+    else:
+        # one block sequence B, AB, A^2 B, ... per system serves both checks
+        K1, K2 = (_krylov_blocks(tau, count) for tau in (tau1, tau2))
+        markov = tau1.C @ K1 - tau2.C @ K2
+    diff = np.concatenate([(tau1.D - tau2.D)[None], markov])
     gaps = np.linalg.norm(diff, ord=2, axis=(1, 2)) if diff[0].size else np.zeros(len(diff))
     j = int(np.argmax(gaps))
     check("transfer_agreement", float(gaps[j]), tol.eq_tol * scale, TransferMismatch,
@@ -595,13 +621,17 @@ def unitary_similarity(tau1: PartitionedContraction, tau2: PartitionedContractio
         raise TransferMismatch("minimal realizations have different state dimensions")
 
     p = s1
-    _check_moments(K1[:p + 1], K2[:p + 1], tol.eq_tol * scale)
-    # band Arnoldi is unitarily covariant: Q2 = U Q1 for minimal systems
-    # with A2 = U A1 U* and B2 = U B1, so U is the polar factor of Q2 Q1*
-    Q1 = opcore.krylov_span(tau1.A, tau1.B, p, tol).basis
-    Q2 = opcore.krylov_span(tau2.A, tau2.B, p, tol).basis
-    u, _, vh = np.linalg.svd(Q2 @ Q1.conj().T)
-    U = u @ vh
+    if spectral:
+        _check_hankel_moments(H1, H2, tol.eq_tol * scale)
+        U = _spectral_intertwiner(sd1, sd2)
+    else:
+        _check_moments(K1[:p + 1], K2[:p + 1], tol.eq_tol * scale)
+        # band Arnoldi is unitarily covariant: Q2 = U Q1 for minimal systems
+        # with A2 = U A1 U* and B2 = U B1, so U is the polar factor of Q2 Q1*
+        Q1 = opcore.krylov_span(tau1.A, tau1.B, p, tol).basis
+        Q2 = opcore.krylov_span(tau2.A, tau2.B, p, tol).basis
+        u, _, vh = np.linalg.svd(Q2 @ Q1.conj().T)
+        U = u @ vh
     residuals = {
         # U is square: ||U*U - I|| = ||UU* - I||
         "unitarity": opcore.isometry_defect(U),
@@ -613,6 +643,56 @@ def unitary_similarity(tau1: PartitionedContraction, tau2: PartitionedContractio
         check(name, value, 10 * tol.eq_tol * scale, PqsysError,
               f"intertwining residual {value:.3e} exceeds tolerance")
     return SimilarityResult(U, residuals)
+
+
+def _spectral_moments(sd: sysmodel.SpectralData, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Markov parameters CV diag(t^k) VB and the Hankel moments
+    VB* diag(t^k) VB for k = 0..count-1, each stacked along axis 0, from one
+    product of the power table t^k with the rank-one terms of each state."""
+    VB, CV = sd.VB, sd.CV
+    s, (n, m) = sd.t.size, (CV.shape[0], VB.shape[1])
+    terms = np.empty((s, n * m + m * m), dtype=complex)
+    terms[:, :n * m] = (CV.T[:, :, None] * VB[:, None, :]).reshape(s, n * m)
+    terms[:, n * m:] = (VB.conj()[:, :, None] * VB[:, None, :]).reshape(s, m * m)
+    # t^k by running products (a power of a negative base is a slow libm call)
+    powers = np.empty((count, s))
+    powers[0] = 1.0
+    np.cumprod(np.broadcast_to(sd.t, (count - 1, s)), axis=0, out=powers[1:])
+    # real powers times the complex terms as one real product on their float view
+    out = (powers @ terms.view(float)).view(complex)
+    return out[:, :n * m].reshape(count, n, m), out[:, n * m:].reshape(count, m, m)
+
+
+def _check_hankel_moments(H1: np.ndarray, H2: np.ndarray, bound: float):
+    """`_check_moments` for selfadjoint main operators, from the Hankel
+    moments H_k = B* A^k B, k = 0..2p, of the two systems: the moment
+    B* A*^n A^m B is H_{n+m}, so the first failing pair in (n, m) order
+    belongs to the first failing k, at n = max(0, k - p)."""
+    p = (len(H1) - 1) // 2
+    diff = H1 - H2
+    gaps = np.linalg.norm(diff, ord=2, axis=(1, 2)) if diff[0].size else np.zeros(len(diff))
+    bad = np.flatnonzero(gaps > bound)
+    nn = mm = None
+    if bad.size:
+        nn = max(0, int(bad[0]) - p)
+        mm = int(bad[0]) - nn
+    check("moments", float(gaps.max()), bound, functools.partial(MomentMismatch, n=nn, m=mm),
+          "mixed power moments differ")
+
+
+def _spectral_intertwiner(sd1: sysmodel.SpectralData, sd2: sysmodel.SpectralData) -> np.ndarray:
+    """U = V2 blockdiag(W_c) V1*, W_c the polar factor of (V2*B)_c (V1*B)_c*
+    over the clusters c of the common partition of the two spectra; the
+    clusters of one size take one stacked SVD."""
+    s = sd1.t.size
+    W = np.zeros((s, s), dtype=complex)
+    clusters = opcore.eigen_clusters(np.vstack([sd1.t, sd2.t]))
+    for _, rows in sysmodel._cluster_rows_by_size(clusters):
+        u, _, vh = np.linalg.svd(sd2.VB[rows] @ sd1.VB[rows].conj().swapaxes(1, 2))
+        W[rows[:, :, None], rows[:, None, :]] = u @ vh
+    # V2 W V1* as (V1 (V2 W)*)*: each eigenbasis a matrix or an index
+    every = slice(None)
+    return opcore._eig_span(sd1.V, every, opcore._eig_span(sd2.V, every, W).conj().T).conj().T
 
 
 def _krylov_blocks(tau: PartitionedContraction, count: int) -> np.ndarray:

@@ -112,6 +112,14 @@ def test_realized_system_file_carries_d_b_t_and_rebuilds_t_bit_for_bit():
     assert not back._cache
 
 
+def test_chebyshev_example_system_file_carries_d_b_t():
+    # its C has the bits of B* (imaginary parts -0.0), so no T is written
+    _, tau = realize.chebyshev_example(0.2 + 0.1j, 1000)
+    doc, back = _round_trip(tau)
+    assert {"D", "B", "t"} <= doc.keys() and "T" not in doc
+    assert back.T.tobytes() == tau.T.tobytes()
+
+
 def test_dilated_system_file_carries_d_b_t():
     big = realize.biinner_dilation(_realized(np.random.default_rng(5))).system
     doc, back = _round_trip(big)
