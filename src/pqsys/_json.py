@@ -204,9 +204,7 @@ def measure_from_json(obj) -> SqsFunctionData:
     """A measure document; a malformed weight is named by its atom index."""
     try:
         theta0 = matrix_from_json(obj["theta0"])
-        atoms = _scalar_atoms(obj["atoms"])
-        if atoms is None:
-            atoms = [_atom_from_json(k, a) for k, a in enumerate(obj["atoms"])]
+        atoms = [_atom_from_json(k, a) for k, a in enumerate(obj["atoms"])]
     except (TypeError, KeyError) as exc:
         raise ValueError(f"not a measure document: missing {exc}") from None
     return SqsFunctionData(theta0, tuple(atoms))
@@ -218,28 +216,6 @@ def _atom_from_json(k: int, a) -> tuple[float, np.ndarray]:
         return t, matrix_from_json(a["sigma"])
     except ValueError as exc:
         raise ValueError(f"atom {k}: {exc}") from None
-
-
-def _scalar_atoms(docs) -> list | None:
-    """The atoms of a measure whose weights are all 1x1 list-form documents,
-    decoded in one pass: one array of all the [re, im] pairs.  None when an
-    atom is of any other form or fails a check; the per-atom decoding of
-    `measure_from_json` then raises the check's message, naming the atom."""
-    try:
-        ts = []
-        pairs = []
-        for a in docs:
-            sigma = a["sigma"]
-            if type(sigma) is not dict or sigma["rows"] != 1 or sigma["cols"] != 1 or "zb64" in sigma:
-                return None
-            ts.append(float(a["t"]))
-            pairs.append(sigma["data"])
-        vals = np.array(pairs, dtype=float)
-    except (TypeError, KeyError, ValueError):
-        return None
-    if vals.shape != (len(pairs), 1, 2) or not np.all(np.isfinite(vals)):
-        return None
-    return list(zip(ts, vals.view(complex).reshape(-1, 1, 1)))
 
 
 def jacobi_to_json(jr: JacobiRealization) -> dict:

@@ -149,7 +149,7 @@ def assemble(p: ContractionParams, tol: Tolerances = DEFAULT_TOL) -> Partitioned
         # no eigenvalue at +-1: the defect basis holds every eigenvector of the
         # main operator p.A, so the system takes that factorization, not an eigh
         tau.cached("spectral", tol, lambda: _spectral_parts(tau, dd.t, dd.E_A))
-    if not block_norm_at_most(tau, 1.0 + 10 * tol.psd_tol, tol):
+    if not block_norm_at_most(tau, 1.0 + tol.rank_tol, tol):
         raise NotAContraction(f"assembled block has norm {tau.norm():.12f}; parameters inconsistent")
     return tau
 

@@ -87,7 +87,7 @@ def realize_from_data(f: SqsFunctionData, tol: Tolerances = DEFAULT_TOL) -> Part
     tau = PartitionedContraction(T, n, n, s)
     # max(||T|| - 1, 0), which needs the singular values only above 1
     excess = 0.0 if sysmodel.block_norm_at_most(tau, 1.0, tol) else max(tau.norm() - 1.0, 0.0)
-    check("contraction", excess, 10 * tol.psd_tol, PqsysError,
+    check("contraction", excess, tol.rank_tol, PqsysError,
           "assembled realization is not a contraction")
     tau = sysmodel.minimal_pqs_reduction(tau, tol)
     gap, _ = transfer.grid_gap(tau, f, 0.5 * np.exp(2j * np.pi * (np.arange(20) + 0.3) / 20), tol)
@@ -167,12 +167,13 @@ def inner_canonical_form(tau: PartitionedContraction, tol: Tolerances = DEFAULT_
     if not flags.isometric:
         raise NotInner("transfer function is not inner: the block operator of a minimal system "
                        "is not isometric to eq_tol")
-    # the defect basis is the cached eigenbasis of A: K maps it onto the columns of W = K
-    p = parametrize(tau, tol)
+    # the defect basis is the cached eigenbasis of A: W is the channel
+    # parameter K = (C E_A) / d_A of `parametrize`, read from the cached defects
+    dd = sysmodel.main_defect_data(tau, tol)
     s = tau.state_dim
-    if p.defects.E_A.shape[1] != s:
+    if dd.E_A.shape[1] != s:
         raise NotInner("defect space of the main operator does not fill the state space")
-    W = p.K
+    W = (tau.C @ dd.E_A) / dd.d_A
     # one full SVD of W: ||I - W*W||, and ker W* as the left singular vectors
     # past the rank that the rank_tol cutoff counts
     U, sv, _ = np.linalg.svd(W)
@@ -184,7 +185,7 @@ def inner_canonical_form(tau: PartitionedContraction, tol: Tolerances = DEFAULT_
           "constant block is not unitary")
     # Theta rebuilt in the basis [W, W_perp] as diag(Blaschke factors) (+) X
     const = W_perp @ X @ W_perp.conj().T
-    t = p.defects.t
+    t = dd.t
     gap, _ = transfer.grid_gap(lambda lam: (W * blaschke(t, lam)) @ W.conj().T + const, tau,
                                0.6 * np.exp(2j * np.pi * (np.arange(8) + 0.37) / 8), tol)
     check("canonical_reconstruction", gap, 10 * tol.eq_tol, PqsysError,
@@ -427,6 +428,8 @@ def jacobi_realize(source, max_len: int | None = None, tol: Tolerances = DEFAULT
     Breakdown before max_len means the function is rational and the
     expansion is complete.  The leading coefficients are cross-checked
     against a moment recurrence on the moments sum w t^n."""
+    if max_len is not None and max_len < 1:
+        raise ValueError(f"max_len must be at least 1, got {max_len}")
     if isinstance(source, SqsFunctionData):
         if source.dim != 1:
             raise NotScalar("atomic data must be scalar")
@@ -538,7 +541,7 @@ def chebyshev_example(d: complex, n_nodes: int, tol: Tolerances = DEFAULT_TOL):
     T[1:, 0] = Bv
     np.fill_diagonal(T[1:, 1:], nodes)
     tau = PartitionedContraction(T, 1, 1, n_nodes)
-    if not sysmodel.block_norm_at_most(tau, 1.0 + 10 * tol.psd_tol, tol):
+    if not sysmodel.block_norm_at_most(tau, 1.0 + tol.rank_tol, tol):
         raise PqsysError("discretized system is not a contraction")
     return data, tau
 

@@ -31,10 +31,10 @@ class PartitionedContraction:
     writing through `tau.T` or its blocks raises.  Results derived from T
     alone are cached on the system: its singular values once, the class
     flags, the spectral factorization of A, the defect data of A and the
-    Krylov record per `Tolerances`, and for a non-selfadjoint A the count of
-    points `transfer.theta_eval` took and its eigendecomposition record (once
-    per system); the array passed in must therefore not be modified after
-    construction either."""
+    Krylov record per `Tolerances`, and for a non-selfadjoint A the
+    eigendecomposition record of `transfer.theta_eval` (once per system); the
+    array passed in must therefore not be modified after construction
+    either."""
 
     T: np.ndarray
     in_dim: int

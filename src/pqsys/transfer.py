@@ -10,7 +10,6 @@ in the class of pqs transfer functions given by atomic measure data.
 from __future__ import annotations
 
 import cmath
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -73,16 +72,6 @@ def _near_singular(den: np.ndarray) -> bool:
     return bool(mag.size and mag.min() <= SINGULAR_REL * mag.max())
 
 
-# Points a system with no Hermitian factorization evaluates by one dense LU
-# solve each before `theta_eval` buys its eigendecomposition.  np.linalg.eig
-# costs as much as 35 to 60 such solves (measured at s = 50, 200, 400 and
-# 1000 on one BLAS thread), so a system evaluated at this many points or
-# fewer never pays for an eig it cannot amortize, and one evaluated at more
-# pays at most about 2.4 times what the cheaper route alone would have cost
-# (rent or buy: 48 LU points plus the eig, against the eig or 49 LU points).
-EIG_AFTER_LU_POINTS = 48
-
-
 class _EigRecord(NamedTuple):
     """A = V diag(mu) V^-1 of a main operator with no Hermitian factorization,
     from np.linalg.eig, with the pieces `theta_eval` reads; all read-only."""
@@ -101,20 +90,19 @@ def theta_eval(tau: PartitionedContraction, lam: complex, tol: Tolerances = DEFA
 
     For selfadjoint A the cached factorization A = V diag(t) V* gives
     D + lambda (C V) diag(1 / (1 - lambda t)) (V* B) in O(s n^2) per point.
-    Any other A takes one dense LU solve per point for the system's first
-    EIG_AFTER_LU_POINTS points; the next builds an eigendecomposition
-    A = V diag(mu) V^-1, cached per system (it reads no tolerance), and from
-    then on a point takes X = V diag(1 / (1 - lambda mu)) V^-1 B in O(s^2 n)
-    when X passes its gate (`_gated_theta`), and the LU solve otherwise.  A
+    Any other A builds, at its first point, an eigendecomposition
+    A = V diag(mu) V^-1, cached per system (it reads no tolerance); a point
+    then takes X = V diag(1 / (1 - lambda mu)) V^-1 B in O(s^2 n) when X
+    passes its gate (`_gated_theta`), and one dense LU solve otherwise.  A
     build that fails (eig or the solve with V raises, or ||AV - V diag mu||_F
     exceeds the rounding floor of `opcore.hermitian_eigh` times
-    max(1, ||A||_F)) leaves every point to LU, and so does a record whose
-    gate rejected each of the first EIG_AFTER_LU_POINTS points (`_eig_theta`)."""
+    max(1, ||A||_F)) leaves every point to LU."""
     lam = complex(lam)
     sd = sysmodel.spectral_data(tau, tol)
     if sd is not None:
         return _theta_diag(tau.D, sd.CV, _inverse_diag(1.0 - lam * sd.t), sd.VB, lam)
-    val = _eig_theta(tau, lam)
+    rec = tau.cached("eig", None, lambda: _build_eig_record(tau))
+    val = None if rec is None else _gated_theta(tau, rec, lam)
     if val is None:
         X = _resolve(np.eye(tau.state_dim) - lam * tau.A, tau.B)
         val = tau.D + lam * (tau.C @ X)
@@ -126,30 +114,6 @@ def _theta_diag(D: np.ndarray, CV: np.ndarray, w: np.ndarray, VB: np.ndarray, la
     diagonalization A = V diag(mu) W, W V = I, with CV = C V, VB = W B and
     w = 1 / (1 - lambda mu)."""
     return D + lam * ((CV * w) @ VB)
-
-
-def _eig_theta(tau: PartitionedContraction, lam: complex) -> np.ndarray | None:
-    """Theta(lambda) from the system's eigendecomposition record, or None when
-    the point belongs to LU: while the system's points still take LU (this
-    call counts as one of them), when the build failed, when the gate
-    (`_gated_theta`) rejects the point, and once the record is dropped.
-
-    The record is dropped (cached as None) when the gate has rejected each of
-    the first EIG_AFTER_LU_POINTS points offered to it: a near-defective A
-    then stops paying the O(s^2 n) attempt before every LU solve, and its V
-    is freed."""
-    offered = next(tau.cached("theta_points", None, itertools.count)) - EIG_AFTER_LU_POINTS
-    if offered < 0:
-        return None
-    rec = tau.cached("eig", None, lambda: _build_eig_record(tau))
-    if rec is None:
-        return None
-    val = _gated_theta(tau, rec, lam)
-    if val is None:
-        rejected = next(tau.cached("eig_rejections", None, itertools.count))
-        if rejected == offered == EIG_AFTER_LU_POINTS - 1:   # and none accepted
-            tau._cache["eig", None] = None
-    return val
 
 
 def _build_eig_record(tau: PartitionedContraction) -> _EigRecord | None:

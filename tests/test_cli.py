@@ -224,6 +224,37 @@ def test_realize_rejects_a_non_member_at_the_clamp_edge(tmp_path):
     assert [c["name"] for c in rep["checks"] if not c["pass"]] == ["membership_range"]
 
 
+def _two_atoms_at_the_ball_centre(path, mass):
+    # scalar atoms at -0.4 and 0.5 of total mass `mass`, theta0 the ball centre
+    atoms = tuple((t, np.array([[mass / 2]])) for t in (-0.4, 0.5))
+    theta0 = -sum(t * w for t, w in atoms)
+    _json.dump(_json.measure_to_json(pqsys.SqsFunctionData(theta0, atoms)), str(path))
+
+
+def test_realize_fails_its_contraction_check_at_the_passivity_rule_of_classify(tmp_path):
+    # mass 1 + 5e-10 passes membership at psd_tol = 1e-9 but assembles a T with
+    # ||T|| - 1 = 2.1e-10 > rank_tol: the contraction check fails, where a
+    # bound of 10 psd_tol passed it and the reduction raised NotPqs instead
+    _two_atoms_at_the_ball_centre(tmp_path / "m.json", 1 + 5e-10)
+    report = tmp_path / "rep.json"
+    assert main(["realize", str(tmp_path / "m.json"), "--report", str(report)]) == 1
+    rep = read_json(report)
+    assert rep["error"]["type"] == "PqsysError"
+    assert rep["error"]["message"] == "assembled realization is not a contraction"
+    checks = {c["name"]: c for c in rep["checks"]}
+    assert [name for name, c in checks.items() if not c["pass"]] == ["contraction"]
+    assert checks["contraction"]["bound"] == pqsys.DEFAULT_TOL.rank_tol
+    assert 2e-10 < checks["contraction"]["residual"] < 2.2e-10
+
+
+def test_realize_accepts_a_mass_within_the_passivity_rule(tmp_path):
+    _two_atoms_at_the_ball_centre(tmp_path / "m.json", 1 + 2e-10)
+    out = tmp_path / "sys.json"
+    assert main(["realize", str(tmp_path / "m.json"), "--out", str(out)]) == 0
+    tau = _json.system_from_json(read_json(out))
+    assert tau.state_dim == 2 and pqsys.classify(tau).pqs
+
+
 def test_jacobi_from_measure_file(tmp_path):
     data, _ = pqsys.chebyshev_example(0.25, 80)
     _json.dump(_json.measure_to_json(data), str(tmp_path / "m.json"))
@@ -244,6 +275,16 @@ def test_jacobi_accepts_system_file(tmp_path, rng):
     write_system(tmp_path / "sys.json", tau)
     code = main(["jacobi", str(tmp_path / "sys.json"), "--out", str(tmp_path / "j.json")])
     assert code == 0
+
+
+def test_jacobi_rejects_a_max_len_of_zero(tmp_path):
+    data, _ = pqsys.chebyshev_example(0.25, 20)
+    _json.dump(_json.measure_to_json(data), str(tmp_path / "m.json"))
+    report = tmp_path / "rep.json"
+    assert main(["jacobi", str(tmp_path / "m.json"), "--max-len", "0", "--report", str(report)]) == 2
+    err = read_json(report)["error"]
+    assert err["type"] == "ValueError" and err["exit_code"] == 2
+    assert err["message"] == "max_len must be at least 1, got 0"
 
 
 def test_jacobi_rejects_matrix_measure(tmp_path, rng):

@@ -1,6 +1,6 @@
 """Transfer-function evaluation of a system whose main operator has no
-Hermitian factorization: LU solves for its first points, then one cached
-eigendecomposition A = V diag(mu) V^-1 whose points pass a backward-error gate
+Hermitian factorization: one eigendecomposition A = V diag(mu) V^-1, built at
+the system's first point and cached, whose points pass a backward-error gate
 or fall back to LU."""
 
 import numpy as np
@@ -12,8 +12,6 @@ from pqsys.cli import main
 from pqsys.errors import SingularResolvent
 
 from helpers import linalg_calls, rand_complex
-
-LU_POINTS = transfer.EIG_AFTER_LU_POINTS
 
 
 def lu_theta(tau, lam):
@@ -66,8 +64,8 @@ def test_eig_route_matches_lu_on_a_random_non_normal_system(monkeypatch):
     solves = linalg_calls(monkeypatch, "solve", (200, 200))
     eigs = linalg_calls(monkeypatch, "eig")
     vals = [pqsys.theta_eval(tau, z) for z in points]
-    # LU for the first points, then one eig and the solve of V, then no LU
-    assert (len(solves), len(eigs)) == (LU_POINTS + 1, 1)
+    # one eig and the solve of V, and no LU solve at any point
+    assert (len(solves), len(eigs)) == (1, 1)
     for z, v in zip(points, vals):
         assert rel_gap(v, lu_theta(tau, z)) <= 1e-12
 
@@ -91,22 +89,16 @@ def test_a_near_defective_A_falls_back_to_lu_point_by_point(monkeypatch):
     assert np.linalg.cond(np.linalg.eig(tau.A)[1]) > 1e8
     points = grid(rng, 64, 32)
     solves = linalg_calls(monkeypatch, "solve", (s, s))
+    eigs = linalg_calls(monkeypatch, "eig")
     vals = [pqsys.theta_eval(tau, z) for z in points]
-    assert len(points) == 2 * LU_POINTS
     assert len(solves) == len(points) + 1   # the build's solve of V
-    # the gate rejected each of the 48 points offered, so the record is dropped
-    assert tau._cache["eig", None] is None
-    rec = transfer._build_eig_record(tau)
-    assert rec is not None   # the build passes; the gate sends the points to LU
+    assert len(eigs) == 1
+    # the build passes and the record stays; the gate sends every point to LU
+    rec = tau._cache["eig", None]
+    assert rec is not None
     for z, v in zip(points, vals):
         assert transfer._gated_theta(tau, rec, z) is None
         assert rel_gap(v, lu_theta(tau, z)) <= 1e-12
-    # later points go straight to LU, with no gated attempt and no new eig
-    monkeypatch.setattr(transfer, "_gated_theta", lambda *a: pytest.fail("gated attempt"))
-    eigs = linalg_calls(monkeypatch, "eig")
-    for z in points[:8]:
-        assert rel_gap(pqsys.theta_eval(tau, z), lu_theta(tau, z)) <= 1e-12
-    assert eigs == []
 
 
 def test_a_pole_still_raises_singular_resolvent():
@@ -114,25 +106,18 @@ def test_a_pole_still_raises_singular_resolvent():
     tau = system(rng, random_non_normal(rng, 60))
     mu = np.linalg.eigvals(tau.A)
     poles = [complex(1.0 / m) for m in mu[:3]]
-    for z in poles:   # on the LU route, as before
-        with pytest.raises(SingularResolvent):
-            pqsys.theta_eval(tau, z)
-    for z in grid(rng, LU_POINTS, 0):
-        pqsys.theta_eval(tau, z)
-    assert tau._cache["eig", None] is not None
-    for z in poles:   # and with the eigendecomposition in hand
+    for z in poles:   # the gate refuses a pole, and LU raises
         with pytest.raises(SingularResolvent):
             lu_theta(tau, z)
         with pytest.raises(SingularResolvent):
             pqsys.theta_eval(tau, z)
+    assert tau._cache["eig", None] is not None   # built at the first pole
 
 
 def test_inner_test_report_is_unchanged_on_the_eig_route():
     rng = np.random.default_rng(11)
     tau = system(rng, random_non_normal(rng, 120))
     ref = pqsys.inner_test(lambda z: lu_theta(tau, z), 64)
-    for z in grid(rng, LU_POINTS, 0):
-        pqsys.theta_eval(tau, z)
     got = pqsys.inner_test(tau, 64)
     assert tau._cache["eig", None] is not None
     assert (got.inner, got.coinner, got.skipped) == (ref.inner, ref.coinner, ref.skipped)
@@ -140,7 +125,7 @@ def test_inner_test_report_is_unchanged_on_the_eig_route():
     assert abs(got.max_codefect - ref.max_codefect) <= 1e-12
 
 
-def test_lu_solves_stop_after_the_rent_or_buy_point(monkeypatch):
+def test_the_first_point_builds_the_eig_record_and_no_point_takes_lu(monkeypatch):
     rng = np.random.default_rng(12)
     s = 80
     tau = system(rng, random_non_normal(rng, s))
@@ -148,17 +133,14 @@ def test_lu_solves_stop_after_the_rent_or_buy_point(monkeypatch):
     assert len(points) == 192
     solves = linalg_calls(monkeypatch, "solve", (s, s))
     eigs = linalg_calls(monkeypatch, "eig")
-    for z in points[:LU_POINTS]:
+    pqsys.theta_eval(tau, points[0])
+    assert (len(solves), len(eigs)) == (1, 1)   # the build's solve of V
+    for z in points[1:]:
         pqsys.theta_eval(tau, z)
-    assert (len(solves), len(eigs)) == (LU_POINTS, 0)
-    pqsys.theta_eval(tau, points[LU_POINTS])
-    assert (len(solves), len(eigs)) == (LU_POINTS + 1, 1)   # the build's solve of V
-    for z in points[LU_POINTS + 1:]:
-        pqsys.theta_eval(tau, z)
-    assert (len(solves), len(eigs)) == (LU_POINTS + 1, 1)
+    assert (len(solves), len(eigs)) == (1, 1)
 
 
-def test_cli_eval_at_one_point_takes_no_eig(tmp_path, monkeypatch):
+def test_cli_eval_at_one_point_takes_one_eig_and_no_lu(tmp_path, monkeypatch):
     rng = np.random.default_rng(14)
     s = 50
     tau = system(rng, random_non_normal(rng, s))
@@ -166,16 +148,17 @@ def test_cli_eval_at_one_point_takes_no_eig(tmp_path, monkeypatch):
     _json.dump(_json.system_to_json(tau), str(path))
     eigs = linalg_calls(monkeypatch, "eig")
     solves = linalg_calls(monkeypatch, "solve", (s, s))
+    monkeypatch.setattr(transfer, "_resolve", lambda *a: pytest.fail("LU solve"))
     assert main(["eval", str(path), "--func", "theta", "--lambda", "0.3,0.2"]) == 0
-    assert eigs == []
-    assert len(solves) == 1
+    assert len(eigs) == 1
+    assert len(solves) == 1   # the build's solve of V
 
 
 def test_one_eig_record_serves_every_tolerance_set(monkeypatch):
     rng = np.random.default_rng(15)
     s = 60
     tau = system(rng, random_non_normal(rng, s))
-    points = grid(rng, LU_POINTS, 8)
+    points = grid(rng, 48, 8)
     eigs = linalg_calls(monkeypatch, "eig")
     loose = pqsys.Tolerances(eq_tol=1e-8)
     for k, z in enumerate(points):

@@ -174,6 +174,21 @@ def test_canonical_form_takes_one_svd_of_the_channel(monkeypatch):
     assert np.linalg.norm(Q[:, 12:].conj().T @ W) < 1e-12
 
 
+@pytest.mark.parametrize("s, n", [(12, 2), (30, 4)])
+def test_canonical_form_reads_the_cached_defects_not_parametrize(monkeypatch, s, n):
+    rng = np.random.default_rng(7)
+    big = realize.biinner_dilation(_pqs_system(rng, s=s, n=n)).system
+    # the form as built from the parameters: W = K, its SVD, X on ker W*
+    p = pqsys.parametrize(_system(big.T, big.in_dim, big.state_dim))
+    U, sv, _ = np.linalg.svd(p.K)
+    W_perp = U[:, np.count_nonzero(sv > pqsys.DEFAULT_TOL.rank_tol * sv.max()):]
+    monkeypatch.setattr(realize, "parametrize", lambda *a: pytest.fail("parametrize called"))
+    cf = realize.inner_canonical_form(big)
+    assert cf.points == tuple(float(a) for a in p.defects.t)
+    assert np.array_equal(cf.unitary_block, W_perp.conj().T @ big.D @ W_perp)
+    assert np.array_equal(cf.basis, np.hstack([p.K, W_perp]))
+
+
 # ---------------------------------------------------------------------------
 # realization from data
 # ---------------------------------------------------------------------------

@@ -305,6 +305,15 @@ def test_jacobi_realize_breakdown_on_rational():
     assert abs(lhs - complex(q[0, 0])) < 1e-10
 
 
+@pytest.mark.parametrize("max_len", [0, -1])
+def test_jacobi_realize_rejects_a_max_len_below_one(max_len):
+    data, tau = pqsys.chebyshev_example(0.25, 20)
+    for source in (data, tau):
+        with pytest.raises(ValueError, match=f"max_len must be at least 1, got {max_len}"):
+            pqsys.jacobi_realize(source, max_len=max_len)
+    assert pqsys.jacobi_realize(data, max_len=1).length == 1
+
+
 def test_jacobi_realize_rejects_matrix_data():
     rng = np.random.default_rng(10)
     f = member_data(rng, m=2, n=2)
