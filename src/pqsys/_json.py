@@ -24,7 +24,7 @@ import numpy as np
 
 from .opcore import as_matrix
 from .realize import JacobiRealization
-from .sysmodel import PartitionedContraction
+from .sysmodel import PartitionedContraction, _diagonal_pqs
 from .transfer import SqsFunctionData
 
 # little-endian complex128: the byte order of the "zb64" form on every host
@@ -152,8 +152,8 @@ def _diagonal_of_pqs(tau: PartitionedContraction) -> np.ndarray | None:
     return np.diagonal(A).real.copy()
 
 
-def _pqs_from_diagonal(obj, n: int, out_dim: int, s: int) -> np.ndarray:
-    """T = [[D, B*], [B, diag(t)]] from the D, B and t of a system document."""
+def _pqs_from_diagonal(obj, n: int, out_dim: int, s: int) -> PartitionedContraction:
+    """The system `_diagonal_pqs(D, B, t)` from the D, B and t of a system document."""
     if out_dim != n:
         raise ValueError(f"a system document with 't' needs in_dim = out_dim, got {n} and {out_dim}")
     D = matrix_from_json(obj["D"])
@@ -168,12 +168,7 @@ def _pqs_from_diagonal(obj, n: int, out_dim: int, s: int) -> np.ndarray:
         raise ValueError("system entry 't' must hold finite numbers")
     if D.shape != (n, n) or B.shape != (s, n):
         raise ValueError(f"system blocks D {D.shape} and B {B.shape}, partition wants {(n, n)} and {(s, n)}")
-    T = np.zeros((n + s, n + s), dtype=complex)
-    T[:n, :n] = D
-    T[:n, n:] = B.conj().T
-    T[n:, :n] = B
-    np.fill_diagonal(T[n:, n:], t)
-    return T
+    return _diagonal_pqs(D, B, t)
 
 
 def system_from_json(obj) -> PartitionedContraction:
@@ -182,12 +177,11 @@ def system_from_json(obj) -> PartitionedContraction:
         in_dim = int(obj["in_dim"])
         out_dim = int(obj["out_dim"])
         state_dim = int(obj["state_dim"])
-        if "t" not in obj:
-            T = matrix_from_json(obj["T"])
-        elif "T" in obj:
-            raise ValueError("system document carries both 'T' and 't'")
-        else:
-            T = _pqs_from_diagonal(obj, in_dim, out_dim, state_dim)
+        if "t" in obj:
+            if "T" in obj:
+                raise ValueError("system document carries both 'T' and 't'")
+            return _pqs_from_diagonal(obj, in_dim, out_dim, state_dim)
+        T = matrix_from_json(obj["T"])
     except (TypeError, KeyError) as exc:
         raise ValueError(f"not a system document: missing {exc}") from None
     return PartitionedContraction(T, in_dim, out_dim, state_dim)

@@ -210,7 +210,8 @@ def cmd_jacobi(args) -> int:
     jr = realize.jacobi_realize(source, max_len=args.max_len, tol=rep.tol)
     rep.info("length", jr.length)
     rep.info("truncated", jr.truncated)
-    rep.check("contraction", max(operator_norm(jr.matrix()) - 1.0, 0.0), 10 * rep.tol.psd_tol)
+    # the passivity rule of `classify`: ||T|| <= 1 + rank_tol
+    rep.check("contraction", max(operator_norm(jr.matrix()) - 1.0, 0.0), rep.tol.rank_tol)
     return rep.finish(lambda: _json.jacobi_to_json(jr))
 
 

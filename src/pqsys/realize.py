@@ -68,7 +68,6 @@ def realize_from_data(f: SqsFunctionData, tol: Tolerances = DEFAULT_TOL) -> Part
         check("membership_range", mem.off_range_residual, tol.eq_tol)
     if not mem.member:
         raise NotInSqs("; ".join(mem.reasons), mem.reasons)
-    n = f.dim
     t, W = _merged_atoms(f)
     w, V = np.linalg.eigh((W + W.conj().swapaxes(1, 2)) / 2.0)
     keep = w > tol.rank_tol * np.maximum(w.max(axis=1, initial=0.0), 1e-300)[:, None]
@@ -76,15 +75,9 @@ def realize_from_data(f: SqsFunctionData, tol: Tolerances = DEFAULT_TOL) -> Part
     atom, col = np.nonzero(keep)
     diag = t[atom]
     factors = V[atom, :, col] * np.sqrt(w[atom, col])[:, None]
-    s = diag.size
     # B = D_A K* and T are formed with no s x s temporaries for A and D_A
     B = np.sqrt(1.0 - diag ** 2).astype(complex)[:, None] * factors.conj()
-    T = np.zeros((n + s, n + s), dtype=complex)
-    T[:n, :n] = f.theta0
-    T[:n, n:] = B.conj().T
-    T[n:, :n] = B
-    np.fill_diagonal(T[n:, n:], diag)
-    tau = PartitionedContraction(T, n, n, s)
+    tau = sysmodel._diagonal_pqs(f.theta0, B, diag)
     # max(||T|| - 1, 0), which needs the singular values only above 1
     excess = 0.0 if sysmodel.block_norm_at_most(tau, 1.0, tol) else max(tau.norm() - 1.0, 0.0)
     check("contraction", excess, tol.rank_tol, PqsysError,
@@ -197,35 +190,21 @@ def inner_canonical_form(tau: PartitionedContraction, tol: Tolerances = DEFAULT_
 # conservative dilation
 # ---------------------------------------------------------------------------
 
-def _dil_theta(p: ContractionParams, lam: complex) -> np.ndarray:
-    phi = transfer._phi_direct(p, lam)
-    return p.K @ phi @ p.K.conj().T + p.DKs @ p.X_ambient @ p.DKs
-
-
-def _dil_theta12(p: ContractionParams, E: np.ndarray, lam: complex) -> np.ndarray:
-    phi = transfer._phi_direct(p, lam)
-    kk = p.E_DKs.conj().T @ p.K @ E
-    left = p.K @ phi @ p.DK @ E - p.DKs @ p.E_DKs @ p.X @ kk
-    right = p.DKs @ p.E_DKs @ p.DXs
-    return np.hstack([left, right])
-
-
-def _dil_theta21(p: ContractionParams, E: np.ndarray, lam: complex) -> np.ndarray:
-    phi = transfer._phi_direct(p, lam)
-    xd = p.E_DKs @ p.X @ p.E_DKs.conj().T @ p.DKs
-    top = E.conj().T @ (p.DK @ phi @ p.K.conj().T - p.K.conj().T @ xd)
-    bottom = -p.DX @ p.E_DKs.conj().T @ p.DKs
-    return np.vstack([top, bottom])
-
-
-def _dil_theta22(p: ContractionParams, E: np.ndarray, lam: complex) -> np.ndarray:
-    phi = transfer._phi_direct(p, lam)
-    kk = p.E_DKs.conj().T @ p.K
-    b11 = E.conj().T @ (p.K.conj().T @ p.E_DKs @ p.X @ kk + p.DK @ phi @ p.DK) @ E
-    b12 = -E.conj().T @ p.K.conj().T @ p.E_DKs @ p.DXs
-    b21 = p.DX @ kk @ E
-    b22 = p.X.conj().T
-    return np.block([[b11, b12], [b21, b22]])
+def _dilation_D(p: ContractionParams, E: np.ndarray) -> np.ndarray:
+    """The D block of the dilation: the enlarged transfer function at
+    lambda = 0, in four blocks over Phi_A(0), with E an orthonormal basis of
+    the range of D_K."""
+    phi = transfer._phi_direct(p, 0.0)
+    Ks, Es = p.K.conj().T, p.E_DKs.conj().T
+    kk = Es @ p.K
+    theta12 = np.hstack([p.K @ phi @ p.DK @ E - p.DKs @ p.E_DKs @ p.X @ (kk @ E), p.DKs @ p.E_DKs @ p.DXs])
+    theta21 = np.vstack([E.conj().T @ (p.DK @ phi @ Ks - Ks @ (p.E_DKs @ p.X @ Es @ p.DKs)),
+                         -p.DX @ Es @ p.DKs])
+    theta22 = np.block([
+        [E.conj().T @ (Ks @ p.E_DKs @ p.X @ kk + p.DK @ phi @ p.DK) @ E, -E.conj().T @ Ks @ p.E_DKs @ p.DXs],
+        [p.DX @ kk @ E, p.X.conj().T],
+    ])
+    return np.block([[p.K @ phi @ Ks + p.DKs @ p.X_ambient @ p.DKs, theta12], [theta21, theta22]])
 
 
 @dataclass(frozen=True)
@@ -233,39 +212,37 @@ class DilationBlocks:
     """Conservative quasi-selfadjoint enlargement of a pqs system.
 
     The enlarged I/O space stacks the original output space with the
-    defect spaces of the channel operator and its adjoint.  The block
-    evaluators reproduce the four corners of the enlarged transfer
-    function; the top-left corner is the original Theta."""
+    defect spaces of the channel operator and its adjoint.  The enlarged
+    transfer function is the enlarged system's, `theta_eval` on the
+    factorization it shares with the source, at the tolerances of the
+    `biinner_dilation` call; its top-left corner is the original Theta."""
 
     system: PartitionedContraction
     out_dim: int
     dk_dim: int
     dks_dim: int
-    params: ContractionParams
-    E_DK: np.ndarray
-
-    def theta(self, lam: complex) -> np.ndarray:
-        return _dil_theta(self.params, lam)
-
-    def theta12(self, lam: complex) -> np.ndarray:
-        return _dil_theta12(self.params, self.E_DK, lam)
-
-    def theta21(self, lam: complex) -> np.ndarray:
-        return _dil_theta21(self.params, self.E_DK, lam)
-
-    def theta22(self, lam: complex) -> np.ndarray:
-        return _dil_theta22(self.params, self.E_DK, lam)
+    tol: Tolerances
 
     def big_theta(self, lam: complex) -> np.ndarray:
-        return np.block([
-            [self.theta(lam), self.theta12(lam)],
-            [self.theta21(lam), self.theta22(lam)],
-        ])
+        return theta_eval(self.system, lam, self.tol)
+
+    def theta(self, lam: complex) -> np.ndarray:
+        return self.big_theta(lam)[:self.out_dim, :self.out_dim]
+
+    def theta12(self, lam: complex) -> np.ndarray:
+        return self.big_theta(lam)[:self.out_dim, self.out_dim:]
+
+    def theta21(self, lam: complex) -> np.ndarray:
+        return self.big_theta(lam)[self.out_dim:, :self.out_dim]
+
+    def theta22(self, lam: complex) -> np.ndarray:
+        return self.big_theta(lam)[self.out_dim:, self.out_dim:]
 
 
 def biinner_dilation(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> DilationBlocks:
     """Embed a minimal pqs system into a conservative one on the enlarged
-    I/O space, with explicit formulas for all four transfer blocks."""
+    I/O space: D from the parameters of `parametrize` (`_dilation_D`), the
+    same main operator and an enlarged channel operator."""
     flags = sysmodel.classify(tau, tol)
     if not flags.pqs:
         raise NotPqs("dilation applies to passive quasi-selfadjoint systems")
@@ -277,10 +254,6 @@ def biinner_dilation(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL)
     dk = E_DK.shape[1]
     dks = p.E_DKs.shape[1]
 
-    bigD = np.block([
-        [_dil_theta(p, 0.0), _dil_theta12(p, E_DK, 0.0)],
-        [_dil_theta21(p, E_DK, 0.0), _dil_theta22(p, E_DK, 0.0)],
-    ])
     DE = dd.E_A * dd.d_A  # D_A E_A
     B_big = np.hstack([
         DE @ p.K.conj().T,
@@ -288,7 +261,7 @@ def biinner_dilation(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL)
         np.zeros((s, dks), dtype=complex),
     ])
     v = n + dk + dks
-    T = np.block([[bigD, B_big.conj().T], [B_big, p.A]])
+    T = np.block([[_dilation_D(p, E_DK), B_big.conj().T], [B_big, p.A]])
     system = PartitionedContraction(T, v, v, s)
     # the enlarged system has the same main operator: it shares tau's factorization
     sd = sysmodel.spectral_data(tau, tol)
@@ -308,7 +281,7 @@ def biinner_dilation(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL)
                                tau, [0.0, *(0.6 * np.exp(2j * np.pi * (np.arange(8) + 0.27) / 8))], tol)
     check("corner_match", gap, 10 * tol.eq_tol, PqsysError,
           f"dilation corner deviates from the source by {gap:.3e}")
-    return DilationBlocks(system, n, dk, dks, p, E_DK)
+    return DilationBlocks(system, n, dk, dks, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -533,14 +506,8 @@ def chebyshev_example(d: complex, n_nodes: int, tol: Tolerances = DEFAULT_TOL):
         np.array([[d]], dtype=complex),
         tuple((float(t), np.array([[sigma]], dtype=complex)) for t in nodes),
     )
-    Bv = np.sqrt((1.0 - nodes ** 2) * sigma).astype(complex)
-    T = np.zeros((n_nodes + 1, n_nodes + 1), dtype=complex)
-    T[0, 0] = d
-    # C as B*, bit for bit (its imaginary parts -0.0), as `realize_from_data` builds it
-    T[0, 1:] = Bv.conj()
-    T[1:, 0] = Bv
-    np.fill_diagonal(T[1:, 1:], nodes)
-    tau = PartitionedContraction(T, 1, 1, n_nodes)
+    B = np.sqrt((1.0 - nodes ** 2) * sigma).astype(complex)[:, None]
+    tau = sysmodel._diagonal_pqs(data.theta0, B, nodes)
     if not sysmodel.block_norm_at_most(tau, 1.0 + tol.rank_tol, tol):
         raise PqsysError("discretized system is not a contraction")
     return data, tau
@@ -615,8 +582,7 @@ def unitary_similarity(tau1: PartitionedContraction, tau2: PartitionedContractio
         # one block sequence B, AB, A^2 B, ... per system serves both checks
         K1, K2 = (_krylov_blocks(tau, count) for tau in (tau1, tau2))
         markov = tau1.C @ K1 - tau2.C @ K2
-    diff = np.concatenate([(tau1.D - tau2.D)[None], markov])
-    gaps = np.linalg.norm(diff, ord=2, axis=(1, 2)) if diff[0].size else np.zeros(len(diff))
+    gaps = _block_norms(np.concatenate([(tau1.D - tau2.D)[None], markov]))
     j = int(np.argmax(gaps))
     check("transfer_agreement", float(gaps[j]), tol.eq_tol * scale, TransferMismatch,
           f"transfer functions differ by {gaps[j]:.3e} in the coefficient of lambda^{j}")
@@ -624,11 +590,11 @@ def unitary_similarity(tau1: PartitionedContraction, tau2: PartitionedContractio
         raise TransferMismatch("minimal realizations have different state dimensions")
 
     p = s1
+    moments = _hankel_gaps(H1, H2) if spectral else _gram_gaps(K1[:p + 1], K2[:p + 1])
+    _check_moments(moments, tol.eq_tol * scale)
     if spectral:
-        _check_hankel_moments(H1, H2, tol.eq_tol * scale)
         U = _spectral_intertwiner(sd1, sd2)
     else:
-        _check_moments(K1[:p + 1], K2[:p + 1], tol.eq_tol * scale)
         # band Arnoldi is unitarily covariant: Q2 = U Q1 for minimal systems
         # with A2 = U A1 U* and B2 = U B1, so U is the polar factor of Q2 Q1*
         Q1 = opcore.krylov_span(tau1.A, tau1.B, p, tol).basis
@@ -666,23 +632,6 @@ def _spectral_moments(sd: sysmodel.SpectralData, count: int) -> tuple[np.ndarray
     return out[:, :n * m].reshape(count, n, m), out[:, n * m:].reshape(count, m, m)
 
 
-def _check_hankel_moments(H1: np.ndarray, H2: np.ndarray, bound: float):
-    """`_check_moments` for selfadjoint main operators, from the Hankel
-    moments H_k = B* A^k B, k = 0..2p, of the two systems: the moment
-    B* A*^n A^m B is H_{n+m}, so the first failing pair in (n, m) order
-    belongs to the first failing k, at n = max(0, k - p)."""
-    p = (len(H1) - 1) // 2
-    diff = H1 - H2
-    gaps = np.linalg.norm(diff, ord=2, axis=(1, 2)) if diff[0].size else np.zeros(len(diff))
-    bad = np.flatnonzero(gaps > bound)
-    nn = mm = None
-    if bad.size:
-        nn = max(0, int(bad[0]) - p)
-        mm = int(bad[0]) - nn
-    check("moments", float(gaps.max()), bound, functools.partial(MomentMismatch, n=nn, m=mm),
-          "mixed power moments differ")
-
-
 def _spectral_intertwiner(sd1: sysmodel.SpectralData, sd2: sysmodel.SpectralData) -> np.ndarray:
     """U = V2 blockdiag(W_c) V1*, W_c the polar factor of (V2*B)_c (V1*B)_c*
     over the clusters c of the common partition of the two spectra; the
@@ -707,20 +656,33 @@ def _krylov_blocks(tau: PartitionedContraction, count: int) -> np.ndarray:
     return K
 
 
-def _check_moments(K1: np.ndarray, K2: np.ndarray, bound: float):
-    """Raise MomentMismatch(n, m) for the first pair, n outer and m inner
-    over 0..p, with ||B1* A1*^n A1^m B1 - B2* A2*^n A2^m B2||_2 > bound,
-    for the stacked blocks A^k B, k = 0..p, of the two systems.
+def _block_norms(blocks: np.ndarray) -> np.ndarray:
+    """The spectral norms of a stack of blocks along its last two axes (0 for empty blocks)."""
+    return np.linalg.norm(blocks, ord=2, axis=(-2, -1)) if blocks.size else np.zeros(blocks.shape[:-2])
 
-    All blocks of one system are the blocks of the Gram matrix K*K of
-    K = [B, AB, ..., A^p B]; their norms are taken in one batched call."""
-    def gram(blocks):
-        K = np.hstack(list(blocks))
-        return K.conj().T @ K
 
-    q, _, m = K1.shape
-    diff = (gram(K1) - gram(K2)).reshape(q, m, q, m).transpose(0, 2, 1, 3)
-    norms = np.linalg.norm(diff, ord=2, axis=(2, 3)) if m else np.zeros((q, q))
+def _hankel_gaps(H1: np.ndarray, H2: np.ndarray) -> np.ndarray:
+    """The (p+1) x (p+1) table of moment gaps for selfadjoint main operators,
+    from the Hankel moments H_k = B* A^k B, k = 0..2p, of the two systems:
+    the moment B* A*^n A^m B is H_{n+m}."""
+    k = np.arange((len(H1) + 1) // 2)
+    return _block_norms(H1 - H2)[np.add.outer(k, k)]
+
+
+def _gram_gaps(K1: np.ndarray, K2: np.ndarray) -> np.ndarray:
+    """The (p+1) x (p+1) table of moment gaps from the stacked blocks A^k B,
+    k = 0..p, of the two systems: the moment B* A*^n A^m B is block (n, m)
+    of the Gram matrix K*K of K = [B, AB, ..., A^p B]."""
+    q, s, m = K1.shape
+    K1, K2 = (K.transpose(1, 0, 2).reshape(s, q * m) for K in (K1, K2))  # [B, AB, ..., A^p B]
+    gram = K1.conj().T @ K1 - K2.conj().T @ K2
+    return _block_norms(gram.reshape(q, m, q, m).transpose(0, 2, 1, 3))
+
+
+def _check_moments(norms: np.ndarray, bound: float):
+    """Raise MomentMismatch(n, m) for the first pair, n outer and m inner,
+    whose entry ||B1* A1*^n A1^m B1 - B2* A2*^n A2^m B2||_2 of the table of
+    moment gaps exceeds bound."""
     bad = np.argwhere(norms > bound)
     nn, mm = (int(x) for x in bad[0]) if bad.size else (None, None)
     check("moments", float(norms.max()), bound, functools.partial(MomentMismatch, n=nn, m=mm),

@@ -95,6 +95,19 @@ class PartitionedContraction:
         return float(s[0]) if s.size else 0.0
 
 
+def _diagonal_pqs(D: np.ndarray, B: np.ndarray, t: np.ndarray) -> PartitionedContraction:
+    """The system T = [[D, B*], [B, diag(t)]] for a real t, with C holding the
+    bits of B*: the one assembly of a diagonal pqs system, the form the
+    {D, B, t} system document rebuilds bit for bit."""
+    s, n = B.shape
+    T = np.zeros((n + s, n + s), dtype=complex)
+    T[:n, :n] = D
+    T[:n, n:] = B.conj().T
+    T[n:, :n] = B
+    np.fill_diagonal(T[n:, n:], t)
+    return PartitionedContraction(T, n, n, s)
+
+
 class SpectralData(NamedTuple):
     """A = V diag(t) V* for a selfadjoint main operator (of its Hermitian part),
     with the O(s n) pieces the evaluation formulas use; all read-only."""

@@ -255,6 +255,31 @@ def test_realize_accepts_a_mass_within_the_passivity_rule(tmp_path):
     assert tau.state_dim == 2 and pqsys.classify(tau).pqs
 
 
+def test_jacobi_fails_its_contraction_check_at_the_passivity_rule_of_classify(tmp_path):
+    # the measure above: its tridiagonal T has ||T|| - 1 = 2.1e-10 > rank_tol,
+    # so `classify` finds it not passive, where a bound of 10 psd_tol passed it
+    _two_atoms_at_the_ball_centre(tmp_path / "m.json", 1 + 5e-10)
+    report = tmp_path / "rep.json"
+    assert main(["jacobi", str(tmp_path / "m.json"), "--out", str(tmp_path / "j.json"),
+                 "--report", str(report)]) == 1
+    checks = {c["name"]: c for c in read_json(report)["checks"]}
+    assert [name for name, c in checks.items() if not c["pass"]] == ["contraction"]
+    assert checks["contraction"]["bound"] == pqsys.DEFAULT_TOL.rank_tol
+    assert 2e-10 < checks["contraction"]["residual"] < 2.2e-10
+    jr = _json.jacobi_from_json(read_json(tmp_path / "j.json"))
+    assert not pqsys.classify(jr.system()).passive
+
+
+def test_jacobi_passes_its_contraction_check_on_the_arcsine_measure(tmp_path):
+    # ||T|| - 1 is about -4.7e-4 at |d| -> 1/2, so the check records 0
+    data, _ = pqsys.chebyshev_example(0.5, 1000)
+    _json.dump(_json.measure_to_json(data), str(tmp_path / "m.json"))
+    report = tmp_path / "rep.json"
+    assert main(["jacobi", str(tmp_path / "m.json"), "--max-len", "50", "--report", str(report)]) == 0
+    checks = {c["name"]: c for c in read_json(report)["checks"]}
+    assert checks["contraction"]["pass"] and checks["contraction"]["residual"] == 0.0
+
+
 def test_jacobi_from_measure_file(tmp_path):
     data, _ = pqsys.chebyshev_example(0.25, 80)
     _json.dump(_json.measure_to_json(data), str(tmp_path / "m.json"))
@@ -642,8 +667,8 @@ def test_failed_library_check_is_reported(tmp_path, rng, monkeypatch, case):
         monkeypatch.setattr(pqsys.realize, "_moment_recurrence",
                             lambda m, c: ([a + 1e-3 for a in recurrence(m, c)[0]], recurrence(m, c)[1]))
     elif name == "block_unitarity":
-        corner = pqsys.realize._dil_theta
-        monkeypatch.setattr(pqsys.realize, "_dil_theta", lambda p, lam: corner(p, lam) + 1e-3)
+        dilation_D = pqsys.realize._dilation_D
+        monkeypatch.setattr(pqsys.realize, "_dilation_D", lambda p, E: dilation_D(p, E) + 1e-3)
     report = tmp_path / "rep.json"
     assert main(argv + ["--report", str(report)]) == 1
     rep = read_json(report)

@@ -101,8 +101,27 @@ def test_index_eigenbasis_gives_the_dense_bases_and_verdicts(n):
 # the {D, B, t} system file form
 # ---------------------------------------------------------------------------
 
+def _arcsine_nodes(s):
+    return np.cos((2 * np.arange(1, s + 1) - 1) * np.pi / (2 * s))
+
+
+def _assert_file_of_dense_assembly(tau, d, B, t):
+    """tau is [[d, B*], [B, diag(t)]] written out entry by entry (B a column),
+    bit for bit, and so is its system file."""
+    s = t.size
+    T = np.zeros((s + 1, s + 1), dtype=complex)
+    T[0, 0] = d
+    T[0, 1:] = B.conj()
+    T[1:, 0] = B
+    T[1:, 1:] = np.diag(t)
+    assert tau.T.tobytes() == T.tobytes()
+    ref = pqsys.PartitionedContraction(T, 1, 1, s)
+    assert json.dumps(_json.system_to_json(tau)) == json.dumps(_json.system_to_json(ref))
+
+
 def test_realized_system_file_carries_d_b_t_and_rebuilds_t_bit_for_bit():
-    data, _ = realize.chebyshev_example(0.2 + 0.1j, 1000)
+    d = 0.2 + 0.1j
+    data, _ = realize.chebyshev_example(d, 1000)
     tau = pqsys.realize_from_data(data)
     doc, back = _round_trip(tau)
     assert {"D", "B", "t"} <= doc.keys() and "T" not in doc
@@ -110,14 +129,21 @@ def test_realized_system_file_carries_d_b_t_and_rebuilds_t_bit_for_bit():
     assert back.T.tobytes() == tau.T.tobytes()
     # nothing is seeded: the reader's system factors its own A
     assert not back._cache
+    # ascending nodes, B = sqrt(1 - t^2) sqrt(sigma)
+    t = np.sort(_arcsine_nodes(1000))
+    _assert_file_of_dense_assembly(tau, d, np.sqrt(1.0 - t ** 2).astype(complex) * complex(np.sqrt(1 / 2000)), t)
 
 
 def test_chebyshev_example_system_file_carries_d_b_t():
     # its C has the bits of B* (imaginary parts -0.0), so no T is written
-    _, tau = realize.chebyshev_example(0.2 + 0.1j, 1000)
+    d = 0.2 + 0.1j
+    _, tau = realize.chebyshev_example(d, 1000)
     doc, back = _round_trip(tau)
     assert {"D", "B", "t"} <= doc.keys() and "T" not in doc
     assert back.T.tobytes() == tau.T.tobytes()
+    # the Chebyshev nodes, B = sqrt((1 - t^2) sigma)
+    t = _arcsine_nodes(1000)
+    _assert_file_of_dense_assembly(tau, d, np.sqrt((1.0 - t ** 2) * (1 / 2000)).astype(complex), t)
 
 
 def test_dilated_system_file_carries_d_b_t():

@@ -146,12 +146,16 @@ def test_dilation_factors_the_main_operator_once(monkeypatch):
 
 
 def test_dilation_defect_basis_spans_the_defect_of_K():
+    # the basis E of the range of D_K that `biinner_dilation` takes
     rng = np.random.default_rng(5)
-    dil = realize.biinner_dilation(_pqs_system(rng, s=12))
-    E, DK = dil.E_DK, dil.params.DK
+    tau = _pqs_system(rng, s=12)
+    dil = realize.biinner_dilation(tau)
+    p = pqsys.parametrize(tau)
+    E, DK = opcore._svd_defects(p.K, pqsys.DEFAULT_TOL, basis=True).E_A, p.DK
     assert np.linalg.norm(E.conj().T @ E - np.eye(E.shape[1])) < 1e-13
     assert np.linalg.norm(E @ (E.conj().T @ DK) - DK) < 1e-12
     assert E.shape[1] == opcore.range_basis(DK).dim
+    assert dil.dk_dim == E.shape[1]
 
 
 def test_canonical_form_takes_one_svd_of_the_channel(monkeypatch):

@@ -10,6 +10,7 @@ from pqsys.errors import (
     NotInSqs,
     NotMinimal,
     NotScalar,
+    SingularResolvent,
     TransferMismatch,
 )
 from pqsys.realize import blaschke
@@ -17,6 +18,7 @@ from pqsys.realize import blaschke
 import oracles
 from helpers import (
     circle_points,
+    linalg_calls,
     pqs_from_spectrum,
     rand_atoms,
     rand_complex,
@@ -218,19 +220,26 @@ def test_dilation_is_unitary_and_extends():
         assert np.linalg.norm(full[:n, :n] - pqsys.theta_eval(tau, lam)) < 1e-9
 
 
+def _bits(M):
+    return np.ascontiguousarray(M).tobytes()
+
+
 def test_dilation_block_formulas_match_partition():
+    # the enlarged transfer function is the enlarged system's, bit for bit,
+    # and the four block accessors are its corners
     rng = np.random.default_rng(7)
     tau = make_system(rand_pqs_T(rng, 2, 3), 2, 2, 3)
     dil = pqsys.biinner_dilation(tau)
     n = dil.out_dim
     dk, dks = dil.dk_dim, dil.dks_dim
-    lam = -0.3 + 0.45j
-    full = dil.big_theta(lam)
-    assert np.linalg.norm(full[:n, :n] - dil.theta(lam)) < 1e-10
-    assert np.linalg.norm(full[:n, n:] - dil.theta12(lam)) < 1e-10
-    assert np.linalg.norm(full[n:, :n] - dil.theta21(lam)) < 1e-10
-    assert np.linalg.norm(full[n:, n:] - dil.theta22(lam)) < 1e-10
-    assert full.shape == (n + dk + dks, n + dk + dks)
+    for lam in (-0.3 + 0.45j, 0.0, -0.7, 2.5j):
+        full = dil.big_theta(lam)
+        assert _bits(full) == _bits(pqsys.theta_eval(dil.system, lam, dil.tol))
+        assert _bits(dil.theta(lam)) == _bits(full[:n, :n])
+        assert _bits(dil.theta12(lam)) == _bits(full[:n, n:])
+        assert _bits(dil.theta21(lam)) == _bits(full[n:, :n])
+        assert _bits(dil.theta22(lam)) == _bits(full[n:, n:])
+        assert full.shape == (n + dk + dks, n + dk + dks)
 
 
 def test_dilation_transfer_unitary_on_circle():
@@ -240,6 +249,67 @@ def test_dilation_transfer_unitary_on_circle():
     for xi in circle_points(16):
         val = dil.big_theta(xi)
         assert np.linalg.norm(val.conj().T @ val - np.eye(val.shape[1])) < 1e-7
+
+
+def _dilation_closed_forms(p, E, lam):
+    """The four blocks of the enlarged transfer function written through the
+    parameters p of the source and an orthonormal basis E of ran D_K, each
+    block taking Phi_A(lambda) afresh."""
+    phi = pqsys.transfer._phi_direct(p, lam)
+    theta = p.K @ phi @ p.K.conj().T + p.DKs @ p.X_ambient @ p.DKs
+    kk = p.E_DKs.conj().T @ p.K @ E
+    theta12 = np.hstack([p.K @ phi @ p.DK @ E - p.DKs @ p.E_DKs @ p.X @ kk, p.DKs @ p.E_DKs @ p.DXs])
+    xd = p.E_DKs @ p.X @ p.E_DKs.conj().T @ p.DKs
+    theta21 = np.vstack([E.conj().T @ (p.DK @ phi @ p.K.conj().T - p.K.conj().T @ xd),
+                         -p.DX @ p.E_DKs.conj().T @ p.DKs])
+    kk = p.E_DKs.conj().T @ p.K
+    theta22 = np.block([
+        [E.conj().T @ (p.K.conj().T @ p.E_DKs @ p.X @ kk + p.DK @ phi @ p.DK) @ E,
+         -E.conj().T @ p.K.conj().T @ p.E_DKs @ p.DXs],
+        [p.DX @ kk @ E, p.X.conj().T],
+    ])
+    return np.block([[theta, theta12], [theta21, theta22]])
+
+
+def test_dilation_D_is_the_closed_forms_at_zero_bit_for_bit():
+    # the systems of acceptance criterion 7: D is the four closed forms at
+    # lambda = 0, bit for bit, and at other points the closed forms agree with
+    # the transfer function of the enlarged system, off-diagonal blocks too
+    rng = np.random.default_rng(107)
+    for _ in range(10):
+        n = int(rng.integers(1, 3))
+        s = int(rng.integers(2, 5))
+        tau = make_system(rand_pqs_T(rng, n, s), n, n, s)
+        dil = pqsys.biinner_dilation(tau)
+        p = pqsys.parametrize(tau)
+        E = pqsys.opcore._svd_defects(p.K, pqsys.DEFAULT_TOL, basis=True).E_A
+        assert _bits(dil.system.D) == _bits(_dilation_closed_forms(p, E, 0.0))
+        for lam in (0.35 - 0.2j, -0.6j, 0.8, 0.9 * np.exp(2.5j)):
+            assert np.linalg.norm(dil.big_theta(lam) - _dilation_closed_forms(p, E, lam), 2) < 1e-12
+
+
+def test_big_theta_reads_the_factorization_of_the_dilation_call(monkeypatch):
+    # a dilation at non-default tolerances evaluates at those tolerances, on
+    # the factorization the enlarged system shares with the source
+    rng = np.random.default_rng(10)
+    tau = make_system(rand_pqs_T(rng, 2, 6), 2, 2, 6)
+    tol = pqsys.Tolerances(eq_tol=2e-10, grid_tol=1e-8)
+    dil = pqsys.biinner_dilation(tau, tol)
+    assert dil.tol is tol
+    eighs = linalg_calls(monkeypatch, "eigh")
+    eigs = linalg_calls(monkeypatch, "eig")
+    for lam in (0.2, 0.5 - 0.5j, 3.0):
+        dil.big_theta(lam)
+    assert eighs == [] and eigs == []
+
+
+def test_big_theta_raises_at_a_pole():
+    rng = np.random.default_rng(11)
+    tau = make_system(rand_pqs_T(rng, 2, 4), 2, 2, 4)
+    dil = pqsys.biinner_dilation(tau)
+    t = pqsys.sysmodel.spectral_data(tau).t
+    with pytest.raises(SingularResolvent):
+        dil.big_theta(1.0 / t[np.argmax(np.abs(t))])
 
 
 # ---------------------------------------------------------------------------

@@ -228,7 +228,7 @@ def test_hankel_moment_mismatch_reports_the_pair_of_the_power_loop():
 def _hankel_mismatch(tau1, tau2, p, bound):
     H1, H2 = (realize._spectral_moments(sysmodel.spectral_data(tau), 2 * p + 1)[1] for tau in (tau1, tau2))
     try:
-        realize._check_hankel_moments(H1, H2, bound)
+        realize._check_moments(realize._hankel_gaps(H1, H2), bound)
     except MomentMismatch as exc:
         return exc.n, exc.m
     return None
@@ -262,7 +262,7 @@ def test_hankel_index_of_the_first_failing_pair(first):
     H2[first + 1:first + 2, 0, 0] = 0.0  # a passing k past the first failing one
     ref = next((nn, mm) for nn in range(p + 1) for mm in range(p + 1) if H2[nn + mm, 0, 0] > 0.5)
     with pytest.raises(MomentMismatch) as exc:
-        realize._check_hankel_moments(H1, H2, 0.5)
+        realize._check_moments(realize._hankel_gaps(H1, H2), 0.5)
     assert (exc.value.n, exc.value.m) == ref
 
 
