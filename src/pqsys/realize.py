@@ -83,9 +83,9 @@ def realize_from_data(f: SqsFunctionData, tol: Tolerances = DEFAULT_TOL) -> Part
     check("contraction", excess, tol.rank_tol, PqsysError,
           "assembled realization is not a contraction")
     tau = sysmodel.minimal_pqs_reduction(tau, tol)
-    gap, _ = transfer.grid_gap(tau, f, 0.5 * np.exp(2j * np.pi * (np.arange(20) + 0.3) / 20), tol)
-    check("grid_agreement", gap, 10 * tol.eq_tol * max(1.0, operator_norm(f.theta0)), PqsysError,
-          f"realized transfer deviates from the data by {gap:.3e}")
+    bound = 10 * tol.eq_tol * max(1.0, operator_norm(f.theta0))
+    gap, _ = transfer.grid_gap(tau, f, 0.5 * np.exp(2j * np.pi * (np.arange(20) + 0.3) / 20), bound, tol)
+    check("grid_agreement", gap, bound, PqsysError, f"realized transfer deviates from the data by {gap:.3e}")
     return tau
 
 
@@ -113,9 +113,9 @@ def spectral_measure(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL)
     keep = (np.array([rank for _, rank, _ in span], dtype=int) > 0) & (1.0 - t * t > 0.0)
     t = t[keep]
     f = SqsFunctionData(tau.D, tuple(zip(t.tolist(), W[keep] / (1.0 - t * t)[:, None, None])))
-    gap, _ = transfer.grid_gap(tau, f, 0.5 * np.exp(2j * np.pi * (np.arange(8) + 0.45) / 8), tol)
-    check("readout_agreement", gap, 10 * tol.eq_tol * max(1.0, operator_norm(tau.D)), PqsysError,
-          f"spectral read-out mismatch {gap:.3e}")
+    bound = 10 * tol.eq_tol * max(1.0, operator_norm(tau.D))
+    gap, _ = transfer.grid_gap(tau, f, 0.5 * np.exp(2j * np.pi * (np.arange(8) + 0.45) / 8), bound, tol)
+    check("readout_agreement", gap, bound, PqsysError, f"spectral read-out mismatch {gap:.3e}")
     return f
 
 
@@ -179,10 +179,10 @@ def inner_canonical_form(tau: PartitionedContraction, tol: Tolerances = DEFAULT_
     # Theta rebuilt in the basis [W, W_perp] as diag(Blaschke factors) (+) X
     const = W_perp @ X @ W_perp.conj().T
     t = dd.t
+    bound = 10 * tol.eq_tol
     gap, _ = transfer.grid_gap(lambda lam: (W * blaschke(t, lam)) @ W.conj().T + const, tau,
-                               0.6 * np.exp(2j * np.pi * (np.arange(8) + 0.37) / 8), tol)
-    check("canonical_reconstruction", gap, 10 * tol.eq_tol, PqsysError,
-          f"canonical reconstruction off by {gap:.3e}")
+                               0.6 * np.exp(2j * np.pi * (np.arange(8) + 0.37) / 8), bound, tol)
+    check("canonical_reconstruction", gap, bound, PqsysError, f"canonical reconstruction off by {gap:.3e}")
     return CanonicalInner(tuple(float(a) for a in t), X, np.hstack([W, W_perp]))
 
 
@@ -276,11 +276,18 @@ def biinner_dilation(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL)
         raise PqsysError("enlarged system is not quasi-selfadjoint")
     if not sysmodel.is_minimal(system, tol):
         raise NotMinimal("enlarged system is not minimal")
-    # lambda = 0 compares the D blocks
-    gap, _ = transfer.grid_gap(lambda lam: theta_eval(system, lam, tol)[:n, :n],
-                               tau, [0.0, *(0.6 * np.exp(2j * np.pi * (np.arange(8) + 0.27) / 8))], tol)
-    check("corner_match", gap, 10 * tol.eq_tol, PqsysError,
-          f"dilation corner deviates from the source by {gap:.3e}")
+    # only the n x n corner of the enlarged Theta is evaluated, by the kernel
+    # of `theta_eval` on the enlarged spectral data; lambda = 0 compares the D blocks
+    big = sysmodel.spectral_data(system, tol)
+    D, CV, VB = system.D[:n, :n], big.CV[:n], big.VB[:, :n]
+
+    def corner(lam: complex) -> np.ndarray:
+        return transfer._theta_diag(D, CV, transfer._inverse_diag(1.0 - lam * big.t), VB, lam)
+
+    bound = 10 * tol.eq_tol
+    gap, _ = transfer.grid_gap(corner, tau, [0.0, *(0.6 * np.exp(2j * np.pi * (np.arange(8) + 0.27) / 8))],
+                               bound, tol)
+    check("corner_match", gap, bound, PqsysError, f"dilation corner deviates from the source by {gap:.3e}")
     return DilationBlocks(system, n, dk, dks, tol)
 
 
@@ -456,9 +463,9 @@ def jacobi_realize(source, max_len: int | None = None, tol: Tolerances = DEFAULT
     jr = JacobiRealization(d, a, b, truncated)
     if not truncated:
         points = 0.5 * np.exp(2j * np.pi * (np.arange(10) + 0.21) / 10)
-        gap, _ = transfer.grid_gap(jr.system(), source, points, tol)
-        check("tridiagonal_agreement", gap, 10 * tol.eq_tol * max(1.0, abs(d)), PqsysError,
-              f"tridiagonal transfer deviates by {gap:.3e}")
+        bound = 10 * tol.eq_tol * max(1.0, abs(d))
+        gap, _ = transfer.grid_gap(jr.system(), source, points, bound, tol)
+        check("tridiagonal_agreement", gap, bound, PqsysError, f"tridiagonal transfer deviates by {gap:.3e}")
     return jr
 
 

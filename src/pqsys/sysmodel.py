@@ -534,7 +534,7 @@ def minimal_pqs_reduction(tau: PartitionedContraction, tol: Tolerances = DEFAULT
     # the transfer function; a failure here means the subspace was wrong.
     # Both systems are passive, so ||Theta|| <= 1 and the bound is absolute.
     from .transfer import grid_gap  # deferred: transfer builds on this module's types
-    gap, lam = grid_gap(tau, out, 0.5 * np.exp(2j * np.pi * np.arange(20) / 20), tol)
+    gap, lam = grid_gap(tau, out, 0.5 * np.exp(2j * np.pi * np.arange(20) / 20), tol.eq_tol, tol)
     check("reduction_agreement", gap, tol.eq_tol, PqsysError,
           f"transfer changed under state reduction at lambda={lam:.3f}: {gap:.3e}")
     return out

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import pqsys
-from pqsys import opcore, realize, sysmodel
+from pqsys import opcore, realize, sysmodel, transfer
 
 import oracles
 from helpers import linalg_calls, pqs_from_spectrum, rand_complex, rand_contraction, rand_unitary
@@ -176,6 +176,37 @@ def test_canonical_form_takes_one_svd_of_the_channel(monkeypatch):
     Q = cf.basis
     assert np.linalg.norm(Q.conj().T @ Q - np.eye(Q.shape[1])) < 1e-12
     assert np.linalg.norm(Q[:, 12:].conj().T @ W) < 1e-12
+
+
+def test_dilation_and_canonical_form_take_no_svd_of_a_theta_difference(monkeypatch):
+    # the grid checks corner_match and canonical_reconstruction settle each
+    # point by its Frobenius norm, and corner_match evaluates only the corner;
+    # the SVDs of the enlarged T (block_unitarity) and of W (the form) stay
+    s, n = 50, 3
+    tau = _pqs_system(np.random.default_rng(8), s=s, n=n)
+    svds = linalg_calls(monkeypatch, "svd", internal=True)
+    in_grid = []
+    grid_gap = transfer.grid_gap
+
+    def recording_gap(*args, **kwargs):
+        start = len(svds)
+        out = grid_gap(*args, **kwargs)
+        in_grid.extend(svds[start:])
+        return out
+
+    monkeypatch.setattr(transfer, "grid_gap", recording_gap)
+    evaluated = []
+    theta_eval = transfer.theta_eval
+    monkeypatch.setattr(transfer, "theta_eval",
+                        lambda system, *a: evaluated.append(system.out_dim) or theta_eval(system, *a))
+    dil = realize.biinner_dilation(tau)
+    v = dil.system.out_dim
+    assert evaluated == [n] * 9
+    cf = realize.inner_canonical_form(dil.system)
+    assert len(cf.points) == s
+    assert in_grid == []
+    assert svds.count((v + s, v + s)) == 1 and svds.count((v, s)) == 1
+    assert (v, v) not in svds
 
 
 @pytest.mark.parametrize("s, n", [(12, 2), (30, 4)])

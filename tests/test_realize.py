@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 import pqsys
+from pqsys import errors, realize, transfer
 from pqsys.errors import (
     InvalidD,
     NotInner,
     NotInSqs,
     NotMinimal,
     NotScalar,
+    PqsysError,
     SingularResolvent,
     TransferMismatch,
 )
@@ -199,9 +201,79 @@ def test_inner_canonical_form_samples_theta_only_for_its_reconstruction(monkeypa
     assert calls == {"inner_test": 0, "theta_eval": 8}
 
 
+def _recorded_grid_gaps(monkeypatch):
+    """Record (f, g, points, tol) of every `transfer.grid_gap` call."""
+    calls = []
+    real = transfer.grid_gap
+
+    def recording(f, g, points, bound, tol=pqsys.DEFAULT_TOL):
+        calls.append((f, g, points, tol))
+        return real(f, g, points, bound, tol)
+
+    monkeypatch.setattr(transfer, "grid_gap", recording)
+    return calls
+
+
+def _exact_gap(f, g, points, tol):
+    """The largest ||f(lambda) - g(lambda)||_2 over the points."""
+    f, g = transfer.theta_sampler(f, tol), transfer.theta_sampler(g, tol)
+    return max(np.linalg.norm(f(lam) - g(lam), 2) for lam in points)
+
+
+def _failed_entry(entries, name):
+    (entry,) = [e for e in entries if e["name"] == name]
+    assert not entry["pass"]
+    return entry
+
+
+def test_canonical_reconstruction_failure_records_the_exact_gap(monkeypatch):
+    # each Blaschke factor moved by 1e-6: the reconstruction W diag(b + 1e-6) W* + const
+    # is off by 1e-6 W W*, of 2-norm 1e-6 for the isometric W
+    big = _dilation_of_12_states()
+    monkeypatch.setattr(realize, "blaschke", lambda a, lam: blaschke(a, lam) + 1e-6)
+    calls = _recorded_grid_gaps(monkeypatch)
+    with errors.ledger() as entries, pytest.raises(PqsysError, match="canonical reconstruction off") as exc:
+        pqsys.inner_canonical_form(big)
+    assert type(exc.value) is PqsysError
+    entry = _failed_entry(entries, "canonical_reconstruction")
+    assert entry["residual"] == _exact_gap(*calls[-1])
+    assert abs(entry["residual"] - 1e-6) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # bi-inner dilation
 # ---------------------------------------------------------------------------
+
+def test_corner_match_failure_records_the_exact_gap(monkeypatch):
+    # the enlarged T turned by a rotation of 1e-6 that mixes the first output
+    # channel with the first added one: still unitary, pqs and minimal, but
+    # the corner of its transfer function is off the source by about 1e-6
+    rng = np.random.default_rng(105)
+    n, s = 3, 12
+    tau = make_system(pqs_from_spectrum(rng, rng.uniform(-0.9, 0.9, s), n), n, n, s)
+    built = []
+
+    def rotated(T, m, k, states):
+        R = np.eye(T.shape[0])
+        R[[0, n], [0, n]] = np.cos(1e-6)
+        R[0, n], R[n, 0] = -np.sin(1e-6), np.sin(1e-6)
+        built.append(pqsys.PartitionedContraction(R @ T @ R.T, m, k, states))
+        return built[-1]
+
+    monkeypatch.setattr(realize, "PartitionedContraction", rotated)
+    calls = _recorded_grid_gaps(monkeypatch)
+    with errors.ledger() as entries, pytest.raises(PqsysError, match="dilation corner deviates") as exc:
+        pqsys.biinner_dilation(tau)
+    assert type(exc.value) is PqsysError
+    assert [e["name"] for e in entries if not e["pass"]] == ["corner_match"]
+    entry = _failed_entry(entries, "corner_match")
+    _, _, points, tol = calls[-1]
+    assert entry["residual"] == _exact_gap(*calls[-1])
+    assert 1e-8 < entry["residual"] < 1e-5
+    # the corner kernel is the corner of the enlarged transfer function
+    (big,) = built
+    full = _exact_gap(lambda lam: pqsys.theta_eval(big, lam, tol)[:n, :n], tau, points, tol)
+    assert entry["residual"] == pytest.approx(full, rel=1e-8)
 
 def test_dilation_is_unitary_and_extends():
     rng = np.random.default_rng(6)

@@ -69,6 +69,47 @@ def test_theta_sampler_accepts_system_and_callable():
         pqsys.theta_sampler(42)
 
 
+def _unit_difference(rng, kind, n=4):
+    """An n x n matrix of 2-norm 1: rank one (Frobenius norm 1), unitary
+    (Frobenius norm 2), or of singular values 1, 0.5, 0.5, 0.5 (Frobenius norm 1.32)."""
+    if kind == "rank1":
+        u, v = rand_complex(rng, n, 1), rand_complex(rng, n, 1)
+        return (u / np.linalg.norm(u)) @ (v / np.linalg.norm(v)).conj().T
+    sv = np.ones(n) if kind == "unitary" else np.array([1.0] + [0.5] * (n - 1))
+    return rand_unitary(rng, n) @ np.diag(sv) @ rand_unitary(rng, n)
+
+
+@pytest.mark.parametrize("kind", ["rank1", "unitary", "mixed"])
+@pytest.mark.parametrize("ratios", [
+    (0.5, 0.3, 0.9),                 # all well below the bound
+    (0.4, 0.45, 0.2),                # Frobenius norms below the bound for every kind
+    (0.5, 1 - 1e-14, 0.2),           # inside the Frobenius slack below the bound
+    (0.5, 1.0, 0.2),                 # at the bound
+    (0.5, 1 + 1e-14, 0.2),           # inside the slack above it
+    (1 + 1e-6, 0.5, 1 + 1e-6),       # above it at two points: the first is named
+    (0.7, 3.0, 0.1),                 # far above it
+])
+def test_grid_gap_decides_as_the_exact_2_norm(kind, ratios, monkeypatch):
+    rng = np.random.default_rng(11)
+    bound = 1e-8
+    points = [0.1, 0.2j, -0.3 + 0.1j]
+    base = rand_complex(rng, 4, 4)
+    diffs = [bound * r * _unit_difference(rng, kind) for r in ratios]
+    g = lambda lam: base
+    f = lambda lam: base + diffs[points.index(lam)]
+    exact = [np.linalg.norm(f(lam) - g(lam), 2) for lam in points]
+    k = int(np.argmax(exact))
+    # a point whose Frobenius norm settles it takes no SVD
+    unsettled = sum(np.linalg.norm(f(lam) - g(lam)) * (1 + 1e-12) > bound for lam in points)
+    svds = linalg_calls(monkeypatch, "svd", internal=True)
+    gap, at = transfer.grid_gap(f, g, points, bound)
+    assert len(svds) == unsettled
+    assert (gap <= bound) == (exact[k] <= bound)
+    assert gap >= exact[k]
+    if exact[k] > bound:
+        assert gap == exact[k] and at == points[k]
+
+
 # ---------------------------------------------------------------------------
 # characteristic function of the main operator
 # ---------------------------------------------------------------------------
