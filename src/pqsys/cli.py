@@ -43,9 +43,12 @@ def _parse_tol(pairs) -> Tolerances:
 def _parse_lambda(text: str) -> complex:
     re_s, _, im_s = text.partition(",")
     try:
-        return complex(float(re_s), float(im_s or "0"))
+        z = complex(float(re_s), float(im_s or "0"))
     except ValueError:
         raise ValueError(f"cannot parse point {text!r}; expected re,im") from None
+    if not np.isfinite(z):
+        raise ValueError(f"point {text!r} is not finite")
+    return z
 
 
 def _grid_points(spec: str, seed: int):

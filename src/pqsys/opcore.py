@@ -585,27 +585,16 @@ def is_normal(A, tol: Tolerances = DEFAULT_TOL) -> bool:
     return norm_at_most(AhA - A @ A.conj().T, tol.eq_tol, AhA, 1e-300)
 
 
-class StrongLimit(NamedTuple):
-    value: np.ndarray
-    converged: bool
-    power: int
-
-
-def strong_limit_SA(A, max_power: int = 500, tol: Tolerances = DEFAULT_TOL) -> StrongLimit:
-    """Limit of A^{*n} A^n, approximated by the first power at which two
-    successive iterates agree to eq_tol.  Non-convergence within
-    max_power is reported through the flag, not an error."""
-    A = as_matrix(A)
-    if A.shape[0] != A.shape[1]:
-        raise NonSquare("strong_limit_SA needs a square matrix")
-    _require_contraction(operator_norm(A), tol)
-    P = np.eye(A.shape[0], dtype=complex)
-    for n in range(1, max_power + 1):
-        P_next = A.conj().T @ P @ A
-        if operator_norm(P_next - P) <= tol.eq_tol:
-            return StrongLimit(P_next, True, n)
-        P = P_next
-    return StrongLimit(P, False, max_power)
+def strong_limit_SA(A, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Limit of A^{*n} A^n for a contraction A: the orthogonal projector onto
+    the unitary part of `cnu_unitary_split`.  In finite dimension the cnu part
+    has every eigenvalue inside the unit circle, so A^n tends to 0 there
+    (Sz.-Nagy and Foias, ch. I).  The unitary part follows that split's
+    defect rule: a squared defect below psd_tol is zero, so an eigenvalue of a
+    normal A with |t| > 1 - 5e-10 (at the default psd_tol) counts as
+    unimodular.  NonSquare and NotAContraction (||A|| > 1 + rank_tol) come
+    from the split."""
+    return cnu_unitary_split(A, tol)[0].projector()
 
 
 def cnu_unitary_split(A, tol: Tolerances = DEFAULT_TOL) -> tuple[SubspaceBasis, SubspaceBasis]:

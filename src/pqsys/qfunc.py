@@ -135,45 +135,36 @@ def q_class_kernel_check(q, F, z_points: Sequence[complex], tol: Tolerances = DE
     dF = F - F.conj().T
     h = 1e-6
 
-    # row index carries the conjugated argument, column the holomorphic
-    # one; only this orientation assembles the factored Gram form
-    def k2_entry(i: int, j: int) -> np.ndarray:
-        qi = vals[i].conj().T
-        if i == j and abs(pts[i].imag) <= 1e-9:
-            def num(w):
-                qw = as_matrix(sample(w))
-                return qw - qi - qi @ dF @ qw
-            return (num(pts[i] + h) - num(pts[i] - h)) / (2 * h)
-        return (vals[j] - qi - qi @ dF @ vals[j]) / (pts[j] - np.conj(pts[i]))
+    # row index carries the conjugated argument zi = conj(xi), column the
+    # holomorphic one; only this orientation assembles the factored Gram form
+    def k2_num(zi, qi, w, qw):
+        return qw - qi - qi @ dF @ qw
 
-    def k3_entry(i: int, j: int) -> np.ndarray:
-        zi = np.conj(pts[i])
-        qi = vals[i].conj().T
-        if i == j and abs(pts[i].imag) <= 1e-9:
-            def num(w):
-                qw = as_matrix(sample(w))
-                return ((1 - w * w) * qw - (1 - zi * zi) * qi
-                        - (1 - w * zi) * qi @ dF @ qw - (w - zi) * np.eye(n))
-            return (num(pts[i] + h) - num(pts[i] - h)) / (2 * h)
-        num = ((1 - pts[j] ** 2) * vals[j] - (1 - zi * zi) * qi
-               - (1 - pts[j] * zi) * qi @ dF @ vals[j] - (pts[j] - zi) * np.eye(n))
-        return num / (pts[j] - zi)
+    def k3_num(zi, qi, w, qw):
+        return ((1 - w * w) * qw - (1 - zi * zi) * qi
+                - (1 - w * zi) * qi @ dF @ qw - (w - zi) * np.eye(n))
 
-    G2 = np.zeros((n * p, n * p), dtype=complex)
-    G3 = np.zeros((n * p, n * p), dtype=complex)
+    G = np.zeros((2, n * p, n * p), dtype=complex)
     for i in range(p):
+        zi, qi = np.conj(pts[i]), vals[i].conj().T
         for j in range(p):
-            G2[i * n:(i + 1) * n, j * n:(j + 1) * n] = k2_entry(i, j)
-            G3[i * n:(i + 1) * n, j * n:(j + 1) * n] = k3_entry(i, j)
-    s2 = float(np.linalg.eigvalsh(herm_part(G2)).min())
-    s3 = float(np.linalg.eigvalsh(herm_part(G3)).min())
+            if i == j and abs(pts[i].imag) <= 1e-9:
+                # confluent: central difference in the first argument
+                up, down = pts[i] + h, pts[i] - h
+                q_up, q_down = as_matrix(sample(up)), as_matrix(sample(down))
+                blocks = [(num(zi, qi, up, q_up) - num(zi, qi, down, q_down)) / (2 * h)
+                          for num in (k2_num, k3_num)]
+            else:
+                blocks = [num(zi, qi, pts[j], vals[j]) / (pts[j] - zi) for num in (k2_num, k3_num)]
+            G[:, i * n:(i + 1) * n, j * n:(j + 1) * n] = blocks
+    s2, s3 = (float(np.linalg.eigvalsh(herm_part(g)).min()) for g in G)
 
     witness = False
     where = None
     for z0 in _S4_PROBES:
         qv = as_matrix(sample(z0))
         qs = qv.conj().T
-        k = (qv - qs - qs @ dF @ qv) / (z0 - np.conj(z0))
+        k = k2_num(np.conj(z0), qs, z0, qv) / (z0 - np.conj(z0))
         gap = operator_norm(k - qs @ qv)
         if gap > 100 * tol.psd_tol * max(1.0, operator_norm(qv) ** 2):
             witness = True

@@ -215,7 +215,8 @@ class DilationBlocks:
     defect spaces of the channel operator and its adjoint.  The enlarged
     transfer function is the enlarged system's, `theta_eval` on the
     factorization it shares with the source, at the tolerances of the
-    `biinner_dilation` call; its top-left corner is the original Theta."""
+    `biinner_dilation` call; slice `big_theta` for a block, its top-left
+    out_dim x out_dim corner being the original Theta."""
 
     system: PartitionedContraction
     out_dim: int
@@ -225,18 +226,6 @@ class DilationBlocks:
 
     def big_theta(self, lam: complex) -> np.ndarray:
         return theta_eval(self.system, lam, self.tol)
-
-    def theta(self, lam: complex) -> np.ndarray:
-        return self.big_theta(lam)[:self.out_dim, :self.out_dim]
-
-    def theta12(self, lam: complex) -> np.ndarray:
-        return self.big_theta(lam)[:self.out_dim, self.out_dim:]
-
-    def theta21(self, lam: complex) -> np.ndarray:
-        return self.big_theta(lam)[self.out_dim:, :self.out_dim]
-
-    def theta22(self, lam: complex) -> np.ndarray:
-        return self.big_theta(lam)[self.out_dim:, self.out_dim:]
 
 
 def biinner_dilation(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> DilationBlocks:

@@ -487,6 +487,18 @@ def test_eval_q_at_zero_exits_2_with_report(tmp_path, rng):
     assert "exterior image" in err["message"]
 
 
+@pytest.mark.parametrize("func", ["theta", "char", "q"])
+@pytest.mark.parametrize("point", ["inf,0", "0,-inf", "nan,0"])
+def test_eval_at_a_non_finite_point_exits_2_with_report(tmp_path, func, point):
+    write_system(tmp_path / "sys.json", pqsys.chebyshev_example(0.1, 6)[1])
+    report = tmp_path / "rep.json"
+    code = main(["eval", str(tmp_path / "sys.json"), "--func", func, f"--lambda={point}",
+                 "--report", str(report)])
+    assert code == 2
+    err = read_json(report)["error"]
+    assert err["type"] == "ValueError" and err["exit_code"] == 2
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_tolerance_exits_2(tmp_path, value):
     write_system(tmp_path / "sys.json", pqsys.chebyshev_example(0.1, 6)[1])

@@ -179,17 +179,36 @@ def test_strong_limit_strict_contraction_vanishes():
     rng = np.random.default_rng(9)
     A = rand_hermitian_contraction(rng, 4, bound=0.8)
     lim = opcore.strong_limit_SA(A)
-    assert lim.converged
-    assert np.linalg.norm(lim.value) < 1e-8
+    assert np.linalg.norm(lim) < 1e-8
 
 
 def test_strong_limit_with_unitary_part():
     # A*^n A^n converges to the projection onto the unimodular eigenspace
     A = np.diag([1.0, 0.5, -0.3]).astype(complex)
     lim = opcore.strong_limit_SA(A)
-    assert lim.converged
     P = np.diag([1.0, 0.0, 0.0]).astype(complex)
-    assert np.linalg.norm(lim.value - P) < 1e-6
+    assert np.linalg.norm(lim - P) < 1e-6
+
+
+def test_strong_limit_of_a_slow_decay_is_zero():
+    # |t| = 1 - 1e-6 is not unimodular: A^n -> 0, however slowly
+    lim = opcore.strong_limit_SA(np.diag([1.0 - 1e-6, 0.5, -0.3]))
+    assert np.linalg.norm(lim) < 1e-12
+
+
+def test_strong_limit_is_the_projector_onto_the_unitary_part():
+    Q = rand_unitary(np.random.default_rng(33), 4)
+    A = (Q * np.array([np.exp(0.3j), 0.4, 0.2, -0.1])) @ Q.conj().T
+    lim = opcore.strong_limit_SA(A)
+    assert np.linalg.norm(lim - np.outer(Q[:, 0], Q[:, 0].conj())) < 1e-12
+
+
+def test_strong_limit_gates():
+    assert opcore.strong_limit_SA(np.zeros((0, 0))).shape == (0, 0)
+    with pytest.raises(NonSquare):
+        opcore.strong_limit_SA(np.zeros((2, 3)))
+    with pytest.raises(NotAContraction):
+        opcore.strong_limit_SA(np.diag([1.0 + 1e-6, 0.5]))
 
 
 def test_cnu_unitary_split():

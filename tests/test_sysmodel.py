@@ -252,6 +252,34 @@ def test_strong_stability_unitary_state_fails():
     assert not rep.stable
 
 
+def _system_with_main(A):
+    """A system of one channel, zero channel blocks and main operator A."""
+    s = A.shape[0]
+    T = np.zeros((s + 1, s + 1), dtype=complex)
+    T[1:, 1:] = A
+    return make_system(T, 1, 1, s)
+
+
+def test_strong_stability_of_a_non_normal_contraction_is_read_off_the_spectrum():
+    # rho(A) ~ 0.999 with ||A|| = 0.99999: A^n -> 0, slowly
+    J = 0.999 * np.eye(6) + np.diag(np.full(5, 0.0005), 1)
+    A = 0.99999 * J / np.linalg.norm(J, 2)
+    assert not pqsys.is_normal(A)
+    assert pqsys.is_strongly_stable(_system_with_main(A)) == (True, True, True)
+
+
+def test_strong_stability_of_unitary_plus_nilpotent_fails():
+    A = np.zeros((3, 3), dtype=complex)
+    A[0, 0] = 1.0
+    A[1, 2] = 0.5
+    assert pqsys.is_strongly_stable(_system_with_main(A)) == (False, False, True)
+
+
+def test_strong_stability_needs_no_contraction():
+    A = np.array([[0.5, 10.0], [0.0, 0.5]])
+    assert pqsys.is_strongly_stable(_system_with_main(A)) == (True, True, True)
+
+
 def test_transfer_eval_matches_series_oracle():
     rng = np.random.default_rng(12)
     tau = make_system(rand_passive_T(rng, 2, 3, 4), 2, 3, 4)
