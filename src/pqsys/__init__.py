@@ -18,7 +18,6 @@ from .errors import (
     InvalidD,
     InvalidMeasure,
     MomentMismatch,
-    NonPositiveWeight,
     NonSquare,
     NotAContraction,
     NotHermitian,
@@ -55,7 +54,6 @@ from .sysmodel import (
     KrylovRecord,
     MinimalityReport,
     PartitionedContraction,
-    StabilityReport,
     SystemClass,
     block_norm_at_most,
     check_minimality_normal,

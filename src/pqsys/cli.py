@@ -142,10 +142,7 @@ def cmd_classify(args) -> int:
     krylov = sysmodel.krylov_record(tau, tol)
     rep.info("controllable_dim", krylov.controllable)
     rep.info("observable_dim", krylov.observable)
-    stab = sysmodel.is_strongly_stable(tau, tol)
-    rep.info("strongly_stable", stab.stable)
-    rep.info("strongly_co_stable", stab.co_stable)
-    rep.info("stability_conclusive", stab.conclusive)
+    rep.info("strongly_stable", sysmodel.is_strongly_stable(tau, tol))
     return rep.finish()
 
 

@@ -96,12 +96,8 @@ class NotScalar(PqsysError):
     """Scalar (1x1 input/output) source required."""
 
 
-class NonPositiveWeight(PqsysError):
-    """Moment matrix numerically indefinite during tridiagonalization."""
-
-
 class TransferMismatch(PqsysError):
-    """Transfer functions of the two systems disagree on the sample grid."""
+    """Transfer functions of the two systems disagree in D or a Markov parameter."""
 
 
 class MomentMismatch(PqsysError):

@@ -28,16 +28,22 @@ def q_eval(tau: PartitionedContraction, z: complex, tol: Tolerances = DEFAULT_TO
     """Corner block of (T - zI)^{-1} on the I/O coordinates.
 
     Away from the spectrum of A it is the inverse of the Schur complement
-    D - z - C V diag(1 / (t - z)) V* B, from the cached factorization of
-    the selfadjoint A, in O(s n^2); near it, a dense solve with T - zI."""
+    S = D - z - C V diag(1 / (t - z)) V* B, from the cached factorization of
+    the selfadjoint A, in O(s n^2), as Q = (S / sigma)^-1 / sigma with
+    sigma = max(1, |z|): no term overflows at an extreme z, and one that
+    underflows lies far below the rounding of z / sigma, of modulus 1; near
+    the spectrum, a dense solve with T - zI."""
     if not sysmodel.classify(tau, tol).pqs:
         raise NotPqs("resolvent compressions are defined for pqs systems")
     z = complex(z)
     n = tau.out_dim
     sd = sysmodel.spectral_data(tau, tol)
     if sd is not None and np.abs(sd.t - z).min(initial=np.inf) > _SCHUR_GAP:
-        schur = tau.D - z * np.eye(n) - (sd.CV / (sd.t - z)) @ sd.VB
-        return transfer._resolve(schur, np.eye(n, dtype=complex))
+        sigma = max(1.0, abs(z))
+        with np.errstate(under="ignore"):
+            coupling = (sd.CV / ((sd.t - z) / sigma)) @ sd.VB / sigma / sigma
+            schur = tau.D / sigma - (z / sigma) * np.eye(n) - coupling
+            return transfer._resolve(schur, np.eye(n, dtype=complex)) / sigma
     total = n + tau.state_dim
     E = np.eye(total, dtype=complex)[:, :n]
     X = transfer._resolve(tau.T - z * np.eye(total), E)

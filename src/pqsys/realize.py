@@ -20,7 +20,6 @@ from .errors import (
     DimensionMismatch,
     InvalidD,
     MomentMismatch,
-    NonPositiveWeight,
     NotInner,
     NotInSqs,
     NotMinimal,
@@ -84,7 +83,7 @@ def realize_from_data(f: SqsFunctionData, tol: Tolerances = DEFAULT_TOL) -> Part
           "assembled realization is not a contraction")
     tau = sysmodel.minimal_pqs_reduction(tau, tol)
     bound = 10 * tol.eq_tol * max(1.0, operator_norm(f.theta0))
-    gap, _ = transfer.grid_gap(tau, f, 0.5 * np.exp(2j * np.pi * (np.arange(20) + 0.3) / 20), bound, tol)
+    gap, _ = transfer.markov_gap(transfer.pole_form(tau, tol), transfer.pole_form(f, tol), bound)
     check("grid_agreement", gap, bound, PqsysError, f"realized transfer deviates from the data by {gap:.3e}")
     return tau
 
@@ -98,8 +97,7 @@ def spectral_measure(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL)
     (CV)* have nonzero rank under the cluster rule of the Krylov record,
     so the atoms are the clusters that observability counts.  C = K D_A
     vanishes on a cluster at +-1, which the rule therefore skips."""
-    flags = sysmodel.classify(tau, tol)
-    if not flags.pqs:
+    if not sysmodel.classify(tau, tol).pqs:
         raise NotPqs("spectral read-out needs a passive quasi-selfadjoint system")
     sd = sysmodel.spectral_data(tau, tol)
     span = sysmodel._cluster_span(sd.t, *sysmodel._eigen_side(sd, tol, adjoint=True))
@@ -114,7 +112,7 @@ def spectral_measure(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL)
     t = t[keep]
     f = SqsFunctionData(tau.D, tuple(zip(t.tolist(), W[keep] / (1.0 - t * t)[:, None, None])))
     bound = 10 * tol.eq_tol * max(1.0, operator_norm(tau.D))
-    gap, _ = transfer.grid_gap(tau, f, 0.5 * np.exp(2j * np.pi * (np.arange(8) + 0.45) / 8), bound, tol)
+    gap, _ = transfer.markov_gap(transfer.pole_form(tau, tol), transfer.pole_form(f, tol), bound)
     check("readout_agreement", gap, bound, PqsysError, f"spectral read-out mismatch {gap:.3e}")
     return f
 
@@ -151,7 +149,9 @@ def inner_canonical_form(tau: PartitionedContraction, tol: Tolerances = DEFAULT_
     `classify`'s isometric flag, ||I - T*T||_2 <= eq_tol for a passive T: its
     tolerance is eq_tol on T, where `transfer.inner_test` applies grid_tol
     to samples of Theta.  The form is then built from the channel operator
-    and checked against Theta at 8 points."""
+    and checked at lambda = 0: its residues (W e_k)(W e_k)* equal the
+    system's (C v_k)(v_k* B) up to ||C - B*|| <= eq_tol, which the pqs flag
+    has checked, so only its constant term is its own."""
     flags = sysmodel.classify(tau, tol)
     if not flags.pqs:
         raise NotPqs("canonical form applies to passive quasi-selfadjoint systems")
@@ -176,14 +176,12 @@ def inner_canonical_form(tau: PartitionedContraction, tol: Tolerances = DEFAULT_
     X = W_perp.conj().T @ tau.D @ W_perp
     check("constant_unitarity", opcore.isometry_defect(X), 10 * tol.eq_tol, NotInner,
           "constant block is not unitary")
-    # Theta rebuilt in the basis [W, W_perp] as diag(Blaschke factors) (+) X
-    const = W_perp @ X @ W_perp.conj().T
-    t = dd.t
+    # Theta(0) rebuilt in the basis [W, W_perp] as diag(-t) (+) X
     bound = 10 * tol.eq_tol
-    gap, _ = transfer.grid_gap(lambda lam: (W * blaschke(t, lam)) @ W.conj().T + const, tau,
-                               0.6 * np.exp(2j * np.pi * (np.arange(8) + 0.37) / 8), bound, tol)
+    resid = tau.D - W_perp @ X @ W_perp.conj().T + (W * dd.t) @ W.conj().T
+    gap = float(transfer._coefficient_gaps(resid[None], bound)[0])
     check("canonical_reconstruction", gap, bound, PqsysError, f"canonical reconstruction off by {gap:.3e}")
-    return CanonicalInner(tuple(float(a) for a in t), X, np.hstack([W, W_perp]))
+    return CanonicalInner(tuple(float(a) for a in dd.t), X, np.hstack([W, W_perp]))
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +230,7 @@ def biinner_dilation(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL)
     """Embed a minimal pqs system into a conservative one on the enlarged
     I/O space: D from the parameters of `parametrize` (`_dilation_D`), the
     same main operator and an enlarged channel operator."""
-    flags = sysmodel.classify(tau, tol)
-    if not flags.pqs:
+    if not sysmodel.classify(tau, tol).pqs:
         raise NotPqs("dilation applies to passive quasi-selfadjoint systems")
     p = parametrize(tau, tol)
     dd = p.defects
@@ -265,17 +262,11 @@ def biinner_dilation(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL)
         raise PqsysError("enlarged system is not quasi-selfadjoint")
     if not sysmodel.is_minimal(system, tol):
         raise NotMinimal("enlarged system is not minimal")
-    # only the n x n corner of the enlarged Theta is evaluated, by the kernel
-    # of `theta_eval` on the enlarged spectral data; lambda = 0 compares the D blocks
+    # the pole form of the n x n corner of the enlarged Theta, on tau's t
     big = sysmodel.spectral_data(system, tol)
-    D, CV, VB = system.D[:n, :n], big.CV[:n], big.VB[:, :n]
-
-    def corner(lam: complex) -> np.ndarray:
-        return transfer._theta_diag(D, CV, transfer._inverse_diag(1.0 - lam * big.t), VB, lam)
-
+    corner = (system.D[:n, :n], big.t, transfer._residues(big.CV[:n], big.VB[:, :n]))
     bound = 10 * tol.eq_tol
-    gap, _ = transfer.grid_gap(corner, tau, [0.0, *(0.6 * np.exp(2j * np.pi * (np.arange(8) + 0.27) / 8))],
-                               bound, tol)
+    gap, _ = transfer.markov_gap(corner, transfer.pole_form(tau, tol), bound)
     check("corner_match", gap, bound, PqsysError, f"dilation corner deviates from the source by {gap:.3e}")
     return DilationBlocks(system, n, dk, dks, tol)
 
@@ -348,46 +339,6 @@ def _lanczos(t: np.ndarray, start: np.ndarray, max_len: int, tol: Tolerances):
     return alphas, betas[:-1], True
 
 
-def _moment_recurrence(moments, count: int, floor: float = 1e-10):
-    """Recurrence coefficients of the measure behind a power-moment
-    sequence, by the classical sigma-table algorithm in extended
-    precision.  Returns (alphas, betas) with betas[0] the total mass.
-
-    The table pivots are the leading Hankel determinant ratios and decay
-    fast for clustered measures; once the relative pivot drops below
-    `floor`, deeper coefficients are no longer determined by the moments
-    at working precision, so the expansion stops there rather than
-    returning noise."""
-    m = np.asarray(moments, dtype=np.longdouble)
-    L = len(m) // 2
-    count = min(count, L)
-    if count == 0 or m[0] <= 0:
-        if m.size and m[0] < -1e-12:
-            raise NonPositiveWeight(f"zeroth moment {float(m[0]):.3e} is negative")
-        return [], []
-    sig_prev = np.zeros(2 * count, dtype=np.longdouble)
-    sig_cur = m[:2 * count].copy()
-    alphas = [float(m[1] / m[0])]
-    betas = [float(m[0])]
-    mass = abs(np.longdouble(m[0]))
-    for k in range(1, count):
-        sig_next = np.zeros(2 * count, dtype=np.longdouble)
-        hi = 2 * count - k
-        for l in range(k, hi):
-            sig_next[l] = (sig_cur[l + 1] - alphas[k - 1] * sig_cur[l]
-                           - (betas[k - 1] if k >= 2 else 0.0) * sig_prev[l])
-        pivot = sig_next[k]
-        prev_pivot = sig_cur[k - 1]
-        if pivot < -1e-6 * mass:
-            raise NonPositiveWeight(f"moment table pivot {float(pivot):.3e} at step {k}")
-        if pivot <= floor * mass or prev_pivot <= 0:
-            break
-        alphas.append(float(sig_next[k + 1] / pivot - sig_cur[k] / prev_pivot))
-        betas.append(float(pivot / prev_pivot))
-        sig_prev, sig_cur = sig_cur, sig_next
-    return alphas, betas
-
-
 def jacobi_realize(source, max_len: int | None = None, tol: Tolerances = DEFAULT_TOL) -> JacobiRealization:
     """Tridiagonal realization of a scalar transfer function.
 
@@ -395,8 +346,10 @@ def jacobi_realize(source, max_len: int | None = None, tol: Tolerances = DEFAULT
     or a scalar pqs system (its cached A = V diag(t) V*, w = |V* B|^2).  Runs
     Lanczos on diag(t) started at sqrt(w); a_0 is the channel norm.
     Breakdown before max_len means the function is rational and the
-    expansion is complete.  The leading coefficients are cross-checked
-    against a moment recurrence on the moments sum w t^n."""
+    expansion complete: it has d + sum_k lambda w_k / (1 - lambda t_k) as its
+    transfer function (`transfer.markov_gap`).  A truncated L-step expansion
+    is the Gauss quadrature of w: it matches d and the first 2L Markov
+    parameters, the moments sum_k w_k t_k^j (Golub and Meurant 2010)."""
     if max_len is not None and max_len < 1:
         raise ValueError(f"max_len must be at least 1, got {max_len}")
     if isinstance(source, SqsFunctionData):
@@ -406,23 +359,22 @@ def jacobi_realize(source, max_len: int | None = None, tol: Tolerances = DEFAULT
         sig = source.weights[:, 0, 0].real
         keep = sig > tol.rank_tol
         t = source.locations[keep]
-        w = (1 - t.astype(np.longdouble) ** 2) * sig[keep].astype(np.longdouble)
+        w = (1 - t ** 2) * sig[keep]
     elif isinstance(source, PartitionedContraction):
         if source.in_dim != 1 or source.out_dim != 1:
             raise NotScalar("system must have one-dimensional input and output")
-        flags = sysmodel.classify(source, tol)
-        if not flags.pqs:
+        if not sysmodel.classify(source, tol).pqs:
             raise NotPqs("tridiagonal realization applies to pqs systems")
         d = complex(source.D[0, 0])
         sd = sysmodel.spectral_data(source, tol)
         t, vb = sd.t, sd.VB[:, 0]
-        w = vb.real.astype(np.longdouble) ** 2 + vb.imag.astype(np.longdouble) ** 2
+        w = vb.real ** 2 + vb.imag ** 2
     else:
         raise TypeError(f"cannot realize {type(source)!r}")
     if d.imag < -tol.eq_tol:
         raise InvalidD("corner value must have nonnegative imaginary part")
 
-    start = np.sqrt(w).astype(float)
+    start = np.sqrt(w)
     a0 = float(np.linalg.norm(start))
     if a0 <= tol.rank_tol:
         return JacobiRealization(d, (), (), False)
@@ -430,31 +382,13 @@ def jacobi_realize(source, max_len: int | None = None, tol: Tolerances = DEFAULT
         max_len = t.size
     max_len = min(max_len, t.size)
     alphas, betas, truncated = _lanczos(t, start, max_len, tol)
-    a = (a0, *betas)
-    b = tuple(alphas)
-
-    # moments in extended precision, from weights kept in extended precision:
-    # the sigma-table amplifies moment error by the inverse relative pivot,
-    # so double precision would cap the checkable depth well short of 12
-    count = min(12, len(b))
-    moments = []
-    wt, tl = w, t.astype(np.longdouble)
-    for _ in range(2 * count):
-        moments.append(wt.sum())
-        wt = wt * tl
-    m_alphas, m_betas = _moment_recurrence(moments, count)
-    steps = [max(abs(np.sqrt(m_betas[k]) - a[k]), abs(m_alphas[k] - b[k]))
-             for k in range(min(len(m_betas), len(a)))]
-    first = next((k for k, e in enumerate(steps) if e > 1e-7), None)
-    check("moment_recurrence", max(steps, default=0.0), 1e-7, PqsysError,
-          f"moment recurrence disagrees with the iterative expansion at step {first}")
-
-    jr = JacobiRealization(d, a, b, truncated)
-    if not truncated:
-        points = 0.5 * np.exp(2j * np.pi * (np.arange(10) + 0.21) / 10)
-        bound = 10 * tol.eq_tol * max(1.0, abs(d))
-        gap, _ = transfer.grid_gap(jr.system(), source, points, bound, tol)
-        check("tridiagonal_agreement", gap, bound, PqsysError, f"tridiagonal transfer deviates by {gap:.3e}")
+    jr = JacobiRealization(d, (a0, *betas), alphas, truncated)
+    measure = (np.array([[d]]), t, w[:, None, None])
+    bound = 10 * tol.eq_tol * max(1.0, abs(d))
+    gap, j = transfer.markov_gap(transfer.pole_form(jr.system(), tol), measure, bound,
+                                 2 * jr.length if truncated else None)
+    check("tridiagonal_agreement", gap, bound, PqsysError,
+          f"tridiagonal transfer deviates by {gap:.3e} in the coefficient of lambda^{j}")
     return jr
 
 
@@ -592,9 +526,9 @@ def unitary_similarity(tau1: PartitionedContraction, tau2: PartitionedContractio
         U = _spectral_intertwiner(sd1, sd2)
     else:
         # band Arnoldi is unitarily covariant: Q2 = U Q1 for minimal systems
-        # with A2 = U A1 U* and B2 = U B1, so U is the polar factor of Q2 Q1*
-        Q1 = opcore.krylov_span(tau1.A, tau1.B, p, tol).basis
-        Q2 = opcore.krylov_span(tau2.A, tau2.B, p, tol).basis
+        # with A2 = U A1 U* and B2 = U B1, so U is the polar factor of Q2 Q1*;
+        # the bases are the ones the minimality gates built
+        Q1, Q2 = (sysmodel.controllable_subspace(tau, tol).basis for tau in (tau1, tau2))
         u, _, vh = np.linalg.svd(Q2 @ Q1.conj().T)
         U = u @ vh
     residuals = {
@@ -613,18 +547,13 @@ def unitary_similarity(tau1: PartitionedContraction, tau2: PartitionedContractio
 def _spectral_moments(sd: sysmodel.SpectralData, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The Markov parameters CV diag(t^k) VB and the Hankel moments
     VB* diag(t^k) VB for k = 0..count-1, each stacked along axis 0, from one
-    product of the power table t^k with the rank-one terms of each state."""
+    power sum (`transfer._power_sums`) over the rank-one terms of each state."""
     VB, CV = sd.VB, sd.CV
     s, (n, m) = sd.t.size, (CV.shape[0], VB.shape[1])
     terms = np.empty((s, n * m + m * m), dtype=complex)
-    terms[:, :n * m] = (CV.T[:, :, None] * VB[:, None, :]).reshape(s, n * m)
-    terms[:, n * m:] = (VB.conj()[:, :, None] * VB[:, None, :]).reshape(s, m * m)
-    # t^k by running products (a power of a negative base is a slow libm call)
-    powers = np.empty((count, s))
-    powers[0] = 1.0
-    np.cumprod(np.broadcast_to(sd.t, (count - 1, s)), axis=0, out=powers[1:])
-    # real powers times the complex terms as one real product on their float view
-    out = (powers @ terms.view(float)).view(complex)
+    terms[:, :n * m] = transfer._residues(CV, VB).reshape(s, n * m)
+    terms[:, n * m:] = transfer._residues(VB.conj().T, VB).reshape(s, m * m)
+    out = next(transfer._power_sums(sd.t, terms, count, count))  # one block
     return out[:, :n * m].reshape(count, n, m), out[:, n * m:].reshape(count, m, m)
 
 

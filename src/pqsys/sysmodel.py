@@ -533,10 +533,10 @@ def minimal_pqs_reduction(tau: PartitionedContraction, tol: Tolerances = DEFAULT
     # compression onto an invariant subspace containing ran B must not move
     # the transfer function; a failure here means the subspace was wrong.
     # Both systems are passive, so ||Theta|| <= 1 and the bound is absolute.
-    from .transfer import grid_gap  # deferred: transfer builds on this module's types
-    gap, lam = grid_gap(tau, out, 0.5 * np.exp(2j * np.pi * np.arange(20) / 20), tol.eq_tol, tol)
+    from .transfer import markov_gap, pole_form  # deferred: transfer builds on this module's types
+    gap, j = markov_gap(pole_form(tau, tol), pole_form(out, tol), tol.eq_tol)
     check("reduction_agreement", gap, tol.eq_tol, PqsysError,
-          f"transfer changed under state reduction at lambda={lam:.3f}: {gap:.3e}")
+          f"transfer changed under state reduction in the coefficient of lambda^{j}: {gap:.3e}")
     return out
 
 
@@ -619,22 +619,11 @@ def check_minimality_normal(tau: PartitionedContraction, tol: Tolerances = DEFAU
     )
 
 
-class StabilityReport(NamedTuple):
-    stable: bool
-    co_stable: bool
-    conclusive: bool
-
-
-def is_strongly_stable(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> StabilityReport:
-    """Do the powers of A (resp. A*) tend to zero?
-
-    In finite dimension A^n -> 0 iff every eigenvalue of A lies inside the
-    unit circle, and A* has the conjugate eigenvalues, so both verdicts are
-    max|eig(A)| < 1 - rank_tol, conclusive for every A.  A selfadjoint A
-    reads its eigenvalues from the cached factorization (`spectral_data`),
-    any other A from `np.linalg.eigvals`.
-    """
+def is_strongly_stable(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """Whether A^n -> 0, in finite dimension iff max|eig(A)| < 1 - rank_tol (and
+    then A*^n -> 0 too: A* has the conjugate eigenvalues).  A selfadjoint A
+    reads its eigenvalues from the cached factorization (`spectral_data`), any
+    other A from `np.linalg.eigvals`."""
     sd = spectral_data(tau, tol)
     eigs = sd.t if sd is not None else np.linalg.eigvals(tau.A)
-    flag = float(np.abs(eigs).max(initial=0.0)) < 1.0 - tol.rank_tol
-    return StabilityReport(flag, flag, True)
+    return float(np.abs(eigs).max(initial=0.0)) < 1.0 - tol.rank_tol

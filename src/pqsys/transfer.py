@@ -1,10 +1,11 @@
 """Transfer functions and their analysis.
 
-Evaluation of Theta(lambda) = D + lambda C (I - lambda A)^{-1} B, the
-characteristic function of a contraction, the factorization of Theta
-through the parametrization, defect identities, boundary values at +-1
-for quasi-selfadjoint systems, inner/co-inner grid tests, and membership
-in the class of pqs transfer functions given by atomic measure data.
+Evaluation of Theta(lambda) = D + lambda C (I - lambda A)^{-1} B, its pole
+form and the exact agreement of two pole forms, the characteristic function
+of a contraction, the factorization of Theta through the parametrization,
+defect identities, boundary values at +-1 for quasi-selfadjoint systems,
+inner/co-inner grid tests, and membership in the class of pqs transfer
+functions given by atomic measure data.
 """
 
 from __future__ import annotations
@@ -158,27 +159,80 @@ def _gated_theta(tau: PartitionedContraction, rec: _EigRecord, lam: complex) -> 
     return _theta_diag(tau.D, rec.CV, w, rec.VB, lam)
 
 
-def grid_gap(f, g, points: Sequence[complex], bound: float,
-             tol: Tolerances = DEFAULT_TOL) -> tuple[float, complex]:
-    """The largest gap of f(lambda) - g(lambda) over the (nonempty) points, and
-    the first point where it is attained, for a check `gap <= bound`; f and g
-    are anything `theta_sampler` takes.
+def pole_form(source, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(D, t, R) with Theta(lambda) = D + sum_k lambda / (1 - lambda t_k) R_k:
+    R_k = (CV)_k (VB)_k for a pqs system (`sysmodel.spectral_data`), and
+    R_k = (1 - t_k^2) Sigma_k for atomic data sorted by location (a stable
+    sort), so that a system realized from data carries the data's t bit for bit."""
+    if isinstance(source, PartitionedContraction):
+        sd = sysmodel.spectral_data(source, tol)
+        if sd is None:
+            raise NotPqs("a pole form needs a selfadjoint main operator")
+        return source.D, sd.t, _residues(sd.CV, sd.VB)
+    if isinstance(source, SqsFunctionData):
+        order = np.argsort(source.locations, kind="stable")
+        t = source.locations[order]
+        return source.theta0, t, (1.0 - t * t)[:, None, None] * source.weights[order]
+    raise TypeError(f"cannot read a pole form off {type(source)!r}")
 
-    A point's gap is the Frobenius norm of its difference when that norm,
-    with the slack of `opcore.norm_at_most`, is at most bound (the Frobenius
-    norm bounds the 2-norm), and its exact 2-norm otherwise.  So the check
-    passes exactly where the largest 2-norm passes it; a failing gap and its
-    point are the exact ones, and a passing gap bounds the largest 2-norm."""
-    f, g = theta_sampler(f, tol), theta_sampler(g, tol)
-    gaps = [_point_gap(f(lam) - g(lam), bound) for lam in points]
-    k = int(np.argmax(gaps))
-    return gaps[k], points[k]
+
+def _residues(CV: np.ndarray, VB: np.ndarray) -> np.ndarray:
+    """The (k, n, m) stack of residues (CV)_k (VB)_k: column k of CV times row k of VB."""
+    return CV.T[:, :, None] * VB[:, None, :]
 
 
-def _point_gap(diff: np.ndarray, bound: float) -> float:
-    """||diff||_F when it settles ||diff||_2 <= bound, else ||diff||_2."""
-    fro = float(np.linalg.norm(diff))
-    return fro if opcore._fro_settles(fro, 1, bound)[0] else operator_norm(diff)
+def markov_gap(f, g, bound: float, count: int | None = None) -> tuple[float, int]:
+    """The largest gap of the coefficients of two pole forms (`pole_form`), for
+    a check `gap <= bound`, and the first index attaining it: 0 for D, and
+    j = 1..count for the Markov parameter sum_k t_k^(j-1) R_k of lambda^j.
+    count defaults to the number of poles of the difference, len(t) when the
+    forms carry the same t bit for bit and len(t_f) + len(t_g) otherwise: a
+    Vandermonde system makes the difference vanish iff these coefficients do
+    (Antoulas 2005, ch. 4).  A gap is the Frobenius norm where that settles
+    the 2-norm against bound (`_coefficient_gaps`), else the 2-norm, so the
+    check passes exactly where the largest 2-norm does, and a failing gap and
+    index are exact.  On a shared t with max|t| <= 1, max(||dD||_F,
+    sum_k ||dR_k||_F) bounds every coefficient and is the gap, at index 0,
+    when it settles the check; otherwise the coefficients come in blocks of
+    256 powers, which keep the power table small."""
+    (Df, tf, Rf), (Dg, tg, Rg) = f, g
+    dD = Df - Dg
+    if tf.shape == tg.shape and np.array_equal(tf, tg):
+        t, dR = tf, Rf - Rg
+        if np.abs(t).max(initial=0.0) <= 1.0:
+            cheap = max(float(np.linalg.norm(dD)), float(np.linalg.norm(dR, axis=(1, 2)).sum()))
+            if opcore._fro_settles(cheap, 1, bound)[0]:
+                return cheap, 0
+    else:
+        t, dR = np.concatenate([tf, tg]), np.concatenate([Rf, -Rg])
+    terms = np.ascontiguousarray(dR, dtype=complex).reshape(t.size, dD.size)
+    blocks = _power_sums(t, terms, t.size if count is None else count, 256)
+    gaps = np.concatenate([_coefficient_gaps(c.reshape(-1, *dD.shape), bound) for c in (dD, *blocks)])
+    j = int(np.argmax(gaps))
+    return float(gaps[j]), j
+
+
+def _coefficient_gaps(diffs: np.ndarray, bound: float) -> np.ndarray:
+    """The gap of each matrix of a stack, for a check `gap <= bound`: its
+    Frobenius norm when that settles its 2-norm, else its exact 2-norm."""
+    gaps = np.linalg.norm(diffs, axis=(1, 2))
+    for k in np.flatnonzero(~opcore._fro_settles(gaps, 1, bound)[0]):
+        gaps[k] = operator_norm(diffs[k])
+    return gaps
+
+
+def _power_sums(t: np.ndarray, terms: np.ndarray, count: int, block: int):
+    """Yield sum_k t_k^j terms[k], j = 0..count-1, stacked in blocks of at most
+    `block` powers: t^j by running products (a power of a negative base is a
+    slow libm call) times the complex terms as one real product on their float view."""
+    base = np.ones(t.size)
+    for start in range(0, count, block):
+        powers = np.empty((min(block, count - start), t.size))
+        powers[0] = base
+        np.cumprod(np.broadcast_to(t, (len(powers) - 1, t.size)), axis=0, out=powers[1:])
+        powers[1:] *= base
+        base = powers[-1] * t
+        yield (powers @ terms.view(float)).view(complex)
 
 
 def theta_sampler(source, tol: Tolerances = DEFAULT_TOL) -> Callable[[complex], np.ndarray]:

@@ -137,7 +137,7 @@ def test_classify_reads_a_legacy_list_system_file(tmp_path):
         "pqs": True, "normal_main": True, "selfadjoint_main": True,
         "controllable": True, "observable": True, "simple": True, "minimal": True,
         "controllable_dim": 6, "observable_dim": 6,
-        "strongly_stable": True, "strongly_co_stable": True, "stability_conclusive": True,
+        "strongly_stable": True,
     }
 
 
@@ -499,6 +499,21 @@ def test_eval_at_a_non_finite_point_exits_2_with_report(tmp_path, func, point):
     assert err["type"] == "ValueError" and err["exit_code"] == 2
 
 
+def test_eval_q_at_an_extreme_finite_point(tmp_path):
+    # Q(z) ~ -I/z: the scaled Schur complement neither overflows nor loses it
+    write_system(tmp_path / "sys.json", pqsys.chebyshev_example(0.1, 6)[1])
+    out = tmp_path / "q.json"
+    with np.errstate(all="raise"):
+        code = main(["eval", str(tmp_path / "sys.json"), "--func", "q", "--lambda", "1e308,1e308",
+                     "--out", str(out)])
+    assert code == 0
+    (sample,) = read_json(out)["samples"]
+    z = complex(*sample["point"])
+    Q = _json.matrix_from_json(sample["value"])
+    # z Q with the phase of z first: numpy's complex product overflows at |z| ~ 1e308
+    assert np.linalg.norm(Q * (z / abs(z)) * abs(z) + np.eye(1)) <= 1e-8
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_tolerance_exits_2(tmp_path, value):
     write_system(tmp_path / "sys.json", pqsys.chebyshev_example(0.1, 6)[1])
@@ -601,7 +616,7 @@ LEDGER_CASES = {
     "classify": (set(), "eigh_residual"),
     "eval_theta": ({"schur_bound"}, "eigh_residual"),
     "eval_char": ({"circle_unitarity"}, "eigh_residual"),
-    "jacobi": ({"contraction"}, "moment_recurrence"),
+    "jacobi": ({"contraction"}, "tridiagonal_agreement"),
     "dilate": ({"block_unitarity", "corner_match"}, "block_unitarity"),
     "similar": ({"unitarity", "main", "input", "output"}, "transfer_agreement"),
 }
@@ -660,8 +675,9 @@ def test_report_lists_every_check_with_its_bound(tmp_path, rng, monkeypatch, cas
     assert LEDGER_CASES[case][0] <= names
     assert LEDGER_CASES[case][1] in names
     if case == "realize":
-        # one membership test and one 20-point grid, both in the library
-        assert calls == {"sqs_membership": 1, "theta_from_data": 20}
+        # one membership test, and no samples of Theta: the agreement check
+        # compares the Markov parameters of two pole forms
+        assert calls == {"sqs_membership": 1}
 
 
 @pytest.mark.parametrize("case", list(LEDGER_CASES))
@@ -669,15 +685,22 @@ def test_failed_library_check_is_reported(tmp_path, rng, monkeypatch, case):
     argv = _ledger_argv(tmp_path, rng, case, mismatched=True)
     name = LEDGER_CASES[case][1]
     if name == "grid_agreement":
-        theta = pqsys.transfer.theta_from_data
-        monkeypatch.setattr(pqsys.transfer, "theta_from_data", lambda f, lam: theta(f, lam) + 1e-3)
+        pole_form = pqsys.transfer.pole_form
+
+        def moved(source, tol):  # the data's constant term moved by 1e-3
+            D, t, R = pole_form(source, tol)
+            return (D + 1e-3 if isinstance(source, pqsys.SqsFunctionData) else D), t, R
+        monkeypatch.setattr(pqsys.transfer, "pole_form", moved)
     elif name == "eigh_residual":
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda H: (eigh(H)[0], eigh(H)[1] + 1e-8))
-    elif name == "moment_recurrence":
-        recurrence = pqsys.realize._moment_recurrence
-        monkeypatch.setattr(pqsys.realize, "_moment_recurrence",
-                            lambda m, c: ([a + 1e-3 for a in recurrence(m, c)[0]], recurrence(m, c)[1]))
+    elif name == "tridiagonal_agreement":
+        lanczos = pqsys.realize._lanczos
+
+        def moved(*args):  # the diagonal of the tridiagonal moved by 1e-3
+            alphas, betas, truncated = lanczos(*args)
+            return [x + 1e-3 for x in alphas], betas, truncated
+        monkeypatch.setattr(pqsys.realize, "_lanczos", moved)
     elif name == "block_unitarity":
         dilation_D = pqsys.realize._dilation_D
         monkeypatch.setattr(pqsys.realize, "_dilation_D", lambda p, E: dilation_D(p, E) + 1e-3)

@@ -179,32 +179,32 @@ def test_canonical_form_takes_one_svd_of_the_channel(monkeypatch):
 
 
 def test_dilation_and_canonical_form_take_no_svd_of_a_theta_difference(monkeypatch):
-    # the grid checks corner_match and canonical_reconstruction settle each
-    # point by its Frobenius norm, and corner_match evaluates only the corner;
-    # the SVDs of the enlarged T (block_unitarity) and of W (the form) stay
+    # corner_match settles on the residue sum of the poles the corner shares
+    # with tau, and canonical_reconstruction compares Theta(0) by its Frobenius
+    # norm; neither samples Theta.  The SVDs of the enlarged T
+    # (block_unitarity) and of W (the form) stay
     s, n = 50, 3
     tau = _pqs_system(np.random.default_rng(8), s=s, n=n)
     svds = linalg_calls(monkeypatch, "svd", internal=True)
-    in_grid = []
-    grid_gap = transfer.grid_gap
+    in_gaps = []
+    coefficient_gaps = transfer._coefficient_gaps
 
-    def recording_gap(*args, **kwargs):
+    def recording_gaps(*args):
         start = len(svds)
-        out = grid_gap(*args, **kwargs)
-        in_grid.extend(svds[start:])
+        out = coefficient_gaps(*args)
+        in_gaps.extend(svds[start:])
         return out
 
-    monkeypatch.setattr(transfer, "grid_gap", recording_gap)
+    monkeypatch.setattr(transfer, "_coefficient_gaps", recording_gaps)
     evaluated = []
     theta_eval = transfer.theta_eval
     monkeypatch.setattr(transfer, "theta_eval",
                         lambda system, *a: evaluated.append(system.out_dim) or theta_eval(system, *a))
     dil = realize.biinner_dilation(tau)
     v = dil.system.out_dim
-    assert evaluated == [n] * 9
     cf = realize.inner_canonical_form(dil.system)
     assert len(cf.points) == s
-    assert in_grid == []
+    assert evaluated == [] and in_gaps == []
     assert svds.count((v + s, v + s)) == 1 and svds.count((v, s)) == 1
     assert (v, v) not in svds
 

@@ -198,26 +198,30 @@ def test_inner_canonical_form_samples_theta_only_for_its_reconstruction(monkeypa
     for name in calls:
         monkeypatch.setattr(pqsys.transfer, name, counted(name, getattr(pqsys.transfer, name)))
     pqsys.inner_canonical_form(fresh)
-    assert calls == {"inner_test": 0, "theta_eval": 8}
+    # the reconstruction is checked at lambda = 0, with no sample of Theta
+    assert calls == {"inner_test": 0, "theta_eval": 0}
 
 
-def _recorded_grid_gaps(monkeypatch):
-    """Record (f, g, points, tol) of every `transfer.grid_gap` call."""
+def _recorded_markov_gaps(monkeypatch):
+    """Record the pole forms (f, g) of every `transfer.markov_gap` call."""
     calls = []
-    real = transfer.grid_gap
+    real = transfer.markov_gap
 
-    def recording(f, g, points, bound, tol=pqsys.DEFAULT_TOL):
-        calls.append((f, g, points, tol))
-        return real(f, g, points, bound, tol)
+    def recording(f, g, bound, count=None):
+        calls.append((f, g))
+        return real(f, g, bound, count)
 
-    monkeypatch.setattr(transfer, "grid_gap", recording)
+    monkeypatch.setattr(transfer, "markov_gap", recording)
     return calls
 
 
-def _exact_gap(f, g, points, tol):
-    """The largest ||f(lambda) - g(lambda)||_2 over the points."""
-    f, g = transfer.theta_sampler(f, tol), transfer.theta_sampler(g, tol)
-    return max(np.linalg.norm(f(lam) - g(lam), 2) for lam in points)
+def _exact_markov_gap(f, g):
+    """The largest 2-norm of the coefficients of lambda^0..lambda^len(t) of
+    the difference of two pole forms sharing t, summed over the poles directly."""
+    (Df, t, Rf), (Dg, _, Rg) = f, g
+    dR = Rf - Rg
+    coeffs = [Df - Dg] + [(t[:, None, None] ** j * dR).sum(axis=0) for j in range(t.size)]
+    return max(np.linalg.norm(c, 2) for c in coeffs)
 
 
 def _failed_entry(entries, name):
@@ -227,16 +231,20 @@ def _failed_entry(entries, name):
 
 
 def test_canonical_reconstruction_failure_records_the_exact_gap(monkeypatch):
-    # each Blaschke factor moved by 1e-6: the reconstruction W diag(b + 1e-6) W* + const
-    # is off by 1e-6 W W*, of 2-norm 1e-6 for the isometric W
+    # every point of the form moved by 1e-6: Theta(0) of the form,
+    # W diag(-t - 1e-6) W* + const, is off by 1e-6 W W*, of 2-norm 1e-6 for
+    # the isometric W (its Frobenius norm is 1e-6 sqrt(12))
     big = _dilation_of_12_states()
-    monkeypatch.setattr(realize, "blaschke", lambda a, lam: blaschke(a, lam) + 1e-6)
-    calls = _recorded_grid_gaps(monkeypatch)
+    main_defect_data = pqsys.sysmodel.main_defect_data
+
+    def shifted(tau, tol):
+        dd = main_defect_data(tau, tol)
+        return dd._replace(t=dd.t + 1e-6)
+    monkeypatch.setattr(pqsys.sysmodel, "main_defect_data", shifted)
     with errors.ledger() as entries, pytest.raises(PqsysError, match="canonical reconstruction off") as exc:
         pqsys.inner_canonical_form(big)
     assert type(exc.value) is PqsysError
     entry = _failed_entry(entries, "canonical_reconstruction")
-    assert entry["residual"] == _exact_gap(*calls[-1])
     assert abs(entry["residual"] - 1e-6) < 1e-12
 
 
@@ -261,19 +269,21 @@ def test_corner_match_failure_records_the_exact_gap(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(realize, "PartitionedContraction", rotated)
-    calls = _recorded_grid_gaps(monkeypatch)
+    calls = _recorded_markov_gaps(monkeypatch)
     with errors.ledger() as entries, pytest.raises(PqsysError, match="dilation corner deviates") as exc:
         pqsys.biinner_dilation(tau)
     assert type(exc.value) is PqsysError
     assert [e["name"] for e in entries if not e["pass"]] == ["corner_match"]
     entry = _failed_entry(entries, "corner_match")
-    _, _, points, tol = calls[-1]
-    assert entry["residual"] == _exact_gap(*calls[-1])
+    corner, source = calls[-1]
+    assert entry["residual"] == pytest.approx(_exact_markov_gap(corner, source), rel=1e-10)
     assert 1e-8 < entry["residual"] < 1e-5
-    # the corner kernel is the corner of the enlarged transfer function
+    # the corner's pole form is the corner of the enlarged system's, on tau's t
     (big,) = built
-    full = _exact_gap(lambda lam: pqsys.theta_eval(big, lam, tol)[:n, :n], tau, points, tol)
-    assert entry["residual"] == pytest.approx(full, rel=1e-8)
+    D, t, R = transfer.pole_form(big)
+    assert t is source[1] is corner[1]
+    assert np.array_equal(corner[0], D[:n, :n]) and np.array_equal(corner[2], R[:, :n, :n])
+
 
 def test_dilation_is_unitary_and_extends():
     rng = np.random.default_rng(6)
@@ -462,6 +472,57 @@ def test_jacobi_realize_rejects_dissipative_corner():
     f = pqsys.SqsFunctionData(np.array([[-0.2j]]), ((0.3, np.array([[0.4]])),))
     with pytest.raises(InvalidD):
         pqsys.jacobi_realize(f)
+
+
+def test_truncated_jacobi_matches_the_first_2L_markov_parameters(monkeypatch):
+    # an L-step expansion is the Gauss quadrature of the measure: it matches
+    # d and the first 2L Markov parameters, and not the next one
+    data, tau = pqsys.chebyshev_example(0.25, 120)
+    counts = []
+    markov_gap = transfer.markov_gap
+    monkeypatch.setattr(transfer, "markov_gap",
+                        lambda f, g, bound, count=None: counts.append(count) or markov_gap(f, g, bound, count))
+    for source in (data, tau):
+        with errors.ledger() as entries:
+            jr = pqsys.jacobi_realize(source, max_len=10)
+        assert jr.truncated and counts[-1] == 20
+        (entry,) = [e for e in entries if e["name"] == "tridiagonal_agreement"]
+        assert entry["pass"] and entry["residual"] < 1e-14
+    form, measure = transfer.pole_form(jr.system()), transfer.pole_form(data)
+    assert markov_gap(form, measure, 1e-8, 20)[0] < 1e-14
+    gap = abs(_scalar_coefficient(form, 21) - _scalar_coefficient(measure, 21))
+    assert gap > 1e-8 and markov_gap(form, measure, 1e-8, 21) == (pytest.approx(gap), 21)
+
+
+def _scalar_coefficient(form, j):
+    """The coefficient sum_k t_k^(j-1) R_k of lambda^j (j >= 1) of a scalar pole form."""
+    _, t, R = form
+    return (t ** (j - 1) * R[:, 0, 0]).sum()
+
+
+def test_constructions_sample_no_theta(monkeypatch):
+    # each of the six agreement checks compares pole forms; none samples Theta
+    def refuse(*args):
+        raise AssertionError("Theta sampled")
+    rng = np.random.default_rng(15)
+    # atoms at 0.3 and 0.3 + 5e-9 on one channel: the reduction drops a state
+    close = pqsys.SqsFunctionData(np.zeros((1, 1)), ((-0.5, np.array([[0.1]])), (0.3, np.array([[0.2]])),
+                                                      (0.3 + 5e-9, np.array([[0.2]]))))
+    data, _ = pqsys.chebyshev_example(0.1, 12)
+    f = member_data(rng)
+    monkeypatch.setattr(transfer, "theta_eval", refuse)
+    monkeypatch.setattr(transfer, "theta_from_data", refuse)
+    with errors.ledger() as entries:
+        assert pqsys.realize_from_data(close).state_dim == 2
+        tau = pqsys.realize_from_data(f)
+        pqsys.spectral_measure(tau)
+        big = pqsys.biinner_dilation(tau).system
+        pqsys.inner_canonical_form(big)
+        pqsys.jacobi_realize(data)
+    names = {e["name"] for e in entries}
+    assert {"reduction_agreement", "grid_agreement", "readout_agreement", "corner_match",
+            "canonical_reconstruction", "tridiagonal_agreement"} <= names
+    assert all(e["pass"] for e in entries)
 
 
 # ---------------------------------------------------------------------------

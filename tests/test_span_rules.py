@@ -260,7 +260,7 @@ def test_selfadjoint_main_operator_is_normal():
     assert rep.direct_minimal == pqsys.is_minimal(tau)
     # two channels cannot fill a triple eigenvalue: both routes count 14 of 21
     assert rep.agree and not rep.controllable and not rep.minimal
-    assert pqsys.is_strongly_stable(tau).conclusive
+    assert pqsys.is_strongly_stable(tau) is True
 
 
 @pytest.mark.parametrize("n, minimal", [(2, False), (3, True)])

@@ -185,6 +185,24 @@ def test_a_non_selfadjoint_pair_takes_the_krylov_route(monkeypatch):
     assert np.linalg.norm(res.U - V, 2) < 1e-8
 
 
+def test_the_krylov_route_reuses_the_bases_of_the_minimality_gates(monkeypatch):
+    # the is_minimal gates build span{A^k B} and span{A*^k C*} of each system;
+    # U is the polar factor of the two controllable bases they cached
+    rng = np.random.default_rng(412)
+    s, n = 10, 2
+    A = rand_contraction(rng, s, s, 0.7)
+    B = 0.2 * rand_complex(rng, s, n)
+    tau = system(np.block([[0.1 * rand_complex(rng, n, n), B.conj().T], [B, A]]), n, s)
+    twin = rotated(tau, rand_unitary(rng, s))
+    Q1, Q2 = (opcore.krylov_span(x.A, x.B, s).basis for x in (tau, twin))
+    span = opcore.krylov_span
+    calls = []
+    monkeypatch.setattr(opcore, "krylov_span", lambda *a: calls.append(1) or span(*a))
+    U = pqsys.unitary_similarity(tau, twin).U
+    assert len(calls) == 4
+    assert np.array_equal(U, _polar(Q2 @ Q1.conj().T))
+
+
 def test_the_spectral_U_is_the_krylov_polar_factor():
     rng = np.random.default_rng(413)
     s, n = 30, 2

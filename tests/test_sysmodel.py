@@ -237,8 +237,7 @@ def test_check_minimality_normal_rejects_nonnormal():
 def test_strong_stability_strict_contraction():
     rng = np.random.default_rng(10)
     tau = make_system(rand_passive_T(rng, 2, 2, 3, smax=0.85), 2, 2, 3)
-    rep = pqsys.is_strongly_stable(tau)
-    assert rep.stable and rep.co_stable and rep.conclusive
+    assert pqsys.is_strongly_stable(tau) is True
 
 
 def test_strong_stability_unitary_state_fails():
@@ -248,8 +247,7 @@ def test_strong_stability_unitary_state_fails():
     T = np.zeros((3, 3), dtype=complex)
     T[1:, 1:] = U
     tau = make_system(T, 1, 1, 2)
-    rep = pqsys.is_strongly_stable(tau)
-    assert not rep.stable
+    assert pqsys.is_strongly_stable(tau) is False
 
 
 def _system_with_main(A):
@@ -265,19 +263,19 @@ def test_strong_stability_of_a_non_normal_contraction_is_read_off_the_spectrum()
     J = 0.999 * np.eye(6) + np.diag(np.full(5, 0.0005), 1)
     A = 0.99999 * J / np.linalg.norm(J, 2)
     assert not pqsys.is_normal(A)
-    assert pqsys.is_strongly_stable(_system_with_main(A)) == (True, True, True)
+    assert pqsys.is_strongly_stable(_system_with_main(A)) is True
 
 
 def test_strong_stability_of_unitary_plus_nilpotent_fails():
     A = np.zeros((3, 3), dtype=complex)
     A[0, 0] = 1.0
     A[1, 2] = 0.5
-    assert pqsys.is_strongly_stable(_system_with_main(A)) == (False, False, True)
+    assert pqsys.is_strongly_stable(_system_with_main(A)) is False
 
 
 def test_strong_stability_needs_no_contraction():
     A = np.array([[0.5, 10.0], [0.0, 0.5]])
-    assert pqsys.is_strongly_stable(_system_with_main(A)) == (True, True, True)
+    assert pqsys.is_strongly_stable(_system_with_main(A)) is True
 
 
 def test_transfer_eval_matches_series_oracle():
@@ -318,9 +316,9 @@ def test_strong_stability_uses_the_spectral_radius():
     T[2:, 2:] = (U * t) @ U.conj().T
     tau = make_system(T, 2, 2, 12)
     assert sysmodel.spectral_data(tau) is not None
-    assert sysmodel.is_strongly_stable(tau) == (True, True, True)
+    assert sysmodel.is_strongly_stable(tau) is True
     T[2:, 2:] = (U * np.append(t[:-1], 1.0)) @ U.conj().T
-    assert sysmodel.is_strongly_stable(make_system(T, 2, 2, 12)) == (False, False, True)
+    assert sysmodel.is_strongly_stable(make_system(T, 2, 2, 12)) is False
 
 
 def _system_with_singular_values(rng, rows, cols, s, n=2):

@@ -90,24 +90,125 @@ def _unit_difference(rng, kind, n=4):
     (0.7, 3.0, 0.1),                 # far above it
 ])
 def test_grid_gap_decides_as_the_exact_2_norm(kind, ratios, monkeypatch):
+    # `markov_gap` on coefficient gaps of 2-norm bound * ratios at lambda^0,
+    # lambda^1 and lambda^2, on two pairs of forms: poles 0 and 0.5 shared by
+    # both forms (the residue-sum settle first), and f at 0 against g at 0.5
+    # (the blocked path).  Later Markov parameters halve, so they never lead.
+    # A third pair shares the one pole 0 and compares lambda^0 and lambda^1.
     rng = np.random.default_rng(11)
     bound = 1e-8
-    points = [0.1, 0.2j, -0.3 + 0.1j]
     base = rand_complex(rng, 4, 4)
-    diffs = [bound * r * _unit_difference(rng, kind) for r in ratios]
-    g = lambda lam: base
-    f = lambda lam: base + diffs[points.index(lam)]
-    exact = [np.linalg.norm(f(lam) - g(lam), 2) for lam in points]
-    k = int(np.argmax(exact))
-    # a point whose Frobenius norm settles it takes no SVD
-    unsettled = sum(np.linalg.norm(f(lam) - g(lam)) * (1 + 1e-12) > bound for lam in points)
+    d0, d1, d2 = (bound * r * _unit_difference(rng, kind) for r in ratios)
+    t = np.array([0.0, 0.5])
+    shared = ((base + d0, t, np.stack([base + d1 - 2 * d2, base + 2 * d2])),
+              (base, t, np.stack([base, base])))
+    apart = ((base + d0, t[:1], (d1 - 2 * d2)[None]), (base, t[1:], (-2 * d2)[None]))
+    single = ((base + d0, t[:1], (base + d1)[None]), (base, t[:1], base[None]))
+    for f, g in (shared, apart, single):
+        coeffs = _markov_reference(f, g, f[1].size if f[1] is g[1] else f[1].size + g[1].size)
+        exact = [np.linalg.norm(c, 2) for c in coeffs]
+        k = int(np.argmax(exact))
+        cheap = None
+        if f[1] is g[1]:
+            dR = f[2] - g[2]
+            cheap = max(np.linalg.norm(f[0] - g[0]), np.linalg.norm(dR, axis=(1, 2)).sum())
+        settled = cheap is not None and cheap * (1 + 1e-12) <= bound
+        # a coefficient whose Frobenius norm settles it takes no SVD
+        unsettled = 0 if settled else sum(np.linalg.norm(c) * (1 + 1e-12) > bound for c in coeffs)
+        svds = linalg_calls(monkeypatch, "svd", internal=True)
+        gap, j = transfer.markov_gap(f, g, bound)
+        assert len(svds) == unsettled
+        assert (gap <= bound) == (exact[k] <= bound)
+        # a passing gap bounds the largest 2-norm, up to the rounding of the two norms
+        assert gap >= exact[k] * (1 - 1e-14)
+        if settled:
+            assert (gap, j) == (cheap, 0)
+        if exact[k] > bound:
+            assert gap == exact[k] and j == k
+
+
+def _markov_reference(f, g, count):
+    """The coefficients of lambda^0..lambda^count of the difference of two pole
+    forms, each Markov parameter summed over the poles directly."""
+    (Df, tf, Rf), (Dg, tg, Rg) = f, g
+    if tf is tg:
+        t, R = tf, Rf - Rg
+    else:
+        t, R = np.concatenate([tf, tg]), np.concatenate([Rf, -Rg])
+    return [Df - Dg] + [(t[:, None, None] ** (j - 1) * R).sum(axis=0) for j in range(1, count + 1)]
+
+
+def test_markov_gap_settles_shared_poles_by_the_residue_sum(monkeypatch):
+    data, tau = pqsys.chebyshev_example(0.2, 40)
+    f, g = transfer.pole_form(tau), transfer.pole_form(data)
+    # the diagonal system and its sorted data carry the same t, bit for bit
+    assert np.array_equal(f[1], g[1])
     svds = linalg_calls(monkeypatch, "svd", internal=True)
-    gap, at = transfer.grid_gap(f, g, points, bound)
-    assert len(svds) == unsettled
-    assert (gap <= bound) == (exact[k] <= bound)
-    assert gap >= exact[k]
-    if exact[k] > bound:
-        assert gap == exact[k] and at == points[k]
+    powers = []
+    power_sums = transfer._power_sums
+    monkeypatch.setattr(transfer, "_power_sums", lambda *a: powers.append(a) or power_sums(*a))
+    gap, j = transfer.markov_gap(f, g, 1e-8)
+    assert j == 0 and gap == max(np.linalg.norm(f[0] - g[0]), np.linalg.norm(f[2] - g[2], axis=(1, 2)).sum())
+    assert gap < 1e-14 and svds == [] and powers == []
+
+
+def test_markov_gap_forms_the_coefficients_in_blocks():
+    # 300 + 300 poles apart: 600 Markov parameters in blocks of 256 powers
+    rng = np.random.default_rng(12)
+    tf, tg = np.sort(rng.uniform(-0.99, 0.99, 300)), np.sort(rng.uniform(-0.99, 0.99, 300))
+    Rf, Rg = (rng.uniform(0, 1e-3, (300, 1, 1)) + 0j for _ in range(2))
+    f, g = (np.zeros((1, 1)), tf, Rf), (np.zeros((1, 1)), tg, Rg)
+    exact = [abs(c[0, 0]) for c in _markov_reference(f, g, 600)]
+    gap, j = transfer.markov_gap(f, g, 0.0)
+    assert j == int(np.argmax(exact))
+    assert gap == pytest.approx(exact[j], rel=1e-12)
+    # the last parameter compared is the 600th: a growing sequence peaks there
+    grow = (np.zeros((1, 1)), np.array([1.01]), np.ones((1, 1, 1), dtype=complex))
+    empty = (np.zeros((1, 1)), np.zeros(0), np.zeros((0, 1, 1), dtype=complex))
+    gap, j = transfer.markov_gap(grow, empty, 0.0, count=600)
+    assert j == 600 and gap == pytest.approx(1.01 ** 599, rel=1e-12)
+
+
+def test_markov_gap_index_is_the_power_of_lambda():
+    # Theta(lambda) = 0.1 + lambda / (1 - 2 lambda) R = 0.1 + sum_j 2^(j-1) R lambda^j:
+    # compared with the zero function, coefficient j has 2-norm 2^(j-1) ||R||_2
+    rng = np.random.default_rng(13)
+    R = rand_complex(rng, 2, 3)
+    f = (np.full((2, 3), 0.1), np.array([2.0]), R[None])
+    g = (np.zeros((2, 3)), np.zeros(0), np.zeros((0, 2, 3)))
+    # the Taylor coefficients by the Cauchy integral on |lambda| = 0.2
+    lam = 0.2 * np.exp(2j * np.pi * np.arange(64) / 64)
+    theta = 0.1 + (lam / (1 - 2 * lam))[:, None, None] * R
+    for count in range(4):
+        taylor = (theta * lam[:, None, None] ** -count).mean(axis=0)
+        gap, j = transfer.markov_gap(f, g, 0.0, count=count)
+        assert j == count
+        assert gap == pytest.approx(np.linalg.norm(taylor, 2), rel=1e-9)
+    assert transfer.markov_gap(f, g, 0.0, count=0) == (pytest.approx(np.linalg.norm(f[0], 2)), 0)
+
+
+def test_an_atom_split_in_two_halves_matches_at_rounding_level():
+    rng = np.random.default_rng(14)
+    f = pqsys.SqsFunctionData(0.1 * np.eye(2), rand_atoms(rng, 4, 2))
+    t0, w0 = f.atoms[1]
+    halves = pqsys.SqsFunctionData(f.theta0, (*f.atoms, (t0, w0 / 2)))
+    halves = pqsys.SqsFunctionData(f.theta0, tuple(
+        (t, w / 2 if k == 1 else w) for k, (t, w) in enumerate(halves.atoms)))
+    gap, _ = transfer.markov_gap(transfer.pole_form(f), transfer.pole_form(halves), 1e-8)
+    assert gap < 1e-15
+
+
+def test_a_residue_moved_between_close_poles_is_caught():
+    # a weight of 0.4 moved from the atom at 0.3 to the one at t = 0.3 + 1e-6:
+    # the residue t (1 - t^2) 0.4 of lambda^2 moves by 1e-6 (1 - 3 0.3^2) 0.4
+    atoms = [(0.3, np.array([[0.5]])), (0.3 + 1e-6, np.array([[0.0]]))]
+    moved = [(0.3, np.array([[0.1]])), (0.3 + 1e-6, np.array([[0.4]]))]
+    f, g = (transfer.pole_form(pqsys.SqsFunctionData(np.zeros((1, 1)), a)) for a in (atoms, moved))
+    gap, j = transfer.markov_gap(f, g, 1e-8)
+    coeffs = _markov_reference(f, g, 4)
+    assert j == 2 and gap == pytest.approx(abs(coeffs[2][0, 0]), rel=1e-6)
+    assert gap == pytest.approx(1e-6 * 0.4 * (1 - 3 * 0.09), rel=1e-5)
+    assert gap > 10 * pqsys.DEFAULT_TOL.eq_tol
 
 
 # ---------------------------------------------------------------------------
