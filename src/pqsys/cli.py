@@ -97,10 +97,6 @@ class Reporter:
         finally:
             self.load_s += time.perf_counter() - start
 
-    def check(self, name: str, residual: float, bound: float):
-        """A check of the command's own, recorded and never raised."""
-        errors.check(name, residual, bound)
-
     def info(self, name: str, value):
         self.report.setdefault("info", {})[name] = value
         print(f"{name}: {value}")
@@ -185,9 +181,9 @@ def cmd_eval(args) -> int:
     if not args.out:
         print(json.dumps(doc))
     if args.which == "theta" and flags.passive:
-        rep.check("schur_bound", worst, tol.grid_tol)
+        errors.check("schur_bound", worst, tol.grid_tol)
     if args.which == "char":
-        rep.check("circle_unitarity", worst, tol.grid_tol)
+        errors.check("circle_unitarity", worst, tol.grid_tol)
     return rep.finish(lambda: doc)
 
 
@@ -211,7 +207,7 @@ def cmd_jacobi(args) -> int:
     rep.info("length", jr.length)
     rep.info("truncated", jr.truncated)
     # the passivity rule of `classify`: ||T|| <= 1 + rank_tol
-    rep.check("contraction", max(operator_norm(jr.matrix()) - 1.0, 0.0), rep.tol.rank_tol)
+    errors.check("contraction", max(operator_norm(jr.matrix()) - 1.0, 0.0), rep.tol.rank_tol)
     return rep.finish(lambda: _json.jacobi_to_json(jr))
 
 

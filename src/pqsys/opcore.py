@@ -116,6 +116,21 @@ def _norm_verdict(r_fro: float, r_rank: int, residual, bound: float, scale, floo
     return operator_norm(residual()) <= bound
 
 
+def gap(R, bound: float):
+    """The residual a check ||R||_2 <= bound records: ||R||_F where the
+    Frobenius bracket of `norm_at_most` settles the check (`_fro_settles`),
+    else the exact ||R||_2.  So the check passes exactly where the 2-norm
+    does, a passing residual is an upper bound of ||R||_2 within bound, and a
+    failing one is ||R||_2 itself.  A stack of shape (..., n, m) gives one
+    value per matrix, as an array; a matrix gives a float."""
+    R = np.asarray(R)
+    stack = R if R.ndim > 2 else as_matrix(R)[None]
+    gaps = np.linalg.norm(stack, axis=(-2, -1))
+    for k in zip(*np.nonzero(~_fro_settles(gaps, 1, bound)[0])):
+        gaps[k] = operator_norm(stack[k])
+    return gaps if R.ndim > 2 else float(gaps[0])
+
+
 def herm_part(M) -> np.ndarray:
     M = as_matrix(M)
     return (M + M.conj().T) / 2.0

@@ -174,10 +174,10 @@ def parametrize(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> C
     # E* B as (B* E)*, which needs no conjugated copy of the basis
     M = (B.conj().T @ dd.E_As).conj().T / dd.d_As[:, None]
     K = (C @ dd.E_A) / dd.d_A
-    resid_b = operator_norm(dd.DAs @ (dd.E_As @ M) - B)
+    resid_b = opcore.gap(dd.DAs @ (dd.E_As @ M) - B, tol.eq_tol)
     check("carried_B", resid_b, tol.eq_tol, PqsysError,
           f"B is not carried by the defect of A*: residual {resid_b:.3e}")
-    resid_c = operator_norm((K @ dd.E_A.conj().T) @ dd.DA - C)
+    resid_c = opcore.gap((K @ dd.E_A.conj().T) @ dd.DA - C, tol.eq_tol)
     check("carried_C", resid_c, tol.eq_tol, PqsysError,
           f"C is not carried by the defect of A: residual {resid_c:.3e}")
     _check_recovered("M", M, tol)
@@ -187,7 +187,7 @@ def parametrize(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> C
         # K_amb A* M_amb as (A K_amb*)* M_amb: no conjugated copy of A
         core = D + (A @ (dd.E_A @ K.conj().T)).conj().T @ (dd.E_As @ M)
         X = (dks.E_A.conj().T @ core @ dm.E_A) / np.outer(dks.d_A, dm.d_A)
-        resid_d = operator_norm(dks.DA @ (dks.E_A @ X @ dm.E_A.conj().T) @ dm.DA - core)
+        resid_d = opcore.gap(dks.DA @ (dks.E_A @ X @ dm.E_A.conj().T) @ dm.DA - core, tol.eq_tol)
         check("carried_D", resid_d, tol.eq_tol, PqsysError,
               f"D block not reproduced by extracted X: residual {resid_d:.3e}")
         _check_recovered("X", X, tol)
@@ -197,8 +197,8 @@ def parametrize(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> C
 
 
 def _check_recovered(name: str, val: np.ndarray, tol: Tolerances):
-    """A recovered parameter must be a contraction to psd_tol."""
-    nrm = operator_norm(val)
+    """A recovered parameter must be a contraction to psd_tol (its norm by `opcore.gap`)."""
+    nrm = opcore.gap(val, 1.0 + tol.psd_tol)
     check(f"contraction_{name}", max(nrm - 1.0, 0.0), tol.psd_tol, NotAContraction,
           f"recovered parameter {name} has norm {nrm:.12f}; "
           "T is too close to the contraction boundary to resolve")
@@ -237,8 +237,8 @@ def isometry_conditions(p: ContractionParams, tol: Tolerances = DEFAULT_TOL) -> 
     dd = p.defects
     dx_dm = p.DX @ p.E_DM.conj().T @ p.DM
     dk_da = p.DK @ dd.E_A.conj().T @ dd.DA
-    iso = operator_norm(dx_dm) <= tol.eq_tol and operator_norm(dk_da) <= tol.eq_tol
+    iso = opcore.norm_at_most(dx_dm, tol.eq_tol) and opcore.norm_at_most(dk_da, tol.eq_tol)
     dxs_dks = p.DXs @ p.E_DKs.conj().T @ p.DKs
     dms_das = p.DMs @ dd.E_As.conj().T @ dd.DAs
-    coiso = operator_norm(dxs_dks) <= tol.eq_tol and operator_norm(dms_das) <= tol.eq_tol
+    coiso = opcore.norm_at_most(dxs_dks, tol.eq_tol) and opcore.norm_at_most(dms_das, tol.eq_tol)
     return iso, coiso

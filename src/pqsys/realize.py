@@ -81,7 +81,8 @@ def realize_from_data(f: SqsFunctionData, tol: Tolerances = DEFAULT_TOL) -> Part
     excess = 0.0 if sysmodel.block_norm_at_most(tau, 1.0, tol) else max(tau.norm() - 1.0, 0.0)
     check("contraction", excess, tol.rank_tol, PqsysError,
           "assembled realization is not a contraction")
-    tau = sysmodel.minimal_pqs_reduction(tau, tol)
+    # the reduction's own agreement check is left out: the one below decides
+    tau = sysmodel._pqs_compression(tau, tol)
     bound = 10 * tol.eq_tol * max(1.0, operator_norm(f.theta0))
     gap, _ = transfer.markov_gap(transfer.pole_form(tau, tol), transfer.pole_form(f, tol), bound)
     check("grid_agreement", gap, bound, PqsysError, f"realized transfer deviates from the data by {gap:.3e}")
@@ -170,16 +171,15 @@ def inner_canonical_form(tau: PartitionedContraction, tol: Tolerances = DEFAULT_
     # one full SVD of W: ||I - W*W||, and ker W* as the left singular vectors
     # past the rank that the rank_tol cutoff counts
     U, sv, _ = np.linalg.svd(W)
-    check("channel_isometry", opcore.gram_defect(sv, s), 10 * tol.eq_tol, NotInner,
-          "channel operator is not isometric")
+    bound = 10 * tol.eq_tol
+    check("channel_isometry", opcore.gram_defect(sv, s), bound, NotInner, "channel operator is not isometric")
     W_perp = U[:, np.count_nonzero(sv > tol.rank_tol * sv.max(initial=0.0)):]
     X = W_perp.conj().T @ tau.D @ W_perp
-    check("constant_unitarity", opcore.isometry_defect(X), 10 * tol.eq_tol, NotInner,
+    check("constant_unitarity", opcore.gap(X.conj().T @ X - np.eye(X.shape[1]), bound), bound, NotInner,
           "constant block is not unitary")
     # Theta(0) rebuilt in the basis [W, W_perp] as diag(-t) (+) X
-    bound = 10 * tol.eq_tol
     resid = tau.D - W_perp @ X @ W_perp.conj().T + (W * dd.t) @ W.conj().T
-    gap = float(transfer._coefficient_gaps(resid[None], bound)[0])
+    gap = opcore.gap(resid, bound)
     check("canonical_reconstruction", gap, bound, PqsysError, f"canonical reconstruction off by {gap:.3e}")
     return CanonicalInner(tuple(float(a) for a in dd.t), X, np.hstack([W, W_perp]))
 
@@ -448,6 +448,9 @@ def chebyshev_example(d: complex, n_nodes: int, tol: Tolerances = DEFAULT_TOL):
 # ---------------------------------------------------------------------------
 
 class SimilarityResult(NamedTuple):
+    """U and the four intertwining residuals, each `opcore.gap`: an upper
+    bound of the 2-norm within its bound when the check passes."""
+
     U: np.ndarray
     residuals: dict
 
@@ -501,6 +504,7 @@ def unitary_similarity(tau1: PartitionedContraction, tau2: PartitionedContractio
 
     s1, s2 = tau1.state_dim, tau2.state_dim
     scale = max(scales)
+    bound = tol.eq_tol * scale
     count = max(s1 + s2, 1)
     sd1, sd2 = (sysmodel.spectral_data(tau, tol) for tau in (tau1, tau2))
     spectral = sd1 is not None and sd2 is not None
@@ -512,16 +516,16 @@ def unitary_similarity(tau1: PartitionedContraction, tau2: PartitionedContractio
         # one block sequence B, AB, A^2 B, ... per system serves both checks
         K1, K2 = (_krylov_blocks(tau, count) for tau in (tau1, tau2))
         markov = tau1.C @ K1 - tau2.C @ K2
-    gaps = _block_norms(np.concatenate([(tau1.D - tau2.D)[None], markov]))
+    gaps = opcore.gap(np.concatenate([(tau1.D - tau2.D)[None], markov]), bound)
     j = int(np.argmax(gaps))
-    check("transfer_agreement", float(gaps[j]), tol.eq_tol * scale, TransferMismatch,
+    check("transfer_agreement", float(gaps[j]), bound, TransferMismatch,
           f"transfer functions differ by {gaps[j]:.3e} in the coefficient of lambda^{j}")
     if s1 != s2:
         raise TransferMismatch("minimal realizations have different state dimensions")
 
     p = s1
-    moments = _hankel_gaps(H1, H2) if spectral else _gram_gaps(K1[:p + 1], K2[:p + 1])
-    _check_moments(moments, tol.eq_tol * scale)
+    moments = _hankel_gaps(H1, H2, bound) if spectral else _gram_gaps(K1[:p + 1], K2[:p + 1], bound)
+    _check_moments(moments, bound)
     if spectral:
         U = _spectral_intertwiner(sd1, sd2)
     else:
@@ -531,16 +535,16 @@ def unitary_similarity(tau1: PartitionedContraction, tau2: PartitionedContractio
         Q1, Q2 = (sysmodel.controllable_subspace(tau, tol).basis for tau in (tau1, tau2))
         u, _, vh = np.linalg.svd(Q2 @ Q1.conj().T)
         U = u @ vh
+    bound = 10 * tol.eq_tol * scale  # the four intertwining residuals
     residuals = {
         # U is square: ||U*U - I|| = ||UU* - I||
-        "unitarity": opcore.isometry_defect(U),
-        "main": operator_norm(U @ tau1.A - tau2.A @ U),
-        "input": operator_norm(U @ tau1.B - tau2.B),
-        "output": operator_norm(tau1.C - tau2.C @ U),
+        "unitarity": opcore.gap(U.conj().T @ U - np.eye(U.shape[1]), bound),
+        "main": opcore.gap(U @ tau1.A - tau2.A @ U, bound),
+        "input": opcore.gap(U @ tau1.B - tau2.B, bound),
+        "output": opcore.gap(tau1.C - tau2.C @ U, bound),
     }
     for name, value in residuals.items():
-        check(name, value, 10 * tol.eq_tol * scale, PqsysError,
-              f"intertwining residual {value:.3e} exceeds tolerance")
+        check(name, value, bound, PqsysError, f"intertwining residual {value:.3e} exceeds tolerance")
     return SimilarityResult(U, residuals)
 
 
@@ -581,27 +585,22 @@ def _krylov_blocks(tau: PartitionedContraction, count: int) -> np.ndarray:
     return K
 
 
-def _block_norms(blocks: np.ndarray) -> np.ndarray:
-    """The spectral norms of a stack of blocks along its last two axes (0 for empty blocks)."""
-    return np.linalg.norm(blocks, ord=2, axis=(-2, -1)) if blocks.size else np.zeros(blocks.shape[:-2])
-
-
-def _hankel_gaps(H1: np.ndarray, H2: np.ndarray) -> np.ndarray:
-    """The (p+1) x (p+1) table of moment gaps for selfadjoint main operators,
-    from the Hankel moments H_k = B* A^k B, k = 0..2p, of the two systems:
-    the moment B* A*^n A^m B is H_{n+m}."""
+def _hankel_gaps(H1: np.ndarray, H2: np.ndarray, bound: float) -> np.ndarray:
+    """The (p+1) x (p+1) table of moment gaps (`opcore.gap` against bound) for
+    selfadjoint main operators, from the Hankel moments H_k = B* A^k B,
+    k = 0..2p, of the two systems: the moment B* A*^n A^m B is H_{n+m}."""
     k = np.arange((len(H1) + 1) // 2)
-    return _block_norms(H1 - H2)[np.add.outer(k, k)]
+    return opcore.gap(H1 - H2, bound)[np.add.outer(k, k)]
 
 
-def _gram_gaps(K1: np.ndarray, K2: np.ndarray) -> np.ndarray:
-    """The (p+1) x (p+1) table of moment gaps from the stacked blocks A^k B,
-    k = 0..p, of the two systems: the moment B* A*^n A^m B is block (n, m)
-    of the Gram matrix K*K of K = [B, AB, ..., A^p B]."""
+def _gram_gaps(K1: np.ndarray, K2: np.ndarray, bound: float) -> np.ndarray:
+    """The (p+1) x (p+1) table of moment gaps (`opcore.gap` against bound)
+    from the stacked blocks A^k B, k = 0..p, of the two systems: the moment
+    B* A*^n A^m B is block (n, m) of the Gram matrix K*K of K = [B, AB, ..., A^p B]."""
     q, s, m = K1.shape
     K1, K2 = (K.transpose(1, 0, 2).reshape(s, q * m) for K in (K1, K2))  # [B, AB, ..., A^p B]
     gram = K1.conj().T @ K1 - K2.conj().T @ K2
-    return _block_norms(gram.reshape(q, m, q, m).transpose(0, 2, 1, 3))
+    return opcore.gap(gram.reshape(q, m, q, m).transpose(0, 2, 1, 3), bound)
 
 
 def _check_moments(norms: np.ndarray, bound: float):

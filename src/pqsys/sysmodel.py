@@ -514,30 +514,28 @@ def minimal_pqs_reduction(tau: PartitionedContraction, tol: Tolerances = DEFAULT
     """Compress a pqs system to span{A^n K* N}; the result is a minimal pqs
     system with the same transfer function.  A system whose Krylov record
     shows it controllable is returned as it is, with no basis built."""
+    out = _pqs_compression(tau, tol)
+    if out is not tau:
+        # compression onto an invariant subspace containing ran B must not move
+        # the transfer function; a failure here means the subspace was wrong.
+        # Both systems are passive, so ||Theta|| <= 1 and the bound is absolute.
+        from .transfer import markov_gap, pole_form  # deferred: transfer builds on this module's types
+        gap, j = markov_gap(pole_form(tau, tol), pole_form(out, tol), tol.eq_tol)
+        check("reduction_agreement", gap, tol.eq_tol, PqsysError,
+              f"transfer changed under state reduction in the coefficient of lambda^{j}: {gap:.3e}")
+    return out
+
+
+def _pqs_compression(tau: PartitionedContraction, tol: Tolerances) -> PartitionedContraction:
+    """`minimal_pqs_reduction` without its agreement check."""
     if not classify(tau, tol).pqs:
         raise NotPqs("system is not passive quasi-selfadjoint")
     if krylov_record(tau, tol).controllable == tau.state_dim:
         return tau
     V = controllable_subspace(tau, tol).basis
-    A_s = V.conj().T @ tau.A @ V
-    B_s = V.conj().T @ tau.B
-    C_s = tau.C @ V
-    n, m = tau.out_dim, tau.in_dim
-    s = V.shape[1]
-    T = np.zeros((n + s, m + s), dtype=complex)
-    T[:n, :m] = tau.D
-    T[:n, m:] = C_s
-    T[n:, :m] = B_s
-    T[n:, m:] = A_s
-    out = PartitionedContraction(T, m, n, s)
-    # compression onto an invariant subspace containing ran B must not move
-    # the transfer function; a failure here means the subspace was wrong.
-    # Both systems are passive, so ||Theta|| <= 1 and the bound is absolute.
-    from .transfer import markov_gap, pole_form  # deferred: transfer builds on this module's types
-    gap, j = markov_gap(pole_form(tau, tol), pole_form(out, tol), tol.eq_tol)
-    check("reduction_agreement", gap, tol.eq_tol, PqsysError,
-          f"transfer changed under state reduction in the coefficient of lambda^{j}: {gap:.3e}")
-    return out
+    Vh = V.conj().T
+    T = np.block([[tau.D, tau.C @ V], [Vh @ tau.B, Vh @ tau.A @ V]])
+    return PartitionedContraction(T, tau.in_dim, tau.out_dim, V.shape[1])
 
 
 @dataclass(frozen=True)

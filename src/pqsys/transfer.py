@@ -188,10 +188,9 @@ def markov_gap(f, g, bound: float, count: int | None = None) -> tuple[float, int
     count defaults to the number of poles of the difference, len(t) when the
     forms carry the same t bit for bit and len(t_f) + len(t_g) otherwise: a
     Vandermonde system makes the difference vanish iff these coefficients do
-    (Antoulas 2005, ch. 4).  A gap is the Frobenius norm where that settles
-    the 2-norm against bound (`_coefficient_gaps`), else the 2-norm, so the
-    check passes exactly where the largest 2-norm does, and a failing gap and
-    index are exact.  On a shared t with max|t| <= 1, max(||dD||_F,
+    (Antoulas 2005, ch. 4).  A coefficient's gap is `opcore.gap`, so the check
+    passes exactly where the largest 2-norm does, and a failing gap and index
+    are exact.  On a shared t with max|t| <= 1, max(||dD||_F,
     sum_k ||dR_k||_F) bounds every coefficient and is the gap, at index 0,
     when it settles the check; otherwise the coefficients come in blocks of
     256 powers, which keep the power table small."""
@@ -207,18 +206,9 @@ def markov_gap(f, g, bound: float, count: int | None = None) -> tuple[float, int
         t, dR = np.concatenate([tf, tg]), np.concatenate([Rf, -Rg])
     terms = np.ascontiguousarray(dR, dtype=complex).reshape(t.size, dD.size)
     blocks = _power_sums(t, terms, t.size if count is None else count, 256)
-    gaps = np.concatenate([_coefficient_gaps(c.reshape(-1, *dD.shape), bound) for c in (dD, *blocks)])
+    gaps = np.concatenate([opcore.gap(c.reshape(len(c), *dD.shape), bound) for c in (dD[None], *blocks)])
     j = int(np.argmax(gaps))
     return float(gaps[j]), j
-
-
-def _coefficient_gaps(diffs: np.ndarray, bound: float) -> np.ndarray:
-    """The gap of each matrix of a stack, for a check `gap <= bound`: its
-    Frobenius norm when that settles its 2-norm, else its exact 2-norm."""
-    gaps = np.linalg.norm(diffs, axis=(1, 2))
-    for k in np.flatnonzero(~opcore._fro_settles(gaps, 1, bound)[0]):
-        gaps[k] = operator_norm(diffs[k])
-    return gaps
 
 
 def _power_sums(t: np.ndarray, terms: np.ndarray, count: int, block: int):
@@ -379,7 +369,7 @@ def _require_pqs_params(p: ContractionParams, tol: Tolerances):
     A = p.A
     if A.shape[0] != A.shape[1] or not opcore.is_selfadjoint(A, tol):
         raise NotPqs("main operator is not selfadjoint")
-    if p.M.shape != p.K.conj().T.shape or operator_norm(p.M - p.K.conj().T) > tol.eq_tol:
+    if p.M.shape != p.K.conj().T.shape or not norm_at_most(p.M - p.K.conj().T, tol.eq_tol):
         raise NotPqs("parameters do not satisfy M = K*")
 
 
@@ -402,7 +392,7 @@ def boundary_values(p: ContractionParams, tol: Tolerances = DEFAULT_TOL) -> tupl
                                    ("boundary_minus_one", -1.0, theta_m1)):
             t1 = theta_factored(p, sign * (1 - eps), tol)
             t2 = theta_factored(p, sign * (1 - 2 * eps), tol)
-            gap = operator_norm(2 * t1 - t2 - target)
+            gap = opcore.gap(2 * t1 - t2 - target, 1e-4)
             check(name, gap, 1e-4, PqsysError, f"boundary value at {sign:+.0f} off by {gap:.3e}")
     return theta1, theta_m1
 
@@ -457,11 +447,11 @@ def inner_pm1_conditions(theta1, theta_m1, tol: Tolerances = DEFAULT_TOL) -> tup
         raise DimensionMismatch("boundary values must be square matrices of equal size")
     n = t1.shape[0]
     P = (t1 - tm1) / 2.0
-    proj_ok = operator_norm(P @ P - P) <= tol.eq_tol
+    proj_ok = norm_at_most(P @ P - P, tol.eq_tol)
     S = t1 + tm1
     rhs = 4.0 * np.eye(n) - 2.0 * (t1 - tm1)
-    inner_nec = proj_ok and operator_norm(S.conj().T @ S - rhs) <= tol.eq_tol
-    coinner_nec = proj_ok and operator_norm(S @ S.conj().T - rhs) <= tol.eq_tol
+    inner_nec = proj_ok and norm_at_most(S.conj().T @ S - rhs, tol.eq_tol)
+    coinner_nec = proj_ok and norm_at_most(S @ S.conj().T - rhs, tol.eq_tol)
     return inner_nec, coinner_nec
 
 
@@ -502,7 +492,7 @@ class SqsFunctionData:
         except (InvalidMeasure, ValueError, TypeError) as exc:
             fault = exc
         t = np.array([loc for loc, _ in cleaned], dtype=float)
-        W = np.array([sigma for _, sigma in cleaned], dtype=complex).reshape(-1, n, n)
+        W = np.array([sigma for _, sigma in cleaned], dtype=complex).reshape(len(cleaned), n, n)
         # one stacked Hermitian test and one batched eigvalsh for all weights
         hermitian = opcore._selfadjoint_each(W)
         psd = np.ones(len(W), dtype=bool)

@@ -199,6 +199,18 @@ def test_realize_then_classify_roundtrip(tmp_path, rng):
     assert doc["info"]["minimal"] is True
 
 
+def test_realize_of_zero_channel_data_exits_0(tmp_path):
+    measure = tmp_path / "m.json"
+    measure.write_text(json.dumps({"theta0": {"rows": 0, "cols": 0, "data": []}, "atoms": []}))
+    report = tmp_path / "rep.json"
+    assert main(["realize", str(measure), "--out", str(tmp_path / "sys.json"), "--report", str(report)]) == 0
+    rep = read_json(report)
+    assert rep["info"]["state_dim"] == 0
+    assert [c["name"] for c in rep["checks"]] == ["membership_mass", "membership_ball", "membership_range",
+                                                   "contraction", "grid_agreement"]
+    assert all(c["pass"] for c in rep["checks"])
+
+
 def test_realize_rejects_non_member(tmp_path):
     data, _ = pqsys.chebyshev_example(0.5, 40)
     bumped = pqsys.SqsFunctionData(np.array([[0.51 + 0j]]), data.atoms)

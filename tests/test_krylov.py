@@ -178,7 +178,7 @@ def _first_moment_mismatch_by_powers(tau1, tau2, p, bound):
 
 def _gram_moment_mismatch(tau1, tau2, p, bound):
     try:
-        gaps = realize._gram_gaps(realize._krylov_blocks(tau1, p + 1), realize._krylov_blocks(tau2, p + 1))
+        gaps = realize._gram_gaps(realize._krylov_blocks(tau1, p + 1), realize._krylov_blocks(tau2, p + 1), bound)
         realize._check_moments(gaps, bound)
     except MomentMismatch as exc:
         return exc.n, exc.m

@@ -485,3 +485,60 @@ def test_no_unitary_is_a_strict_contraction():
     rng = np.random.default_rng(32)
     for n in (1, 2, 3, 5, 8) * 20:
         assert not _strict(rand_unitary(rng, n))
+
+
+# ---------------------------------------------------------------------------
+# the recorded-residual rule
+# ---------------------------------------------------------------------------
+
+def _unit_norm(rng, kind, n=4):
+    """An n x n matrix of 2-norm 1: rank one (Frobenius norm 1), unitary
+    (Frobenius norm 2), or of singular values 1, 0.5, 0.5, 0.5 (Frobenius norm 1.32)."""
+    if kind == "rank1":
+        u, v = rand_complex(rng, n, 1), rand_complex(rng, n, 1)
+        return (u / np.linalg.norm(u)) @ (v / np.linalg.norm(v)).conj().T
+    sv = np.ones(n) if kind == "unitary" else np.array([1.0] + [0.5] * (n - 1))
+    return rand_unitary(rng, n) @ np.diag(sv) @ rand_unitary(rng, n)
+
+
+@pytest.mark.parametrize("kind", ["rank1", "unitary", "mixed"])
+@pytest.mark.parametrize("ratio", [0.2, 0.45, 0.7, 1 - 1e-14, 1.0, 1 + 1e-14, 1 + 1e-6, 3.0])
+def test_gap_decides_as_the_exact_2_norm(kind, ratio, monkeypatch):
+    # ratio is ||R||_2 / bound; 1 -+ 1e-14 lies inside the Frobenius slack
+    rng = np.random.default_rng(12)
+    bound = 1e-8
+    R = bound * ratio * _unit_norm(rng, kind)
+    exact = float(np.linalg.norm(R, 2))
+    settled = np.linalg.norm(R) * (1 + opcore._FRO_SLACK) <= bound
+    svds = linalg_calls(monkeypatch, "svd", internal=True)
+    gap = opcore.gap(R, bound)
+    assert isinstance(gap, float)
+    assert len(svds) == (0 if settled else 1)
+    assert (gap <= bound) == (exact <= bound)
+    # a passing gap bounds the 2-norm, up to the rounding of the two norms
+    assert gap >= exact * (1 - 1e-14)
+    if settled:
+        assert gap == pytest.approx(np.linalg.norm(R), rel=1e-14)
+    if exact > bound:
+        assert gap == exact
+
+
+def test_gap_of_a_stack_is_one_value_per_matrix():
+    rng = np.random.default_rng(13)
+    bound = 1e-8
+    # Frobenius-settled, passing by the 2-norm, failing, then two settled
+    stack = np.stack([bound * r * _unit_norm(rng, kind)
+                      for r, kind in zip((0.2, 0.9, 2.0, 0.99, 0.3), ("unitary",) * 2 + ("mixed", "rank1", "mixed"))])
+    gaps = opcore.gap(stack, bound)
+    assert gaps.shape == (5,)
+    assert [float(g) for g in gaps] == [opcore.gap(R, bound) for R in stack]
+    assert list(gaps <= bound) == [True, True, False, True, True]
+    table = opcore.gap(stack[:4].reshape(2, 2, 4, 4), bound)
+    assert table.shape == (2, 2) and np.array_equal(table.ravel(), gaps[:4])
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_gap_of_an_empty_matrix_is_zero(shape):
+    assert opcore.gap(np.zeros(shape, dtype=complex), 1e-9) == 0.0
+    assert np.array_equal(opcore.gap(np.zeros((2, *shape), dtype=complex), 1e-9), [0.0, 0.0])
+    assert opcore.gap(np.zeros((0, *shape), dtype=complex), 1e-9).shape == (0,)

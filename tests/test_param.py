@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 import pqsys
-from pqsys import param
-from pqsys.errors import DimensionMismatch, NotAContraction
+from pqsys import errors, param, sysmodel
+from pqsys.errors import DimensionMismatch, NotAContraction, PqsysError
 
 from helpers import (
+    linalg_calls,
     rand_complex,
     rand_contraction,
     rand_hermitian_contraction,
@@ -194,3 +195,40 @@ def test_complete_takes_the_small_bases_from_the_defect_svds(monkeypatch, m):
             assert np.linalg.norm(E @ (E.conj().T @ D) - D) < 1e-12
             assert E.shape[1] == opcore.range_basis(D).dim
     assert np.linalg.norm(pqsys.assemble(q).T - tau.T) < 1e-10
+
+
+def test_parametrize_takes_no_svd_for_its_passing_checks(monkeypatch):
+    # one channel: M, K and X are vectors, whose Frobenius norms are their
+    # 2-norms, so each check settles by `opcore.gap` with no SVD; the three
+    # SVDs left are the defect SVDs of M, K* and X
+    rng = np.random.default_rng(45)
+    s = 20
+    tau = make_system(rand_pqs_T(rng, 1, s), 1, 1, s)
+    tau.norm()
+    sysmodel.spectral_data(tau)
+    svds = linalg_calls(monkeypatch, "svd", internal=True)
+    with errors.ledger() as entries:
+        pqsys.parametrize(tau)
+    assert svds == [(s, 1), (s, 1), (1, 1)]
+    assert [e["name"] for e in entries] == ["carried_B", "carried_C", "contraction_M", "contraction_K",
+                                            "carried_D", "contraction_X"]
+    assert all(e["pass"] for e in entries)
+
+
+def test_a_failing_carried_check_records_the_exact_2_norm(monkeypatch):
+    # two columns cut from the defect basis of A*: M misses the part of B
+    # along them, and B - D_{A*} E M = E2 E2* B is of rank two
+    rng = np.random.default_rng(46)
+    n, s = 3, 8
+    tau = make_system(rand_pqs_T(rng, n, s), n, n, s)
+    dd = sysmodel.main_defect_data(tau)
+    cut = dd._replace(E_As=dd.E_As[:, 2:], d_As=dd.d_As[2:])
+    monkeypatch.setattr(param, "main_defect_data", lambda *a: cut)
+    with errors.ledger() as entries, pytest.raises(PqsysError, match="B is not carried"):
+        pqsys.parametrize(tau)
+    E2 = dd.E_As[:, :2]
+    R = E2 @ (E2.conj().T @ tau.B)
+    (entry,) = [e for e in entries if e["name"] == "carried_B"]
+    assert not entry["pass"]
+    assert entry["residual"] == pytest.approx(np.linalg.norm(R, 2), rel=1e-10)
+    assert np.linalg.norm(R) > 1.05 * np.linalg.norm(R, 2)

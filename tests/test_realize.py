@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pqsys
-from pqsys import errors, realize, transfer
+from pqsys import errors, realize, sysmodel, transfer
 from pqsys.errors import (
     InvalidD,
     NotInner,
@@ -110,6 +110,27 @@ def test_spectral_measure_skips_unit_eigenvalues():
     g = pqsys.spectral_measure(padded)
     assert len(g.atoms) == 1
     assert abs(g.atoms[0][0] - 0.3) < 1e-12
+
+
+def test_a_reduced_realization_records_one_agreement_check():
+    # atoms at 0.3 and 0.3 + 5e-9 on one channel: the reduction drops a
+    # state, and the data alone decide the realization (grid_agreement)
+    f = pqsys.SqsFunctionData(np.zeros((1, 1)), ((-0.5, np.array([[0.1]])), (0.3, np.array([[0.2]])),
+                                                  (0.3 + 5e-9, np.array([[0.2]]))))
+    with errors.ledger() as entries:
+        assert pqsys.realize_from_data(f).state_dim == 2
+    names = [e["name"] for e in entries]
+    assert "grid_agreement" in names and "reduction_agreement" not in names
+    assert all(e["pass"] for e in entries)
+
+
+def test_zero_channel_data_and_systems_are_read():
+    f = pqsys.SqsFunctionData(np.zeros((0, 0)), ())
+    assert f.weights.shape == (0, 0, 0)
+    tau = pqsys.realize_from_data(f)
+    assert (tau.state_dim, tau.out_dim) == (0, 0)
+    g = pqsys.spectral_measure(pqsys.PartitionedContraction(np.diag([0.5, 0.2]), 0, 0, 2))
+    assert g.atoms == () and g.dim == 0
 
 
 # ---------------------------------------------------------------------------
@@ -508,12 +529,15 @@ def test_constructions_sample_no_theta(monkeypatch):
     # atoms at 0.3 and 0.3 + 5e-9 on one channel: the reduction drops a state
     close = pqsys.SqsFunctionData(np.zeros((1, 1)), ((-0.5, np.array([[0.1]])), (0.3, np.array([[0.2]])),
                                                       (0.3 + 5e-9, np.array([[0.2]]))))
+    t = np.array([-0.5, 0.3, 0.3 + 5e-9])
+    unreduced = sysmodel._diagonal_pqs(np.zeros((1, 1)), np.sqrt((1 - t * t) * [0.1, 0.2, 0.2])[:, None], t)
     data, _ = pqsys.chebyshev_example(0.1, 12)
     f = member_data(rng)
     monkeypatch.setattr(transfer, "theta_eval", refuse)
     monkeypatch.setattr(transfer, "theta_from_data", refuse)
     with errors.ledger() as entries:
         assert pqsys.realize_from_data(close).state_dim == 2
+        assert pqsys.minimal_pqs_reduction(unreduced).state_dim == 2
         tau = pqsys.realize_from_data(f)
         pqsys.spectral_measure(tau)
         big = pqsys.biinner_dilation(tau).system

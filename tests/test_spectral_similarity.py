@@ -14,7 +14,7 @@ from pqsys.cli import main
 from pqsys.errors import MomentMismatch, TransferMismatch
 
 import oracles
-from helpers import pqs_from_spectrum, rand_complex, rand_contraction, rand_unitary
+from helpers import linalg_calls, pqs_from_spectrum, rand_complex, rand_contraction, rand_unitary
 from test_krylov import _first_moment_mismatch_by_powers
 
 
@@ -246,7 +246,7 @@ def test_hankel_moment_mismatch_reports_the_pair_of_the_power_loop():
 def _hankel_mismatch(tau1, tau2, p, bound):
     H1, H2 = (realize._spectral_moments(sysmodel.spectral_data(tau), 2 * p + 1)[1] for tau in (tau1, tau2))
     try:
-        realize._check_moments(realize._hankel_gaps(H1, H2), bound)
+        realize._check_moments(realize._hankel_gaps(H1, H2, bound), bound)
     except MomentMismatch as exc:
         return exc.n, exc.m
     return None
@@ -280,7 +280,7 @@ def test_hankel_index_of_the_first_failing_pair(first):
     H2[first + 1:first + 2, 0, 0] = 0.0  # a passing k past the first failing one
     ref = next((nn, mm) for nn in range(p + 1) for mm in range(p + 1) if H2[nn + mm, 0, 0] > 0.5)
     with pytest.raises(MomentMismatch) as exc:
-        realize._check_moments(realize._hankel_gaps(H1, H2), 0.5)
+        realize._check_moments(realize._hankel_gaps(H1, H2, 0.5), 0.5)
     assert (exc.value.n, exc.value.m) == ref
 
 
@@ -296,3 +296,49 @@ def test_similar_report_keeps_the_six_check_names(tmp_path):
     names = [c["name"] for c in json.loads(report.read_text())["checks"]]
     assert [x for x in names if x != "eigh_residual"] == [
         "transfer_agreement", "moments", "unitarity", "main", "input", "output"]
+
+
+# ---------------------------------------------------------------------------
+# recorded residuals
+# ---------------------------------------------------------------------------
+
+def test_a_spectral_pair_takes_only_the_procrustes_svds(monkeypatch):
+    # after the gates, which the first call caches on both systems, the
+    # passing checks are settled by Frobenius norms (`opcore.gap`): the one
+    # stacked SVD of the 1 x 1 Procrustes problems is the only SVD
+    rng = np.random.default_rng(418)
+    s, n = 50, 3
+    tau = system(pqs_from_spectrum(rng, np.linspace(-0.9, 0.9, s), n), n, s)
+    twin = rotated(tau, rand_unitary(rng, s))
+    first = pqsys.unitary_similarity(tau, twin)
+    svds = linalg_calls(monkeypatch, "svd", internal=True)
+    with errors.ledger() as entries:
+        res = pqsys.unitary_similarity(tau, twin)
+    assert svds == [(s, 1, 1)]
+    assert all(e["pass"] for e in entries) and len(entries) == 6
+    assert np.array_equal(res.U, first.U)
+    # a passing residual bounds the 2-norm
+    assert res.residuals["main"] >= np.linalg.norm(res.U @ tau.A - twin.A @ res.U, 2) * (1 - 1e-14)
+
+
+def test_a_failing_intertwining_residual_records_the_exact_2_norm(monkeypatch):
+    # U turned by a 1e-6 rotation in one plane stays unitary and fails "main"
+    rng = np.random.default_rng(419)
+    s, n = 12, 2
+    tau = system(pqs_from_spectrum(rng, np.linspace(-0.8, 0.8, s), n), n, s)
+    twin = rotated(tau, rand_unitary(rng, s))
+    G = np.eye(s, dtype=complex)
+    c, sn = np.cos(1e-6), np.sin(1e-6)
+    G[:2, :2] = [[c, -sn], [sn, c]]
+    intertwiner = realize._spectral_intertwiner
+    turned = []
+    monkeypatch.setattr(realize, "_spectral_intertwiner",
+                        lambda *a: turned.append(intertwiner(*a) @ G) or turned[-1])
+    with errors.ledger() as entries, pytest.raises(pqsys.PqsysError, match="intertwining residual"):
+        pqsys.unitary_similarity(tau, twin)
+    U = turned[0]
+    R = U @ tau.A - twin.A @ U
+    by_name = {e["name"]: e for e in entries}
+    assert by_name["unitarity"]["pass"] and not by_name["main"]["pass"]
+    assert by_name["main"]["residual"] == opcore.operator_norm(R)
+    assert np.linalg.norm(R) > 1.1 * opcore.operator_norm(R)
