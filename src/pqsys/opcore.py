@@ -62,10 +62,99 @@ def as_matrix(obj) -> np.ndarray:
 
 
 def operator_norm(M) -> float:
+    """||M||_2: exactly, by `_arrow_norm`, for a matrix with a diagonal
+    trailing block and a thin border, else from the singular values."""
     M = as_matrix(M)
     if 0 in M.shape:
         return 0.0
-    return float(np.linalg.norm(M, 2))
+    nrm = _arrow_norm(M)
+    return float(np.linalg.norm(M, 2)) if nrm is None else nrm
+
+
+# `_arrow_norm` looks at a matrix only with at least _ARROW_MIN rows and
+# columns, and takes its route only when the border is at most 1/_ARROW_BORDER
+# of the diagonal block: a thicker border would cost about as much as the SVD.
+_ARROW_MIN = 64
+_ARROW_BORDER = 8
+
+
+def _arrow_norm(M: np.ndarray) -> float | None:
+    """||M||_2 of a finite complex N1 x N2 matrix M = [[D, C], [B, diag(lam)]]
+    whose trailing s x s block is diagonal, with a border of p = N1 - s rows
+    and q = N2 - s columns, max(p, q) <= s / _ARROW_BORDER: one O(N1 N2)
+    scan finds the border, and each bisection step costs
+    O(s (p + q)^2 + (p + q)^3).  None for any other M, and without a look
+    past two entries when the ones beside the last diagonal entry are not
+    both zero.
+
+    ||M|| <= g exactly when [[gI, M], [M*, gI]] is PSD.  Pairing the two
+    copies of each state coordinate makes its state part block diagonal with
+    2 x 2 blocks [[g, lam_k], [conj lam_k, g]]; for g > max|lam| that part is
+    positive definite, and the matrix is PSD exactly when the (p+q) x (p+q)
+    Schur complement (`_arrow_psd`) is.  Its lowest eigenvalue rises with
+    slope at least 1 in g and has its root at ||M||, so bisection between
+    max|lam| and ||M||_F runs to adjacent floats, and the rounding of that
+    eigenvalue bounds the error of the norm.  The blocks and lam are first
+    divided by a power of two near max|M_ij| (exactly), so no entry of the
+    complement overflows."""
+    N1, N2 = M.shape
+    k = min(N1, N2)
+    if k < _ARROW_MIN or M[-1, -2] != 0 or M[-2, -1] != 0:
+        return None
+    s = k - _diagonal_tail_start(M[N1 - k:, N2 - k:])
+    p, q = N1 - s, N2 - s
+    if _ARROW_BORDER * max(p, q) > s:
+        return None
+    blocks = [M[:p, :q], M[:p, q:], M[p:, :q], np.diagonal(M[p:, q:])]
+    top = max(float(np.abs(X).max(initial=0.0)) for X in blocks)
+    if top == 0.0:
+        return 0.0
+    scale = math.ldexp(1.0, math.frexp(top)[1] - 1)
+    D, C, B, lam = (X / scale for X in blocks)
+    a = np.abs(lam)
+    top_lam = lo = float(a.max())
+    if p + q == 0:
+        return lo * scale
+    hi = math.sqrt(sum(float(np.linalg.norm(X)) ** 2 for X in (D, C, B, lam)))
+    while True:
+        mid = lo + (hi - lo) / 2
+        if not lo < mid < hi:
+            break
+        if _arrow_psd(D, C, B, lam, a, mid):
+            hi = mid
+        else:
+            lo = mid
+    # PSD at every step: ||M|| lies within one float of max|lam|, which it
+    # equals when the largest |lam| has no coupling to the border
+    return (hi if lo > top_lam else lo) * scale
+
+
+def _diagonal_tail_start(Z: np.ndarray) -> int:
+    """The least b for which the trailing block Z[b:, b:] of a square Z is
+    diagonal: the block is diagonal once no row from b on has an off-diagonal
+    entry in a column from b on."""
+    nz = Z != 0
+    np.fill_diagonal(nz, False)
+    k = nz.shape[0]
+    last = np.where(nz.any(axis=1), k - 1 - nz[:, ::-1].argmax(axis=1), -1)
+    clean = np.maximum.accumulate(last[::-1])[::-1] < np.arange(k)
+    return int(clean.argmax()) if clean.any() else k
+
+
+def _arrow_psd(D, C, B, lam, a, g: float) -> bool:
+    """Whether [[gI, M], [M*, gI]] is PSD for M = [[D, C], [B, diag(lam)]] and
+    g > max|lam| = max a: whether its Schur complement on the border,
+    [[gI - C diag(g/δ) C*, D + C diag(conj(lam)/δ) B], [(.)*, gI - B* diag(g/δ) B]]
+    with δ = (g - a)(g + a), is PSD."""
+    delta = (g - a) * (g + a)  # g - a is exact near the boundary
+    p, q = D.shape
+    S = np.empty((p + q, p + q), dtype=complex)
+    S[:p, :p] = -(C * (g / delta)) @ C.conj().T
+    S[:p, p:] = D + (C * (lam.conj() / delta)) @ B
+    S[p:, :p] = S[:p, p:].conj().T
+    S[p:, p:] = -(B.conj().T * (g / delta)) @ B
+    S[np.diag_indices(p + q)] += g
+    return bool(np.linalg.eigvalsh(S)[0] >= 0.0)
 
 
 # Relative slack on the Frobenius brackets of `norm_at_most`: a comparison
@@ -389,10 +478,9 @@ def _hermitian_eigh(A, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, float] 
     A = as_matrix(A)
     if A.shape[0] != A.shape[1] or A.shape[0] == 0:
         return None
-    diag = np.diagonal(A)
-    if not np.any(diag.imag) and np.count_nonzero(A) == np.count_nonzero(diag):
-        perm = np.argsort(diag.real, kind="stable")
-        return diag.real[perm], perm, 0.0
+    eig = _real_diagonal_eig(A)
+    if eig is not None:
+        return (*eig, 0.0)
     skew = _skew_fro(A)
     if not _selfadjoint_verdict(A, skew, tol):
         return None
@@ -403,6 +491,19 @@ def _hermitian_eigh(A, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, float] 
     check("eigh_residual", miss, rel * max(1.0, float(np.abs(t).max())), PqsysError,
           f"eigendecomposition of a selfadjoint matrix misses it by {miss:.3e}")
     return t, V, skew
+
+
+def _real_diagonal_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The ascending eigenvalues of a nonempty square real diagonal A and the
+    index of their stable sort, its eigenbasis (`_eig_coords`); None for any
+    other A."""
+    if A.shape[0] != A.shape[1] or A.shape[0] == 0:
+        return None
+    diag = np.diagonal(A)
+    if np.any(diag.imag) or np.count_nonzero(A) != np.count_nonzero(diag):
+        return None
+    perm = np.argsort(diag.real, kind="stable")
+    return diag.real[perm], perm
 
 
 # An eigenbasis V of a selfadjoint A is carried in one of two forms: the s x s
@@ -442,8 +543,11 @@ def defect_data(A, tol: Tolerances = DEFAULT_TOL) -> DefectData:
     two defects agree to eq_tol, the data of D_A serve both sides.  Every
     returned array is read-only.
 
-    The last result is kept in one slot, keyed by the caller's array (a weak
-    reference), a sha256 digest of its shape and entries and tol: a call on
+    A real diagonal A is its own factorization (`_real_diagonal_eig`): it is
+    factored at every call, for the O(s^2) scan that finds it diagonal, and
+    leaves the slot below as it is.  For any other A the last result is kept
+    in one slot, keyed by the caller's array (a weak reference), a sha256
+    digest of its shape and entries and tol: a call on
     the same live array with the same entries and equal tolerances returns
     the same DefectData for the cost of the digest, with no factorization.
     An array changed in place is factored again.  A miss clears the slot
@@ -452,6 +556,9 @@ def defect_data(A, tol: Tolerances = DEFAULT_TOL) -> DefectData:
     array it was computed from.  A list is factored at every call."""
     global _defect_slot
     M = as_matrix(A)
+    eig = _real_diagonal_eig(M)
+    if eig is not None:
+        return _read_only(hermitian_defect_data(*eig, tol))
     memo = isinstance(A, np.ndarray)
     if memo:
         digest = _content_digest(M)

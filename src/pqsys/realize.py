@@ -347,9 +347,11 @@ def jacobi_realize(source, max_len: int | None = None, tol: Tolerances = DEFAULT
     Lanczos on diag(t) started at sqrt(w); a_0 is the channel norm.
     Breakdown before max_len means the function is rational and the
     expansion complete: it has d + sum_k lambda w_k / (1 - lambda t_k) as its
-    transfer function (`transfer.markov_gap`).  A truncated L-step expansion
-    is the Gauss quadrature of w: it matches d and the first 2L Markov
-    parameters, the moments sum_k w_k t_k^j (Golub and Meurant 2010)."""
+    transfer function, checked on the L + len(t) Markov parameters of the
+    difference (`transfer.markov_gap`).  A truncated L-step expansion is the
+    Gauss quadrature of w: it matches d and the first 2L Markov parameters,
+    the moments sum_k w_k t_k^j (Golub and Meurant 2010).  The tridiagonal
+    side of the check is `_jacobi_markov`, with no factorization of J."""
     if max_len is not None and max_len < 1:
         raise ValueError(f"max_len must be at least 1, got {max_len}")
     if isinstance(source, SqsFunctionData):
@@ -383,13 +385,31 @@ def jacobi_realize(source, max_len: int | None = None, tol: Tolerances = DEFAULT
     max_len = min(max_len, t.size)
     alphas, betas, truncated = _lanczos(t, start, max_len, tol)
     jr = JacobiRealization(d, (a0, *betas), alphas, truncated)
-    measure = (np.array([[d]]), t, w[:, None, None])
+    corner = np.array([[d]])
+    count = 2 * jr.length if truncated else jr.length + t.size
     bound = 10 * tol.eq_tol * max(1.0, abs(d))
-    gap, j = transfer.markov_gap(transfer.pole_form(jr.system(), tol), measure, bound,
-                                 2 * jr.length if truncated else None)
+    gap, j = transfer.markov_gap((corner, None, _jacobi_markov(jr, count)[:, None, None]),
+                                 (corner, t, w[:, None, None]), bound, count)
     check("tridiagonal_agreement", gap, bound, PqsysError,
           f"tridiagonal transfer deviates by {gap:.3e} in the coefficient of lambda^{j}")
     return jr
+
+
+def _jacobi_markov(jr: JacobiRealization, count: int) -> np.ndarray:
+    """The Markov parameters a_0^2 e_0* J^j e_0, j = 0..count-1, of the
+    tridiagonal system, from v = a_0^2 J^j e_0 by the three-term recurrence of
+    J (diagonal b, off-diagonal a[1:]): O(L count) for L states."""
+    b, off = np.array(jr.b), np.array(jr.a[1:])
+    v = np.zeros(jr.length)
+    v[0] = jr.a[0] ** 2
+    out = np.empty(count)
+    for j in range(count):
+        out[j] = v[0]
+        Jv = b * v
+        Jv[:-1] += off * v[1:]
+        Jv[1:] += off * v[:-1]
+        v = Jv
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,14 @@ class PartitionedContraction:
         return s
 
     def norm(self) -> float:
-        """||T||_2, the largest cached singular value (0 for an empty T)."""
+        """||T||_2: the largest singular value when they are cached (0 for an
+        empty T), else `opcore._arrow_norm` of a T with a diagonal main
+        operator and a thin border, computed at each call, else the largest
+        of the singular values, which stay cached."""
+        if not _svd_in_hand(self):
+            nrm = opcore._arrow_norm(self.T)
+            if nrm is not None:
+                return nrm
         s = self.singular_values()
         return float(s[0]) if s.size else 0.0
 

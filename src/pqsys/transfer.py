@@ -193,10 +193,19 @@ def markov_gap(f, g, bound: float, count: int | None = None) -> tuple[float, int
     are exact.  On a shared t with max|t| <= 1, max(||dD||_F,
     sum_k ||dR_k||_F) bounds every coefficient and is the gap, at index 0,
     when it settles the check; otherwise the coefficients come in blocks of
-    256 powers, which keep the power table small."""
+    256 powers, which keep the power table small.
+
+    f may instead be (D, None, P), a function known by the stack P of its
+    Markov parameters, P[j - 1] the coefficient of lambda^j (count defaults
+    to len(P)), such as the tridiagonal system of `jacobi_realize`: it is
+    compared with g on its first count coefficients."""
     (Df, tf, Rf), (Dg, tg, Rg) = f, g
     dD = Df - Dg
-    if tf.shape == tg.shape and np.array_equal(tf, tg):
+    known = None
+    if tf is None:
+        t, dR, known = tg, -Rg, np.reshape(Rf, (len(Rf), dD.size))
+        count = len(Rf) if count is None else count
+    elif tf.shape == tg.shape and np.array_equal(tf, tg):
         t, dR = tf, Rf - Rg
         if np.abs(t).max(initial=0.0) <= 1.0:
             cheap = max(float(np.linalg.norm(dD)), float(np.linalg.norm(dR, axis=(1, 2)).sum()))
@@ -206,6 +215,8 @@ def markov_gap(f, g, bound: float, count: int | None = None) -> tuple[float, int
         t, dR = np.concatenate([tf, tg]), np.concatenate([Rf, -Rg])
     terms = np.ascontiguousarray(dR, dtype=complex).reshape(t.size, dD.size)
     blocks = _power_sums(t, terms, t.size if count is None else count, 256)
+    if known is not None:  # P less the power sums of g, block by block
+        blocks = (known[j:j + len(c)] + c for j, c in zip(range(0, count, 256), blocks))
     gaps = np.concatenate([opcore.gap(c.reshape(len(c), *dD.shape), bound) for c in (dD[None], *blocks)])
     j = int(np.argmax(gaps))
     return float(gaps[j]), j
