@@ -91,7 +91,7 @@ def _arrow_norm(M: np.ndarray) -> float | None:
     copies of each state coordinate makes its state part block diagonal with
     2 x 2 blocks [[g, lam_k], [conj lam_k, g]]; for g > max|lam| that part is
     positive definite, and the matrix is PSD exactly when the (p+q) x (p+q)
-    Schur complement (`_arrow_psd`) is.  Its lowest eigenvalue rises with
+    Schur complement (`_arrow_schur`) is.  Its lowest eigenvalue rises with
     slope at least 1 in g and has its root at ||M||, so bisection between
     max|lam| and ||M||_F runs to adjacent floats, and the rounding of that
     eigenvalue bounds the error of the norm.  The blocks and lam are first
@@ -120,7 +120,7 @@ def _arrow_norm(M: np.ndarray) -> float | None:
         mid = lo + (hi - lo) / 2
         if not lo < mid < hi:
             break
-        if _arrow_psd(D, C, B, lam, a, mid):
+        if np.linalg.eigvalsh(_arrow_schur(D, C, B, lam, a, mid))[0] >= 0.0:
             hi = mid
         else:
             lo = mid
@@ -141,11 +141,11 @@ def _diagonal_tail_start(Z: np.ndarray) -> int:
     return int(clean.argmax()) if clean.any() else k
 
 
-def _arrow_psd(D, C, B, lam, a, g: float) -> bool:
-    """Whether [[gI, M], [M*, gI]] is PSD for M = [[D, C], [B, diag(lam)]] and
-    g > max|lam| = max a: whether its Schur complement on the border,
+def _arrow_schur(D, C, B, lam, a, g: float) -> np.ndarray:
+    """The Schur complement on the border of [[gI, M], [M*, gI]] for
+    M = [[D, C], [B, diag(lam)]] and g > max|lam| = max a,
     [[gI - C diag(g/δ) C*, D + C diag(conj(lam)/δ) B], [(.)*, gI - B* diag(g/δ) B]]
-    with δ = (g - a)(g + a), is PSD."""
+    with δ = (g - a)(g + a): the dilation is PSD exactly when it is."""
     delta = (g - a) * (g + a)  # g - a is exact near the boundary
     p, q = D.shape
     S = np.empty((p + q, p + q), dtype=complex)
@@ -154,7 +154,54 @@ def _arrow_psd(D, C, B, lam, a, g: float) -> bool:
     S[p:, :p] = S[:p, p:].conj().T
     S[p:, p:] = -(B.conj().T * (g / delta)) @ B
     S[np.diag_indices(p + q)] += g
-    return bool(np.linalg.eigvalsh(S)[0] >= 0.0)
+    return S
+
+
+# The rounding band of `_arrow_within`: its verdict is open while
+# |lambda_min(S)| of the computed Schur complement S is at most
+# _ARROW_ROUNDING (s + p + q) eps times the summed magnitudes of the terms of S.
+_ARROW_ROUNDING = 8
+
+
+def _arrow_within(D, C, B, lam, g: float) -> bool | None:
+    """Whether ||M||_2 <= g for M = [[D, C], [B, diag(lam)]], D p x q, lam of
+    size s: False when max|lam| > g; with no border (p = q = 0) True; None
+    when max|lam| = g, when S (`_arrow_schur`) or δ leaves the normal
+    floating-point range, or when lambda_min(S) lies within the rounding band
+    of 0; else whether lambda_min(S) > 0.
+
+    Each entry of S sums at most s + 1 terms, so rounding moves S by about
+    (s + p + q) eps times the Frobenius norm of the matrix of term magnitudes,
+    at most g sqrt(p + q) + 2 ||D||_F
+    + sum_k (g (|c_k|^2 + |b_k|^2) + 2 |lam_k| |c_k| |b_k|) / δ_k for the
+    columns c_k of C and rows b_k of B; that also bounds ||S||_2, hence the
+    rounding of eigvalsh.  The band is _ARROW_ROUNDING times this.  ||S||
+    alone would not do: near the verdict gI and C diag(g/δ) C* cancel.  A
+    complex lam enters through |lam|, rounded by an ulp."""
+    a = np.abs(lam)
+    top = float(a.max(initial=0.0))
+    if top > g:
+        return False
+    p, q = D.shape
+    if p + q == 0:
+        return True
+    if top == g:
+        return None
+    with np.errstate(all="ignore"):
+        S = _arrow_schur(D, C, B, lam, a, g)
+        delta = (g - a) * (g + a)
+        c2 = (C.real ** 2 + C.imag ** 2).sum(axis=0)
+        b2 = (B.real ** 2 + B.imag ** 2).sum(axis=1)
+        terms = (g * (c2 + b2) + 2 * a * np.sqrt(c2 * b2)) / delta
+        mag = g * math.sqrt(p + q) + 2 * float(np.linalg.norm(D)) + float(terms.sum())
+    band = _ARROW_ROUNDING * (a.size + p + q) * float(np.finfo(float).eps) * mag
+    # a δ below the normal range has lost the relative accuracy the band assumes
+    if not (math.isfinite(band) and np.isfinite(S).all() and delta.min(initial=1.0) >= np.finfo(float).tiny):
+        return None
+    low = float(np.linalg.eigvalsh(S)[0])
+    if low > band:
+        return True
+    return False if low < -band else None
 
 
 # Relative slack on the Frobenius brackets of `norm_at_most`: a comparison
@@ -167,12 +214,16 @@ def _fro_settles(r_fro, r_rank: int, bound: float, s_fro=None, s_rank: int = 1, 
     """(accept, reject): whether the Frobenius norms r_fro of R and s_fro of a
     scale S, of ranks at most r_rank and s_rank, settle ||R||_2 <= bound *
     max(floor, ||S||_2) (<= bound without a scale) either way, through
-    ||M||_F / sqrt(rank) <= ||M||_2 <= ||M||_F; elementwise for arrays of norms."""
+    ||M||_F / sqrt(rank) <= ||M||_2 <= ||M||_F; elementwise for arrays of norms.
+    A Frobenius norm that overflowed to inf settles nothing."""
     lo = hi = bound
+    finite = np.isfinite(r_fro)
     if s_fro is not None:
         lo = bound * np.maximum(floor, s_fro / math.sqrt(max(1, s_rank)) * (1 - _FRO_SLACK))
         hi = bound * np.maximum(floor, s_fro * (1 + _FRO_SLACK))
-    return r_fro * (1 + _FRO_SLACK) <= lo, r_fro / math.sqrt(max(1, r_rank)) * (1 - _FRO_SLACK) > hi
+        finite = finite & np.isfinite(s_fro)
+    return (finite & (r_fro * (1 + _FRO_SLACK) <= lo),
+            finite & (r_fro / math.sqrt(max(1, r_rank)) * (1 - _FRO_SLACK) > hi))
 
 
 def norm_at_most(R, bound: float, scale=None, floor: float = 0.0) -> bool:
@@ -400,7 +451,7 @@ class DefectData(NamedTuple):
         return DefectData(self.DAs, self.DA, self.E_As, self.E_A, self.d_As, self.d_A, self.t)
 
 
-def _svd_defects(X, tol: Tolerances, contraction: bool = False, basis: bool | str = False,
+def _svd_defects(X, tol: Tolerances, contraction=False, basis: bool | str = False,
                  adjoint: bool = False) -> DefectData:
     """Defect data of X from one SVD X = U diag(s) W*, d = sqrt(1 - s^2) by
     `_defect_values`: D_X = W diag(d) W*, with adjoint D_{X*} = U diag(d) U*,
@@ -408,12 +459,16 @@ def _svd_defects(X, tol: Tolerances, contraction: bool = False, basis: bool | st
     for D_X alone when basis is "domain".  The SVD is thin unless a basis
     needs the vectors it omits; where vectors outnumber s the defect is
     I + W diag(d - 1) W*.  An isometric X gets an exactly zero defect.  With
-    contraction, NotAContraction comes first if max s > 1 + rank_tol."""
+    contraction True, NotAContraction comes first if max s > 1 + rank_tol; a
+    callable contraction is called with max s instead, before the defects
+    are formed, to check it by a rule of its own."""
     X = as_matrix(X)
     rows, cols = X.shape
     both = adjoint and basis is True
     U, s, Wh = np.linalg.svd(X, full_matrices=bool(basis) and (rows < cols or (both and rows > cols)))
-    if contraction:
+    if callable(contraction):
+        contraction(s.max(initial=0.0))
+    elif contraction:
         _require_contraction(s.max(initial=0.0), tol)
     D, E, d = _defect_side(Wh.conj().T, s, cols, tol, bool(basis))
     Ds, Es, ds = _defect_side(U, s, rows, tol, both) if adjoint else (None, None, None)

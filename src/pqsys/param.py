@@ -20,7 +20,7 @@ import numpy as np
 
 from . import opcore
 from .errors import DimensionMismatch, NotAContraction, PqsysError, check
-from .opcore import DEFAULT_TOL, Tolerances, as_matrix, operator_norm
+from .opcore import DEFAULT_TOL, Tolerances, as_matrix
 from .sysmodel import PartitionedContraction, _spectral_parts, block_norm_at_most, main_defect_data
 
 
@@ -93,32 +93,33 @@ def make_params(A, M, K, X, tol: Tolerances = DEFAULT_TOL) -> ContractionParams:
         raise DimensionMismatch(f"M has {M.shape[0]} rows, dim of defect of A* is {dAs}")
     if K.shape[1] != dA:
         raise DimensionMismatch(f"K has {K.shape[1]} cols, dim of defect of A is {dA}")
-    for name, val in (("M", M), ("K", K)):
-        if operator_norm(val) > 1.0 + tol.rank_tol:
-            raise NotAContraction(f"parameter {name} has norm {operator_norm(val):.12f}")
 
     def given_X(dm, dks):
         shape = (dks.E_A.shape[1], dm.E_A.shape[1])
         Xm = as_matrix(X) if X is not None else np.zeros(shape, dtype=complex)
         if Xm.shape != shape:
             raise DimensionMismatch(f"X has shape {Xm.shape}, defect bases want {shape}")
-        if operator_norm(Xm) > 1.0 + tol.rank_tol:
-            raise NotAContraction(f"parameter X has norm {operator_norm(Xm):.12f}")
         return Xm
 
-    return _complete(A, M, K, dd, given_X, tol)
+    def vet(name, nrm):
+        if nrm > 1.0 + tol.rank_tol:
+            raise NotAContraction(f"parameter {name} has norm {nrm:.12f}")
+
+    return _complete(A, M, K, dd, given_X, vet, tol)
 
 
-def _complete(A, M, K, dd: opcore.DefectData, make_X, tol: Tolerances) -> ContractionParams:
+def _complete(A, M, K, dd: opcore.DefectData, make_X, vet, tol: Tolerances) -> ContractionParams:
     """ContractionParams from A, its defect data and the parameters M, K.
 
     One SVD of M gives D_M (with basis and values) and D_{M*}, one of K*
     gives D_{K*} and D_K, make_X(dm, dks) returns X in the bases of these two
-    defect data, and one SVD of X gives D_X and D_{X*}."""
-    dm = opcore._svd_defects(M, tol, basis="domain", adjoint=True)
-    dks = opcore._svd_defects(K.conj().T, tol, basis="domain", adjoint=True)
+    defect data, and one SVD of X gives D_X and D_{X*}.  vet(name, norm) is
+    called with the largest singular value of each SVD ("M", "K", "X"),
+    before its defects are formed: the norm check of each parameter."""
+    dm = opcore._svd_defects(M, tol, lambda nrm: vet("M", nrm), basis="domain", adjoint=True)
+    dks = opcore._svd_defects(K.conj().T, tol, lambda nrm: vet("K", nrm), basis="domain", adjoint=True)
     X = make_X(dm, dks)
-    dx = opcore._svd_defects(X, tol, adjoint=True)
+    dx = opcore._svd_defects(X, tol, lambda nrm: vet("X", nrm), adjoint=True)
     return ContractionParams(
         A=A, M=M, K=K, X=X, defects=dd,
         E_DM=dm.E_A, E_DKs=dks.E_A, DM=dm.DA, DKs=dks.DA,
@@ -145,10 +146,11 @@ def assemble(p: ContractionParams, tol: Tolerances = DEFAULT_TOL) -> Partitioned
         raise DimensionMismatch("system assembly needs a square main operator")
     tau = PartitionedContraction(_raw_block(p), p.in_dim, p.out_dim, h)
     dd = p.defects
-    if dd.t is not None and dd.E_A.shape[1] == h and opcore.is_selfadjoint(p.A, tol):
+    skew = opcore._skew_fro(p.A) if dd.t is not None and dd.E_A.shape[1] == h else None
+    if skew is not None and opcore._selfadjoint_verdict(p.A, skew, tol):
         # no eigenvalue at +-1: the defect basis holds every eigenvector of the
         # main operator p.A, so the system takes that factorization, not an eigh
-        tau.cached("spectral", tol, lambda: _spectral_parts(tau, dd.t, dd.E_A))
+        tau.cached("spectral", tol, lambda: _spectral_parts(tau, dd.t, dd.E_A, skew))
     if not block_norm_at_most(tau, 1.0 + tol.rank_tol, tol):
         raise NotAContraction(f"assembled block has norm {tau.norm():.12f}; parameters inconsistent")
     return tau
@@ -180,8 +182,6 @@ def parametrize(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> C
     resid_c = opcore.gap((K @ dd.E_A.conj().T) @ dd.DA - C, tol.eq_tol)
     check("carried_C", resid_c, tol.eq_tol, PqsysError,
           f"C is not carried by the defect of A: residual {resid_c:.3e}")
-    _check_recovered("M", M, tol)
-    _check_recovered("K", K, tol)
 
     def extract_X(dm, dks):
         # K_amb A* M_amb as (A K_amb*)* M_amb: no conjugated copy of A
@@ -190,18 +190,15 @@ def parametrize(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> C
         resid_d = opcore.gap(dks.DA @ (dks.E_A @ X @ dm.E_A.conj().T) @ dm.DA - core, tol.eq_tol)
         check("carried_D", resid_d, tol.eq_tol, PqsysError,
               f"D block not reproduced by extracted X: residual {resid_d:.3e}")
-        _check_recovered("X", X, tol)
         return X
 
-    return _complete(A, M, K, dd, extract_X, tol)
+    def vet(name, nrm):
+        # a recovered parameter must be a contraction to psd_tol
+        check(f"contraction_{name}", max(nrm - 1.0, 0.0), tol.psd_tol, NotAContraction,
+              f"recovered parameter {name} has norm {nrm:.12f}; "
+              "T is too close to the contraction boundary to resolve")
 
-
-def _check_recovered(name: str, val: np.ndarray, tol: Tolerances):
-    """A recovered parameter must be a contraction to psd_tol (its norm by `opcore.gap`)."""
-    nrm = opcore.gap(val, 1.0 + tol.psd_tol)
-    check(f"contraction_{name}", max(nrm - 1.0, 0.0), tol.psd_tol, NotAContraction,
-          f"recovered parameter {name} has norm {nrm:.12f}; "
-          "T is too close to the contraction boundary to resolve")
+    return _complete(A, M, K, dd, extract_X, vet, tol)
 
 
 def defect_balance(p: ContractionParams, h, f) -> tuple[float, float]:

@@ -161,6 +161,94 @@ def test_operator_norm_keeps_nothing_across_calls(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the verdict ||M|| <= g, `opcore._arrow_within`
+# ---------------------------------------------------------------------------
+
+def blocks(M, p, q):
+    """(D, C, B, lam) of an arrowhead with p border rows and q border columns."""
+    return M[:p, :q], M[:p, q:], M[p:, :q], np.diagonal(M[p:, q:])
+
+
+def assert_verdict_agrees(M, p, q, g):
+    """_arrow_within at g is open or the singular-value verdict; the latter
+    is certain only where g is more than the SVD's own rounding from ||M||."""
+    got = opcore._arrow_within(*blocks(M, p, q), g)
+    nrm = svd_norm(M)
+    if got is not None and abs(g - nrm) > 8 * EPS * nrm:
+        assert got == (nrm <= g), (got, nrm, g)
+    return got
+
+
+def test_verdict_agrees_with_the_singular_values():
+    rng = np.random.default_rng(2028)
+    for case in range(60):
+        p, q = (int(x) for x in rng.integers(0, 5, 2))
+        s = int(rng.integers(2, 120))
+        M = arrowhead(rng, p, q, s, complex_lam=bool(case % 2), coupling=10.0 ** rng.uniform(-10, 4),
+                      near_one=int(rng.integers(0, 3)), uncoupled=rng.choice(s, int(rng.integers(0, 5))))
+        nrm = svd_norm(M)
+        for rel in (-1e-3, -1e-8, -1e-12, 1e-12, 1e-8, 1e-3):
+            got = assert_verdict_agrees(M, p, q, nrm * (1 + rel))
+            # far from the norm the verdict is never open
+            assert abs(rel) < 1e-3 or got is not None
+
+
+@pytest.mark.parametrize("p, q", [(3, 1), (1, 3), (0, 2), (2, 0)])
+def test_verdict_on_rectangular_and_one_sided_borders(p, q):
+    rng = np.random.default_rng(20 + p * 10 + q)
+    for complex_lam in (False, True):
+        M = arrowhead(rng, p, q, 40, complex_lam=complex_lam)
+        nrm = svd_norm(M)
+        assert opcore._arrow_within(*blocks(M, p, q), nrm * (1 + 1e-9)) is True
+        assert opcore._arrow_within(*blocks(M, p, q), nrm * (1 - 1e-9)) is False
+
+
+def test_verdict_is_open_within_its_rounding_band():
+    rng = np.random.default_rng(21)
+    M = arrowhead(rng, 2, 2, 50)
+    nrm = svd_norm(M)
+    for g in (nrm, np.nextafter(nrm, 0), np.nextafter(nrm, 2 * nrm), nrm * (1 + 1e-15)):
+        assert opcore._arrow_within(*blocks(M, 2, 2), g) is None
+
+
+def test_verdict_at_the_largest_modulus():
+    rng = np.random.default_rng(22)
+    M = arrowhead(rng, 1, 1, 30, coupling=0.01)
+    M[0, 0] = 0.01
+    lam = np.diagonal(M[1:, 1:])
+    top = float(np.abs(lam).max())
+    # g = max|lam| is open whether or not that state is coupled
+    assert opcore._arrow_within(*blocks(M, 1, 1), top) is None
+    k = int(np.abs(lam).argmax())
+    M[0, 1 + k] = M[1 + k, 0] = 0
+    assert opcore._arrow_within(*blocks(M, 1, 1), top) is None
+    # an uncoupled largest |lam| adds nothing to the complement: just above
+    # it the verdict is decided, the norm being max|lam| itself
+    assert svd_norm(M) == pytest.approx(top, rel=1e-14)
+    assert opcore._arrow_within(*blocks(M, 1, 1), top * (1 + 1e-12)) is True
+    # below it the verdict is False for every border
+    assert opcore._arrow_within(*blocks(M, 1, 1), top * (1 - 1e-12)) is False
+
+
+def test_verdict_with_an_empty_border_reads_the_largest_modulus():
+    lam = np.array([0.3, -0.9, 0.5j])
+    D, C, B = np.zeros((0, 0)), np.zeros((0, 3)), np.zeros((3, 0))
+    assert opcore._arrow_within(D, C, B, lam, 0.9) is True
+    assert opcore._arrow_within(D, C, B, lam, 0.9 * (1 - 1e-15)) is False
+    assert opcore._arrow_within(D, C, B, np.zeros(0), 0.0) is True
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_verdict_on_extreme_entries_is_open_or_right(scale):
+    rng = np.random.default_rng(23)
+    M = arrowhead(rng, 2, 1, 40, complex_lam=True) * scale
+    nrm = svd_norm(M)
+    for rel in (-1e-3, 1e-3):
+        # the squares of the entries leave the floating-point range: open
+        assert assert_verdict_agrees(M, 2, 1, nrm * (1 + rel)) is None
+
+
+# ---------------------------------------------------------------------------
 # routes through operator_norm and PartitionedContraction.norm()
 # ---------------------------------------------------------------------------
 

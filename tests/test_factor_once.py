@@ -61,6 +61,40 @@ def test_parametrize_takes_no_pseudoinverse(monkeypatch, kind, svds):
     assert {name: len(c) for name, c in calls.items()} == {"svd": svds, "pinv": 0, "eigh": 0}
 
 
+def test_parametrize_factors_each_recovered_parameter_once(monkeypatch):
+    # at 3 channels several singular values of M, K* and X lie near 1, so
+    # their Frobenius norms do not settle the contraction checks: those read
+    # the largest singular value of the SVD each parameter's defects take
+    s, n = 50, 3
+    tau = _pqs_system(np.random.default_rng(8), s=s, n=n)
+    sysmodel.classify(tau)
+    svds = linalg_calls(monkeypatch, "svd", internal=True)
+    with pqsys.errors.ledger() as entries:
+        pqsys.parametrize(tau)
+    assert svds == [(s, n), (s, n), (n, n)]
+    assert [e["name"] for e in entries] == ["carried_B", "carried_C", "contraction_M", "contraction_K",
+                                            "carried_D", "contraction_X"]
+    assert all(e["pass"] and e["bound"] == pqsys.DEFAULT_TOL.psd_tol
+               for e in entries if e["name"].startswith("contraction"))
+
+
+def test_a_too_large_recovered_parameter_is_not_a_contraction(monkeypatch):
+    # M scaled past 1 + psd_tol fails its check before its defect is formed
+    tau = _pqs_system(np.random.default_rng(9), s=20, n=2)
+    sysmodel.classify(tau)
+    svd_defects = opcore._svd_defects
+
+    def inflated(X, tol, *args, **kwargs):
+        if X.shape == (20, 2):
+            X = X * ((1 + 1e-6) / np.linalg.svd(X, compute_uv=False)[0])
+        return svd_defects(X, tol, *args, **kwargs)
+
+    monkeypatch.setattr(opcore, "_svd_defects", inflated)
+    with pqsys.errors.ledger() as entries, pytest.raises(pqsys.NotAContraction, match="parameter M"):
+        pqsys.parametrize(tau)
+    assert [e["name"] for e in entries][-1] == "contraction_M" and not entries[-1]["pass"]
+
+
 def _pinv_parameters(tau, tol=pqsys.DEFAULT_TOL):
     """M, K and X by the dense pseudoinverse formulas
     M = E_As* pinv(D_A*) B, K = C pinv(D_A) E_A and

@@ -159,6 +159,20 @@ def test_norm_at_most_at_the_threshold(monkeypatch):
     assert not opcore.norm_at_most(np.eye(30), 1e-9, 1e3 * np.eye(30), 1.0)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_an_overflowing_frobenius_norm_settles_nothing():
+    # entries near 1e200 overflow the sum of squares: the exact 2-norm decides
+    A = rand_complex(np.random.default_rng(24), 5, 5)
+    H = A + A.conj().T
+    assert not opcore.is_selfadjoint(A * 1e200)
+    assert opcore.is_selfadjoint(H * 1e200)
+    assert not opcore.norm_at_most(1e200 * np.ones((3, 3)), 1e-9, scale=1e200 * np.eye(3))
+    assert opcore.norm_at_most(1e200 * np.ones((3, 3)), 3.0, scale=1e200 * np.eye(3))
+    assert opcore.gap(1e200 * np.ones((3, 3)), 1e-9) == pytest.approx(3e200, rel=1e-14)
+    stack = np.stack([A * 1e200, H * 1e200, H, A])
+    assert opcore._selfadjoint_each(stack).tolist() == [False, True, True, False]
+
+
 def test_hermitian_eigh_factors_selfadjoint_input_only():
     rng = np.random.default_rng(23)
     H = rand_hermitian_contraction(rng, 6)
