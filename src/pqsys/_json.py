@@ -139,7 +139,7 @@ def _diagonal_of_pqs(tau: PartitionedContraction) -> np.ndarray | None:
     bit for bit, else None.  That holds exactly when the partition is square
     with state, every imaginary part of A and every real part off its
     diagonal has all bits zero (+0.0), and C has the bits of B*.  Such an A
-    is real diagonal by the test of `opcore.hermitian_eigh`."""
+    is real diagonal by the test of `opcore._hermitian_eigh`."""
     if tau.in_dim != tau.out_dim or tau.state_dim == 0:
         return None
     A = tau.A

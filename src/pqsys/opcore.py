@@ -488,7 +488,7 @@ def _defect_side(Q: np.ndarray, s: np.ndarray, n: int, tol: Tolerances, basis: b
     return (D, Q[:, keep], d[keep]) if basis else (D, None, None)
 
 
-_EIGH_ROUNDING = 10  # see `hermitian_eigh`
+_EIGH_ROUNDING = 10  # see `_hermitian_eigh`
 
 
 def _rounding(s: int) -> float:
@@ -509,27 +509,19 @@ def _eig_miss(M: np.ndarray, V: np.ndarray, w: np.ndarray) -> float:
     return math.sqrt(sq)
 
 
-def hermitian_eigh(A, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray] | None:
-    """Eigenvalues t (ascending) and eigenvectors V of H = (A + A*)/2 for a
-    nonempty square A that passes `is_selfadjoint`, or None for any other A.
+def _hermitian_eigh(A, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """Eigenvalues t (ascending) and eigenvectors V of H = (A + A*)/2 and
+    ||A - A*||_F as the selfadjointness test measured it (`_skew_fro`), for a
+    nonempty square A that passes `is_selfadjoint`; None for any other A.
 
-    A real diagonal A is its own factorization (V a real permutation matrix,
-    built here from the index that `_hermitian_eigh` returns), with no
-    selfadjointness scan: it passes the rule trivially.  Otherwise eigh
-    factors H (A itself, bit for bit, when A is bitwise Hermitian), and
-    PqsysError is raised when ||HV - V diag(t)||_F exceeds
+    A real diagonal A is its own factorization, with no selfadjointness scan
+    (it passes the rule trivially, and its skew norm is 0): V is the index of
+    the stable sort of its diagonal (see `_eig_coords`), not a matrix.
+    Otherwise eigh factors H (A itself, bit for bit, when A is bitwise
+    Hermitian), and PqsysError is raised when ||HV - V diag(t)||_F exceeds
     max(eq_tol, _EIGH_ROUNDING * s * eps) * max(1, max|t|) for s x s A and
     machine epsilon eps: a floor above eigh's own rounding (2.97e-14 at
     s = 400 against 8.9e-13), which a smaller eq_tol does not undercut."""
-    eig = _hermitian_eigh(A, tol)
-    return None if eig is None else (eig[0], _eig_span(eig[1], slice(None)))
-
-
-def _hermitian_eigh(A, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, float] | None:
-    """`hermitian_eigh` together with ||A - A*||_F as its selfadjointness test
-    measured it (`_skew_fro`), 0 for a real diagonal A, which it does not scan.
-    The eigenbasis of a real diagonal A is returned as the index of its stable
-    sort (see `_eig_coords`), not as a matrix."""
     A = as_matrix(A)
     if A.shape[0] != A.shape[1] or A.shape[0] == 0:
         return None

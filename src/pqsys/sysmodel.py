@@ -128,7 +128,7 @@ class SpectralData(NamedTuple):
 
 
 def spectral_data(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> SpectralData | None:
-    """The factorization of A from `opcore.hermitian_eigh`, the only Hermitian
+    """The factorization of A from `opcore._hermitian_eigh`, the only Hermitian
     one of a system's main operator, computed once per system and tolerance
     set; it exists (empty without state) exactly when `classify` finds A
     selfadjoint."""
@@ -261,7 +261,7 @@ def _selfadjoint_model(tau: PartitionedContraction, tol: Tolerances) -> tuple[Sp
     """The cached factorization A = V diag(t) V* of a system with a selfadjoint
     A and a bound eta on ||T - T~|| for its model T~ = [[D, C], [B, V diag(t) V*]]:
     ||A - A*||_F / 2 for A less its Hermitian part, plus the rounding floor of
-    eigh that `opcore.hermitian_eigh` allows.  None for any other system."""
+    eigh that `opcore._hermitian_eigh` allows.  None for any other system."""
     sd = spectral_data(tau, tol)
     if sd is None:
         return None
@@ -311,8 +311,8 @@ def simulate(tau: PartitionedContraction, inputs, h0) -> tuple[np.ndarray, np.nd
 
 class KrylovRecord(NamedTuple):
     """Dimensions of the controllable subspace span{A^n B}, the observable
-    subspace span{A*^n C*} and their sum, with the orthonormal bases when
-    they were built (band Arnoldi, non-selfadjoint A); None otherwise."""
+    subspace span{A*^n C*} and their sum, with the two orthonormal bases
+    (`_span`) when they were built; None otherwise."""
 
     controllable: int
     observable: int
@@ -325,13 +325,11 @@ def krylov_record(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) ->
     """The Krylov dimensions of the system, computed once per system and
     tolerance set.
 
-    With a cached spectral factorization A = V diag(t) V* (selfadjoint A),
-    each subspace is the direct sum over the eigenvalue clusters of A of
-    the ranges of the cluster rows of V*B, of (CV)* and of both side by
-    side; a cluster counts the singular values of its rows above rank_tol
-    times ||B||_2, ||C||_2 or the larger of the two.  Any other A takes the
-    two band-Arnoldi bases of `opcore.krylov_span`, and their joint rank
-    when neither is full."""
+    The two spans are those of `_span`.  With a cached spectral factorization
+    (selfadjoint A) their dimensions are first read off the cluster ranks
+    alone, with no basis; a system with a full span needs no more.  The joint
+    dimension is s when either span is full, else the dimension of the sum of
+    the two bases (`_union`), which the record then keeps."""
     return tau.cached("krylov", tol, lambda: _krylov_record(tau, tol))
 
 
@@ -339,26 +337,46 @@ def _krylov_record(tau: PartitionedContraction, tol: Tolerances) -> KrylovRecord
     s = tau.state_dim
     sd = spectral_data(tau, tol)
     if sd is not None:
-        def dim(comps, thresh):
-            return sum(rank for _, rank, _ in _cluster_span(sd.t, comps, thresh))
-
-        (cb, tb), (co, to) = _eigen_side(sd, tol, adjoint=False), _eigen_side(sd, tol, adjoint=True)
-        return KrylovRecord(dim(cb, tb), dim(co, to), dim(np.hstack([cb, co]), max(tb, to)))
-    hc = opcore.krylov_span(tau.A, tau.B, s, tol)
-    ho = opcore.krylov_span(tau.A.conj().T, tau.C.conj().T, s, tol)
-    if s in (hc.dim, ho.dim):
-        joint = s
-    else:
-        joint = opcore.range_basis(np.hstack([hc.basis, ho.basis]), tol).dim
-    return KrylovRecord(hc.dim, ho.dim, joint, hc, ho)
+        dims = [sum(rank for _, rank, _ in _cluster_span(sd.t, comps, _rank_floor(comps, tol)))
+                for comps in (sd.VB, sd.CV.conj().T)]
+        if s in dims:
+            return KrylovRecord(*dims, s)
+    hc, ho = _span(tau, tau.B, False, tol), _span(tau, tau.C.conj().T, True, tol)
+    return KrylovRecord(hc.dim, ho.dim, _union(hc, ho, tol).dim, hc, ho)
 
 
-def _eigen_side(sd: SpectralData, tol: Tolerances, adjoint: bool) -> tuple[np.ndarray, float]:
-    """The components V*B (or (CV)*, with adjoint) in the eigenbasis of a
-    selfadjoint A, and the rank threshold of `krylov_record` on them:
-    rank_tol * ||B||_2 (or rank_tol * ||C||_2)."""
-    comps = sd.CV.conj().T if adjoint else sd.VB
-    return comps, tol.rank_tol * operator_norm(comps)
+def _span(tau: PartitionedContraction, X: np.ndarray, adjoint: bool, tol: Tolerances) -> SubspaceBasis:
+    """Orthonormal basis of span{A^n X : n >= 0} in the state space, or of
+    span{A*^n X} with adjoint: the one place a span route is chosen.  With a
+    cached factorization A = V diag(t) V* (then A* = A) it is the direct sum
+    over the eigenvalue clusters of the ranges of the cluster rows of V*X
+    (`_cluster_span` on the eigenvectors, at rank_tol * ||V*X||_2); any
+    other A takes band Arnoldi (`opcore.krylov_span`)."""
+    s = tau.state_dim
+    sd = spectral_data(tau, tol)
+    if sd is None:
+        return opcore.krylov_span(tau.A.conj().T if adjoint else tau.A, X, s, tol)
+    comps = opcore._eig_coords(sd.V, X)
+    kept = [part for _, rank, part in _cluster_span(sd.t, comps, _rank_floor(comps, tol), sd.V) if rank]
+    return SubspaceBasis(s, np.hstack(kept) if kept else np.zeros((s, 0), dtype=complex))
+
+
+def _rank_floor(comps: np.ndarray, tol: Tolerances) -> float:
+    """rank_tol * ||comps||_2, the threshold of the cluster ranks of comps."""
+    return tol.rank_tol * operator_norm(comps)
+
+
+def _union(hc: SubspaceBasis, ho: SubspaceBasis, tol: Tolerances) -> SubspaceBasis:
+    """Orthonormal basis of hc + ho: the full one when either is the whole
+    space, else `opcore.range_basis` of the two bases side by side.  Equal
+    bases (those of a system with C = B* bit for bit) are their own sum:
+    the range of [Q, Q] is that of Q, and its SVD is spared."""
+    for sub in (hc, ho):
+        if sub.dim == sub.ambient_dim:
+            return sub
+    if np.array_equal(hc.basis, ho.basis):
+        return hc
+    return opcore.range_basis(np.hstack([hc.basis, ho.basis]), tol)
 
 
 def _cluster_span(t: np.ndarray, comps: np.ndarray, thresh: float,
@@ -401,30 +419,16 @@ def _cluster_rows_by_size(clusters: list[slice]):
         yield pos, starts[pos, None] + np.arange(size)
 
 
-def _cluster_basis(sd: SpectralData, comps: np.ndarray, thresh: float) -> SubspaceBasis:
-    """Orthonormal basis of the `_cluster_span` of comps on the eigenvectors sd.V."""
-    kept = [part for _, rank, part in _cluster_span(sd.t, comps, thresh, sd.V) if rank]
-    s = sd.t.size
-    return SubspaceBasis(s, np.hstack(kept) if kept else np.zeros((s, 0), dtype=complex))
-
-
-def _eigen_span(tau: PartitionedContraction, tol: Tolerances, adjoint: bool) -> SubspaceBasis:
-    """Basis of span{A^n B} (or span{A*^n C*}) for a selfadjoint A from its
-    cached eigenvectors, with the cluster ranks of `krylov_record`."""
-    sd = spectral_data(tau, tol)
-    return _cluster_basis(sd, *_eigen_side(sd, tol, adjoint))
-
-
 def controllable_subspace(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
     """span{A^n B : n >= 0} inside the state space."""
     rec = krylov_record(tau, tol)
-    return rec.hc if rec.hc is not None else _eigen_span(tau, tol, adjoint=False)
+    return rec.hc if rec.hc is not None else _span(tau, tau.B, False, tol)
 
 
 def observable_subspace(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
     """span{A*^n C* : n >= 0} inside the state space."""
     rec = krylov_record(tau, tol)
-    return rec.ho if rec.ho is not None else _eigen_span(tau, tol, adjoint=True)
+    return rec.ho if rec.ho is not None else _span(tau, tau.C.conj().T, True, tol)
 
 
 def is_controllable(tau, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -492,8 +496,8 @@ class MinimalityReport:
     ran D_A ∩ (H - H_N^c) = {0} (and the observable/simple analogues,
     where H_N^c = span{A^n M}, H_N^o = span{A*^n K*}); the direct route
     uses the Krylov subspaces of (A, B) and (A*, C*).  Both must agree.
-    Both routes read the same span rule: the cluster rule on the cached
-    factorization for a selfadjoint A, band Arnoldi for any other normal A.
+    Both routes read the same span rule, `_span`, and the same joint rule,
+    `_union` (`krylov_record`).
     """
 
     controllable: bool
@@ -516,29 +520,17 @@ class MinimalityReport:
 
 
 def check_minimality_normal(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> MinimalityReport:
-    A = tau.A
     if not classify(tau, tol).normal_main:
         raise NotNormal("main operator is not normal")
     from . import param  # deferred: param builds on this module's types
 
     p = param.parametrize(tau, tol)
-    n_state = tau.state_dim
     E = p.defects.E_A  # orthonormal basis of ran D_A
-    ker_trivial = E.shape[1] == n_state
+    ker_trivial = E.shape[1] == tau.state_dim
 
     M, Ks = p.M_ambient, E @ p.K.conj().T  # M: inputs -> state space, K*: outputs -> state space
-    sd = spectral_data(tau, tol)
-    if sd is None:
-        hc_n = opcore.krylov_span(A, M, n_state, tol)
-        ho_n = opcore.krylov_span(A.conj().T, Ks, n_state, tol)
-        joint = opcore.range_basis(np.hstack([hc_n.basis, ho_n.basis]), tol)
-    else:
-        # A = A*: the cluster ranks of the components in the eigenbasis, with
-        # the thresholds rank_tol * ||M||_2 and rank_tol * ||K*||_2
-        cm, ck = opcore._eig_coords(sd.V, M), opcore._eig_coords(sd.V, Ks)
-        tm, tk = tol.rank_tol * operator_norm(cm), tol.rank_tol * operator_norm(ck)
-        hc_n, ho_n = _cluster_basis(sd, cm, tm), _cluster_basis(sd, ck, tk)
-        joint = _cluster_basis(sd, np.hstack([cm, ck]), max(tm, tk))
+    hc_n, ho_n = _span(tau, M, False, tol), _span(tau, Ks, True, tol)
+    joint = _union(hc_n, ho_n, tol)
 
     def meets_range(sub: SubspaceBasis) -> bool:
         # ran D_A meets the orthogonal complement of sub nontrivially iff

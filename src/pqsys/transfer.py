@@ -96,7 +96,7 @@ def theta_eval(tau: PartitionedContraction, lam: complex, tol: Tolerances = DEFA
     then takes X = V diag(1 / (1 - lambda mu)) V^-1 B in O(s^2 n) when X
     passes its gate (`_gated_theta`), and one dense LU solve otherwise.  A
     build that fails (eig or the solve with V raises, or ||AV - V diag mu||_F
-    exceeds the rounding floor of `opcore.hermitian_eigh` times
+    exceeds the rounding floor of `opcore._hermitian_eigh` times
     max(1, ||A||_F)) leaves every point to LU."""
     lam = complex(lam)
     sd = sysmodel.spectral_data(tau, tol)

@@ -66,9 +66,9 @@ def test_index_eigenbasis_matches_the_permutation_products(n):
     for got in (sysmodel.main_defect_data(tau), opcore.defect_data(tau.A.copy())):
         for a, b in zip(got, dense):
             assert a.dtype == b.dtype and np.array_equal(a, b)
-    # the public factorization keeps its matrix form
-    t, Vpub = opcore.hermitian_eigh(tau.A)
-    assert np.array_equal(t, sd.t) and np.array_equal(Vpub, V)
+    # the index names the columns of the permutation matrix
+    t, perm_eig, _ = opcore._hermitian_eigh(tau.A, pqsys.DEFAULT_TOL)
+    assert np.array_equal(t, sd.t) and np.array_equal(opcore._eig_span(perm_eig, slice(None)), V)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -82,10 +82,9 @@ def test_index_eigenbasis_gives_the_dense_bases_and_verdicts(n):
                 lambda: sysmodel._spectral_parts(twin, sd.t, _permutation(sd.V), 0.0))
     dense = sysmodel.spectral_data(twin)
     assert dense.V.ndim == 2
-    for adjoint in (False, True):
-        comps, thresh = sysmodel._eigen_side(sd, pqsys.DEFAULT_TOL, adjoint)
-        got = sysmodel._cluster_basis(sd, comps, thresh).basis
-        ref = sysmodel._cluster_basis(dense, comps, thresh).basis
+    for X, adjoint in ((tau.B, False), (tau.C.conj().T, True)):
+        got = sysmodel._span(tau, X, adjoint, pqsys.DEFAULT_TOL).basis
+        ref = sysmodel._span(twin, X, adjoint, pqsys.DEFAULT_TOL).basis
         assert got.shape == ref.shape and np.array_equal(got, ref)
     report = sysmodel.check_minimality_normal(tau)
     assert report == sysmodel.check_minimality_normal(twin) and report.agree
