@@ -228,9 +228,30 @@ class DilationBlocks:
 
 
 def biinner_dilation(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> DilationBlocks:
-    """Embed a minimal pqs system into a conservative one on the enlarged
-    I/O space: D from the parameters of `parametrize` (`_dilation_D`), the
-    same main operator and an enlarged channel operator."""
+    """Embed a pqs system into a conservative one on the enlarged I/O space:
+    D from the parameters of `parametrize` (`_dilation_D`), the same main
+    operator and an enlarged channel operator.  NotMinimal when the enlarged
+    system is not minimal, which is exactly when ker D_A != {0}.
+
+    The enlarged system has tau's A, so it takes tau's factorization
+    A = V diag(t) V* and defect data of A (its "spectral" and "defects"
+    caches); its Krylov record ("krylov") follows from them, with no Krylov
+    pass.  Let E_A hold the eigenvectors of nonzero defect, d_A their defect
+    values (`opcore.hermitian_defect`) and r their number.  In the
+    eigenbasis, V* B_big = diag(d_A) [K*, D_K E_DK, 0] on those r rows and
+    0 on the others.  W = [K*, D_K E_DK] is a co-isometry: WW* = K*K +
+    D_K E_DK E_DK* D_K = K*K + D_K^2 = I, as E_DK spans ran D_K (up to
+    rounding and the psd_tol clamp of D_K, far inside the margin below).
+    So the rows of W in a cluster of equal eigenvalues are orthonormal, and
+    the singular values of the cluster rows of V* B_big
+    (`sysmodel._cluster_span`) are the kept defect values there.  Each is at
+    least sqrt(psd_tol) (a defect square below psd_tol is clamped to 0), far
+    above the cluster threshold rank_tol ||V* B_big||_2 = rank_tol max d_A,
+    and the rows of dropped values are 0: a cluster's rank is its number of
+    kept eigenvectors, and the controllable dimension is r.  C_big = B_big*
+    bit for bit, so the observable side has the same components and
+    dimension.  The record is therefore (s, s, s) when r = s, that is when
+    dd.E_A has s columns, and the enlarged system is not minimal otherwise."""
     if not sysmodel.classify(tau, tol).pqs:
         raise NotPqs("dilation applies to passive quasi-selfadjoint systems")
     p = parametrize(tau, tol)
@@ -250,9 +271,10 @@ def biinner_dilation(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL)
     v = n + dk + dks
     T = np.block([[_dilation_D(p, E_DK), B_big.conj().T], [B_big, p.A]])
     system = PartitionedContraction(T, v, v, s)
-    # the enlarged system has the same main operator: it shares tau's factorization
+    # the same main operator: the enlarged system shares tau's factorization and defect data
     sd = sysmodel.spectral_data(tau, tol)
     system.cached("spectral", tol, lambda: sysmodel._spectral_parts(system, sd.t, sd.V, sd.skew))
+    system.cached("defects", tol, lambda: dd)
 
     # ||T*T - I|| from the singular values classify reads too; passing it at
     # eq_tol makes classify's conservative flag (eq_tol * norm_scale) hold
@@ -261,8 +283,10 @@ def biinner_dilation(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL)
           f"enlarged block operator is not unitary: defect {resid:.3e}")
     if not sysmodel.classify(system, tol).pqs:
         raise PqsysError("enlarged system is not quasi-selfadjoint")
-    if not sysmodel.is_minimal(system, tol):
+    # its Krylov record is (s, s, s) exactly when ker D_A = {0} (see above)
+    if dd.E_A.shape[1] != s:
         raise NotMinimal("enlarged system is not minimal")
+    system.cached("krylov", tol, lambda: sysmodel.KrylovRecord(s, s, s))
     # the pole form of the n x n corner of the enlarged Theta, on tau's t
     big = sysmodel.spectral_data(system, tol)
     corner = (system.D[:n, :n], big.t, transfer._residues(big.CV[:n], big.VB[:, :n]))
@@ -491,8 +515,10 @@ def unitary_similarity(tau1: PartitionedContraction, tau2: PartitionedContractio
 
     When both main operators are selfadjoint (both systems cache
     A = V diag(t) V*, `sysmodel.spectral_data`), everything is read off the
-    spectral data.  The Markov parameters are CV diag(t^k) VB and the
-    moments depend only on n + m: the Hankel sequence VB* diag(t^k) VB.
+    spectral data.  Transfer agreement is `transfer.markov_gap` of the two
+    pole forms on the same s1 + s2 coefficients, the Markov parameters being
+    CV diag(t^k) VB, and the moments depend only on n + m: the Hankel
+    sequence VB* diag(t^k) VB (`_spectral_moments`).
     Equal D and Markov parameters mean equal measures in the S^qs
     representation, and that measure is unique: the two systems have the
     same eigenvalue clusters with the same weights.  Equal moments then make
@@ -530,22 +556,20 @@ def unitary_similarity(tau1: PartitionedContraction, tau2: PartitionedContractio
     sd1, sd2 = (sysmodel.spectral_data(tau, tol) for tau in (tau1, tau2))
     spectral = sd1 is not None and sd2 is not None
     if spectral:
-        # the powers t^k up to k = 2 max(s1, s2) serve both checks
-        (M1, H1), (M2, H2) = (_spectral_moments(sd, 2 * max(s1, s2) + 1) for sd in (sd1, sd2))
-        markov = M1[:count] - M2[:count]
+        gap, j = transfer.markov_gap(*(transfer.pole_form(tau, tol) for tau in (tau1, tau2)), bound, count)
     else:
         # one block sequence B, AB, A^2 B, ... per system serves both checks
         K1, K2 = (_krylov_blocks(tau, count) for tau in (tau1, tau2))
-        markov = tau1.C @ K1 - tau2.C @ K2
-    gaps = opcore.gap(np.concatenate([(tau1.D - tau2.D)[None], markov]), bound)
-    j = int(np.argmax(gaps))
-    check("transfer_agreement", float(gaps[j]), bound, TransferMismatch,
-          f"transfer functions differ by {gaps[j]:.3e} in the coefficient of lambda^{j}")
+        gaps = opcore.gap(np.concatenate([(tau1.D - tau2.D)[None], tau1.C @ K1 - tau2.C @ K2]), bound)
+        gap, j = float(gaps.max()), int(gaps.argmax())
+    check("transfer_agreement", gap, bound, TransferMismatch,
+          f"transfer functions differ by {gap:.3e} in the coefficient of lambda^{j}")
     if s1 != s2:
         raise TransferMismatch("minimal realizations have different state dimensions")
 
     p = s1
-    moments = _hankel_gaps(H1, H2, bound) if spectral else _gram_gaps(K1[:p + 1], K2[:p + 1], bound)
+    moments = (_hankel_gaps(*(_spectral_moments(sd, 2 * p + 1) for sd in (sd1, sd2)), bound) if spectral
+               else _gram_gaps(K1[:p + 1], K2[:p + 1], bound))
     _check_moments(moments, bound)
     if spectral:
         U = _spectral_intertwiner(sd1, sd2)
@@ -569,17 +593,13 @@ def unitary_similarity(tau1: PartitionedContraction, tau2: PartitionedContractio
     return SimilarityResult(U, residuals)
 
 
-def _spectral_moments(sd: sysmodel.SpectralData, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Markov parameters CV diag(t^k) VB and the Hankel moments
-    VB* diag(t^k) VB for k = 0..count-1, each stacked along axis 0, from one
-    power sum (`transfer._power_sums`) over the rank-one terms of each state."""
-    VB, CV = sd.VB, sd.CV
-    s, (n, m) = sd.t.size, (CV.shape[0], VB.shape[1])
-    terms = np.empty((s, n * m + m * m), dtype=complex)
-    terms[:, :n * m] = transfer._residues(CV, VB).reshape(s, n * m)
-    terms[:, n * m:] = transfer._residues(VB.conj().T, VB).reshape(s, m * m)
-    out = next(transfer._power_sums(sd.t, terms, count, count))  # one block
-    return out[:, :n * m].reshape(count, n, m), out[:, n * m:].reshape(count, m, m)
+def _spectral_moments(sd: sysmodel.SpectralData, count: int) -> np.ndarray:
+    """The Hankel moments VB* diag(t^k) VB for k = 0..count-1, stacked along
+    axis 0, from one power sum (`transfer._power_sums`) over the rank-one
+    terms of each state."""
+    m = sd.VB.shape[1]
+    terms = np.ascontiguousarray(transfer._residues(sd.VB.conj().T, sd.VB)).reshape(sd.t.size, m * m)
+    return next(transfer._power_sums(sd.t, terms, count, count)).reshape(count, m, m)
 
 
 def _spectral_intertwiner(sd1: sysmodel.SpectralData, sd2: sysmodel.SpectralData) -> np.ndarray:

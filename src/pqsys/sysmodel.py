@@ -311,8 +311,8 @@ def simulate(tau: PartitionedContraction, inputs, h0) -> tuple[np.ndarray, np.nd
 
 class KrylovRecord(NamedTuple):
     """Dimensions of the controllable subspace span{A^n B}, the observable
-    subspace span{A*^n C*} and their sum, with the two orthonormal bases
-    (`_span`) when they were built; None otherwise."""
+    subspace span{A*^n C*} and their sum, with the two band-Arnoldi bases
+    (`_spans`) for an A with no cached factorization; None otherwise."""
 
     controllable: int
     observable: int
@@ -325,40 +325,52 @@ def krylov_record(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) ->
     """The Krylov dimensions of the system, computed once per system and
     tolerance set.
 
-    The two spans are those of `_span`.  With a cached spectral factorization
-    (selfadjoint A) their dimensions are first read off the cluster ranks
-    alone, with no basis; a system with a full span needs no more.  The joint
-    dimension is s when either span is full, else the dimension of the sum of
-    the two bases (`_union`), which the record then keeps."""
+    The two spans and their sum are those of `_spans`.  With a cached
+    spectral factorization (selfadjoint A) the record is counted, and holds
+    no basis: the two dimensions are read off the cluster ranks alone, which
+    settles a system with a full span (its joint dimension is s); else the
+    sum is counted cluster by cluster from the two spans' coordinates in the
+    eigenbasis (`_cluster_sides`).  Any other A keeps the two band-Arnoldi
+    bases."""
     return tau.cached("krylov", tol, lambda: _krylov_record(tau, tol))
 
 
 def _krylov_record(tau: PartitionedContraction, tol: Tolerances) -> KrylovRecord:
     s = tau.state_dim
     sd = spectral_data(tau, tol)
-    if sd is not None:
-        dims = [sum(rank for _, rank, _ in _cluster_span(sd.t, comps, _rank_floor(comps, tol)))
-                for comps in (sd.VB, sd.CV.conj().T)]
-        if s in dims:
-            return KrylovRecord(*dims, s)
-    hc, ho = _span(tau, tau.B, False, tol), _span(tau, tau.C.conj().T, True, tol)
-    return KrylovRecord(hc.dim, ho.dim, _union(hc, ho, tol).dim, hc, ho)
+    if sd is None:
+        hc, ho, joint = _spans(tau, tau.B, tau.C.conj().T, tol)
+        return KrylovRecord(hc.dim, ho.dim, joint.dim, hc, ho)
+    comps = (sd.VB, sd.CV.conj().T)
+    dims = [sum(rank for _, rank, _ in _cluster_span(sd.t, c, _rank_floor(c, tol))) for c in comps]
+    if s in dims:
+        return KrylovRecord(*dims, s)
+    return KrylovRecord(*dims, sum(rank for _, rank, _ in _cluster_sides(sd, *comps, tol)[2]))
 
 
-def _span(tau: PartitionedContraction, X: np.ndarray, adjoint: bool, tol: Tolerances) -> SubspaceBasis:
-    """Orthonormal basis of span{A^n X : n >= 0} in the state space, or of
-    span{A*^n X} with adjoint: the one place a span route is chosen.  With a
-    cached factorization A = V diag(t) V* (then A* = A) it is the direct sum
-    over the eigenvalue clusters of the ranges of the cluster rows of V*X
-    (`_cluster_span` on the eigenvectors, at rank_tol * ||V*X||_2); any
-    other A takes band Arnoldi (`opcore.krylov_span`)."""
+def _spans(tau: PartitionedContraction, X: np.ndarray, Y: np.ndarray,
+           tol: Tolerances) -> tuple[SubspaceBasis, SubspaceBasis, SubspaceBasis]:
+    """Orthonormal bases of span{A^n X : n >= 0}, of span{A*^n Y} and of their
+    sum, in the state space: the one place a span route is chosen.
+
+    With a cached factorization A = V diag(t) V* (then A* = A) each span is
+    the direct sum over the eigenvalue clusters of the ranges of the cluster
+    rows of V*X or V*Y, and so is their sum (`_cluster_sides`); any other A
+    takes band Arnoldi (`opcore.krylov_span`) and `opcore.range_basis` of
+    the two bases side by side.  On both routes the sum is the whole space
+    when either span is, and one basis when the two are equal bit for bit
+    (X = Y on a selfadjoint A, as C = B* bit for bit gives), with no SVD."""
     s = tau.state_dim
     sd = spectral_data(tau, tol)
-    if sd is None:
-        return opcore.krylov_span(tau.A.conj().T if adjoint else tau.A, X, s, tol)
-    comps = opcore._eig_coords(sd.V, X)
-    kept = [part for _, rank, part in _cluster_span(sd.t, comps, _rank_floor(comps, tol), sd.V) if rank]
-    return SubspaceBasis(s, np.hstack(kept) if kept else np.zeros((s, 0), dtype=complex))
+    if sd is not None:
+        xs, ys, js = _cluster_sides(sd, opcore._eig_coords(sd.V, X), opcore._eig_coords(sd.V, Y), tol)
+        hc = _eig_basis(sd.V, s, xs)
+        ho = hc if ys is xs else _eig_basis(sd.V, s, ys)
+        return hc, ho, hc if js is xs else ho if js is ys else _eig_basis(sd.V, s, js)
+    hc, ho = opcore.krylov_span(tau.A, X, s, tol), opcore.krylov_span(tau.A.conj().T, Y, s, tol)
+    if s in (hc.dim, ho.dim) or np.array_equal(hc.basis, ho.basis):
+        return hc, ho, ho if ho.dim == s else hc
+    return hc, ho, opcore.range_basis(np.hstack([hc.basis, ho.basis]), tol)
 
 
 def _rank_floor(comps: np.ndarray, tol: Tolerances) -> float:
@@ -366,30 +378,71 @@ def _rank_floor(comps: np.ndarray, tol: Tolerances) -> float:
     return tol.rank_tol * operator_norm(comps)
 
 
-def _union(hc: SubspaceBasis, ho: SubspaceBasis, tol: Tolerances) -> SubspaceBasis:
-    """Orthonormal basis of hc + ho: the full one when either is the whole
-    space, else `opcore.range_basis` of the two bases side by side.  Equal
-    bases (those of a system with C = B* bit for bit) are their own sum:
-    the range of [Q, Q] is that of Q, and its SVD is spared."""
-    for sub in (hc, ho):
-        if sub.dim == sub.ambient_dim:
-            return sub
-    if np.array_equal(hc.basis, ho.basis):
-        return hc
-    return opcore.range_basis(np.hstack([hc.basis, ho.basis]), tol)
+def _cluster_sides(sd: SpectralData, xc: np.ndarray, yc: np.ndarray,
+                   tol: Tolerances) -> tuple[list, list, list]:
+    """The `_cluster_span` parts, with bases in the coordinates of each
+    cluster's eigenvectors, of the components xc = V*X and yc = V*Y in the
+    eigenbasis of sd, at rank_tol times ||xc||_2 and ||yc||_2 (`_rank_floor`),
+    and those of the sum of the two spans (`_cluster_union`).  Equal
+    components give one list for both."""
+    xs = _cluster_span(sd.t, xc, _rank_floor(xc, tol), True)
+    ys = xs if np.array_equal(xc, yc) else _cluster_span(sd.t, yc, _rank_floor(yc, tol), True)
+    return xs, ys, _cluster_union(xs, ys, tol)
+
+
+def _cluster_union(xs: list, ys: list, tol: Tolerances) -> list:
+    """The `_cluster_span` parts of the sum of two spans of one selfadjoint
+    operator, from the parts xs and ys of the two (with bases): ys when it
+    is the whole space, else xs when it is or when ys is xs.  Otherwise, in
+    eigen coordinates every column of the two bases lies in one cluster, so
+    the bases side by side are block diagonal over the clusters: their
+    singular values are those of the cluster blocks [U_x, U_y], and
+    `opcore.range_basis` of them is, cluster by cluster, the range of
+    [U_x, U_y] at rank_tol times the largest singular value of any cluster.
+    The clusters of one size take one stacked SVD, each side padded with
+    zero columns to the cluster size."""
+    for side in (ys, xs):
+        if all(rank == c.stop - c.start for c, rank, _ in side):
+            return side
+    if ys is xs:
+        return xs
+    clusters = [c for c, _, _ in xs]
+    found = []
+    for pos, rows in _cluster_rows_by_size(clusters):
+        size = rows.shape[1]
+        W = np.zeros((pos.size, size, 2 * size), dtype=complex)
+        for j, k in enumerate(pos.tolist()):
+            for off, (_, rank, U) in ((0, xs[k]), (size, ys[k])):
+                W[j, :, off:off + rank] = U
+        U, sv, _ = np.linalg.svd(W, full_matrices=False)
+        found.append((pos, U, sv))
+    thresh = tol.rank_tol * max(float(sv.max(initial=0.0)) for _, _, sv in found)
+    parts = [None] * len(clusters)
+    for pos, U, sv in found:
+        for j, (k, rank) in enumerate(zip(pos.tolist(), np.count_nonzero(sv > thresh, axis=1).tolist())):
+            parts[k] = (clusters[k], rank, U[j, :, :rank])
+    return parts
+
+
+def _eig_basis(V: np.ndarray, s: int, parts: list) -> SubspaceBasis:
+    """The orthonormal basis with the columns V[:, c] U of the parts
+    (c, rank, U) of `_cluster_span`, in cluster order; V is a matrix or the
+    index of `opcore._eig_coords`."""
+    kept = [opcore._eig_span(V, c, U) for c, rank, U in parts if rank]
+    return SubspaceBasis(s, np.hstack(kept) if kept else np.zeros((s, 0), dtype=complex))
 
 
 def _cluster_span(t: np.ndarray, comps: np.ndarray, thresh: float,
-                  vecs: np.ndarray | None = None) -> list[tuple[slice, int, np.ndarray | None]]:
+                  basis: bool = False) -> list[tuple[slice, int, np.ndarray | None]]:
     """The span of all powers of a selfadjoint operator applied to a set of
     vectors, cluster by cluster, from the operator's ascending eigenvalues
     t and the components comps of the vectors in its eigenbasis (one row
     per eigenvector).  The span is the direct sum over the eigenvalue
     clusters (`opcore.eigen_clusters`) of the ranges of the cluster rows.
     Returns, for each cluster c in order, c itself, the number of singular
-    values of comps[c] above thresh and, given the eigenvectors vecs, an
-    orthonormal basis of that range (else None); vecs is a matrix or the
-    index of `opcore._eig_coords`.
+    values of comps[c] above thresh and, with basis, an orthonormal basis of
+    that range in the coordinates of the cluster's eigenvectors, the leading
+    left singular vectors of comps[c] (else None).
 
     The clusters of one size take one stacked SVD of their rows, which runs
     the LAPACK routine of a single SVD on each: the same ranks and bases, bit
@@ -397,14 +450,13 @@ def _cluster_span(t: np.ndarray, comps: np.ndarray, thresh: float,
     clusters = opcore.eigen_clusters(t)
     out = [None] * len(clusters)
     for pos, rows in _cluster_rows_by_size(clusters):
-        if vecs is None:
-            sv = np.linalg.svd(comps[rows], compute_uv=False)
-        else:
+        if basis:
             U, sv, _ = np.linalg.svd(comps[rows], full_matrices=False)
+        else:
+            sv = np.linalg.svd(comps[rows], compute_uv=False)
         ranks = np.count_nonzero(sv > thresh, axis=1).tolist()
         for j, (k, rank) in enumerate(zip(pos.tolist(), ranks)):
-            c = clusters[k]
-            out[k] = (c, rank, None if vecs is None else opcore._eig_span(vecs, c, U[j, :, :rank]))
+            out[k] = (clusters[k], rank, U[j, :, :rank] if basis else None)
     return out
 
 
@@ -422,13 +474,14 @@ def _cluster_rows_by_size(clusters: list[slice]):
 def controllable_subspace(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
     """span{A^n B : n >= 0} inside the state space."""
     rec = krylov_record(tau, tol)
-    return rec.hc if rec.hc is not None else _span(tau, tau.B, False, tol)
+    # the record of a selfadjoint A holds no basis; `_spans` of equal X and Y builds one
+    return rec.hc if rec.hc is not None else _spans(tau, tau.B, tau.B, tol)[0]
 
 
 def observable_subspace(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
     """span{A*^n C* : n >= 0} inside the state space."""
     rec = krylov_record(tau, tol)
-    return rec.ho if rec.ho is not None else _span(tau, tau.C.conj().T, True, tol)
+    return rec.ho if rec.ho is not None else _spans(tau, tau.C.conj().T, tau.C.conj().T, tol)[1]
 
 
 def is_controllable(tau, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -496,8 +549,7 @@ class MinimalityReport:
     ran D_A ∩ (H - H_N^c) = {0} (and the observable/simple analogues,
     where H_N^c = span{A^n M}, H_N^o = span{A*^n K*}); the direct route
     uses the Krylov subspaces of (A, B) and (A*, C*).  Both must agree.
-    Both routes read the same span rule, `_span`, and the same joint rule,
-    `_union` (`krylov_record`).
+    Both routes read the same span and joint rules, `_spans` (`krylov_record`).
     """
 
     controllable: bool
@@ -529,8 +581,7 @@ def check_minimality_normal(tau: PartitionedContraction, tol: Tolerances = DEFAU
     ker_trivial = E.shape[1] == tau.state_dim
 
     M, Ks = p.M_ambient, E @ p.K.conj().T  # M: inputs -> state space, K*: outputs -> state space
-    hc_n, ho_n = _span(tau, M, False, tol), _span(tau, Ks, True, tol)
-    joint = _union(hc_n, ho_n, tol)
+    hc_n, ho_n, joint = _spans(tau, M, Ks, tol)
 
     def meets_range(sub: SubspaceBasis) -> bool:
         # ran D_A meets the orthogonal complement of sub nontrivially iff

@@ -245,24 +245,24 @@ def cnu_unitary_split_by_power_kernels(A, rank_tol=1e-10):
 # per-cluster and per-atom loops, references for the stacked kernels
 # ---------------------------------------------------------------------------
 
-def cluster_span_loop(t, comps, thresh, gap, vecs=None):
+def cluster_span_loop(t, comps, thresh, gap, basis=False):
     """(cluster, rank, basis part) for each eigenvalue cluster of the ascending
     t (contiguous slices, split where neighbours lie more than gap apart),
     with one SVD of the cluster rows of comps per cluster: the rank counts
-    the singular values above thresh, and given vecs the basis part is
-    vecs[:, cluster] times the leading rank left singular vectors."""
+    the singular values above thresh, and with basis the basis part is the
+    leading rank left singular vectors, in the cluster's coordinates."""
     edges = [0] + [i + 1 for i in range(len(t) - 1) if t[i + 1] - t[i] > gap] + [len(t)]
     out = []
     for a, b in zip(edges[:-1], edges[1:]):
         if b <= a:
             continue
         c = slice(a, b)
-        if vecs is None:
-            sv = np.linalg.svd(comps[c], compute_uv=False)
-        else:
+        if basis:
             U, sv, _ = np.linalg.svd(comps[c], full_matrices=False)
+        else:
+            sv = np.linalg.svd(comps[c], compute_uv=False)
         rank = int(np.count_nonzero(sv > thresh))
-        out.append((c, rank, None if vecs is None else vecs[:, c] @ U[:, :rank]))
+        out.append((c, rank, U[:, :rank] if basis else None))
     return out
 
 

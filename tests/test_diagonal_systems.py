@@ -82,10 +82,9 @@ def test_index_eigenbasis_gives_the_dense_bases_and_verdicts(n):
                 lambda: sysmodel._spectral_parts(twin, sd.t, _permutation(sd.V), 0.0))
     dense = sysmodel.spectral_data(twin)
     assert dense.V.ndim == 2
-    for X, adjoint in ((tau.B, False), (tau.C.conj().T, True)):
-        got = sysmodel._span(tau, X, adjoint, pqsys.DEFAULT_TOL).basis
-        ref = sysmodel._span(twin, X, adjoint, pqsys.DEFAULT_TOL).basis
-        assert got.shape == ref.shape and np.array_equal(got, ref)
+    spans = (sysmodel._spans(x, tau.B, tau.C.conj().T, pqsys.DEFAULT_TOL) for x in (tau, twin))
+    for got, ref in zip(*spans):
+        assert got.basis.shape == ref.basis.shape and np.array_equal(got.basis, ref.basis)
     report = sysmodel.check_minimality_normal(tau)
     assert report == sysmodel.check_minimality_normal(twin) and report.agree
     # a k-fold eigenvalue contributes min(k, n) controllable directions

@@ -1,11 +1,12 @@
 """One span rule for both Krylov routes.
 
-`sysmodel._span` is the only place a basis route is chosen: the cluster
+`sysmodel._spans` is the only place a basis route is chosen: the cluster
 bases of the cached eigenbasis of a selfadjoint A, band Arnoldi
 (`opcore.krylov_span`) for any other A.  The joint span of
 `krylov_record` and of `check_minimality_normal` is the union of the two
 spans on both routes: the whole space when either span is, else the range
-of the two bases side by side."""
+of the two bases side by side, which the cluster route takes cluster by
+cluster."""
 
 import ast
 from pathlib import Path
@@ -105,7 +106,7 @@ def test_battery_records_have_the_planted_dimensions_on_both_routes(monkeypatch,
         tau, want = _case(seed)
         s = tau.state_dim
         rec = sysmodel.krylov_record(tau)
-        assert (rec.hc is None) == (route == "cluster" and s in want[:2]), seed
+        assert (rec.hc is None) == (route == "cluster"), seed
         c, o, joint = rec[:3]
         assert joint >= max(c, o), seed
         if s in (c, o):
@@ -128,7 +129,7 @@ def test_a_minimal_system_reads_its_record_from_two_values_only_cluster_passes(m
     real = sysmodel._cluster_span
     monkeypatch.setattr(sysmodel, "_cluster_span",
                         lambda t, comps, thresh, vecs=None: passes.append(vecs) or real(t, comps, thresh, vecs))
-    for name in ("_span", "_union"):
+    for name in ("_spans", "_cluster_union"):
         monkeypatch.setattr(sysmodel, name, lambda *a, _n=name, **kw: pytest.fail(f"{_n} called"))
     monkeypatch.setattr(opcore, "krylov_span", lambda *a, **kw: pytest.fail("krylov_span called"))
     assert sysmodel.krylov_record(tau) == (30, 30, 30, None, None)
@@ -137,8 +138,10 @@ def test_a_minimal_system_reads_its_record_from_two_values_only_cluster_passes(m
 
 def test_equal_bases_are_their_own_union(monkeypatch):
     # a pqs system with C = B* bit for bit: both spans are one basis, and the
-    # union takes no SVD of the two side by side; with C* = B G the spans are
-    # equal but the bases are not, and range_basis finds the same dimension
+    # union takes no SVD; with C* = B G the spans are equal but the bases are
+    # not, and the union, cluster by cluster, finds the same dimension with
+    # one stacked SVD of the eight 3 x 6 cluster blocks and none of the two
+    # bases side by side
     rng = np.random.default_rng(243)
     T = pqs_from_spectrum(rng, np.repeat(rng.uniform(-0.9, 0.9, 8), 3), 2)
     tau = pqsys.PartitionedContraction(T, 2, 2, 24)
@@ -148,10 +151,45 @@ def test_equal_bases_are_their_own_union(monkeypatch):
     for x in (tau, twin):
         sysmodel.spectral_data(x)
     stacked = linalg_calls(monkeypatch, "svd", shape=(24, 32))
-    rec = sysmodel.krylov_record(tau)
-    assert rec[:3] == (16, 16, 16) and np.array_equal(rec.hc.basis, rec.ho.basis)
-    assert not stacked
-    assert sysmodel.krylov_record(twin)[:3] == (16, 16, 16) and len(stacked) == 1
+    blocks = linalg_calls(monkeypatch, "svd", shape=(8, 3, 6))
+    assert sysmodel.krylov_record(tau)[:3] == (16, 16, 16)
+    hc, ho, joint = sysmodel._spans(tau, tau.B, tau.C.conj().T, pqsys.DEFAULT_TOL)
+    assert ho is hc and joint is hc
+    assert not stacked and not blocks
+    assert sysmodel.krylov_record(twin)[:3] == (16, 16, 16)
+    assert not stacked and len(blocks) == 1
+
+
+def test_the_cluster_union_is_the_range_of_the_two_bases_side_by_side():
+    # neither span full, the bases unequal: the union cluster by cluster has
+    # the dimension range_basis finds for the two bases side by side, and its
+    # basis spans the same space
+    for seed in range(40):
+        tau, want = _case(seed)
+        c, o, joint = want
+        if tau.state_dim in (c, o):
+            continue
+        hc, ho, union = sysmodel._spans(tau, tau.B, tau.C.conj().T, pqsys.DEFAULT_TOL)
+        ref = opcore.range_basis(np.hstack([hc.basis, ho.basis]))
+        assert union.dim == ref.dim == joint, seed
+        Q = union.basis
+        assert np.linalg.norm(Q.conj().T @ Q - np.eye(Q.shape[1])) < 1e-12
+        assert np.linalg.norm(Q @ (Q.conj().T @ ref.basis) - ref.basis) < 1e-10
+
+
+def test_the_cluster_union_of_a_large_system_takes_only_cluster_svds(monkeypatch):
+    # s = 400 in triple clusters, two channels, C* = B G: neither span is full
+    # and the bases differ, the case that took an SVD of the 400 x 534 stack;
+    # now every SVD is of a stack of cluster blocks or of the s x 2 components
+    rng = np.random.default_rng(0)
+    s = 400
+    T = pqs_from_spectrum(rng, np.repeat(rng.uniform(-0.9, 0.9, 134), 3)[:s], 2)
+    T[:2, 2:] = (T[2:, :2] @ np.array([[0.5, 0.1], [0.2, 0.4]])).conj().T
+    tau = pqsys.PartitionedContraction(T, 2, 2, s)
+    sysmodel.spectral_data(tau)
+    svds = linalg_calls(monkeypatch, "svd")
+    assert sysmodel.krylov_record(tau)[:3] == (267, 267, 267)
+    assert all(shape[-2:] in ((3, 2), (3, 6), (1, 2), (s, 2)) for shape in svds), svds
 
 
 def _calls_by_function(path, names):
@@ -170,17 +208,17 @@ def _calls_by_function(path, names):
 
 
 def test_only_span_chooses_between_arnoldi_and_the_cluster_bases():
-    # krylov_span is called on a system's A only in sysmodel._span (opcore's
+    # krylov_span is called on a system's A only in sysmodel._spans (opcore's
     # cnu_unitary_split takes it on a bare contraction), and cluster bases,
-    # the four-argument _cluster_span, are built only there
+    # the four-argument _cluster_span, are built only in the _cluster_sides
+    # that _spans and the record's count share
     found = {}
     for path in sorted(SRC.glob("*.py")):
         if path.name != "opcore.py":
             for fn, calls in _calls_by_function(path, {"krylov_span", "_cluster_span"}).items():
                 found[path.stem, fn] = calls
-    basis_routes = {key for key, calls in found.items()
-                    if ("krylov_span", 4) in calls or ("_cluster_span", 4) in calls}
-    assert basis_routes == {("sysmodel", "_span")}
-    for name in ("_eigen_side", "_cluster_basis", "_eigen_span"):
+    assert {key for key, calls in found.items() if ("krylov_span", 4) in calls} == {("sysmodel", "_spans")}
+    assert {key for key, calls in found.items() if ("_cluster_span", 4) in calls} == {("sysmodel", "_cluster_sides")}
+    for name in ("_eigen_side", "_cluster_basis", "_eigen_span", "_span", "_union"):
         assert not hasattr(sysmodel, name)
     assert not hasattr(opcore, "hermitian_eigh")

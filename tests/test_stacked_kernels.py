@@ -14,7 +14,7 @@ from pqsys import opcore, sysmodel, transfer
 from pqsys.errors import InvalidMeasure, PolarPoint
 
 import oracles
-from helpers import linalg_calls, pqs_from_spectrum, rand_atoms, rand_complex, rand_unitary
+from helpers import linalg_calls, pqs_from_spectrum, rand_atoms, rand_complex
 
 
 # ---------------------------------------------------------------------------
@@ -42,37 +42,35 @@ def _assert_same_span(got, ref):
             assert part.shape == rpart.shape and np.array_equal(part, rpart)
 
 
-@pytest.mark.parametrize("with_vecs", [False, True])
-def test_cluster_span_matches_the_per_cluster_loop_bit_for_bit(with_vecs):
+@pytest.mark.parametrize("basis", [False, True])
+def test_cluster_span_matches_the_per_cluster_loop_bit_for_bit(basis):
     rng = np.random.default_rng(401)
     t, comps = _mixed_clusters(rng)
-    vecs = rand_unitary(rng, t.size) if with_vecs else None
     thresh = 1e-10 * np.linalg.norm(comps, 2)
-    got = sysmodel._cluster_span(t, comps, thresh, vecs)
-    ref = oracles.cluster_span_loop(t, comps, thresh, opcore.CLUSTER_GAP, vecs)
+    got = sysmodel._cluster_span(t, comps, thresh, basis)
+    ref = oracles.cluster_span_loop(t, comps, thresh, opcore.CLUSTER_GAP, basis)
     assert sorted({c.stop - c.start for c, _, _ in ref}) == [1, 2, 3]
     assert [rank for _, rank, _ in ref] == [1, 1, 0, 2, 2, 0, 1]
     _assert_same_span(got, ref)
 
 
-@pytest.mark.parametrize("with_vecs", [False, True])
-def test_cluster_span_of_an_empty_spectrum(with_vecs):
-    vecs = np.zeros((0, 0), dtype=complex) if with_vecs else None
-    assert sysmodel._cluster_span(np.zeros(0), np.zeros((0, 2), dtype=complex), 0.0, vecs) == []
+@pytest.mark.parametrize("basis", [False, True])
+def test_cluster_span_of_an_empty_spectrum(basis):
+    assert sysmodel._cluster_span(np.zeros(0), np.zeros((0, 2), dtype=complex), 0.0, basis) == []
 
 
 def test_cluster_span_without_channels():
     t = np.array([-0.2, 0.4, 0.4 + 1e-10])
-    got = sysmodel._cluster_span(t, np.zeros((3, 0), dtype=complex), 0.0, np.eye(3, dtype=complex))
-    assert [(c, rank, part.shape) for c, rank, part in got] == [(slice(0, 1), 0, (3, 0)),
-                                                                (slice(1, 3), 0, (3, 0))]
+    got = sysmodel._cluster_span(t, np.zeros((3, 0), dtype=complex), 0.0, True)
+    assert [(c, rank, part.shape) for c, rank, part in got] == [(slice(0, 1), 0, (1, 0)),
+                                                                (slice(1, 3), 0, (2, 0))]
 
 
 def test_cluster_span_takes_one_svd_per_cluster_size(monkeypatch):
     rng = np.random.default_rng(403)
     t, comps = _mixed_clusters(rng)
     calls = linalg_calls(monkeypatch, "svd")
-    sysmodel._cluster_span(t, comps, 0.0, rand_unitary(rng, t.size))
+    sysmodel._cluster_span(t, comps, 0.0, True)
     assert sorted(calls) == [(2, 2, 2), (2, 3, 2), (3, 1, 2)]
 
 
