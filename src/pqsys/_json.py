@@ -18,6 +18,7 @@ import base64
 import binascii
 import hashlib
 import json
+import numbers
 import zlib
 
 import numpy as np
@@ -49,12 +50,27 @@ def matrix_to_zb64(M) -> dict:
     return {"rows": rows, "cols": cols, "zb64": base64.b64encode(zlib.compress(raw, 1)).decode("ascii")}
 
 
+def _scalar(value, kind: type, name: str):
+    """value as kind when it is a JSON scalar of that kind, else ValueError:
+    int an integer >= 0, float a number, bool true or false.  A boolean is
+    not a number, and a string is neither."""
+    if kind is bool:
+        ok = isinstance(value, bool)
+    else:
+        ok = (isinstance(value, numbers.Integral if kind is int else numbers.Real)
+              and not isinstance(value, bool) and not (kind is int and value < 0))
+    if not ok:
+        want = {int: "a nonnegative integer", float: "a number", bool: "true or false"}[kind]
+        raise ValueError(f"{name} must be {want}, got {value!r}")
+    return kind(value)
+
+
 def matrix_from_json(obj) -> np.ndarray:
     """A matrix document in either form; entries must be finite.  A matrix
     read from the byte form is read-only (`_entries_from_zb64`)."""
     try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
+        rows = _scalar(obj["rows"], int, "matrix entry 'rows'")
+        cols = _scalar(obj["cols"], int, "matrix entry 'cols'")
         packed = "zb64" in obj
         data = obj["zb64"] if packed else obj["data"]
     except (TypeError, KeyError) as exc:
@@ -63,7 +79,7 @@ def matrix_from_json(obj) -> np.ndarray:
         if "data" in obj:
             raise ValueError("matrix document carries both 'data' and 'zb64'")
         return _entries_from_zb64(data, rows, cols).reshape(rows, cols)
-    if rows < 0 or cols < 0 or len(data) != rows * cols:
+    if len(data) != rows * cols:
         raise ValueError(f"matrix document claims {rows}x{cols} but carries {len(data)} entries")
     out = np.empty(rows * cols, dtype=complex)
     if data:
@@ -90,8 +106,6 @@ def _entries_from_zb64(text, rows: int, cols: int) -> np.ndarray:
 
     Inflation stops one byte past the declared size, so a small document
     cannot expand into more memory than its header claims."""
-    if rows < 0 or cols < 0:
-        raise ValueError(f"matrix document claims {rows}x{cols}")
     if not isinstance(text, str):
         raise ValueError("matrix payload 'zb64' must be a string")
     size = rows * cols * _WIRE.itemsize
@@ -174,9 +188,8 @@ def _pqs_from_diagonal(obj, n: int, out_dim: int, s: int) -> PartitionedContract
 def system_from_json(obj) -> PartitionedContraction:
     """A system document carrying T (either matrix form) or {D, B, t}."""
     try:
-        in_dim = int(obj["in_dim"])
-        out_dim = int(obj["out_dim"])
-        state_dim = int(obj["state_dim"])
+        in_dim, out_dim, state_dim = (_scalar(obj[key], int, f"system entry {key!r}")
+                                      for key in ("in_dim", "out_dim", "state_dim"))
         if "t" in obj:
             if "T" in obj:
                 raise ValueError("system document carries both 'T' and 't'")
@@ -205,9 +218,8 @@ def measure_from_json(obj) -> SqsFunctionData:
 
 
 def _atom_from_json(k: int, a) -> tuple[float, np.ndarray]:
-    t = float(a["t"])
     try:
-        return t, matrix_from_json(a["sigma"])
+        return _scalar(a["t"], float, "entry 't'"), matrix_from_json(a["sigma"])
     except ValueError as exc:
         raise ValueError(f"atom {k}: {exc}") from None
 
@@ -226,7 +238,7 @@ def jacobi_from_json(obj) -> JacobiRealization:
         d = float(obj["d"][0]) + 1j * float(obj["d"][1])
         a = tuple(float(x) for x in obj["a"])
         b = tuple(float(x) for x in obj["b"])
-        truncated = bool(obj["truncated"])
+        truncated = _scalar(obj["truncated"], bool, "tridiagonal entry 'truncated'")
     except (TypeError, KeyError, IndexError) as exc:
         raise ValueError(f"not a tridiagonal document: missing {exc}") from None
     return JacobiRealization(d, a, b, truncated)

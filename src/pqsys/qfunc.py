@@ -79,20 +79,26 @@ def q_theta_roundtrip(tau: PartitionedContraction, z: complex, tol: Tolerances =
     return r1, r2
 
 
-def q_asymptotic_F(q, radius: float = 100.0, count: int = 8, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+# The ring of `q_asymptotic_F`: z^2 (Q(z) + I/z) = F + sum_k c_k z^-k, and the
+# mean of z^-k over the _F_COUNT roots of unity vanishes unless _F_COUNT
+# divides k, so the ring mean is F + O(_F_RADIUS^-_F_COUNT) = F + O(100^-8).
+_F_RADIUS = 100.0
+_F_COUNT = 8
+
+
+def q_asymptotic_F(q, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Second coefficient of the expansion Q(z) = -I/z + F/z^2 + o(1/z^2),
-    fitted as the average of z^2 (Q(z) + I/z) over a ring of samples.
-    Averaging over a full ring of roots of unity cancels the lower-order
-    tail to O(radius^-count)."""
+    fitted as the average of z^2 (Q(z) + I/z) over a ring of 8 roots of
+    unity at radius 100, which cancels the lower-order tail to O(100^-8)."""
     sample = q_sampler(q, tol)
     acc = None
-    for k in range(count):
-        z = radius * np.exp(2j * np.pi * k / count)
+    for k in range(_F_COUNT):
+        z = _F_RADIUS * np.exp(2j * np.pi * k / _F_COUNT)
         val = as_matrix(sample(z))
         n = val.shape[0]
         term = z * z * (val + np.eye(n) / z)
         acc = term if acc is None else acc + term
-    return acc / count
+    return acc / _F_COUNT
 
 
 class KernelReport(NamedTuple):

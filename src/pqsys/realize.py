@@ -101,8 +101,7 @@ def spectral_measure(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL)
     if not sysmodel.classify(tau, tol).pqs:
         raise NotPqs("spectral read-out needs a passive quasi-selfadjoint system")
     sd = sysmodel.spectral_data(tau, tol)
-    comps = sd.CV.conj().T
-    span = sysmodel._cluster_span(sd.t, comps, sysmodel._rank_floor(comps, tol))
+    span = sysmodel._cluster_span(sd.t, sd.CV.conj().T, tol)
     t = np.empty(len(span))
     W = np.empty((len(span), tau.out_dim, tau.out_dim), dtype=complex)
     for pos, rows in sysmodel._cluster_rows_by_size([c for c, _, _ in span]):

@@ -327,25 +327,20 @@ def krylov_record(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) ->
 
     The two spans and their sum are those of `_spans`.  With a cached
     spectral factorization (selfadjoint A) the record is counted, and holds
-    no basis: the two dimensions are read off the cluster ranks alone, which
-    settles a system with a full span (its joint dimension is s); else the
-    sum is counted cluster by cluster from the two spans' coordinates in the
-    eigenbasis (`_cluster_sides`).  Any other A keeps the two band-Arnoldi
-    bases."""
+    no basis: the three dimensions are the cluster ranks of one
+    `_cluster_sides` pass over the components of B and C* in the
+    eigenbasis, which ranks each side once (both at once when C = B* bit
+    for bit).  Any other A keeps the two band-Arnoldi bases."""
     return tau.cached("krylov", tol, lambda: _krylov_record(tau, tol))
 
 
 def _krylov_record(tau: PartitionedContraction, tol: Tolerances) -> KrylovRecord:
-    s = tau.state_dim
     sd = spectral_data(tau, tol)
     if sd is None:
         hc, ho, joint = _spans(tau, tau.B, tau.C.conj().T, tol)
         return KrylovRecord(hc.dim, ho.dim, joint.dim, hc, ho)
-    comps = (sd.VB, sd.CV.conj().T)
-    dims = [sum(rank for _, rank, _ in _cluster_span(sd.t, c, _rank_floor(c, tol))) for c in comps]
-    if s in dims:
-        return KrylovRecord(*dims, s)
-    return KrylovRecord(*dims, sum(rank for _, rank, _ in _cluster_sides(sd, *comps, tol)[2]))
+    sides = _cluster_sides(sd, sd.VB, sd.CV.conj().T, tol)
+    return KrylovRecord(*(sum(rank for _, rank, _ in parts) for parts in sides))
 
 
 def _spans(tau: PartitionedContraction, X: np.ndarray, Y: np.ndarray,
@@ -373,26 +368,19 @@ def _spans(tau: PartitionedContraction, X: np.ndarray, Y: np.ndarray,
     return hc, ho, opcore.range_basis(np.hstack([hc.basis, ho.basis]), tol)
 
 
-def _rank_floor(comps: np.ndarray, tol: Tolerances) -> float:
-    """rank_tol * ||comps||_2, the threshold of the cluster ranks of comps."""
-    return tol.rank_tol * operator_norm(comps)
-
-
 def _cluster_sides(sd: SpectralData, xc: np.ndarray, yc: np.ndarray,
                    tol: Tolerances) -> tuple[list, list, list]:
-    """The `_cluster_span` parts, with bases in the coordinates of each
-    cluster's eigenvectors, of the components xc = V*X and yc = V*Y in the
-    eigenbasis of sd, at rank_tol times ||xc||_2 and ||yc||_2 (`_rank_floor`),
-    and those of the sum of the two spans (`_cluster_union`).  Equal
-    components give one list for both."""
-    xs = _cluster_span(sd.t, xc, _rank_floor(xc, tol), True)
-    ys = xs if np.array_equal(xc, yc) else _cluster_span(sd.t, yc, _rank_floor(yc, tol), True)
+    """The `_cluster_span` parts of the components xc = V*X and yc = V*Y in
+    the eigenbasis of sd, and those of the sum of the two spans
+    (`_cluster_union`).  Equal components give one list for both."""
+    xs = _cluster_span(sd.t, xc, tol)
+    ys = xs if np.array_equal(xc, yc) else _cluster_span(sd.t, yc, tol)
     return xs, ys, _cluster_union(xs, ys, tol)
 
 
 def _cluster_union(xs: list, ys: list, tol: Tolerances) -> list:
     """The `_cluster_span` parts of the sum of two spans of one selfadjoint
-    operator, from the parts xs and ys of the two (with bases): ys when it
+    operator, from the parts xs and ys of the two: ys when it
     is the whole space, else xs when it is or when ys is xs.  Otherwise, in
     eigen coordinates every column of the two bases lies in one cluster, so
     the bases side by side are block diagonal over the clusters: their
@@ -432,31 +420,28 @@ def _eig_basis(V: np.ndarray, s: int, parts: list) -> SubspaceBasis:
     return SubspaceBasis(s, np.hstack(kept) if kept else np.zeros((s, 0), dtype=complex))
 
 
-def _cluster_span(t: np.ndarray, comps: np.ndarray, thresh: float,
-                  basis: bool = False) -> list[tuple[slice, int, np.ndarray | None]]:
+def _cluster_span(t: np.ndarray, comps: np.ndarray, tol: Tolerances) -> list[tuple[slice, int, np.ndarray]]:
     """The span of all powers of a selfadjoint operator applied to a set of
     vectors, cluster by cluster, from the operator's ascending eigenvalues
     t and the components comps of the vectors in its eigenbasis (one row
     per eigenvector).  The span is the direct sum over the eigenvalue
     clusters (`opcore.eigen_clusters`) of the ranges of the cluster rows.
     Returns, for each cluster c in order, c itself, the number of singular
-    values of comps[c] above thresh and, with basis, an orthonormal basis of
-    that range in the coordinates of the cluster's eigenvectors, the leading
-    left singular vectors of comps[c] (else None).
+    values of comps[c] above rank_tol * ||comps||_2 and an orthonormal basis
+    of that range in the coordinates of the cluster's eigenvectors, the
+    leading left singular vectors of comps[c].
 
     The clusters of one size take one stacked SVD of their rows, which runs
     the LAPACK routine of a single SVD on each: the same ranks and bases, bit
     for bit, as one SVD per cluster."""
+    thresh = tol.rank_tol * operator_norm(comps)
     clusters = opcore.eigen_clusters(t)
     out = [None] * len(clusters)
     for pos, rows in _cluster_rows_by_size(clusters):
-        if basis:
-            U, sv, _ = np.linalg.svd(comps[rows], full_matrices=False)
-        else:
-            sv = np.linalg.svd(comps[rows], compute_uv=False)
+        U, sv, _ = np.linalg.svd(comps[rows], full_matrices=False)
         ranks = np.count_nonzero(sv > thresh, axis=1).tolist()
         for j, (k, rank) in enumerate(zip(pos.tolist(), ranks)):
-            out[k] = (clusters[k], rank, U[j, :, :rank] if basis else None)
+            out[k] = (clusters[k], rank, U[j, :, :rank])
     return out
 
 

@@ -245,24 +245,21 @@ def cnu_unitary_split_by_power_kernels(A, rank_tol=1e-10):
 # per-cluster and per-atom loops, references for the stacked kernels
 # ---------------------------------------------------------------------------
 
-def cluster_span_loop(t, comps, thresh, gap, basis=False):
+def cluster_span_loop(t, comps, thresh, gap):
     """(cluster, rank, basis part) for each eigenvalue cluster of the ascending
     t (contiguous slices, split where neighbours lie more than gap apart),
     with one SVD of the cluster rows of comps per cluster: the rank counts
-    the singular values above thresh, and with basis the basis part is the
-    leading rank left singular vectors, in the cluster's coordinates."""
+    the singular values above thresh, and the basis part is the leading rank
+    left singular vectors, in the cluster's coordinates."""
     edges = [0] + [i + 1 for i in range(len(t) - 1) if t[i + 1] - t[i] > gap] + [len(t)]
     out = []
     for a, b in zip(edges[:-1], edges[1:]):
         if b <= a:
             continue
         c = slice(a, b)
-        if basis:
-            U, sv, _ = np.linalg.svd(comps[c], full_matrices=False)
-        else:
-            sv = np.linalg.svd(comps[c], compute_uv=False)
+        U, sv, _ = np.linalg.svd(comps[c], full_matrices=False)
         rank = int(np.count_nonzero(sv > thresh))
-        out.append((c, rank, U[:, :rank] if basis else None))
+        out.append((c, rank, U[:, :rank]))
     return out
 
 

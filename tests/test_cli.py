@@ -74,6 +74,30 @@ def test_classify_wrong_schema_exits_2(tmp_path):
     assert main(["classify", str(doc)]) == 2
 
 
+def test_classify_rejects_dimensions_that_are_not_integers(tmp_path, rng):
+    write_system(tmp_path / "sys.json", pqsys.realize_from_data(write_member_measure(tmp_path / "m.json", rng)))
+    doc = read_json(tmp_path / "sys.json")
+    doc.update(in_dim=1.9, out_dim=True)
+    _json.dump(doc, str(tmp_path / "sys.json"))
+    report = tmp_path / "rep.json"
+    assert main(["classify", str(tmp_path / "sys.json"), "--report", str(report)]) == 2
+    err = read_json(report)["error"]
+    assert err["type"] == "ValueError" and err["exit_code"] == 2
+    assert err["message"] == "system entry 'in_dim' must be a nonnegative integer, got 1.9"
+
+
+def test_realize_rejects_a_fractional_matrix_size(tmp_path, rng):
+    write_member_measure(tmp_path / "m.json", rng)
+    doc = read_json(tmp_path / "m.json")
+    doc["theta0"]["rows"] = 1.5
+    _json.dump(doc, str(tmp_path / "m.json"))
+    report = tmp_path / "rep.json"
+    assert main(["realize", str(tmp_path / "m.json"), "--report", str(report)]) == 2
+    err = read_json(report)["error"]
+    assert err["type"] == "ValueError" and err["exit_code"] == 2
+    assert err["message"] == "matrix entry 'rows' must be a nonnegative integer, got 1.5"
+
+
 def test_eval_theta_samples_and_schur_check(tmp_path, rng):
     f = write_member_measure(tmp_path / "m.json", rng, n=2)
     tau = pqsys.realize_from_data(f)

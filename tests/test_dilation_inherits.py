@@ -80,7 +80,7 @@ def test_dilation_and_canonical_form_run_no_krylov_pass_and_no_second_defect_dat
     rng = np.random.default_rng(610)
     tau = _source(rng, rng.uniform(-0.9, 0.9, s), n, dense=True)
     realize.biinner_dilation(tau)  # warms the source's caches
-    for mod, name in ((sysmodel, "_cluster_span"), (sysmodel, "_rank_floor"), (opcore, "krylov_span")):
+    for mod, name in ((sysmodel, "_cluster_span"), (opcore, "krylov_span")):
         monkeypatch.setattr(mod, name, lambda *a, _n=name, **kw: pytest.fail(f"{_n} called"))
     built = []
     for mod, name in ((sysmodel, "_main_defect_data"), (opcore, "hermitian_defect_data"),

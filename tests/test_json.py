@@ -236,6 +236,55 @@ def test_measure_names_its_malformed_atom(atom, message):
     assert str(exc.value) == message
 
 
+# ---------------------------------------------------------------------------
+# scalar fields take only JSON values of their kind
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("value", [1.5, 2.0, True, "2", None, -1])
+@pytest.mark.parametrize("key", ["rows", "cols"])
+def test_matrix_sizes_must_be_nonnegative_json_integers(key, value):
+    for doc in (_json.matrix_to_json(np.ones((2, 2))), _json.matrix_to_zb64(np.ones((2, 2)))):
+        doc[key] = value
+        with pytest.raises(ValueError, match=f"matrix entry '{key}' must be a nonnegative integer"):
+            _json.matrix_from_json(doc)
+
+
+@pytest.mark.parametrize("value", [1.9, 1.0, True, "1", -1])
+@pytest.mark.parametrize("key", ["in_dim", "out_dim", "state_dim"])
+def test_system_dimensions_must_be_nonnegative_json_integers(key, value):
+    rng = np.random.default_rng(6)
+    data = _json.system_to_json(pqsys.PartitionedContraction(rand_passive_T(rng, 1, 1, 2), 1, 1, 2))
+    diagonal = _json.system_to_json(pqsys.realize_from_data(pqsys.chebyshev_example(0.2, 3)[0]))
+    for doc in (data, diagonal):
+        doc[key] = value
+        with pytest.raises(ValueError, match=f"system entry '{key}' must be a nonnegative integer"):
+            _json.system_from_json(doc)
+
+
+@pytest.mark.parametrize("value", [False, True, "0.5", None, [0.5]])
+def test_an_atom_location_must_be_a_json_number(value):
+    doc = _json.measure_to_json(pqsys.chebyshev_example(0.2, 3)[0])
+    doc["atoms"][1]["t"] = value
+    with pytest.raises(ValueError, match="atom 1: entry 't' must be a number"):
+        _json.measure_from_json(doc)
+
+
+def test_an_integer_atom_location_reads_as_a_float():
+    doc = _json.measure_to_json(pqsys.chebyshev_example(0.2, 3)[0])
+    doc["atoms"][1]["t"] = 0
+    t = _json.measure_from_json(doc).atoms[1][0]
+    assert type(t) is float and t == 0.0
+
+
+@pytest.mark.parametrize("value", ["no", "false", 0, 1, None])
+def test_the_truncated_flag_must_be_a_json_boolean(value):
+    doc = _json.jacobi_to_json(pqsys.JacobiRealization(0.1 + 0.2j, (0.5,), (0.0,), False))
+    assert _json.jacobi_from_json(doc).truncated is False
+    doc["truncated"] = value
+    with pytest.raises(ValueError, match="tridiagonal entry 'truncated' must be true or false"):
+        _json.jacobi_from_json(doc)
+
+
 def test_jacobi_roundtrip():
     jr = pqsys.JacobiRealization(0.1 + 0.2j, (0.5, 0.3), (0.0, -0.1), True)
     back = _json.jacobi_from_json(_json.jacobi_to_json(jr))

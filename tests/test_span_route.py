@@ -121,19 +121,53 @@ def test_battery_records_have_the_planted_dimensions_on_both_routes(monkeypatch,
 # route pins
 # ---------------------------------------------------------------------------
 
-def test_a_minimal_system_reads_its_record_from_two_values_only_cluster_passes(monkeypatch):
+def _triple_cluster_repro():
+    """s = 400 in triple clusters, two channels and C* = B G, with its
+    factorization cached: neither span is full and the two bases differ."""
+    rng = np.random.default_rng(0)
+    s = 400
+    T = pqs_from_spectrum(rng, np.repeat(rng.uniform(-0.9, 0.9, 134), 3)[:s], 2)
+    T[:2, 2:] = (T[2:, :2] @ np.array([[0.5, 0.1], [0.2, 0.4]])).conj().T
+    tau = pqsys.PartitionedContraction(T, 2, 2, s)
+    sysmodel.spectral_data(tau)
+    return tau
+
+
+def _minimal_system():
+    """A minimal pqs system with C = B* bit for bit, s = 30, two channels,
+    with its factorization cached."""
     rng = np.random.default_rng(241)
     tau = pqsys.PartitionedContraction(pqs_from_spectrum(rng, rng.uniform(-0.9, 0.9, 30), 2), 2, 2, 30)
     sysmodel.spectral_data(tau)
-    passes = []
+    return tau
+
+
+@pytest.mark.parametrize("build, record, passes", [(_minimal_system, (30, 30, 30), 1),
+                                                   (_triple_cluster_repro, (267, 267, 267), 2)],
+                         ids=["minimal", "triple_cluster"])
+def test_a_record_ranks_each_side_in_one_cluster_pass(monkeypatch, build, record, passes):
+    # C = B* bit for bit: one pass ranks both sides; C* = B G: one pass per
+    # side, whose parts the union reads.  Every pass keeps its cluster bases,
+    # and no cluster SVD is taken for its values only.
+    tau = build()
+    parts = []
     real = sysmodel._cluster_span
-    monkeypatch.setattr(sysmodel, "_cluster_span",
-                        lambda t, comps, thresh, vecs=None: passes.append(vecs) or real(t, comps, thresh, vecs))
-    for name in ("_spans", "_cluster_union"):
-        monkeypatch.setattr(sysmodel, name, lambda *a, _n=name, **kw: pytest.fail(f"{_n} called"))
+    monkeypatch.setattr(sysmodel, "_cluster_span", lambda *a, **kw: parts.append(real(*a, **kw)) or parts[-1])
+    monkeypatch.setattr(sysmodel, "_spans", lambda *a, **kw: pytest.fail("_spans called"))
     monkeypatch.setattr(opcore, "krylov_span", lambda *a, **kw: pytest.fail("krylov_span called"))
-    assert sysmodel.krylov_record(tau) == (30, 30, 30, None, None)
-    assert passes == [None, None]
+    values_only = []
+    real_svd = np.linalg.svd
+
+    def svd(a, *args, **kw):
+        if kw.get("compute_uv") is False:
+            values_only.append(np.shape(a))
+        return real_svd(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    assert sysmodel.krylov_record(tau) == (*record, None, None)
+    assert len(parts) == passes
+    assert all(U.shape == (c.stop - c.start, rank) for side in parts for c, rank, U in side)
+    assert values_only == []
 
 
 def test_equal_bases_are_their_own_union(monkeypatch):
@@ -178,18 +212,13 @@ def test_the_cluster_union_is_the_range_of_the_two_bases_side_by_side():
 
 
 def test_the_cluster_union_of_a_large_system_takes_only_cluster_svds(monkeypatch):
-    # s = 400 in triple clusters, two channels, C* = B G: neither span is full
-    # and the bases differ, the case that took an SVD of the 400 x 534 stack;
-    # now every SVD is of a stack of cluster blocks or of the s x 2 components
-    rng = np.random.default_rng(0)
-    s = 400
-    T = pqs_from_spectrum(rng, np.repeat(rng.uniform(-0.9, 0.9, 134), 3)[:s], 2)
-    T[:2, 2:] = (T[2:, :2] @ np.array([[0.5, 0.1], [0.2, 0.4]])).conj().T
-    tau = pqsys.PartitionedContraction(T, 2, 2, s)
-    sysmodel.spectral_data(tau)
+    # the triple-cluster repro took an SVD of the 400 x 534 stack of its two
+    # bases; now every SVD is of a stack of cluster blocks or of the s x 2
+    # components
+    tau = _triple_cluster_repro()
     svds = linalg_calls(monkeypatch, "svd")
     assert sysmodel.krylov_record(tau)[:3] == (267, 267, 267)
-    assert all(shape[-2:] in ((3, 2), (3, 6), (1, 2), (s, 2)) for shape in svds), svds
+    assert all(shape[-2:] in ((3, 2), (3, 6), (1, 2), (tau.state_dim, 2)) for shape in svds), svds
 
 
 def _calls_by_function(path, names):
@@ -209,16 +238,18 @@ def _calls_by_function(path, names):
 
 def test_only_span_chooses_between_arnoldi_and_the_cluster_bases():
     # krylov_span is called on a system's A only in sysmodel._spans (opcore's
-    # cnu_unitary_split takes it on a bare contraction), and cluster bases,
-    # the four-argument _cluster_span, are built only in the _cluster_sides
-    # that _spans and the record's count share
+    # cnu_unitary_split takes it on a bare contraction), and the cluster parts
+    # only in the _cluster_sides that _spans and the record share and in the
+    # spectral read-out, all with the one three-argument signature
     found = {}
     for path in sorted(SRC.glob("*.py")):
         if path.name != "opcore.py":
             for fn, calls in _calls_by_function(path, {"krylov_span", "_cluster_span"}).items():
                 found[path.stem, fn] = calls
     assert {key for key, calls in found.items() if ("krylov_span", 4) in calls} == {("sysmodel", "_spans")}
-    assert {key for key, calls in found.items() if ("_cluster_span", 4) in calls} == {("sysmodel", "_cluster_sides")}
-    for name in ("_eigen_side", "_cluster_basis", "_eigen_span", "_span", "_union"):
+    spans = {key: calls for key, calls in found.items() if any(name == "_cluster_span" for name, _ in calls)}
+    assert set(spans) == {("sysmodel", "_cluster_sides"), ("realize", "spectral_measure")}
+    assert {args for calls in spans.values() for name, args in calls if name == "_cluster_span"} == {3}
+    for name in ("_eigen_side", "_cluster_basis", "_eigen_span", "_span", "_union", "_rank_floor"):
         assert not hasattr(sysmodel, name)
     assert not hasattr(opcore, "hermitian_eigh")

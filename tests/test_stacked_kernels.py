@@ -37,31 +37,27 @@ def _assert_same_span(got, ref):
     assert len(got) == len(ref)
     for (c, rank, part), (rc, rrank, rpart) in zip(got, ref):
         assert (c, rank) == (rc, rrank)
-        assert (part is None) == (rpart is None)
-        if part is not None:
-            assert part.shape == rpart.shape and np.array_equal(part, rpart)
+        assert part.shape == rpart.shape and np.array_equal(part, rpart)
 
 
-@pytest.mark.parametrize("basis", [False, True])
-def test_cluster_span_matches_the_per_cluster_loop_bit_for_bit(basis):
+def test_cluster_span_matches_the_per_cluster_loop_bit_for_bit():
     rng = np.random.default_rng(401)
     t, comps = _mixed_clusters(rng)
-    thresh = 1e-10 * np.linalg.norm(comps, 2)
-    got = sysmodel._cluster_span(t, comps, thresh, basis)
-    ref = oracles.cluster_span_loop(t, comps, thresh, opcore.CLUSTER_GAP, basis)
+    tol = pqsys.Tolerances(rank_tol=1e-10)
+    got = sysmodel._cluster_span(t, comps, tol)
+    ref = oracles.cluster_span_loop(t, comps, tol.rank_tol * np.linalg.norm(comps, 2), opcore.CLUSTER_GAP)
     assert sorted({c.stop - c.start for c, _, _ in ref}) == [1, 2, 3]
     assert [rank for _, rank, _ in ref] == [1, 1, 0, 2, 2, 0, 1]
     _assert_same_span(got, ref)
 
 
-@pytest.mark.parametrize("basis", [False, True])
-def test_cluster_span_of_an_empty_spectrum(basis):
-    assert sysmodel._cluster_span(np.zeros(0), np.zeros((0, 2), dtype=complex), 0.0, basis) == []
+def test_cluster_span_of_an_empty_spectrum():
+    assert sysmodel._cluster_span(np.zeros(0), np.zeros((0, 2), dtype=complex), pqsys.DEFAULT_TOL) == []
 
 
 def test_cluster_span_without_channels():
     t = np.array([-0.2, 0.4, 0.4 + 1e-10])
-    got = sysmodel._cluster_span(t, np.zeros((3, 0), dtype=complex), 0.0, True)
+    got = sysmodel._cluster_span(t, np.zeros((3, 0), dtype=complex), pqsys.DEFAULT_TOL)
     assert [(c, rank, part.shape) for c, rank, part in got] == [(slice(0, 1), 0, (1, 0)),
                                                                 (slice(1, 3), 0, (2, 0))]
 
@@ -70,7 +66,7 @@ def test_cluster_span_takes_one_svd_per_cluster_size(monkeypatch):
     rng = np.random.default_rng(403)
     t, comps = _mixed_clusters(rng)
     calls = linalg_calls(monkeypatch, "svd")
-    sysmodel._cluster_span(t, comps, 0.0, True)
+    sysmodel._cluster_span(t, comps, pqsys.Tolerances(rank_tol=0.0))
     assert sorted(calls) == [(2, 2, 2), (2, 3, 2), (3, 1, 2)]
 
 
