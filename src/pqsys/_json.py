@@ -50,19 +50,44 @@ def matrix_to_zb64(M) -> dict:
     return {"rows": rows, "cols": cols, "zb64": base64.b64encode(zlib.compress(raw, 1)).decode("ascii")}
 
 
+def _is_number(value) -> bool:
+    """The one rule of a JSON number: a real number that is not a boolean (a
+    string is not a number either).  The exact types of parsed JSON numbers
+    are tested first: the abstract-class test costs several times more."""
+    return type(value) in (float, int) or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+
+
 def _scalar(value, kind: type, name: str):
     """value as kind when it is a JSON scalar of that kind, else ValueError:
-    int an integer >= 0, float a number, bool true or false.  A boolean is
-    not a number, and a string is neither."""
+    int an integer >= 0, float a number (`_is_number`), bool true or false."""
     if kind is bool:
         ok = isinstance(value, bool)
     else:
-        ok = (isinstance(value, numbers.Integral if kind is int else numbers.Real)
-              and not isinstance(value, bool) and not (kind is int and value < 0))
+        ok = (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
+              if kind is int else _is_number(value))
     if not ok:
         want = {int: "a nonnegative integer", float: "a number", bool: "true or false"}[kind]
         raise ValueError(f"{name} must be {want}, got {value!r}")
     return kind(value)
+
+
+def _floats(values, name: str) -> np.ndarray:
+    """A list of JSON numbers as a float array, read entry by entry by the
+    rule of `_scalar`, else ValueError."""
+    if not isinstance(values, list):
+        raise ValueError(f"{name} must be a list of numbers")
+    item = f"each item of {name}"
+    return np.fromiter((_scalar(v, float, item) for v in values), float, len(values))
+
+
+def _entry(k: int, pair) -> complex:
+    """The k-th [re, im] pair of a matrix document's "data" as a complex
+    number, each part a JSON number (`_is_number`), else ValueError."""
+    if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+        raise ValueError(f"matrix entry {k} is not an [re, im] pair")
+    if not (_is_number(pair[0]) and _is_number(pair[1])):
+        raise ValueError("matrix entries must be finite numbers")
+    return complex(*pair)
 
 
 def matrix_from_json(obj) -> np.ndarray:
@@ -79,23 +104,14 @@ def matrix_from_json(obj) -> np.ndarray:
         if "data" in obj:
             raise ValueError("matrix document carries both 'data' and 'zb64'")
         return _entries_from_zb64(data, rows, cols).reshape(rows, cols)
+    if not isinstance(data, (list, tuple)):
+        raise ValueError("matrix entry 'data' must be a list of [re, im] pairs")
     if len(data) != rows * cols:
         raise ValueError(f"matrix document claims {rows}x{cols} but carries {len(data)} entries")
-    out = np.empty(rows * cols, dtype=complex)
-    if data:
-        # a first entry of length 2 rules out broadcasting of scalars or
-        # 1-element entries; any other entry of another shape is ragged
-        first = data[0]
-        if not isinstance(first, (list, tuple)) or len(first) != 2:
-            raise ValueError("matrix entry 0 is not an [re, im] pair")
-        pairs = out.view(np.float64).reshape(-1, 2)
-        try:
-            pairs[...] = data
-        except (ValueError, TypeError):
-            raise ValueError("matrix entries are not all [re, im] pairs of numbers") from None
-        # null entries arrive as nan
-        if not np.all(np.isfinite(pairs)):
-            raise ValueError("matrix entries must be finite numbers")
+    # one pass over the entries, each checked as it is read
+    out = np.fromiter((_entry(k, pair) for k, pair in enumerate(data)), complex, len(data))
+    if not np.all(np.isfinite(out)):
+        raise ValueError("matrix entries must be finite numbers")
     return out.reshape(rows, cols)
 
 
@@ -172,10 +188,7 @@ def _pqs_from_diagonal(obj, n: int, out_dim: int, s: int) -> PartitionedContract
         raise ValueError(f"a system document with 't' needs in_dim = out_dim, got {n} and {out_dim}")
     D = matrix_from_json(obj["D"])
     B = matrix_from_json(obj["B"])
-    try:
-        t = np.array(obj["t"], dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError("system entry 't' must be a list of real numbers") from None
+    t = _floats(obj["t"], "system entry 't'")
     if t.shape != (s,):
         raise ValueError(f"system entry 't' must list {s} numbers, got shape {t.shape}")
     if not np.all(np.isfinite(t)):
@@ -235,13 +248,13 @@ def jacobi_to_json(jr: JacobiRealization) -> dict:
 
 def jacobi_from_json(obj) -> JacobiRealization:
     try:
-        d = float(obj["d"][0]) + 1j * float(obj["d"][1])
-        a = tuple(float(x) for x in obj["a"])
-        b = tuple(float(x) for x in obj["b"])
+        re, im = _floats(obj["d"], "tridiagonal entry 'd'").tolist()
+        a = tuple(_floats(obj["a"], "tridiagonal entry 'a'").tolist())
+        b = tuple(_floats(obj["b"], "tridiagonal entry 'b'").tolist())
         truncated = _scalar(obj["truncated"], bool, "tridiagonal entry 'truncated'")
-    except (TypeError, KeyError, IndexError) as exc:
+    except (TypeError, KeyError) as exc:
         raise ValueError(f"not a tridiagonal document: missing {exc}") from None
-    return JacobiRealization(d, a, b, truncated)
+    return JacobiRealization(re + 1j * im, a, b, truncated)
 
 
 def sniff_document(obj):

@@ -31,14 +31,16 @@ def q_eval(tau: PartitionedContraction, z: complex, tol: Tolerances = DEFAULT_TO
     S = D - z - C V diag(1 / (t - z)) V* B, from the cached factorization of
     the selfadjoint A, in O(s n^2), as Q = (S / sigma)^-1 / sigma with
     sigma = max(1, |z|): no term overflows at an extreme z, and one that
-    underflows lies far below the rounding of z / sigma, of modulus 1; near
-    the spectrum, a dense solve with T - zI."""
+    underflows lies far below the rounding of z / sigma, of modulus 1.  The
+    dense solve with T - zI serves only the points within _SCHUR_GAP of the
+    spectrum: a pqs system always has the factorization (`classify` finds A
+    selfadjoint exactly when `spectral_data` exists)."""
     if not sysmodel.classify(tau, tol).pqs:
         raise NotPqs("resolvent compressions are defined for pqs systems")
     z = complex(z)
     n = tau.out_dim
     sd = sysmodel.spectral_data(tau, tol)
-    if sd is not None and np.abs(sd.t - z).min(initial=np.inf) > _SCHUR_GAP:
+    if np.abs(sd.t - z).min(initial=np.inf) > _SCHUR_GAP:
         sigma = max(1.0, abs(z))
         with np.errstate(under="ignore"):
             coupling = (sd.CV / ((sd.t - z) / sigma)) @ sd.VB / sigma / sigma

@@ -389,22 +389,24 @@ def boundary_values(p: ContractionParams, tol: Tolerances = DEFAULT_TOL) -> tupl
 
         Theta(1) = K K* + D_{K*} X D_{K*},   Theta(-1) = -K K* + D_{K*} X D_{K*},
 
-    for a quasi-selfadjoint parameter set (A = A*, M = K*).  Cross-checked
-    against near-boundary evaluation with Richardson extrapolation when the
-    spectrum of A stays away from +-1."""
+    for a quasi-selfadjoint parameter set (A = A*, M = K*).  In the shared
+    eigenvector basis of the defects of a selfadjoint A, Phi_{A*}(lambda) of
+    `theta_factored` is diag((lambda - t) / (1 - lambda t)), which tends to
+    +-I as lambda -> +-1 for every spectrum (an eigenvalue at +-1 has no
+    defect and is not in the basis).  So the strong limit of Theta at +-1 is
+    +-K M + D_{K*} X D_M, and the checks `boundary_plus_one` and
+    `boundary_minus_one` record its exact gap to the closed form."""
     _require_pqs_params(p, tol)
     kk = p.K @ p.K.conj().T
-    const = p.DKs @ p.X_ambient @ p.DKs
+    dks_x = p.DKs @ p.X_ambient
+    const = dks_x @ p.DKs
     theta1 = kk + const
     theta_m1 = -kk + const
-    if operator_norm(p.A) < 0.99:
-        eps = 1e-6
-        for name, sign, target in (("boundary_plus_one", 1.0, theta1),
-                                   ("boundary_minus_one", -1.0, theta_m1)):
-            t1 = theta_factored(p, sign * (1 - eps), tol)
-            t2 = theta_factored(p, sign * (1 - 2 * eps), tol)
-            gap = opcore.gap(2 * t1 - t2 - target, 1e-4)
-            check(name, gap, 1e-4, PqsysError, f"boundary value at {sign:+.0f} off by {gap:.3e}")
+    km, limit_const = p.K @ p.M, dks_x @ p.DM
+    for name, sign, target in (("boundary_plus_one", 1.0, theta1),
+                               ("boundary_minus_one", -1.0, theta_m1)):
+        gap = opcore.gap(sign * km + limit_const - target, 1e-4)
+        check(name, gap, 1e-4, PqsysError, f"boundary value at {sign:+.0f} off by {gap:.3e}")
     return theta1, theta_m1
 
 

@@ -127,9 +127,10 @@ def circle_points(count):
     return np.exp(1j * ang)
 
 
-def pqs_from_spectrum(rng, t, n):
+def pqs_from_spectrum(rng, t, n, diagonal=False):
     """Passive quasi-selfadjoint block matrix with main operator
-    A = U diag(t) U* for a random unitary U and n I/O channels.
+    A = U diag(t) U* for a random unitary U and n I/O channels; with
+    diagonal, U = I and A is the real diagonal diag(t), bit for bit.
 
     Built from atomic data: an atom l_k l_k* at each t_k with total mass
     0.85 and Theta(0) strictly inside the membership ball, so T is a
@@ -141,7 +142,7 @@ def pqs_from_spectrum(rng, t, n):
     sigmas = [np.outer(l, l.conj()) for l in L]
     R_half = _psd_sqrt_ref(np.eye(n) - sum(sigmas))
     D = -sum(tk * sk for tk, sk in zip(t, sigmas)) + R_half @ rand_contraction(rng, n, n, 0.9) @ R_half
-    U = rand_unitary(rng, s)
+    U = np.eye(s) if diagonal else rand_unitary(rng, s)
     A = (U * t) @ U.conj().T
     A = (A + A.conj().T) / 2
     B = U @ (np.sqrt(1.0 - t * t)[:, None] * L.conj())

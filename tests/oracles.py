@@ -242,6 +242,28 @@ def cnu_unitary_split_by_power_kernels(A, rank_tol=1e-10):
 
 
 # ---------------------------------------------------------------------------
+# defect-based minimality of a normal system by principal angles
+# ---------------------------------------------------------------------------
+
+def defect_route_by_principal_angles(E, bases, rank_tol=1e-10):
+    """The defect-based minimality verdicts (controllable, observable, simple,
+    minimal) by principal angles, from an orthonormal basis E (s x r) of
+    ran D_A and orthonormal bases Q of span{A^n M}, span{A*^n K*} and their
+    sum: each verdict holds when ker D_A = {0} (r = s) and ran D_A meets the
+    orthogonal complement of the span only in 0, that is when all r
+    singular values of Q* E (the cosines of the principal angles) exceed
+    rank_tol.  Minimal is controllable and observable."""
+    s, r = E.shape
+
+    def clear(Q):
+        cos = np.linalg.svd(Q.conj().T @ E, compute_uv=False)
+        return r == s and int(np.count_nonzero(cos > rank_tol)) == r
+
+    c, o, j = (clear(Q) for Q in bases)
+    return c, o, j, c and o
+
+
+# ---------------------------------------------------------------------------
 # per-cluster and per-atom loops, references for the stacked kernels
 # ---------------------------------------------------------------------------
 

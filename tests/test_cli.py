@@ -412,6 +412,31 @@ def test_realize_invalid_measure_exits_2_and_writes_report(tmp_path):
     assert rep["error"]["exit_code"] == 2
 
 
+def test_realize_rejects_a_weight_given_as_a_string_and_a_boolean(tmp_path, rng):
+    write_member_measure(tmp_path / "m.json", rng)
+    doc = read_json(tmp_path / "m.json")
+    re, im = doc["atoms"][1]["sigma"]["data"][0]
+    doc["atoms"][1]["sigma"]["data"] = [[repr(re), False]]
+    _json.dump(doc, str(tmp_path / "m.json"))
+    report = tmp_path / "rep.json"
+    assert main(["realize", str(tmp_path / "m.json"), "--report", str(report)]) == 2
+    err = read_json(report)["error"]
+    assert err["type"] == "ValueError" and err["exit_code"] == 2
+    assert err["message"] == "atom 1: matrix entries must be finite numbers"
+
+
+def test_classify_rejects_diagonal_locations_given_as_strings(tmp_path):
+    write_system(tmp_path / "sys.json", pqsys.realize_from_data(pqsys.chebyshev_example(0.2, 4)[0]))
+    doc = read_json(tmp_path / "sys.json")
+    doc["t"] = [repr(x) for x in doc["t"]]
+    _json.dump(doc, str(tmp_path / "sys.json"))
+    report = tmp_path / "rep.json"
+    assert main(["classify", str(tmp_path / "sys.json"), "--report", str(report)]) == 2
+    err = read_json(report)["error"]
+    assert err["type"] == "ValueError" and err["exit_code"] == 2
+    assert err["message"].startswith("each item of system entry 't' must be a number, got '")
+
+
 def _measure_with_a_bad_atom(path, sigma_data):
     data, _ = pqsys.chebyshev_example(0.2 + 0.1j, 1000)
     doc = _json.measure_to_json(data)

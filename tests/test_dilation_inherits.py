@@ -72,7 +72,7 @@ def test_battery_block_of_ten_seeded_records_equal_a_fresh_krylov_pass(seed):
         s, v = big.state_dim, big.in_dim
         fresh = pqsys.PartitionedContraction(big.T, v, v, s)
         assert sysmodel.krylov_record(big) == (s, s, s, None, None), case
-        assert sysmodel._krylov_record(fresh, TOL) == sysmodel.krylov_record(big), case
+        assert sysmodel._krylov_record(fresh, fresh.B, fresh.C.conj().T, TOL) == sysmodel.krylov_record(big), case
 
 
 def test_dilation_and_canonical_form_run_no_krylov_pass_and_no_second_defect_data(monkeypatch):

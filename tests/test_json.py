@@ -311,3 +311,58 @@ def test_digest_tracks_content(tmp_path):
     p1.write_text("{\"x\": 1}")
     d2 = _json.digest_files([str(p1)])
     assert d1 != d2
+
+
+# ---------------------------------------------------------------------------
+# numbers are JSON numbers: no strings, no booleans
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("pair", [["0.5", 0.0], [0.5, False], [True, 0.0], [0.5, "1"], [0.5, None], [0.5, [0.0]]])
+def test_matrix_entries_must_be_json_numbers(pair):
+    for at in (0, 2):
+        data = [[0.1, 0.2]] * 4
+        data[at] = pair
+        with pytest.raises(ValueError, match="^matrix entries must be finite numbers$"):
+            _json.matrix_from_json({"rows": 2, "cols": 2, "data": data})
+
+
+def test_integer_matrix_entries_read_as_floats_bit_for_bit():
+    back = _json.matrix_from_json({"rows": 1, "cols": 3, "data": [[1, -2], [2 ** 53 + 1, 0], [-0.0, 0]]})
+    assert back.dtype == complex
+    want = np.array([[1 - 2j, complex(float(2 ** 53 + 1), 0.0), complex(-0.0, 0.0)]])
+    assert back.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+
+
+def test_matrix_data_must_be_a_list():
+    with pytest.raises(ValueError, match="'data' must be a list"):
+        _json.matrix_from_json({"rows": 1, "cols": 1, "data": 5})
+
+
+@pytest.mark.parametrize("value", ["0.5", True, None, [0.5]])
+def test_a_diagonal_system_location_must_be_a_json_number(value):
+    doc = _json.system_to_json(pqsys.realize_from_data(pqsys.chebyshev_example(0.2, 3)[0]))
+    doc["t"][1] = value
+    with pytest.raises(ValueError, match="each item of system entry 't' must be a number"):
+        _json.system_from_json(doc)
+    doc["t"] = "0.5"
+    with pytest.raises(ValueError, match="system entry 't' must be a list of numbers"):
+        _json.system_from_json(doc)
+
+
+@pytest.mark.parametrize("key, value", [("d", ["0.1", 0.2]), ("d", [0.1, False]), ("a", ["0.5"]),
+                                        ("a", [0.5, None]), ("b", [True]), ("b", "0.0")])
+def test_tridiagonal_entries_must_be_json_numbers(key, value):
+    doc = _json.jacobi_to_json(pqsys.JacobiRealization(0.1 + 0.2j, (0.5,), (0.0,), False))
+    doc[key] = value
+    with pytest.raises(ValueError, match=f"tridiagonal entry '{key}' must be"):
+        _json.jacobi_from_json(doc)
+
+
+def test_a_tridiagonal_corner_value_is_a_pair():
+    doc = _json.jacobi_to_json(pqsys.JacobiRealization(0.1 + 0.2j, (0.5,), (0.0,), False))
+    for d in ([0.1, 0.2, 0.3], [0.1]):
+        doc["d"] = d
+        with pytest.raises(ValueError):
+            _json.jacobi_from_json(doc)
+    doc["d"] = [0, 1]
+    assert _json.jacobi_from_json(doc).d == 1j
