@@ -59,7 +59,8 @@ def _is_number(value) -> bool:
 
 def _scalar(value, kind: type, name: str):
     """value as kind when it is a JSON scalar of that kind, else ValueError:
-    int an integer >= 0, float a number (`_is_number`), bool true or false."""
+    int an integer >= 0, float a number (`_is_number`) inside the float
+    range, bool true or false."""
     if kind is bool:
         ok = isinstance(value, bool)
     else:
@@ -68,7 +69,11 @@ def _scalar(value, kind: type, name: str):
     if not ok:
         want = {int: "a nonnegative integer", float: "a number", bool: "true or false"}[kind]
         raise ValueError(f"{name} must be {want}, got {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:
+        # a JSON integer beyond the float range
+        raise ValueError(f"{name} must be a finite number") from None
 
 
 def _floats(values, name: str) -> np.ndarray:
@@ -82,12 +87,16 @@ def _floats(values, name: str) -> np.ndarray:
 
 def _entry(k: int, pair) -> complex:
     """The k-th [re, im] pair of a matrix document's "data" as a complex
-    number, each part a JSON number (`_is_number`), else ValueError."""
+    number, each part a JSON number (`_is_number`) inside the float range,
+    else ValueError."""
     if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
         raise ValueError(f"matrix entry {k} is not an [re, im] pair")
     if not (_is_number(pair[0]) and _is_number(pair[1])):
         raise ValueError("matrix entries must be finite numbers")
-    return complex(*pair)
+    try:
+        return complex(*pair)
+    except OverflowError:
+        raise ValueError("matrix entries must be finite numbers") from None
 
 
 def matrix_from_json(obj) -> np.ndarray:

@@ -95,13 +95,14 @@ def spectral_measure(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL)
     Eigenvalues of the selfadjoint main operator, from the system's cached
     factorization, are clustered, and each cluster t with spectral
     projector P contributes the weight C P C* / (1 - t^2) when its rows of
-    (CV)* have nonzero rank under the cluster rule of the Krylov record,
-    so the atoms are the clusters that observability counts.  C = K D_A
-    vanishes on a cluster at +-1, which the rule therefore skips."""
+    (CV)* have nonzero rank in the observable parts of the Krylov record
+    (`sysmodel.krylov_record`), so the atoms are the clusters that
+    observability counts.  C = K D_A vanishes on a cluster at +-1, which the
+    rule therefore skips."""
     if not sysmodel.classify(tau, tol).pqs:
         raise NotPqs("spectral read-out needs a passive quasi-selfadjoint system")
     sd = sysmodel.spectral_data(tau, tol)
-    span = sysmodel._cluster_span(sd.t, sd.CV.conj().T, tol)
+    span = sysmodel.krylov_record(tau, tol).parts[1]
     t = np.empty(len(span))
     W = np.empty((len(span), tau.out_dim, tau.out_dim), dtype=complex)
     for pos, rows in sysmodel._cluster_rows_by_size([c for c, _, _ in span]):
@@ -250,7 +251,16 @@ def biinner_dilation(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL)
     kept eigenvectors, and the controllable dimension is r.  C_big = B_big*
     bit for bit, so the observable side has the same components and
     dimension.  The record is therefore (s, s, s) when r = s, that is when
-    dd.E_A has s columns, and the enlarged system is not minimal otherwise."""
+    dd.E_A has s columns, and the enlarged system is not minimal otherwise.
+
+    The seeded record also holds the parts of the two sides: every cluster c
+    of t at its full rank k = c.stop - c.start, with U = I_k.  A cluster of
+    full rank spans its whole eigenspace: its basis V[:, c] U has k
+    orthonormal columns inside the span of V[:, c], whose dimension is k, so
+    the two spaces are equal for every orthonormal U, and U = I_k names the
+    subspace the cluster pass would find.  The subspaces of the enlarged
+    system are then spanned by the columns of V, and its spectral read-out
+    keeps every cluster."""
     if not sysmodel.classify(tau, tol).pqs:
         raise NotPqs("dilation applies to passive quasi-selfadjoint systems")
     p = parametrize(tau, tol)
@@ -285,7 +295,8 @@ def biinner_dilation(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL)
     # its Krylov record is (s, s, s) exactly when ker D_A = {0} (see above)
     if dd.E_A.shape[1] != s:
         raise NotMinimal("enlarged system is not minimal")
-    system.cached("krylov", tol, lambda: sysmodel.KrylovRecord(s, s, s))
+    full = [(c, c.stop - c.start, np.eye(c.stop - c.start, dtype=complex)) for c in opcore.eigen_clusters(sd.t)]
+    system.cached("krylov", tol, lambda: sysmodel.KrylovRecord(s, s, s, parts=(full, full)))
     # the pole form of the n x n corner of the enlarged Theta, on tau's t
     big = sysmodel.spectral_data(system, tol)
     corner = (system.D[:n, :n], big.t, transfer._residues(big.CV[:n], big.VB[:, :n]))
@@ -503,7 +514,9 @@ def unitary_similarity(tau1: PartitionedContraction, tau2: PartitionedContractio
                        S=None, tol: Tolerances = DEFAULT_TOL) -> SimilarityResult:
     """State-space unitary intertwining two minimal realizations of the
     same transfer function, assuming each output operator is S times the
-    adjoint of the input operator.
+    adjoint of the input operator.  S is out_dim x in_dim, the identity by
+    default; an S of another shape raises DimensionMismatch before any
+    other work.
 
     Verifies transfer agreement through D and the Markov parameters
     C A^k B for k < s1 + s2, which is exact: the difference of the two
@@ -531,16 +544,15 @@ def unitary_similarity(tau1: PartitionedContraction, tau2: PartitionedContractio
     factor of Q2 Q1*."""
     if tau1.in_dim != tau2.in_dim or tau1.out_dim != tau2.out_dim:
         raise DimensionMismatch("systems must share input and output spaces")
+    if S is None and tau1.in_dim != tau1.out_dim:
+        raise DimensionMismatch("default S needs matching input and output dimensions")
+    S = np.eye(tau1.out_dim, dtype=complex) if S is None else as_matrix(S)
+    if S.shape != (tau1.out_dim, tau1.in_dim):
+        raise DimensionMismatch(f"S has shape {S.shape}, C = S B* wants {(tau1.out_dim, tau1.in_dim)}")
     if not sysmodel.is_minimal(tau1, tol):
         raise NotMinimal("first system is not minimal")
     if not sysmodel.is_minimal(tau2, tol):
         raise NotMinimal("second system is not minimal")
-    if S is None:
-        if tau1.in_dim != tau1.out_dim:
-            raise DimensionMismatch("default S needs matching input and output dimensions")
-        S = np.eye(tau1.out_dim, dtype=complex)
-    else:
-        S = as_matrix(S)
     scales = [sysmodel.norm_scale(tau, tol) for tau in (tau1, tau2)]
     for k, (tau, sc) in enumerate(zip((tau1, tau2), scales), start=1):
         # the C = B* rule of `classify`, with S

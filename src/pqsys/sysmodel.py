@@ -311,65 +311,48 @@ def simulate(tau: PartitionedContraction, inputs, h0) -> tuple[np.ndarray, np.nd
 
 class KrylovRecord(NamedTuple):
     """Dimensions of the controllable subspace span{A^n B}, the observable
-    subspace span{A*^n C*} and their sum, with the two band-Arnoldi bases
-    (`_spans`) for an A with no cached factorization; None otherwise."""
+    subspace span{A*^n C*} and their sum, with what the subspaces are read
+    from: for an A with a cached factorization the `_cluster_span` parts
+    (xs, ys) of the two sides (one list twice when C = B* bit for bit), for
+    any other A the two band-Arnoldi bases; None where the route has none."""
 
     controllable: int
     observable: int
     joint: int
     hc: SubspaceBasis | None = None
     ho: SubspaceBasis | None = None
+    parts: tuple[list, list] | None = None
 
 
 def krylov_record(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> KrylovRecord:
-    """The Krylov dimensions of the system, computed once per system and
-    tolerance set.
-
-    The two spans and their sum are those of `_spans`.  With a cached
-    spectral factorization (selfadjoint A) the record is counted, and holds
-    no basis: the three dimensions are the cluster ranks of one
-    `_cluster_sides` pass over the components of B and C* in the
-    eigenbasis, which ranks each side once (both at once when C = B* bit
-    for bit).  Any other A keeps the two band-Arnoldi bases."""
+    """The Krylov record of the system (`_krylov_record` of B and C*),
+    computed once per system and tolerance set: the one span pass of a
+    system, which the subspaces and `realize.spectral_measure` read."""
     return tau.cached("krylov", tol, lambda: _krylov_record(tau, tau.B, tau.C.conj().T, tol))
 
 
 def _krylov_record(tau: PartitionedContraction, X: np.ndarray, Y: np.ndarray, tol: Tolerances) -> KrylovRecord:
-    """The record of span{A^n X}, span{A*^n Y} and their sum by the rule of
-    `_spans`: counted from one `_cluster_sides` pass over the components of X
-    and Y in a cached eigenbasis, with no basis built, else band Arnoldi,
-    whose two bases the record keeps."""
-    sd = spectral_data(tau, tol)
-    if sd is None:
-        hc, ho, joint = _spans(tau, X, Y, tol)
-        return KrylovRecord(hc.dim, ho.dim, joint.dim, hc, ho)
-    sides = _cluster_sides(sd, opcore._eig_coords(sd.V, X), opcore._eig_coords(sd.V, Y), tol)
-    return KrylovRecord(*(sum(rank for _, rank, _ in parts) for parts in sides))
-
-
-def _spans(tau: PartitionedContraction, X: np.ndarray, Y: np.ndarray,
-           tol: Tolerances) -> tuple[SubspaceBasis, SubspaceBasis, SubspaceBasis]:
-    """Orthonormal bases of span{A^n X : n >= 0}, of span{A*^n Y} and of their
-    sum, in the state space: the one place a span route is chosen.
+    """The record of span{A^n X : n >= 0}, span{A*^n Y} and their sum, the one
+    place a span route is chosen.
 
     With a cached factorization A = V diag(t) V* (then A* = A) each span is
     the direct sum over the eigenvalue clusters of the ranges of the cluster
-    rows of V*X or V*Y, and so is their sum (`_cluster_sides`); any other A
-    takes band Arnoldi (`opcore.krylov_span`) and `opcore.range_basis` of
-    the two bases side by side.  On both routes the sum is the whole space
-    when either span is, and one basis when the two are equal bit for bit
-    (X = Y on a selfadjoint A, as C = B* bit for bit gives), with no SVD."""
-    s = tau.state_dim
+    rows of V*X or V*Y, and so is their sum: the dimensions are the cluster
+    ranks of one `_cluster_sides` pass, which ranks each side once (both at
+    once when X = Y bit for bit), and the record keeps the parts of the two
+    sides.  Any other A takes band Arnoldi (`opcore.krylov_span`), whose two
+    bases the record keeps, and `opcore.range_basis` of the two bases side
+    by side for the sum.  On both routes the sum is the whole space when
+    either span is, and one side when the two are equal, with no SVD."""
     sd = spectral_data(tau, tol)
-    if sd is not None:
-        xs, ys, js = _cluster_sides(sd, opcore._eig_coords(sd.V, X), opcore._eig_coords(sd.V, Y), tol)
-        hc = _eig_basis(sd.V, s, xs)
-        ho = hc if ys is xs else _eig_basis(sd.V, s, ys)
-        return hc, ho, hc if js is xs else ho if js is ys else _eig_basis(sd.V, s, js)
-    hc, ho = opcore.krylov_span(tau.A, X, s, tol), opcore.krylov_span(tau.A.conj().T, Y, s, tol)
-    if s in (hc.dim, ho.dim) or np.array_equal(hc.basis, ho.basis):
-        return hc, ho, ho if ho.dim == s else hc
-    return hc, ho, opcore.range_basis(np.hstack([hc.basis, ho.basis]), tol)
+    if sd is None:
+        s = tau.state_dim
+        hc, ho = opcore.krylov_span(tau.A, X, s, tol), opcore.krylov_span(tau.A.conj().T, Y, s, tol)
+        same = s in (hc.dim, ho.dim) or np.array_equal(hc.basis, ho.basis)
+        joint = max(hc.dim, ho.dim) if same else opcore.range_basis(np.hstack([hc.basis, ho.basis]), tol).dim
+        return KrylovRecord(hc.dim, ho.dim, joint, hc, ho)
+    xs, ys, js = _cluster_sides(sd, opcore._eig_coords(sd.V, X), opcore._eig_coords(sd.V, Y), tol)
+    return KrylovRecord(*(sum(rank for _, rank, _ in side) for side in (xs, ys, js)), parts=(xs, ys))
 
 
 def _cluster_sides(sd: SpectralData, xc: np.ndarray, yc: np.ndarray,
@@ -461,16 +444,17 @@ def _cluster_rows_by_size(clusters: list[slice]):
 
 
 def controllable_subspace(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
-    """span{A^n B : n >= 0} inside the state space."""
+    """span{A^n B : n >= 0} inside the state space: the band-Arnoldi basis of
+    the Krylov record, or the basis its cluster parts give."""
     rec = krylov_record(tau, tol)
-    # the record of a selfadjoint A holds no basis; `_spans` of equal X and Y builds one
-    return rec.hc if rec.hc is not None else _spans(tau, tau.B, tau.B, tol)[0]
+    return rec.hc if rec.parts is None else _eig_basis(spectral_data(tau, tol).V, tau.state_dim, rec.parts[0])
 
 
 def observable_subspace(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
-    """span{A*^n C* : n >= 0} inside the state space."""
+    """span{A*^n C* : n >= 0} inside the state space, read like
+    `controllable_subspace`."""
     rec = krylov_record(tau, tol)
-    return rec.ho if rec.ho is not None else _spans(tau, tau.C.conj().T, tau.C.conj().T, tol)[1]
+    return rec.ho if rec.parts is None else _eig_basis(spectral_data(tau, tol).V, tau.state_dim, rec.parts[1])
 
 
 def is_controllable(tau, tol: Tolerances = DEFAULT_TOL) -> bool:

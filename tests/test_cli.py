@@ -389,6 +389,18 @@ def test_similar_accepts_conjugated_pair(tmp_path, rng):
     assert np.linalg.norm(Urec.conj().T @ Urec - np.eye(U.shape[0])) < 1e-8
 
 
+def test_similar_with_an_S_of_the_wrong_shape_exits_2(tmp_path, rng):
+    tau = pqsys.realize_from_data(write_member_measure(tmp_path / "m.json", rng, n=2))
+    write_system(tmp_path / "s.json", tau)
+    _json.dump(_json.matrix_to_json(np.eye(3)), str(tmp_path / "S.json"))
+    report = tmp_path / "rep.json"
+    code = main(["similar", str(tmp_path / "s.json"), str(tmp_path / "s.json"), "--S", str(tmp_path / "S.json"),
+                 "--report", str(report)])
+    assert code == 2
+    err = read_json(report)["error"]
+    assert err["type"] == "DimensionMismatch" and err["exit_code"] == 2
+
+
 def test_similar_mismatch_exits_1(tmp_path, rng):
     f1 = write_member_measure(tmp_path / "m1.json", rng, n=2)
     f2 = write_member_measure(tmp_path / "m2.json", rng, n=2)
@@ -437,6 +449,25 @@ def test_classify_rejects_diagonal_locations_given_as_strings(tmp_path):
     assert err["message"].startswith("each item of system entry 't' must be a number, got '")
 
 
+def test_an_integer_beyond_the_float_range_exits_2(tmp_path):
+    # an atom location and an item of a diagonal system's t beyond the float
+    # range are input errors of realize and of classify, not tracebacks
+    doc = _json.measure_to_json(pqsys.chebyshev_example(0.2 + 0.1j, 4)[0])
+    doc["atoms"][2]["t"] = 10 ** 400
+    _json.dump(doc, str(tmp_path / "m.json"))
+    write_system(tmp_path / "sys.json", pqsys.realize_from_data(pqsys.chebyshev_example(0.2, 4)[0]))
+    sys_doc = read_json(tmp_path / "sys.json")
+    sys_doc["t"][0] = -10 ** 400
+    _json.dump(sys_doc, str(tmp_path / "sys.json"))
+    for argv, message in ((["realize", str(tmp_path / "m.json")], "atom 2: entry 't' must be a finite number"),
+                          (["classify", str(tmp_path / "sys.json")],
+                           "each item of system entry 't' must be a finite number")):
+        report = tmp_path / "rep.json"
+        assert main([*argv, "--report", str(report)]) == 2
+        err = read_json(report)["error"]
+        assert err == {**err, "type": "ValueError", "exit_code": 2, "message": message}
+
+
 def _measure_with_a_bad_atom(path, sigma_data):
     data, _ = pqsys.chebyshev_example(0.2 + 0.1j, 1000)
     doc = _json.measure_to_json(data)
@@ -448,6 +479,7 @@ def _measure_with_a_bad_atom(path, sigma_data):
 @pytest.mark.parametrize("sigma_data, message", [
     ([[0.25, None]], "matrix entries must be finite numbers"),
     ([[0.25]], "matrix entry 0 is not an [re, im] pair"),
+    ([[10 ** 400, 0.0]], "matrix entries must be finite numbers"),
 ])
 def test_measure_with_a_bad_atom_exits_2_naming_it(tmp_path, command, sigma_data, message):
     _measure_with_a_bad_atom(tmp_path / "m.json", sigma_data)

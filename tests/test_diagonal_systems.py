@@ -82,8 +82,9 @@ def test_index_eigenbasis_gives_the_dense_bases_and_verdicts(n):
                 lambda: sysmodel._spectral_parts(twin, sd.t, _permutation(sd.V), 0.0))
     dense = sysmodel.spectral_data(twin)
     assert dense.V.ndim == 2
-    spans = (sysmodel._spans(x, tau.B, tau.C.conj().T, pqsys.DEFAULT_TOL) for x in (tau, twin))
-    for got, ref in zip(*spans):
+    assert sysmodel.krylov_record(tau)[:3] == sysmodel.krylov_record(twin)[:3]
+    for subspace in (sysmodel.controllable_subspace, sysmodel.observable_subspace):
+        got, ref = subspace(tau), subspace(twin)
         assert got.basis.shape == ref.basis.shape and np.array_equal(got.basis, ref.basis)
     report = sysmodel.check_minimality_normal(tau)
     assert report == sysmodel.check_minimality_normal(twin) and report.agree
@@ -91,8 +92,6 @@ def test_index_eigenbasis_gives_the_dense_bases_and_verdicts(n):
     _, counts = np.unique(TIED, return_counts=True)
     assert sysmodel.krylov_record(tau).controllable == np.minimum(counts, n).sum()
     assert not report.minimal
-    assert np.array_equal(sysmodel.controllable_subspace(tau).basis,
-                          sysmodel.controllable_subspace(twin).basis)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 `biinner_dilation` keeps the source's main operator, so the enlarged system
 takes the source's factorization and defect data of A, and its Krylov
-record follows from them: it is (s, s, s) exactly when ker D_A = {0}.  The
-enlarged system and its canonical form run no Krylov pass and build no
-second defect data; the record they read is the one a fresh Krylov pass of
-the enlarged T finds."""
+record follows from them: it is (s, s, s) exactly when ker D_A = {0}, with
+every eigenvalue cluster at full rank.  The enlarged system and its
+canonical form run no Krylov pass and build no second defect data; the
+record they read is the one a fresh Krylov pass of the enlarged T finds, and
+its subspaces and spectral read-out are read off the seeded record."""
 
 import numpy as np
 import pytest
@@ -71,8 +72,17 @@ def test_battery_block_of_ten_seeded_records_equal_a_fresh_krylov_pass(seed):
         big = dil.system
         s, v = big.state_dim, big.in_dim
         fresh = pqsys.PartitionedContraction(big.T, v, v, s)
-        assert sysmodel.krylov_record(big) == (s, s, s, None, None), case
-        assert sysmodel._krylov_record(fresh, fresh.B, fresh.C.conj().T, TOL) == sysmodel.krylov_record(big), case
+        seeded = sysmodel.krylov_record(big)
+        assert seeded[:3] == (s, s, s) and seeded.hc is None and seeded.ho is None, case
+        # every cluster at full rank, with the identity as its basis part
+        assert seeded.parts[0] is seeded.parts[1], case
+        for c, rank, U in seeded.parts[0]:
+            assert rank == c.stop - c.start and np.array_equal(U, np.eye(rank)), case
+        rec = sysmodel._krylov_record(fresh, fresh.B, fresh.C.conj().T, TOL)
+        assert rec[:3] == seeded[:3] and rec.hc is None and rec.ho is None, case
+        # the fresh pass finds the same clusters at the same ranks on both sides
+        for side in rec.parts:
+            assert [(c, rank) for c, rank, _ in side] == [(c, rank) for c, rank, _ in seeded.parts[0]], case
 
 
 def test_dilation_and_canonical_form_run_no_krylov_pass_and_no_second_defect_data(monkeypatch):
@@ -95,6 +105,28 @@ def test_dilation_and_canonical_form_run_no_krylov_pass_and_no_second_defect_dat
     assert built == []
     assert svds.count((v + s, v + s)) == 1
     assert sysmodel.main_defect_data(dil.system) is sysmodel.main_defect_data(tau)
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_the_dilations_subspaces_and_read_out_come_from_its_seeded_record(monkeypatch, dense):
+    # the enlarged system's subspaces are spanned by the columns of the shared
+    # eigenbasis, and its read-out keeps every cluster: the atoms of the source
+    # at the same points, with the source's weights in the n x n corner
+    rng = np.random.default_rng(630)
+    s, n = 40, 2
+    tau = _source(rng, _spectrum(rng, "triple", s), n, dense)
+    ref = realize.spectral_measure(tau)
+    big = realize.biinner_dilation(tau).system
+    for mod, name in ((sysmodel, "_cluster_span"), (opcore, "krylov_span")):
+        monkeypatch.setattr(mod, name, lambda *a, _n=name, **kw: pytest.fail(f"{_n} called"))
+    eigvecs = opcore._eig_span(sysmodel.spectral_data(big).V, slice(None))
+    for subspace in (sysmodel.controllable_subspace, sysmodel.observable_subspace):
+        got = subspace(big)
+        assert got.dim == s and np.array_equal(got.basis, eigvecs)
+    f = realize.spectral_measure(big)
+    assert [t for t, _ in f.atoms] == [t for t, _ in ref.atoms]
+    for (_, w), (_, w_ref) in zip(f.atoms, ref.atoms):
+        assert np.linalg.norm(w[:n, :n] - w_ref, 2) < 1e-10
 
 
 @pytest.mark.parametrize("dense", [False, True])

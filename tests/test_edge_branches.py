@@ -135,3 +135,13 @@ def test_an_explicit_S_is_read_as_a_matrix():
     assert np.linalg.norm(res.U - np.eye(5)) < 1e-8
     with pytest.raises(pqsys.PqsysError, match="system 1 does not satisfy C = S B"):
         pqsys.unitary_similarity(flipped, flipped, S=rand_contraction(rng, 2, 2))
+
+
+@pytest.mark.parametrize("S", [np.eye(3), np.eye(2)[:, :1], [0.5, 0.5], np.eye(1)])
+def test_an_S_of_the_wrong_shape_is_a_dimension_mismatch_before_any_product(monkeypatch, S):
+    # C = S B* on two channels wants a 2 x 2 S; the shape is checked before
+    # the Krylov records or any product with S
+    tau = _minimal_pqs(6, 5, 2)
+    monkeypatch.setattr(sysmodel, "is_minimal", lambda *a, **kw: pytest.fail("is_minimal called"))
+    with pytest.raises(DimensionMismatch, match=r"^S has shape \(\d+, \d+\), C = S B\* wants \(2, 2\)$"):
+        pqsys.unitary_similarity(tau, tau, S=S)

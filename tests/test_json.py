@@ -269,6 +269,41 @@ def test_an_atom_location_must_be_a_json_number(value):
         _json.measure_from_json(doc)
 
 
+# a JSON integer beyond the float range, which complex() and float() refuse
+HUGE = 10 ** 400
+
+
+@pytest.mark.parametrize("pair", [[HUGE, 0], [0, -HUGE]])
+def test_a_matrix_entry_beyond_the_float_range_is_a_value_error(pair):
+    with pytest.raises(ValueError, match="^matrix entries must be finite numbers$"):
+        _json.matrix_from_json({"rows": 1, "cols": 1, "data": [pair]})
+    doc = _json.measure_to_json(pqsys.chebyshev_example(0.2, 3)[0])
+    doc["atoms"][1]["sigma"]["data"] = [pair]
+    with pytest.raises(ValueError, match="^atom 1: matrix entries must be finite numbers$"):
+        _json.measure_from_json(doc)
+
+
+def test_an_atom_location_beyond_the_float_range_is_a_value_error():
+    doc = _json.measure_to_json(pqsys.chebyshev_example(0.2, 3)[0])
+    doc["atoms"][1]["t"] = HUGE
+    with pytest.raises(ValueError, match="^atom 1: entry 't' must be a finite number$"):
+        _json.measure_from_json(doc)
+
+
+def test_a_diagonal_system_location_beyond_the_float_range_is_a_value_error():
+    doc = _json.system_to_json(pqsys.realize_from_data(pqsys.chebyshev_example(0.2, 3)[0]))
+    doc["t"][1] = -HUGE
+    with pytest.raises(ValueError, match="^each item of system entry 't' must be a finite number$"):
+        _json.system_from_json(doc)
+
+
+def test_a_tridiagonal_entry_beyond_the_float_range_is_a_value_error():
+    doc = _json.jacobi_to_json(pqsys.JacobiRealization(0.1 + 0.2j, (0.5,), (0.0,), False))
+    doc["a"] = [HUGE]
+    with pytest.raises(ValueError, match="^each item of tridiagonal entry 'a' must be a finite number$"):
+        _json.jacobi_from_json(doc)
+
+
 def test_an_integer_atom_location_reads_as_a_float():
     doc = _json.measure_to_json(pqsys.chebyshev_example(0.2, 3)[0])
     doc["atoms"][1]["t"] = 0

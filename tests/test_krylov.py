@@ -101,7 +101,10 @@ def test_realized_arcsine_system_is_minimal():
     data, _ = pqsys.chebyshev_example(0.3 + 0.2j, 200)
     tau = pqsys.realize_from_data(data)
     assert tau.state_dim == 200
-    assert sysmodel.krylov_record(tau) == (200, 200, 200, None, None)
+    rec = sysmodel.krylov_record(tau)
+    assert rec[:3] == (200, 200, 200) and rec.hc is None and rec.ho is None
+    # C = B* bit for bit: one list of cluster parts serves both sides
+    assert rec.parts[0] is rec.parts[1]
     assert sysmodel.is_minimal(tau)
     assert sysmodel.controllable_subspace(tau).dim == 200
 
@@ -113,8 +116,9 @@ def test_spectral_record_matches_arnoldi_dimensions():
     tau = system(pqs_from_spectrum(rng, t, 2), 2, 27)
     rec = sysmodel.krylov_record(tau)
     # neither span is full: the record counts the joint span from the cluster
-    # coordinates and holds no basis; the subspaces are built on request
+    # parts it keeps and holds no basis; the subspaces are built from the parts
     assert sysmodel.spectral_data(tau) is not None and rec.hc is None and rec.ho is None
+    assert rec.parts[0] is rec.parts[1]
     assert rec.controllable == rec.observable == rec.joint == 18
     assert opcore.krylov_span(tau.A, tau.B, 27).dim == 18
     hc, ho = sysmodel.controllable_subspace(tau), sysmodel.observable_subspace(tau)
@@ -136,6 +140,7 @@ def test_record_of_a_non_normal_system_holds_the_arnoldi_bases():
     # inputs reach e_3, e_2, e_1; the adjoint shift carries C* = 0.3 e_4 to
     # e_5, e_6: neither span is full, together they fill the state space
     assert (rec.controllable, rec.observable, rec.joint) == (3, 3, 6)
+    assert rec.parts is None
     assert sysmodel.controllable_subspace(tau) is rec.hc
     assert np.linalg.norm(rec.hc.projector() - np.diag([1, 1, 1, 0, 0, 0])) < 1e-14
     assert not sysmodel.is_controllable(tau) and not sysmodel.is_observable(tau)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import pqsys
-from pqsys import errors, param, sysmodel, transfer
+from pqsys import errors, opcore, param, sysmodel, transfer
 from pqsys.sysmodel import MinimalityReport
 
 import oracles
@@ -64,13 +64,26 @@ def _battery_case(seed):
     return pqsys.assemble(params)
 
 
+def _span_bases(tau, X, Y):
+    """Orthonormal bases of span{A^n X}, span{A*^n Y} and their sum, read off
+    the record `sysmodel._krylov_record` keeps: its cluster parts in the
+    cached eigenbasis, with their union for the sum, or its two band-Arnoldi
+    bases, with the range of the two side by side."""
+    rec = sysmodel._krylov_record(tau, X, Y, TOL)
+    if rec.parts is None:
+        return [rec.hc.basis, rec.ho.basis, opcore.range_basis(np.hstack([rec.hc.basis, rec.ho.basis]), TOL).basis]
+    V, s = sysmodel.spectral_data(tau, TOL).V, tau.state_dim
+    xs, ys = rec.parts
+    return [sysmodel._eig_basis(V, s, parts).basis for parts in (xs, ys, sysmodel._cluster_union(xs, ys, TOL))]
+
+
 def _principal_angle_report(tau):
     """The report by `parametrize` and the principal-angle rule, with the
     direct verdicts of the Krylov record."""
     p = pqsys.parametrize(tau, TOL)
     E = p.defects.E_A
-    bases = sysmodel._spans(tau, p.M_ambient, E @ p.K.conj().T, TOL)
-    verdicts = oracles.defect_route_by_principal_angles(E, [b.basis for b in bases], TOL.rank_tol)
+    bases = _span_bases(tau, p.M_ambient, E @ p.K.conj().T)
+    verdicts = oracles.defect_route_by_principal_angles(E, bases, TOL.rank_tol)
     return MinimalityReport(*verdicts, sysmodel.is_controllable(tau, TOL), sysmodel.is_observable(tau, TOL),
                             sysmodel.is_simple(tau, TOL), sysmodel.is_minimal(tau, TOL))
 

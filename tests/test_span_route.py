@@ -1,12 +1,13 @@
 """One span rule for both Krylov routes.
 
-`sysmodel._spans` is the only place a basis route is chosen: the cluster
-bases of the cached eigenbasis of a selfadjoint A, band Arnoldi
-(`opcore.krylov_span`) for any other A.  The joint span of
-`krylov_record` and of `check_minimality_normal` is the union of the two
-spans on both routes: the whole space when either span is, else the range
-of the two bases side by side, which the cluster route takes cluster by
-cluster."""
+`sysmodel._krylov_record` is the only place a span route is chosen: the
+cluster parts of the cached eigenbasis of a selfadjoint A, which the record
+keeps, band Arnoldi (`opcore.krylov_span`) for any other A, whose bases it
+keeps.  The subspaces and the spectral read-out read the record.  The joint
+span of `krylov_record` and of `check_minimality_normal` is the union of the
+two spans on both routes: the whole space when either span is, else the
+range of the two bases side by side, which the cluster route takes cluster
+by cluster."""
 
 import ast
 from pathlib import Path
@@ -15,8 +16,9 @@ import numpy as np
 import pytest
 
 import pqsys
-from pqsys import opcore, sysmodel
+from pqsys import opcore, realize, sysmodel
 
+import oracles
 from helpers import linalg_calls, pqs_from_spectrum, rand_complex, rand_unitary
 
 SRC = Path(pqsys.__file__).parent
@@ -153,7 +155,6 @@ def test_a_record_ranks_each_side_in_one_cluster_pass(monkeypatch, build, record
     parts = []
     real = sysmodel._cluster_span
     monkeypatch.setattr(sysmodel, "_cluster_span", lambda *a, **kw: parts.append(real(*a, **kw)) or parts[-1])
-    monkeypatch.setattr(sysmodel, "_spans", lambda *a, **kw: pytest.fail("_spans called"))
     monkeypatch.setattr(opcore, "krylov_span", lambda *a, **kw: pytest.fail("krylov_span called"))
     values_only = []
     real_svd = np.linalg.svd
@@ -164,15 +165,68 @@ def test_a_record_ranks_each_side_in_one_cluster_pass(monkeypatch, build, record
         return real_svd(a, *args, **kw)
 
     monkeypatch.setattr(np.linalg, "svd", svd)
-    assert sysmodel.krylov_record(tau) == (*record, None, None)
+    rec = sysmodel.krylov_record(tau)
+    assert rec[:3] == record and rec.hc is None and rec.ho is None
     assert len(parts) == passes
+    # the record keeps the parts of its passes, one list for both sides when
+    # one pass ranked both
+    assert rec.parts[0] is parts[0] and rec.parts[1] is parts[-1]
     assert all(U.shape == (c.stop - c.start, rank) for side in parts for c, rank, U in side)
     assert values_only == []
 
 
+def _structure_systems():
+    """Fresh minimal pqs systems with s = 50 and three channels, as in the
+    `structure` benchmark: atoms at stratified points, in triple clusters and
+    at the arcsine nodes, in a random eigenbasis, each also rotated after
+    assembly, which leaves C and B* apart in their bits."""
+    rng = np.random.default_rng(250)
+    s, n = 50, 3
+    edges = np.linspace(-0.9, 0.9, s + 1)
+    spectra = (edges[:-1] + (edges[1] - edges[0]) * rng.uniform(0.25, 0.75, s),
+               np.repeat(np.sort(rng.uniform(-0.9, 0.9, 17)), 3)[:s],
+               np.cos((2 * np.arange(1, s + 1) - 1) * np.pi / (2 * s)))
+    out = []
+    for t in spectra:
+        T = pqs_from_spectrum(rng, t, n)
+        out += [T, oracles.conjugate_system(T, n, n, rand_unitary(rng, s))]
+    return [pqsys.PartitionedContraction(T, n, n, s) for T in out]
+
+
+def test_a_system_takes_one_cluster_pass_per_distinct_side(monkeypatch):
+    # minimality, the controllable subspace, the minimal reduction and the
+    # spectral read-out all read the one record: one `_cluster_span` pass per
+    # side with its own components, and the read-out alone takes the record's
+    # passes and no extra one
+    passes = []
+    real = sysmodel._cluster_span
+    monkeypatch.setattr(sysmodel, "_cluster_span", lambda *a, **kw: passes.append(1) or real(*a, **kw))
+    chain = (sysmodel.is_minimal, sysmodel.controllable_subspace, sysmodel.minimal_pqs_reduction,
+             realize.spectral_measure)
+    sides_seen = set()
+    for k, tau in enumerate(_structure_systems()):
+        for first in (chain, chain[::-1]):
+            fresh = pqsys.PartitionedContraction(tau.T, tau.in_dim, tau.out_dim, tau.state_dim)
+            assert sysmodel.classify(fresh).pqs, k
+            # the sides are one when B and C* have equal eigen components
+            V = sysmodel.spectral_data(fresh).V
+            sides = 1 if np.array_equal(opcore._eig_coords(V, fresh.B), opcore._eig_coords(V, fresh.C.conj().T)) else 2
+            passes.clear()
+            assert first[0](fresh) is not None, k
+            assert len(passes) == sides, (k, first[0].__name__)
+            for step in first[1:]:
+                step(fresh)
+            assert len(passes) == sides, k
+            assert sysmodel.krylov_record(fresh)[:3] == (50, 50, 50), k
+            assert sysmodel.controllable_subspace(fresh).dim == 50, k
+            sides_seen.add(sides)
+    # the battery reaches both one shared side and two distinct ones
+    assert sides_seen == {1, 2}
+
+
 def test_equal_bases_are_their_own_union(monkeypatch):
-    # a pqs system with C = B* bit for bit: both spans are one basis, and the
-    # union takes no SVD; with C* = B G the spans are equal but the bases are
+    # a pqs system with C = B* bit for bit: both spans have one list of parts,
+    # and the union takes no SVD; with C* = B G the spans are equal but the bases are
     # not, and the union, cluster by cluster, finds the same dimension with
     # one stacked SVD of the eight 3 x 6 cluster blocks and none of the two
     # bases side by side
@@ -186,9 +240,10 @@ def test_equal_bases_are_their_own_union(monkeypatch):
         sysmodel.spectral_data(x)
     stacked = linalg_calls(monkeypatch, "svd", shape=(24, 32))
     blocks = linalg_calls(monkeypatch, "svd", shape=(8, 3, 6))
-    assert sysmodel.krylov_record(tau)[:3] == (16, 16, 16)
-    hc, ho, joint = sysmodel._spans(tau, tau.B, tau.C.conj().T, pqsys.DEFAULT_TOL)
-    assert ho is hc and joint is hc
+    rec = sysmodel.krylov_record(tau)
+    assert rec[:3] == (16, 16, 16) and rec.parts[1] is rec.parts[0]
+    hc, ho = sysmodel.controllable_subspace(tau), sysmodel.observable_subspace(tau)
+    assert np.array_equal(ho.basis, hc.basis)
     assert not stacked and not blocks
     assert sysmodel.krylov_record(twin)[:3] == (16, 16, 16)
     assert not stacked and len(blocks) == 1
@@ -203,9 +258,12 @@ def test_the_cluster_union_is_the_range_of_the_two_bases_side_by_side():
         c, o, joint = want
         if tau.state_dim in (c, o):
             continue
-        hc, ho, union = sysmodel._spans(tau, tau.B, tau.C.conj().T, pqsys.DEFAULT_TOL)
+        rec = sysmodel.krylov_record(tau)
+        hc, ho = sysmodel.controllable_subspace(tau), sysmodel.observable_subspace(tau)
+        union = sysmodel._eig_basis(sysmodel.spectral_data(tau).V, tau.state_dim,
+                                    sysmodel._cluster_union(*rec.parts, pqsys.DEFAULT_TOL))
         ref = opcore.range_basis(np.hstack([hc.basis, ho.basis]))
-        assert union.dim == ref.dim == joint, seed
+        assert union.dim == ref.dim == rec.joint == joint, seed
         Q = union.basis
         assert np.linalg.norm(Q.conj().T @ Q - np.eye(Q.shape[1])) < 1e-12
         assert np.linalg.norm(Q @ (Q.conj().T @ ref.basis) - ref.basis) < 1e-10
@@ -237,19 +295,20 @@ def _calls_by_function(path, names):
 
 
 def test_only_span_chooses_between_arnoldi_and_the_cluster_bases():
-    # krylov_span is called on a system's A only in sysmodel._spans (opcore's
-    # cnu_unitary_split takes it on a bare contraction), and the cluster parts
-    # only in the _cluster_sides that _spans and the record share and in the
-    # spectral read-out, all with the one three-argument signature
+    # krylov_span is called on a system's A only in sysmodel._krylov_record
+    # (opcore's cnu_unitary_split takes it on a bare contraction), and the
+    # cluster parts only in the record's _cluster_sides, with the one
+    # three-argument signature: the subspaces and the spectral read-out read
+    # the parts the record keeps
     found = {}
     for path in sorted(SRC.glob("*.py")):
         if path.name != "opcore.py":
             for fn, calls in _calls_by_function(path, {"krylov_span", "_cluster_span"}).items():
                 found[path.stem, fn] = calls
-    assert {key for key, calls in found.items() if ("krylov_span", 4) in calls} == {("sysmodel", "_spans")}
+    assert {key for key, calls in found.items() if ("krylov_span", 4) in calls} == {("sysmodel", "_krylov_record")}
     spans = {key: calls for key, calls in found.items() if any(name == "_cluster_span" for name, _ in calls)}
-    assert set(spans) == {("sysmodel", "_cluster_sides"), ("realize", "spectral_measure")}
+    assert set(spans) == {("sysmodel", "_cluster_sides")}
     assert {args for calls in spans.values() for name, args in calls if name == "_cluster_span"} == {3}
-    for name in ("_eigen_side", "_cluster_basis", "_eigen_span", "_span", "_union", "_rank_floor"):
+    for name in ("_eigen_side", "_cluster_basis", "_eigen_span", "_span", "_spans", "_union", "_rank_floor"):
         assert not hasattr(sysmodel, name)
     assert not hasattr(opcore, "hermitian_eigh")

@@ -105,7 +105,7 @@ def test_pqs_krylov_subspace_is_the_controllable_subspace_bit_for_bit():
 def test_minimal_pqs_reduction_of_a_minimal_system_builds_no_basis(monkeypatch):
     rng = np.random.default_rng(205)
     tau = system(pqs_from_spectrum(rng, rng.uniform(-0.9, 0.9, 30), 2), 2, 30)
-    for name in ("controllable_subspace", "pqs_krylov_subspace", "_spans"):
+    for name in ("controllable_subspace", "pqs_krylov_subspace", "_eig_basis"):
         monkeypatch.setattr(sysmodel, name, lambda *a, _n=name, **kw: pytest.fail(f"{_n} called"))
     monkeypatch.setattr(opcore, "krylov_span", lambda *a, **kw: pytest.fail("krylov_span called"))
     assert sysmodel.minimal_pqs_reduction(tau) is tau
