@@ -18,6 +18,7 @@ import base64
 import binascii
 import hashlib
 import json
+import math
 import numbers
 import zlib
 
@@ -59,8 +60,8 @@ def _is_number(value) -> bool:
 
 def _scalar(value, kind: type, name: str):
     """value as kind when it is a JSON scalar of that kind, else ValueError:
-    int an integer >= 0, float a number (`_is_number`) inside the float
-    range, bool true or false."""
+    int an integer >= 0, float a finite number (`_is_number`; Python's json
+    parses NaN and Infinity, which are not JSON numbers), bool true or false."""
     if kind is bool:
         ok = isinstance(value, bool)
     else:
@@ -70,10 +71,11 @@ def _scalar(value, kind: type, name: str):
         want = {int: "a nonnegative integer", float: "a number", bool: "true or false"}[kind]
         raise ValueError(f"{name} must be {want}, got {value!r}")
     try:
-        return kind(value)
-    except OverflowError:
-        # a JSON integer beyond the float range
-        raise ValueError(f"{name} must be a finite number") from None
+        if kind is not float or math.isfinite(value):
+            return kind(value)
+    except OverflowError:  # math.isfinite of a JSON integer beyond the float range
+        pass
+    raise ValueError(f"{name} must be a finite number")
 
 
 def _floats(values, name: str) -> np.ndarray:
@@ -200,8 +202,6 @@ def _pqs_from_diagonal(obj, n: int, out_dim: int, s: int) -> PartitionedContract
     t = _floats(obj["t"], "system entry 't'")
     if t.shape != (s,):
         raise ValueError(f"system entry 't' must list {s} numbers, got shape {t.shape}")
-    if not np.all(np.isfinite(t)):
-        raise ValueError("system entry 't' must hold finite numbers")
     if D.shape != (n, n) or B.shape != (s, n):
         raise ValueError(f"system blocks D {D.shape} and B {B.shape}, partition wants {(n, n)} and {(s, n)}")
     return _diagonal_pqs(D, B, t)

@@ -291,7 +291,7 @@ class SubspaceBasis:
         return self.basis @ self.basis.conj().T
 
     def complement(self) -> "SubspaceBasis":
-        # the trailing columns of a complete QR of an orthonormal basis
+        # the trailing columns of a complete QR of the basis: any of full column rank will do
         Q = np.linalg.qr(self.basis, mode="complete")[0]
         return SubspaceBasis(self.ambient_dim, Q[:, self.dim:])
 

@@ -12,7 +12,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import sysmodel, transfer
+from . import opcore, sysmodel, transfer
 from .errors import DegenerateGrid, NotPqs, SingularResolvent
 from .opcore import DEFAULT_TOL, Tolerances, as_matrix, herm_part, operator_norm
 from .sysmodel import PartitionedContraction
@@ -127,8 +127,10 @@ def q_class_kernel_check(q, F, z_points: Sequence[complex], tol: Tolerances = DE
     resolvent compressions give nonnegative values up to roundoff.
     Diagonal entries at real points are confluent and use a central
     difference in the first argument.  Also searches a fixed probe set
-    for a point where K2(z0, z0) differs from Q(z0)*Q(z0), the witness
-    that the underlying operator has genuine state content."""
+    for a point where K2(z0, z0) differs from Q(z0)*Q(z0) by more than
+    100 psd_tol max(1, ||Q(z0)||^2) (`opcore.norm_at_most`, with
+    ||Q*Q|| = ||Q||^2 as the scale), the witness that the underlying
+    operator has genuine state content."""
     sample = q_sampler(q, tol)
     F = as_matrix(F)
     pts = [complex(z) for z in z_points]
@@ -179,8 +181,8 @@ def q_class_kernel_check(q, F, z_points: Sequence[complex], tol: Tolerances = DE
         qv = as_matrix(sample(z0))
         qs = qv.conj().T
         k = k2_num(np.conj(z0), qs, z0, qv) / (z0 - np.conj(z0))
-        gap = operator_norm(k - qs @ qv)
-        if gap > 100 * tol.psd_tol * max(1.0, operator_norm(qv) ** 2):
+        qq = qs @ qv
+        if not opcore.norm_at_most(k - qq, 100 * tol.psd_tol, qq, 1.0):
             witness = True
             where = complex(z0)
             break

@@ -151,7 +151,8 @@ def inner_canonical_form(tau: PartitionedContraction, tol: Tolerances = DEFAULT_
     `classify`'s isometric flag, ||I - T*T||_2 <= eq_tol for a passive T: its
     tolerance is eq_tol on T, where `transfer.inner_test` applies grid_tol
     to samples of Theta.  The form is then built from the channel operator
-    and checked at lambda = 0: its residues (W e_k)(W e_k)* equal the
+    W, with ker W* from the complete QR of W once W*W = I is checked, and
+    checked at lambda = 0: its residues (W e_k)(W e_k)* equal the
     system's (C v_k)(v_k* B) up to ||C - B*|| <= eq_tol, which the pqs flag
     has checked, so only its constant term is its own."""
     flags = sysmodel.classify(tau, tol)
@@ -169,12 +170,11 @@ def inner_canonical_form(tau: PartitionedContraction, tol: Tolerances = DEFAULT_
     if dd.E_A.shape[1] != s:
         raise NotInner("defect space of the main operator does not fill the state space")
     W = (tau.C @ dd.E_A) / dd.d_A
-    # one full SVD of W: ||I - W*W||, and ker W* as the left singular vectors
-    # past the rank that the rank_tol cutoff counts
-    U, sv, _ = np.linalg.svd(W)
     bound = 10 * tol.eq_tol
-    check("channel_isometry", opcore.gram_defect(sv, s), bound, NotInner, "channel operator is not isometric")
-    W_perp = U[:, np.count_nonzero(sv > tol.rank_tol * sv.max(initial=0.0)):]
+    check("channel_isometry", opcore.gap(W.conj().T @ W - np.eye(s), bound), bound, NotInner,
+          "channel operator is not isometric")
+    # an isometric W has full column rank: the trailing columns of its complete QR span ker W*
+    W_perp = opcore.SubspaceBasis(tau.out_dim, W).complement().basis
     X = W_perp.conj().T @ tau.D @ W_perp
     check("constant_unitarity", opcore.gap(X.conj().T @ X - np.eye(X.shape[1]), bound), bound, NotInner,
           "constant block is not unitary")
@@ -324,15 +324,15 @@ class JacobiRealization:
     truncated: bool
 
     def __post_init__(self):
-        a = tuple(float(x) for x in self.a)
-        b = tuple(float(x) for x in self.b)
-        if len(a) != len(b):
-            raise DimensionMismatch("coefficient lists must have equal length")
-        if any(x <= 0 for x in a):
-            raise PqsysError("off-diagonal coefficients must be positive")
         object.__setattr__(self, "d", complex(self.d))
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "a", tuple(float(x) for x in self.a))
+        object.__setattr__(self, "b", tuple(float(x) for x in self.b))
+        if len(self.a) != len(self.b):
+            raise DimensionMismatch("coefficient lists must have equal length")
+        if not np.isfinite([self.d, *self.a, *self.b]).all():
+            raise ValueError("coefficients must be finite numbers")
+        if any(x <= 0 for x in self.a):
+            raise PqsysError("off-diagonal coefficients must be positive")
 
     @property
     def length(self) -> int:
@@ -394,7 +394,7 @@ def jacobi_realize(source, max_len: int | None = None, tol: Tolerances = DEFAULT
             raise NotScalar("atomic data must be scalar")
         d = complex(source.theta0[0, 0])
         sig = source.weights[:, 0, 0].real
-        keep = sig > tol.rank_tol
+        keep = sig > tol.rank_tol * sig.max(initial=0.0)
         t = source.locations[keep]
         w = (1 - t ** 2) * sig[keep]
     elif isinstance(source, PartitionedContraction):

@@ -602,7 +602,10 @@ def sqs_membership(f: SqsFunctionData, tol: Tolerances = DEFAULT_TOL) -> Members
     i.e. Theta(0) = center + R^{1/2} X R^{1/2} for a contraction X
     supported on ran R.  All of it is read from one eigh Sigma_total =
     U diag(w) U*: R^{1/2}, its pseudoinverse and ran R by the clamp and rank
-    rule of the defects on r = sqrt(1 - w) (`opcore._defect_values`)."""
+    rule of the defects on r = sqrt(1 - w) (`opcore._defect_values`), and
+    ker R by the other columns U_k of U: Theta(0) - center = delta sticks
+    out of the ball range by max(||P delta||, ||delta P||) for the projector
+    P = U_k U_k* onto ker R, that is max(||U_k* delta||, ||delta U_k||)."""
     n = f.dim
     sigma_total = f.weights.sum(axis=0)
     center = -np.tensordot(f.locations, f.weights, axes=1)
@@ -625,8 +628,7 @@ def sqs_membership(f: SqsFunctionData, tol: Tolerances = DEFAULT_TOL) -> Members
     if not x_ok:
         reasons.append(f"ball parameter has norm {x_norm:.12f}")
 
-    proj_ker = np.eye(n) - Ur @ Ur.conj().T
-    off_range = max(operator_norm(proj_ker @ delta), operator_norm(delta @ proj_ker))
+    off_range = max(operator_norm(U[:, ~keep].conj().T @ delta), operator_norm(delta @ U[:, ~keep]))
     off_ok = off_range <= tol.eq_tol
     if not off_ok:
         reasons.append(f"Theta(0) sticks out of the ball range by {off_range:.3e}")

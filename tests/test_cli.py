@@ -468,6 +468,43 @@ def test_an_integer_beyond_the_float_range_exits_2(tmp_path):
         assert err == {**err, "type": "ValueError", "exit_code": 2, "message": message}
 
 
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_a_non_finite_diagonal_location_exits_2_with_report(tmp_path, literal):
+    # the json module parses these literals; the reader refuses them as it
+    # refuses a number beyond the float range
+    write_system(tmp_path / "sys.json", pqsys.realize_from_data(pqsys.chebyshev_example(0.2, 4)[0]))
+    doc = read_json(tmp_path / "sys.json")
+    doc["t"][1] = "__t__"
+    (tmp_path / "sys.json").write_text(json.dumps(doc).replace('"__t__"', literal))
+    report = tmp_path / "rep.json"
+    assert main(["classify", str(tmp_path / "sys.json"), "--report", str(report)]) == 2
+    assert read_json(report)["error"] == {"type": "ValueError", "exit_code": 2,
+                                          "message": "each item of system entry 't' must be a finite number"}
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--lambda", "garbage"], "cannot parse point 'garbage'; expected re,im"),
+    (["--lambda", "0.1,i"], "cannot parse point '0.1,i'; expected re,im"),
+    (["--grid", "disk:0"], "grid size must be positive"),
+    (["--grid", "square:8"], "unknown grid kind 'square'; expected circle:N or disk:N"),
+])
+def test_eval_with_a_malformed_point_or_grid_exits_2_with_report(tmp_path, args, message):
+    write_system(tmp_path / "sys.json", pqsys.chebyshev_example(0.1, 6)[1])
+    report = tmp_path / "rep.json"
+    assert main(["eval", str(tmp_path / "sys.json"), *args, "--report", str(report)]) == 2
+    assert read_json(report)["error"] == {"type": "ValueError", "exit_code": 2, "message": message}
+
+
+def test_a_report_that_cannot_be_written_exits_2_and_says_so(tmp_path, capsys):
+    write_system(tmp_path / "sys.json", pqsys.chebyshev_example(0.1, 6)[1])
+    report = tmp_path / "no_such_dir" / "rep.json"
+    assert main(["classify", str(tmp_path / "sys.json"), "--report", str(report)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("input error: [Errno 2] No such file or directory")
+    assert err[1].startswith("report not written: [Errno 2] No such file or directory")
+    assert not report.parent.exists()
+
+
 def _measure_with_a_bad_atom(path, sigma_data):
     data, _ = pqsys.chebyshev_example(0.2 + 0.1j, 1000)
     doc = _json.measure_to_json(data)

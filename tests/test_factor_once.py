@@ -193,31 +193,27 @@ def test_dilation_defect_basis_spans_the_defect_of_K():
     assert dil.dk_dim == E.shape[1]
 
 
-def test_canonical_form_takes_one_svd_of_the_channel(monkeypatch):
+def test_canonical_form_takes_no_svd_of_the_channel(monkeypatch):
+    # channel_isometry is the Frobenius gap of W*W - I, and ker W* comes from
+    # the complete QR of W: the form of the dilation takes no SVD at all
+    s = 50
     rng = np.random.default_rng(6)
-    big = realize.biinner_dilation(_pqs_system(rng, s=12)).system
+    big = realize.biinner_dilation(_pqs_system(rng, s=s, n=3)).system
     W = pqsys.parametrize(big).K
-    channel = []
-    real_svd = np.linalg.svd
-
-    def svd(a, *args, **kwargs):
-        if np.array_equal(a, W):
-            channel.append(1)
-        return real_svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", svd)
+    svds = linalg_calls(monkeypatch, "svd", internal=True)
     cf = realize.inner_canonical_form(big)
-    assert len(channel) == 1
+    assert svds == []
     Q = cf.basis
-    assert np.linalg.norm(Q.conj().T @ Q - np.eye(Q.shape[1])) < 1e-12
-    assert np.linalg.norm(Q[:, 12:].conj().T @ W) < 1e-12
+    assert np.linalg.norm(Q.conj().T @ Q - np.eye(Q.shape[1])) < 1e-13
+    assert np.linalg.norm(Q[:, s:].conj().T @ W) < 1e-13
+    assert np.array_equal(Q[:, s:], np.linalg.qr(W, mode="complete")[0][:, s:])
 
 
 def test_dilation_and_canonical_form_take_no_svd_of_a_theta_difference(monkeypatch):
     # corner_match settles on the residue sum of the poles the corner shares
     # with tau, and canonical_reconstruction compares Theta(0) by its Frobenius
-    # norm; neither samples Theta.  The SVDs of the enlarged T
-    # (block_unitarity) and of W (the form) stay
+    # norm; neither samples Theta.  The SVD of the enlarged T (block_unitarity)
+    # stays; the form takes none of W
     s, n = 50, 3
     tau = _pqs_system(np.random.default_rng(8), s=s, n=n)
     svds = linalg_calls(monkeypatch, "svd", internal=True)
@@ -243,7 +239,7 @@ def test_dilation_and_canonical_form_take_no_svd_of_a_theta_difference(monkeypat
     cf = realize.inner_canonical_form(dil.system)
     assert len(cf.points) == s
     assert evaluated == [] and in_gaps == []
-    assert svds.count((v + s, v + s)) == 1 and svds.count((v, s)) == 1
+    assert svds.count((v + s, v + s)) == 1 and svds.count((v, s)) == 0
     assert (v, v) not in svds
 
 
@@ -251,10 +247,9 @@ def test_dilation_and_canonical_form_take_no_svd_of_a_theta_difference(monkeypat
 def test_canonical_form_reads_the_cached_defects_not_parametrize(monkeypatch, s, n):
     rng = np.random.default_rng(7)
     big = realize.biinner_dilation(_pqs_system(rng, s=s, n=n)).system
-    # the form as built from the parameters: W = K, its SVD, X on ker W*
+    # the form as built from the parameters: W = K, ker W* from its complete QR, X on ker W*
     p = pqsys.parametrize(_system(big.T, big.in_dim, big.state_dim))
-    U, sv, _ = np.linalg.svd(p.K)
-    W_perp = U[:, np.count_nonzero(sv > pqsys.DEFAULT_TOL.rank_tol * sv.max()):]
+    W_perp = np.linalg.qr(p.K, mode="complete")[0][:, s:]
     monkeypatch.setattr(realize, "parametrize", lambda *a: pytest.fail("parametrize called"))
     cf = realize.inner_canonical_form(big)
     assert cf.points == tuple(float(a) for a in p.defects.t)

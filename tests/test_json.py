@@ -1,6 +1,7 @@
 """Round trips and validation for the JSON file formats."""
 
 import base64
+import json
 import tracemalloc
 import zlib
 
@@ -401,3 +402,64 @@ def test_a_tridiagonal_corner_value_is_a_pair():
             _json.jacobi_from_json(doc)
     doc["d"] = [0, 1]
     assert _json.jacobi_from_json(doc).d == 1j
+
+
+# ---------------------------------------------------------------------------
+# NaN and Infinity, which Python's json parses, are not JSON numbers
+# ---------------------------------------------------------------------------
+
+NON_FINITE = ["NaN", "Infinity", "-Infinity"]
+
+
+def _parsed(doc: dict, path: list, literal: str) -> dict:
+    """doc with the value at path replaced by a bare literal, as the text of a
+    file would carry it, parsed back by the json module."""
+    marker = "__non_finite__"
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = marker
+    return json.loads(json.dumps(doc).replace(f'"{marker}"', literal))
+
+
+@pytest.mark.parametrize("literal", NON_FINITE)
+@pytest.mark.parametrize("path, message", [(["d", 0], "tridiagonal entry 'd'"),
+                                           (["a", 0], "tridiagonal entry 'a'"),
+                                           (["b", 0], "tridiagonal entry 'b'")])
+def test_a_non_finite_tridiagonal_entry_is_a_value_error(path, message, literal):
+    doc = _parsed(_json.jacobi_to_json(pqsys.JacobiRealization(0.1 + 0.2j, (0.5,), (0.0,), False)), path, literal)
+    with pytest.raises(ValueError, match=f"^each item of {message} must be a finite number$"):
+        _json.jacobi_from_json(doc)
+
+
+def test_a_tridiagonal_document_with_nan_and_infinity_is_refused():
+    text = '{"d": [NaN, 0.0], "a": [0.5, Infinity], "b": [0.0, 0.0], "truncated": false}'
+    with pytest.raises(ValueError, match="^each item of tridiagonal entry 'd' must be a finite number$"):
+        _json.jacobi_from_json(json.loads(text))
+
+
+@pytest.mark.parametrize("literal", NON_FINITE)
+def test_a_non_finite_atom_location_is_a_value_error(literal):
+    doc = _parsed(_json.measure_to_json(pqsys.chebyshev_example(0.2, 3)[0]), ["atoms", 1, "t"], literal)
+    with pytest.raises(ValueError, match="^atom 1: entry 't' must be a finite number$"):
+        _json.measure_from_json(doc)
+
+
+@pytest.mark.parametrize("literal", NON_FINITE)
+def test_a_non_finite_diagonal_system_location_is_a_value_error(literal):
+    doc = _json.system_to_json(pqsys.realize_from_data(pqsys.chebyshev_example(0.2, 3)[0]))
+    doc = _parsed(doc, ["t", 1], literal)
+    with pytest.raises(ValueError, match="^each item of system entry 't' must be a finite number$"):
+        _json.system_from_json(doc)
+
+
+@pytest.mark.parametrize("literal", NON_FINITE)
+@pytest.mark.parametrize("part", [0, 1])
+def test_a_non_finite_matrix_entry_is_a_value_error(part, literal):
+    doc = _parsed({"rows": 1, "cols": 2, "data": [[0.1, 0.2], [0.3, 0.4]]}, ["data", 1, part], literal)
+    with pytest.raises(ValueError, match="^matrix entries must be finite numbers$"):
+        _json.matrix_from_json(doc)
+    measure = _json.measure_to_json(pqsys.chebyshev_example(0.2, 3)[0])
+    measure = _parsed(measure, ["atoms", 0, "sigma", "data", 0, part], literal)
+    with pytest.raises(ValueError, match="^atom 0: matrix entries must be finite numbers$"):
+        _json.measure_from_json(measure)

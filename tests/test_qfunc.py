@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pqsys
+from pqsys import opcore, qfunc
 from pqsys.errors import DegenerateGrid, NotPqs, SingularResolvent
 
 import oracles
@@ -164,3 +165,31 @@ def test_q_from_realized_data_matches_data_theta():
     th = pqsys.theta_from_data(f, 1.0 / z)
     n = f.dim
     assert np.linalg.norm(Q @ (th - z * np.eye(n)) - np.eye(n)) < 1e-9
+
+
+@pytest.mark.parametrize("stateless", [False, True])
+def test_the_witness_search_takes_no_operator_norm_when_its_brackets_settle(monkeypatch, stateless):
+    # the S4 witness is `norm_at_most` of K2(z0, z0) - Q*Q against
+    # 100 psd_tol max(1, ||Q*Q||): its Frobenius brackets settle both a
+    # genuine Q (a witness at the first probe) and a stateless one (none at
+    # any probe), so no probe takes a spectral norm
+    rng = np.random.default_rng(9)
+    tau = pqs_system(rng)
+    if stateless:
+        q = lambda z: np.array([[-1.0 / (z - 0.3)]], dtype=complex)
+        F = np.array([[-0.3]])
+    else:
+        q = lambda z: pqsys.q_eval(tau, z)
+        F = -tau.D
+    grid = [2.0 + 0.5j, -1.8 + 0.6j]
+    # the samples are taken up front, so the count sees the kernel check alone
+    table = {complex(z): q(z) for z in [*grid, *qfunc._S4_PROBES]}
+    calls = []
+    norm = opcore.operator_norm
+    counted = lambda M: calls.append(1) or norm(M)
+    monkeypatch.setattr(opcore, "operator_norm", counted)
+    monkeypatch.setattr(qfunc, "operator_norm", counted)
+    rep = pqsys.q_class_kernel_check(lambda z: table[complex(z)], F, grid)
+    assert calls == []
+    assert rep.s4_witness is not stateless
+    assert rep.s4_point == (None if stateless else qfunc._S4_PROBES[0])

@@ -431,6 +431,28 @@ def test_jacobi_rejects_nonpositive_offdiagonal():
         pqsys.JacobiRealization(0.0, (0.5, -0.1), (0.0, 0.0), False)
 
 
+@pytest.mark.parametrize("d, a, b", [(complex(np.nan, 0.0), (0.5,), (0.0,)), (0.1j, (0.5, np.inf), (0.0, 0.0)),
+                                     (0.0, (0.5,), (-np.inf,)), (complex(0.0, np.inf), (), ())])
+def test_jacobi_rejects_non_finite_coefficients(d, a, b):
+    with pytest.raises(ValueError, match="^coefficients must be finite numbers$"):
+        pqsys.JacobiRealization(d, a, b, False)
+
+
+def test_jacobi_cuts_tiny_scalar_weights_relative_to_the_largest():
+    # the 50-node arcsine measure with its weights scaled by 1e-11 to 1e-13: far below
+    # rank_tol in absolute terms, but all of one size, so no weight is cut,
+    # as none is by the realization of the same data
+    data, _ = pqsys.chebyshev_example(0.2 + 0.1j, 50)
+    tiny = pqsys.SqsFunctionData(data.theta0, tuple((t, 1e-11 * w) for t, w in data.atoms))
+    jr = pqsys.jacobi_realize(tiny)
+    tau = pqsys.realize_from_data(tiny)
+    via_system = pqsys.jacobi_realize(tau)
+    assert tau.state_dim == jr.length == via_system.length == 50
+    assert jr.d == via_system.d
+    assert np.abs(np.subtract(jr.a, via_system.a)).max() <= 1e-12
+    assert np.abs(np.subtract(jr.b, via_system.b)).max() <= 1e-12
+
+
 def test_jacobi_realize_chebyshev_coefficients():
     data, tau = pqsys.chebyshev_example(0.25, 120)
     jr = pqsys.jacobi_realize(data, max_len=40)
