@@ -86,7 +86,8 @@ class Reporter:
             "outputs": [],
         }
         self.args = args
-        # main writes the report of a command that raises
+        self.written = False
+        # main writes the report of a command that raises before `write`
         args.reporter = self
 
     def load(self, path: str, decode):
@@ -102,7 +103,9 @@ class Reporter:
         print(f"{name}: {value}")
 
     def write(self):
-        """Print the checks, then write the report when --report is given."""
+        """Print the checks, then write the report when --report is given; a
+        report is written once, so a failed write is not tried again."""
+        self.written = True
         self.report["timings"] = {"load_s": self.load_s,
                                   "total_s": time.perf_counter() - self.started}
         for c in self.report["checks"]:
@@ -303,10 +306,11 @@ def main(argv=None) -> int:
 
 def _failed(args, exc: Exception, code: int, message: str) -> int:
     """Print the failure, record it in the report when the command got as
-    far as creating one, and return the exit code."""
+    far as creating one and not as far as writing it, and return the exit
+    code."""
     print(message, file=sys.stderr)
     rep = getattr(args, "reporter", None)
-    if rep is not None:
+    if rep is not None and not rep.written:
         rep.report["error"] = {"type": type(exc).__name__, "message": str(exc), "exit_code": code}
         try:
             rep.write()

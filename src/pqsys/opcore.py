@@ -451,41 +451,35 @@ class DefectData(NamedTuple):
         return DefectData(self.DAs, self.DA, self.E_As, self.E_A, self.d_As, self.d_A, self.t)
 
 
-def _svd_defects(X, tol: Tolerances, contraction=False, basis: bool | str = False,
-                 adjoint: bool = False) -> DefectData:
+def _svd_defects(X, tol: Tolerances, check=None) -> DefectData:
     """Defect data of X from one SVD X = U diag(s) W*, d = sqrt(1 - s^2) by
-    `_defect_values`: D_X = W diag(d) W*, with adjoint D_{X*} = U diag(d) U*,
-    with basis the singular vectors that rule keeps and their d (else None),
-    for D_X alone when basis is "domain".  The SVD is thin unless a basis
-    needs the vectors it omits; where vectors outnumber s the defect is
-    I + W diag(d - 1) W*.  An isometric X gets an exactly zero defect.  With
-    contraction True, NotAContraction comes first if max s > 1 + rank_tol; a
-    callable contraction is called with max s instead, before the defects
-    are formed, to check it by a rule of its own."""
+    `_defect_values`: D_X = W diag(d) W* and D_{X*} = U diag(d) U*, each with
+    the singular vectors that rule keeps as its range basis and their d.  The
+    SVD is thin for a square X and full otherwise; where vectors outnumber s
+    the defect is I + W diag(d - 1) W*.  An isometric X gets an exactly zero
+    defect.  check(max s, tol), when given, is called before the defects are
+    formed: `_require_contraction`, or a rule of the caller's.  Every
+    returned array is read-only."""
     X = as_matrix(X)
-    rows, cols = X.shape
-    both = adjoint and basis is True
-    U, s, Wh = np.linalg.svd(X, full_matrices=bool(basis) and (rows < cols or (both and rows > cols)))
-    if callable(contraction):
-        contraction(s.max(initial=0.0))
-    elif contraction:
-        _require_contraction(s.max(initial=0.0), tol)
-    D, E, d = _defect_side(Wh.conj().T, s, cols, tol, bool(basis))
-    Ds, Es, ds = _defect_side(U, s, rows, tol, both) if adjoint else (None, None, None)
-    return DefectData(D, Ds, E, Es, d, ds)
+    U, s, Wh = np.linalg.svd(X, full_matrices=X.shape[0] != X.shape[1])
+    if check is not None:
+        check(s.max(initial=0.0), tol)
+    D, E, d = _defect_side(Wh.conj().T, s, tol)
+    Ds, Es, ds = _defect_side(U, s, tol)
+    return _read_only(DefectData(D, Ds, E, Es, d, ds))
 
 
-def _defect_side(Q: np.ndarray, s: np.ndarray, n: int, tol: Tolerances, basis: bool):
-    """The defect on C^n from the singular vectors Q of one side, and its range
-    basis and defect values when asked for (Q then holds all n vectors)."""
+def _defect_side(Q: np.ndarray, s: np.ndarray, tol: Tolerances):
+    """The defect on the space of one side from all its singular vectors Q,
+    its range basis and its defect values."""
     d, keep = _defect_values(np.append(1.0 - s * s, np.ones(Q.shape[1] - s.size)), tol)
-    if s.size == n:
+    if s.size == Q.shape[1]:
         D = (Q * d) @ Q.conj().T
     else:
         Qs = Q[:, :s.size]
         D = (Qs * (d[:s.size] - 1.0)) @ Qs.conj().T
-        D[np.diag_indices(n)] += 1.0
-    return (D, Q[:, keep], d[keep]) if basis else (D, None, None)
+        D[np.diag_indices_from(D)] += 1.0
+    return D, Q[:, keep], d[keep]
 
 
 _EIGH_ROUNDING = 10  # see `_hermitian_eigh`
@@ -624,7 +618,7 @@ def _factor_defects(A: np.ndarray, tol: Tolerances) -> DefectData:
     eig = _hermitian_eigh(A, tol)
     if eig is not None:
         return hermitian_defect_data(*eig[:2], tol)
-    dd = _svd_defects(A, tol, contraction=True, basis=True, adjoint=True)
+    dd = _svd_defects(A, tol, _require_contraction)
     if dd.DA.shape == dd.DAs.shape and norm_at_most(dd.DA - dd.DAs, tol.eq_tol):
         return DefectData(dd.DA, dd.DA, dd.E_A, dd.E_A, dd.d_A, dd.d_A)
     return dd
@@ -778,7 +772,7 @@ def cnu_unitary_split(A, tol: Tolerances = DEFAULT_TOL) -> tuple[SubspaceBasis, 
     A = as_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise NonSquare("cnu_unitary_split needs a square matrix")
-    dd = _svd_defects(A, tol, contraction=True, basis=True, adjoint=True)
+    dd = _svd_defects(A, tol, _require_contraction)
     n = A.shape[0]
     hc = krylov_span(A, dd.E_As, n, tol)
     ho = krylov_span(A.conj().T, dd.E_A, n, tol)

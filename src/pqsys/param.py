@@ -39,7 +39,8 @@ class ContractionParams:
     `defects` is the `opcore.DefectData` of A (for selfadjoint A its t holds
     the eigenvalues along the shared eigenvector basis); DM/DKs are the
     ambient defect operators of M (on M) and K* (on N); DK, DMs, DX, DXs are
-    the remaining defect operators, expressed in the small bases.
+    the remaining defect operators, expressed in the small bases, and E_DK
+    (in the basis E_A) spans ran D_K.
     """
 
     A: np.ndarray
@@ -49,6 +50,7 @@ class ContractionParams:
     defects: opcore.DefectData
     E_DM: np.ndarray
     E_DKs: np.ndarray
+    E_DK: np.ndarray
     DM: np.ndarray
     DKs: np.ndarray
     DK: np.ndarray
@@ -112,17 +114,18 @@ def _complete(A, M, K, dd: opcore.DefectData, make_X, vet, tol: Tolerances) -> C
     """ContractionParams from A, its defect data and the parameters M, K.
 
     One SVD of M gives D_M (with basis and values) and D_{M*}, one of K*
-    gives D_{K*} and D_K, make_X(dm, dks) returns X in the bases of these two
-    defect data, and one SVD of X gives D_X and D_{X*}.  vet(name, norm) is
-    called with the largest singular value of each SVD ("M", "K", "X"),
-    before its defects are formed: the norm check of each parameter."""
-    dm = opcore._svd_defects(M, tol, lambda nrm: vet("M", nrm), basis="domain", adjoint=True)
-    dks = opcore._svd_defects(K.conj().T, tol, lambda nrm: vet("K", nrm), basis="domain", adjoint=True)
+    gives D_{K*} and D_K with their bases, make_X(dm, dks) returns X in the
+    bases of these two defect data, and one SVD of X gives D_X and D_{X*}.
+    vet(name, norm) is called with the largest singular value of each SVD
+    ("M", "K", "X"), before its defects are formed: the norm check of each
+    parameter.  The defect data are read-only (`opcore._svd_defects`)."""
+    dm = opcore._svd_defects(M, tol, lambda nrm, _: vet("M", nrm))
+    dks = opcore._svd_defects(K.conj().T, tol, lambda nrm, _: vet("K", nrm))
     X = make_X(dm, dks)
-    dx = opcore._svd_defects(X, tol, lambda nrm: vet("X", nrm), adjoint=True)
+    dx = opcore._svd_defects(X, tol, lambda nrm, _: vet("X", nrm))
     return ContractionParams(
         A=A, M=M, K=K, X=X, defects=dd,
-        E_DM=dm.E_A, E_DKs=dks.E_A, DM=dm.DA, DKs=dks.DA,
+        E_DM=dm.E_A, E_DKs=dks.E_A, E_DK=dks.E_As, DM=dm.DA, DKs=dks.DA,
         DK=dks.DAs, DMs=dm.DAs, DX=dx.DA, DXs=dx.DAs,
     )
 
@@ -157,7 +160,14 @@ def assemble(p: ContractionParams, tol: Tolerances = DEFAULT_TOL) -> Partitioned
 
 
 def parametrize(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> ContractionParams:
-    """Recover (A, M, K, X) from a passive system.
+    """Recover (A, M, K, X) from a passive system, once per system and
+    tolerance set (`_parametrize`): every array of the result is read-only,
+    and its six checks are recorded when it is computed."""
+    return tau.cached("params", tol, lambda: _parametrize(tau, tol))
+
+
+def _parametrize(tau: PartitionedContraction, tol: Tolerances) -> ContractionParams:
+    """The parameters of a passive system.
 
     B = D_{A*} M, C = K D_A and D_{K*} X D_M = core are solved in the defect
     bases, where each defect is diagonal (D_A E_A = E_A diag(d_A)): M =
@@ -176,6 +186,8 @@ def parametrize(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> C
     # E* B as (B* E)*, which needs no conjugated copy of the basis
     M = (B.conj().T @ dd.E_As).conj().T / dd.d_As[:, None]
     K = (C @ dd.E_A) / dd.d_A
+    # read-only, as A, the defect data and X are
+    M.flags.writeable = K.flags.writeable = False
     resid_b = opcore.gap(dd.DAs @ (dd.E_As @ M) - B, tol.eq_tol)
     check("carried_B", resid_b, tol.eq_tol, PqsysError,
           f"B is not carried by the defect of A*: residual {resid_b:.3e}")
@@ -190,6 +202,7 @@ def parametrize(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> C
         resid_d = opcore.gap(dks.DA @ (dks.E_A @ X @ dm.E_A.conj().T) @ dm.DA - core, tol.eq_tol)
         check("carried_D", resid_d, tol.eq_tol, PqsysError,
               f"D block not reproduced by extracted X: residual {resid_d:.3e}")
+        X.flags.writeable = False
         return X
 
     def vet(name, nrm):

@@ -189,11 +189,12 @@ def inner_canonical_form(tau: PartitionedContraction, tol: Tolerances = DEFAULT_
 # conservative dilation
 # ---------------------------------------------------------------------------
 
-def _dilation_D(p: ContractionParams, E: np.ndarray) -> np.ndarray:
+def _dilation_D(p: ContractionParams) -> np.ndarray:
     """The D block of the dilation: the enlarged transfer function at
-    lambda = 0, in four blocks over Phi_A(0), with E an orthonormal basis of
-    the range of D_K."""
+    lambda = 0, in four blocks over Phi_A(0), with E = p.E_DK the orthonormal
+    basis of the range of D_K."""
     phi = transfer._phi_direct(p, 0.0)
+    E = p.E_DK
     Ks, Es = p.K.conj().T, p.E_DKs.conj().T
     kk = Es @ p.K
     theta12 = np.hstack([p.K @ phi @ p.DK @ E - p.DKs @ p.E_DKs @ p.X @ (kk @ E), p.DKs @ p.E_DKs @ p.DXs])
@@ -231,7 +232,9 @@ def biinner_dilation(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL)
     """Embed a pqs system into a conservative one on the enlarged I/O space:
     D from the parameters of `parametrize` (`_dilation_D`), the same main
     operator and an enlarged channel operator.  NotMinimal when the enlarged
-    system is not minimal, which is exactly when ker D_A != {0}.
+    system is not minimal, which is exactly when ker D_A != {0}.  The basis
+    E_DK of ran D_K is the one parametrize's SVD of K* gives
+    (`ContractionParams.E_DK`): no parameter is factored again.
 
     The enlarged system has tau's A, so it takes tau's factorization
     A = V diag(t) V* and defect data of A (its "spectral" and "defects"
@@ -265,20 +268,19 @@ def biinner_dilation(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL)
         raise NotPqs("dilation applies to passive quasi-selfadjoint systems")
     p = parametrize(tau, tol)
     dd = p.defects
-    E_DK = opcore._svd_defects(p.K, tol, basis=True).E_A
     s = tau.state_dim
     n = tau.out_dim
-    dk = E_DK.shape[1]
+    dk = p.E_DK.shape[1]
     dks = p.E_DKs.shape[1]
 
     DE = dd.E_A * dd.d_A  # D_A E_A
     B_big = np.hstack([
         DE @ p.K.conj().T,
-        DE @ p.DK @ E_DK,
+        DE @ p.DK @ p.E_DK,
         np.zeros((s, dks), dtype=complex),
     ])
     v = n + dk + dks
-    T = np.block([[_dilation_D(p, E_DK), B_big.conj().T], [B_big, p.A]])
+    T = np.block([[_dilation_D(p), B_big.conj().T], [B_big, p.A]])
     system = PartitionedContraction(T, v, v, s)
     # the same main operator: the enlarged system shares tau's factorization and defect data
     sd = sysmodel.spectral_data(tau, tol)
@@ -379,7 +381,9 @@ def jacobi_realize(source, max_len: int | None = None, tol: Tolerances = DEFAULT
 
     Accepts scalar atomic data (nodes t_k, weights w_k = (1 - t_k^2) sigma_k)
     or a scalar pqs system (its cached A = V diag(t) V*, w = |V* B|^2).  Runs
-    Lanczos on diag(t) started at sqrt(w); a_0 is the channel norm.
+    Lanczos on diag(t) started at sqrt(w); a_0 is the channel norm, and the
+    realization is empty only when no weight is left (a_0 = 0): Lanczos
+    normalizes its start, so the scale of w sets no length.
     Breakdown before max_len means the function is rational and the
     expansion complete: it has d + sum_k lambda w_k / (1 - lambda t_k) as its
     transfer function, checked on the L + len(t) Markov parameters of the
@@ -413,7 +417,7 @@ def jacobi_realize(source, max_len: int | None = None, tol: Tolerances = DEFAULT
 
     start = np.sqrt(w)
     a0 = float(np.linalg.norm(start))
-    if a0 <= tol.rank_tol:
+    if a0 == 0:
         return JacobiRealization(d, (), (), False)
     if max_len is None:
         max_len = t.size

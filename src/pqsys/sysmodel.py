@@ -29,12 +29,13 @@ class PartitionedContraction:
 
     T is held as a read-only view of the array passed in (no copy), so
     writing through `tau.T` or its blocks raises.  Results derived from T
-    alone are cached on the system: its singular values once, the class
-    flags, the spectral factorization of A, the defect data of A and the
-    Krylov record per `Tolerances`, and for a non-selfadjoint A the
-    eigendecomposition record of `transfer.theta_eval` (once per system); the
-    array passed in must therefore not be modified after construction
-    either."""
+    alone are cached on the system: its singular values once; per
+    `Tolerances` the class flags, the spectral factorization of A, the defect
+    data of A, the Krylov record, the controllable and observable subspaces
+    and the parameters of `param.parametrize`; and for a non-selfadjoint A
+    the eigendecomposition record of `transfer.theta_eval` (once per
+    system).  The array passed in must therefore not be modified after
+    construction either."""
 
     T: np.ndarray
     in_dim: int
@@ -445,16 +446,26 @@ def _cluster_rows_by_size(clusters: list[slice]):
 
 def controllable_subspace(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
     """span{A^n B : n >= 0} inside the state space: the band-Arnoldi basis of
-    the Krylov record, or the basis its cluster parts give."""
-    rec = krylov_record(tau, tol)
-    return rec.hc if rec.parts is None else _eig_basis(spectral_data(tau, tol).V, tau.state_dim, rec.parts[0])
+    the Krylov record, or the basis its cluster parts give, built once per
+    system and tolerance set; the basis is read-only."""
+    return tau.cached("controllable", tol, lambda: _subspace(tau, tol, 0))
 
 
 def observable_subspace(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
     """span{A*^n C* : n >= 0} inside the state space, read like
     `controllable_subspace`."""
+    return tau.cached("observable", tol, lambda: _subspace(tau, tol, 1))
+
+
+def _subspace(tau: PartitionedContraction, tol: Tolerances, side: int) -> SubspaceBasis:
+    """The controllable (side 0) or observable (side 1) subspace of the record."""
     rec = krylov_record(tau, tol)
-    return rec.ho if rec.parts is None else _eig_basis(spectral_data(tau, tol).V, tau.state_dim, rec.parts[1])
+    if rec.parts is None:
+        sub = (rec.hc, rec.ho)[side]
+    else:
+        sub = _eig_basis(spectral_data(tau, tol).V, tau.state_dim, rec.parts[side])
+    sub.basis.flags.writeable = False
+    return sub
 
 
 def is_controllable(tau, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -500,9 +500,24 @@ def test_a_report_that_cannot_be_written_exits_2_and_says_so(tmp_path, capsys):
     report = tmp_path / "no_such_dir" / "rep.json"
     assert main(["classify", str(tmp_path / "sys.json"), "--report", str(report)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err[0].startswith("input error: [Errno 2] No such file or directory")
-    assert err[1].startswith("report not written: [Errno 2] No such file or directory")
+    # one message: the write that failed is not tried a second time
+    assert len(err) == 1 and err[0].startswith("input error: [Errno 2] No such file or directory")
     assert not report.parent.exists()
+
+
+def test_a_failed_command_tries_its_unwritten_report_once(tmp_path, capsys):
+    # the command fails before it writes a report, so the report of the
+    # failure is tried, and its own failure is the second message
+    T = np.zeros((3, 3), dtype=complex)
+    T[1:, :1] = 0.3
+    T[1:, 1:] = 0.2 * np.eye(2)  # C = 0 but B != 0: passive, not pqs
+    write_system(tmp_path / "sys.json", pqsys.PartitionedContraction(T, 1, 1, 2))
+    report = tmp_path / "no_such_dir" / "rep.json"
+    assert main(["dilate", str(tmp_path / "sys.json"), "--report", str(report)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert err[0].startswith("check failed: NotPqs")
+    assert err[1].startswith("report not written: [Errno 2] No such file or directory")
 
 
 def _measure_with_a_bad_atom(path, sigma_data):
@@ -833,7 +848,7 @@ def test_failed_library_check_is_reported(tmp_path, rng, monkeypatch, case):
         monkeypatch.setattr(pqsys.realize, "_lanczos", moved)
     elif name == "block_unitarity":
         dilation_D = pqsys.realize._dilation_D
-        monkeypatch.setattr(pqsys.realize, "_dilation_D", lambda p, E: dilation_D(p, E) + 1e-3)
+        monkeypatch.setattr(pqsys.realize, "_dilation_D", lambda p: dilation_D(p) + 1e-3)
     report = tmp_path / "rep.json"
     assert main(argv + ["--report", str(report)]) == 1
     rep = read_json(report)

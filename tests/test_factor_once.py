@@ -6,8 +6,11 @@ eigendecomposition of an operator whose factorization they already hold,
 and build no dense copy of a diagonal operator.
 """
 
+import ast
 import sys
 import tracemalloc
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,6 +96,21 @@ def test_a_too_large_recovered_parameter_is_not_a_contraction(monkeypatch):
     with pqsys.errors.ledger() as entries, pytest.raises(pqsys.NotAContraction, match="parameter M"):
         pqsys.parametrize(tau)
     assert [e["name"] for e in entries][-1] == "contraction_M" and not entries[-1]["pass"]
+
+
+def test_parametrize_is_cached_read_only_and_records_its_checks_once():
+    tau = _pqs_system(np.random.default_rng(10), s=12, n=2)
+    with pqsys.errors.ledger() as entries:
+        p = pqsys.parametrize(tau)
+        assert pqsys.parametrize(tau) is p
+    assert [e["name"] for e in entries].count("carried_B") == 1
+    tol = pqsys.Tolerances(eq_tol=2e-10)
+    assert pqsys.parametrize(tau, tol) is not p
+    arrays = [(name, v) for name, v in vars(p).items() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 13
+    for name, v in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            v[...] = 0
 
 
 def _pinv_parameters(tau, tol=pqsys.DEFAULT_TOL):
@@ -181,16 +199,20 @@ def test_dilation_factors_the_main_operator_once(monkeypatch):
 
 
 def test_dilation_defect_basis_spans_the_defect_of_K():
-    # the basis E of the range of D_K that `biinner_dilation` takes
+    # the basis E of the range of D_K that `biinner_dilation` takes: the one
+    # parametrize's SVD of K* gives, read from the cached parameters
     rng = np.random.default_rng(5)
-    tau = _pqs_system(rng, s=12)
-    dil = realize.biinner_dilation(tau)
+    s, n = 12, 2
+    tau = _pqs_system(rng, s=s, n=n)
     p = pqsys.parametrize(tau)
-    E, DK = opcore._svd_defects(p.K, pqsys.DEFAULT_TOL, basis=True).E_A, p.DK
+    dil = realize.biinner_dilation(tau)
+    E, DK = p.E_DK, p.DK
     assert np.linalg.norm(E.conj().T @ E - np.eye(E.shape[1])) < 1e-13
     assert np.linalg.norm(E @ (E.conj().T @ DK) - DK) < 1e-12
     assert E.shape[1] == opcore.range_basis(DK).dim
     assert dil.dk_dim == E.shape[1]
+    dd = p.defects
+    assert np.array_equal(dil.system.B[:, n:n + dil.dk_dim], (dd.E_A * dd.d_A) @ DK @ E)
 
 
 def test_canonical_form_takes_no_svd_of_the_channel(monkeypatch):
@@ -255,6 +277,88 @@ def test_canonical_form_reads_the_cached_defects_not_parametrize(monkeypatch, s,
     assert cf.points == tuple(float(a) for a in p.defects.t)
     assert np.array_equal(cf.unitary_block, W_perp.conj().T @ big.D @ W_perp)
     assert np.array_equal(cf.basis, np.hstack([p.K, W_perp]))
+
+
+def test_controllable_subspace_is_built_once_and_read_only(monkeypatch):
+    # the basis the reduction reads is the one pqs_krylov_subspace built
+    rng = np.random.default_rng(11)
+    s, n = 20, 2
+    # a diagonal A with four states cut off the channel: a compression of a
+    # contraction beside a contraction, so still passive
+    T = pqs_from_spectrum(rng, np.linspace(-0.9, 0.9, s), n, diagonal=True)
+    T[n + s - 4:, :n] = 0
+    T[:n, n + s - 4:] = 0
+    tau = _system(T, n, s)
+    sub = sysmodel.pqs_krylov_subspace(tau)
+    assert sysmodel.controllable_subspace(tau) is sub
+    assert not sub.basis.flags.writeable
+    built = []
+    eig_basis = sysmodel._eig_basis
+    monkeypatch.setattr(sysmodel, "_eig_basis", lambda *a: built.append(1) or eig_basis(*a))
+    red = sysmodel.minimal_pqs_reduction(tau)
+    assert built == [] and red.state_dim == sub.dim < s
+    assert sysmodel.observable_subspace(tau) is sysmodel.observable_subspace(tau)
+    assert built == [1]
+
+
+def test_the_structure_chain_factors_each_parameter_once(monkeypatch):
+    # one fresh s = 50, 3-channel pqs system and a rotated twin through the
+    # chain of the structure benchmark: the parameters are factored by 3 SVDs
+    # (M, K*, X; 7 when the dilation parametrized again and took its own SVD
+    # of K), none of K itself, and each main operator by one eigh
+    s, n = 50, 3
+    rng = np.random.default_rng(12)
+    tau = _pqs_system(rng, s=s, n=n)
+    U = rand_unitary(rng, s)
+    T2 = tau.T.copy()
+    T2[n:, n:] = U @ tau.A @ U.conj().T
+    T2[n:, n:] = (T2[n:, n:] + T2[n:, n:].conj().T) / 2
+    T2[n:, :n] = U @ tau.B
+    T2[:n, n:] = T2[n:, :n].conj().T
+    twin = _system(T2, n, s)
+    svds = linalg_calls(monkeypatch, "svd", internal=True)
+    qrs = linalg_calls(monkeypatch, "qr", internal=True)
+    eighed = []
+    real_eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: eighed.append(np.array(a)) or real_eigh(a, *args))
+    factored = []
+    svd_defects = opcore._svd_defects
+    monkeypatch.setattr(opcore, "_svd_defects", lambda X, *a: factored.append(X.shape) or svd_defects(X, *a))
+
+    p = pqsys.parametrize(tau)
+    pqsys.assemble(p)
+    assert sysmodel.classify(tau).pqs and sysmodel.is_minimal(tau)
+    assert sysmodel.minimal_pqs_reduction(tau) is tau
+    dil = realize.biinner_dilation(tau)
+    realize.inner_canonical_form(dil.system)
+    realized = realize.realize_from_data(realize.spectral_measure(tau))
+    realize.unitary_similarity(tau, twin)
+
+    assert factored == [(s, n), (s, n), (n, n)]
+    v = n + dil.dk_dim + dil.dks_dim
+    assert Counter(svds) == {
+        (s, n): 2 + 3,      # M and K*; the norms of the three cluster passes (tau, twin, realized)
+        (n, n): 1 + 3,      # X; the norms of the read-out's and the realization's checks
+        (s, 1, n): 3,       # the stacked cluster SVDs of the three passes
+        (v + s, v + s): 1,  # block_unitarity of the enlarged system
+        (s, 1, 1): 1,       # the similarity's intertwiner
+    }
+    main = [e for e in eighed if e.shape == (s, s)]
+    assert len(main) == 2
+    assert np.array_equal(main[0], tau.A) and np.array_equal(main[1], twin.A)
+    assert sysmodel.spectral_data(realized).V.ndim == 1  # a diagonal A is its own factorization
+    assert qrs == [(v, s)]  # the complement of the canonical form's channel
+
+
+def test_no_svd_defects_call_passes_a_keyword():
+    # `_svd_defects(X, tol, check=None)` has one mode: both defects with
+    # their bases, from one SVD
+    calls = []
+    for path in sorted(Path(pqsys.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "_svd_defects":
+                calls.append((path.name, len(node.args), [k.arg for k in node.keywords]))
+    assert calls and all(not kw and nargs in (2, 3) for _, nargs, kw in calls)
 
 
 # ---------------------------------------------------------------------------

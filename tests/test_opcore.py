@@ -43,8 +43,13 @@ def test_psd_sqrt_clamps_round_off_but_rejects_indefinite():
         opcore.psd_sqrt(np.diag([1.0, -0.5]).astype(complex))
 
 
-def _svd_defects(X, **kw):
-    return opcore._svd_defects(X, opcore.DEFAULT_TOL, **kw)
+def _svd_defects(X, check=None):
+    return opcore._svd_defects(X, opcore.DEFAULT_TOL, check)
+
+
+def _checked_defects(X):
+    """The defect data of a contraction: NotAContraction for a larger X."""
+    return _svd_defects(X, opcore._require_contraction)
 
 
 def test_defect_operator_unitary_is_zero():
@@ -54,7 +59,7 @@ def test_defect_operator_unitary_is_zero():
 
 
 def test_defect_operator_rejects_expansion():
-    for defects in (opcore.defect_data, lambda X: _svd_defects(X, contraction=True)):
+    for defects in (opcore.defect_data, _checked_defects):
         with pytest.raises(NotAContraction):
             defects(np.array([[1.5]], dtype=complex))
 
@@ -106,13 +111,13 @@ def test_krylov_span_saturates():
 
 def _strict(X):
     """A contraction is strict when its defect basis spans its domain."""
-    return _svd_defects(X, contraction=True, basis=True).E_A.shape[1] == X.shape[1]
+    return _checked_defects(X).E_A.shape[1] == X.shape[1]
 
 
 def test_contraction_predicates():
-    _svd_defects(np.array([[1.0]], dtype=complex), contraction=True)
+    _checked_defects(np.array([[1.0]], dtype=complex))
     with pytest.raises(NotAContraction):
-        _svd_defects(np.array([[1.1]], dtype=complex), contraction=True)
+        _checked_defects(np.array([[1.1]], dtype=complex))
     assert _strict(np.array([[0.9]], dtype=complex))
     assert not _strict(np.array([[1.0]], dtype=complex))
 
@@ -442,7 +447,7 @@ def test_defects_from_one_svd_match_the_reference(name):
         assert np.linalg.norm(E.conj().T @ E - np.eye(E.shape[1])) < 1e-13
         assert np.linalg.norm(E @ (E.conj().T @ D) - D, 2) < 1e-12
         assert E.shape[1] == opcore.range_basis(ref).dim
-    assert np.array_equal(_svd_defects(A, contraction=True, basis=True).E_A, dd.E_A)
+    assert np.array_equal(_checked_defects(A).E_A, dd.E_A)
     assert _strict(A) == _strict_ref(A)
 
 
@@ -461,7 +466,7 @@ def test_defects_of_isometries_and_normal_operators():
 
 def test_defects_reject_norm_above_one_plus_rank_tol():
     A = rand_contraction(np.random.default_rng(30), 6, 6, 1.0 + 10e-10)
-    for f in (opcore.defect_data, lambda X: _svd_defects(X, contraction=True), _strict):
+    for f in (opcore.defect_data, _checked_defects, _strict):
         with pytest.raises(NotAContraction):
             f(A)
     with pytest.raises(NotAContraction):

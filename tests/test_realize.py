@@ -380,7 +380,7 @@ def test_dilation_D_is_the_closed_forms_at_zero_bit_for_bit():
         tau = make_system(rand_pqs_T(rng, n, s), n, n, s)
         dil = pqsys.biinner_dilation(tau)
         p = pqsys.parametrize(tau)
-        E = pqsys.opcore._svd_defects(p.K, pqsys.DEFAULT_TOL, basis=True).E_A
+        E = p.E_DK
         assert _bits(dil.system.D) == _bits(_dilation_closed_forms(p, E, 0.0))
         for lam in (0.35 - 0.2j, -0.6j, 0.8, 0.9 * np.exp(2.5j)):
             assert np.linalg.norm(dil.big_theta(lam) - _dilation_closed_forms(p, E, lam), 2) < 1e-12
@@ -438,12 +438,16 @@ def test_jacobi_rejects_non_finite_coefficients(d, a, b):
         pqsys.JacobiRealization(d, a, b, False)
 
 
-def test_jacobi_cuts_tiny_scalar_weights_relative_to_the_largest():
-    # the 50-node arcsine measure with its weights scaled by 1e-11 to 1e-13: far below
+@pytest.mark.parametrize("scale", [1e-11, 1e-19, 1e-21])
+def test_jacobi_cuts_tiny_scalar_weights_relative_to_the_largest(scale):
+    # the 50-node arcsine measure with its weights scaled down: far below
     # rank_tol in absolute terms, but all of one size, so no weight is cut,
-    # as none is by the realization of the same data
+    # as none is by the realization of the same data; and Lanczos normalizes
+    # its start, so the expansion is empty only when no weight is left: every
+    # scale keeps the 50 steps and the unscaled coefficients (a_0 scaled)
     data, _ = pqsys.chebyshev_example(0.2 + 0.1j, 50)
-    tiny = pqsys.SqsFunctionData(data.theta0, tuple((t, 1e-11 * w) for t, w in data.atoms))
+    ref = pqsys.jacobi_realize(data)
+    tiny = pqsys.SqsFunctionData(data.theta0, tuple((t, scale * w) for t, w in data.atoms))
     jr = pqsys.jacobi_realize(tiny)
     tau = pqsys.realize_from_data(tiny)
     via_system = pqsys.jacobi_realize(tau)
@@ -451,6 +455,10 @@ def test_jacobi_cuts_tiny_scalar_weights_relative_to_the_largest():
     assert jr.d == via_system.d
     assert np.abs(np.subtract(jr.a, via_system.a)).max() <= 1e-12
     assert np.abs(np.subtract(jr.b, via_system.b)).max() <= 1e-12
+    for got in (jr, via_system):
+        assert abs(got.a[0] / (np.sqrt(scale) * ref.a[0]) - 1) < 1e-12
+        assert np.abs(np.subtract(got.a[1:], ref.a[1:])).max() < 1e-12
+        assert np.abs(np.subtract(got.b, ref.b)).max() < 1e-12
 
 
 def test_jacobi_realize_chebyshev_coefficients():
