@@ -435,7 +435,9 @@ class DefectData(NamedTuple):
     defect spaces are expressed in one coherent basis.  For selfadjoint A
     the shared basis consists of eigenvectors of A, and `t` holds their
     eigenvalues, column by column; otherwise `t` is None and the bases are
-    right (E_A) and left (E_As) singular vectors of A.
+    right (E_A) and left (E_As) singular vectors of A, on the larger side of
+    a non-square A followed by the complement of the thin SVD's vectors
+    (`DefectSide.basis`).
     """
 
     DA: np.ndarray       # (I - A*A)^{1/2} on the domain
@@ -451,35 +453,56 @@ class DefectData(NamedTuple):
         return DefectData(self.DAs, self.DA, self.E_As, self.E_A, self.d_As, self.d_A, self.t)
 
 
-def _svd_defects(X, tol: Tolerances, check=None) -> DefectData:
-    """Defect data of X from one SVD X = U diag(s) W*, d = sqrt(1 - s^2) by
-    `_defect_values`: D_X = W diag(d) W* and D_{X*} = U diag(d) U*, each with
-    the singular vectors that rule keeps as its range basis and their d.  The
-    SVD is thin for a square X and full otherwise; where vectors outnumber s
-    the defect is I + W diag(d - 1) W*.  An isometric X gets an exactly zero
-    defect.  check(max s, tol), when given, is called before the defects are
-    formed: `_require_contraction`, or a rule of the caller's.  Every
-    returned array is read-only."""
+class DefectSide(NamedTuple):
+    """The defect of one side of X = U diag(s) W* from its thin SVD: the
+    operator D = I + Q diag(d - 1) Q* on that side's space, with Q the
+    singular vectors of the side (W for D_X, U for D_{X*}), d = sqrt(1 - s^2)
+    and keep the mask of the d that the range rule keeps (`_svd_defects`).
+    On the complement of Q the defect is 1.  D is applied (`apply`) and
+    formed only on request (`dense`)."""
+
+    Q: np.ndarray
+    d: np.ndarray
+    keep: np.ndarray
+
+    def apply(self, Y: np.ndarray) -> np.ndarray:
+        """D Y, for a vector or a matrix Y: O(size of Y times rank of Q)."""
+        # the transposes let the row scaling reach a vector and a matrix alike
+        return Y + self.Q @ ((self.d - 1.0) * (self.Q.conj().T @ Y).T).T
+
+    def dense(self) -> np.ndarray:
+        """D as a matrix: Q diag(d) Q* when Q is square (an isometric X gets
+        an exactly zero defect), else I + Q diag(d - 1) Q*."""
+        if self.Q.shape[0] == self.Q.shape[1]:
+            return (self.Q * self.d) @ self.Q.conj().T
+        return self.apply(np.eye(self.Q.shape[0], dtype=complex))
+
+    def basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """An orthonormal basis of ran D that diagonalizes D, and the defect
+        values along it: the kept columns of Q, then, when Q has fewer columns
+        than rows, the trailing columns of a complete QR of Q (value 1)."""
+        E, d = self.Q[:, self.keep], self.d[self.keep]
+        if self.Q.shape[0] == self.Q.shape[1]:
+            return E, d
+        rest = SubspaceBasis(self.Q.shape[0], self.Q).complement().basis
+        return np.hstack([E, rest]), np.append(d, np.ones(rest.shape[1]))
+
+
+def _svd_defects(X, tol: Tolerances, check=None) -> tuple[DefectSide, DefectSide]:
+    """The defects D_X and D_{X*} of X from its one thin SVD
+    X = U diag(s) W*, as the sides (W, d, keep) and (U, d, keep) of
+    `DefectSide`: d = sqrt(1 - s^2) by `_defect_values`, and a side keeps
+    the d above rank_tol times its largest defect value, which is 1 on a
+    side with more dimensions than singular values.  check(max s, tol), when
+    given, is called before the sides are formed: `_require_contraction`, or
+    a rule of the caller's.  Every returned array is read-only."""
     X = as_matrix(X)
-    U, s, Wh = np.linalg.svd(X, full_matrices=X.shape[0] != X.shape[1])
+    U, s, Wh = np.linalg.svd(X, full_matrices=False)
     if check is not None:
         check(s.max(initial=0.0), tol)
-    D, E, d = _defect_side(Wh.conj().T, s, tol)
-    Ds, Es, ds = _defect_side(U, s, tol)
-    return _read_only(DefectData(D, Ds, E, Es, d, ds))
-
-
-def _defect_side(Q: np.ndarray, s: np.ndarray, tol: Tolerances):
-    """The defect on the space of one side from all its singular vectors Q,
-    its range basis and its defect values."""
-    d, keep = _defect_values(np.append(1.0 - s * s, np.ones(Q.shape[1] - s.size)), tol)
-    if s.size == Q.shape[1]:
-        D = (Q * d) @ Q.conj().T
-    else:
-        Qs = Q[:, :s.size]
-        D = (Qs * (d[:s.size] - 1.0)) @ Qs.conj().T
-        D[np.diag_indices_from(D)] += 1.0
-    return D, Q[:, keep], d[keep]
+    d, keep = _defect_values(1.0 - s * s, tol)
+    return tuple(_read_only(DefectSide(Q, d, keep if Q.shape[0] == s.size else d > tol.rank_tol))
+                 for Q in (Wh.conj().T, U))
 
 
 _EIGH_ROUNDING = 10  # see `_hermitian_eigh`
@@ -579,10 +602,10 @@ def _eig_span(V: np.ndarray, cols: slice, Y: np.ndarray | None = None) -> np.nda
 
 def defect_data(A, tol: Tolerances = DEFAULT_TOL) -> DefectData:
     """D_A, D_{A*}, their range bases and values: from the one `eigh` of a
-    selfadjoint A (`hermitian_defect_data`), else from one SVD A = U diag(s) W*
-    (`_svd_defects`), D_A = W diag(d) W* and D_{A*} = U diag(d) U*.  When the
-    two defects agree to eq_tol, the data of D_A serve both sides.  Every
-    returned array is read-only.
+    selfadjoint A (`hermitian_defect_data`), else from one thin SVD
+    A = U diag(s) W* (`_svd_defects`), each side formed by `_dense_defects`.
+    When the two defects agree to eq_tol, the data of D_A serve both sides.
+    Every returned array is read-only.
 
     A real diagonal A is its own factorization (`_real_diagonal_eig`): it is
     factored at every call, for the O(s^2) scan that finds it diagonal, and
@@ -618,18 +641,26 @@ def _factor_defects(A: np.ndarray, tol: Tolerances) -> DefectData:
     eig = _hermitian_eigh(A, tol)
     if eig is not None:
         return hermitian_defect_data(*eig[:2], tol)
-    dd = _svd_defects(A, tol, _require_contraction)
+    dd = _dense_defects(*_svd_defects(A, tol, _require_contraction))
     if dd.DA.shape == dd.DAs.shape and norm_at_most(dd.DA - dd.DAs, tol.eq_tol):
         return DefectData(dd.DA, dd.DA, dd.E_A, dd.E_A, dd.d_A, dd.d_A)
     return dd
 
 
-def _read_only(dd: DefectData) -> DefectData:
-    """dd, with every array in it made read-only."""
-    for arr in dd:
+def _dense_defects(dom: DefectSide, cod: DefectSide) -> DefectData:
+    """The DefectData of the two sides of `_svd_defects`, each defect formed
+    (`DefectSide.dense`) with its basis and values (`DefectSide.basis`)."""
+    (E, d), (Es, ds) = dom.basis(), cod.basis()
+    return DefectData(dom.dense(), cod.dense(), E, Es, d, ds)
+
+
+def _read_only(arrays: tuple) -> tuple:
+    """A tuple of arrays (a DefectData, a DefectSide), with every array in it
+    made read-only."""
+    for arr in arrays:
         if arr is not None:
             arr.flags.writeable = False
-    return dd
+    return arrays
 
 
 class _DefectEntry(NamedTuple):
@@ -772,9 +803,9 @@ def cnu_unitary_split(A, tol: Tolerances = DEFAULT_TOL) -> tuple[SubspaceBasis, 
     A = as_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise NonSquare("cnu_unitary_split needs a square matrix")
-    dd = _svd_defects(A, tol, _require_contraction)
+    dom, cod = _svd_defects(A, tol, _require_contraction)
     n = A.shape[0]
-    hc = krylov_span(A, dd.E_As, n, tol)
-    ho = krylov_span(A.conj().T, dd.E_A, n, tol)
+    hc = krylov_span(A, cod.basis()[0], n, tol)
+    ho = krylov_span(A.conj().T, dom.basis()[0], n, tol)
     cnu = range_basis(np.hstack([hc.basis, ho.basis]), tol)
     return cnu.complement(), cnu

@@ -37,10 +37,12 @@ class ContractionParams:
         X : dKs x dM     between the bases E_DM, E_DKs
 
     `defects` is the `opcore.DefectData` of A (for selfadjoint A its t holds
-    the eigenvalues along the shared eigenvector basis); DM/DKs are the
-    ambient defect operators of M (on M) and K* (on N); DK, DMs, DX, DXs are
-    the remaining defect operators, expressed in the small bases, and E_DK
-    (in the basis E_A) spans ran D_K.
+    the eigenvalues along the shared eigenvector basis).  DM/DKs are the
+    defect operators of M (on M) and K* (on N), with E_DM/E_DKs the bases of
+    their ranges that diagonalize them, and DX/DXs those of X and X*: all of
+    a channel dimension.  DK (on D_A) and DMs (on D_{A*}) are held as the
+    thin factors of `opcore.DefectSide` from the SVDs of K* and M, and never
+    formed; `E_DK` spans ran D_K.
     """
 
     A: np.ndarray
@@ -50,13 +52,12 @@ class ContractionParams:
     defects: opcore.DefectData
     E_DM: np.ndarray
     E_DKs: np.ndarray
-    E_DK: np.ndarray
     DM: np.ndarray
     DKs: np.ndarray
-    DK: np.ndarray
-    DMs: np.ndarray
     DX: np.ndarray
     DXs: np.ndarray
+    DK: opcore.DefectSide
+    DMs: opcore.DefectSide
 
     @property
     def in_dim(self) -> int:
@@ -79,25 +80,32 @@ class ContractionParams:
     def X_ambient(self) -> np.ndarray:
         return self.E_DKs @ self.X @ self.E_DM.conj().T
 
+    @property
+    def E_DK(self) -> np.ndarray:
+        """An orthonormal basis of ran D_K in the basis E_A, computed at each
+        access: the identity when no singular value of K reaches 1 (D_K has
+        no kernel), else the complement of the unit singular vectors."""
+        Q, _, keep = self.DK
+        if keep.all():
+            return np.eye(Q.shape[0], dtype=complex)
+        return opcore.SubspaceBasis(Q.shape[0], Q[:, ~keep]).complement().basis
+
 
 def make_params(A, M, K, X, tol: Tolerances = DEFAULT_TOL) -> ContractionParams:
     """Build ContractionParams from the small-matrix quadruple, deriving and
     caching every defect operator and basis.  M, K, X must already be
     expressed in the defect bases that A (and M, K) induce; X = None
     stands for the zero operator."""
-    A = as_matrix(A)
-    M = as_matrix(M)
-    K = as_matrix(K)
+    A, M, K = as_matrix(A), as_matrix(M), as_matrix(K)
     dd = opcore.defect_data(A, tol)
-    dA = dd.E_A.shape[1]
-    dAs = dd.E_As.shape[1]
+    dA, dAs = dd.E_A.shape[1], dd.E_As.shape[1]
     if M.shape[0] != dAs:
         raise DimensionMismatch(f"M has {M.shape[0]} rows, dim of defect of A* is {dAs}")
     if K.shape[1] != dA:
         raise DimensionMismatch(f"K has {K.shape[1]} cols, dim of defect of A is {dA}")
 
-    def given_X(dm, dks):
-        shape = (dks.E_A.shape[1], dm.E_A.shape[1])
+    def given_X(E_DM, _, E_DKs, __):
+        shape = (E_DKs.shape[1], E_DM.shape[1])
         Xm = as_matrix(X) if X is not None else np.zeros(shape, dtype=complex)
         if Xm.shape != shape:
             raise DimensionMismatch(f"X has shape {Xm.shape}, defect bases want {shape}")
@@ -113,21 +121,21 @@ def make_params(A, M, K, X, tol: Tolerances = DEFAULT_TOL) -> ContractionParams:
 def _complete(A, M, K, dd: opcore.DefectData, make_X, vet, tol: Tolerances) -> ContractionParams:
     """ContractionParams from A, its defect data and the parameters M, K.
 
-    One SVD of M gives D_M (with basis and values) and D_{M*}, one of K*
-    gives D_{K*} and D_K with their bases, make_X(dm, dks) returns X in the
-    bases of these two defect data, and one SVD of X gives D_X and D_{X*}.
-    vet(name, norm) is called with the largest singular value of each SVD
-    ("M", "K", "X"), before its defects are formed: the norm check of each
-    parameter.  The defect data are read-only (`opcore._svd_defects`)."""
-    dm = opcore._svd_defects(M, tol, lambda nrm, _: vet("M", nrm))
-    dks = opcore._svd_defects(K.conj().T, tol, lambda nrm, _: vet("K", nrm))
-    X = make_X(dm, dks)
-    dx = opcore._svd_defects(X, tol, lambda nrm, _: vet("X", nrm))
-    return ContractionParams(
-        A=A, M=M, K=K, X=X, defects=dd,
-        E_DM=dm.E_A, E_DKs=dks.E_A, E_DK=dks.E_As, DM=dm.DA, DKs=dks.DA,
-        DK=dks.DAs, DMs=dm.DAs, DX=dx.DA, DXs=dx.DAs,
-    )
+    One thin SVD of M gives D_M and D_{M*}, one of K* gives D_{K*} and D_K
+    (`opcore._svd_defects`); make_X(E_DM, d_M, E_DKs, d_Ks) returns X in
+    the bases of D_M and D_{K*} that diagonalize them, with the defect
+    values along them (`DefectSide.basis`), and one SVD of X gives D_X and
+    D_{X*}.  vet(name, norm) is called with the largest singular value of
+    each SVD ("M", "K", "X"), before its defects are formed: the norm check
+    of each parameter.  The defects on the channel spaces are formed, those
+    on the defect spaces of A (D_K, D_{M*}) stay factors; all are read-only."""
+    dm, dms = opcore._svd_defects(M, tol, lambda nrm, _: vet("M", nrm))
+    dks, dk = opcore._svd_defects(K.conj().T, tol, lambda nrm, _: vet("K", nrm))
+    bm, bks = dm.basis(), dks.basis()
+    X = make_X(*bm, *bks)
+    dx, dxs = opcore._svd_defects(X, tol, lambda nrm, _: vet("X", nrm))
+    small = opcore._read_only((bm[0], bks[0], dm.dense(), dks.dense(), dx.dense(), dxs.dense()))
+    return ContractionParams(A, M, K, X, dd, *small, dk, dms)
 
 
 def _raw_block(p: ContractionParams) -> np.ndarray:
@@ -137,9 +145,7 @@ def _raw_block(p: ContractionParams) -> np.ndarray:
     D = -Ka @ p.A.conj().T @ Ma + p.DKs @ p.X_ambient @ p.DM
     C = Ka @ p.defects.DA
     B = p.defects.DAs @ Ma
-    top = np.hstack([D, C])
-    bottom = np.hstack([B, p.A])
-    return np.vstack([top, bottom])
+    return np.block([[D, C], [B, p.A]])
 
 
 def assemble(p: ContractionParams, tol: Tolerances = DEFAULT_TOL) -> PartitionedContraction:
@@ -188,18 +194,20 @@ def _parametrize(tau: PartitionedContraction, tol: Tolerances) -> ContractionPar
     K = (C @ dd.E_A) / dd.d_A
     # read-only, as A, the defect data and X are
     M.flags.writeable = K.flags.writeable = False
-    resid_b = opcore.gap(dd.DAs @ (dd.E_As @ M) - B, tol.eq_tol)
+    # D_{A*} E_As = E_As diag(d_As) and D_A E_A = E_A diag(d_A): no s x s product
+    resid_b = opcore.gap(dd.E_As @ (dd.d_As[:, None] * M) - B, tol.eq_tol)
     check("carried_B", resid_b, tol.eq_tol, PqsysError,
           f"B is not carried by the defect of A*: residual {resid_b:.3e}")
-    resid_c = opcore.gap((K @ dd.E_A.conj().T) @ dd.DA - C, tol.eq_tol)
+    # K diag(d_A) E_A* as (E_A (K diag(d_A))*)*: no conjugated copy of the basis
+    resid_c = opcore.gap((dd.E_A @ (K * dd.d_A).conj().T).conj().T - C, tol.eq_tol)
     check("carried_C", resid_c, tol.eq_tol, PqsysError,
           f"C is not carried by the defect of A: residual {resid_c:.3e}")
 
-    def extract_X(dm, dks):
+    def extract_X(E_DM, d_M, E_DKs, d_Ks):
         # K_amb A* M_amb as (A K_amb*)* M_amb: no conjugated copy of A
         core = D + (A @ (dd.E_A @ K.conj().T)).conj().T @ (dd.E_As @ M)
-        X = (dks.E_A.conj().T @ core @ dm.E_A) / np.outer(dks.d_A, dm.d_A)
-        resid_d = opcore.gap(dks.DA @ (dks.E_A @ X @ dm.E_A.conj().T) @ dm.DA - core, tol.eq_tol)
+        X = (E_DKs.conj().T @ core @ E_DM) / np.outer(d_Ks, d_M)
+        resid_d = opcore.gap((E_DKs * d_Ks) @ X @ (E_DM * d_M).conj().T - core, tol.eq_tol)
         check("carried_D", resid_d, tol.eq_tol, PqsysError,
               f"D block not reproduced by extracted X: residual {resid_d:.3e}")
         X.flags.writeable = False
@@ -232,10 +240,9 @@ def defect_balance(p: ContractionParams, h, f) -> tuple[float, float]:
     lhs = float(np.linalg.norm(vec) ** 2 - np.linalg.norm(T @ vec) ** 2)
 
     # D_A f - A* M h lands in the defect space of A; express it there
-    v_amb = p.defects.DA @ f - p.A.conj().T @ (p.M_ambient @ h)
-    v = p.defects.E_A.conj().T @ v_amb
+    v = p.defects.E_A.conj().T @ (p.defects.DA @ f - p.A.conj().T @ (p.M_ambient @ h))
     dm_h = p.E_DM.conj().T @ (p.DM @ h)
-    term1 = p.DK @ v - p.K.conj().T @ (p.E_DKs @ (p.X @ dm_h))
+    term1 = p.DK.apply(v) - p.K.conj().T @ (p.E_DKs @ (p.X @ dm_h))
     term2 = p.DX @ dm_h
     rhs = float(np.linalg.norm(term1) ** 2 + np.linalg.norm(term2) ** 2)
     return lhs, rhs
@@ -245,10 +252,6 @@ def isometry_conditions(p: ContractionParams, tol: Tolerances = DEFAULT_TOL) -> 
     """T isometric iff D_X D_M = 0 and D_K D_A = 0;
     co-isometric iff D_{X*} D_{K*} = 0 and D_{M*} D_{A*} = 0."""
     dd = p.defects
-    dx_dm = p.DX @ p.E_DM.conj().T @ p.DM
-    dk_da = p.DK @ dd.E_A.conj().T @ dd.DA
-    iso = opcore.norm_at_most(dx_dm, tol.eq_tol) and opcore.norm_at_most(dk_da, tol.eq_tol)
-    dxs_dks = p.DXs @ p.E_DKs.conj().T @ p.DKs
-    dms_das = p.DMs @ dd.E_As.conj().T @ dd.DAs
-    coiso = opcore.norm_at_most(dxs_dks, tol.eq_tol) and opcore.norm_at_most(dms_das, tol.eq_tol)
-    return iso, coiso
+    products = ((p.DX @ p.E_DM.conj().T @ p.DM, p.DK.apply(dd.E_A.conj().T @ dd.DA)),
+                (p.DXs @ p.E_DKs.conj().T @ p.DKs, p.DMs.apply(dd.E_As.conj().T @ dd.DAs)))
+    return tuple(all(opcore.norm_at_most(R, tol.eq_tol) for R in pair) for pair in products)

@@ -192,16 +192,16 @@ def inner_canonical_form(tau: PartitionedContraction, tol: Tolerances = DEFAULT_
 def _dilation_D(p: ContractionParams) -> np.ndarray:
     """The D block of the dilation: the enlarged transfer function at
     lambda = 0, in four blocks over Phi_A(0), with E = p.E_DK the orthonormal
-    basis of the range of D_K."""
+    basis of the range of D_K and D_K E applied in the factors of D_K."""
     phi = transfer._phi_direct(p, 0.0)
-    E = p.E_DK
-    Ks, Es = p.K.conj().T, p.E_DKs.conj().T
+    E, Ks, Es = p.E_DK, p.K.conj().T, p.E_DKs.conj().T
+    DKE = p.DK.apply(E)
     kk = Es @ p.K
-    theta12 = np.hstack([p.K @ phi @ p.DK @ E - p.DKs @ p.E_DKs @ p.X @ (kk @ E), p.DKs @ p.E_DKs @ p.DXs])
-    theta21 = np.vstack([E.conj().T @ (p.DK @ phi @ Ks - Ks @ (p.E_DKs @ p.X @ Es @ p.DKs)),
+    theta12 = np.hstack([p.K @ phi @ DKE - p.DKs @ p.E_DKs @ p.X @ (kk @ E), p.DKs @ p.E_DKs @ p.DXs])
+    theta21 = np.vstack([DKE.conj().T @ phi @ Ks - E.conj().T @ Ks @ (p.E_DKs @ p.X @ Es @ p.DKs),
                          -p.DX @ Es @ p.DKs])
     theta22 = np.block([
-        [E.conj().T @ (Ks @ p.E_DKs @ p.X @ kk + p.DK @ phi @ p.DK) @ E, -E.conj().T @ Ks @ p.E_DKs @ p.DXs],
+        [E.conj().T @ Ks @ p.E_DKs @ p.X @ kk @ E + DKE.conj().T @ phi @ DKE, -E.conj().T @ Ks @ p.E_DKs @ p.DXs],
         [p.DX @ kk @ E, p.X.conj().T],
     ])
     return np.block([[p.K @ phi @ Ks + p.DKs @ p.X_ambient @ p.DKs, theta12], [theta21, theta22]])
@@ -233,8 +233,9 @@ def biinner_dilation(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL)
     D from the parameters of `parametrize` (`_dilation_D`), the same main
     operator and an enlarged channel operator.  NotMinimal when the enlarged
     system is not minimal, which is exactly when ker D_A != {0}.  The basis
-    E_DK of ran D_K is the one parametrize's SVD of K* gives
-    (`ContractionParams.E_DK`): no parameter is factored again.
+    E_DK of ran D_K is read from the factors of parametrize's SVD of K*
+    (`ContractionParams.E_DK`, the identity when no singular value of K is
+    1), and D_K E_DK is applied in them: no parameter is factored again.
 
     The enlarged system has tau's A, so it takes tau's factorization
     A = V diag(t) V* and defect data of A (its "spectral" and "defects"
@@ -270,15 +271,11 @@ def biinner_dilation(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL)
     dd = p.defects
     s = tau.state_dim
     n = tau.out_dim
-    dk = p.E_DK.shape[1]
-    dks = p.E_DKs.shape[1]
+    DKE = p.DK.apply(p.E_DK)
+    dk, dks = DKE.shape[1], p.E_DKs.shape[1]
 
     DE = dd.E_A * dd.d_A  # D_A E_A
-    B_big = np.hstack([
-        DE @ p.K.conj().T,
-        DE @ p.DK @ p.E_DK,
-        np.zeros((s, dks), dtype=complex),
-    ])
+    B_big = np.hstack([DE @ p.K.conj().T, DE @ DKE, np.zeros((s, dks), dtype=complex)])
     v = n + dk + dks
     T = np.block([[_dilation_D(p), B_big.conj().T], [B_big, p.A]])
     system = PartitionedContraction(T, v, v, s)

@@ -329,10 +329,10 @@ def krylov_record(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) ->
     """The Krylov record of the system (`_krylov_record` of B and C*),
     computed once per system and tolerance set: the one span pass of a
     system, which the subspaces and `realize.spectral_measure` read."""
-    return tau.cached("krylov", tol, lambda: _krylov_record(tau, tau.B, tau.C.conj().T, tol))
+    return tau.cached("krylov", tol, lambda: _krylov_record(tau, None, None, tol))
 
 
-def _krylov_record(tau: PartitionedContraction, X: np.ndarray, Y: np.ndarray, tol: Tolerances) -> KrylovRecord:
+def _krylov_record(tau: PartitionedContraction, X, Y, tol: Tolerances) -> KrylovRecord:
     """The record of span{A^n X : n >= 0}, span{A*^n Y} and their sum, the one
     place a span route is chosen.
 
@@ -344,15 +344,19 @@ def _krylov_record(tau: PartitionedContraction, X: np.ndarray, Y: np.ndarray, to
     sides.  Any other A takes band Arnoldi (`opcore.krylov_span`), whose two
     bases the record keeps, and `opcore.range_basis` of the two bases side
     by side for the sum.  On both routes the sum is the whole space when
-    either span is, and one side when the two are equal, with no SVD."""
+    either span is, and one side when the two are equal, with no SVD.
+    X = Y = None stand for B and C*, whose eigen coordinates V*B and (C V)*
+    the cached factorization holds."""
     sd = spectral_data(tau, tol)
     if sd is None:
+        X, Y = (tau.B, tau.C.conj().T) if X is None else (X, Y)
         s = tau.state_dim
         hc, ho = opcore.krylov_span(tau.A, X, s, tol), opcore.krylov_span(tau.A.conj().T, Y, s, tol)
         same = s in (hc.dim, ho.dim) or np.array_equal(hc.basis, ho.basis)
         joint = max(hc.dim, ho.dim) if same else opcore.range_basis(np.hstack([hc.basis, ho.basis]), tol).dim
         return KrylovRecord(hc.dim, ho.dim, joint, hc, ho)
-    xs, ys, js = _cluster_sides(sd, opcore._eig_coords(sd.V, X), opcore._eig_coords(sd.V, Y), tol)
+    xc, yc = (sd.VB, sd.CV.conj().T) if X is None else (opcore._eig_coords(sd.V, X), opcore._eig_coords(sd.V, Y))
+    xs, ys, js = _cluster_sides(sd, xc, yc, tol)
     return KrylovRecord(*(sum(rank for _, rank, _ in side) for side in (xs, ys, js)), parts=(xs, ys))
 
 

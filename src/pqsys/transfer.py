@@ -356,7 +356,7 @@ def defect_identities(p: ContractionParams, lam: complex, h, g, tol: Tolerances 
     def_phi = float(np.linalg.norm(u) ** 2 - np.linalg.norm(phi_as @ u) ** 2)
     dm_h = p.E_DM.conj().T @ (p.DM @ h)
     row1 = -p.DX @ dm_h
-    row2 = p.DK @ (phi_as @ u) - p.K.conj().T @ (p.E_DKs @ (p.X @ dm_h))
+    row2 = p.DK.apply(phi_as @ u) - p.K.conj().T @ (p.E_DKs @ (p.X @ dm_h))
     rhs1 = def_phi + float(np.linalg.norm(row1) ** 2 + np.linalg.norm(row2) ** 2)
     res1 = abs(lhs1 - rhs1)
 
@@ -364,9 +364,9 @@ def defect_identities(p: ContractionParams, lam: complex, h, g, tol: Tolerances 
     phi_a_conj = _phi_direct(p, np.conj(lam))
     v = p.K.conj().T @ g
     def_phi2 = float(np.linalg.norm(v) ** 2 - np.linalg.norm(phi_a_conj @ v) ** 2)
-    psi_left = p.DKs @ p.E_DKs @ p.DXs
-    psi_right = p.K @ (phi_as @ p.DMs) - p.DKs @ p.E_DKs @ p.X @ p.E_DM.conj().T @ p.M.conj().T
-    psi = np.hstack([psi_left, psi_right])
+    # psi's right block K Phi D_{M*} - D_{K*} X M* with K Phi D_{M*} as (D_{M*} (K Phi)*)*
+    k_phi_dms = p.DMs.apply((p.K @ phi_as).conj().T).conj().T
+    psi = np.hstack([p.DKs @ p.E_DKs @ p.DXs, k_phi_dms - p.DKs @ p.E_DKs @ p.X @ p.E_DM.conj().T @ p.M.conj().T])
     rhs2 = def_phi2 + float(np.linalg.norm(psi.conj().T @ g) ** 2)
     res2 = abs(lhs2 - rhs2)
     return res1, res2

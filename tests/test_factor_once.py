@@ -107,10 +107,37 @@ def test_parametrize_is_cached_read_only_and_records_its_checks_once():
     tol = pqsys.Tolerances(eq_tol=2e-10)
     assert pqsys.parametrize(tau, tol) is not p
     arrays = [(name, v) for name, v in vars(p).items() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 13
+    assert len(arrays) == 10
+    # D_K and D_{M*} are the thin factors of the SVDs of K* and M, and no
+    # field but A has two state dimensions
+    assert [name for name, v in arrays if v.shape == (12, 12)] == ["A"]
+    for name in ("DK", "DMs"):
+        side = getattr(p, name)
+        assert side.Q.shape == (12, 2)
+        arrays += [(f"{name}.{field}", v) for field, v in side._asdict().items()]
     for name, v in arrays:
         with pytest.raises(ValueError, match="read-only"):
             v[...] = 0
+
+
+def test_parametrize_builds_no_state_square_array():
+    # D_K and D_{M*} stay in the thin factors of their SVDs, and the carried
+    # checks read D_{A*} E_As = E_As diag(d_As): with the factorization and
+    # the defect data of A cached, parametrize at s = 1000 keeps and builds
+    # nothing of size s x s (one 1000 x 1000 complex array alone is 16 MB;
+    # the dense form kept ~48 MB and peaked at ~80 MB)
+    s = 1000
+    tau = _system(pqs_from_spectrum(np.random.default_rng(13), np.linspace(-0.9, 0.9, s), 1), 1, s)
+    sysmodel.spectral_data(tau)
+    sysmodel.main_defect_data(tau)
+    tracemalloc.start()
+    try:
+        p = pqsys.parametrize(tau)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 1e6 and peak < 2e6
+    assert p.DK.Q.shape == p.DMs.Q.shape == (s, 1)
 
 
 def _pinv_parameters(tau, tol=pqsys.DEFAULT_TOL):
@@ -199,20 +226,22 @@ def test_dilation_factors_the_main_operator_once(monkeypatch):
 
 
 def test_dilation_defect_basis_spans_the_defect_of_K():
-    # the basis E of the range of D_K that `biinner_dilation` takes: the one
-    # parametrize's SVD of K* gives, read from the cached parameters
+    # the basis E of the range of D_K that `biinner_dilation` takes, read from
+    # the factors of parametrize's SVD of K*: no singular value of K is 1, so
+    # D_K has no kernel and E is the identity
     rng = np.random.default_rng(5)
     s, n = 12, 2
     tau = _pqs_system(rng, s=s, n=n)
     p = pqsys.parametrize(tau)
     dil = realize.biinner_dilation(tau)
-    E, DK = p.E_DK, p.DK
-    assert np.linalg.norm(E.conj().T @ E - np.eye(E.shape[1])) < 1e-13
+    E, DK = p.E_DK, p.DK.dense()
+    assert np.array_equal(E, np.eye(s))
     assert np.linalg.norm(E @ (E.conj().T @ DK) - DK) < 1e-12
     assert E.shape[1] == opcore.range_basis(DK).dim
     assert dil.dk_dim == E.shape[1]
+    assert np.linalg.norm(p.DK.apply(E) - DK) < 1e-14
     dd = p.defects
-    assert np.array_equal(dil.system.B[:, n:n + dil.dk_dim], (dd.E_A * dd.d_A) @ DK @ E)
+    assert np.array_equal(dil.system.B[:, n:n + dil.dk_dim], (dd.E_A * dd.d_A) @ p.DK.apply(E))
 
 
 def test_canonical_form_takes_no_svd_of_the_channel(monkeypatch):
@@ -277,6 +306,27 @@ def test_canonical_form_reads_the_cached_defects_not_parametrize(monkeypatch, s,
     assert cf.points == tuple(float(a) for a in p.defects.t)
     assert np.array_equal(cf.unitary_block, W_perp.conj().T @ big.D @ W_perp)
     assert np.array_equal(cf.basis, np.hstack([p.K, W_perp]))
+
+
+@pytest.mark.parametrize("diagonal", [False, True])
+def test_the_krylov_record_reads_the_cached_eigen_coordinates(monkeypatch, diagonal):
+    # the record of (B, C*) takes V*B and (C V)* from the cached
+    # factorization, bit for bit the products it formed before
+    s, n = 40, 2
+    T = pqs_from_spectrum(np.random.default_rng(14), np.linspace(-0.9, 0.9, s), n, diagonal=diagonal)
+    tau, twin = _system(T, n, s), _system(T.copy(), n, s)
+    sd = sysmodel.spectral_data(tau)
+    coords = []
+    eig_coords = opcore._eig_coords
+    monkeypatch.setattr(opcore, "_eig_coords", lambda *a: coords.append(1) or eig_coords(*a))
+    rec = sysmodel.krylov_record(tau)
+    assert coords == []
+    ref = sysmodel._krylov_record(twin, twin.B, twin.C.conj().T, pqsys.DEFAULT_TOL)
+    assert len(coords) == 2 + 2  # the twin's factorization, then the record's own products
+    assert rec[:3] == ref[:3] == (s, s, s)
+    for side, ref_side in zip(rec.parts, ref.parts):
+        assert all(c == rc and k == rk and np.array_equal(U, rU) for (c, k, U), (rc, rk, rU) in zip(side, ref_side))
+    assert np.array_equal(sd.CV.conj().T, eig_coords(sd.V, tau.C.conj().T))
 
 
 def test_controllable_subspace_is_built_once_and_read_only(monkeypatch):
@@ -351,8 +401,8 @@ def test_the_structure_chain_factors_each_parameter_once(monkeypatch):
 
 
 def test_no_svd_defects_call_passes_a_keyword():
-    # `_svd_defects(X, tol, check=None)` has one mode: both defects with
-    # their bases, from one SVD
+    # `_svd_defects(X, tol, check=None)` has one mode: both sides of the
+    # defect as thin factors, from one SVD
     calls = []
     for path in sorted(Path(pqsys.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

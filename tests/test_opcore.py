@@ -44,7 +44,7 @@ def test_psd_sqrt_clamps_round_off_but_rejects_indefinite():
 
 
 def _svd_defects(X, check=None):
-    return opcore._svd_defects(X, opcore.DEFAULT_TOL, check)
+    return opcore._dense_defects(*opcore._svd_defects(X, opcore.DEFAULT_TOL, check))
 
 
 def _checked_defects(X):

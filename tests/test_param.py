@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pqsys
-from pqsys import errors, param, sysmodel
+from pqsys import errors, opcore, param, sysmodel
 from pqsys.errors import DimensionMismatch, NotAContraction, PqsysError
 
 from helpers import (
@@ -14,6 +14,7 @@ from helpers import (
     rand_hermitian_contraction,
     rand_passive_T,
     rand_pqs_T,
+    rand_unitary,
 )
 
 
@@ -195,6 +196,68 @@ def test_complete_takes_the_small_bases_from_the_defect_svds(monkeypatch, m):
             assert np.linalg.norm(E @ (E.conj().T @ D) - D) < 1e-12
             assert E.shape[1] == opcore.range_basis(D).dim
     assert np.linalg.norm(pqsys.assemble(q).T - tau.T) < 1e-10
+
+
+def _defect_ref(X):
+    return pqsys.psd_sqrt(np.eye(X.shape[1]) - X.conj().T @ X)
+
+
+def _check_side(D, E, ref):
+    # D is the defect, E a basis of its range: both against psd_sqrt(I - X*X)
+    assert np.linalg.norm(D - ref, 2) < 1e-12
+    assert np.linalg.norm(E.conj().T @ E - np.eye(E.shape[1])) < 1e-13
+    assert np.linalg.norm(E @ (E.conj().T @ ref) - ref, 2) < 1e-12
+    assert E.shape[1] == pqsys.range_basis(ref).dim
+
+
+def test_defect_factors_of_a_wide_M_match_psd_sqrt():
+    # 4 inputs over a 3-dim defect of A*: M has more columns than rows, so the
+    # side of D_M on the input space is thin, and its range takes the
+    # complement of the singular vectors
+    rng = np.random.default_rng(44)
+    A = rand_contraction(rng, 3, 3, smax=0.85)
+    dd = pqsys.defect_data(A)
+    M = rand_contraction(rng, dd.E_As.shape[1], 4, smax=0.9)
+    K = rand_contraction(rng, 2, dd.E_A.shape[1], smax=0.9)
+    p = param.make_params(A, M, K, None)
+    dm, dms = opcore._svd_defects(M, pqsys.DEFAULT_TOL)
+    assert dm.Q.shape == (4, 3) and dms.Q.shape == (3, 3)
+    _check_side(p.DM, p.E_DM, _defect_ref(M))
+    _check_side(dm.dense(), dm.basis()[0], _defect_ref(M))
+    assert p.E_DM.shape[1] == 4
+    Y = rand_complex(rng, 3, 2)
+    assert np.linalg.norm(p.DMs.apply(Y) - _defect_ref(M.conj().T) @ Y) < 1e-12
+    assert np.linalg.norm(p.DMs.apply(Y[:, 0]) - _defect_ref(M.conj().T) @ Y[:, 0]) < 1e-12
+    _check_side(p.DMs.dense(), p.DMs.basis()[0], _defect_ref(M.conj().T))
+    _check_side(p.DKs, p.E_DKs, _defect_ref(K.conj().T))
+    _check_side(p.DK.dense(), p.E_DK, _defect_ref(K))
+
+
+def test_a_unit_singular_value_of_K_leaves_the_complement_as_the_range_of_D_K():
+    # K with singular value 1: D_K has a one-dimensional kernel, E_DK spans
+    # exactly ran D_K, and the dilation on it stays unitary with its corner
+    rng = np.random.default_rng(47)
+    s, n = 6, 2
+    U = rand_unitary(rng, s)
+    A = opcore.herm_part((U * np.linspace(-0.8, 0.7, s)) @ U.conj().T)
+    dd = pqsys.defect_data(A)
+    assert dd.E_A is dd.E_As and dd.E_A.shape[1] == s
+    K = rand_contraction(rng, n, s, smax=1.0)
+    p = param.make_params(A, K.conj().T, K, None)
+    tau = pqsys.assemble(p)
+    q = param.parametrize(tau)
+    assert q.DK.keep.tolist().count(False) == 1
+    E = q.E_DK
+    assert E.shape[1] == s - 1
+    _check_side(q.DK.dense(), E, _defect_ref(q.K))
+    assert np.linalg.norm(E.conj().T @ q.DK.Q[:, ~q.DK.keep]) < 1e-13
+    with errors.ledger() as entries:
+        dil = pqsys.biinner_dilation(tau)
+    assert dil.dk_dim == s - 1
+    verdicts = {e["name"]: e["pass"] for e in entries}
+    assert verdicts["block_unitarity"] and verdicts["corner_match"]
+    big = dil.system.T
+    assert np.linalg.norm(big.conj().T @ big - np.eye(big.shape[0]), 2) < 1e-12
 
 
 def test_parametrize_takes_no_svd_for_its_passing_checks(monkeypatch):

@@ -351,18 +351,20 @@ def test_dilation_transfer_unitary_on_circle():
 
 def _dilation_closed_forms(p, E, lam):
     """The four blocks of the enlarged transfer function written through the
-    parameters p of the source and an orthonormal basis E of ran D_K, each
-    block taking Phi_A(lambda) afresh."""
+    parameters p of the source and an orthonormal basis E of ran D_K, with
+    D_K E applied in the factors of D_K, each block taking Phi_A(lambda)
+    afresh."""
     phi = pqsys.transfer._phi_direct(p, lam)
+    DKE = p.DK.apply(E)
     theta = p.K @ phi @ p.K.conj().T + p.DKs @ p.X_ambient @ p.DKs
     kk = p.E_DKs.conj().T @ p.K @ E
-    theta12 = np.hstack([p.K @ phi @ p.DK @ E - p.DKs @ p.E_DKs @ p.X @ kk, p.DKs @ p.E_DKs @ p.DXs])
+    theta12 = np.hstack([p.K @ phi @ DKE - p.DKs @ p.E_DKs @ p.X @ kk, p.DKs @ p.E_DKs @ p.DXs])
     xd = p.E_DKs @ p.X @ p.E_DKs.conj().T @ p.DKs
-    theta21 = np.vstack([E.conj().T @ (p.DK @ phi @ p.K.conj().T - p.K.conj().T @ xd),
+    theta21 = np.vstack([DKE.conj().T @ phi @ p.K.conj().T - E.conj().T @ p.K.conj().T @ xd,
                          -p.DX @ p.E_DKs.conj().T @ p.DKs])
     kk = p.E_DKs.conj().T @ p.K
     theta22 = np.block([
-        [E.conj().T @ (p.K.conj().T @ p.E_DKs @ p.X @ kk + p.DK @ phi @ p.DK) @ E,
+        [E.conj().T @ p.K.conj().T @ p.E_DKs @ p.X @ kk @ E + DKE.conj().T @ phi @ DKE,
          -E.conj().T @ p.K.conj().T @ p.E_DKs @ p.DXs],
         [p.DX @ kk @ E, p.X.conj().T],
     ])
