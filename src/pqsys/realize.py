@@ -189,22 +189,32 @@ def inner_canonical_form(tau: PartitionedContraction, tol: Tolerances = DEFAULT_
 # conservative dilation
 # ---------------------------------------------------------------------------
 
-def _dilation_D(p: ContractionParams) -> np.ndarray:
-    """The D block of the dilation: the enlarged transfer function at
-    lambda = 0, in four blocks over Phi_A(0), with E = p.E_DK the orthonormal
-    basis of the range of D_K and D_K E applied in the factors of D_K."""
-    phi = transfer._phi_direct(p, 0.0)
-    E, Ks, Es = p.E_DK, p.K.conj().T, p.E_DKs.conj().T
-    DKE = p.DK.apply(E)
-    kk = Es @ p.K
-    theta12 = np.hstack([p.K @ phi @ DKE - p.DKs @ p.E_DKs @ p.X @ (kk @ E), p.DKs @ p.E_DKs @ p.DXs])
-    theta21 = np.vstack([DKE.conj().T @ phi @ Ks - E.conj().T @ Ks @ (p.E_DKs @ p.X @ Es @ p.DKs),
-                         -p.DX @ Es @ p.DKs])
-    theta22 = np.block([
-        [E.conj().T @ Ks @ p.E_DKs @ p.X @ kk @ E + DKE.conj().T @ phi @ DKE, -E.conj().T @ Ks @ p.E_DKs @ p.DXs],
-        [p.DX @ kk @ E, p.X.conj().T],
-    ])
-    return np.block([[p.K @ phi @ Ks + p.DKs @ p.X_ambient @ p.DKs, theta12], [theta21, theta22]])
+def _dilation_D(p: ContractionParams, E: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """The D block of the dilation, the enlarged transfer function at 0:
+
+        G* Phi_A(0) G + L_out J(X) L_in*,
+
+    with G = [K*, D_K E] the co-isometry of the enlarged input operator (E =
+    p.E_DK spans ran D_K), Phi_A(0) = -diag(t) on the eigenbasis of A, J(X) =
+    [[X, D_{X*}], [-D_X, X*]] the unitary (Julia) completion of X, and
+    L_out = [D_{K*}; -(K E)*] E_DKs (+) I, L_in = [D_{K*}; -(K E)*] E_DM (+) I,
+    which read X in the bases E_DKs x E_DM it was extracted in.  Since
+    K* D_{K*} = D_K K* and D_{K*}^2 + K K* = I, both lifts are isometries into
+    ker G (+) I, so D completes G to a unitary whether or not C is B* bit for
+    bit; D_{K*} stands in for D_M, which differs from it by about
+    ||C - B*|| / min d_A."""
+    KEs = -(p.K @ E).conj().T
+
+    def lift(DY, basis, m):  # [DY; -(K E)*] basis (+) I_m
+        L = np.vstack([DY, KEs]) @ basis
+        return np.block([[L, np.zeros((L.shape[0], m))], [np.zeros((m, L.shape[1])), np.eye(m)]])
+
+    dks, dm = p.X.shape
+    J = np.block([[p.X, p.DXs], [-p.DX, p.X.conj().T]])
+    D = lift(p.DKs, p.E_DKs, dm) @ J @ lift(p.DKs, p.E_DM, dks).conj().T
+    k = G.shape[1]
+    D[:k, :k] -= (G.conj().T * p.defects.t) @ G
+    return D
 
 
 @dataclass(frozen=True)
@@ -271,13 +281,14 @@ def biinner_dilation(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL)
     dd = p.defects
     s = tau.state_dim
     n = tau.out_dim
-    DKE = p.DK.apply(p.E_DK)
+    E, Ks = p.E_DK, p.K.conj().T
+    DKE = p.DK.apply(E)
     dk, dks = DKE.shape[1], p.E_DKs.shape[1]
 
     DE = dd.E_A * dd.d_A  # D_A E_A
-    B_big = np.hstack([DE @ p.K.conj().T, DE @ DKE, np.zeros((s, dks), dtype=complex)])
+    B_big = np.hstack([DE @ Ks, DE @ DKE, np.zeros((s, dks), dtype=complex)])
     v = n + dk + dks
-    T = np.block([[_dilation_D(p), B_big.conj().T], [B_big, p.A]])
+    T = np.block([[_dilation_D(p, E, np.hstack([Ks, DKE])), B_big.conj().T], [B_big, p.A]])
     system = PartitionedContraction(T, v, v, s)
     # the same main operator: the enlarged system shares tau's factorization and defect data
     sd = sysmodel.spectral_data(tau, tol)

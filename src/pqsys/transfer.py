@@ -323,11 +323,6 @@ def _phi_of_adjoint(p: ContractionParams, lam: complex) -> np.ndarray:
     return _phi(_square(p.A).conj().T, p.defects.adjoint(), complex(lam))
 
 
-def _phi_direct(p: ContractionParams, lam: complex) -> np.ndarray:
-    """Phi_A(lambda) in the cached bases of p (defect of A -> defect of A*)."""
-    return _phi(p.A, p.defects, complex(lam))
-
-
 def theta_factored(p: ContractionParams, lam: complex, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """K Phi_{A*}(lambda) M + D_{K*} X D_M, the transfer function written
     through the parameters instead of the resolvent of the block matrix."""
@@ -361,7 +356,7 @@ def defect_identities(p: ContractionParams, lam: complex, h, g, tol: Tolerances 
     res1 = abs(lhs1 - rhs1)
 
     lhs2 = float(np.real(g @ np.conj((np.eye(p.out_dim) - theta @ theta.conj().T) @ g)))
-    phi_a_conj = _phi_direct(p, np.conj(lam))
+    phi_a_conj = _phi(p.A, p.defects, complex(np.conj(lam)))
     v = p.K.conj().T @ g
     def_phi2 = float(np.linalg.norm(v) ** 2 - np.linalg.norm(phi_a_conj @ v) ** 2)
     # psi's right block K Phi D_{M*} - D_{K*} X M* with K Phi D_{M*} as (D_{M*} (K Phi)*)*

@@ -9,9 +9,14 @@ from pathlib import Path
 
 import numpy as np
 
+import pqsys
+
 # a 6-state realized arcsine system written in the list form ("data" pairs)
 # by the writer that preceded the byte form
 LEGACY_SYSTEM = Path(__file__).parent / "data" / "legacy_list_system.json"
+# near_pqs_direct_sum(np.random.default_rng(0)) written by `system_to_json`,
+# in the T form since its C is not B* bit for bit
+NEAR_PQS_SYSTEM = Path(__file__).parent / "data" / "near_pqs_direct_sum.json"
 
 
 def linalg_calls(monkeypatch, name, shape=None, internal=False):
@@ -147,3 +152,20 @@ def pqs_from_spectrum(rng, t, n, diagonal=False):
     A = (A + A.conj().T) / 2
     B = U @ (np.sqrt(1.0 - t * t)[:, None] * L.conj())
     return np.block([[D, B.conj().T], [B, A]])
+
+
+def near_pqs_direct_sum(rng, noise=1e-14):
+    """The direct sum of two scalar `chebyshev_example` systems (3 to 11
+    states each, d = 0.2+0.1j and -0.1+0.05j) with complex noise of size
+    `noise` added to C: a pqs system whose C is B* to rounding, not bit for
+    bit, so the SVDs of M and K* give different bases of their defects."""
+    parts = [pqsys.chebyshev_example(d, int(rng.integers(3, 12)))[1] for d in (0.2 + 0.1j, -0.1 + 0.05j)]
+    s = sum(p.state_dim for p in parts)
+    T = np.zeros((2 + s, 2 + s), dtype=complex)
+    first = 2
+    for ch, p in enumerate(parts):
+        idx = [ch] + list(range(first, first + p.state_dim))
+        T[np.ix_(idx, idx)] = p.T
+        first += p.state_dim
+    T[:2, 2:] += noise * rand_complex(rng, 2, s)
+    return pqsys.PartitionedContraction(T, 2, 2, s)

@@ -10,7 +10,7 @@ import pqsys
 from pqsys import _json, errors, opcore, sysmodel
 from pqsys.cli import main
 
-from helpers import LEGACY_SYSTEM, linalg_calls, rand_atoms, rand_contraction, rand_pqs_T, rand_unitary
+from helpers import LEGACY_SYSTEM, NEAR_PQS_SYSTEM, linalg_calls, rand_atoms, rand_contraction, rand_pqs_T, rand_unitary
 
 import oracles
 
@@ -369,6 +369,17 @@ def test_dilate_writes_conservative_system(tmp_path, rng):
     big = _json.system_from_json(read_json(out))
     flags = pqsys.classify(big)
     assert flags.conservative
+
+
+def test_dilate_a_system_whose_C_is_B_star_only_to_rounding(tmp_path):
+    # the committed direct sum of two scalar arcsine systems, C moved by
+    # ~1e-14: pqs by the rule, with defect bases of M and K* that differ
+    out = tmp_path / "big.json"
+    report = tmp_path / "rep.json"
+    assert main(["dilate", str(NEAR_PQS_SYSTEM), "--out", str(out), "--report", str(report)]) == 0
+    checks = {c["name"]: c for c in read_json(report)["checks"]}
+    assert checks["block_unitarity"]["residual"] <= 1e-12 and checks["corner_match"]["pass"]
+    assert pqsys.classify(_json.system_from_json(read_json(out))).conservative
 
 
 def test_similar_accepts_conjugated_pair(tmp_path, rng):
@@ -848,7 +859,7 @@ def test_failed_library_check_is_reported(tmp_path, rng, monkeypatch, case):
         monkeypatch.setattr(pqsys.realize, "_lanczos", moved)
     elif name == "block_unitarity":
         dilation_D = pqsys.realize._dilation_D
-        monkeypatch.setattr(pqsys.realize, "_dilation_D", lambda p: dilation_D(p) + 1e-3)
+        monkeypatch.setattr(pqsys.realize, "_dilation_D", lambda p, E, G: dilation_D(p, E, G) + 1e-3)
     report = tmp_path / "rep.json"
     assert main(argv + ["--report", str(report)]) == 1
     rep = read_json(report)

@@ -244,6 +244,22 @@ def test_dilation_defect_basis_spans_the_defect_of_K():
     assert np.array_equal(dil.system.B[:, n:n + dil.dk_dim], (dd.E_A * dd.d_A) @ p.DK.apply(E))
 
 
+def test_dilation_applies_the_defect_of_K_once(monkeypatch):
+    # E_DK and D_K E_DK are formed once per dilation and passed to _dilation_D
+    tau = _pqs_system(np.random.default_rng(5), s=12, n=2)
+    p = pqsys.parametrize(tau)
+    on_DK = []
+    apply = opcore.DefectSide.apply
+
+    def recording(side, Y):
+        on_DK.append(side is p.DK)
+        return apply(side, Y)
+
+    monkeypatch.setattr(opcore.DefectSide, "apply", recording)
+    realize.biinner_dilation(tau)
+    assert on_DK.count(True) == 1
+
+
 def test_canonical_form_takes_no_svd_of_the_channel(monkeypatch):
     # channel_isometry is the Frobenius gap of W*W - I, and ker W* comes from
     # the complete QR of W: the form of the dilation takes no SVD at all

@@ -21,6 +21,7 @@ import oracles
 from helpers import (
     circle_points,
     linalg_calls,
+    near_pqs_direct_sum,
     pqs_from_spectrum,
     rand_atoms,
     rand_complex,
@@ -350,42 +351,114 @@ def test_dilation_transfer_unitary_on_circle():
 
 
 def _dilation_closed_forms(p, E, lam):
-    """The four blocks of the enlarged transfer function written through the
-    parameters p of the source and an orthonormal basis E of ran D_K, with
-    D_K E applied in the factors of D_K, each block taking Phi_A(lambda)
-    afresh."""
-    phi = pqsys.transfer._phi_direct(p, lam)
+    """The enlarged transfer function written through the parameters p of the
+    source and an orthonormal basis E of ran D_K in the product form
+
+        G* Phi_A(lambda) G + L_out J(X) L_in*,
+
+    G = [K*, D_K E] with D_K E applied in the factors of D_K, J(X) = [[X,
+    D_{X*}], [-D_X, X*]], L_out = [D_{K*}; -(K E)*] E_DKs (+) I and L_in =
+    [D_{K*}; -(K E)*] E_DM (+) I.  Only Phi_A(lambda), diagonal on the
+    eigenbasis of A, depends on lambda."""
+    phi = np.diagonal(pqsys.transfer._phi(p.A, p.defects, complex(lam)))
+    G = np.hstack([p.K.conj().T, p.DK.apply(E)])
+    KEs = -(p.K @ E).conj().T
+
+    def lift(DY, basis, m):
+        L = np.vstack([DY, KEs]) @ basis
+        return np.block([[L, np.zeros((L.shape[0], m))], [np.zeros((m, L.shape[1])), np.eye(m)]])
+
+    dks, dm = p.X.shape
+    J = np.block([[p.X, p.DXs], [-p.DX, p.X.conj().T]])
+    theta = lift(p.DKs, p.E_DKs, dm) @ J @ lift(p.DKs, p.E_DM, dks).conj().T
+    k = G.shape[1]
+    theta[:k, :k] += (G.conj().T * phi) @ G
+    return theta
+
+
+def _dilation_four_blocks(p, E, lam):
+    """The product form of `_dilation_closed_forms` expanded into its four
+    blocks over Phi_A(lambda), each read afresh: X is read in the bases
+    E_DKs x E_DM it was extracted in, so E_DM stands on X's input side in
+    every block."""
+    phi = pqsys.transfer._phi(p.A, p.defects, complex(lam))
+    Ks = p.K.conj().T
     DKE = p.DK.apply(E)
-    theta = p.K @ phi @ p.K.conj().T + p.DKs @ p.X_ambient @ p.DKs
-    kk = p.E_DKs.conj().T @ p.K @ E
-    theta12 = np.hstack([p.K @ phi @ DKE - p.DKs @ p.E_DKs @ p.X @ kk, p.DKs @ p.E_DKs @ p.DXs])
-    xd = p.E_DKs @ p.X @ p.E_DKs.conj().T @ p.DKs
-    theta21 = np.vstack([DKE.conj().T @ phi @ p.K.conj().T - E.conj().T @ p.K.conj().T @ xd,
-                         -p.DX @ p.E_DKs.conj().T @ p.DKs])
-    kk = p.E_DKs.conj().T @ p.K
+    xo = p.DKs @ p.E_DKs          # X's output side, D_{K*} E_DKs
+    xi = p.E_DM.conj().T @ p.DKs  # X's input side, E_DM* D_{K*}
+    ke = p.E_DM.conj().T @ p.K @ E
+    ek = E.conj().T @ Ks @ p.E_DKs
+    theta = p.K @ phi @ Ks + xo @ p.X @ xi
+    theta12 = np.hstack([p.K @ phi @ DKE - xo @ p.X @ ke, xo @ p.DXs])
+    theta21 = np.vstack([DKE.conj().T @ phi @ Ks - ek @ p.X @ xi, -p.DX @ xi])
     theta22 = np.block([
-        [E.conj().T @ p.K.conj().T @ p.E_DKs @ p.X @ kk @ E + DKE.conj().T @ phi @ DKE,
-         -E.conj().T @ p.K.conj().T @ p.E_DKs @ p.DXs],
-        [p.DX @ kk @ E, p.X.conj().T],
+        [ek @ p.X @ ke + DKE.conj().T @ phi @ DKE, -ek @ p.DXs],
+        [p.DX @ ke, p.X.conj().T],
     ])
     return np.block([[theta, theta12], [theta21, theta22]])
 
 
-def test_dilation_D_is_the_closed_forms_at_zero_bit_for_bit():
-    # the systems of acceptance criterion 7: D is the four closed forms at
-    # lambda = 0, bit for bit, and at other points the closed forms agree with
-    # the transfer function of the enlarged system, off-diagonal blocks too
+def _rand_pqs_battery():
+    # the systems of acceptance criterion 7
     rng = np.random.default_rng(107)
     for _ in range(10):
         n = int(rng.integers(1, 3))
         s = int(rng.integers(2, 5))
-        tau = make_system(rand_pqs_T(rng, n, s), n, n, s)
+        yield make_system(rand_pqs_T(rng, n, s), n, n, s)
+
+
+def _near_pqs_battery():
+    # C = B* to rounding, not bit for bit: M and K* differ by ~1e-14, and so
+    # do the bases E_DM and E_DKs of their defects, up to a unitary
+    return (near_pqs_direct_sum(np.random.default_rng(seed)) for seed in range(20))
+
+
+def _off_rule_battery():
+    # ||C - B*|| = 5e-10, inside the 1e-9 rule: D_M and D_{K*} differ by
+    # about that over the defect of A
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        n, s = int(rng.integers(1, 4)), int(rng.integers(2, 9))
+        T = rand_pqs_T(rng, n, s)
+        noise = rand_complex(rng, n, s)
+        T[:n, n:] += 5e-10 * noise / np.linalg.norm(noise, 2)
+        yield make_system(T, n, n, s)
+
+
+def test_dilation_D_is_the_closed_forms_at_zero_bit_for_bit():
+    # D is the product form at lambda = 0, bit for bit, and at other points
+    # the product form agrees with the transfer function of the enlarged
+    # system, off-diagonal blocks too
+    for tau in _rand_pqs_battery():
         dil = pqsys.biinner_dilation(tau)
         p = pqsys.parametrize(tau)
         E = p.E_DK
         assert _bits(dil.system.D) == _bits(_dilation_closed_forms(p, E, 0.0))
         for lam in (0.35 - 0.2j, -0.6j, 0.8, 0.9 * np.exp(2.5j)):
             assert np.linalg.norm(dil.big_theta(lam) - _dilation_closed_forms(p, E, lam), 2) < 1e-12
+
+
+@pytest.mark.parametrize("battery", [_rand_pqs_battery, _near_pqs_battery, _off_rule_battery])
+def test_dilation_D_is_the_four_block_expansion(battery):
+    for tau in battery():
+        dil = pqsys.biinner_dilation(tau)
+        p = pqsys.parametrize(tau)
+        assert np.linalg.norm(dil.system.D - _dilation_four_blocks(p, p.E_DK, 0.0), 2) < 1e-13
+
+
+@pytest.mark.parametrize("battery", [_near_pqs_battery, _off_rule_battery])
+def test_dilation_of_a_system_whose_C_is_not_B_star_bit_for_bit_is_conservative(battery):
+    # D reads X in the bases it was extracted in, and both lifts through
+    # D_{K*}: the enlarged block stays unitary to rounding, with the
+    # source's Theta as its corner within the corner_match bound
+    for tau in battery():
+        assert pqsys.classify(tau).pqs
+        with errors.ledger() as entries:
+            dil = pqsys.biinner_dilation(tau)
+        checks = {e["name"]: e for e in entries}
+        assert checks["block_unitarity"]["residual"] <= 1e-12
+        assert checks["corner_match"]["pass"]
+        assert pqsys.classify(dil.system).conservative
 
 
 def test_big_theta_reads_the_factorization_of_the_dilation_call(monkeypatch):
