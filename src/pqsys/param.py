@@ -139,12 +139,12 @@ def _complete(A, M, K, dd: opcore.DefectData, make_X, vet, tol: Tolerances) -> C
 
 
 def _raw_block(p: ContractionParams) -> np.ndarray:
-    """The block matrix [[D, C], [B, A]] in ambient coordinates."""
-    Ma = p.M_ambient
-    Ka = p.K_ambient
-    D = -Ka @ p.A.conj().T @ Ma + p.DKs @ p.X_ambient @ p.DM
-    C = Ka @ p.defects.DA
-    B = p.defects.DAs @ Ma
+    """The block matrix [[D, C], [B, A]] in ambient coordinates, with
+    C = K D_A = (K diag(d_A)) E_A* and B = D_{A*} M = E_As (diag(d_As) M)."""
+    dd = p.defects
+    D = -p.K_ambient @ p.A.conj().T @ p.M_ambient + p.DKs @ p.X_ambient @ p.DM
+    C = (p.K * dd.d_A) @ dd.E_A.conj().T
+    B = dd.E_As @ (dd.d_As[:, None] * p.M)
     return np.block([[D, C], [B, p.A]])
 
 
@@ -239,8 +239,10 @@ def defect_balance(p: ContractionParams, h, f) -> tuple[float, float]:
     vec = np.concatenate([h, f])
     lhs = float(np.linalg.norm(vec) ** 2 - np.linalg.norm(T @ vec) ** 2)
 
-    # D_A f - A* M h lands in the defect space of A; express it there
-    v = p.defects.E_A.conj().T @ (p.defects.DA @ f - p.A.conj().T @ (p.M_ambient @ h))
+    # D_A f - A* M h lands in the defect space of A; express it there, with
+    # E_A* D_A f = d_A E_A* f
+    E_h = p.defects.E_A.conj().T
+    v = p.defects.d_A * (E_h @ f) - E_h @ (p.A.conj().T @ (p.M_ambient @ h))
     dm_h = p.E_DM.conj().T @ (p.DM @ h)
     term1 = p.DK.apply(v) - p.K.conj().T @ (p.E_DKs @ (p.X @ dm_h))
     term2 = p.DX @ dm_h
@@ -250,8 +252,9 @@ def defect_balance(p: ContractionParams, h, f) -> tuple[float, float]:
 
 def isometry_conditions(p: ContractionParams, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, bool]:
     """T isometric iff D_X D_M = 0 and D_K D_A = 0;
-    co-isometric iff D_{X*} D_{K*} = 0 and D_{M*} D_{A*} = 0."""
+    co-isometric iff D_{X*} D_{K*} = 0 and D_{M*} D_{A*} = 0.  D_K D_A reads
+    E_A* D_A = diag(d_A) E_A*, and so does D_{M*} D_{A*}."""
     dd = p.defects
-    products = ((p.DX @ p.E_DM.conj().T @ p.DM, p.DK.apply(dd.E_A.conj().T @ dd.DA)),
-                (p.DXs @ p.E_DKs.conj().T @ p.DKs, p.DMs.apply(dd.E_As.conj().T @ dd.DAs)))
+    products = ((p.DX @ p.E_DM.conj().T @ p.DM, p.DK.apply(dd.d_A[:, None] * dd.E_A.conj().T)),
+                (p.DXs @ p.E_DKs.conj().T @ p.DKs, p.DMs.apply(dd.d_As[:, None] * dd.E_As.conj().T)))
     return tuple(all(opcore.norm_at_most(R, tol.eq_tol) for R in pair) for pair in products)

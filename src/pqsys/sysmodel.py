@@ -155,14 +155,17 @@ def _spectral_parts(tau: PartitionedContraction, t: np.ndarray, V: np.ndarray, s
 def main_defect_data(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> opcore.DefectData:
     """The defect data of A (`opcore.defect_data`), computed once per system
     and tolerance set, all read-only; a selfadjoint A reads its cached
-    factorization (`spectral_data`) through `opcore.hermitian_defect_data`."""
+    factorization (`spectral_data`) through `opcore.hermitian_defect_data`.
+    Any other A is factored directly (`opcore._factor_defects`), not through
+    the one-slot memo of `defect_data`: the system's cache holds the result,
+    and the slot keeps the caller's own entry."""
     return tau.cached("defects", tol, lambda: _main_defect_data(tau, tol))
 
 
 def _main_defect_data(tau: PartitionedContraction, tol: Tolerances) -> opcore.DefectData:
     sd = spectral_data(tau, tol)
     if sd is None:
-        return opcore.defect_data(tau.A, tol)
+        return opcore._read_only(opcore._factor_defects(tau.A, tol))
     return opcore._read_only(opcore.hermitian_defect_data(sd.t, sd.V, tol))
 
 

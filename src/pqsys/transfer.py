@@ -280,17 +280,28 @@ def _square(A) -> np.ndarray:
     return A
 
 
-def _phi(A: np.ndarray, dd: DefectData, lam: complex) -> np.ndarray:
-    """The characteristic function kernel: Phi_A(lambda) in the bases of dd.
+def _phi(A: np.ndarray, dd: DefectData, lam: complex, R: np.ndarray | None = None) -> np.ndarray:
+    """The characteristic function kernel: Phi_A(lambda) in the bases of dd,
+
+        Phi_A(lambda) = lambda diag(d_As) E_As* R - E_As* A E_A,
+
+    with R = (I - lambda A*)^{-1} E_A diag(d_A) (`_defect_resolvent`, or the
+    R given): D_A and D_{A*} are applied only as E diag(d), one resolvent
+    solve with a dA-column right side per point.
 
     When dd holds eigenvalues (selfadjoint A, eigenvector bases), Phi_A is
     diagonal with the Blaschke factors (lambda - t) / (1 - lambda t)."""
     if dd.t is not None:
         return np.diag((lam - dd.t) * _inverse_diag(1.0 - lam * dd.t))
-    n = A.shape[0]
-    inner = _resolve(np.eye(n) - lam * A.conj().T, dd.DA)
-    amb = -A + lam * (dd.DAs @ inner)
-    return dd.E_As.conj().T @ amb @ dd.E_A
+    if R is None:
+        R = _defect_resolvent(A, dd.E_A, dd.d_A, lam)
+    Es_h = dd.E_As.conj().T
+    return lam * (dd.d_As[:, None] * (Es_h @ R)) - Es_h @ A @ dd.E_A
+
+
+def _defect_resolvent(A: np.ndarray, E: np.ndarray, d: np.ndarray, lam: complex) -> np.ndarray:
+    """(I - lambda A*)^{-1} D_A E for the defect D_A E = E diag(d) of A: one solve."""
+    return _resolve(np.eye(A.shape[0]) - lam * A.conj().T, E * d)
 
 
 def char_defect_residuals(A, lam: complex, tol: Tolerances = DEFAULT_TOL) -> tuple[float, float]:
@@ -300,34 +311,35 @@ def char_defect_residuals(A, lam: complex, tol: Tolerances = DEFAULT_TOL) -> tup
         D^2_{Phi(lam)}  = (1-|lam|^2) D_A (I-conj(lam) A)^{-1} (I-lam A*)^{-1} D_A
         D^2_{Phi*(lam)} = (1-|lam|^2) D_{A*} (I-lam A*)^{-1} (I-conj(lam) A)^{-1} D_{A*}
 
-    both read in the defect bases.  Since Phi_A(lam)* = Phi_{A*}(conj lam),
-    the second is the first for A*, conj(lam) and Phi*.  A may be a system,
-    as for `char_func`."""
+    both read in the defect bases.  As (I - conj(lam) A)^{-1} =
+    ((I - lam A*)^{-1})*, each right side is the Gram matrix
+    (1-|lam|^2) R*R of one `_defect_resolvent` R: of A at lam for the
+    first, shared with Phi, and of A* at conj(lam) for the second (Phi_A(lam)*
+    = Phi_{A*}(conj lam)), two solves per point.  A may be a system, as for
+    `char_func`."""
     A, dd = _main_defects(A, tol)
     lam = complex(lam)
-    phi = _phi(A, dd, lam)
-    return (_defect_identity(A, dd, lam, phi),
-            _defect_identity(A.conj().T, dd.adjoint(), lam.conjugate(), phi.conj().T))
-
-
-def _defect_identity(A: np.ndarray, dd: DefectData, lam: complex, phi: np.ndarray) -> float:
-    n = A.shape[0]
-    right = _resolve(np.eye(n) - lam * A.conj().T, dd.DA)
-    full = dd.DA @ _resolve(np.eye(n) - np.conj(lam) * A, right)
-    rhs = (1.0 - abs(lam) ** 2) * (dd.E_A.conj().T @ full @ dd.E_A)
-    return operator_norm(np.eye(phi.shape[1]) - phi.conj().T @ phi - rhs)
-
-
-def _phi_of_adjoint(p: ContractionParams, lam: complex) -> np.ndarray:
-    """Phi_{A*}(lambda) in the cached bases of p (defect of A* -> defect of A)."""
-    return _phi(_square(p.A).conj().T, p.defects.adjoint(), complex(lam))
+    # a Blaschke Phi first, so that a pole raises as it does in `char_func`
+    phi = None if dd.t is None else _phi(A, dd, lam)
+    R = _defect_resolvent(A, dd.E_A, dd.d_A, lam)
+    phi = _phi(A, dd, lam, R) if phi is None else phi
+    Rs = _defect_resolvent(A.conj().T, dd.E_As, dd.d_As, lam.conjugate())
+    scale = 1.0 - abs(lam) ** 2
+    return tuple(operator_norm(np.eye(G.shape[0]) - G - scale * (Q.conj().T @ Q))
+                 for G, Q in ((phi.conj().T @ phi, R), (phi @ phi.conj().T, Rs)))
 
 
 def theta_factored(p: ContractionParams, lam: complex, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """K Phi_{A*}(lambda) M + D_{K*} X D_M, the transfer function written
     through the parameters instead of the resolvent of the block matrix."""
-    phi = _phi_of_adjoint(p, lam)
-    return p.K @ phi @ p.M + p.DKs @ p.X_ambient @ p.DM
+    return _theta_and_phi(p, lam)[0]
+
+
+def _theta_and_phi(p: ContractionParams, lam: complex) -> tuple[np.ndarray, np.ndarray]:
+    """`theta_factored` at lambda and the one Phi_{A*}(lambda) it is built
+    from, in the cached bases of p (defect of A* -> defect of A)."""
+    phi = _phi(_square(p.A).conj().T, p.defects.adjoint(), complex(lam))
+    return p.K @ phi @ p.M + p.DKs @ p.X_ambient @ p.DM, phi
 
 
 def defect_identities(p: ContractionParams, lam: complex, h, g, tol: Tolerances = DEFAULT_TOL) -> tuple[float, float]:
@@ -338,13 +350,14 @@ def defect_identities(p: ContractionParams, lam: complex, h, g, tol: Tolerances 
         ||D_{Theta*(lam)} g||^2 = ||D_{Phi_A(conj lam)} K* g||^2 + ||psi*(lam) g||^2
 
     with phi = col(-D_X D_M, D_K Phi_{A*} M - K* X D_M) and
-    psi = row(D_{K*} D_{X*}, K Phi_{A*} D_{M*} - D_{K*} X M*)."""
+    psi = row(D_{K*} D_{X*}, K Phi_{A*} D_{M*} - D_{K*} X M*).  Phi_{A*}(lam)
+    is evaluated once, with Theta (`_theta_and_phi`), and Phi_A(conj lam) is
+    read as Phi_{A*}(lam)*."""
     h = np.asarray(h, dtype=complex).reshape(-1)
     g = np.asarray(g, dtype=complex).reshape(-1)
     if h.size != p.in_dim or g.size != p.out_dim:
         raise DimensionMismatch("h must live in the input space, g in the output space")
-    theta = theta_factored(p, lam, tol)
-    phi_as = _phi_of_adjoint(p, lam)
+    theta, phi_as = _theta_and_phi(p, lam)
 
     lhs1 = float(np.real(h @ np.conj((np.eye(p.in_dim) - theta.conj().T @ theta) @ h)))
     u = p.M @ h
@@ -356,9 +369,8 @@ def defect_identities(p: ContractionParams, lam: complex, h, g, tol: Tolerances 
     res1 = abs(lhs1 - rhs1)
 
     lhs2 = float(np.real(g @ np.conj((np.eye(p.out_dim) - theta @ theta.conj().T) @ g)))
-    phi_a_conj = _phi(p.A, p.defects, complex(np.conj(lam)))
     v = p.K.conj().T @ g
-    def_phi2 = float(np.linalg.norm(v) ** 2 - np.linalg.norm(phi_a_conj @ v) ** 2)
+    def_phi2 = float(np.linalg.norm(v) ** 2 - np.linalg.norm(phi_as.conj().T @ v) ** 2)
     # psi's right block K Phi D_{M*} - D_{K*} X M* with K Phi D_{M*} as (D_{M*} (K Phi)*)*
     k_phi_dms = p.DMs.apply((p.K @ phi_as).conj().T).conj().T
     psi = np.hstack([p.DKs @ p.E_DKs @ p.DXs, k_phi_dms - p.DKs @ p.E_DKs @ p.X @ p.E_DM.conj().T @ p.M.conj().T])

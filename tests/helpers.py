@@ -17,6 +17,9 @@ LEGACY_SYSTEM = Path(__file__).parent / "data" / "legacy_list_system.json"
 # near_pqs_direct_sum(np.random.default_rng(0)) written by `system_to_json`,
 # in the T form since its C is not B* bit for bit
 NEAR_PQS_SYSTEM = Path(__file__).parent / "data" / "near_pqs_direct_sum.json"
+# rand_passive_T(np.random.default_rng(0), 2, 2, 6) written by `system_to_json`
+# (the T form): a passive system whose main operator is not normal
+GENERAL_SYSTEM = Path(__file__).parent / "data" / "general_passive_system.json"
 
 
 def linalg_calls(monkeypatch, name, shape=None, internal=False):

@@ -10,7 +10,7 @@ import pqsys
 from pqsys import _json, errors, opcore, sysmodel
 from pqsys.cli import main
 
-from helpers import LEGACY_SYSTEM, NEAR_PQS_SYSTEM, linalg_calls, rand_atoms, rand_contraction, rand_pqs_T, rand_unitary
+from helpers import GENERAL_SYSTEM, LEGACY_SYSTEM, NEAR_PQS_SYSTEM, linalg_calls, rand_atoms, rand_contraction, rand_pqs_T, rand_unitary
 
 import oracles
 
@@ -576,6 +576,23 @@ def test_eval_char_circle_unitarity_is_the_defect_of_phi(tmp_path, rng):
     points = np.exp(2j * np.pi * (np.arange(8) + 0.5) / 8)
     ref = max(opcore.isometry_defect(pqsys.char_func(tau.A, z)) for z in points)
     assert check["pass"] and abs(check["residual"] - ref) < 1e-13
+
+
+def test_eval_char_of_a_system_whose_main_operator_is_not_normal(tmp_path):
+    # the committed general passive system takes the resolvent kernel of Phi,
+    # not the Blaschke factors of a selfadjoint A
+    out = tmp_path / "vals.json"
+    report = tmp_path / "rep.json"
+    assert main(["eval", str(GENERAL_SYSTEM), "--func", "char", "--grid", "circle:8",
+                 "--out", str(out), "--report", str(report)]) == 0
+    check = next(c for c in read_json(report)["checks"] if c["name"] == "circle_unitarity")
+    assert check["residual"] <= 1e-12
+    tau = _json.system_from_json(read_json(GENERAL_SYSTEM))
+    samples = read_json(out)["samples"]
+    assert len(samples) == 8
+    for sample in samples:
+        z = complex(*sample["point"])
+        assert np.array_equal(_json.matrix_from_json(sample["value"]), pqsys.char_func(tau.A, z))
 
 
 def test_numerical_failure_exits_1_and_writes_report(tmp_path, rng, monkeypatch):

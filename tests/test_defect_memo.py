@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import pqsys
-from pqsys import opcore, transfer
+from pqsys import opcore, sysmodel, transfer
 
-from helpers import linalg_calls, rand_contraction, rand_hermitian_contraction
+from helpers import linalg_calls, rand_contraction, rand_hermitian_contraction, rand_passive_T
 
 S = 60
 POINTS = (0.3 + 0.2j, -0.5 + 0.1j, 0.1 - 0.6j)
@@ -141,3 +141,21 @@ def test_defect_data_of_a_temporary_view_leaves_no_memory_behind():
         tracemalloc.stop()
     # a slot that outlived the view would hold D_A and the eigenvectors: >= 24 MB
     assert left < 1 << 20
+
+
+def test_a_systems_defects_leave_the_callers_entry_in_the_slot(monkeypatch):
+    # a system factors its own non-selfadjoint A for its cache, with no digest
+    # of the view tau.A and without clearing the slot of the caller's array
+    tau = pqsys.PartitionedContraction(rand_passive_T(np.random.default_rng(43), 2, 2, S), 2, 2, S)
+    ref = opcore.defect_data(tau.A.copy())
+    A = non_normal()
+    opcore.defect_data(A)
+    digests = []
+    content_digest = opcore._content_digest
+    monkeypatch.setattr(opcore, "_content_digest", lambda M: digests.append(1) or content_digest(M))
+    dd = sysmodel.main_defect_data(tau)
+    assert digests == []
+    assert_same_defects(dd, ref)
+    svds = linalg_calls(monkeypatch, "svd", (S, S))
+    opcore.defect_data(A)
+    assert svds == []

@@ -101,6 +101,16 @@ def test_a_near_defective_A_falls_back_to_lu_point_by_point(monkeypatch):
         assert rel_gap(v, lu_theta(tau, z)) <= 1e-12
 
 
+def test_a_refused_eig_record_leaves_every_point_to_lu(monkeypatch):
+    # a build whose ||AV - V diag mu|| misses the rounding floor keeps no record
+    rng = np.random.default_rng(11)
+    tau = system(rng, random_non_normal(rng, 20), n=2)
+    monkeypatch.setattr(transfer.opcore, "_eig_miss", lambda *a: np.inf)
+    for z in grid(rng, 16, 8):
+        assert np.array_equal(pqsys.theta_eval(tau, z), lu_theta(tau, z))
+    assert tau._cache["eig", None] is None
+
+
 def test_a_pole_still_raises_singular_resolvent():
     rng = np.random.default_rng(10)
     tau = system(rng, random_non_normal(rng, 60))

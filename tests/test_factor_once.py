@@ -502,3 +502,66 @@ def test_jacobi_builds_no_state_square_array():
     assert jr.length == 50 and jr.truncated
     # one 1000 x 1000 complex array alone is 16 MB
     assert peak < 4e6
+
+
+# ---------------------------------------------------------------------------
+# the defects of A, read in their bases
+# ---------------------------------------------------------------------------
+
+CHAR_POINTS = (0.3 - 0.4j, -0.5 + 0.1j, 0.6j)
+
+
+def _small_system(kind, s=12, n=2):
+    rng = np.random.default_rng(12)
+    if kind == "general":
+        return _system(rand_contraction(rng, n + s, n + s, smax=0.9), n, s)
+    return _system(pqs_from_spectrum(rng, np.linspace(-0.8, 0.7, s), n), n, s)
+
+
+@pytest.mark.parametrize("kind", ["general", "pqs"])
+def test_no_reader_of_A_s_defects_forms_them(kind):
+    # every reader applies D_A and D_{A*} as E diag(d): with the s x s
+    # operators taken out of the cached defect data, each still runs and agrees
+    tau = _small_system(kind)
+    tol = pqsys.DEFAULT_TOL
+    dd = sysmodel.main_defect_data(tau, tol)
+    tau._cache["defects", tol] = dd._replace(DA=None, DAs=None)
+    rng = np.random.default_rng(13)
+    h, g, f = rand_complex(rng, 2, 1)[:, 0], rand_complex(rng, 2, 1)[:, 0], rand_complex(rng, 12, 1)[:, 0]
+    p = pqsys.parametrize(tau, tol)
+    assert p.defects.DA is None and p.defects.DAs is None
+    assert np.linalg.norm(pqsys.assemble(p).T - tau.T, 2) <= 1e-12
+    lhs, rhs = pqsys.defect_balance(p, h, f)
+    assert abs(lhs - rhs) <= 1e-12
+    assert pqsys.isometry_conditions(p) == (False, False)
+    for z in CHAR_POINTS:
+        phi = pqsys.char_func(tau, z)
+        amb = -tau.A + z * dd.DAs @ np.linalg.solve(np.eye(12) - z * tau.A.conj().T, dd.DA)
+        ref = dd.E_As.conj().T @ amb @ dd.E_A
+        assert np.linalg.norm(phi - ref, 2) <= 1e-12
+        assert max(pqsys.char_defect_residuals(tau, z)) <= 1e-12
+        assert np.linalg.norm(pqsys.theta_factored(p, z) - pqsys.theta_eval(tau, z), 2) <= 1e-12
+        assert max(pqsys.defect_identities(p, z, h, g)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["general", "pqs"])
+def test_char_defect_residuals_take_two_solves_per_point(monkeypatch, kind):
+    # one resolvent of A* at lambda, shared by Phi and the first Gram matrix,
+    # and one of A at conj(lambda) for the second
+    tau = _small_system(kind)
+    sysmodel.main_defect_data(tau)
+    solves = linalg_calls(monkeypatch, "solve")
+    for z in CHAR_POINTS:
+        assert max(pqsys.char_defect_residuals(tau, z)) <= 1e-12
+    assert len(solves) <= 2 * len(CHAR_POINTS)
+
+
+def test_defect_identities_evaluate_phi_once(monkeypatch):
+    tau = _small_system("general")
+    p = pqsys.parametrize(tau)
+    rng = np.random.default_rng(14)
+    h, g = rand_complex(rng, 2, 1)[:, 0], rand_complex(rng, 2, 1)[:, 0]
+    solves = linalg_calls(monkeypatch, "solve")
+    for z in CHAR_POINTS:
+        assert max(pqsys.defect_identities(p, z, h, g)) <= 1e-12
+    assert len(solves) <= len(CHAR_POINTS)

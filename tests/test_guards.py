@@ -241,6 +241,12 @@ def test_boundary_values_need_a_selfadjoint_main_operator():
     _raises(NotPqs, "main operator is not selfadjoint", transfer.boundary_values, pqsys.parametrize(_non_pqs()))
 
 
+def test_boundary_values_need_M_equal_to_K_star():
+    A = np.diag([0.5, -0.3])
+    p = param.make_params(A, [[0.3], [0.2]], [[0.3, 0.1]], None)
+    _raises(NotPqs, "parameters do not satisfy M = K*", transfer.boundary_values, p)
+
+
 @pytest.mark.parametrize("theta1, theta_m1", [(np.eye(2), np.eye(3)), (np.ones((2, 3)), np.ones((2, 3)))])
 def test_inner_pm1_conditions_need_square_values_of_equal_size(theta1, theta_m1):
     _raises(DimensionMismatch, "boundary values must be square matrices of equal size",
