@@ -7,8 +7,10 @@ completely nonunitary parts.
 Matrices are plain numpy arrays with complex entries.  Subspaces are
 carried as explicit orthonormal column bases (`SubspaceBasis`) so that
 "the restriction of an operator to a subspace" is an ordinary matrix in
-that basis.  All rank decisions are relative: a singular value sigma
-counts as zero when sigma <= rank_tol * sigma_max.
+that basis.  Rank decisions are relative: a singular value sigma counts
+as zero when sigma <= rank_tol * sigma_max.  A defect square 1 - s^2 counts
+as zero below the rounding floor of the factorization it came from
+(`_svd_defects`).
 """
 
 from __future__ import annotations
@@ -31,7 +33,9 @@ class Tolerances:
 
     rank_tol : singular-value cutoff, relative to the largest
     eq_tol   : residual norm accepted for identity checks
-    psd_tol  : magnitude of negative eigenvalues tolerated (then clamped)
+    psd_tol  : magnitude of negative eigenvalues tolerated, and the clamp of
+               `psd_sqrt`; a defect square is zero by the rounding floor of
+               its factorization instead (`_svd_defects`)
     grid_tol : looser bound for boundary/grid checks
     """
 
@@ -314,24 +318,16 @@ def psd_sqrt(M, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     if not is_selfadjoint(M, tol):
         raise NotHermitian("psd_sqrt: matrix is not Hermitian")
     w, U = np.linalg.eigh(herm_part(M))
-    return (U * _sqrt_psd_eigs(w, tol)) @ U.conj().T
+    return (U * _sqrt_psd_eigs(w, tol, tol.psd_tol)) @ U.conj().T
 
 
-def _sqrt_psd_eigs(w: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _sqrt_psd_eigs(w: np.ndarray, tol: Tolerances, floor: float) -> np.ndarray:
     """Square roots of the eigenvalues w of a Hermitian matrix, values below
-    psd_tol clamped to 0; NotPSD when the smallest is below -psd_tol * max(max|w|, 1)."""
+    floor clamped to 0; NotPSD when the smallest is below -psd_tol * max(max|w|, 1)."""
     low = w.min(initial=0.0)
     if low < -tol.psd_tol * max(float(np.abs(w).max(initial=0.0)), 1.0):
         raise NotPSD(f"psd_sqrt: eigenvalue {low:.3e} below -psd_tol")
-    return np.sqrt(np.where(w < tol.psd_tol, 0.0, w))
-
-
-def _defect_values(sq: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """sqrt(sq) for the eigenvalues sq of a defect square such as I - X*X,
-    clamped and checked by the `psd_sqrt` rule, and the mask of those the
-    `range_basis` rank rule keeps, d > rank_tol * max d."""
-    d = _sqrt_psd_eigs(sq, tol)
-    return d, d > tol.rank_tol * d.max(initial=0.0)
+    return np.sqrt(np.where(w < floor, 0.0, w))
 
 
 def range_basis(M, tol: Tolerances = DEFAULT_TOL) -> SubspaceBasis:
@@ -456,14 +452,13 @@ class DefectData(NamedTuple):
 class DefectSide(NamedTuple):
     """The defect of one side of X = U diag(s) W* from its thin SVD: the
     operator D = I + Q diag(d - 1) Q* on that side's space, with Q the
-    singular vectors of the side (W for D_X, U for D_{X*}), d = sqrt(1 - s^2)
-    and keep the mask of the d that the range rule keeps (`_svd_defects`).
+    singular vectors of the side (W for D_X, U for D_{X*}) and
+    d = sqrt(1 - s^2), zero where the defect rule of `_svd_defects` zeroes it.
     On the complement of Q the defect is 1.  D is applied (`apply`) and
     formed only on request (`dense`)."""
 
     Q: np.ndarray
     d: np.ndarray
-    keep: np.ndarray
 
     def apply(self, Y: np.ndarray) -> np.ndarray:
         """D Y, for a vector or a matrix Y: O(size of Y times rank of Q)."""
@@ -479,9 +474,10 @@ class DefectSide(NamedTuple):
 
     def basis(self) -> tuple[np.ndarray, np.ndarray]:
         """An orthonormal basis of ran D that diagonalizes D, and the defect
-        values along it: the kept columns of Q, then, when Q has fewer columns
-        than rows, the trailing columns of a complete QR of Q (value 1)."""
-        E, d = self.Q[:, self.keep], self.d[self.keep]
+        values along it: the columns of Q with d > 0, then, when Q has fewer
+        columns than rows, the trailing columns of a complete QR of Q (value 1)."""
+        keep = self.d > 0
+        E, d = self.Q[:, keep], self.d[keep]
         if self.Q.shape[0] == self.Q.shape[1]:
             return E, d
         rest = SubspaceBasis(self.Q.shape[0], self.Q).complement().basis
@@ -490,27 +486,31 @@ class DefectSide(NamedTuple):
 
 def _svd_defects(X, tol: Tolerances, check=None) -> tuple[DefectSide, DefectSide]:
     """The defects D_X and D_{X*} of X from its one thin SVD
-    X = U diag(s) W*, as the sides (W, d, keep) and (U, d, keep) of
-    `DefectSide`: d = sqrt(1 - s^2) by `_defect_values`, and a side keeps
-    the d above rank_tol times its largest defect value, which is 1 on a
-    side with more dimensions than singular values.  check(max s, tol), when
-    given, is called before the sides are formed: `_require_contraction`, or
-    a rule of the caller's.  Every returned array is read-only."""
+    X = U diag(s) W*, as the sides (W, d) and (U, d) of `DefectSide`.
+
+    The library's one rule for a zero defect: a backward-stable SVD knows
+    1 - s^2 only to a few n eps for n = max(X.shape), so a defect square
+    below its rounding floor `_rounding(n)` is zero and every other one is
+    kept, d = sqrt(1 - s^2) > 0; `hermitian_defect`, `sqs_membership` and
+    `sysmodel.is_strongly_stable` read the same rule.  A square below
+    -psd_tol raises NotPSD.  check(max s, tol), when given, is called before
+    the sides are formed: `_require_contraction`, or a rule of the caller's.
+    Every returned array is read-only."""
     X = as_matrix(X)
     U, s, Wh = np.linalg.svd(X, full_matrices=False)
     if check is not None:
         check(s.max(initial=0.0), tol)
-    d, keep = _defect_values(1.0 - s * s, tol)
-    return tuple(_read_only(DefectSide(Q, d, keep if Q.shape[0] == s.size else d > tol.rank_tol))
-                 for Q in (Wh.conj().T, U))
+    d = _sqrt_psd_eigs(1.0 - s * s, tol, _rounding(max(X.shape)))
+    return tuple(_read_only(DefectSide(Q, d)) for Q in (Wh.conj().T, U))
 
 
-_EIGH_ROUNDING = 10  # see `_hermitian_eigh`
+_EIGH_ROUNDING = 10  # see `_hermitian_eigh` and `_svd_defects`
 
 
 def _rounding(s: int) -> float:
     """_EIGH_ROUNDING * s * eps: the relative rounding floor the library allows
-    an eigendecomposition of an s x s matrix, for machine epsilon eps."""
+    an eigendecomposition or SVD of a matrix of largest dimension s, for
+    machine epsilon eps."""
     return _EIGH_ROUNDING * s * float(np.finfo(float).eps)
 
 
@@ -641,6 +641,12 @@ def _factor_defects(A: np.ndarray, tol: Tolerances) -> DefectData:
     eig = _hermitian_eigh(A, tol)
     if eig is not None:
         return hermitian_defect_data(*eig[:2], tol)
+    return _svd_defect_data(A, tol)
+
+
+def _svd_defect_data(A: np.ndarray, tol: Tolerances) -> DefectData:
+    """`defect_data` of a matrix that `_hermitian_eigh` refuses, from its one
+    thin SVD, with the data of D_A on both sides when the two defects agree."""
     dd = _dense_defects(*_svd_defects(A, tol, _require_contraction))
     if dd.DA.shape == dd.DAs.shape and norm_at_most(dd.DA - dd.DAs, tol.eq_tol):
         return DefectData(dd.DA, dd.DA, dd.E_A, dd.E_A, dd.d_A, dd.d_A)
@@ -705,12 +711,13 @@ def _content_digest(M: np.ndarray) -> bytes:
 
 def hermitian_defect(t: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, slice]:
     """sqrt(1 - t^2) at the ascending eigenvalues t of a selfadjoint A, and the
-    slice of t with nonzero defect, by the contraction, clamping and rank
-    rules of `_svd_defects` on the exact eigenvalues."""
+    slice of t with nonzero defect, by the contraction rule and the defect
+    rule of `_svd_defects` on the eigenvalues: a square 1 - t^2 below
+    `_rounding(t.size)`, the rounding floor of the eigendecomposition, is 0."""
     _require_contraction(np.abs(t).max(initial=0.0), tol)
-    d, keep = _defect_values(1.0 - t * t, tol)
+    d = _sqrt_psd_eigs(1.0 - t * t, tol, _rounding(t.size))
     # 1 - t^2 is unimodal in the ascending t, so the kept eigenvalues are contiguous
-    keep = np.flatnonzero(keep)
+    keep = np.flatnonzero(d)
     return d, slice(keep[0], keep[-1] + 1) if keep.size else slice(0, 0)
 
 
@@ -783,11 +790,11 @@ def strong_limit_SA(A, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Limit of A^{*n} A^n for a contraction A: the orthogonal projector onto
     the unitary part of `cnu_unitary_split`.  In finite dimension the cnu part
     has every eigenvalue inside the unit circle, so A^n tends to 0 there
-    (Sz.-Nagy and Foias, ch. I).  The unitary part follows that split's
-    defect rule: a squared defect below psd_tol is zero, so an eigenvalue of a
-    normal A with |t| > 1 - 5e-10 (at the default psd_tol) counts as
-    unimodular.  NonSquare and NotAContraction (||A|| > 1 + rank_tol) come
-    from the split."""
+    (Sz.-Nagy and Foias, ch. I).  An eigenvalue mu of an n x n A with
+    1 - |mu|^2 below the rounding floor 10 n eps counts as unimodular, as in
+    `sysmodel.is_strongly_stable`, so the limit is 0 exactly when that verdict
+    is True.  NonSquare and NotAContraction (||A|| > 1 + rank_tol) come from
+    the split."""
     return cnu_unitary_split(A, tol)[0].projector()
 
 
@@ -795,17 +802,21 @@ def cnu_unitary_split(A, tol: Tolerances = DEFAULT_TOL) -> tuple[SubspaceBasis, 
     """Split C^n into the largest subspace on which A acts unitarily and
     its orthogonal complement, the completely nonunitary part.
 
-    f is orthogonal to A^n ran D_{A*} for all n iff ||A*^n f|| = ||f|| for
-    all n, and to A*^n ran D_A for all n iff ||A^n f|| = ||f||; so the cnu
-    part is the joint span of the two Krylov spaces, and it reduces A
-    (A D_A = D_{A*} A and AA* = I - D_{A*}^2).  Returns (unitary_part, cnu_part).
+    For a contraction A, A f = mu f with |mu| = 1 gives A* f = conj(mu) f
+    (||A* f - conj(mu) f||^2 = ||A* f||^2 - 1 <= 0), so f spans a subspace
+    that reduces A to a unitary; and A on its unitary part is a unitary,
+    spanned by its eigenvectors.  So the unitary part is the span of the
+    eigenvectors from one `eig` whose eigenvalues mu the defect rule of
+    `_svd_defects` calls unimodular, 1 - |mu|^2 below `_rounding(n)`.
+    Eigenvectors, not the singular vectors of the defects: for a normal A
+    with eigenvalues of modulus 1 and 1 - gap, those mix to about eps / gap,
+    while the eigenvectors stay as far apart as the eigenvalues lie in the
+    plane.  Returns (unitary_part, cnu_part).
     """
     A = as_matrix(A)
     if A.shape[0] != A.shape[1]:
         raise NonSquare("cnu_unitary_split needs a square matrix")
-    dom, cod = _svd_defects(A, tol, _require_contraction)
-    n = A.shape[0]
-    hc = krylov_span(A, cod.basis()[0], n, tol)
-    ho = krylov_span(A.conj().T, dom.basis()[0], n, tol)
-    cnu = range_basis(np.hstack([hc.basis, ho.basis]), tol)
-    return cnu.complement(), cnu
+    _require_contraction(operator_norm(A), tol)
+    mu, V = np.linalg.eig(A)
+    unitary = range_basis(V[:, 1.0 - np.abs(mu) ** 2 < _rounding(A.shape[0])], tol)
+    return unitary, unitary.complement()

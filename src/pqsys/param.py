@@ -83,12 +83,13 @@ class ContractionParams:
     @property
     def E_DK(self) -> np.ndarray:
         """An orthonormal basis of ran D_K in the basis E_A, computed at each
-        access: the identity when no singular value of K reaches 1 (D_K has
-        no kernel), else the complement of the unit singular vectors."""
-        Q, _, keep = self.DK
-        if keep.all():
+        access: the identity when every defect value d of K is positive (D_K
+        has no kernel), else the complement of the singular vectors with d = 0
+        (a unit singular value, by the defect rule of `opcore._svd_defects`)."""
+        Q, d = self.DK
+        if d.all():
             return np.eye(Q.shape[0], dtype=complex)
-        return opcore.SubspaceBasis(Q.shape[0], Q[:, ~keep]).complement().basis
+        return opcore.SubspaceBasis(Q.shape[0], Q[:, d == 0]).complement().basis
 
 
 def make_params(A, M, K, X, tol: Tolerances = DEFAULT_TOL) -> ContractionParams:

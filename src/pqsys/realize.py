@@ -244,8 +244,8 @@ def biinner_dilation(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL)
     operator and an enlarged channel operator.  NotMinimal when the enlarged
     system is not minimal, which is exactly when ker D_A != {0}.  The basis
     E_DK of ran D_K is read from the factors of parametrize's SVD of K*
-    (`ContractionParams.E_DK`, the identity when no singular value of K is
-    1), and D_K E_DK is applied in them: no parameter is factored again.
+    (`ContractionParams.E_DK`, the identity when no defect value of K is
+    0), and D_K E_DK is applied in them: no parameter is factored again.
 
     The enlarged system has tau's A, so it takes tau's factorization
     A = V diag(t) V* and defect data of A (its "spectral" and "defects"
@@ -255,12 +255,13 @@ def biinner_dilation(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL)
     eigenbasis, V* B_big = diag(d_A) [K*, D_K E_DK, 0] on those r rows and
     0 on the others.  W = [K*, D_K E_DK] is a co-isometry: WW* = K*K +
     D_K E_DK E_DK* D_K = K*K + D_K^2 = I, as E_DK spans ran D_K (up to
-    rounding and the psd_tol clamp of D_K, far inside the margin below).
+    rounding and the defect rule's floor on D_K, far inside the margin below).
     So the rows of W in a cluster of equal eigenvalues are orthonormal, and
     the singular values of the cluster rows of V* B_big
     (`sysmodel._cluster_span`) are the kept defect values there.  Each is at
-    least sqrt(psd_tol) (a defect square below psd_tol is clamped to 0), far
-    above the cluster threshold rank_tol ||V* B_big||_2 = rank_tol max d_A,
+    least sqrt(10 s eps) >= 4.7e-8 (a defect square below the rounding floor
+    10 s eps is zero, `opcore._svd_defects`), far above the cluster
+    threshold rank_tol ||V* B_big||_2 = rank_tol max d_A,
     and the rows of dropped values are 0: a cluster's rank is its number of
     kept eigenvectors, and the controllable dimension is r.  C_big = B_big*
     bit for bit, so the observable side has the same components and

@@ -156,16 +156,17 @@ def main_defect_data(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL)
     """The defect data of A (`opcore.defect_data`), computed once per system
     and tolerance set, all read-only; a selfadjoint A reads its cached
     factorization (`spectral_data`) through `opcore.hermitian_defect_data`.
-    Any other A is factored directly (`opcore._factor_defects`), not through
-    the one-slot memo of `defect_data`: the system's cache holds the result,
-    and the slot keeps the caller's own entry."""
+    Any other A, which `spectral_data` has refused, is factored by its SVD
+    (`opcore._svd_defect_data`), with no second selfadjointness test, and not
+    through the one-slot memo of `defect_data`: the system's cache holds the
+    result, and the slot keeps the caller's own entry."""
     return tau.cached("defects", tol, lambda: _main_defect_data(tau, tol))
 
 
 def _main_defect_data(tau: PartitionedContraction, tol: Tolerances) -> opcore.DefectData:
     sd = spectral_data(tau, tol)
     if sd is None:
-        return opcore._read_only(opcore._factor_defects(tau.A, tol))
+        return opcore._read_only(opcore._svd_defect_data(tau.A, tol))
     return opcore._read_only(opcore.hermitian_defect_data(sd.t, sd.V, tol))
 
 
@@ -598,10 +599,14 @@ def check_minimality_normal(tau: PartitionedContraction, tol: Tolerances = DEFAU
 
 
 def is_strongly_stable(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether A^n -> 0, in finite dimension iff max|eig(A)| < 1 - rank_tol (and
-    then A*^n -> 0 too: A* has the conjugate eigenvalues).  A selfadjoint A
-    reads its eigenvalues from the cached factorization (`spectral_data`), any
-    other A from `np.linalg.eigvals`."""
+    """Whether A^n -> 0, in finite dimension iff every eigenvalue mu of A has
+    |mu| < 1 (and then A*^n -> 0 too: A* has the conjugate eigenvalues).  By
+    the defect rule of `opcore._svd_defects`, |mu| < 1 means 1 - |mu|^2 at
+    least the rounding floor `opcore._rounding(s)` of the s x s
+    factorization, so the verdict agrees with `opcore.strong_limit_SA`,
+    whose unitary part takes the eigenvalues below that floor.  A
+    selfadjoint A reads its eigenvalues from the cached factorization
+    (`spectral_data`), any other A from `np.linalg.eigvals`."""
     sd = spectral_data(tau, tol)
     eigs = sd.t if sd is not None else np.linalg.eigvals(tau.A)
-    return float(np.abs(eigs).max(initial=0.0)) < 1.0 - tol.rank_tol
+    return bool(np.all(1.0 - np.abs(eigs) ** 2 >= opcore._rounding(tau.state_dim)))

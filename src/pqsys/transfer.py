@@ -608,9 +608,10 @@ def sqs_membership(f: SqsFunctionData, tol: Tolerances = DEFAULT_TOL) -> Members
     operator ball with center -(W(1)+W(-1))/2 and radius I - (W(1)-W(-1))/2,
     i.e. Theta(0) = center + R^{1/2} X R^{1/2} for a contraction X
     supported on ran R.  All of it is read from one eigh Sigma_total =
-    U diag(w) U*: R^{1/2}, its pseudoinverse and ran R by the clamp and rank
-    rule of the defects on r = sqrt(1 - w) (`opcore._defect_values`), and
-    ker R by the other columns U_k of U: Theta(0) - center = delta sticks
+    U diag(w) U*: R^{1/2}, its pseudoinverse and ran R by the defect rule
+    (`opcore._svd_defects`) on r = sqrt(1 - w), zero where 1 - w is below the
+    rounding floor `opcore._rounding(n)` of the n x n eigh, and ker R by the
+    columns U_k of U with r = 0: Theta(0) - center = delta sticks
     out of the ball range by max(||P delta||, ||delta P||) for the projector
     P = U_k U_k* onto ker R, that is max(||U_k* delta||, ||delta U_k||)."""
     n = f.dim
@@ -626,7 +627,8 @@ def sqs_membership(f: SqsFunctionData, tol: Tolerances = DEFAULT_TOL) -> Members
         reasons.append(f"total mass exceeds the identity by {excess:.3e}")
         return MembershipReport(False, center, radius, None, excess, np.inf, np.inf, tuple(reasons))
 
-    r, keep = opcore._defect_values(1.0 - w, tol)
+    r = opcore._sqrt_psd_eigs(1.0 - w, tol, opcore._rounding(n))
+    keep = r > 0
     Ur = U[:, keep]
     delta = f.theta0 - center
     X = Ur @ ((Ur.conj().T @ delta @ Ur) / np.outer(r[keep], r[keep])) @ Ur.conj().T

@@ -20,6 +20,10 @@ NEAR_PQS_SYSTEM = Path(__file__).parent / "data" / "near_pqs_direct_sum.json"
 # rand_passive_T(np.random.default_rng(0), 2, 2, 6) written by `system_to_json`
 # (the T form): a passive system whose main operator is not normal
 GENERAL_SYSTEM = Path(__file__).parent / "data" / "general_passive_system.json"
+# the {D, B, t} system t = (-0.5, 0.2, 1 - 1e-11), B_k = sqrt((1 - t_k^2) / 4),
+# D = -sum(t) / 4 in the list form: pqs and minimal, with a defect square
+# 2e-11 of A that lies below psd_tol and above the rounding floor
+NEAR_UNIT_SYSTEM = Path(__file__).parent / "data" / "near_unit_eigenvalue_pqs.json"
 
 
 def linalg_calls(monkeypatch, name, shape=None, internal=False):

@@ -10,7 +10,7 @@ import pqsys
 from pqsys import _json, errors, opcore, sysmodel
 from pqsys.cli import main
 
-from helpers import GENERAL_SYSTEM, LEGACY_SYSTEM, NEAR_PQS_SYSTEM, linalg_calls, rand_atoms, rand_contraction, rand_pqs_T, rand_unitary
+from helpers import GENERAL_SYSTEM, LEGACY_SYSTEM, NEAR_PQS_SYSTEM, NEAR_UNIT_SYSTEM, linalg_calls, rand_atoms, rand_contraction, rand_pqs_T, rand_unitary
 
 import oracles
 
@@ -248,9 +248,10 @@ def test_realize_rejects_non_member(tmp_path):
 
 
 def test_realize_rejects_a_non_member_at_the_clamp_edge(tmp_path):
-    # the radius I - Sigma has an eigenvalue below psd_tol that Theta(0)
-    # leans on: a rejection with its reason, not a failed contraction check
-    f = pqsys.SqsFunctionData(np.diag([0.1, 0.0]), ((0.0, np.diag([1 - 5e-10, 0.5])),))
+    # the radius I - Sigma has an eigenvalue 1e-15 below the rounding floor
+    # of its eigh (4.4e-15), which Theta(0) leans on: a rejection with its
+    # reason, not a failed contraction check
+    f = pqsys.SqsFunctionData(np.diag([0.1, 0.0]), ((0.0, np.diag([1 - 1e-15, 0.5])),))
     _json.dump(_json.measure_to_json(f), str(tmp_path / "m.json"))
     report = tmp_path / "rep.json"
     assert main(["realize", str(tmp_path / "m.json"), "--report", str(report)]) == 1
@@ -380,6 +381,22 @@ def test_dilate_a_system_whose_C_is_B_star_only_to_rounding(tmp_path):
     checks = {c["name"]: c for c in read_json(report)["checks"]}
     assert checks["block_unitarity"]["residual"] <= 1e-12 and checks["corner_match"]["pass"]
     assert pqsys.classify(_json.system_from_json(read_json(out))).conservative
+
+
+def test_dilate_and_classify_a_system_with_an_eigenvalue_near_1(tmp_path, capsys):
+    # the committed diagonal pqs system with t = 1 - 1e-11: its defect square
+    # 2e-11 lies above the rounding floor, so B's component along that
+    # eigenvector is carried by the defect, and A^n -> 0
+    out = tmp_path / "big.json"
+    report = tmp_path / "rep.json"
+    assert main(["dilate", str(NEAR_UNIT_SYSTEM), "--out", str(out), "--report", str(report)]) == 0
+    checks = {c["name"]: c for c in read_json(report)["checks"]}
+    assert checks["block_unitarity"]["pass"] and checks["corner_match"]["pass"]
+    assert pqsys.classify(_json.system_from_json(read_json(out))).conservative
+    capsys.readouterr()
+    assert main(["classify", str(NEAR_UNIT_SYSTEM)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "strongly_stable: True" in lines and "minimal: True" in lines
 
 
 def test_similar_accepts_conjugated_pair(tmp_path, rng):

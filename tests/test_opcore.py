@@ -491,12 +491,16 @@ def test_defect_data_takes_one_svd(monkeypatch):
     assert len(svds) == 1
 
 
-def test_hermitian_defect_keeps_the_clamp_and_rank_rules():
-    t = np.array([-1.0 - 0.5e-10, -0.5, 0.0, 1.0 - 1e-11, 1.0])
+def test_hermitian_defect_zeroes_squares_below_the_rounding_floor():
+    # the floor is 10 * 6 * eps = 1.3e-14: 1 - (1 - 1e-11)^2 = 2e-11 is kept
+    # (a psd_tol clamp of 1e-9 zeroed it), the square 2.2e-16 of the float
+    # below 1 and the slightly negative square beyond -1 are zero
+    t = np.array([-1.0 - 0.5e-10, -0.5, 0.0, 1.0 - 1e-11, 0.9999999999999999, 1.0])
     d, keep = opcore.hermitian_defect(t)
-    assert np.array_equal(d[[0, 3, 4]], [0.0, 0.0, 0.0])
-    assert keep == slice(1, 3)
-    assert np.allclose(d[1:3], np.sqrt(1 - t[1:3] ** 2), rtol=0, atol=1e-15)
+    assert np.array_equal(d[[0, 4, 5]], [0.0, 0.0, 0.0])
+    assert keep == slice(1, 4)
+    assert 4.47e-6 < d[3] < 4.48e-6
+    assert np.allclose(d[1:4], np.sqrt(1 - t[1:4] ** 2), rtol=1e-15, atol=0)
 
 
 def test_no_unitary_is_a_strict_contraction():

@@ -497,14 +497,27 @@ def test_membership_rejects_off_range_component():
 
 
 def test_membership_rejects_off_range_component_of_a_clamped_radius():
-    # R = I - Sigma has the eigenvalue 5e-10, between rank_tol * max and
-    # psd_tol: R^{1/2} clamps it to 0, so ran R must leave that direction out
-    # too, or the 0.1 of Theta(0) along it is seen by neither test
-    atoms = ((0.0, np.diag([1 - 5e-10, 0.5]).astype(complex)),)
+    # R = I - Sigma has the eigenvalue 1e-15, below the rounding floor
+    # 10 * 2 * eps = 4.4e-15 of its eigh: R^{1/2} clamps it to 0, so ran R
+    # must leave that direction out too, or the 0.1 of Theta(0) along it is
+    # seen by neither test
+    atoms = ((0.0, np.diag([1 - 1e-15, 0.5]).astype(complex)),)
     rep = pqsys.sqs_membership(pqsys.SqsFunctionData(np.diag([0.1, 0.0]), atoms))
     assert not rep.member
     assert abs(rep.off_range_residual - 0.1) < 1e-12
     assert rep.x_norm == 0.0
+
+
+def test_membership_reads_a_radius_eigenvalue_above_the_floor_as_range():
+    # the eigenvalue 5e-10 of R is above the floor: its direction is in ran R,
+    # and the 0.1 of Theta(0) along it asks for a ball parameter of norm
+    # 0.1 / 5e-10 = 2e8, not for a component off the range
+    atoms = ((0.0, np.diag([1 - 5e-10, 0.5]).astype(complex)),)
+    rep = pqsys.sqs_membership(pqsys.SqsFunctionData(np.diag([0.1, 0.0]), atoms))
+    assert not rep.member
+    assert rep.off_range_residual == 0.0
+    assert abs(rep.x_norm / 2e8 - 1) < 1e-6
+    assert rep.reasons == (f"ball parameter has norm {rep.x_norm:.12f}",)
 
 
 def test_nevanlinna_kernel_psd_for_member():
