@@ -534,21 +534,26 @@ def _hermitian_eigh(A, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, float] 
     A real diagonal A is its own factorization, with no selfadjointness scan
     (it passes the rule trivially, and its skew norm is 0): V is the index of
     the stable sort of its diagonal (see `_eig_coords`), not a matrix.
-    Otherwise eigh factors H (A itself, bit for bit, when A is bitwise
-    Hermitian), and PqsysError is raised when ||HV - V diag(t)||_F exceeds
-    max(eq_tol, _EIGH_ROUNDING * s * eps) * max(1, max|t|) for s x s A and
-    machine epsilon eps: a floor above eigh's own rounding (2.97e-14 at
+    Otherwise `_dense_eigh` factors H by eigh (A itself, bit for bit, when A
+    is bitwise Hermitian), and PqsysError is raised when ||HV - V diag(t)||_F
+    exceeds max(eq_tol, _EIGH_ROUNDING * s * eps) * max(1, max|t|) for s x s
+    A and machine epsilon eps: a floor above eigh's own rounding (2.97e-14 at
     s = 400 against 8.9e-13), which a smaller eq_tol does not undercut."""
     A = as_matrix(A)
+    eig = _real_diagonal_eig(A)
+    return _dense_eigh(A, tol) if eig is None else (*eig, 0.0)
+
+
+def _dense_eigh(A: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """`_hermitian_eigh` of a finite complex matrix (`as_matrix`) that
+    `_real_diagonal_eig` has refused: neither O(s^2) scan is run again, and
+    H is formed with no finiteness scan (`herm_part` would take one)."""
     if A.shape[0] != A.shape[1] or A.shape[0] == 0:
         return None
-    eig = _real_diagonal_eig(A)
-    if eig is not None:
-        return (*eig, 0.0)
     skew = _skew_fro(A)
     if not _selfadjoint_verdict(A, skew, tol):
         return None
-    H = herm_part(A)
+    H = (A + A.conj().T) / 2.0
     t, V = np.linalg.eigh(H)
     rel = max(tol.eq_tol, _rounding(t.size))
     miss = _eig_miss(H, V, t)
@@ -617,7 +622,10 @@ def defect_data(A, tol: Tolerances = DEFAULT_TOL) -> DefectData:
     An array changed in place is factored again.  A miss clears the slot
     before it factors, and the slot is cleared when the caller's array dies,
     so it keeps at most one DefectData, and none beyond the life of the
-    array it was computed from.  A list is factored at every call."""
+    array it was computed from.  A list is factored at every call.  Each call
+    checks the entries (`as_matrix`) and tests for a real diagonal once; a
+    miss factors the checked matrix (`_factor_defects`) with neither scan
+    run again."""
     global _defect_slot
     M = as_matrix(A)
     eig = _real_diagonal_eig(M)
@@ -637,11 +645,10 @@ def defect_data(A, tol: Tolerances = DEFAULT_TOL) -> DefectData:
 
 
 def _factor_defects(A: np.ndarray, tol: Tolerances) -> DefectData:
-    """`defect_data` of a matrix, by its factorization."""
-    eig = _hermitian_eigh(A, tol)
-    if eig is not None:
-        return hermitian_defect_data(*eig[:2], tol)
-    return _svd_defect_data(A, tol)
+    """`defect_data` of a finite complex matrix that `_real_diagonal_eig` has
+    refused, by its factorization (`_dense_eigh`, else the SVD)."""
+    eig = _dense_eigh(A, tol)
+    return _svd_defect_data(A, tol) if eig is None else hermitian_defect_data(*eig[:2], tol)
 
 
 def _svd_defect_data(A: np.ndarray, tol: Tolerances) -> DefectData:

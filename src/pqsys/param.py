@@ -21,7 +21,7 @@ import numpy as np
 from . import opcore
 from .errors import DimensionMismatch, NotAContraction, PqsysError, check
 from .opcore import DEFAULT_TOL, Tolerances, as_matrix
-from .sysmodel import PartitionedContraction, _spectral_parts, block_norm_at_most, main_defect_data
+from .sysmodel import PartitionedContraction, block_norm_at_most, channel_K, channel_M, main_defect_data, seed_records
 
 
 @dataclass(frozen=True)
@@ -159,8 +159,9 @@ def assemble(p: ContractionParams, tol: Tolerances = DEFAULT_TOL) -> Partitioned
     skew = opcore._skew_fro(p.A) if dd.t is not None and dd.E_A.shape[1] == h else None
     if skew is not None and opcore._selfadjoint_verdict(p.A, skew, tol):
         # no eigenvalue at +-1: the defect basis holds every eigenvector of the
-        # main operator p.A, so the system takes that factorization, not an eigh
-        tau.cached("spectral", tol, lambda: _spectral_parts(tau, dd.t, dd.E_A, skew))
+        # main operator p.A, so the system takes that factorization and its
+        # defect data, not an eigh
+        seed_records(tau, tol, dd.t, dd.E_A, skew, dd)
     if not block_norm_at_most(tau, 1.0 + tol.rank_tol, tol):
         raise NotAContraction(f"assembled block has norm {tau.norm():.12f}; parameters inconsistent")
     return tau
@@ -177,8 +178,9 @@ def _parametrize(tau: PartitionedContraction, tol: Tolerances) -> ContractionPar
     """The parameters of a passive system.
 
     B = D_{A*} M, C = K D_A and D_{K*} X D_M = core are solved in the defect
-    bases, where each defect is diagonal (D_A E_A = E_A diag(d_A)): M =
-    (E_As* B) / d_As, K = (C E_A) / d_A, X = (E_DKs* core E_DM) / (d_Ks d_M*).
+    bases, where each defect is diagonal: M and K are the system's channel
+    parameters (`sysmodel.channel_M`, `sysmodel.channel_K`), X =
+    (E_DKs* core E_DM) / (d_Ks d_M*).
     A verification pass checks that the defect equations are actually met,
     which fails exactly when T was not a contraction to begin with (or is too
     close to the boundary to resolve).  The defect data are those cached on
@@ -189,10 +191,7 @@ def _parametrize(tau: PartitionedContraction, tol: Tolerances) -> ContractionPar
     # the bounds scale by max(1, ||T||), which `norm_scale` reads as 1 for a passive system
     A, B, C, D = tau.A, tau.B, tau.C, tau.D
     dd = main_defect_data(tau, tol)
-
-    # E* B as (B* E)*, which needs no conjugated copy of the basis
-    M = (B.conj().T @ dd.E_As).conj().T / dd.d_As[:, None]
-    K = (C @ dd.E_A) / dd.d_A
+    M, K = channel_M(tau, dd), channel_K(tau, dd)
     # read-only, as A, the defect data and X are
     M.flags.writeable = K.flags.writeable = False
     # D_{A*} E_As = E_As diag(d_As) and D_A E_A = E_A diag(d_A): no s x s product

@@ -23,6 +23,15 @@ from .sysmodel import PartitionedContraction
 # exists wherever T - zI is invertible, including at the points t_k.
 _SCHUR_GAP = 1e-3
 
+# Two points of `q_class_kernel_check` within this (absolute) distance of one
+# another, or of one another's conjugate, are refused as one point.  A
+# repeated point copies its block row and column, which leaves the kernel
+# matrix singular to rounding; near a conjugate, the divisor z - conj(xi) of
+# an off-diagonal entry is so small that the entry keeps only about 4 of its
+# 16 digits (eps ||Q|| / 1e-12), and only a real diagonal point takes the
+# confluent form.
+_COINCIDENT = 1e-12
+
 
 def q_eval(tau: PartitionedContraction, z: complex, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Corner block of (T - zI)^{-1} on the I/O coordinates.
@@ -141,9 +150,9 @@ def q_class_kernel_check(q, F, z_points: Sequence[complex], tol: Tolerances = DE
         if abs(pts[i]) <= 1.0:
             raise DegenerateGrid(f"grid point {pts[i]} is not outside the closed unit disk")
         for j in range(i + 1, p):
-            if abs(pts[i] - pts[j]) <= 1e-12:
+            if abs(pts[i] - pts[j]) <= _COINCIDENT:
                 raise DegenerateGrid(f"repeated grid point {pts[i]}")
-            if abs(pts[i] - np.conj(pts[j])) <= 1e-12:
+            if abs(pts[i] - np.conj(pts[j])) <= _COINCIDENT:
                 raise DegenerateGrid(f"conjugate-coincident pair at {pts[i]}")
 
     vals = [as_matrix(sample(z)) for z in pts]

@@ -163,13 +163,12 @@ def inner_canonical_form(tau: PartitionedContraction, tol: Tolerances = DEFAULT_
     if not flags.isometric:
         raise NotInner("transfer function is not inner: the block operator of a minimal system "
                        "is not isometric to eq_tol")
-    # the defect basis is the cached eigenbasis of A: W is the channel
-    # parameter K = (C E_A) / d_A of `parametrize`, read from the cached defects
+    # the defect basis is the cached eigenbasis of A: W is the channel parameter K
     dd = sysmodel.main_defect_data(tau, tol)
     s = tau.state_dim
     if dd.E_A.shape[1] != s:
         raise NotInner("defect space of the main operator does not fill the state space")
-    W = (tau.C @ dd.E_A) / dd.d_A
+    W = sysmodel.channel_K(tau, dd)
     bound = 10 * tol.eq_tol
     check("channel_isometry", opcore.gap(W.conj().T @ W - np.eye(s), bound), bound, NotInner,
           "channel operator is not isometric")
@@ -247,11 +246,11 @@ def biinner_dilation(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL)
     (`ContractionParams.E_DK`, the identity when no defect value of K is
     0), and D_K E_DK is applied in them: no parameter is factored again.
 
-    The enlarged system has tau's A, so it takes tau's factorization
-    A = V diag(t) V* and defect data of A (its "spectral" and "defects"
-    caches); its Krylov record ("krylov") follows from them, with no Krylov
-    pass.  Let E_A hold the eigenvectors of nonzero defect, d_A their defect
-    values (`opcore.hermitian_defect`) and r their number.  In the
+    The enlarged system has tau's A, so it is seeded with tau's factorization
+    A = V diag(t) V* and defect data of A (`sysmodel.seed_records`); its
+    Krylov record follows from them, with no Krylov pass.  Let E_A hold the
+    eigenvectors of nonzero defect, d_A their defect values
+    (`opcore.hermitian_defect`) and r their number.  In the
     eigenbasis, V* B_big = diag(d_A) [K*, D_K E_DK, 0] on those r rows and
     0 on the others.  W = [K*, D_K E_DK] is a co-isometry: WW* = K*K +
     D_K E_DK E_DK* D_K = K*K + D_K^2 = I, as E_DK spans ran D_K (up to
@@ -266,16 +265,8 @@ def biinner_dilation(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL)
     kept eigenvectors, and the controllable dimension is r.  C_big = B_big*
     bit for bit, so the observable side has the same components and
     dimension.  The record is therefore (s, s, s) when r = s, that is when
-    dd.E_A has s columns, and the enlarged system is not minimal otherwise.
-
-    The seeded record also holds the parts of the two sides: every cluster c
-    of t at its full rank k = c.stop - c.start, with U = I_k.  A cluster of
-    full rank spans its whole eigenspace: its basis V[:, c] U has k
-    orthonormal columns inside the span of V[:, c], whose dimension is k, so
-    the two spaces are equal for every orthonormal U, and U = I_k names the
-    subspace the cluster pass would find.  The subspaces of the enlarged
-    system are then spanned by the columns of V, and its spectral read-out
-    keeps every cluster."""
+    dd.E_A has s columns, which is the fact the record is seeded from, and the
+    enlarged system is not minimal otherwise."""
     if not sysmodel.classify(tau, tol).pqs:
         raise NotPqs("dilation applies to passive quasi-selfadjoint systems")
     p = parametrize(tau, tol)
@@ -293,8 +284,7 @@ def biinner_dilation(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL)
     system = PartitionedContraction(T, v, v, s)
     # the same main operator: the enlarged system shares tau's factorization and defect data
     sd = sysmodel.spectral_data(tau, tol)
-    system.cached("spectral", tol, lambda: sysmodel._spectral_parts(system, sd.t, sd.V, sd.skew))
-    system.cached("defects", tol, lambda: dd)
+    big = sysmodel.seed_records(system, tol, sd.t, sd.V, sd.skew, dd, spans_fill=dd.E_A.shape[1] == s)
 
     # ||T*T - I|| from the singular values classify reads too; passing it at
     # eq_tol makes classify's conservative flag (eq_tol * norm_scale) hold
@@ -306,10 +296,7 @@ def biinner_dilation(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL)
     # its Krylov record is (s, s, s) exactly when ker D_A = {0} (see above)
     if dd.E_A.shape[1] != s:
         raise NotMinimal("enlarged system is not minimal")
-    full = [(c, c.stop - c.start, np.eye(c.stop - c.start, dtype=complex)) for c in opcore.eigen_clusters(sd.t)]
-    system.cached("krylov", tol, lambda: sysmodel.KrylovRecord(s, s, s, parts=(full, full)))
     # the pole form of the n x n corner of the enlarged Theta, on tau's t
-    big = sysmodel.spectral_data(system, tol)
     corner = (system.D[:n, :n], big.t, transfer._residues(big.CV[:n], big.VB[:, :n]))
     bound = 10 * tol.eq_tol
     gap, _ = transfer.markov_gap(corner, transfer.pole_form(tau, tol), bound)

@@ -35,7 +35,9 @@ class PartitionedContraction:
     and the parameters of `param.parametrize`; and for a non-selfadjoint A
     the eigendecomposition record of `transfer.theta_eval` (once per
     system).  The array passed in must therefore not be modified after
-    construction either."""
+    construction either.  A construction that already holds the
+    factorization, the defect data or the Krylov record hands them to
+    `seed_records`, the one writer of those records besides their readers."""
 
     T: np.ndarray
     in_dim: int
@@ -131,8 +133,8 @@ class SpectralData(NamedTuple):
 def spectral_data(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> SpectralData | None:
     """The factorization of A from `opcore._hermitian_eigh`, the only Hermitian
     one of a system's main operator, computed once per system and tolerance
-    set; it exists (empty without state) exactly when `classify` finds A
-    selfadjoint."""
+    set, unless a construction seeded it (`seed_records`); it exists (empty
+    without state) exactly when `classify` finds A selfadjoint."""
     return tau.cached("spectral", tol, lambda: _spectral_data(tau, tol))
 
 
@@ -145,11 +147,8 @@ def _spectral_parts(tau: PartitionedContraction, t: np.ndarray, V: np.ndarray, s
     """The SpectralData of tau from a factorization A = V diag(t) V* in hand and
     ||A - A*||_F."""
     # C V as (V* C*)*
-    parts = SpectralData(t, V, opcore._eig_coords(V, tau.B),
-                         opcore._eig_coords(V, tau.C.conj().T).conj().T, skew)
-    for arr in parts[:4]:
-        arr.flags.writeable = False
-    return parts
+    parts = (t, V, opcore._eig_coords(V, tau.B), opcore._eig_coords(V, tau.C.conj().T).conj().T)
+    return SpectralData(*opcore._read_only(parts), skew)
 
 
 def main_defect_data(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> opcore.DefectData:
@@ -168,6 +167,47 @@ def _main_defect_data(tau: PartitionedContraction, tol: Tolerances) -> opcore.De
     if sd is None:
         return opcore._read_only(opcore._svd_defect_data(tau.A, tol))
     return opcore._read_only(opcore.hermitian_defect_data(sd.t, sd.V, tol))
+
+
+def seed_records(tau: PartitionedContraction, tol: Tolerances, t: np.ndarray, V: np.ndarray, skew: float,
+                 defects: opcore.DefectData, spans_fill: bool = False) -> SpectralData:
+    """Seed tau's records with what a construction already holds, in place of
+    the computations that would find them: the factorization A = V diag(t) V*
+    of its selfadjoint main operator with ||A - A*||_F = skew (`spectral_data`,
+    whose O(s n) parts are formed from tau's B and C), the defect data of that
+    A (`main_defect_data`, the `opcore.hermitian_defect_data` of t and V, or
+    data equal to them bit for bit), and with spans_fill the fact that the
+    controllable and observable subspaces are the whole state space
+    (`krylov_record`).  Each record is seeded for the tolerance set tol; one
+    already computed is kept.  Returns the spectral data.
+
+    The seeded Krylov record is (s, s, s), with one list of parts for both
+    sides: every cluster c of t (`opcore.eigen_clusters`) at its full rank
+    k = c.stop - c.start, with U = I_k.  A cluster of full rank spans its
+    whole eigenspace: its basis V[:, c] U has k orthonormal columns inside the
+    span of V[:, c], whose dimension is k, so the two spaces are equal for
+    every orthonormal U, and U = I_k names the subspace the cluster pass would
+    find.  The subspaces are then spanned by the columns of V, and the
+    spectral read-out keeps every cluster."""
+    tau.cached("defects", tol, lambda: defects)
+    if spans_fill:
+        full = [(c, c.stop - c.start, np.eye(c.stop - c.start, dtype=complex)) for c in opcore.eigen_clusters(t)]
+        tau.cached("krylov", tol, lambda: KrylovRecord(*[tau.state_dim] * 3, parts=(full, full)))
+    return tau.cached("spectral", tol, lambda: _spectral_parts(tau, t, V, skew))
+
+
+def channel_M(tau: PartitionedContraction, dd: opcore.DefectData) -> np.ndarray:
+    """The channel parameter M = (E_As* B) / d_As of tau, the solution of
+    B = D_{A*} M in the bases of dd, the defect data of A (`main_defect_data`),
+    where the defect is diagonal: D_{A*} E_As = E_As diag(d_As)."""
+    # E* B as (B* E)*, which needs no conjugated copy of the basis
+    return (tau.B.conj().T @ dd.E_As).conj().T / dd.d_As[:, None]
+
+
+def channel_K(tau: PartitionedContraction, dd: opcore.DefectData) -> np.ndarray:
+    """The channel parameter K = (C E_A) / d_A of tau, the solution of
+    C = K D_A in the bases of dd (`channel_M`): D_A E_A = E_A diag(d_A)."""
+    return (tau.C @ dd.E_A) / dd.d_A
 
 
 @dataclass(frozen=True)
@@ -331,8 +371,9 @@ class KrylovRecord(NamedTuple):
 
 def krylov_record(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> KrylovRecord:
     """The Krylov record of the system (`_krylov_record` of B and C*),
-    computed once per system and tolerance set: the one span pass of a
-    system, which the subspaces and `realize.spectral_measure` read."""
+    computed once per system and tolerance set unless a construction seeded
+    it (`seed_records`): the one span pass of a system, which the subspaces
+    and `realize.spectral_measure` read."""
     return tau.cached("krylov", tol, lambda: _krylov_record(tau, None, None, tol))
 
 
@@ -567,8 +608,8 @@ class MinimalityReport:
 def check_minimality_normal(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> MinimalityReport:
     """Both routes of `MinimalityReport` for a passive system with a normal A.
 
-    M = E_As* B / d_As and K = C E_A / d_A are the parameters of the defect
-    bases of A (`main_defect_data`), taken into the state space.  With
+    M and K are the channel parameters (`channel_M`, `channel_K`) in the
+    defect bases of A, taken into the state space.  With
     ker D_A = {0}, ran D_A is the whole state space, so it meets the
     complement of a subspace exactly when the subspace is not the whole
     space; with ker D_A != {0} every defect-based verdict is False.  So each
@@ -581,10 +622,7 @@ def check_minimality_normal(tau: PartitionedContraction, tol: Tolerances = DEFAU
         raise NotAContraction(f"system block has norm {tau.norm():.12f}")
     dd = main_defect_data(tau, tol)
     ker_trivial = dd.E_A.shape[1] == tau.state_dim
-    # E* B as (B* E)*, as `param.parametrize` forms M: no conjugated copy of the basis
-    M = dd.E_As @ ((tau.B.conj().T @ dd.E_As).conj().T / dd.d_As[:, None])
-    Ks = dd.E_A @ ((tau.C @ dd.E_A) / dd.d_A).conj().T
-    rec = _krylov_record(tau, M, Ks, tol)
+    rec = _krylov_record(tau, dd.E_As @ channel_M(tau, dd), dd.E_A @ channel_K(tau, dd).conj().T, tol)
     cond_c, cond_o, cond_s = (ker_trivial and dim == tau.state_dim for dim in rec[:3])
     return MinimalityReport(
         controllable=cond_c,

@@ -38,6 +38,18 @@ from .sysmodel import PartitionedContraction
 # I - lambda A exceeds 1 / SINGULAR_REL.
 SINGULAR_REL = 1e-8
 
+# An atom location whose imaginary part is at most this (absolute) is real,
+# and its imaginary part is dropped.  It is about 4500 eps of a location in
+# (-1, 1): far above the rounding of a real location computed in complex
+# arithmetic, far below any location meant to lie off the axis.
+_REAL_ATOM = 1e-12
+
+# `w_from_data` refuses a point lambda with |1 - t_k lambda| at most this
+# times max(1, |lambda|), as hitting the pole 1/t_k.  The rounding of
+# 1 - t_k lambda is about eps max(1, |lambda|) for |t_k| < 1, so a
+# denominator above the threshold keeps at least 12 of its 16 digits.
+_POLE_REL = 1e-12
+
 
 def _resolve(F: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve F X = rhs, raising when F is numerically singular."""
@@ -543,7 +555,7 @@ def _checked_atom(t, sigma, n: int) -> tuple[float, np.ndarray]:
     t = complex(t)
     if not cmath.isfinite(t):
         raise InvalidMeasure(f"atom location {t} is not finite")
-    if abs(t.imag) > 1e-12:
+    if abs(t.imag) > _REAL_ATOM:
         raise InvalidMeasure(f"atom location {t} is not real")
     t = float(t.real)
     if abs(t) >= 1.0:
@@ -561,7 +573,7 @@ def w_from_data(f: SqsFunctionData, lam: complex) -> np.ndarray:
     lam = complex(lam)
     t = f.locations
     den = 1.0 - t * lam
-    pole = np.abs(den) <= 1e-12 * max(1.0, abs(lam))
+    pole = np.abs(den) <= _POLE_REL * max(1.0, abs(lam))
     if pole.any():
         raise PolarPoint(f"evaluation point {lam} hits the pole 1/{float(t[np.argmax(pole)])}")
     return np.tensordot(lam * (1.0 - t * t) / den, f.weights, axes=1)

@@ -24,6 +24,11 @@ GENERAL_SYSTEM = Path(__file__).parent / "data" / "general_passive_system.json"
 # D = -sum(t) / 4 in the list form: pqs and minimal, with a defect square
 # 2e-11 of A that lies below psd_tol and above the rounding floor
 NEAR_UNIT_SYSTEM = Path(__file__).parent / "data" / "near_unit_eigenvalue_pqs.json"
+# the 12-node arcsine measure, its minimal realization and that system with a
+# rotated state space, written by tests/data/make_cli_inputs.py
+ARCSINE_MEASURE = Path(__file__).parent / "data" / "arcsine_measure.json"
+ARCSINE_SYSTEM = Path(__file__).parent / "data" / "arcsine_system.json"
+ARCSINE_TWIN = Path(__file__).parent / "data" / "arcsine_system_rotated.json"
 
 
 def linalg_calls(monkeypatch, name, shape=None, internal=False):

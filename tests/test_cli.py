@@ -10,7 +10,8 @@ import pqsys
 from pqsys import _json, errors, opcore, sysmodel
 from pqsys.cli import main
 
-from helpers import GENERAL_SYSTEM, LEGACY_SYSTEM, NEAR_PQS_SYSTEM, NEAR_UNIT_SYSTEM, linalg_calls, rand_atoms, rand_contraction, rand_pqs_T, rand_unitary
+from helpers import (ARCSINE_MEASURE, ARCSINE_SYSTEM, ARCSINE_TWIN, GENERAL_SYSTEM, LEGACY_SYSTEM, NEAR_PQS_SYSTEM,
+                     NEAR_UNIT_SYSTEM, linalg_calls, rand_atoms, rand_contraction, rand_pqs_T, rand_unitary)
 
 import oracles
 
@@ -397,6 +398,21 @@ def test_dilate_and_classify_a_system_with_an_eigenvalue_near_1(tmp_path, capsys
     assert main(["classify", str(NEAR_UNIT_SYSTEM)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert "strongly_stable: True" in lines and "minimal: True" in lines
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", LEGACY_SYSTEM],
+    ["dilate", LEGACY_SYSTEM],
+    ["dilate", NEAR_PQS_SYSTEM],
+    ["dilate", NEAR_UNIT_SYSTEM],
+    ["eval", GENERAL_SYSTEM, "--func", "char", "--grid", "circle:8"],
+    ["realize", ARCSINE_MEASURE],
+    ["jacobi", ARCSINE_MEASURE],
+    ["similar", ARCSINE_SYSTEM, ARCSINE_TWIN],
+], ids=lambda argv: "-".join([argv[0], *(p.stem for p in argv[1:3] if hasattr(p, "stem"))]))
+def test_the_committed_inputs_pass_every_subcommand(argv):
+    # the commands of CI's installed-entry-point step, all six subcommands
+    assert main([str(a) for a in argv]) == 0
 
 
 def test_similar_accepts_conjugated_pair(tmp_path, rng):

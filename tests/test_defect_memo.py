@@ -159,3 +159,25 @@ def test_a_systems_defects_leave_the_callers_entry_in_the_slot(monkeypatch):
     svds = linalg_calls(monkeypatch, "svd", (S, S))
     opcore.defect_data(A)
     assert svds == []
+
+
+@pytest.mark.parametrize("kind", [non_normal, hermitian])
+def test_a_miss_checks_the_matrix_once(monkeypatch, kind):
+    # one finiteness scan and one real-diagonal scan per call, whether it hits
+    # or misses: the factorization of a miss runs neither again, and forms the
+    # Hermitian part with no further finiteness scan (`herm_part`)
+    A = kind()
+    ref = opcore.defect_data(A.copy())
+    scans = {"as_matrix": [], "_real_diagonal_eig": [], "herm_part": []}
+    for name, calls in scans.items():
+        real = getattr(opcore, name)
+        monkeypatch.setattr(opcore, name,
+                            lambda M, *a, _r=real, _c=calls, **kw: _c.append(np.shape(M)) or _r(M, *a, **kw))
+    dd = opcore.defect_data(A)   # a miss: the slot holds the copy's entry
+    assert scans["_real_diagonal_eig"] == [(S, S)] and scans["herm_part"] == []
+    assert_same_defects(dd, ref)
+    if kind is hermitian:
+        # the other scan of the s x s matrix is the selfadjointness rule's scale
+        assert scans["as_matrix"].count((S, S)) == 2
+    assert opcore.defect_data(A) is dd   # a hit
+    assert scans["_real_diagonal_eig"] == [(S, S)] * 2

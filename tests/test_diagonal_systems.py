@@ -78,8 +78,8 @@ def test_index_eigenbasis_gives_the_dense_bases_and_verdicts(n):
     twin = pqsys.PartitionedContraction(tau.T.copy(), n, n, TIED.size)
     sd = sysmodel.spectral_data(tau)
     # the twin carries the same factorization with its permutation matrix
-    twin.cached("spectral", pqsys.DEFAULT_TOL,
-                lambda: sysmodel._spectral_parts(twin, sd.t, _permutation(sd.V), 0.0))
+    V = _permutation(sd.V)
+    sysmodel.seed_records(twin, pqsys.DEFAULT_TOL, sd.t, V, 0.0, opcore.hermitian_defect_data(sd.t, V))
     dense = sysmodel.spectral_data(twin)
     assert dense.V.ndim == 2
     assert sysmodel.krylov_record(tau)[:3] == sysmodel.krylov_record(twin)[:3]
