@@ -28,6 +28,13 @@ from .opcore import DEFAULT_TOL, Tolerances, operator_norm
 _INPUT_ERRORS = (ValueError, KeyError, OSError, json.JSONDecodeError, NotScalar, DimensionMismatch,
                  InvalidMeasure)
 
+# `eval` takes a point within this of the unit circle as on it (the circle
+# test of --func char) and as in the closed disk (the Schur bound of --func
+# theta).  It is about 4500 eps: far above the rounding of a grid point
+# e^{i theta}, whose modulus is 1 to a few eps, far below the distance of a
+# point meant to lie off the circle.
+_ON_CIRCLE = 1e-12
+
 
 def _parse_tol(pairs) -> Tolerances:
     overrides = {}
@@ -163,15 +170,16 @@ def cmd_eval(args) -> int:
 
     samples = []
     worst = 0.0
-    flags = sysmodel.classify(tau, tol)
+    # only the Schur bound of Theta reads a class flag
+    passive = args.which == "theta" and sysmodel.classify(tau, tol).passive
     for z in points:
         if args.which == "theta":
             val = transfer.theta_eval(tau, z, tol)
-            if flags.passive and abs(z) <= 1.0 + 1e-12:
+            if passive and abs(z) <= 1.0 + _ON_CIRCLE:
                 worst = max(worst, operator_norm(val) - 1.0)
         elif args.which == "char":
             val = transfer.char_func(tau, z, tol)
-            if abs(abs(z) - 1.0) <= 1e-12:
+            if abs(abs(z) - 1.0) <= _ON_CIRCLE:
                 # Phi of a selfadjoint A is diagonal: its singular values are the
                 # moduli of the Blaschke values b_k, and ||Phi* Phi - I|| = max | |b_k|^2 - 1 |
                 diagonal = sysmodel.spectral_data(tau, tol) is not None
@@ -183,7 +191,7 @@ def cmd_eval(args) -> int:
     doc = {"func": args.which, "samples": samples}
     if not args.out:
         print(json.dumps(doc))
-    if args.which == "theta" and flags.passive:
+    if passive:
         errors.check("schur_bound", worst, tol.grid_tol)
     if args.which == "char":
         errors.check("circle_unitarity", worst, tol.grid_tol)

@@ -240,22 +240,23 @@ def norm_at_most(R, bound: float, scale=None, floor: float = 0.0) -> bool:
     bracket of the threshold, and computes singular values only when neither
     settles it."""
     R = as_matrix(R)
-    return _norm_verdict(float(np.linalg.norm(R)), min(R.shape), lambda: R, bound, scale, floor)
+    S = None if scale is None else as_matrix(scale)
+    return _norm_verdict(float(np.linalg.norm(R)), min(R.shape), lambda: R, bound, S, floor)
 
 
-def _norm_verdict(r_fro: float, r_rank: int, residual, bound: float, scale, floor: float) -> bool:
+def _norm_verdict(r_fro: float, r_rank: int, residual, bound: float, S, floor: float) -> bool:
     """`norm_at_most` for a residual of Frobenius norm r_fro and rank at most
-    r_rank, which residual() forms only when the brackets leave it open."""
+    r_rank, which residual() forms only when the brackets leave it open, and
+    a scale S that is None or a checked matrix (`as_matrix`), not checked again."""
     s_fro = s_rank = None
-    if scale is not None:
-        S = as_matrix(scale)
+    if S is not None:
         s_fro, s_rank = float(np.linalg.norm(S)), min(S.shape)
     accept, reject = _fro_settles(r_fro, r_rank, bound, s_fro, s_rank, floor)
     if accept:
         return True
     if reject:
         return False
-    if scale is not None:
+    if S is not None:
         bound = bound * max(floor, operator_norm(S))
     return operator_norm(residual()) <= bound
 
@@ -313,8 +314,6 @@ def psd_sqrt(M, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     M = as_matrix(M)
     if M.shape[0] != M.shape[1]:
         raise NonSquare(f"psd_sqrt needs a square matrix, got {M.shape}")
-    if M.shape[0] == 0:
-        return M.copy()
     if not is_selfadjoint(M, tol):
         raise NotHermitian("psd_sqrt: matrix is not Hermitian")
     w, U = np.linalg.eigh(herm_part(M))
@@ -425,6 +424,9 @@ def _require_contraction(nrm: float, tol: Tolerances):
 class DefectData(NamedTuple):
     """Defect operators of A and A* with orthonormal range bases and the
     defect values along them: D_A E_A = E_A diag(d_A), likewise for A*.
+    Only `defect_data` forms the operators D_A and D_{A*} themselves; every
+    other record (`hermitian_defect_data`, `sysmodel.main_defect_data`)
+    holds the factors alone, with DA = DAs = None.
 
     For normal A the two defect operators coincide; in that case the very
     same data are reused on both sides, so that operators between the two
@@ -436,8 +438,8 @@ class DefectData(NamedTuple):
     (`DefectSide.basis`).
     """
 
-    DA: np.ndarray       # (I - A*A)^{1/2} on the domain
-    DAs: np.ndarray      # (I - AA*)^{1/2} on the codomain
+    DA: np.ndarray | None    # (I - A*A)^{1/2} on the domain, or None
+    DAs: np.ndarray | None   # (I - AA*)^{1/2} on the codomain, or None
     E_A: np.ndarray      # columns: orthonormal basis of ran D_A
     E_As: np.ndarray     # columns: orthonormal basis of ran D_{A*}
     d_A: np.ndarray      # sqrt(1 - s^2) (or sqrt(1 - t^2)) along E_A
@@ -529,11 +531,12 @@ def _eig_miss(M: np.ndarray, V: np.ndarray, w: np.ndarray) -> float:
 def _hermitian_eigh(A, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, float] | None:
     """Eigenvalues t (ascending) and eigenvectors V of H = (A + A*)/2 and
     ||A - A*||_F as the selfadjointness test measured it (`_skew_fro`), for a
-    nonempty square A that passes `is_selfadjoint`; None for any other A.
+    square A that passes `is_selfadjoint`; None for any other A.
 
-    A real diagonal A is its own factorization, with no selfadjointness scan
-    (it passes the rule trivially, and its skew norm is 0): V is the index of
-    the stable sort of its diagonal (see `_eig_coords`), not a matrix.
+    A real diagonal A, the empty one included, is its own factorization, with
+    no selfadjointness scan (it passes the rule trivially, and its skew norm
+    is 0): V is the index of the stable sort of its diagonal (see
+    `_eig_coords`), not a matrix.
     Otherwise `_dense_eigh` factors H by eigh (A itself, bit for bit, when A
     is bitwise Hermitian), and PqsysError is raised when ||HV - V diag(t)||_F
     exceeds max(eq_tol, _EIGH_ROUNDING * s * eps) * max(1, max|t|) for s x s
@@ -548,7 +551,7 @@ def _dense_eigh(A: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray,
     """`_hermitian_eigh` of a finite complex matrix (`as_matrix`) that
     `_real_diagonal_eig` has refused: neither O(s^2) scan is run again, and
     H is formed with no finiteness scan (`herm_part` would take one)."""
-    if A.shape[0] != A.shape[1] or A.shape[0] == 0:
+    if A.shape[0] != A.shape[1]:
         return None
     skew = _skew_fro(A)
     if not _selfadjoint_verdict(A, skew, tol):
@@ -563,10 +566,10 @@ def _dense_eigh(A: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray,
 
 
 def _real_diagonal_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The ascending eigenvalues of a nonempty square real diagonal A and the
-    index of their stable sort, its eigenbasis (`_eig_coords`); None for any
-    other A."""
-    if A.shape[0] != A.shape[1] or A.shape[0] == 0:
+    """The ascending eigenvalues of a square real diagonal A and the index of
+    their stable sort, its eigenbasis (`_eig_coords`): both empty for the
+    empty A; None for any other A."""
+    if A.shape[0] != A.shape[1]:
         return None
     diag = np.diagonal(A)
     if np.any(diag.imag) or np.count_nonzero(A) != np.count_nonzero(diag):
@@ -578,7 +581,7 @@ def _real_diagonal_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 # An eigenbasis V of a selfadjoint A is carried in one of two forms: the s x s
 # matrix of its columns, or, for a real diagonal A, the integer index perm of
 # the stable sort of the diagonal, whose column k is the unit vector e_perm[k].
-# `_eig_coords`, `_eig_span` and `hermitian_defect_data` are the only places
+# `_eig_coords`, `_eig_span` and `_formed_defects` are the only places
 # that tell the forms apart; on an index they take entries by index, with the
 # values, bit for bit, of the products with the real permutation matrix.
 
@@ -608,7 +611,10 @@ def _eig_span(V: np.ndarray, cols: slice, Y: np.ndarray | None = None) -> np.nda
 def defect_data(A, tol: Tolerances = DEFAULT_TOL) -> DefectData:
     """D_A, D_{A*}, their range bases and values: from the one `eigh` of a
     selfadjoint A (`hermitian_defect_data`), else from one thin SVD
-    A = U diag(s) W* (`_svd_defects`), each side formed by `_dense_defects`.
+    A = U diag(s) W* (`_svd_defects`).  This is the one place the library
+    forms the two operators, from the factorization in hand
+    (`_formed_defects`, `_svd_defect_data`); every other defect record
+    holds the factors alone.
     When the two defects agree to eq_tol, the data of D_A serve both sides.
     Every returned array is read-only.
 
@@ -630,7 +636,7 @@ def defect_data(A, tol: Tolerances = DEFAULT_TOL) -> DefectData:
     M = as_matrix(A)
     eig = _real_diagonal_eig(M)
     if eig is not None:
-        return _read_only(hermitian_defect_data(*eig, tol))
+        return _read_only(_formed_defects(*eig, tol))
     memo = isinstance(A, np.ndarray)
     if memo:
         digest = _content_digest(M)
@@ -648,23 +654,37 @@ def _factor_defects(A: np.ndarray, tol: Tolerances) -> DefectData:
     """`defect_data` of a finite complex matrix that `_real_diagonal_eig` has
     refused, by its factorization (`_dense_eigh`, else the SVD)."""
     eig = _dense_eigh(A, tol)
-    return _svd_defect_data(A, tol) if eig is None else hermitian_defect_data(*eig[:2], tol)
+    return _svd_defect_data(A, tol) if eig is None else _formed_defects(*eig[:2], tol)
+
+
+def _formed_defects(t: np.ndarray, V: np.ndarray, tol: Tolerances) -> DefectData:
+    """`hermitian_defect_data` of A = V diag(t) V* with D_A = D_{A*} =
+    V diag(sqrt(1 - t^2)) V* formed from the whole eigenbasis: for an index V
+    (`_eig_coords`) the real diagonal with d[k] at entry V[k].  The product
+    for a matrix V is not `DefectSide.dense`'s: the two agree in value, but
+    not in the sign of some zero imaginary parts on the diagonal."""
+    d = hermitian_defect(t, tol)[0]
+    if V.ndim == 1:
+        DA = np.diag(d[np.argsort(V)])
+    else:
+        # V d V* as conj(conj(V d) V^T), which needs no conjugated copy of V
+        W = V * d
+        DA = np.conj(W, out=W) @ V.T
+        np.conj(DA, out=DA)
+    return hermitian_defect_data(t, V, tol)._replace(DA=DA, DAs=DA)
 
 
 def _svd_defect_data(A: np.ndarray, tol: Tolerances) -> DefectData:
     """`defect_data` of a matrix that `_hermitian_eigh` refuses, from its one
-    thin SVD, with the data of D_A on both sides when the two defects agree."""
-    dd = _dense_defects(*_svd_defects(A, tol, _require_contraction))
-    if dd.DA.shape == dd.DAs.shape and norm_at_most(dd.DA - dd.DAs, tol.eq_tol):
-        return DefectData(dd.DA, dd.DA, dd.E_A, dd.E_A, dd.d_A, dd.d_A)
-    return dd
-
-
-def _dense_defects(dom: DefectSide, cod: DefectSide) -> DefectData:
-    """The DefectData of the two sides of `_svd_defects`, each defect formed
-    (`DefectSide.dense`) with its basis and values (`DefectSide.basis`)."""
+    thin SVD: each side's basis and values (`DefectSide.basis`) and its
+    defect (`DefectSide.dense`), with the data of D_A on both sides when the
+    two defects agree, a test that needs both operators formed."""
+    dom, cod = _svd_defects(A, tol, _require_contraction)
     (E, d), (Es, ds) = dom.basis(), cod.basis()
-    return DefectData(dom.dense(), cod.dense(), E, Es, d, ds)
+    DA, DAs = dom.dense(), cod.dense()
+    if DA.shape == DAs.shape and norm_at_most(DA - DAs, tol.eq_tol):
+        return DefectData(DA, DA, E, E, d, d)
+    return DefectData(DA, DAs, E, Es, d, ds)
 
 
 def _read_only(arrays: tuple) -> tuple:
@@ -729,23 +749,15 @@ def hermitian_defect(t: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> tuple[np.n
 
 
 def hermitian_defect_data(t: np.ndarray, V: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> DefectData:
-    """D_A = D_{A*} = V diag(sqrt(1 - t^2)) V* from A = V diag(t) V*, with the
-    eigenvectors of nonzero defect (`hermitian_defect`) and their values as
-    the shared range basis and defect values.  V is a matrix or an index
-    (`_eig_coords`); an index gives the real diagonal D_A, set entry by entry."""
+    """The factors of D_A = D_{A*} = V diag(sqrt(1 - t^2)) V* from
+    A = V diag(t) V*: the eigenvectors of nonzero defect (`hermitian_defect`)
+    and their values as the shared range basis and defect values, with t
+    along them.  V is a matrix or an index (`_eig_coords`); an index gives
+    the real identity columns.  D_A itself is not formed (DA = DAs = None):
+    `defect_data` forms it (`_formed_defects`)."""
     d, cols = hermitian_defect(t, tol)
-    if V.ndim == 1:
-        DA = np.zeros((t.size, t.size))
-        DA[V, V] = d
-    else:
-        # V d V* formed as conj(conj(V d) V^T), which needs no conjugated copy of V
-        W = V * d
-        np.conj(W, out=W)
-        DA = W @ V.T
-        del W
-        np.conj(DA, out=DA)
     E = _eig_span(V, cols)
-    return DefectData(DA, DA, E, E, d[cols], d[cols], t[cols])
+    return DefectData(None, None, E, E, d[cols], d[cols], t[cols])
 
 
 def is_selfadjoint(A, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -37,7 +37,10 @@ class ContractionParams:
         X : dKs x dM     between the bases E_DM, E_DKs
 
     `defects` is the `opcore.DefectData` of A (for selfadjoint A its t holds
-    the eigenvalues along the shared eigenvector basis).  DM/DKs are the
+    the eigenvalues along the shared eigenvector basis).  From `parametrize`
+    it is the system's record (`sysmodel.main_defect_data`), factors only,
+    with DA = DAs = None; from `make_params` it is what `opcore.defect_data`
+    returns, the one place D_A and D_{A*} are formed.  DM/DKs are the
     defect operators of M (on M) and K* (on N), with E_DM/E_DKs the bases of
     their ranges that diagonalize them, and DX/DXs those of X and X*: all of
     a channel dimension.  DK (on D_A) and DMs (on D_{A*}) are held as the

@@ -32,6 +32,20 @@ _SCHUR_GAP = 1e-3
 # confluent form.
 _COINCIDENT = 1e-12
 
+# A diagonal entry of `q_class_kernel_check` at a point whose imaginary part
+# is at most _CONFLUENT takes the confluent form, a central difference with
+# step _DIFF_STEP.  Its divided difference by z - conj(z) = 2i Im z would
+# keep there no more than eps ||Q|| / 2e-9, about 1e-7 of the entry, while
+# the central difference errs by h^2 (truncation) plus eps / h (rounding),
+# which balance near h = eps^(1/3), 6e-6: 1e-6 sits near that balance.
+_CONFLUENT = 1e-9
+_DIFF_STEP = 1e-6
+
+# `q_theta_roundtrip` refuses |z| below this as the point 0: Theta is read at
+# 1/z, beyond 1e12, where I - (1/z) A keeps about 4 of the 16 digits of its
+# identity term.
+_ZERO_POINT = 1e-12
+
 
 def q_eval(tau: PartitionedContraction, z: complex, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Corner block of (T - zI)^{-1} on the I/O coordinates.
@@ -76,7 +90,7 @@ def q_theta_roundtrip(tau: PartitionedContraction, z: complex, tol: Tolerances =
         Q(z) (Theta(1/z) - zI) = I    and    Theta(1/z) = zI + Q(z)^{-1}.
     """
     z = complex(z)
-    if abs(z) < 1e-12:
+    if abs(z) < _ZERO_POINT:
         raise SingularResolvent("the inversion needs z != 0")
     n = tau.out_dim
     Q = q_eval(tau, z, tol)
@@ -158,7 +172,6 @@ def q_class_kernel_check(q, F, z_points: Sequence[complex], tol: Tolerances = DE
     vals = [as_matrix(sample(z)) for z in pts]
     n = vals[0].shape[0]
     dF = F - F.conj().T
-    h = 1e-6
 
     # row index carries the conjugated argument zi = conj(xi), column the
     # holomorphic one; only this orientation assembles the factored Gram form
@@ -173,11 +186,11 @@ def q_class_kernel_check(q, F, z_points: Sequence[complex], tol: Tolerances = DE
     for i in range(p):
         zi, qi = np.conj(pts[i]), vals[i].conj().T
         for j in range(p):
-            if i == j and abs(pts[i].imag) <= 1e-9:
+            if i == j and abs(pts[i].imag) <= _CONFLUENT:
                 # confluent: central difference in the first argument
-                up, down = pts[i] + h, pts[i] - h
+                up, down = pts[i] + _DIFF_STEP, pts[i] - _DIFF_STEP
                 q_up, q_down = as_matrix(sample(up)), as_matrix(sample(down))
-                blocks = [(num(zi, qi, up, q_up) - num(zi, qi, down, q_down)) / (2 * h)
+                blocks = [(num(zi, qi, up, q_up) - num(zi, qi, down, q_down)) / (2 * _DIFF_STEP)
                           for num in (k2_num, k3_num)]
             else:
                 blocks = [num(zi, qi, pts[j], vals[j]) / (pts[j] - zi) for num in (k2_num, k3_num)]

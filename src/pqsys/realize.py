@@ -35,15 +35,25 @@ from .sysmodel import PartitionedContraction
 from .transfer import SqsFunctionData, theta_eval
 
 
+# Atom locations within this (absolute) distance of their run's first are one
+# location (`_merged_atoms`).  The locations are given data, not computed
+# eigenvalues, so only locations equal to rounding merge (about 4500 eps in
+# (-1, 1)); `opcore.CLUSTER_GAP` (1e-8) bounds how well the eigh of a dense A
+# knows its eigenvalues and would merge atoms the data keep apart.  Atoms
+# farther apart stay distinct states of the realization, which the minimal
+# reduction's cluster rule may still chain into one eigenvalue.
+_MERGE_GAP = 1e-12
+
+
 def _merged_atoms(f: SqsFunctionData) -> tuple[np.ndarray, np.ndarray]:
     """The atom locations in ascending order with the atoms at coinciding
-    locations merged: a run of sorted locations within 1e-12 of the run's
-    first becomes that location and the sum of its weights."""
+    locations merged: a run of sorted locations within _MERGE_GAP of the
+    run's first becomes that location and the sum of its weights."""
     order = np.argsort(f.locations, kind="stable")
     t = f.locations[order]
     starts = []
     for j, loc in enumerate(t.tolist()):
-        if not starts or loc - first > 1e-12:
+        if not starts or loc - first > _MERGE_GAP:
             starts.append(j)
             first = loc
     return t[starts], np.add.reduceat(f.weights[order], starts, axis=0)

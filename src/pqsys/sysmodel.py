@@ -139,7 +139,7 @@ def spectral_data(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) ->
 
 
 def _spectral_data(tau: PartitionedContraction, tol: Tolerances) -> SpectralData | None:
-    eig = opcore._hermitian_eigh(tau.A, tol) if tau.state_dim else (np.zeros(0), np.zeros((0, 0)), 0.0)
+    eig = opcore._hermitian_eigh(tau.A, tol)
     return None if eig is None else _spectral_parts(tau, *eig)
 
 
@@ -152,11 +152,14 @@ def _spectral_parts(tau: PartitionedContraction, t: np.ndarray, V: np.ndarray, s
 
 
 def main_defect_data(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL) -> opcore.DefectData:
-    """The defect data of A (`opcore.defect_data`), computed once per system
-    and tolerance set, all read-only; a selfadjoint A reads its cached
+    """The defect data of A (`opcore.defect_data`) as factors only, with
+    DA = DAs = None: every reader applies D_A and D_{A*} as E diag(d), and
+    only `opcore.defect_data` forms them.  Computed once per system and
+    tolerance set, all read-only; a selfadjoint A reads its cached
     factorization (`spectral_data`) through `opcore.hermitian_defect_data`.
     Any other A, which `spectral_data` has refused, is factored by its SVD
-    (`opcore._svd_defect_data`), with no second selfadjointness test, and not
+    (`opcore._svd_defect_data`, whose test for a shared defect forms both
+    sides and drops them), with no second selfadjointness test, and not
     through the one-slot memo of `defect_data`: the system's cache holds the
     result, and the slot keeps the caller's own entry."""
     return tau.cached("defects", tol, lambda: _main_defect_data(tau, tol))
@@ -164,9 +167,8 @@ def main_defect_data(tau: PartitionedContraction, tol: Tolerances = DEFAULT_TOL)
 
 def _main_defect_data(tau: PartitionedContraction, tol: Tolerances) -> opcore.DefectData:
     sd = spectral_data(tau, tol)
-    if sd is None:
-        return opcore._read_only(opcore._svd_defect_data(tau.A, tol))
-    return opcore._read_only(opcore.hermitian_defect_data(sd.t, sd.V, tol))
+    dd = opcore._svd_defect_data(tau.A, tol) if sd is None else opcore.hermitian_defect_data(sd.t, sd.V, tol)
+    return opcore._read_only(dd._replace(DA=None, DAs=None))
 
 
 def seed_records(tau: PartitionedContraction, tol: Tolerances, t: np.ndarray, V: np.ndarray, skew: float,
@@ -176,8 +178,8 @@ def seed_records(tau: PartitionedContraction, tol: Tolerances, t: np.ndarray, V:
     of its selfadjoint main operator with ||A - A*||_F = skew (`spectral_data`,
     whose O(s n) parts are formed from tau's B and C), the defect data of that
     A (`main_defect_data`, the `opcore.hermitian_defect_data` of t and V, or
-    data equal to them bit for bit), and with spans_fill the fact that the
-    controllable and observable subspaces are the whole state space
+    data whose factors equal them bit for bit), and with spans_fill the fact
+    that the controllable and observable subspaces are the whole state space
     (`krylov_record`).  Each record is seeded for the tolerance set tol; one
     already computed is kept.  Returns the spectral data.
 
@@ -249,7 +251,7 @@ def _classify(tau: PartitionedContraction, tol: Tolerances) -> SystemClass:
     # the factorization exists exactly when A passes the selfadjointness rule
     sa_main = spectral_data(tau, tol) is not None
     # a selfadjoint A is normal: is_normal's two s x s products are skipped
-    normal_main = sa_main or not A.size or opcore.is_normal(A, tol)
+    normal_main = sa_main or opcore.is_normal(A, tol)
     cb = (tau.in_dim == tau.out_dim
           and norm_at_most(tau.C - tau.B.conj().T, tol.eq_tol * scale))
     pqs = passive and sa_main and cb

@@ -52,6 +52,21 @@ def linalg_calls(monkeypatch, name, shape=None, internal=False):
     return calls
 
 
+def formed_defect(E, d):
+    """The defect operator E diag(d) E* formed from the factors of a
+    `DefectData` side (E_A, d_A or E_As, d_As), by the product
+    conj(conj(E d) E^T) that `opcore.DefectSide.dense` takes."""
+    W = np.conj(E * d)
+    return np.conj(W @ E.T)
+
+
+def assert_same_factors(got, want):
+    """The factor fields (E_A, E_As, d_A, d_As, t) of two `DefectData` are
+    equal bit for bit, with the same dtypes."""
+    for g, w in zip(got[2:], want[2:]):
+        assert (g is None and w is None) or (g.dtype == w.dtype and np.array_equal(g, w))
+
+
 def rand_complex(rng, rows, cols):
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 

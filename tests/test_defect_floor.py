@@ -11,7 +11,7 @@ import pytest
 import pqsys
 from pqsys import _json, opcore, param, sysmodel
 
-from helpers import GENERAL_SYSTEM, NEAR_UNIT_SYSTEM, rand_unitary
+from helpers import GENERAL_SYSTEM, NEAR_UNIT_SYSTEM, assert_same_factors, formed_defect, rand_unitary
 
 
 def _near_unit_system():
@@ -76,8 +76,10 @@ def test_a_general_systems_main_operator_is_tested_for_selfadjointness_once(monk
     dd = sysmodel.main_defect_data(tau)
     assert len(calls) == 1
     ref = opcore.defect_data(tau.A.copy())
-    for got, want in zip(dd[:6], ref[:6]):
-        assert np.array_equal(got, want)
+    assert dd.DA is None and dd.DAs is None
+    assert_same_factors(dd, ref)
+    assert np.array_equal(formed_defect(dd.E_A, dd.d_A), ref.DA)
+    assert np.array_equal(formed_defect(dd.E_As, dd.d_As), ref.DAs)
 
 
 @pytest.mark.parametrize("gap", [1e-12, 1e-9, 1e-7, 1e-6])

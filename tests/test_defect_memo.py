@@ -13,7 +13,8 @@ import pytest
 import pqsys
 from pqsys import opcore, sysmodel, transfer
 
-from helpers import linalg_calls, rand_contraction, rand_hermitian_contraction, rand_passive_T
+from helpers import (assert_same_factors, formed_defect, linalg_calls, rand_contraction, rand_hermitian_contraction,
+                     rand_passive_T)
 
 S = 60
 POINTS = (0.3 + 0.2j, -0.5 + 0.1j, 0.1 - 0.6j)
@@ -155,7 +156,11 @@ def test_a_systems_defects_leave_the_callers_entry_in_the_slot(monkeypatch):
     monkeypatch.setattr(opcore, "_content_digest", lambda M: digests.append(1) or content_digest(M))
     dd = sysmodel.main_defect_data(tau)
     assert digests == []
-    assert_same_defects(dd, ref)
+    # the system's record keeps the factors, bit for bit, and neither operator
+    assert dd.DA is None and dd.DAs is None
+    assert_same_factors(dd, ref)
+    assert np.array_equal(formed_defect(dd.E_A, dd.d_A), ref.DA)
+    assert np.array_equal(formed_defect(dd.E_As, dd.d_As), ref.DAs)
     svds = linalg_calls(monkeypatch, "svd", (S, S))
     opcore.defect_data(A)
     assert svds == []
@@ -165,7 +170,8 @@ def test_a_systems_defects_leave_the_callers_entry_in_the_slot(monkeypatch):
 def test_a_miss_checks_the_matrix_once(monkeypatch, kind):
     # one finiteness scan and one real-diagonal scan per call, whether it hits
     # or misses: the factorization of a miss runs neither again, and forms the
-    # Hermitian part with no further finiteness scan (`herm_part`)
+    # Hermitian part with no further finiteness scan (`herm_part`); the
+    # selfadjointness rule takes the checked matrix as its scale unchecked
     A = kind()
     ref = opcore.defect_data(A.copy())
     scans = {"as_matrix": [], "_real_diagonal_eig": [], "herm_part": []}
@@ -177,7 +183,6 @@ def test_a_miss_checks_the_matrix_once(monkeypatch, kind):
     assert scans["_real_diagonal_eig"] == [(S, S)] and scans["herm_part"] == []
     assert_same_defects(dd, ref)
     if kind is hermitian:
-        # the other scan of the s x s matrix is the selfadjointness rule's scale
-        assert scans["as_matrix"].count((S, S)) == 2
+        assert scans["as_matrix"].count((S, S)) == 1
     assert opcore.defect_data(A) is dd   # a hit
     assert scans["_real_diagonal_eig"] == [(S, S)] * 2

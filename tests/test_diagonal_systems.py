@@ -10,7 +10,7 @@ import pqsys
 from pqsys import _json, opcore, realize, sysmodel
 from pqsys.cli import main
 
-from helpers import rand_atoms, rand_complex
+from helpers import assert_same_factors, formed_defect, rand_atoms, rand_complex
 
 # ties within and across clusters: the stable order of the sort decides
 # which unit vector each eigenvalue gets
@@ -62,10 +62,13 @@ def test_index_eigenbasis_matches_the_permutation_products(n):
     assert np.array_equal(sd.VB, (tau.B.conj().T @ V).conj().T)
     assert np.array_equal(sd.CV, tau.C @ V)
     # D_A and E_A: the real products of the dense route
-    dense = opcore.hermitian_defect_data(sd.t, V)
-    for got in (sysmodel.main_defect_data(tau), opcore.defect_data(tau.A.copy())):
-        for a, b in zip(got, dense):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+    dense = opcore._formed_defects(sd.t, V, pqsys.DEFAULT_TOL)
+    record, bare = sysmodel.main_defect_data(tau), opcore.defect_data(tau.A.copy())
+    assert record.DA is None and record.DAs is None
+    for got in (record, bare):
+        assert_same_factors(got, dense)
+    assert bare.DA.dtype == dense.DA.dtype and np.array_equal(bare.DA, dense.DA) and bare.DAs is bare.DA
+    assert np.array_equal(formed_defect(record.E_A, record.d_A), dense.DA)
     # the index names the columns of the permutation matrix
     t, perm_eig, _ = opcore._hermitian_eigh(tau.A, pqsys.DEFAULT_TOL)
     assert np.array_equal(t, sd.t) and np.array_equal(opcore._eig_span(perm_eig, slice(None)), V)

@@ -19,7 +19,7 @@ import pqsys
 from pqsys import opcore, realize, sysmodel, transfer
 
 import oracles
-from helpers import linalg_calls, pqs_from_spectrum, rand_complex, rand_contraction, rand_unitary
+from helpers import formed_defect, linalg_calls, pqs_from_spectrum, rand_complex, rand_contraction, rand_unitary
 
 
 def _system(T, n, s):
@@ -143,15 +143,16 @@ def test_parametrize_builds_no_state_square_array():
 def _pinv_parameters(tau, tol=pqsys.DEFAULT_TOL):
     """M, K and X by the dense pseudoinverse formulas
     M = E_As* pinv(D_A*) B, K = C pinv(D_A) E_A and
-    X = E_DKs* pinv(D_K*) core pinv(D_M) E_DM."""
+    X = E_DKs* pinv(D_K*) core pinv(D_M) E_DM, with D_A and D_{A*} formed
+    from the factors of the parameters' defect data."""
     p = pqsys.parametrize(tau, tol)
     dd = p.defects
 
     def pinv(D):
         return np.linalg.pinv(D, rcond=tol.rank_tol)
 
-    M = dd.E_As.conj().T @ pinv(dd.DAs) @ tau.B
-    K = tau.C @ pinv(dd.DA) @ dd.E_A
+    M = dd.E_As.conj().T @ pinv(formed_defect(dd.E_As, dd.d_As)) @ tau.B
+    K = tau.C @ pinv(formed_defect(dd.E_A, dd.d_A)) @ dd.E_A
     core = tau.D + (K @ dd.E_A.conj().T) @ tau.A.conj().T @ (dd.E_As @ M)
     X = p.E_DKs.conj().T @ pinv(p.DKs) @ core @ pinv(p.DM) @ p.E_DM
     return p, (M, K, X)
@@ -520,12 +521,13 @@ def _small_system(kind, s=12, n=2):
 
 @pytest.mark.parametrize("kind", ["general", "pqs"])
 def test_no_reader_of_A_s_defects_forms_them(kind):
-    # every reader applies D_A and D_{A*} as E diag(d): with the s x s
-    # operators taken out of the cached defect data, each still runs and agrees
+    # every reader applies D_A and D_{A*} as E diag(d): the system's defect
+    # record holds neither s x s operator, and each reader runs and agrees
     tau = _small_system(kind)
     tol = pqsys.DEFAULT_TOL
     dd = sysmodel.main_defect_data(tau, tol)
-    tau._cache["defects", tol] = dd._replace(DA=None, DAs=None)
+    assert dd.DA is None and dd.DAs is None
+    DA, DAs = formed_defect(dd.E_A, dd.d_A), formed_defect(dd.E_As, dd.d_As)
     rng = np.random.default_rng(13)
     h, g, f = rand_complex(rng, 2, 1)[:, 0], rand_complex(rng, 2, 1)[:, 0], rand_complex(rng, 12, 1)[:, 0]
     p = pqsys.parametrize(tau, tol)
@@ -536,7 +538,7 @@ def test_no_reader_of_A_s_defects_forms_them(kind):
     assert pqsys.isometry_conditions(p) == (False, False)
     for z in CHAR_POINTS:
         phi = pqsys.char_func(tau, z)
-        amb = -tau.A + z * dd.DAs @ np.linalg.solve(np.eye(12) - z * tau.A.conj().T, dd.DA)
+        amb = -tau.A + z * DAs @ np.linalg.solve(np.eye(12) - z * tau.A.conj().T, DA)
         ref = dd.E_As.conj().T @ amb @ dd.E_A
         assert np.linalg.norm(phi - ref, 2) <= 1e-12
         assert max(pqsys.char_defect_residuals(tau, z)) <= 1e-12

@@ -44,7 +44,11 @@ def test_psd_sqrt_clamps_round_off_but_rejects_indefinite():
 
 
 def _svd_defects(X, check=None):
-    return opcore._dense_defects(*opcore._svd_defects(X, opcore.DEFAULT_TOL, check))
+    """Both sides of `opcore._svd_defects`, each formed (`DefectSide.dense`)
+    with its basis and values (`DefectSide.basis`)."""
+    dom, cod = opcore._svd_defects(X, opcore.DEFAULT_TOL, check)
+    (E, d), (Es, ds) = dom.basis(), cod.basis()
+    return opcore.DefectData(dom.dense(), cod.dense(), E, Es, d, ds)
 
 
 def _checked_defects(X):
@@ -185,7 +189,9 @@ def test_hermitian_eigh_factors_selfadjoint_input_only():
     assert np.all(np.diff(t) >= 0)
     assert np.linalg.norm(H @ V - V * t) < 1e-12
     assert opcore._hermitian_eigh(rand_complex(rng, 6, 6), opcore.DEFAULT_TOL) is None
-    assert opcore._hermitian_eigh(np.zeros((0, 0)), opcore.DEFAULT_TOL) is None
+    # the empty matrix is its own factorization, an empty index
+    t, perm, skew = opcore._hermitian_eigh(np.zeros((0, 0)), opcore.DEFAULT_TOL)
+    assert t.shape == perm.shape == (0,) and perm.dtype.kind == "i" and skew == 0.0
     # a real diagonal matrix is its own factorization, carried as an index
     D = np.diag([0.3, -0.5, 0.3, 0.0]).astype(complex)
     t, perm, _ = opcore._hermitian_eigh(D, opcore.DEFAULT_TOL)
